@@ -40,11 +40,15 @@ dist-drill:
 # must reach the cold best; a store torn mid-record (a kill during an
 # append) must salvage its intact prefix and keep warm-starting; and a
 # warm-started session must be byte-identical in-process and against a
-# real evald fleet. See docs/TRANSFER.md.
+# real evald fleet. A v1 store checked in by the last build that wrote v1
+# must migrate to v2 and warm-start the golden session byte for byte, and
+# concurrent sessions sharing one store must never lose or renumber a
+# winner. See docs/TRANSFER.md.
 transfer-drill:
 	go test -race -count=1 \
-	  -run 'TestTransferWarmStartHalvesTrialBudget|TestTransferOffLeavesSessionByteIdentical|TestTransferBogusStoreDegradesToCold|TestStoreSalvagesTornTail|TestTuneTransferJob|TestCLITransferStoreTornTailDrill|TestCLITransferFleetEquivalence' \
+	  -run 'TestTransferWarmStartHalvesTrialBudget|TestTransferOffLeavesSessionByteIdentical|TestTransferBogusStoreDegradesToCold|TestTransferV1StoreMigrationDrill|TestTransferStoreClosedOnEveryPath|TestStoreSalvagesTornTail|TestStoreMigratesV1|TestStoreSharedHandles|TestTuneTransferJob|TestCLITransferStoreTornTailDrill|TestCLITransferFleetEquivalence' \
 	  ./hotspot ./internal/transfer ./internal/httpapi .
+	go test -race -count=10 -run 'TestStoreConcurrentOpenAppendClose' ./internal/transfer
 
 # The drift drills: the live re-tuning story end to end. A phase-shifting
 # workload under the armed detector must open a recovery epoch whose winner

@@ -449,6 +449,10 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 	if opts.TransferDir != "" {
 		reg = flags.NewRegistry()
 		xfer = transferSetup(opts, prof, reg)
+		// Every return and a crash-point panic release the store handle;
+		// a leaked handle would keep the store's stale state open for the
+		// next session on the directory.
+		defer xfer.store.Close()
 		searcher = core.NewWarmStart(searcher, xfer.samples())
 	}
 

@@ -130,7 +130,7 @@ func (ts *transferSession) metaFingerprint() string {
 
 // finish records the session's winning configuration into the store (the
 // controller is the only writer — evald measurement nodes never see the
-// store), attaches the provenance to the result, and closes the store.
+// store) and attaches the provenance to the result.
 // A drift session additionally records each drift-opened epoch's best under
 // the shifted profile's fingerprint: the post-drift winner is knowledge
 // about the drifted workload, not the base one, and filing it under the
@@ -140,7 +140,6 @@ func (ts *transferSession) finish(res *Result, opts Options, prof *workload.Prof
 	if ts == nil {
 		return
 	}
-	defer ts.store.Close()
 	res.Transfer = ts.info
 	if ts.store == nil {
 		return

@@ -2,11 +2,13 @@ package hotspot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/transfer"
 )
 
 // TestTransferWarmStartHalvesTrialBudget is the subsystem's acceptance
@@ -179,5 +181,128 @@ func TestTransferBogusStoreDegradesToCold(t *testing.T) {
 	}
 	if !bytes.Equal(got, future) {
 		t.Fatal("future-version store bytes were modified")
+	}
+}
+
+// storeFDs counts this process's file descriptors open on path.
+func storeFDs(t *testing.T, path string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open descriptors: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == path {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTransferStoreClosedOnEveryPath pins that a session releases its
+// store on every way out — an error before the search starts and a
+// crash-point kill included, not only after a completed run. A store left
+// open would hold its descriptor and, since handles on one directory share
+// their state, serve the next session stale entries.
+func TestTransferStoreClosedOnEveryPath(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "transfer.store")
+	opts := Options{Benchmark: "fop", BudgetMinutes: 10, Seed: 2, Noise: -1, TransferDir: dir}
+
+	bad := opts
+	bad.Chaos = "no-such-fault=1"
+	if _, err := Tune(bad); err == nil {
+		t.Fatal("invalid chaos plan accepted")
+	}
+	if n := storeFDs(t, path); n != 0 {
+		t.Fatalf("%d descriptors still open on the store after a failed session", n)
+	}
+
+	crashTune(t, opts, "crash-at=3")
+	if n := storeFDs(t, path); n != 0 {
+		t.Fatalf("%d descriptors still open on the store after a crash-point kill", n)
+	}
+
+	if _, err := Tune(opts); err != nil {
+		t.Fatal(err)
+	}
+	if n := storeFDs(t, path); n != 0 {
+		t.Fatalf("%d descriptors still open on the store after a completed session", n)
+	}
+}
+
+// TestTransferV1StoreMigrationDrill is the format-migration drill behind
+// `make transfer-drill`. testdata/transfer_v1.store is a small format v1
+// store (four entries behind a compaction watermark) and
+// testdata/transfer_v1.golden.json the result of one fixed-seed session
+// warm-started from it, both written by the last build that wrote v1; they
+// cannot be regenerated by this build, which writes v2 only. A session on
+// a copy of the fixture must reproduce the golden byte for byte and leave
+// the store rewritten as v2; a session on the migrated file alone must give
+// the same bytes and leave the same store bytes behind.
+func TestTransferV1StoreMigrationDrill(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "transfer_v1.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "transfer_v1.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(fixture[4:8]); v != 1 {
+		t.Fatalf("fixture header reads version %d, want 1", v)
+	}
+	copyFixture := func() string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "transfer.store"), fixture, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	storeVersion := func(dir string) ([]byte, uint32) {
+		b, err := os.ReadFile(filepath.Join(dir, "transfer.store"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, binary.LittleEndian.Uint32(b[4:8])
+	}
+	session := func(dir string) []byte {
+		res, err := Tune(Options{Benchmark: "lusearch", BudgetMinutes: 30, Seed: 11, Noise: -1, TransferDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	first := copyFixture()
+	if got := session(first); !bytes.Equal(got, golden) {
+		t.Fatalf("session on the v1 fixture differs from the golden:\n%s", got)
+	}
+	firstStore, v := storeVersion(first)
+	if v != transfer.StoreVersion {
+		t.Fatalf("store reads version %d after the session, want %d", v, transfer.StoreVersion)
+	}
+
+	second := copyFixture()
+	st, err := transfer.Open(second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, v := storeVersion(second); v != transfer.StoreVersion {
+		t.Fatalf("migrated store reads version %d, want %d", v, transfer.StoreVersion)
+	}
+	if got := session(second); !bytes.Equal(got, golden) {
+		t.Fatalf("session on the migrated store differs from the golden:\n%s", got)
+	}
+	if secondStore, _ := storeVersion(second); !bytes.Equal(firstStore, secondStore) {
+		t.Fatal("migrating in a session and migrating alone left different store bytes")
 	}
 }

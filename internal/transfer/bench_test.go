@@ -2,8 +2,13 @@ package transfer
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/flags"
 	"repro/internal/workload"
 )
 
@@ -55,6 +60,105 @@ func BenchmarkStoreLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if nbs := st.Nearest(fp, 3); len(nbs) != 3 {
 			b.Fatal("lookup returned wrong k")
+		}
+	}
+}
+
+// benchStore writes a store shaped like the durable-warm benchmark's: 1000
+// entries for generated workloads, each carrying one of 24 valid winning
+// configurations whose widths run from 7 to 362 explicit arguments (mean
+// ~140). It returns the store directory.
+func benchStore(b *testing.B) string {
+	b.Helper()
+	reg := flags.NewRegistry()
+	// Collector selection and heap geometry stay at their defaults so every
+	// winner passes hierarchy validation; UseG1GC is set on top.
+	fixed := map[string]bool{
+		"UseSerialGC": true, "UseParallelGC": true, "UseConcMarkSweepGC": true, "UseG1GC": true,
+		"UseParNewGC": true, "MaxHeapSize": true, "InitialHeapSize": true, "NewSize": true,
+		"MaxNewSize": true, "InitialCodeCacheSize": true, "ReservedCodeCacheSize": true,
+		"PermSize": true, "MaxPermSize": true,
+	}
+	var free []string
+	for _, n := range reg.Names() {
+		if !fixed[n] {
+			free = append(free, n)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	winners := make([][]string, 24)
+	for i := range winners {
+		width := 7 + int(355*math.Pow(float64(i)/23, 1.6))
+		cfg := flags.NewConfig(reg)
+		cfg.SetBool("UseG1GC", true)
+		for _, j := range rng.Perm(len(free))[:width-1] {
+			f := reg.Lookup(free[j])
+			if err := cfg.Set(f.Name, flags.SampleValue(f, rng)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		winners[i] = cfg.ExplicitArgs()
+	}
+	kinds := workload.GenKinds()
+	img := appendHeader(nil, StoreVersion)
+	for i := 0; i < 1000; i++ {
+		p, err := workload.Generate(kinds[i%len(kinds)], rng.Int63n(1<<31))
+		if err != nil {
+			b.Fatal(err)
+		}
+		payload, err := appendEntry(nil, &Entry{
+			Seq: int64(i), FP: FingerprintOf(p), Workload: p.Name, Suite: p.Suite,
+			Searcher: "hierarchical", Objective: "throughput", Seed: int64(i), Reps: 3, Trials: 150,
+			BudgetSeconds: 12000, Args: winners[rng.Intn(len(winners))],
+			Score: 10 + rng.Float64()*10, BaselineScore: 20,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		img = appendFrame(img, payload)
+	}
+	dir := b.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, storeFile), img, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	return dir
+}
+
+// BenchmarkStoreOpen is a warm start's store open at the durable-warm
+// benchmark's scale: read, CRC-check and decode 1000 entries and build the
+// fingerprint index. Each iteration's Close drops the state, so every Open
+// reads the file again.
+func BenchmarkStoreOpen(b *testing.B) {
+	dir := benchStore(b)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		st, err := Open(dir, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Len() != 1000 {
+			b.Fatal("store lost entries")
+		}
+		st.Close()
+	}
+}
+
+// BenchmarkPriors is a warm start's prior query at the same scale: the
+// three nearest groups, each winner repaired against the live registry.
+func BenchmarkPriors(b *testing.B) {
+	st, err := Open(benchStore(b), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	reg := flags.NewRegistry()
+	fp := FingerprintOf(workload.All()[0])
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(Priors(st, reg, fp, 3)) == 0 {
+			b.Fatal("no priors")
 		}
 	}
 }

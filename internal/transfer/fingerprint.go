@@ -27,10 +27,8 @@
 package transfer
 
 import (
-	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/workload"
 )
@@ -144,15 +142,21 @@ func FingerprintOf(p *workload.Profile) Fingerprint {
 // Key renders the fingerprint as a compact stable string, used to group
 // store entries that describe the same workload behaviour.
 func (fp Fingerprint) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "v%d:", fp.Version)
+	return string(fp.appendKey(nil))
+}
+
+// appendKey appends Key's rendering to dst.
+func (fp Fingerprint) appendKey(dst []byte) []byte {
+	dst = append(dst, 'v')
+	dst = strconv.AppendInt(dst, int64(fp.Version), 10)
+	dst = append(dst, ':')
 	for i, v := range fp.F {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(strconv.FormatFloat(v, 'g', 9, 64))
+		dst = strconv.AppendFloat(dst, v, 'g', 9, 64)
 	}
-	return b.String()
+	return dst
 }
 
 // Distance is the similarity metric between two fingerprints: the weighted

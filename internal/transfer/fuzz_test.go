@@ -2,46 +2,111 @@ package transfer
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// v1Image renders records as a format v1 store: the v1 header, then
+// JSON payloads in the shared framing. encoding/json is the reference v1
+// encoder; this build only reads v1.
+func v1Image(t testing.TB, recs ...storeRecord) []byte {
+	t.Helper()
+	img := appendHeader(nil, 1)
+	for i := range recs {
+		p, err := json.Marshal(&recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		img = appendFrame(img, p)
+	}
+	return img
+}
+
+// v2Image renders records as a format v2 store.
+func v2Image(t testing.TB, recs ...storeRecord) []byte {
+	t.Helper()
+	img := appendHeader(nil, StoreVersion)
+	for i := range recs {
+		p, err := appendRecord(nil, &recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		img = appendFrame(img, p)
+	}
+	return img
+}
+
+// seedRecords is the record mix the fuzz seeds share: an entry, then a
+// watermark past its Seq.
+func seedRecords() []storeRecord {
+	return []storeRecord{
+		{Kind: "entry", Entry: &Entry{
+			FP: Fingerprint{Version: 1, F: []float64{0.5}}, Workload: "h2", Searcher: "random",
+			Objective: "throughput", Args: []string{"-XX:+UseG1GC"}, Score: 12, BaselineScore: 20,
+		}},
+		{Kind: "mark", NextSeq: 7},
+	}
+}
+
+// sameEntry reports whether a and b are identical field by field: floats
+// by bit pattern, lists including nil versus empty.
+func sameEntry(a, b *Entry) bool {
+	sameFloats := func(x, y []float64) bool {
+		if (x == nil) != (y == nil) || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	sameStrings := func(x, y []string) bool {
+		if (x == nil) != (y == nil) || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if x[i] != y[i] {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Seq == b.Seq && a.FP.Version == b.FP.Version && sameFloats(a.FP.F, b.FP.F) &&
+		a.Workload == b.Workload && a.Suite == b.Suite && a.Searcher == b.Searcher &&
+		a.Objective == b.Objective && a.Seed == b.Seed && a.Reps == b.Reps && a.Trials == b.Trials &&
+		sameStrings(a.Args, b.Args) &&
+		sameFloats([]float64{a.BudgetSeconds, a.Score, a.BaselineScore},
+			[]float64{b.BudgetSeconds, b.Score, b.BaselineScore})
+}
 
 // FuzzStoreOpen feeds arbitrary bytes to the store recovery path. The
 // contract under test is the warm-start degradation guarantee: a bogus
 // store file leaves the session at a cold start, never a panic. Open must
-// either (a) accept the file — possibly after moving a non-store aside or
-// salvaging a torn tail — and come back usable (appends land, a reopen
-// replays them), or (b) reject it with ErrFutureVersion, the one
-// fail-closed case, leaving the file untouched.
+// either (a) accept the file — possibly after migrating a v1 file, moving a
+// non-store aside or salvaging a torn tail — and come back usable (the file
+// now reads as the current version, appends land, and a reopen replays the
+// same entries plus the appended one), or (b) reject it with
+// ErrFutureVersion, the one fail-closed case, leaving the file untouched.
 func FuzzStoreOpen(f *testing.F) {
-	var valid bytes.Buffer
-	if err := writeHeader(&valid); err != nil {
-		f.Fatal(err)
+	for _, img := range [][]byte{v1Image(f, seedRecords()...), v2Image(f, seedRecords()...)} {
+		badCRC := append([]byte(nil), img...)
+		badCRC[len(badCRC)-1] ^= 0xFF
+		f.Add(img)
+		f.Add(img[:headerSize])
+		f.Add(img[:len(img)-5]) // torn tail
+		f.Add(badCRC)
 	}
-	headerOnly := append([]byte(nil), valid.Bytes()...)
-	for _, p := range []string{
-		`{"kind":"entry","entry":{"seq":0,"fp":{"v":1,"f":[0.5]},"workload":"h2","searcher":"random","objective":"throughput","args":["-XX:+UseG1GC"],"score":12,"baseline_score":20}}`,
-		`{"kind":"mark","next_seq":7}`,
-	} {
-		if err := writeRecord(&valid, []byte(p)); err != nil {
-			f.Fatal(err)
-		}
-	}
-
-	badCRC := append([]byte(nil), valid.Bytes()...)
-	badCRC[len(badCRC)-1] ^= 0xFF
-
-	future := append([]byte(nil), headerOnly...)
-	future[4] = StoreVersion + 1
-
-	f.Add([]byte{})
-	f.Add(headerOnly)
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:valid.Len()-5]) // torn tail
-	f.Add(badCRC)
+	future := appendHeader(nil, StoreVersion+1)
 	f.Add(future)
+	f.Add([]byte{})
 	f.Add([]byte("garbage that is definitely not a store"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -64,7 +129,14 @@ func FuzzStoreOpen(f *testing.F) {
 			}
 			return
 		}
-		n := st.Len()
+		before := st.Entries()
+		head, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := parseHeader(head); err != nil || v != StoreVersion {
+			t.Fatalf("accepted store reads as version %d (%v), want %d", v, err, StoreVersion)
+		}
 		probe := &Entry{Workload: "probe", Args: []string{"-XX:+UseG1GC"}, Score: 1, BaselineScore: 2}
 		if err := st.Append(probe); err != nil {
 			t.Fatalf("append to accepted store: %v", err)
@@ -78,8 +150,85 @@ func FuzzStoreOpen(f *testing.F) {
 		}
 		defer st2.Close()
 		ents := st2.Entries()
-		if len(ents) != n+1 || ents[len(ents)-1].Workload != "probe" {
-			t.Fatalf("reopen replayed %d entries, want %d plus probe", len(ents), n+1)
+		if len(ents) != len(before)+1 || ents[len(ents)-1].Workload != "probe" {
+			t.Fatalf("reopen replayed %d entries, want %d plus probe", len(ents), len(before)+1)
+		}
+		for i, e := range before {
+			if !sameEntry(e, ents[i]) {
+				t.Fatalf("entry %d changed across reopen:\n%+v\n%+v", i, e, ents[i])
+			}
+		}
+	})
+}
+
+// FuzzEntryCodec holds the v2 entry codec to the v1 one it replaces, with
+// encoding/json as the reference: v2 accepts exactly the entries v1
+// accepted (non-finite floats stay rejected), and an accepted entry reads
+// back from v2 exactly as it read back from v1 — the same float bits, nil
+// lists kept apart from empty ones, and invalid UTF-8 mapped the way
+// encoding/json maps it.
+func FuzzEntryCodec(f *testing.F) {
+	bits := func(fs ...float64) []byte {
+		var b []byte
+		for _, x := range fs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f64 := math.Float64bits
+	f.Add(int64(3), int64(42), 1, 3, 150, bits(0.25, 0.5, 1), "h2", "dacapo", "hierarchical", "throughput",
+		"-XX:+UseG1GC\n-XX:MaxGCPauseMillis=50", false, f64(1200), f64(12.5), f64(20))
+	f.Add(int64(-1), int64(-9), -2, 0, 0, []byte(nil), "bad\xffutf8\xed\xa0\x80", "", " <&>", "\x00",
+		"", true, f64(math.Copysign(0, -1)), f64(5e-324), f64(math.MaxFloat64))
+	f.Add(int64(0), int64(0), 0, 0, 0, bits(1), "", "", "", "", "", false, f64(0), f64(math.NaN()), f64(1))
+	f.Add(int64(0), int64(0), 0, 0, 0, bits(math.Inf(-1)), "", "", "", "", "a", false, f64(0), f64(1), f64(1))
+
+	f.Fuzz(func(t *testing.T, seq, seed int64, ver, reps, trials int, fp []byte,
+		workload, suite, searcher, objective, args string, nilArgs bool, budget, score, baseline uint64) {
+		e := &Entry{
+			Seq: seq, FP: Fingerprint{Version: ver}, Workload: workload, Suite: suite,
+			Searcher: searcher, Objective: objective, Seed: seed, Reps: reps, Trials: trials,
+			BudgetSeconds: math.Float64frombits(budget),
+			Score:         math.Float64frombits(score), BaselineScore: math.Float64frombits(baseline),
+		}
+		if len(fp) > 0 {
+			e.FP.F = make([]float64, len(fp)/8)
+			for i := range e.FP.F {
+				e.FP.F[i] = math.Float64frombits(binary.LittleEndian.Uint64(fp[8*i:]))
+			}
+		}
+		switch {
+		case nilArgs:
+		case args == "":
+			e.Args = []string{}
+		default:
+			e.Args = strings.Split(args, "\n")
+		}
+
+		p1, err1 := json.Marshal(&storeRecord{Kind: "entry", Entry: e})
+		p2, err2 := appendEntry(nil, e)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("acceptance differs: v1 %v, v2 %v", err1, err2)
+		}
+		if err1 != nil {
+			return
+		}
+		r1, err := decodeRecordV1(p1)
+		if err != nil {
+			t.Fatalf("v1 decode: %v", err)
+		}
+		r2, err := decodeRecord(p2, string(p2))
+		if err != nil {
+			t.Fatalf("v2 decode: %v", err)
+		}
+		if !sameEntry(r1.Entry, r2.Entry) {
+			t.Fatalf("round trips differ:\nv1 %+v\nv2 %+v", r1.Entry, r2.Entry)
+		}
+		// Strictness: a payload cut short or carrying a trailing byte is corrupt.
+		for _, bad := range [][]byte{p2[:len(p2)-1], append(p2[:len(p2):len(p2)], 0)} {
+			if _, err := decodeRecord(bad, string(bad)); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("malformed payload (%d of %d bytes) decoded: %v", len(bad), len(p2), err)
+			}
 		}
 	})
 }

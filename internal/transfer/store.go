@@ -1,11 +1,8 @@
 package transfer
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -19,8 +16,8 @@ import (
 // StoreVersion is the on-disk format version written by this build; readers
 // reject anything newer (fail closed — a future format may carry fields this
 // build would silently drop, and overwriting a newer store would destroy a
-// newer build's knowledge).
-const StoreVersion = 1
+// newer build's knowledge). Older versions are migrated on open.
+const StoreVersion = 2
 
 // storeMagic opens every transfer store file. It differs from the
 // checkpoint magic so a store can never be mistaken for a journal (or vice
@@ -29,18 +26,6 @@ const storeMagic = "ATTS"
 
 // storeFile is the store's file name inside the -transfer-dir directory.
 const storeFile = "transfer.store"
-
-// headerSize is the byte length of the file header (magic + version).
-const headerSize = 8
-
-// recordHeaderSize is the byte length of each record's frame (length + CRC).
-const recordHeaderSize = 8
-
-// maxRecordBytes bounds a single record. A real entry is a fingerprint plus
-// a flag argv — a few kilobytes; anything claiming more is a garbled length
-// field, and failing here keeps a corrupt file from turning into a
-// multi-gigabyte allocation.
-const maxRecordBytes = 1 << 28
 
 // compactBytes is the size past which Append considers compacting. The
 // store grows one small record per completed session, so compaction is
@@ -56,6 +41,9 @@ var (
 	// ErrFutureVersion marks a store written by a newer format revision.
 	ErrFutureVersion = errors.New("transfer: future store version")
 )
+
+// errClosed is returned by writes through a closed handle.
+var errClosed = errors.New("transfer: store closed")
 
 // Entry is one unit of tuning knowledge: the best configuration a completed
 // session found for a fingerprinted workload, with enough provenance to
@@ -103,34 +91,48 @@ func (e *Entry) relScore() float64 {
 	return e.Score
 }
 
-// storeRecord is the JSON payload inside each CRC frame. Kind "entry"
-// carries an Entry; kind "mark" is the compaction watermark recording the
-// next sequence number, so sequence numbers stay unique across compactions
-// that drop the highest-numbered entries.
-type storeRecord struct {
-	Kind    string `json:"kind"`
-	Entry   *Entry `json:"entry,omitempty"`
-	NextSeq int64  `json:"next_seq,omitempty"`
+// Store is a handle on the persistent cross-workload knowledge base: an
+// append-only, CRC-framed record file in the checkpoint house style.
+// Appends are fsynced before returning, so an entry the caller saw accepted
+// survives a crash; recovery is forgiving about the tail (a crash
+// mid-append salvages the valid prefix) and strict about the head.
+// Compaction keeps only the best entry per (fingerprint, configuration) and
+// rewrites the file atomically via temp+rename behind a sequence watermark.
+//
+// Every Open of one directory within a process returns a handle on the same
+// reference-counted store — one file descriptor, one lock, one index — so
+// concurrent sessions sharing a directory append to one file in one
+// sequence. A store directory belongs to one process.
+type Store struct {
+	s      *store
+	tel    *telemetry.Registry
+	closed bool // guarded by s.mu
 }
 
-// Store is the persistent cross-workload knowledge base: an append-only,
-// CRC-framed record file in the checkpoint house style. Appends are fsynced
-// before returning, so an entry the caller saw accepted survives a crash;
-// recovery is forgiving about the tail (a crash mid-append salvages the
-// valid prefix) and strict about the head. Compaction keeps only the best
-// entry per (fingerprint, configuration) and rewrites the file atomically
-// via temp+rename behind a sequence watermark.
-type Store struct {
+// store is the state every handle on one store file shares.
+type store struct {
+	path string
+	refs int // open handles; guarded by openStores.mu
+
 	mu      sync.Mutex
 	f       *os.File
-	path    string
 	size    int64 // bytes of valid store (header + records)
 	lastCmp int64 // size after the most recent compaction (or open)
 	entries []*Entry
 	nextSeq int64
-	closed  bool
-	tel     *telemetry.Registry
+	// groups maps a fingerprint Key to its group's index in best, the
+	// group's best entry: lowest relScore, ties to the lower Seq. Nearest
+	// answers from best without regrouping the entries on every call.
+	groups map[string]int
+	best   []*Entry
+	keyBuf []byte
 }
+
+// openStores is the process's table of open stores by absolute file path.
+var openStores = struct {
+	mu sync.Mutex
+	m  map[string]*store
+}{m: make(map[string]*store)}
 
 // Neighbor is one nearest-fingerprint lookup result.
 type Neighbor struct {
@@ -138,101 +140,15 @@ type Neighbor struct {
 	Distance float64
 }
 
-// writeHeader emits the file header: magic then version, little-endian.
-func writeHeader(w io.Writer) error {
-	var h [headerSize]byte
-	copy(h[:4], storeMagic)
-	binary.LittleEndian.PutUint32(h[4:], StoreVersion)
-	_, err := w.Write(h[:])
-	return err
-}
-
-// readHeader validates the header and returns the file's format version.
-func readHeader(r io.Reader) (uint32, error) {
-	var h [headerSize]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return 0, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	if string(h[:4]) != storeMagic {
-		return 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, h[:4])
-	}
-	v := binary.LittleEndian.Uint32(h[4:])
-	if v == 0 {
-		return 0, fmt.Errorf("%w: version 0", ErrCorrupt)
-	}
-	if v > StoreVersion {
-		return v, fmt.Errorf("%w: %d (this build reads up to %d)", ErrFutureVersion, v, StoreVersion)
-	}
-	return v, nil
-}
-
-// writeRecord frames one payload: length, CRC32 (IEEE) of the payload, then
-// the payload itself.
-func writeRecord(w io.Writer, payload []byte) error {
-	var h [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(h[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(h[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(h[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readRecord reads the next framed payload. A clean end of stream returns
-// io.EOF; a torn header, truncated payload, implausible length, or CRC
-// mismatch returns an error wrapping ErrCorrupt, which Open treats as "the
-// valid prefix ends here".
-func readRecord(r io.Reader) ([]byte, error) {
-	var h [recordHeaderSize]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: torn record header", ErrCorrupt)
-	}
-	n := binary.LittleEndian.Uint32(h[:4])
-	if n > maxRecordBytes {
-		return nil, fmt.Errorf("%w: implausible record length %d", ErrCorrupt, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated record (want %d bytes)", ErrCorrupt, n)
-	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(h[4:]); got != want {
-		return nil, fmt.Errorf("%w: record CRC mismatch (got %08x, want %08x)", ErrCorrupt, got, want)
-	}
-	return payload, nil
-}
-
-// decodeRecord parses one framed payload into a storeRecord, failing closed
-// on anything malformed. DisallowUnknownFields is deliberately absent: an
-// older build reading a same-version record with extra fields should keep
-// the fields it knows, and genuinely incompatible changes bump StoreVersion.
-func decodeRecord(payload []byte) (*storeRecord, error) {
-	var rec storeRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, fmt.Errorf("%w: undecodable record: %v", ErrCorrupt, err)
-	}
-	switch rec.Kind {
-	case "entry":
-		if rec.Entry == nil {
-			return nil, fmt.Errorf("%w: entry record without entry", ErrCorrupt)
-		}
-	case "mark":
-		if rec.NextSeq < 0 {
-			return nil, fmt.Errorf("%w: mark with negative next_seq", ErrCorrupt)
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown record kind %q", ErrCorrupt, rec.Kind)
-	}
-	return &rec, nil
-}
-
-// Open opens (or creates) the transfer store under dir and replays it.
+// Open opens (or creates) the transfer store under dir and replays it. If
+// this process already has the directory's store open, Open returns a new
+// handle on it instead of reading the file again; the last Close of a
+// store's handles closes the file and drops its in-memory state.
 //
 // Recovery policy, in order of severity:
 //   - empty file → initialize a fresh header;
+//   - format v1 → rewrite as v2 via temp+rename, keeping every record,
+//     counting transfer_store_migrated_total;
 //   - torn or corrupt tail (crash mid-append) → truncate back to the valid
 //     prefix, count transfer_store_salvaged_total, continue;
 //   - corrupt header or first-record garbage that makes the file "not a
@@ -247,9 +163,20 @@ func Open(dir string, tel *telemetry.Registry) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("transfer: %w", err)
 	}
-	path := filepath.Join(dir, storeFile)
+	path, err := filepath.Abs(filepath.Join(dir, storeFile))
+	if err != nil {
+		return nil, fmt.Errorf("transfer: %w", err)
+	}
+	openStores.mu.Lock()
+	defer openStores.mu.Unlock()
+	if s := openStores.m[path]; s != nil {
+		s.refs++
+		return &Store{s: s, tel: tel}, nil
+	}
+
 	// A crash mid-compaction can strand a temp file next to the store; it
-	// was never renamed, so it holds no authoritative state — sweep it.
+	// was never renamed, so it holds no authoritative state — sweep it. No
+	// handle in this process has the store open, so none is compacting.
 	if stale, _ := filepath.Glob(path + ".compact*"); len(stale) > 0 {
 		for _, p := range stale {
 			os.Remove(p)
@@ -257,161 +184,233 @@ func Open(dir string, tel *telemetry.Registry) (*Store, error) {
 		tel.Counter("transfer_store_stale_temps_removed_total").Add(uint64(len(stale)))
 	}
 
-	st, err := open(path, tel)
-	if err == nil {
-		return st, nil
+	s, err := load(path, tel)
+	if errors.Is(err, ErrCorrupt) {
+		// Head corruption: not a store. Preserve the bytes and start fresh.
+		if rerr := os.Rename(path, path+".corrupt"); rerr != nil {
+			return nil, fmt.Errorf("transfer: move corrupt store aside: %w", rerr)
+		}
+		tel.Counter("transfer_store_corrupt_total").Inc()
+		s, err = load(path, tel)
 	}
-	if errors.Is(err, ErrFutureVersion) {
+	if err != nil {
 		return nil, err
 	}
-	if !errors.Is(err, ErrCorrupt) {
-		return nil, err
-	}
-	// Head corruption: not a store. Preserve the bytes and start fresh.
-	if rerr := os.Rename(path, path+".corrupt"); rerr != nil {
-		return nil, fmt.Errorf("transfer: move corrupt store aside: %w", rerr)
-	}
-	tel.Counter("transfer_store_corrupt_total").Inc()
-	return open(path, tel)
+	s.refs = 1
+	openStores.m[path] = s
+	return &Store{s: s, tel: tel}, nil
 }
 
-// open does one open-and-replay attempt against path.
-func open(path string, tel *telemetry.Registry) (*Store, error) {
+// load does one open-and-replay attempt against path.
+func load(path string, tel *telemetry.Registry) (*store, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("transfer: %w", err)
 	}
-	s := &Store{f: f, path: path, tel: tel}
-
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("transfer: %w", err)
-	}
-	if fi.Size() == 0 {
-		if err := writeHeader(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("transfer: init header: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("transfer: init sync: %w", err)
-		}
-		s.size = headerSize
-		s.lastCmp = s.size
-		return s, nil
-	}
-
-	if _, err := readHeader(f); err != nil {
-		f.Close()
+	s := &store{f: f, path: path, groups: make(map[string]int)}
+	fail := func(err error) (*store, error) {
+		s.f.Close()
 		return nil, fmt.Errorf("transfer store %s: %w", path, err)
 	}
 
-	valid := int64(headerSize) // byte offset of the end of the valid prefix
-	for {
-		payload, err := readRecord(f)
-		if err == io.EOF {
-			break
+	image, err := readAll(f)
+	if err != nil {
+		return fail(err)
+	}
+	if len(image) == 0 {
+		image = appendHeader(nil, StoreVersion)
+		if _, err := f.Write(image); err != nil {
+			return fail(fmt.Errorf("init header: %w", err))
 		}
-		if err == nil {
-			var rec *storeRecord
-			rec, err = decodeRecord(payload)
-			if err == nil {
-				switch rec.Kind {
-				case "entry":
-					s.entries = append(s.entries, rec.Entry)
-					if rec.Entry.Seq >= s.nextSeq {
-						s.nextSeq = rec.Entry.Seq + 1
-					}
-				case "mark":
-					if rec.NextSeq > s.nextSeq {
-						s.nextSeq = rec.NextSeq
-					}
-				}
-				valid += recordHeaderSize + int64(len(payload))
-				continue
-			}
+		if err := f.Sync(); err != nil {
+			return fail(fmt.Errorf("init sync: %w", err))
 		}
-		if !errors.Is(err, ErrCorrupt) {
-			f.Close()
-			return nil, fmt.Errorf("transfer store %s: %w", path, err)
+		s.size, s.lastCmp = headerSize, headerSize
+		return s, nil
+	}
+	v, err := parseHeader(image)
+	if err != nil {
+		return fail(err)
+	}
+	if v < StoreVersion {
+		var salvaged bool
+		image, salvaged = migrateV1(image)
+		if salvaged {
+			tel.Counter("transfer_store_salvaged_total").Inc()
 		}
+		if err := s.replace(image); err != nil {
+			return fail(err)
+		}
+		tel.Counter("transfer_store_migrated_total").Inc()
+	}
+
+	valid := s.replay(image)
+	if valid < int64(len(image)) {
 		// Torn tail from a crash mid-append: salvage the valid prefix.
-		if terr := f.Truncate(valid); terr != nil {
-			f.Close()
-			return nil, fmt.Errorf("transfer store %s: truncate corrupt tail: %w", path, terr)
+		if err := s.f.Truncate(valid); err != nil {
+			return fail(fmt.Errorf("truncate corrupt tail: %w", err))
 		}
-		if serr := f.Sync(); serr != nil {
-			f.Close()
-			return nil, fmt.Errorf("transfer store %s: sync after truncate: %w", path, serr)
+		if err := s.f.Sync(); err != nil {
+			return fail(fmt.Errorf("sync after truncate: %w", err))
 		}
 		tel.Counter("transfer_store_salvaged_total").Inc()
-		break
 	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("transfer store %s: seek: %w", path, err)
+	if _, err := s.f.Seek(valid, io.SeekStart); err != nil {
+		return fail(fmt.Errorf("seek: %w", err))
 	}
-	s.size = valid
-	s.lastCmp = valid
+	s.size, s.lastCmp = valid, valid
 	tel.Counter("transfer_store_entries_replayed_total").Add(uint64(len(s.entries)))
 	return s, nil
 }
 
+// readAll reads f from its start in one read sized by Stat.
+func readAll(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("stat: %w", err)
+	}
+	image := make([]byte, fi.Size())
+	n, err := io.ReadFull(f, image)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return nil, fmt.Errorf("read: %w", err)
+	}
+	return image[:n], nil
+}
+
+// replay decodes a v2 image's records into the store and returns the byte
+// length of its valid prefix; image must not be written afterwards, since
+// the entries' strings share its bytes.
+func (s *store) replay(image []byte) int64 {
+	text := stringView(image)
+	off := headerSize
+	for off < len(image) {
+		n, err := frameAt(image, off)
+		if err != nil {
+			break
+		}
+		p := off + frameHeaderSize
+		rec, err := decodeRecord(image[p:p+n], text[p:p+n])
+		if err != nil {
+			break
+		}
+		if rec.Kind == "mark" {
+			s.nextSeq = max(s.nextSeq, rec.NextSeq)
+		} else {
+			e := rec.Entry
+			s.entries = append(s.entries, e)
+			if e.Seq >= s.nextSeq {
+				s.nextSeq = e.Seq + 1
+			}
+			s.index(e)
+		}
+		off = p + n
+	}
+	return int64(off)
+}
+
+// index files e under its fingerprint group, replacing the group's best
+// entry if e ranks ahead of it.
+func (s *store) index(e *Entry) {
+	s.keyBuf = e.FP.appendKey(s.keyBuf[:0])
+	i, ok := s.groups[string(s.keyBuf)]
+	if !ok {
+		s.groups[string(s.keyBuf)] = len(s.best)
+		s.best = append(s.best, e)
+		return
+	}
+	b := s.best[i]
+	if r, rb := e.relScore(), b.relScore(); r < rb || r == rb && e.Seq < b.Seq {
+		s.best[i] = e
+	}
+}
+
+// replace atomically swaps the store file for image (temp file, fsync,
+// rename) and adopts the temp file's descriptor, positioned at its end, for
+// later appends. The superseded descriptor is closed only after the swap.
+func (s *store) replace(image []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(s.path), filepath.Base(s.path)+".compact*")
+	if err != nil {
+		return fmt.Errorf("rewrite: %w", err)
+	}
+	tmp := f.Name()
+	if _, err = f.Write(image); err == nil {
+		if err = f.Sync(); err == nil {
+			err = os.Rename(tmp, s.path)
+		}
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("rewrite: %w", err)
+	}
+	s.f.Close()
+	s.f = f
+	s.size, s.lastCmp = int64(len(image)), int64(len(image))
+	return nil
+}
+
 // Len returns the number of live entries.
-func (s *Store) Len() int {
-	if s == nil {
+func (h *Store) Len() int {
+	if h == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
+	h.s.mu.Lock()
+	defer h.s.mu.Unlock()
+	return len(h.s.entries)
 }
 
 // Entries returns a copy of the live entry list in sequence order.
-func (s *Store) Entries() []*Entry {
-	if s == nil {
+func (h *Store) Entries() []*Entry {
+	if h == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	h.s.mu.Lock()
+	defer h.s.mu.Unlock()
+	return h.s.bySeq()
+}
+
+// bySeq returns the entries in sequence order, ties in file order.
+func (s *store) bySeq() []*Entry {
 	out := make([]*Entry, len(s.entries))
 	copy(out, s.entries)
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
 // Append durably records one entry: the store assigns its sequence number,
 // frames and fsyncs the record, then opportunistically compacts once the
 // file has outgrown both the compaction floor and twice its size at the
-// last compaction.
-func (s *Store) Append(e *Entry) error {
-	if s == nil {
+// last compaction. An entry holding a NaN or infinite float is rejected.
+func (h *Store) Append(e *Entry) error {
+	if h == nil {
 		return nil
 	}
+	s := h.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("transfer: store closed")
+	if h.closed {
+		return errClosed
 	}
 	cp := *e
 	cp.Seq = s.nextSeq
-	payload, err := json.Marshal(&storeRecord{Kind: "entry", Entry: &cp})
+	payload, err := appendEntry(nil, &cp)
 	if err != nil {
 		return fmt.Errorf("transfer: encode entry: %w", err)
 	}
-	if err := writeRecord(s.f, payload); err != nil {
+	frame := appendFrame(nil, payload)
+	if _, err := s.f.Write(frame); err != nil {
 		return fmt.Errorf("transfer: append: %w", err)
 	}
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("transfer: append sync: %w", err)
 	}
 	s.nextSeq++
-	s.size += recordHeaderSize + int64(len(payload))
+	s.size += int64(len(frame))
 	s.entries = append(s.entries, &cp)
-	s.tel.Counter("transfer_store_appends_total").Inc()
+	s.index(&cp)
+	h.tel.Counter("transfer_store_appends_total").Inc()
 	if s.size > compactBytes && s.size > 2*s.lastCmp {
-		return s.compactLocked()
+		return s.compact(h.tel)
 	}
 	return nil
 }
@@ -421,29 +420,26 @@ func (s *Store) Append(e *Entry) error {
 // record carrying the next sequence number is written first, so sequence
 // assignment survives even when compaction drops the highest-numbered
 // entries.
-func (s *Store) Compact() error {
-	if s == nil {
+func (h *Store) Compact() error {
+	if h == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("transfer: store closed")
+	h.s.mu.Lock()
+	defer h.s.mu.Unlock()
+	if h.closed {
+		return errClosed
 	}
-	return s.compactLocked()
+	return h.s.compact(h.tel)
 }
 
-// compactLocked is Compact with s.mu held.
-func (s *Store) compactLocked() error {
+// compact is Compact with s.mu held.
+func (s *store) compact(tel *telemetry.Registry) error {
 	// Keep the best (lowest relScore, ties to the earliest Seq) entry for
 	// each distinct (fingerprint, configuration) pair. Iterating in Seq
 	// order makes "first wins on tie" fall out of the strict < comparison.
-	ordered := make([]*Entry, len(s.entries))
-	copy(ordered, s.entries)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Seq < ordered[j].Seq })
 	best := make(map[string]*Entry)
 	var keys []string
-	for _, e := range ordered {
+	for _, e := range s.bySeq() {
 		k := e.FP.Key() + "|" + fmt.Sprint(e.Args)
 		if cur, ok := best[k]; !ok {
 			best[k] = e
@@ -453,60 +449,32 @@ func (s *Store) compactLocked() error {
 		}
 	}
 
-	f, err := os.CreateTemp(filepath.Dir(s.path), filepath.Base(s.path)+".compact*")
-	if err != nil {
-		return fmt.Errorf("transfer: compact: %w", err)
-	}
-	tmp := f.Name()
-	abort := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := writeHeader(f); err != nil {
-		return abort(fmt.Errorf("transfer: compact header: %w", err))
-	}
-	size := int64(headerSize)
-	write := func(rec *storeRecord) error {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("transfer: compact encode: %w", err)
-		}
-		if err := writeRecord(f, payload); err != nil {
-			return fmt.Errorf("transfer: compact record: %w", err)
-		}
-		size += recordHeaderSize + int64(len(payload))
-		return nil
-	}
 	// The watermark leads: a reader of the compacted store learns the next
 	// sequence number before any entry, so a store compacted down to zero
 	// entries still never reissues a sequence number.
-	if err := write(&storeRecord{Kind: "mark", NextSeq: s.nextSeq}); err != nil {
-		return abort(err)
-	}
+	image := appendHeader(nil, StoreVersion)
+	payload := appendMark(nil, s.nextSeq)
+	image = appendFrame(image, payload)
 	kept := make([]*Entry, 0, len(best))
 	for _, k := range keys {
 		e := best[k]
-		if err := write(&storeRecord{Kind: "entry", Entry: e}); err != nil {
-			return abort(err)
+		var err error
+		if payload, err = appendEntry(payload[:0], e); err != nil {
+			return fmt.Errorf("transfer: compact encode: %w", err)
 		}
+		image = appendFrame(image, payload)
 		kept = append(kept, e)
 	}
-	if err := f.Sync(); err != nil {
-		return abort(fmt.Errorf("transfer: compact sync: %w", err))
+	if err := s.replace(image); err != nil {
+		return fmt.Errorf("transfer: compact: %w", err)
 	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		return abort(fmt.Errorf("transfer: compact: %w", err))
-	}
-	// The temp fd is now the store: positioned at its end, ready for
-	// appends. Close the superseded file only after the swap is in place.
-	old := s.f
-	s.f = f
-	s.size = size
-	s.lastCmp = size
 	s.entries = kept
-	old.Close()
-	s.tel.Counter("transfer_store_compactions_total").Inc()
+	clear(s.groups)
+	s.best = s.best[:0]
+	for _, e := range kept {
+		s.index(e)
+	}
+	tel.Counter("transfer_store_compactions_total").Inc()
 	return nil
 }
 
@@ -516,34 +484,18 @@ func (s *Store) compactLocked() error {
 // workload name then sequence number as deterministic tie-breaks; entries
 // at infinite distance (other fingerprint versions) are excluded. k ≤ 0
 // defaults to 3.
-func (s *Store) Nearest(fp Fingerprint, k int) []Neighbor {
-	if s == nil {
+func (h *Store) Nearest(fp Fingerprint, k int) []Neighbor {
+	if h == nil {
 		return nil
 	}
 	if k <= 0 {
 		k = 3
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	h.s.mu.Lock()
+	defer h.s.mu.Unlock()
 
-	ordered := make([]*Entry, len(s.entries))
-	copy(ordered, s.entries)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Seq < ordered[j].Seq })
-	best := make(map[string]*Entry)
-	var keys []string
-	for _, e := range ordered {
-		k := e.FP.Key()
-		if cur, ok := best[k]; !ok {
-			best[k] = e
-			keys = append(keys, k)
-		} else if e.relScore() < cur.relScore() {
-			best[k] = e
-		}
-	}
-
-	out := make([]Neighbor, 0, len(keys))
-	for _, key := range keys {
-		e := best[key]
+	out := make([]Neighbor, 0, len(h.s.best))
+	for _, e := range h.s.best {
 		d := fp.Distance(e.FP)
 		if math.IsInf(d, 1) {
 			continue
@@ -565,16 +517,27 @@ func (s *Store) Nearest(fp Fingerprint, k int) []Neighbor {
 	return out
 }
 
-// Close closes the store; later Appends fail.
-func (s *Store) Close() error {
-	if s == nil {
+// Close releases the handle; later Appends through it fail. Closing a
+// handle twice is a no-op. The last Close of a store's handles closes its
+// file and drops its in-memory state, so the next Open reads the file
+// again.
+func (h *Store) Close() error {
+	if h == nil {
 		return nil
 	}
+	openStores.mu.Lock()
+	defer openStores.mu.Unlock()
+	s := h.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if h.closed {
 		return nil
 	}
-	s.closed = true
+	h.closed = true
+	if s.refs--; s.refs > 0 {
+		return nil
+	}
+	delete(openStores.m, s.path)
+	s.entries, s.groups, s.best = nil, nil, nil
 	return s.f.Close()
 }

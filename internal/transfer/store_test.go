@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -321,4 +322,172 @@ func TestStoreNilSafe(t *testing.T) {
 	if st.Append(&Entry{}) != nil || st.Compact() != nil || st.Close() != nil {
 		t.Fatal("nil store writes not safe")
 	}
+}
+
+// TestStoreSharedHandles pins that two handles on one directory are one
+// store: each append gets its own sequence number and both survive a
+// reopen, and an append through one handle after a compaction through the
+// other lands in the compacted file rather than the unlinked one.
+func TestStoreSharedHandles(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := workload.Names()
+	if err := a.Append(testEntry(t, names[0], 10, "-XX:+UseG1GC")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Append(testEntry(t, names[1], 11, "-XX:+UseG1GC")); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Append(testEntry(t, names[2], 12, "-XX:+UseG1GC")); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal("second Close of a handle:", err)
+	}
+	if err := a.Append(testEntry(t, names[3], 13)); err == nil {
+		t.Fatal("append through a closed handle accepted")
+	}
+	if b.Len() != 3 {
+		t.Fatalf("open handle sees %d entries after its sibling closed, want 3", b.Len())
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ents := st.Entries()
+	if len(ents) != 3 {
+		t.Fatalf("reopen replayed %d entries, want 3", len(ents))
+	}
+	for i, e := range ents {
+		if e.Seq != int64(i) || e.Workload != names[i] {
+			t.Fatalf("entry %d is %s with Seq %d, want %s with Seq %d", i, e.Workload, e.Seq, names[i], i)
+		}
+	}
+}
+
+// TestStoreConcurrentOpenAppendClose races sessions that each open the
+// shared directory, append one winner and close, the way concurrent farm
+// jobs do. Run it under -race -count=10 (make transfer-drill does). Every
+// append must survive with a distinct sequence number.
+func TestStoreConcurrentOpenAppendClose(t *testing.T) {
+	dir := t.TempDir()
+	const workers, rounds = 4, 3
+	names := workload.Names()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				st, err := Open(dir, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := st.Append(testEntry(t, names[w], float64(10+r), "-XX:+UseG1GC")); err != nil {
+					t.Error(err)
+				}
+				_ = st.Nearest(FingerprintOf(workload.All()[0]), 3)
+				if err := st.Close(); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	st, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ents := st.Entries()
+	if len(ents) != workers*rounds {
+		t.Fatalf("reopen replayed %d entries, want %d", len(ents), workers*rounds)
+	}
+	for i, e := range ents {
+		if e.Seq != int64(i) {
+			t.Fatalf("entry %d has Seq %d: sequence numbers reissued or lost", i, e.Seq)
+		}
+	}
+}
+
+// TestStoreMigratesV1 opens a format v1 store with a watermark ahead of its
+// entries and a torn final record: the valid prefix is rewritten as v2
+// record for record, every entry reads back as v1 decoded it, lookups are
+// unchanged, and the next append continues from the watermark.
+func TestStoreMigratesV1(t *testing.T) {
+	names := workload.Names()
+	recs := []storeRecord{
+		{Kind: "entry", Entry: testEntry(t, names[0], 12, "-XX:+UseG1GC")},
+		{Kind: "mark", NextSeq: 9},
+		{Kind: "entry", Entry: testEntry(t, names[1], 15, "-XX:+UseParallelGC", "-Xmx2g")},
+		{Kind: "entry", Entry: testEntry(t, names[0], 11, "-XX:+UseSerialGC")},
+		{Kind: "entry", Entry: testEntry(t, names[2], 9)},
+	}
+	for i, r := range recs {
+		if r.Entry != nil {
+			r.Entry.Seq = int64(2 * i)
+		}
+	}
+	img := v1Image(t, recs...)
+	dir := t.TempDir()
+	path := filepath.Join(dir, storeFile)
+	if err := os.WriteFile(path, img[:len(img)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New()
+	st, err := Open(dir, tel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tel.Counter("transfer_store_migrated_total").Value() != 1 ||
+		tel.Counter("transfer_store_salvaged_total").Value() != 1 {
+		t.Fatal("migration or salvage of the torn tail not counted")
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := v2Image(t, recs[:4]...); !bytes.Equal(got, want) {
+		t.Fatal("migrated file is not the v2 image of the valid v1 prefix")
+	}
+	ents := st.Entries()
+	if len(ents) != 3 {
+		t.Fatalf("migrated store has %d entries, want 3", len(ents))
+	}
+	for i, j := range []int{0, 2, 3} {
+		if !sameEntry(ents[i], recs[j].Entry) {
+			t.Fatalf("entry %d changed in migration:\n%+v\n%+v", i, ents[i], recs[j].Entry)
+		}
+	}
+	nb := st.Nearest(recs[0].Entry.FP, 5)
+	if len(nb) != 2 || nb[0].Entry.Score != 11 || nb[1].Entry.Workload != names[1] {
+		t.Fatalf("nearest after migration: %+v", nb)
+	}
+	if err := st.Append(testEntry(t, names[3], 10)); err != nil {
+		t.Fatal(err)
+	}
+	if last := st.Entries()[3]; last.Seq != 9 {
+		t.Fatalf("append after migration got Seq %d, want the watermark 9", last.Seq)
+	}
+	st.Close()
 }

@@ -39,9 +39,11 @@ trap 'rm -f "$OUT"' EXIT
 	# the distributed plane's transport.
 	go test -run '^$' -bench '^BenchmarkDispatch' -benchmem -benchtime 1s \
 		./internal/dispatch
-	# The transfer pair: fingerprinting a workload and querying a populated
-	# knowledge base — both on every warm-started session's startup path.
-	go test -run '^$' -bench '^Benchmark(Fingerprint|StoreLookup)' -benchmem -benchtime 1s \
+	# The transfer set: fingerprinting a workload, querying a populated
+	# knowledge base, and — at the durable-warm benchmark's scale of 1000
+	# wide entries — opening the store and repairing its priors; all on
+	# every warm-started session's startup path.
+	go test -run '^$' -bench '^Benchmark(Fingerprint|StoreLookup|StoreOpen|Priors)$' -benchmem -benchtime 1s \
 		./internal/transfer
 	# The drift pair: the detector's per-observation fold (paid on every
 	# delivered measurement of a drift-armed session) and the full re-tune

@@ -13,10 +13,12 @@ FLOOR=80
 
 # Per-package overrides for code held to a higher bar: the drift detector
 # is a tiny pure fold whose every branch is reachable from tests, and a
-# miss there silently re-tunes (or fails to) whole sessions.
+# miss there silently re-tunes (or fails to) whole sessions; the transfer
+# store's codec and recovery paths decide what every warm start reads.
 floor_for() {
     case "$1" in
         ./internal/drift) echo 85 ;;
+        ./internal/transfer) echo 83 ;;
         *) echo "$FLOOR" ;;
     esac
 }
