@@ -9,21 +9,26 @@ cover:
 	./scripts/cover.sh
 
 # The crash drills: kill fixed-seed sessions (and the job farm) mid-run,
-# resume from checkpoints, and demand byte-identical results. Run under
+# resume from checkpoints, and demand byte-identical results — including a
+# second kill inside the resume's replay prefix, and a resume from a
+# version 1 checkpoint written by the last build that wrote one. Run under
 # -race because recovery code is exactly where concurrency bugs hide.
 crash-matrix:
 	go test -race -count=1 \
-	  -run 'TestKillAndResume|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume' \
+	  -run 'TestKillAndResume|TestKillDuringReplayAndResume|TestV1CheckpointResumes|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume' \
 	  ./hotspot ./internal/core ./internal/httpapi .
 
 # The overload drills: shed a submission burst against a bounded queue
 # (while polls and cancels keep answering), rate-limit a greedy client,
 # hedge stragglers deterministically, quarantine a broken flag subtree,
-# and degrade budget-killed runs to best-so-far. See docs/OVERLOAD.md.
+# and degrade budget-killed runs to best-so-far. A journal compaction
+# triggered by a verdict must keep that verdict across restarts, every
+# time. See docs/OVERLOAD.md.
 overload-drill:
 	go test -race -count=1 \
 	  -run 'TestOverloadBurst|TestPerClientRateLimit|TestAdmission|TestShutdownSheds|TestJournalCompaction|TestCompactionCrash|TestHedging|TestQuarantine|TestSessionDegraded|TestHedgedSessionResumes|TestCLIAutotuneBudgetDegrades' \
 	  ./internal/httpapi ./internal/core .
+	go test -race -count=20 -run 'TestJournalCompactionKeepsTriggeringVerdict' ./internal/httpapi
 
 # The distributed drills: the evaluation plane's equivalence and survival
 # story. Fixed-seed sessions against real evald sockets must match the

@@ -1,11 +1,15 @@
 package hotspot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/checkpoint"
 )
 
 // resultBytes flattens a result for byte comparison.
@@ -129,5 +133,118 @@ func TestResumeFromMissingCheckpointStartsFresh(t *testing.T) {
 	}
 	if resultBytes(t, fresh) != resultBytes(t, control) {
 		t.Fatal("fresh start under -resume diverged from a plain run")
+	}
+}
+
+// TestKillDuringReplayAndResume is the three-life drill: a session killed
+// at trial 40 is resumed and killed again at trial 20 — inside the resume's
+// replay prefix — then resumed to the end. The second kill must leave the
+// first checkpoint untouched, so the third life converges to the
+// byte-identical result of the uninterrupted run, with and without chaos.
+func TestKillDuringReplayAndResume(t *testing.T) {
+	for name, chaos := range map[string]string{
+		"plain": "",
+		"chaos": "launch=0.05,corrupt=0.03,crash=0.03",
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			opts := Options{
+				Benchmark: "fop",
+				Seed:      23,
+				Workers:   2,
+				Noise:     -1,
+				Chaos:     chaos,
+			}
+			control, err := Tune(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			durable := opts
+			durable.CheckpointPath = filepath.Join(t.TempDir(), "session.ckpt")
+			durable.CheckpointEveryTrials = 1
+			crashTune(t, durable, "crash-at=40")
+			durable.Resume = true
+			crashTune(t, durable, "crash-at=20")
+			resumed, err := Tune(durable)
+			if err != nil {
+				t.Fatalf("third life: %v", err)
+			}
+			if got, want := resultBytes(t, resumed), resultBytes(t, control); got != want {
+				t.Fatalf("three-life result differs from the uninterrupted run (%d vs %d trials):\nresumed:       %s\nuninterrupted: %s",
+					resumed.Trials, control.Trials, got, want)
+			}
+		})
+	}
+}
+
+// TestV1CheckpointResumes is the format-migration drill for checkpoints.
+// testdata/checkpoint_v1.ckpt is a version 1 checkpoint of a fop session
+// under a transient chaos plan, killed by crash-at so the nested chaos and
+// in-process runner state is in it, and testdata/checkpoint_v1.golden.json
+// the resumed result; both were written by the last build that wrote
+// version 1 and cannot be regenerated by this one. Resuming a copy must
+// reproduce the golden byte for byte and leave a version 2 file behind; a
+// further kill and resume from that version 2 file must too.
+func TestV1CheckpointResumes(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := func(path string) uint32 {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return binary.LittleEndian.Uint32(b[4:8])
+	}
+	if v := binary.LittleEndian.Uint32(fixture[4:8]); v != 1 {
+		t.Fatalf("fixture header reads version %d, want 1", v)
+	}
+	opts := Options{
+		Benchmark:             "fop",
+		BudgetMinutes:         30,
+		Seed:                  23,
+		Workers:               2,
+		Noise:                 -1,
+		Chaos:                 "launch=0.05,corrupt=0.03,crash=0.03",
+		CheckpointPath:        filepath.Join(t.TempDir(), "session.ckpt"),
+		CheckpointEveryTrials: 4,
+		Resume:                true,
+	}
+	resume := func() []byte {
+		res, err := Tune(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	if err := os.WriteFile(opts.CheckpointPath, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := resume(); !bytes.Equal(got, golden) {
+		t.Fatalf("resume from the v1 fixture differs from the golden:\n%s", got)
+	}
+	if v := version(opts.CheckpointPath); v != checkpoint.Version {
+		t.Fatalf("checkpoint reads version %d after the session, want %d", v, checkpoint.Version)
+	}
+
+	if err := os.WriteFile(opts.CheckpointPath, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	crashTune(t, opts, "crash-at=40")
+	if v := version(opts.CheckpointPath); v != checkpoint.Version {
+		t.Fatalf("checkpoint reads version %d after the kill, want %d", v, checkpoint.Version)
+	}
+	if got := resume(); !bytes.Equal(got, golden) {
+		t.Fatalf("resume from the v2 checkpoint differs from the golden:\n%s", got)
 	}
 }

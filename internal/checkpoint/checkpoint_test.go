@@ -87,7 +87,9 @@ func TestDecodeFailsClosed(t *testing.T) {
 		{"torn record header", v[:headerSize+3], ErrCorrupt},
 		{"truncated payload", v[:len(v)-5], ErrCorrupt},
 		{"bad crc", badCRC, ErrCorrupt},
-		{"trailing garbage", append(append([]byte(nil), v...), 'x'), ErrCorrupt},
+		// A version 1 file is one whole-snapshot record; in version 2 the
+		// same byte would be a torn delta tail (TestDecodeSalvagesTornTail).
+		{"trailing garbage", append(encodeV1(t, sampleSnapshot()), 'x'), ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,7 +102,7 @@ func TestDecodeFailsClosed(t *testing.T) {
 
 func TestDecodeRejectsImplausibleLength(t *testing.T) {
 	var b bytes.Buffer
-	if err := writeHeader(&b); err != nil {
+	if err := writeHeader(&b, Version); err != nil {
 		t.Fatal(err)
 	}
 	var h [recordHeaderSize]byte

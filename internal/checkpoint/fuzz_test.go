@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,22 +12,25 @@ import (
 )
 
 // FuzzSnapshotDecode hammers the snapshot decoder with arbitrary bytes. The
-// contract under test is fail-closed decoding: any input either decodes to
-// a snapshot that re-encodes cleanly, or returns one of the two sentinel
-// errors — never a panic, never a partially-decoded snapshot.
+// contract under test is fail-closed decoding with torn-tail salvage: any
+// input either decodes to a snapshot, or returns one of the two sentinel
+// errors — never a panic, never a partially-decoded snapshot. A snapshot
+// that decodes re-encodes, and its encoding decodes to the same snapshot;
+// and a version 2 file cut anywhere inside a delta record decodes to the
+// snapshot of the records before it.
 func FuzzSnapshotDecode(f *testing.F) {
-	var valid bytes.Buffer
-	if err := (&Snapshot{
+	v1 := encodeV1(f, &Snapshot{
 		Meta:     Meta{Workload: "h2", Searcher: "random", Objective: "throughput", Seed: 1, Reps: 3},
 		Trial:    3,
 		BestKey:  "-Xmx1g",
 		Baseline: fuzzBaseline(),
-	}).Encode(&valid); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:headerSize])
+	})
+	f.Add(v1)
+	f.Add(v1[:headerSize])
 	f.Add([]byte{})
+	for _, seed := range v2Seeds(f) {
+		f.Add(seed.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(bytes.NewReader(data))
@@ -36,11 +40,74 @@ func FuzzSnapshotDecode(f *testing.F) {
 			}
 			return
 		}
-		var out bytes.Buffer
-		if err := s.Encode(&out); err != nil {
-			t.Fatalf("decoded snapshot does not re-encode: %v", err)
+		enc := encoded(t, s)
+		if again := encoded(t, mustDecode(t, enc)); !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoded snapshot decodes differently:\n%q\n%q", enc, again)
+		}
+		if binary.LittleEndian.Uint32(data[4:8]) != Version {
+			return
+		}
+		// Record boundaries: the end of the base, then of each complete
+		// delta the decoder folded in.
+		var ends []int
+		for rest := data[headerSize:]; ; {
+			_, next, err := nextRecord(rest)
+			if err != nil {
+				break
+			}
+			ends = append(ends, len(data)-len(next))
+			rest = next
+		}
+		for i := 1; i < len(ends); i++ {
+			start, end := ends[i-1], ends[i]
+			want := encoded(t, mustDecode(t, data[:start]))
+			for _, cut := range []int{start + 1, start + recordHeaderSize, (start + end) / 2, end - 1} {
+				if cut <= start || cut >= end {
+					continue
+				}
+				if got := encoded(t, mustDecode(t, data[:cut])); !bytes.Equal(got, want) {
+					t.Fatalf("cut at %d inside delta %d decodes past the last complete record", cut, i)
+				}
+			}
 		}
 	})
+}
+
+// v2Seeds are the version 2 images FuzzSnapshotDecode starts from: a base
+// alone, a base plus deltas, a torn delta tail, a bad-CRC delta, a delta
+// with no base, a delta whose trials do not continue the log, and a
+// version 3 header.
+func v2Seeds(t testing.TB) []struct {
+	name string
+	data []byte
+} {
+	snaps := growingSnapshots(3)
+	full := v2Image(t, snaps...)
+	base := v2Image(t, snaps[0])
+	badCRC := append([]byte(nil), full...)
+	badCRC[len(badCRC)-2] ^= 0xff
+	d01, err := encodeDelta(snaps[0], snaps[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	d12, err := encodeDelta(snaps[1], snaps[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	future := append([]byte(nil), full...)
+	binary.LittleEndian.PutUint32(future[4:8], Version+1)
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"v2_base_only", base},
+		{"v2_base_deltas", full},
+		{"v2_torn_delta_tail", full[:len(full)-7]},
+		{"v2_bad_crc_delta", badCRC},
+		{"v2_delta_without_base", append(append([]byte(nil), base[:headerSize]...), d01...)},
+		{"v2_delta_gap", append(append([]byte(nil), base...), d12...)},
+		{"future_version_3", future},
+	}
 }
 
 // FuzzJournalReplay feeds arbitrary bytes to the journal recovery path. A
@@ -49,12 +116,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 // must fail with a sentinel error, not a panic, and must not be modified.
 func FuzzJournalReplay(f *testing.F) {
 	var fresh bytes.Buffer
-	if err := writeHeader(&fresh); err != nil {
+	if err := writeHeader(&fresh, journalVersion); err != nil {
 		f.Fatal(err)
 	}
 	withRecords := bytes.NewBuffer(append([]byte(nil), fresh.Bytes()...))
 	for _, p := range []string{`{"op":"submit","id":1}`, `{"op":"done","id":1}`} {
-		if err := writeRecord(withRecords, []byte(p)); err != nil {
+		if _, err := writeRecord(withRecords, []byte(p)); err != nil {
 			f.Fatal(err)
 		}
 	}

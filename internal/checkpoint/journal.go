@@ -51,13 +51,13 @@ func OpenJournal(path string, tel *telemetry.Registry) (*Journal, [][]byte, erro
 	}
 	j := &Journal{f: f, path: path, tel: tel}
 
-	st, err := f.Stat()
+	data, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	if st.Size() == 0 {
-		if err := writeHeader(f); err != nil {
+	if len(data) == 0 {
+		if err := writeHeader(f, journalVersion); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("journal: init header: %w", err)
 		}
@@ -69,23 +69,19 @@ func OpenJournal(path string, tel *telemetry.Registry) (*Journal, [][]byte, erro
 		return j, nil, nil
 	}
 
-	if _, err := readHeader(f); err != nil {
+	if _, err := parseHeader(data, journalVersion); err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("journal %s: %w", path, err)
 	}
 
 	var records [][]byte
 	valid := int64(headerSize) // byte offset of the end of the valid prefix
-	for {
-		payload, err := readRecord(f)
+	for rest := data[headerSize:]; ; {
+		payload, next, err := nextRecord(rest)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				f.Close()
-				return nil, nil, fmt.Errorf("journal %s: %w", path, err)
-			}
 			// Torn tail from a crash mid-append: salvage the valid prefix.
 			if terr := f.Truncate(valid); terr != nil {
 				f.Close()
@@ -99,7 +95,8 @@ func OpenJournal(path string, tel *telemetry.Registry) (*Journal, [][]byte, erro
 			break
 		}
 		records = append(records, payload)
-		valid += recordHeaderSize + int64(len(payload))
+		valid += int64(len(rest) - len(next))
+		rest = next
 	}
 	if _, err := f.Seek(valid, io.SeekStart); err != nil {
 		f.Close()
@@ -131,7 +128,7 @@ func (j *Journal) Append(payload []byte) error {
 	if j.closed {
 		return errors.New("journal: closed")
 	}
-	if err := writeRecord(j.f, payload); err != nil {
+	if _, err := writeRecord(j.f, payload); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
@@ -167,15 +164,16 @@ func (j *Journal) Rewrite(payloads [][]byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := writeHeader(f); err != nil {
+	if err := writeHeader(f, journalVersion); err != nil {
 		return abort(fmt.Errorf("journal: rewrite header: %w", err))
 	}
 	size := int64(headerSize)
 	for _, p := range payloads {
-		if err := writeRecord(f, p); err != nil {
+		n, err := writeRecord(f, p)
+		if err != nil {
 			return abort(fmt.Errorf("journal: rewrite record: %w", err))
 		}
-		size += recordHeaderSize + int64(len(p))
+		size += int64(n)
 	}
 	if err := f.Sync(); err != nil {
 		return abort(fmt.Errorf("journal: rewrite sync: %w", err))

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"os"
 	"sync"
 	"time"
 
@@ -9,17 +10,24 @@ import (
 
 // DefaultEveryTrials is the checkpoint cadence when the caller does not pick
 // one: frequent enough that a crash loses at most a handful of trials, rare
-// enough that the write cost (a few-kilobyte JSON marshal plus an fsync) is
-// noise next to even one virtual measurement.
+// enough that the write cost (encoding the rounds since the last write and
+// one appended, fsynced record) is noise next to even one virtual
+// measurement.
 const DefaultEveryTrials = 8
 
-// Keeper writes session snapshots to a fixed path on a trial cadence
+// Keeper writes one session's snapshots to a fixed path on a trial cadence
 // without blocking the session. The engine hands it a fully-built Snapshot
-// at a round boundary (a cheap in-memory copy); the encode, fsync, and
-// atomic rename happen on a background goroutine. If that write is still in
-// flight when the next one is due, the new snapshot is skipped rather than
-// queued — a checkpoint is a whole-state document, so the freshest one to
-// finish wins and a backlog would only delay it.
+// at a round boundary (a cheap in-memory copy); the encode and fsync happen
+// on a background goroutine. If that write is still in flight when the next
+// one is due, the new snapshot is skipped rather than queued — the next
+// write carries everything since the last one that completed, so a backlog
+// would only delay it.
+//
+// A write costs what the session changed since the last completed write,
+// not what it holds: the first write, any write after a failed one, and
+// any snapshot that does not extend the one on disk (see Snapshot.extends)
+// replace the file with a base record through temp+fsync+rename; every
+// other write appends and fsyncs one delta record.
 type Keeper struct {
 	path string
 	// Every is the trial cadence; zero means DefaultEveryTrials.
@@ -35,6 +43,13 @@ type Keeper struct {
 	busy bool // a background write is in flight
 	err  error
 	wg   sync.WaitGroup
+
+	// Owned by the write in flight (and Close, once none is): f is the
+	// checkpoint file open for appends, nil until a base write succeeds
+	// and again after any failed write; onDisk is the snapshot the file
+	// holds, the last one whose write completed.
+	f      *os.File
+	onDisk *Snapshot
 }
 
 // NewKeeper returns a Keeper writing to path. tel may be nil.
@@ -66,6 +81,8 @@ func (k *Keeper) Due(trial int) bool {
 
 // Write persists snap asynchronously (synchronously when SyncWrites is
 // set). Returns false when skipped because a prior write is still running.
+// The keeper keeps snap (and the slices it shares) until a later write
+// completes, so the caller must not modify what snap covers.
 func (k *Keeper) Write(snap *Snapshot) bool {
 	if k == nil {
 		return false
@@ -94,12 +111,17 @@ func (k *Keeper) Write(snap *Snapshot) bool {
 
 func (k *Keeper) save(snap *Snapshot) {
 	start := time.Now()
-	err := snap.Save(k.path)
+	n, err := k.persist(snap)
 	k.tel.Histogram("checkpoint_write_seconds", telemetry.DefLatencyBuckets).Observe(time.Since(start).Seconds())
 	if err != nil {
+		// The file may end in a torn delta now (Load salvages past it);
+		// the next write starts over with a base.
+		k.closeFile()
 		k.tel.Counter("checkpoint_write_errors_total").Inc()
 	} else {
+		k.onDisk = snap
 		k.tel.Counter("checkpoint_writes_total").Inc()
+		k.tel.Counter("checkpoint_bytes_written_total").Add(uint64(n))
 		k.tel.Gauge("checkpoint_last_trial").Set(float64(snap.Trial))
 	}
 	k.mu.Lock()
@@ -110,13 +132,45 @@ func (k *Keeper) save(snap *Snapshot) {
 	k.mu.Unlock()
 }
 
-// Close waits for any in-flight write and returns the last write error, if
-// any. Safe on nil.
+// persist writes snap as a delta when the file holds a snapshot it
+// extends, and as a base otherwise; it returns the bytes written.
+func (k *Keeper) persist(snap *Snapshot) (int, error) {
+	if k.f != nil && snap.extends(k.onDisk) {
+		rec, err := encodeDelta(k.onDisk, snap)
+		if err != nil {
+			return 0, err
+		}
+		if _, err := k.f.Write(rec); err != nil {
+			return 0, err
+		}
+		return len(rec), k.f.Sync()
+	}
+	k.closeFile()
+	f, n, err := writeBase(k.path, snap)
+	if err != nil {
+		return 0, err
+	}
+	k.f = f
+	return n, nil
+}
+
+// closeFile releases the append handle; the next write is a base.
+func (k *Keeper) closeFile() {
+	if k.f != nil {
+		k.f.Close()
+		k.f = nil
+	}
+}
+
+// Close waits for any in-flight write, releases the file, and returns the
+// last write error, if any. A later Write starts over with a base. Safe on
+// nil.
 func (k *Keeper) Close() error {
 	if k == nil {
 		return nil
 	}
 	k.wg.Wait()
+	k.closeFile()
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.err

@@ -6,14 +6,15 @@
 // program — so losing in-flight state to a crash, OOM, or operator restart
 // forfeits real time. This package makes that state durable with one shared
 // on-disk framing: a magic+version header followed by length- and
-// CRC32-guarded records. Snapshots are whole-file documents rotated
-// atomically (written to a temp file, fsynced, then renamed over the old
-// snapshot, so a reader only ever sees a complete snapshot or the previous
-// one); journals are append-only record streams whose recovery path salvages
-// the valid prefix of a truncated or corrupted tail instead of refusing to
-// start. Decoding fails closed: corrupt headers, torn records, CRC
-// mismatches, and future format versions are errors, never panics and never
-// partially-applied state.
+// CRC32-guarded records. A snapshot file is a base record written
+// atomically (to a temp file, fsynced, then renamed over the old file, so a
+// reader only ever sees a complete base or the previous file) followed by
+// delta records appended as the session goes; journals are append-only
+// record streams. Both recovery paths salvage the valid prefix of a
+// truncated or corrupted tail instead of refusing to start. Everything else
+// fails closed: corrupt headers, a torn base, CRC-valid records that do
+// not decode, and future format versions are errors, never panics and
+// never partially-applied state.
 //
 // A session Snapshot captures everything a killed session needs to continue
 // and converge to the byte-identical outcome of an uninterrupted run: the
@@ -35,10 +36,16 @@ import (
 	"io"
 )
 
-// Version is the on-disk format version written by this build; readers
+// Version is the checkpoint format version written by this build; readers
 // reject anything newer (fail closed — a future format may carry state this
-// build would silently drop).
-const Version = 1
+// build would silently drop). Version 2 is a base record plus appended
+// deltas; version 1 files (one whole-snapshot record) still load.
+const Version = 2
+
+// journalVersion is the version journals write and the newest they read.
+// Journals did not change with checkpoint version 2, and keeping them at 1
+// means a downgraded build can still replay a farm's history.
+const journalVersion = 1
 
 // magic opens every checkpoint file and journal.
 const magic = "ATCK"
@@ -64,68 +71,97 @@ var (
 )
 
 // writeHeader emits the file header: magic then version, little-endian.
-func writeHeader(w io.Writer) error {
+func writeHeader(w io.Writer, version uint32) error {
 	var h [headerSize]byte
 	copy(h[:4], magic)
-	binary.LittleEndian.PutUint32(h[4:], Version)
+	binary.LittleEndian.PutUint32(h[4:], version)
 	_, err := w.Write(h[:])
 	return err
 }
 
-// readHeader validates the header and returns the file's format version.
-func readHeader(r io.Reader) (uint32, error) {
-	var h [headerSize]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return 0, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
+// parseHeader validates the header at the start of b against the newest
+// version the caller reads and returns the file's format version.
+func parseHeader(b []byte, newest uint32) (uint32, error) {
+	if len(b) < headerSize {
+		return 0, fmt.Errorf("%w: short header", ErrCorrupt)
 	}
-	if string(h[:4]) != magic {
-		return 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, h[:4])
+	if string(b[:4]) != magic {
+		return 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, b[:4])
 	}
-	v := binary.LittleEndian.Uint32(h[4:])
+	v := binary.LittleEndian.Uint32(b[4:headerSize])
 	if v == 0 {
 		return 0, fmt.Errorf("%w: version 0", ErrCorrupt)
 	}
-	if v > Version {
-		return v, fmt.Errorf("%w: %d (this build reads up to %d)", ErrFutureVersion, v, Version)
+	if v > newest {
+		return v, fmt.Errorf("%w: %d (this build reads up to %d)", ErrFutureVersion, v, newest)
 	}
 	return v, nil
 }
 
-// writeRecord frames one payload: length, CRC32 (IEEE) of the payload, then
-// the payload itself.
-func writeRecord(w io.Writer, payload []byte) error {
+// frameHeader is the frame of a payload given as consecutive parts: its
+// length, then its CRC32 (IEEE).
+func frameHeader(parts [][]byte) [recordHeaderSize]byte {
 	var h [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(h[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(h[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(h[:]); err != nil {
-		return err
+	n, crc := 0, uint32(0)
+	for _, p := range parts {
+		n += len(p)
+		crc = crc32.Update(crc, crc32.IEEETable, p)
 	}
-	_, err := w.Write(payload)
-	return err
+	binary.LittleEndian.PutUint32(h[:4], uint32(n))
+	binary.LittleEndian.PutUint32(h[4:], crc)
+	return h
 }
 
-// readRecord reads the next framed payload. A clean end of stream returns
-// io.EOF; a torn header, truncated payload, implausible length, or CRC
-// mismatch returns an error wrapping ErrCorrupt, which journal recovery
-// treats as "the valid prefix ends here".
-func readRecord(r io.Reader) ([]byte, error) {
-	var h [recordHeaderSize]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
+// writeRecord frames one payload, given as consecutive parts so large ones
+// are never copied together, and returns the bytes written.
+func writeRecord(w io.Writer, parts ...[]byte) (int, error) {
+	h := frameHeader(parts)
+	if _, err := w.Write(h[:]); err != nil {
+		return 0, err
+	}
+	n := len(h)
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return n, err
 		}
-		return nil, fmt.Errorf("%w: torn record header", ErrCorrupt)
+		n += len(p)
 	}
-	n := binary.LittleEndian.Uint32(h[:4])
+	return n, nil
+}
+
+// appendRecord appends one framed payload to dst, so a small record goes
+// to disk in a single write.
+func appendRecord(dst []byte, parts ...[]byte) []byte {
+	h := frameHeader(parts)
+	dst = append(dst, h[:]...)
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst
+}
+
+// nextRecord splits the next framed payload off b; the payload aliases b.
+// An empty b returns io.EOF; a torn header, truncated payload, implausible
+// length, or CRC mismatch returns an error wrapping ErrCorrupt, which
+// recovery treats as "the valid prefix ends here".
+func nextRecord(b []byte) (payload, rest []byte, err error) {
+	if len(b) == 0 {
+		return nil, nil, io.EOF
+	}
+	if len(b) < recordHeaderSize {
+		return nil, nil, fmt.Errorf("%w: torn record header", ErrCorrupt)
+	}
+	n := binary.LittleEndian.Uint32(b[:4])
 	if n > maxRecordBytes {
-		return nil, fmt.Errorf("%w: implausible record length %d", ErrCorrupt, n)
+		return nil, nil, fmt.Errorf("%w: implausible record length %d", ErrCorrupt, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated record (want %d bytes)", ErrCorrupt, n)
+	if uint64(len(b)-recordHeaderSize) < uint64(n) {
+		return nil, nil, fmt.Errorf("%w: truncated record (want %d bytes)", ErrCorrupt, n)
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(h[4:]); got != want {
-		return nil, fmt.Errorf("%w: record CRC mismatch (got %08x, want %08x)", ErrCorrupt, got, want)
+	end := recordHeaderSize + int(n)
+	payload = b[recordHeaderSize:end]
+	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(b[4:8]); got != want {
+		return nil, nil, fmt.Errorf("%w: record CRC mismatch (got %08x, want %08x)", ErrCorrupt, got, want)
 	}
-	return payload, nil
+	return payload, b[end:], nil
 }

@@ -1,9 +1,10 @@
 package checkpoint
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -116,9 +117,9 @@ type EpochRecord struct {
 // uninterrupted one. Trials is the ordered log of delivered measurements;
 // RunnerState is the runner's own opaque serialization (evaluated-config
 // cache, noise-rep indices, chaos counters, elapsed virtual clock) produced
-// by runner.StateSnapshotter. Epochs lists the re-tuning epochs a drifting
-// session has opened (empty for stationary sessions, keeping their
-// snapshots loadable by older builds — and older snapshots loadable here).
+// by runner.StateSnapshotter — an append-only stream, which is what lets a
+// Keeper persist each round as a delta. Epochs lists the re-tuning epochs a
+// drifting session has opened (empty for stationary sessions).
 type Snapshot struct {
 	Meta        Meta               `json:"meta"`
 	Trial       int                `json:"trial"`   // trials completed when the snapshot was taken
@@ -128,90 +129,255 @@ type Snapshot struct {
 	Baseline    runner.Measurement `json:"baseline"`
 	Trials      []TrialRecord      `json:"trials"`
 	Epochs      []EpochRecord      `json:"epochs,omitempty"`
-	RunnerState json.RawMessage    `json:"runner_state,omitempty"`
+	RunnerState json.RawMessage    `json:"runner_state,omitempty"` // inside the JSON in version 1 only
 }
 
-// Encode writes the snapshot to w: header, then one framed JSON record.
-func (s *Snapshot) Encode(w io.Writer) error {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encode snapshot: %w", err)
-	}
-	if err := writeHeader(w); err != nil {
-		return err
-	}
-	return writeRecord(w, payload)
+// Record kinds of a version 2 file. Every payload is the kind byte, the
+// uvarint length of a JSON part, the JSON part, and raw runner-state bytes
+// — carried outside the JSON so no write re-encodes them.
+const (
+	// recordBase opens the file: the whole Snapshot (JSON without
+	// runner_state) and the whole runner state.
+	recordBase byte = 'B'
+	// recordDelta follows it: a delta (JSON) and the runner-state suffix.
+	recordDelta byte = 'D'
+)
+
+// delta is what a write adds to the snapshot the file holds: the trials
+// and epochs delivered since the last completed write, the new scalar
+// fields, and (outside the JSON) the runner state's new suffix. From is
+// the trial count the delta continues, so a delta cannot splice onto the
+// wrong log.
+type delta struct {
+	From      int           `json:"from"`
+	Trial     int           `json:"trial"`
+	Elapsed   float64       `json:"elapsed"`
+	BestKey   string        `json:"best_key"`
+	BestScore float64       `json:"best_score"`
+	Trials    []TrialRecord `json:"trials,omitempty"`
+	Epochs    []EpochRecord `json:"epochs,omitempty"`
 }
 
-// Decode reads a snapshot written by Encode, failing closed on anything
-// malformed: bad magic, future version, torn or CRC-corrupt record,
-// non-JSON payload, or trailing garbage after the snapshot record.
-func Decode(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	if _, err := readHeader(br); err != nil {
-		return nil, err
+// recordHead is the kind byte and JSON length that open a v2 payload.
+func recordHead(kind byte, jsonLen int) []byte {
+	return binary.AppendUvarint([]byte{kind}, uint64(jsonLen))
+}
+
+// splitRecord splits a v2 payload of the wanted kind into its JSON part
+// and its raw runner-state bytes.
+func splitRecord(payload []byte, kind byte) (js, raw []byte, err error) {
+	if len(payload) == 0 || payload[0] != kind {
+		return nil, nil, fmt.Errorf("%w: record is not a %c record", ErrCorrupt, kind)
 	}
-	payload, err := readRecord(br)
-	if err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("%w: missing snapshot record", ErrCorrupt)
-		}
-		return nil, err
+	n, w := binary.Uvarint(payload[1:])
+	if w <= 0 || n > uint64(len(payload)-1-w) {
+		return nil, nil, fmt.Errorf("%w: bad JSON length in %c record", ErrCorrupt, kind)
 	}
-	var s Snapshot
-	dec := json.NewDecoder(bytes.NewReader(payload))
+	js = payload[1+w : 1+w+int(n)]
+	return js, payload[1+w+int(n):], nil
+}
+
+// decodeJSON is the strict JSON decoder every record goes through:
+// unknown fields and trailing data are corruption, not extensions.
+func decodeJSON(js []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(js))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("%w: snapshot payload: %v", ErrCorrupt, err)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing data after snapshot record", ErrCorrupt)
-	}
-	return &s, nil
-}
-
-// Save atomically replaces the snapshot at path: the bytes go to a temp
-// file in the same directory, are fsynced, and only then renamed over the
-// destination. A crash at any point leaves either the previous complete
-// snapshot or the new one — never a torn file.
-func (s *Snapshot) Save(path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: save: %w", err)
-	}
-	tmp := f.Name()
-	cleanup := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
+	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if err := s.Encode(f); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(fmt.Errorf("checkpoint: save: sync: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: save: close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: save: %w", err)
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after JSON value")
 	}
 	return nil
 }
 
-// Load reads and validates the snapshot at path. The caller distinguishes
-// "no checkpoint yet" with errors.Is(err, os.ErrNotExist).
-func Load(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
+// Encode writes the snapshot to w as a complete checkpoint file: the header
+// and one base record.
+func (s *Snapshot) Encode(w io.Writer) error {
+	_, err := s.encode(w)
+	return err
+}
+
+// encode is Encode returning the bytes written.
+func (s *Snapshot) encode(w io.Writer) (int, error) {
+	head := *s
+	head.RunnerState = nil
+	js, err := json.Marshal(&head)
+	if err != nil {
+		return 0, fmt.Errorf("checkpoint: encode snapshot: %w", err)
+	}
+	if err := writeHeader(w, Version); err != nil {
+		return 0, err
+	}
+	n, err := writeRecord(w, recordHead(recordBase, len(js)), js, s.RunnerState)
+	return headerSize + n, err
+}
+
+// encodeDelta frames the records prev → s adds as one delta record; the
+// caller has checked that s extends prev (see extends).
+func encodeDelta(prev, s *Snapshot) ([]byte, error) {
+	js, err := json.Marshal(&delta{
+		From:      len(prev.Trials),
+		Trial:     s.Trial,
+		Elapsed:   s.Elapsed,
+		BestKey:   s.BestKey,
+		BestScore: s.BestScore,
+		Trials:    s.Trials[len(prev.Trials):],
+		Epochs:    s.Epochs[len(prev.Epochs):],
+	})
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: encode delta: %w", err)
+	}
+	return appendRecord(nil, recordHead(recordDelta, len(js)), js, s.RunnerState[len(prev.RunnerState):]), nil
+}
+
+// extends reports whether s continues prev, so that a delta can carry the
+// difference: the same session, logs that only grew, and a runner state
+// that starts with the bytes prev holds.
+func (s *Snapshot) extends(prev *Snapshot) bool {
+	return s.Meta == prev.Meta &&
+		len(s.Trials) >= len(prev.Trials) &&
+		len(s.Epochs) >= len(prev.Epochs) &&
+		bytes.HasPrefix(s.RunnerState, prev.RunnerState)
+}
+
+// Decode reads a checkpoint file written by Encode or a Keeper, version 1
+// or 2. It fails closed on a bad header, a future version, a missing, torn
+// or undecodable base (or version 1 snapshot) record, trailing data after
+// a version 1 record, and any CRC-valid delta that does not decode or
+// continue the log. A torn or CRC-corrupt tail — a delta whose write a
+// crash cut short — is salvaged: the snapshot of the last complete record
+// stands.
+func Decode(r io.Reader) (*Snapshot, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: read: %w", err)
+	}
+	return decode(data)
+}
+
+func decode(data []byte) (*Snapshot, error) {
+	v, err := parseHeader(data, Version)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	s, err := Decode(f)
+	payload, rest, err := nextRecord(data[headerSize:])
+	if err == io.EOF {
+		return nil, fmt.Errorf("%w: missing snapshot record", ErrCorrupt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s := new(Snapshot)
+	if v == 1 {
+		if len(rest) > 0 {
+			return nil, fmt.Errorf("%w: trailing data after snapshot record", ErrCorrupt)
+		}
+		if err := decodeJSON(payload, s); err != nil {
+			return nil, fmt.Errorf("%w: snapshot payload: %v", ErrCorrupt, err)
+		}
+		return s, nil
+	}
+	js, raw, err := splitRecord(payload, recordBase)
+	if err != nil {
+		return nil, err
+	}
+	if err := decodeJSON(js, s); err != nil {
+		return nil, fmt.Errorf("%w: base record: %v", ErrCorrupt, err)
+	}
+	if s.RunnerState != nil {
+		return nil, fmt.Errorf("%w: runner state inside the base record's JSON", ErrCorrupt)
+	}
+	if len(raw) > 0 {
+		// Capped, so the first delta's append copies instead of writing
+		// over the records that follow in data.
+		s.RunnerState = raw[:len(raw):len(raw)]
+	}
+	for {
+		payload, rest, err = nextRecord(rest)
+		if err != nil {
+			// io.EOF, or a tail a crash tore: either way the snapshot of
+			// the last complete record is the checkpoint.
+			return s, nil
+		}
+		if err := s.applyDelta(payload); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// applyDelta folds one delta record into s.
+func (s *Snapshot) applyDelta(payload []byte) error {
+	js, raw, err := splitRecord(payload, recordDelta)
+	if err != nil {
+		return err
+	}
+	var d delta
+	if err := decodeJSON(js, &d); err != nil {
+		return fmt.Errorf("%w: delta record: %v", ErrCorrupt, err)
+	}
+	if d.From != len(s.Trials) {
+		return fmt.Errorf("%w: delta continues trial %d but the log holds %d", ErrCorrupt, d.From, len(s.Trials))
+	}
+	s.Trial, s.Elapsed, s.BestKey, s.BestScore = d.Trial, d.Elapsed, d.BestKey, d.BestScore
+	s.Trials = append(s.Trials, d.Trials...)
+	s.Epochs = append(s.Epochs, d.Epochs...)
+	if len(raw) > 0 {
+		s.RunnerState = append(s.RunnerState, raw...)
+	}
+	return nil
+}
+
+// writeBase atomically replaces the checkpoint at path with s as a base
+// record: the bytes go to a temp file in the same directory, are fsynced,
+// and only then renamed over the destination. A crash at any point leaves
+// either the previous complete file or the new one — never a torn base.
+// It returns the new file, open at its end for appends, and the bytes
+// written.
+func writeBase(path string, s *Snapshot) (*os.File, int, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return nil, 0, fmt.Errorf("checkpoint: save: %w", err)
+	}
+	tmp := f.Name()
+	fail := func(err error) (*os.File, int, error) {
+		f.Close()
+		os.Remove(tmp)
+		return nil, 0, err
+	}
+	n, err := s.encode(f)
+	if err != nil {
+		return fail(err)
+	}
+	if err := f.Sync(); err != nil {
+		return fail(fmt.Errorf("checkpoint: save: sync: %w", err))
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fail(fmt.Errorf("checkpoint: save: %w", err))
+	}
+	return f, n, nil
+}
+
+// Save atomically replaces the checkpoint at path with s (see writeBase).
+func (s *Snapshot) Save(path string) error {
+	f, _, err := writeBase(path, s)
+	if err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("checkpoint: save: close: %w", err)
+	}
+	return nil
+}
+
+// Load reads and validates the checkpoint at path (see Decode). The caller
+// distinguishes "no checkpoint yet" with errors.Is(err, os.ErrNotExist).
+func Load(path string) (*Snapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	s, err := decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -451,6 +451,7 @@ func (s *Session) Run() (*Outcome, error) {
 	var base runner.Measurement
 	replay := make(map[int]checkpoint.TrialRecord)
 	epochReplay := make(map[int]checkpoint.EpochRecord)
+	resumed := 0
 	if s.Resume != nil {
 		snap := s.Resume
 		if err := snap.Meta.Check(meta); err != nil {
@@ -468,6 +469,7 @@ func (s *Session) Run() (*Outcome, error) {
 			return nil, err
 		}
 		base = snap.Baseline
+		resumed = snap.Trial
 		for _, rec := range snap.Trials {
 			replay[rec.Seq] = rec
 		}
@@ -514,7 +516,7 @@ func (s *Session) Run() (*Outcome, error) {
 	var ck *ckState
 	if snapRunner != nil {
 		ck = &ckState{keeper: s.Checkpoint, meta: meta, base: base, snap: snapRunner,
-			replay: replay, epochReplay: epochReplay}
+			replay: replay, resumed: resumed, epochReplay: epochReplay}
 	}
 	rob := &robState{now: s.now}
 	if rob.now == nil {

@@ -63,10 +63,11 @@ type robState struct {
 // ckState is the session's durability bookkeeping, non-nil only when
 // checkpointing or resuming. log accumulates every delivered measurement in
 // delivery order; replay maps dispatch seq → recorded trial for the resume
-// prefix, satisfied without touching the runner. epochs accumulates the
-// re-tuning epochs opened so far (with the warm-start priors each used);
-// epochReplay maps epoch index → recorded epoch so a resumed session
-// rebuilds each epoch's searcher from the original priors verbatim.
+// prefix, satisfied without touching the runner, and resumed is the
+// prefix's length. epochs accumulates the re-tuning epochs opened so far
+// (with the warm-start priors each used); epochReplay maps epoch index →
+// recorded epoch so a resumed session rebuilds each epoch's searcher from
+// the original priors verbatim.
 type ckState struct {
 	keeper      *checkpoint.Keeper
 	meta        checkpoint.Meta
@@ -74,6 +75,7 @@ type ckState struct {
 	snap        runner.StateSnapshotter
 	log         []checkpoint.TrialRecord
 	replay      map[int]checkpoint.TrialRecord
+	resumed     int
 	epochs      []checkpoint.EpochRecord
 	epochReplay map[int]checkpoint.EpochRecord
 }
@@ -469,7 +471,11 @@ func (s *Session) runLoop(runCtx context.Context, ctx *Context, out *Outcome,
 			carry = nil
 			freeTrials = 0
 		}
-		if ck != nil && ck.keeper.Due(ctx.Trial) {
+		// No checkpoint inside the replay prefix: the loaded file already
+		// holds that state, and the runner was restored to its end — a
+		// snapshot here would pair the prefix's trial log with the later
+		// runner state, and a crash would leave that mix to the next resume.
+		if ck != nil && ctx.Trial >= ck.resumed && ck.keeper.Due(ctx.Trial) {
 			s.writeCheckpoint(ck, ctx)
 		}
 	}

@@ -85,18 +85,20 @@ type Pool struct {
 	now     func() time.Time
 	dynamic bool
 
+	// State holds the clock, rep indices and cache, keyed through
+	// runner.PhaseKey like the in-process runner's, and snapshots them —
+	// byte for byte the in-process runner's serialization. Fleet state is
+	// deliberately absent: it lives in its own journal and is not a
+	// determinism input.
+	runner.State
+
 	mu      sync.Mutex
 	nodes   []*node
 	fleet   *Fleet
 	orphans []string
-	elapsed runner.VirtualClock
-	reps    map[string]int
-	cache   map[string]runner.Measurement
 	// phase and shift support phase-shifting workloads (runner.PhaseSetter):
 	// the shift travels with every request so any node derives the shifted
-	// profile itself. Per-key state above is scoped through runner.PhaseKey,
-	// the same convention as the in-process runner, so snapshots stay
-	// byte-compatible.
+	// profile itself.
 	phase int
 	shift jvmsim.PhaseShift
 	// timeout0 captures TimeoutSeconds at the first phase shift: phase
@@ -156,8 +158,6 @@ func newPool(prof *workload.Profile, evs []Evaluator) (*Pool, error) {
 		Noise:   -1,
 		profile: prof,
 		now:     time.Now,
-		reps:    make(map[string]int),
-		cache:   make(map[string]runner.Measurement),
 	}
 	p.TimeoutSeconds = 6 * jvmsim.New().DefaultWall(flags.NewRegistry(), prof, 1)
 	seen := make(map[string]bool)
@@ -174,13 +174,6 @@ func newPool(prof *workload.Profile, evs []Evaluator) (*Pool, error) {
 
 // Workload implements runner.Runner.
 func (p *Pool) Workload() *workload.Profile { return p.profile }
-
-// Elapsed implements runner.Runner.
-func (p *Pool) Elapsed() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.elapsed.Seconds()
-}
 
 // DeterminismFingerprint implements the core engine's fingerprint hook.
 // The pool is byte-equivalent to the in-process runner by construction
@@ -549,17 +542,14 @@ func (p *Pool) measure(cfg *flags.Config, reps int, place func(*TrialRequest) ru
 	// Phases only change between rounds (the PhaseSetter contract), never
 	// while a Measure is in flight.
 	phase, shift := p.phase, p.shift
+	p.mu.Unlock()
 	sk := runner.PhaseKey(phase, key)
 	if !p.DisableCache {
-		if m, ok := p.cache[sk]; ok && (m.Failed || len(m.Walls) >= reps) {
-			p.mu.Unlock()
-			m.FromCache = true
-			m.CostSeconds = 0
+		if m, ok := p.Cached(sk, reps); ok {
 			runner.NoteCacheHit(p.Telemetry, p.Trace, key)
 			return m
 		}
 	}
-	p.mu.Unlock()
 
 	// ExplicitArgs, not CommandLine: the minimal rendering drops explicit
 	// assignments that equal a flag's default, and the simulated VM — like
@@ -567,16 +557,9 @@ func (p *Pool) measure(cfg *flags.Config, reps int, place func(*TrialRequest) ru
 	// rather than defaulted. The transport form must carry explicitness.
 	args := cfg.ExplicitArgs()
 	m := p.Retry.Run(func(n int) runner.Measurement {
-		// Each attempt draws fresh noise-rep indices so a retried run is a
-		// genuinely new measurement, not a replay.
-		p.mu.Lock()
-		repBase := p.reps[sk]
-		p.reps[sk] = repBase + reps
-		p.mu.Unlock()
-
 		req := &TrialRequest{
 			Key: key, Benchmark: p.profile.Name, Args: args,
-			RepBase: repBase, Reps: reps,
+			RepBase: p.Reserve(sk, reps), Reps: reps,
 			TimeoutSeconds: p.TimeoutSeconds, Noise: p.Noise,
 		}
 		if phase > 0 {
@@ -588,13 +571,7 @@ func (p *Pool) measure(cfg *flags.Config, reps int, place func(*TrialRequest) ru
 		return m
 	})
 	runner.NoteMeasured(p.Telemetry, p.Trace, key, m)
-
-	p.mu.Lock()
-	p.elapsed.Charge(m.CostSeconds)
-	if !p.DisableCache && !m.Transient {
-		p.cache[sk] = m
-	}
-	p.mu.Unlock()
+	p.Settle(sk, m, !p.DisableCache)
 	return m
 }
 
@@ -770,26 +747,4 @@ func (p *Pool) Close() error {
 		<-done
 	}
 	return f.Close()
-}
-
-// SnapshotState implements runner.StateSnapshotter, byte-for-byte the
-// in-process runner's serialization. Fleet state is deliberately absent —
-// it lives in its own journal and is not a determinism input.
-func (p *Pool) SnapshotState() ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return runner.MarshalState(p.elapsed.Seconds(), p.reps, p.cache)
-}
-
-// RestoreState implements runner.StateSnapshotter.
-func (p *Pool) RestoreState(data []byte) error {
-	elapsed, reps, cache, err := runner.UnmarshalState(data)
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.elapsed.Set(elapsed)
-	p.reps, p.cache = reps, cache
-	return nil
 }

@@ -71,6 +71,13 @@ type ChaosRunner struct {
 	// Phase 0 keys are bare, so chaos state snapshots taken before any
 	// drift stay byte-identical to phase-unaware builds.
 	phase int
+	// stream, innerLen and dirty track the state stream (see state.go):
+	// every segment so far, how much of the inner runner's stream they
+	// carry, and the keys changed since — nil until the first snapshot or
+	// restore, so a chaos layer that is never checkpointed tracks nothing.
+	stream   []byte
+	innerLen int
+	dirty    map[string]struct{}
 }
 
 // Stats counts the chaos layer's activity.
@@ -187,6 +194,7 @@ func (c *ChaosRunner) Measure(cfg *flags.Config, reps int) runner.Measurement {
 	c.mu.Lock()
 	if !m.Transient {
 		c.settled[sk] = true
+		c.touch(sk)
 	}
 	c.elapsed.Charge(m.CostSeconds)
 	c.mu.Unlock()
@@ -220,6 +228,7 @@ func (c *ChaosRunner) attempt(cfg *flags.Config, reps int, key, sk string, retry
 	c.mu.Lock()
 	n := c.attempts[sk]
 	c.attempts[sk] = n + 1
+	c.touch(sk)
 	kind := c.faultFor(sk, n)
 	if isFailureFault(kind) {
 		if c.streaks[sk] >= c.plan.MaxConsecutive {

@@ -63,10 +63,17 @@ func TestChaosStateRoundTrip(t *testing.T) {
 		cfgs = append(cfgs, cfg)
 	}
 
-	// The reference: one runner measuring all six configurations.
+	// The reference: one runner measuring all six configurations, taking
+	// a snapshot where the drill crashes — state streams are equal for
+	// equal snapshot histories.
 	continuous := newChaos()
 	var want []runner.Measurement
-	for _, cfg := range cfgs {
+	for i, cfg := range cfgs {
+		if i == 3 {
+			if _, err := continuous.SnapshotState(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		want = append(want, continuous.Measure(cfg, 2))
 	}
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -308,6 +309,48 @@ func TestJournalCompactionAcrossRestart(t *testing.T) {
 		t.Fatalf("third-generation submission got id %d, want %d", id, last+2)
 	}
 	s3.Wait()
+}
+
+// TestJournalCompactionKeepsTriggeringVerdict: when a job's verdict is the
+// append that crosses the compaction threshold, the rewritten journal must
+// still hold that verdict. A restarted farm then recovers no job and runs
+// none of the finished ones again.
+func TestJournalCompactionKeepsTriggeringVerdict(t *testing.T) {
+	dir := t.TempDir()
+	var runs atomic.Int64
+	stubTune(t, func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
+		runs.Add(1)
+		return &hotspot.Result{Benchmark: opts.Benchmark, BestWall: 5}, nil
+	})
+	// A 1-byte threshold compacts after every append, the verdict's too.
+	cfg := Config{MaxConcurrent: 1, MaxJobs: 4, JournalCompactBytes: 1}
+	s, ts := newDurableServer(t, dir, cfg)
+	var ids []int
+	for i := 0; i < 3; i++ {
+		ids = append(ids, submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop", Seed: int64(i)}))
+		s.Wait()
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before := runs.Load()
+
+	s2, ts2 := newDurableServer(t, dir, cfg)
+	if got := s2.reg.Counter("httpapi_jobs_recovered_total").Value(); got != 0 {
+		t.Fatalf("restart recovered %d finished jobs, want 0", got)
+	}
+	s2.Wait()
+	if got := runs.Load(); got != before {
+		t.Fatalf("restart ran %d finished jobs again", got-before)
+	}
+	for _, id := range ids {
+		if job := pollJob(t, ts2.URL, id); job.State != "done" || job.Result == nil || job.Result.BestWall != 5 {
+			t.Fatalf("job %d after restart = %+v", id, job)
+		}
+	}
+	if err := s2.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCompactionCrashLeavesJournalAuthoritative simulates dying between

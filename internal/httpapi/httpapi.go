@@ -443,23 +443,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// markTerminalLocked records a job's arrival in a terminal state for LRU
-// eviction and releases its Wait ticket. Caller holds s.mu; the job's State
-// must already be terminal, and each job passes through exactly once.
-func (s *Server) markTerminalLocked(job *Job) {
-	s.doneOrder = append(s.doneOrder, job.ID)
-	s.inflight.Done()
-}
-
-// jobTerminalLocked is markTerminalLocked plus the farm accounting (the
-// per-verdict counter and the lifecycle trace event) and, on a durable
-// server, the journal verdict. A cancellation flagged as an interruption
-// (shutdown deadline, simulated crash) is deliberately NOT journaled and
-// keeps its checkpoint: the restarted server re-queues and resumes it.
-// Caller holds s.mu.
+// jobTerminalLocked records a job's arrival in a terminal state for LRU
+// eviction, does the farm accounting (the per-verdict counter and the
+// lifecycle trace event) and, on a durable server, journals the verdict,
+// then releases the job's Wait ticket. A cancellation flagged as an
+// interruption (shutdown deadline, simulated crash) is deliberately NOT
+// journaled and keeps its checkpoint: the restarted server re-queues and
+// resumes it. Caller holds s.mu; the job's State must already be terminal,
+// and each job passes through exactly once.
 func (s *Server) jobTerminalLocked(job *Job) {
 	s.reg.Counter(`httpapi_jobs_total{state="` + job.State + `"}`).Inc()
 	s.noteJob(job.ID, job.State)
+	// The job joins doneOrder before its verdict is journaled: an append
+	// that crosses the compaction threshold rewrites the journal from
+	// doneOrder, and must keep the verdict that triggered it.
+	s.doneOrder = append(s.doneOrder, job.ID)
 	interrupted := s.crashed || (job.requeue && job.State == "canceled")
 	if !interrupted {
 		_ = s.appendJournal(journalRecord{
@@ -467,7 +465,7 @@ func (s *Server) jobTerminalLocked(job *Job) {
 		})
 		s.removeJobCheckpoint(job.ID)
 	}
-	s.markTerminalLocked(job)
+	s.inflight.Done()
 }
 
 // evictLocked drops finished jobs, oldest first, until the store has room.

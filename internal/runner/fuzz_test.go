@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -45,6 +47,39 @@ func FuzzRunReportDecode(f *testing.F) {
 		}
 		if back != report {
 			t.Fatalf("report round trip changed values:\n  %+v\n  %+v", report, back)
+		}
+	})
+}
+
+// FuzzRunnerStateRestore hardens the runner-state stream: arbitrary bytes
+// either fail to restore, or restore a State whose next snapshot — after
+// one more measurement, so the change tracking is exercised — extends the
+// restored bytes and restores to the same state. The seed corpus in
+// testdata/fuzz holds streams, torn streams, out-of-range clocks, and
+// single-object states as builds before streams wrote them.
+func FuzzRunnerStateRestore(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var a State
+		if err := a.RestoreState(data); err != nil {
+			return
+		}
+		// Zero cost: a charge could push a clock restored near its bound
+		// out of range, which the next restore rightly refuses.
+		a.Reserve("fuzz", 1)
+		a.Settle("fuzz", Measurement{Key: "fuzz", Walls: []float64{1.5}, Mean: 1.5}, true)
+		snap, err := a.SnapshotState()
+		if err != nil {
+			t.Fatalf("restored state does not snapshot: %v", err)
+		}
+		if !bytes.HasPrefix(snap, data) {
+			t.Fatal("snapshot does not extend the restored stream")
+		}
+		var b State
+		if err := b.RestoreState(snap); err != nil {
+			t.Fatalf("snapshot does not restore: %v", err)
+		}
+		if a.elapsed != b.elapsed || !reflect.DeepEqual(a.reps, b.reps) || !reflect.DeepEqual(a.cache, b.cache) {
+			t.Fatalf("restore of the snapshot diverged:\nsnapshot %q\nelapsed %v/%v reps %v/%v", snap, a.elapsed, b.elapsed, a.reps, b.reps)
 		}
 	})
 }

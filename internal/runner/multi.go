@@ -2,7 +2,6 @@ package runner
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/flags"
 	"repro/internal/jvmsim"
@@ -38,10 +37,8 @@ type Multi struct {
 	Telemetry *telemetry.Registry
 	Trace     *telemetry.Tracer
 
-	mu      sync.Mutex
-	elapsed VirtualClock
-	reps    map[string]int
-	cache   map[string]Measurement
+	// State holds the clock, rep indices and cache, and snapshots them.
+	State
 }
 
 // NewMulti builds a multi-workload runner over the given profiles.
@@ -49,12 +46,7 @@ func NewMulti(sim *jvmsim.Simulator, profiles []*workload.Profile) (*Multi, erro
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("runner: Multi needs at least one workload")
 	}
-	m := &Multi{
-		sim:      sim,
-		profiles: profiles,
-		reps:     make(map[string]int),
-		cache:    make(map[string]Measurement),
-	}
+	m := &Multi{sim: sim, profiles: profiles}
 	reg := flags.NewRegistry()
 	def := flags.NewConfig(reg)
 	name := "suite:"
@@ -86,13 +78,6 @@ func NewMulti(sim *jvmsim.Simulator, profiles []*workload.Profile) (*Multi, erro
 
 // Workload returns a pseudo-profile naming the aggregate.
 func (m *Multi) Workload() *workload.Profile { return m.pseudo }
-
-// Elapsed returns total virtual seconds consumed.
-func (m *Multi) Elapsed() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.elapsed.Seconds()
-}
 
 // MemberWalls measures cfg once per member and returns the raw walls —
 // used by reports to show the common config's per-program cost. Failures
@@ -133,23 +118,13 @@ func (m *Multi) Measure(cfg *flags.Config, reps int) Measurement {
 	}
 	key := cfg.Key()
 
-	m.mu.Lock()
-	// Failed measurements replay from the cache too; see InProcess.Measure.
-	if cached, ok := m.cache[key]; ok && (cached.Failed || len(cached.Walls) >= reps) {
-		m.mu.Unlock()
-		cached.FromCache = true
-		cached.CostSeconds = 0
+	if cached, ok := m.Cached(key, reps); ok {
 		NoteCacheHit(m.Telemetry, m.Trace, key)
 		return cached
 	}
-	m.mu.Unlock()
 
 	out := m.Retry.Run(func(n int) Measurement {
-		m.mu.Lock()
-		repBase := m.reps[key]
-		m.reps[key] = repBase + reps
-		m.mu.Unlock()
-
+		repBase := m.Reserve(key, reps)
 		out := Measurement{Key: key}
 		for rep := 0; rep < reps && !out.Failed; rep++ {
 			normSum := 0.0
@@ -186,13 +161,6 @@ func (m *Multi) Measure(cfg *flags.Config, reps int) Measurement {
 		return out
 	})
 	NoteMeasured(m.Telemetry, m.Trace, key, out)
-
-	m.mu.Lock()
-	m.elapsed.Charge(out.CostSeconds)
-	// Transient failures are not verdicts; see InProcess.Measure.
-	if !out.Transient {
-		m.cache[key] = out
-	}
-	m.mu.Unlock()
+	m.Settle(key, out, true)
 	return out
 }

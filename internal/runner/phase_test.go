@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -125,28 +126,37 @@ func TestRunnerStateRoundTrip(t *testing.T) {
 		t.Error("restored runner should replay the cached measurement")
 	}
 
-	// The exported pair is byte-compatible with the core runners' format.
-	elapsed, reps, cache, err := UnmarshalState(snap)
+	// Both runners continue the same stream: the next snapshot extends the
+	// restored bytes with one identical segment.
+	cfg2 := flags.NewConfig(reg)
+	cfg2.SetInt("MaxHeapSize", 2<<30)
+	r.Measure(cfg2, 2)
+	r2.Measure(cfg2.Clone(), 2)
+	next, err := r.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed != r.Elapsed() || len(reps) == 0 || len(cache) == 0 {
-		t.Error("UnmarshalState lost state")
-	}
-	out, err := MarshalState(elapsed, reps, cache)
+	next2, err := r2.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(out) != string(snap) {
-		t.Error("MarshalState not byte-identical to SnapshotState")
+	if !bytes.HasPrefix(next, snap) || string(next) != string(next2) {
+		t.Errorf("snapshots do not extend the restored stream:\n%s\n%s", next, next2)
 	}
 
-	// Fail closed on garbage; empty maps come back non-nil.
+	// Fail closed on garbage and on an empty stream; an empty object is an
+	// empty state that measures normally.
 	if err := r2.RestoreState([]byte("garbage")); err == nil || !strings.Contains(err.Error(), "restore state") {
 		t.Errorf("garbage restore err = %v", err)
 	}
-	if _, reps, cache, err := UnmarshalState([]byte("{}")); err != nil || reps == nil || cache == nil {
-		t.Error("empty state must restore non-nil maps")
+	if err := r2.RestoreState(nil); err == nil {
+		t.Error("empty stream restored")
+	}
+	if err := r2.RestoreState([]byte("{}")); err != nil || r2.Elapsed() != 0 {
+		t.Fatalf("empty state restore = %v (elapsed %g)", err, r2.Elapsed())
+	}
+	if fresh := r2.Measure(cfg.Clone(), 2); fresh.FromCache {
+		t.Error("empty restored state answered from cache")
 	}
 }
 

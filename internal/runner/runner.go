@@ -119,14 +119,14 @@ type InProcess struct {
 	Telemetry *telemetry.Registry
 	Trace     *telemetry.Tracer
 
-	mu      sync.Mutex
-	elapsed VirtualClock
-	reps    map[string]int // next noise-rep index per config
-	cache   map[string]Measurement
+	// State holds the clock, rep indices and cache, keyed through
+	// PhaseKey (the identity in phase 0), and snapshots them.
+	State
+
+	mu sync.Mutex
 	// phase and phased support phase-shifting workloads (see PhaseSetter):
 	// phased is the effective profile measurements run against, nil until
-	// the first SetPhase. Per-config state above is keyed through PhaseKey,
-	// which is the identity in phase 0.
+	// the first SetPhase.
 	phase  int
 	phased *workload.Profile
 	// timeout0 captures TimeoutSeconds at the first phase shift: phase
@@ -140,25 +140,13 @@ type InProcess struct {
 // default configuration's wall time, matching the paper's practice of
 // killing configurations that are clearly hopeless.
 func NewInProcess(sim *jvmsim.Simulator, p *workload.Profile) *InProcess {
-	r := &InProcess{
-		sim:     sim,
-		profile: p,
-		reps:    make(map[string]int),
-		cache:   make(map[string]Measurement),
-	}
+	r := &InProcess{sim: sim, profile: p}
 	r.TimeoutSeconds = 6 * sim.DefaultWall(flags.NewRegistry(), p, 1)
 	return r
 }
 
 // Workload returns the profile being measured.
 func (r *InProcess) Workload() *workload.Profile { return r.profile }
-
-// Elapsed returns total virtual seconds consumed.
-func (r *InProcess) Elapsed() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.elapsed.Seconds()
-}
 
 // Measure implements Runner.
 func (r *InProcess) Measure(cfg *flags.Config, reps int) Measurement {
@@ -173,45 +161,20 @@ func (r *InProcess) Measure(cfg *flags.Config, reps int) Measurement {
 	// still carries the bare configuration key.
 	sk := PhaseKey(phase, key)
 
-	r.mu.Lock()
 	if !r.DisableCache {
-		// A failed measurement is as cacheable as a successful one: one
-		// failure condemns the configuration, so a re-proposal replays the
-		// verdict at zero cost instead of re-charging the budget for a
-		// known crash.
-		if m, ok := r.cache[sk]; ok && (m.Failed || len(m.Walls) >= reps) {
-			r.mu.Unlock()
-			m.FromCache = true
-			m.CostSeconds = 0
+		if m, ok := r.Cached(sk, reps); ok {
 			NoteCacheHit(r.Telemetry, r.Trace, key)
 			return m
 		}
 	}
-	r.mu.Unlock()
 
 	m := r.Retry.Run(func(n int) Measurement {
-		// Each attempt draws fresh noise-rep indices so a retried run is a
-		// genuinely new measurement, not a replay.
-		r.mu.Lock()
-		repBase := r.reps[sk]
-		r.reps[sk] = repBase + reps
-		r.mu.Unlock()
-
-		m := EvalConfig(r.sim, prof, cfg, repBase, reps, r.TimeoutSeconds)
+		m := EvalConfig(r.sim, prof, cfg, r.Reserve(sk, reps), reps, r.TimeoutSeconds)
 		NoteAttempt(r.Telemetry, r.Trace, key, n, n > 0, m)
 		return m
 	})
 	NoteMeasured(r.Telemetry, r.Trace, key, m)
-
-	r.mu.Lock()
-	r.elapsed.Charge(m.CostSeconds)
-	// A transient failure is no verdict: caching it would condemn a
-	// configuration that merely hit a flaky launch, so only definitive
-	// outcomes are memoized.
-	if !r.DisableCache && !m.Transient {
-		r.cache[sk] = m
-	}
-	r.mu.Unlock()
+	r.Settle(sk, m, !r.DisableCache)
 	return m
 }
 

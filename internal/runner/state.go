@@ -1,8 +1,12 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"sync"
 )
 
 // StateSnapshotter is the contract between runners and the checkpoint
@@ -12,6 +16,10 @@ import (
 // snapshot must leave the runner bit-identical to the one that took it, so
 // a resumed session's fresh measurements (cache hits, rep indices, budget
 // accounting) replay exactly as the uninterrupted run's would have.
+//
+// Snapshots are append-only streams: every snapshot a runner takes extends
+// the bytes of its previous one (or of the state it was restored from), so
+// a checkpoint writer can persist just the new suffix.
 //
 // Wrapping runners (the chaos layer) snapshot their own counters plus
 // their inner runner's state, so one SnapshotState call at the outermost
@@ -24,110 +32,181 @@ type StateSnapshotter interface {
 	RestoreState(data []byte) error
 }
 
-// runnerState is the shared serialization of the three core runners'
-// mutable state. Static configuration (simulator, profile, timeouts,
-// retry policy) is rebuilt from the session options on resume and is
-// deliberately absent: checkpoint.Meta guards against resuming under
-// different options.
-type runnerState struct {
+// State is the mutable measurement state every caching runner keeps — the
+// elapsed virtual clock, the per-key noise-rep indices, and the evaluated-
+// config cache — together with its one serialization. InProcess,
+// Subprocess, Multi and the dispatch pool embed it, which makes their
+// snapshots byte-identical by construction: a checkpoint taken under a
+// remote pool resumes in-process and vice versa. Static configuration
+// (simulator, profile, timeouts, retry policy) is rebuilt from the session
+// options on resume and is deliberately absent; checkpoint.Meta guards
+// against resuming under different options. The zero value is ready to
+// use and safe for concurrent use.
+//
+// The serialization is a stream of JSON objects ("segments"). Each
+// SnapshotState appends one segment — the clock plus every key changed
+// since the previous snapshot, in sorted order — and returns the whole
+// stream without re-encoding what it already holds; RestoreState folds the
+// segments in order. A state written before streams existed (one object
+// holding everything) is a one-segment stream. Change tracking starts with
+// the first snapshot or restore, so a runner that is never checkpointed
+// pays nothing for it.
+type State struct {
+	mu      sync.Mutex
+	elapsed VirtualClock
+	reps    map[string]int // next noise-rep index per state key
+	cache   map[string]Measurement
+	// stream is every segment snapshotted or restored so far; dirty holds
+	// the keys changed since the last segment, nil until tracking starts.
+	stream []byte
+	dirty  map[string]struct{}
+}
+
+// stateSegment is one segment of the stream: absolute values for the keys
+// it names, and the clock at the time it was taken.
+type stateSegment struct {
 	Elapsed float64                `json:"elapsed"`
-	Reps    map[string]int         `json:"reps"`
-	Cache   map[string]Measurement `json:"cache"`
+	Reps    map[string]int         `json:"reps,omitempty"`
+	Cache   map[string]Measurement `json:"cache,omitempty"`
 }
 
-func marshalRunnerState(elapsed float64, reps map[string]int, cache map[string]Measurement) ([]byte, error) {
-	return json.Marshal(runnerState{Elapsed: elapsed, Reps: reps, Cache: cache})
+// maxElapsedSeconds bounds a restored clock to where VirtualClock's
+// microsecond grid round-trips exactly (see VirtualClock).
+const maxElapsedSeconds = float64(1<<51) / 1e6
+
+// Elapsed returns total virtual seconds consumed.
+func (s *State) Elapsed() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.elapsed.Seconds()
 }
 
-func unmarshalRunnerState(data []byte) (runnerState, error) {
-	var st runnerState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return st, fmt.Errorf("runner: restore state: %w", err)
+// Cached returns the memoized measurement of state key sk when it answers
+// a reps-repetition request, as a zero-cost cache replay. A failure always
+// answers — one failure condemns the configuration, so a re-proposal
+// replays the verdict instead of re-charging the budget for a known crash
+// — and a success answers once it holds at least reps walls.
+func (s *State) Cached(sk string, reps int) (Measurement, bool) {
+	s.mu.Lock()
+	m, ok := s.cache[sk]
+	s.mu.Unlock()
+	if !ok || (!m.Failed && len(m.Walls) < reps) {
+		return Measurement{}, false
 	}
-	if st.Reps == nil {
-		st.Reps = make(map[string]int)
-	}
-	if st.Cache == nil {
-		st.Cache = make(map[string]Measurement)
-	}
-	return st, nil
+	m.FromCache = true
+	m.CostSeconds = 0
+	return m, true
 }
 
-// MarshalState serializes the canonical runner state triple for a runner
-// implemented outside this package (internal/dispatch). Byte-for-byte the
-// same shape the core runners write, so a checkpoint taken under a remote
-// pool is indistinguishable from one taken in-process and either resumes
-// under the other.
-func MarshalState(elapsed float64, reps map[string]int, cache map[string]Measurement) ([]byte, error) {
-	return marshalRunnerState(elapsed, reps, cache)
+// Reserve allocates reps fresh noise-rep indices for sk and returns the
+// first, so every attempt — retries included — is a genuinely new
+// measurement, never a replay.
+func (s *State) Reserve(sk string, reps int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.reps == nil {
+		s.reps = make(map[string]int)
+	}
+	base := s.reps[sk]
+	s.reps[sk] = base + reps
+	s.touch(sk)
+	return base
 }
 
-// UnmarshalState is the inverse of MarshalState; it fails closed on
-// malformed bytes and never returns nil maps.
-func UnmarshalState(data []byte) (elapsed float64, reps map[string]int, cache map[string]Measurement, err error) {
-	st, err := unmarshalRunnerState(data)
+// Settle charges m's cost to the clock and, when cache is set, memoizes m
+// under sk. A transient failure is no verdict — caching it would condemn
+// a configuration that merely hit a flaky launch — so only definitive
+// outcomes are memoized.
+func (s *State) Settle(sk string, m Measurement, cache bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.elapsed.Charge(m.CostSeconds)
+	if !cache || m.Transient {
+		return
+	}
+	if s.cache == nil {
+		s.cache = make(map[string]Measurement)
+	}
+	s.cache[sk] = m
+	s.touch(sk)
+}
+
+// touch records sk as changed since the last segment. Caller holds s.mu.
+func (s *State) touch(sk string) {
+	if s.dirty != nil {
+		s.dirty[sk] = struct{}{}
+	}
+}
+
+// SnapshotState implements StateSnapshotter: it appends one segment and
+// returns the whole stream. The returned slice is capped, so appending to
+// it never writes into the runner's buffer, and the bytes it covers are
+// never modified afterwards.
+func (s *State) SnapshotState() ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	seg := stateSegment{Elapsed: s.elapsed.Seconds(), Reps: s.reps, Cache: s.cache}
+	if s.dirty != nil {
+		seg.Reps = make(map[string]int, len(s.dirty))
+		seg.Cache = make(map[string]Measurement, len(s.dirty))
+		for k := range s.dirty {
+			if n, ok := s.reps[k]; ok {
+				seg.Reps[k] = n
+			}
+			if m, ok := s.cache[k]; ok {
+				seg.Cache[k] = m
+			}
+		}
+	}
+	b, err := json.Marshal(seg)
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, fmt.Errorf("runner: snapshot state: %w", err)
 	}
-	return st.Elapsed, st.Reps, st.Cache, nil
+	s.stream = append(s.stream, b...)
+	s.resetDirty()
+	return s.stream[:len(s.stream):len(s.stream)], nil
 }
 
-// SnapshotState implements StateSnapshotter.
-func (r *InProcess) SnapshotState() ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return marshalRunnerState(r.elapsed.Seconds(), r.reps, r.cache)
-}
-
-// RestoreState implements StateSnapshotter.
-func (r *InProcess) RestoreState(data []byte) error {
-	st, err := unmarshalRunnerState(data)
-	if err != nil {
-		return err
+// RestoreState implements StateSnapshotter: it folds the stream's segments
+// in order and keeps the stream, so the next snapshot extends it. Nothing
+// changes unless the whole stream decodes.
+func (s *State) RestoreState(data []byte) error {
+	var elapsed float64
+	reps := make(map[string]int)
+	cache := make(map[string]Measurement)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	segments := 0
+	for {
+		// Decoding into the live maps folds the segment: the keys it names
+		// are replaced, the rest kept; a missing clock keeps the last one.
+		seg := stateSegment{Elapsed: elapsed, Reps: reps, Cache: cache}
+		if err := dec.Decode(&seg); err == io.EOF {
+			break
+		} else if err != nil {
+			return fmt.Errorf("runner: restore state: %w", err)
+		}
+		elapsed = seg.Elapsed
+		segments++
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.elapsed.Set(st.Elapsed)
-	r.reps, r.cache = st.Reps, st.Cache
+	if segments == 0 {
+		return errors.New("runner: restore state: empty state")
+	}
+	if !(elapsed >= 0 && elapsed <= maxElapsedSeconds) {
+		return fmt.Errorf("runner: restore state: elapsed %g out of range", elapsed)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.elapsed.Set(elapsed)
+	s.reps, s.cache = reps, cache
+	s.stream = append([]byte(nil), data...)
+	s.resetDirty()
 	return nil
 }
 
-// SnapshotState implements StateSnapshotter.
-func (r *Subprocess) SnapshotState() ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return marshalRunnerState(r.elapsed.Seconds(), r.reps, r.cache)
-}
-
-// RestoreState implements StateSnapshotter.
-func (r *Subprocess) RestoreState(data []byte) error {
-	st, err := unmarshalRunnerState(data)
-	if err != nil {
-		return err
+// resetDirty starts (or restarts) change tracking. Caller holds s.mu.
+func (s *State) resetDirty() {
+	if s.dirty == nil {
+		s.dirty = make(map[string]struct{})
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.elapsed.Set(st.Elapsed)
-	r.reps, r.cache = st.Reps, st.Cache
-	return nil
-}
-
-// SnapshotState implements StateSnapshotter.
-func (m *Multi) SnapshotState() ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return marshalRunnerState(m.elapsed.Seconds(), m.reps, m.cache)
-}
-
-// RestoreState implements StateSnapshotter.
-func (m *Multi) RestoreState(data []byte) error {
-	st, err := unmarshalRunnerState(data)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.elapsed.Set(st.Elapsed)
-	m.reps, m.cache = st.Reps, st.Cache
-	return nil
+	clear(s.dirty)
 }

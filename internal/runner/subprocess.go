@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os/exec"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/flags"
@@ -60,12 +59,10 @@ type Subprocess struct {
 	Telemetry *telemetry.Registry
 	Trace     *telemetry.Tracer
 
-	profile *workload.Profile
+	// State holds the clock, rep indices and cache, and snapshots them.
+	State
 
-	mu      sync.Mutex
-	elapsed VirtualClock
-	reps    map[string]int
-	cache   map[string]Measurement
+	profile *workload.Profile
 }
 
 // NewSubprocess builds a subprocess runner for the given binary and profile.
@@ -74,20 +71,11 @@ func NewSubprocess(binPath string, p *workload.Profile) *Subprocess {
 		BinPath:     binPath,
 		RealTimeout: 30 * time.Second,
 		profile:     p,
-		reps:        make(map[string]int),
-		cache:       make(map[string]Measurement),
 	}
 }
 
 // Workload returns the profile being measured.
 func (r *Subprocess) Workload() *workload.Profile { return r.profile }
-
-// Elapsed returns total virtual seconds consumed.
-func (r *Subprocess) Elapsed() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.elapsed.Seconds()
-}
 
 // Measure implements Runner.
 func (r *Subprocess) Measure(cfg *flags.Config, reps int) Measurement {
@@ -96,23 +84,13 @@ func (r *Subprocess) Measure(cfg *flags.Config, reps int) Measurement {
 	}
 	key := cfg.Key()
 
-	r.mu.Lock()
-	// Failed measurements replay from the cache too; see InProcess.Measure.
-	if m, ok := r.cache[key]; ok && (m.Failed || len(m.Walls) >= reps) {
-		r.mu.Unlock()
-		m.FromCache = true
-		m.CostSeconds = 0
+	if m, ok := r.Cached(key, reps); ok {
 		NoteCacheHit(r.Telemetry, r.Trace, key)
 		return m
 	}
-	r.mu.Unlock()
 
 	m := r.Retry.Run(func(n int) Measurement {
-		r.mu.Lock()
-		repBase := r.reps[key]
-		r.reps[key] = repBase + reps
-		r.mu.Unlock()
-
+		repBase := r.Reserve(key, reps)
 		m := Measurement{Key: key}
 		for i := 0; i < reps; i++ {
 			rep, err := r.launch(cfg, repBase+i)
@@ -145,14 +123,7 @@ func (r *Subprocess) Measure(cfg *flags.Config, reps int) Measurement {
 		return m
 	})
 	NoteMeasured(r.Telemetry, r.Trace, key, m)
-
-	r.mu.Lock()
-	r.elapsed.Charge(m.CostSeconds)
-	// Transient failures are not verdicts; see InProcess.Measure.
-	if !m.Transient {
-		r.cache[key] = m
-	}
-	r.mu.Unlock()
+	r.Settle(key, m, true)
 	return m
 }
 

@@ -52,6 +52,10 @@ trap 'rm -f "$OUT"' EXIT
 		./internal/drift
 	go test -run '^$' -bench '^BenchmarkEpochRetune$' -benchtime 1x -count 3 \
 		./internal/core
+	# The durability cost of a checkpointing session at the paper budget:
+	# time, bytes and writes per session at every trial and every 8.
+	go test -run '^$' -bench '^BenchmarkSessionCheckpoint$' -benchtime 20x \
+		./hotspot
 } | tee /dev/stderr >"$OUT"
 
 latest="$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1 || true)"
