@@ -102,19 +102,20 @@ type wireBatchResult struct {
 	Entries []wireBatchEntry `json:"entries"`
 }
 
-// EncodeBatchResult writes res in its compact wire form: the hand-rolled
-// appender when the message is representable (see wireenc.go), one
-// conversion and one reflection pass otherwise — same bytes-on-the-wire
-// semantics either way.
-func EncodeBatchResult(w io.Writer, res *BatchResult) error {
+// MarshalBatchResult renders res in its compact wire form: the
+// hand-rolled appender when the message is representable (see
+// wireenc.go), one conversion and one reflection pass otherwise — same
+// bytes-on-the-wire semantics either way.
+func MarshalBatchResult(res *BatchResult) ([]byte, error) {
 	if b, ok := encodeBatchResult(res); ok {
-		_, err := w.Write(b)
-		return err
+		return b, nil
 	}
-	return stdEncodeBatchResult(w, res)
+	var buf bytes.Buffer
+	err := stdEncodeBatchResult(&buf, res)
+	return buf.Bytes(), err
 }
 
-// stdEncodeBatchResult is the reflection path of EncodeBatchResult, kept
+// stdEncodeBatchResult is the reflection path of MarshalBatchResult, kept
 // callable on its own so the differential suite can compare the two
 // encoders directly.
 func stdEncodeBatchResult(w io.Writer, res *BatchResult) error {
@@ -152,7 +153,7 @@ func batchFromWire(wire *wireBatchResult) *BatchResult {
 	return res
 }
 
-// decodeBatchResult is the client-side twin of EncodeBatchResult: the
+// decodeBatchResult is the client-side twin of MarshalBatchResult: the
 // hand-rolled scanner when the body is exactly the shape our nodes emit,
 // the reflection decoder for everything else (see wirefast.go).
 func decodeBatchResult(data []byte) (*BatchResult, error) {

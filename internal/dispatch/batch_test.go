@@ -3,10 +3,12 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/flags"
+	"repro/internal/flags/flagstest"
 	"repro/internal/jvmsim"
 	"repro/internal/runner"
 )
@@ -258,5 +260,32 @@ func TestBatchPerEntryRejectionCondemnsOnlyOwnTrial(t *testing.T) {
 	// reset. Either way it must never quarantine an otherwise healthy node.
 	if nd := pool.nodes[0]; nd.fails > 1 || nd.dead {
 		t.Fatalf("rejection settle diverged from single dispatch: fails=%d dead=%v", nd.fails, nd.dead)
+	}
+}
+
+// TestDecodeBatchRequestOwnsItsStrings: every string the decoder returns
+// is a substring of its own copy of the body, never of the caller's
+// buffer, so a caller that overwrites or recycles the body cannot rewrite
+// decoded trials — at production width too.
+func TestDecodeBatchRequestOwnsItsStrings(t *testing.T) {
+	reg := flags.NewRegistry()
+	wide := flagstest.Proposal(reg, 1)
+	req := &BatchRequest{Trials: []TrialRequest{
+		{Key: wide.Key(), Benchmark: "h2", Args: wide.ExplicitArgs(), RepBase: 7, Reps: 1, TimeoutSeconds: 120, Noise: -1},
+		{Key: "MaxHeapSize=536870912", Benchmark: "fop", Args: []string{"-XX:MaxHeapSize=512m"}, Reps: 2, Noise: 0.05},
+	}}
+	body, ok := encodeBatchRequest(req)
+	if !ok {
+		t.Fatal("appender refused a stationary batch")
+	}
+	got, err := DecodeBatchRequest(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range body {
+		body[i] = 'x'
+	}
+	if !reflect.DeepEqual(got, req) {
+		t.Fatalf("decoded batch changed when the body was overwritten:\ngot  %+v\nwant %+v", got, req)
 	}
 }

@@ -5,10 +5,12 @@
 package dispatch_test
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/dispatch"
 	"repro/internal/flags"
+	"repro/internal/flags/flagstest"
 	"repro/internal/jvmsim"
 	"repro/internal/runner"
 )
@@ -92,5 +94,82 @@ func BenchmarkDispatchBatch16(b *testing.B) {
 				b.Fatalf("measurement failed: %s: %s", m.Failure, m.FailureMessage)
 			}
 		}
+	}
+}
+
+// BenchmarkDispatchBatch16Wide is BenchmarkDispatchBatch16 at production
+// width: each of the 16 trials is shaped like a hierarchical proposal
+// (flagstest.Proposal, ~350 explicit args), so rendering, the request
+// body, node-side decoding and parsing are priced at the size a real
+// session ships. ns/op is per trial.
+func BenchmarkDispatchBatch16Wide(b *testing.B) {
+	_, evs := startFleet(b, 1)
+	pool, err := dispatch.NewPool(profileOf(b, "fop"), evs...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool.DisableCache = true
+	pool.Batch = 16
+	reg := flags.NewRegistry()
+	cfgs := make([]*flags.Config, 16)
+	for i := range cfgs {
+		cfgs[i] = flagstest.Proposal(reg, int64(i+1))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(cfgs) {
+		for _, m := range pool.MeasureBatch(cfgs, 1) {
+			if m.Failed {
+				b.Fatalf("measurement failed: %s: %s", m.Failure, m.FailureMessage)
+			}
+		}
+	}
+}
+
+// BenchmarkDecodeBatchRequest16 decodes a 16-trial batch body, the
+// node's first step per batch, at two arg widths: 10 args per trial
+// (narrow) and a production-width proposal (wide, ~350). ns/op and
+// allocs/op are per batch; allocations must not grow with the arg count.
+func BenchmarkDecodeBatchRequest16(b *testing.B) {
+	reg := flags.NewRegistry()
+	narrow := func(i int) *flags.Config {
+		c := flags.NewConfig(reg)
+		c.SetInt("MaxHeapSize", int64(256+64*i)<<20)
+		c.SetBool("UseG1GC", true)
+		c.SetBool("UseParallelGC", false)
+		c.SetInt("MaxGCPauseMillis", int64(50+i))
+		c.SetInt("ParallelGCThreads", 4)
+		c.SetInt("CICompilerCount", 3)
+		c.SetBool("TieredCompilation", true)
+		c.SetInt("SurvivorRatio", 6)
+		c.SetInt("NewRatio", 3)
+		c.SetInt("CompileThreshold", 2500)
+		return c
+	}
+	wide := func(i int) *flags.Config { return flagstest.Proposal(reg, int64(i+1)) }
+	for _, shape := range []struct {
+		name string
+		cfg  func(int) *flags.Config
+	}{{"narrow", narrow}, {"wide", wide}} {
+		req := &dispatch.BatchRequest{Trials: make([]dispatch.TrialRequest, 16)}
+		for i := range req.Trials {
+			c := shape.cfg(i)
+			req.Trials[i] = dispatch.TrialRequest{
+				Key: c.Key(), Benchmark: "h2", Args: c.ExplicitArgs(),
+				RepBase: 40 * i, Reps: 1, TimeoutSeconds: 120, Noise: -1,
+			}
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				if _, err := dispatch.DecodeBatchRequest(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

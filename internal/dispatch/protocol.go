@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/flags"
 	"repro/internal/jvmsim"
@@ -159,11 +158,13 @@ func fromWire(w *wireTrialResult) *TrialResult {
 	}}
 }
 
-// EncodeTrialResult writes res in its compact wire form. The evald
-// server's evaluate endpoint responds through it; the emitted field names
+// MarshalTrialResult renders res in its compact wire form. The evald
+// server's evaluate endpoint responds with it; the emitted field names
 // match the plain structs, so any std-JSON consumer decodes it unchanged.
-func EncodeTrialResult(w io.Writer, res *TrialResult) error {
-	return json.NewEncoder(w).Encode(toWire(res))
+func MarshalTrialResult(res *TrialResult) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(toWire(res))
+	return buf.Bytes(), err
 }
 
 // ErrorEnvelope is the JSON body of every evald rejection: a stable

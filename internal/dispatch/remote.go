@@ -172,10 +172,11 @@ func (r *Remote) post(ctx context.Context, path string, payload any, timeout tim
 	}
 	defer resp.Body.Close()
 	// Size the read buffer from Content-Length: growing a fresh buffer
-	// through io.ReadAll is measurable garbage at batch width.
+	// through io.ReadAll is measurable garbage at batch width. The spare
+	// MinRead bytes let bytes.Buffer see EOF without growing.
 	var buf bytes.Buffer
 	if n := resp.ContentLength; n > 0 && n < maxBody {
-		buf.Grow(int(n))
+		buf.Grow(int(n) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBody)); err != nil {
 		return resp.StatusCode, nil, resp.Header, r.fail(resp.StatusCode, fmt.Errorf("read response: %w", err))

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"strconv"
 	"unicode/utf8"
 
@@ -22,6 +23,11 @@ import (
 type jscan struct {
 	b []byte
 	i int
+	// s, when set, is b as one string, and str returns substrings of it
+	// instead of a copy per string: request decoding copies the body
+	// once. Responses leave it empty, because sessions retain
+	// Measurement.Key in their cache and must not pin a whole body.
+	s string
 }
 
 func (p *jscan) ws() {
@@ -67,7 +73,12 @@ func (p *jscan) str() (string, bool) {
 			if !ascii && !utf8.Valid(p.b[start:p.i]) {
 				return "", false
 			}
-			s := string(p.b[start:p.i])
+			var s string
+			if p.s != "" {
+				s = p.s[start:p.i]
+			} else {
+				s = string(p.b[start:p.i])
+			}
 			p.i++
 			return s, true
 		}
@@ -310,7 +321,8 @@ func (p *jscan) errorEnvelope() (*ErrorEnvelope, bool) {
 }
 
 // strs consumes an array of strings (each under the same no-escape
-// contract as str).
+// contract as str) into one allocation sized by countStrs, so a wide arg
+// list costs what a narrow one does.
 func (p *jscan) strs() ([]string, bool) {
 	if !p.lit('[') {
 		return nil, false
@@ -319,7 +331,7 @@ func (p *jscan) strs() ([]string, bool) {
 		p.i++
 		return []string{}, true
 	}
-	var out []string
+	out := make([]string, 0, p.countStrs())
 	for {
 		s, ok := p.str()
 		if !ok {
@@ -334,6 +346,19 @@ func (p *jscan) strs() ([]string, bool) {
 		}
 		return nil, false
 	}
+}
+
+// countStrs estimates the length of the string array at the scan
+// position, as strs's capacity: the quotes before the first ']', halved.
+// Escape-free strings hold no quote, so the estimate is exact unless a
+// string holds a ']', which undercounts and costs strs one regrowth. Only
+// escapes, which strs rejects, overcount; MaxArgs bounds that case.
+func (p *jscan) countStrs() int {
+	rest := p.b[p.i:]
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		rest = rest[:end]
+	}
+	return min(bytes.Count(rest, []byte{'"'})/2, MaxArgs)
 }
 
 // trialRequest decodes one stationary trial request. Drift fields
@@ -367,8 +392,11 @@ func (p *jscan) trialRequest(tr *TrialRequest) bool {
 // the server-side twin of fastDecodeBatchResult. ok=false means "use the
 // strict encoding/json path", never "bad request" — so unknown fields
 // still fail closed through DisallowUnknownFields, with its error text.
+// Every decoded string is a substring of one copy of data, so the result
+// never aliases the caller's buffer and a ~200-arg trial costs no string
+// allocations.
 func fastDecodeBatchRequest(data []byte) (*BatchRequest, bool) {
-	p := &jscan{b: data}
+	p := &jscan{b: data, s: string(data)}
 	req := &BatchRequest{}
 	shape := p.object(func(key string) bool {
 		if key != "trials" {

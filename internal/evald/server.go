@@ -31,12 +31,13 @@
 package evald
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 
 	"repro/internal/dispatch"
 	"repro/internal/flags"
@@ -137,7 +138,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		s.rejected(w, http.StatusBadRequest, dispatch.ErrorEnvelope{
 			Error: fmt.Sprintf("evald: read body: %v", err), Code: dispatch.CodeBadPayload,
@@ -166,8 +167,37 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	s.tel.Counter("evald_evaluations_total").Inc()
 	s.tel.Histogram("evald_eval_cost_seconds", telemetry.DefSecondsBuckets).
 		Observe(res.Measurement.CostSeconds)
+	out, err := dispatch.MarshalTrialResult(res)
+	writeResult(w, out, err)
+}
+
+// readBody reads a request body, capped at limit by http.MaxBytesReader,
+// into one buffer sized from Content-Length: io.ReadAll's doubling chain
+// was a fifth of all bytes a fleet session allocated. The spare MinRead
+// bytes let bytes.Buffer see EOF without growing.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
+}
+
+// writeResult sends an encoded answer with its Content-Length. Without
+// it net/http chunks anything past its 2 KiB buffer, and the controller
+// can no longer size its read. An answer that cannot be encoded is the
+// node's fault: a 500 envelope, which the controller re-dispatches.
+func writeResult(w http.ResponseWriter, body []byte, err error) {
+	if err != nil {
+		writeEnvelope(w, http.StatusInternalServerError, dispatch.ErrorEnvelope{
+			Error: fmt.Sprintf("evald: encode result: %v", err), Code: dispatch.CodeInternal,
+		})
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	dispatch.EncodeTrialResult(w, res)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // admit runs the shared admission gate for the evaluate endpoints:
@@ -216,7 +246,7 @@ func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, dispatch.MaxBatchRequestBytes))
+	body, err := readBody(w, r, dispatch.MaxBatchRequestBytes)
 	if err != nil {
 		s.rejected(w, http.StatusBadRequest, dispatch.ErrorEnvelope{
 			Error: fmt.Sprintf("evald: read body: %v", err), Code: dispatch.CodeBadPayload,
@@ -265,8 +295,8 @@ func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.tel.Counter("evald_batches_total").Inc()
-	w.Header().Set("Content-Type", "application/json")
-	dispatch.EncodeBatchResult(w, res)
+	out, err := dispatch.MarshalBatchResult(res)
+	writeResult(w, out, err)
 }
 
 // envelopeFor renders a protocol error as its wire envelope.

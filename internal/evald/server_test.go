@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -222,5 +223,59 @@ func TestRemoteAgainstServer(t *testing.T) {
 	_, err = rem.Evaluate(ctx, &req)
 	if !errors.As(err, &ne) || ne.Permanent {
 		t.Fatalf("want transient NodeError from dead socket, got %v", err)
+	}
+}
+
+// TestAnswersCarryContentLength: an answer longer than net/http's 2 KiB
+// response buffer goes out chunked unless the handler sets
+// Content-Length, and then the controller cannot size its read. Both a
+// 16-trial batch answer and a single trial at 64 reps are past 2 KiB.
+func TestAnswersCarryContentLength(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Node: "w1"}))
+	defer ts.Close()
+	reg := flags.NewRegistry()
+	trial := func(i, reps int) dispatch.TrialRequest {
+		c := flags.NewConfig(reg)
+		c.SetInt("MaxHeapSize", int64(256+64*i)<<20)
+		return dispatch.TrialRequest{
+			Key: c.Key(), Benchmark: "fop", Args: c.ExplicitArgs(),
+			RepBase: 8 * i, Reps: reps, TimeoutSeconds: 120, Noise: -1,
+		}
+	}
+	batch := &dispatch.BatchRequest{}
+	for i := 0; i < 16; i++ {
+		batch.Trials = append(batch.Trials, trial(i, 1))
+	}
+	single := trial(0, 64)
+	for _, c := range []struct {
+		path string
+		req  any
+	}{
+		{dispatch.EvaluateBatchPath, batch},
+		{dispatch.EvaluatePath, &single},
+	} {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Post(ts.URL+c.path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", c.path, resp.StatusCode, data)
+		}
+		if len(data) <= 2048 {
+			t.Fatalf("%s: a %d-byte answer fits net/http's buffer and proves nothing", c.path, len(data))
+		}
+		if resp.ContentLength != int64(len(data)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte answer",
+				c.path, resp.ContentLength, resp.TransferEncoding, len(data))
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // CommandLine renders the non-default assignments of c as java-style
@@ -34,11 +35,19 @@ func (c *Config) CommandLine() []string { return c.renderArgs(false) }
 func (c *Config) ExplicitArgs() []string { return c.renderArgs(true) }
 
 func (c *Config) renderArgs(includeDefaults bool) []string {
-	var args []string
+	// Every argument goes into one recycled buffer, and the result is
+	// substrings of one string: a render allocates that string and the
+	// slice, however wide the config. A hierarchical proposal ships a few
+	// hundred explicit flags per trial, and a string per flag was most of
+	// a fleet trial's rendering cost.
+	sc := renderScratch.Get().(*argScratch)
+	defer renderScratch.Put(sc)
+	buf, ends := sc.buf[:0], sc.ends[:0]
 	needExperimental, needDiagnostic := false, false
-	c.EachExplicit(func(f *Flag, v Value) {
+	for _, id := range c.ids {
+		f, v := c.reg.byID[id], c.vals[id]
 		if !includeDefaults && v.Equal(f.Type, f.Default) {
-			return
+			continue
 		}
 		switch f.Kind {
 		case Experimental:
@@ -46,41 +55,69 @@ func (c *Config) renderArgs(includeDefaults bool) []string {
 		case Diagnostic:
 			needDiagnostic = true
 		}
-		switch f.Type {
-		case Bool:
-			sign := "-"
-			if v.B {
-				sign = "+"
-			}
-			args = append(args, "-XX:"+sign+f.Name)
-		case Int:
-			args = append(args, fmt.Sprintf("-XX:%s=%s", f.Name, renderInt(f, v.I)))
-		case Enum:
-			args = append(args, fmt.Sprintf("-XX:%s=%s", f.Name, v.S))
-		}
-	})
-	var prefix []string
+		buf = appendArg(buf, f, v)
+		ends = append(ends, len(buf))
+	}
+	sc.buf, sc.ends = buf, ends
+	if len(ends) == 0 {
+		return nil
+	}
+	args := make([]string, 0, len(ends)+2)
 	if needExperimental {
-		prefix = append(prefix, "-XX:+UnlockExperimentalVMOptions")
+		args = append(args, "-XX:+UnlockExperimentalVMOptions")
 	}
 	if needDiagnostic {
-		prefix = append(prefix, "-XX:+UnlockDiagnosticVMOptions")
+		args = append(args, "-XX:+UnlockDiagnosticVMOptions")
 	}
-	return append(prefix, args...)
+	s := string(buf)
+	start := 0
+	for _, end := range ends {
+		args = append(args, s[start:end])
+		start = end
+	}
+	return args
 }
 
-func renderInt(f *Flag, v int64) string {
-	if f.Unit == Bytes {
+// renderScratch recycles renderArgs's buffer and argument ends across
+// calls and goroutines.
+var renderScratch = sync.Pool{New: func() any { return new(argScratch) }}
+
+type argScratch struct {
+	buf  []byte
+	ends []int
+}
+
+// appendArg appends the java-style argument assigning v to f.
+func appendArg(dst []byte, f *Flag, v Value) []byte {
+	dst = append(dst, "-XX:"...)
+	if f.Type == Bool {
+		sign := byte('-')
+		if v.B {
+			sign = '+'
+		}
+		return append(append(dst, sign), f.Name...)
+	}
+	dst = append(append(dst, f.Name...), '=')
+	if f.Type == Int {
+		return appendInt(dst, f, v.I)
+	}
+	return append(dst, v.S...)
+}
+
+// appendInt appends v as f's value. Byte-valued flags use the shortest
+// exact k/m/g suffix.
+func appendInt(dst []byte, f *Flag, v int64) []byte {
+	if f.Unit == Bytes && v != 0 {
 		switch {
-		case v != 0 && v%(1<<30) == 0:
-			return strconv.FormatInt(v>>30, 10) + "g"
-		case v != 0 && v%(1<<20) == 0:
-			return strconv.FormatInt(v>>20, 10) + "m"
-		case v != 0 && v%(1<<10) == 0:
-			return strconv.FormatInt(v>>10, 10) + "k"
+		case v%(1<<30) == 0:
+			return append(strconv.AppendInt(dst, v>>30, 10), 'g')
+		case v%(1<<20) == 0:
+			return append(strconv.AppendInt(dst, v>>20, 10), 'm')
+		case v%(1<<10) == 0:
+			return append(strconv.AppendInt(dst, v>>10, 10), 'k')
 		}
 	}
-	return strconv.FormatInt(v, 10)
+	return strconv.AppendInt(dst, v, 10)
 }
 
 // ParseArgs applies java-style arguments to a fresh configuration over reg.

@@ -57,14 +57,16 @@ func (c *Config) Registry() *Registry { return c.reg }
 
 // Reset returns c to the all-defaults state (no explicit assignments),
 // keeping its storage so high-rate parsing paths can recycle one Config
-// instead of re-allocating the registry-wide value arrays per use.
+// instead of re-allocating the registry-wide value arrays per use. It
+// clears only the explicit IDs, so a recycled parse is O(explicit): putID
+// and Unset keep vals[id] zero unless explicit[id].
 func (c *Config) Reset() {
-	if c.n > 0 {
-		clear(c.vals)
-		clear(c.explicit)
-		c.ids = c.ids[:0]
-		c.n = 0
+	for _, id := range c.ids {
+		c.explicit[id] = false
+		c.vals[id] = Value{}
 	}
+	c.ids = c.ids[:0]
+	c.n = 0
 	c.memoOK = false
 	c.memoKey = ""
 }
@@ -75,14 +77,17 @@ func (c *Config) putID(id ID, v Value) {
 		c.explicit[id] = true
 		c.n++
 		// Keep the explicit-ID list sorted so every canonical walk (keys,
-		// args, validation) is O(explicit), not O(registry width). Configs
-		// carry a handful of assignments against a ~600-flag catalog, so
-		// the insertion is a short memmove, and the width-independent walks
-		// are what keep the per-trial hot paths cheap.
-		i := sort.Search(len(c.ids), func(j int) bool { return c.ids[j] >= id })
-		c.ids = append(c.ids, 0)
-		copy(c.ids[i+1:], c.ids[i:])
-		c.ids[i] = id
+		// args, validation) is O(explicit), not O(registry width). Args
+		// arrive in ID order from every renderer, so the common case is an
+		// append; anything else is a binary search and a short memmove.
+		if k := len(c.ids); k == 0 || c.ids[k-1] < id {
+			c.ids = append(c.ids, id)
+		} else {
+			i := sort.Search(k, func(j int) bool { return c.ids[j] >= id })
+			c.ids = append(c.ids, 0)
+			copy(c.ids[i+1:], c.ids[i:])
+			c.ids[i] = id
+		}
 	}
 	c.vals[id] = v
 	c.memoOK = false

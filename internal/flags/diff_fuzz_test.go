@@ -1,7 +1,10 @@
 package flags
 
 import (
+	"fmt"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -11,9 +14,10 @@ import (
 // representation wholesale; the checkpoint format, the traces, and the
 // runner cache all key off Config.Key(), so the two representations must
 // agree byte-for-byte on every observable. mapConfig below is a faithful
-// replica of the retired map implementation, and the fuzz target drives
-// both through parsing, key canonicalization, command-line rendering, and
-// validation on arbitrary inputs.
+// replica of the retired map implementation and of the retired fmt-based
+// argument renderer, and the fuzz target drives both through parsing, key
+// canonicalization, both command-line renderings, and validation on
+// arbitrary inputs.
 
 // mapConfig is the reference map-based configuration.
 type mapConfig struct {
@@ -61,14 +65,16 @@ func (c *mapConfig) key() string {
 	return strings.Join(parts, ",")
 }
 
-// commandLine mirrors the retired map-based Config.CommandLine.
-func (c *mapConfig) commandLine() []string {
+// renderArgs mirrors the retired fmt-based renderer behind CommandLine
+// (includeDefaults false) and ExplicitArgs (true): one formatted string
+// per argument.
+func (c *mapConfig) renderArgs(includeDefaults bool) []string {
 	var args []string
 	needExperimental, needDiagnostic := false, false
 	for _, n := range c.explicitNames() {
 		f := c.reg.Lookup(n)
 		v := c.values[n]
-		if v.Equal(f.Type, f.Default) {
+		if !includeDefaults && v.Equal(f.Type, f.Default) {
 			continue
 		}
 		switch f.Kind {
@@ -85,9 +91,9 @@ func (c *mapConfig) commandLine() []string {
 			}
 			args = append(args, "-XX:"+sign+n)
 		case Int:
-			args = append(args, "-XX:"+n+"="+renderInt(f, v.I))
+			args = append(args, fmt.Sprintf("-XX:%s=%s", n, renderInt(f, v.I)))
 		case Enum:
-			args = append(args, "-XX:"+n+"="+v.S)
+			args = append(args, fmt.Sprintf("-XX:%s=%s", n, v.S))
 		}
 	}
 	var prefix []string
@@ -98,6 +104,22 @@ func (c *mapConfig) commandLine() []string {
 		prefix = append(prefix, "-XX:+UnlockDiagnosticVMOptions")
 	}
 	return append(prefix, args...)
+}
+
+// renderInt is the retired renderer's integer form: byte-valued flags
+// take the shortest exact k/m/g suffix.
+func renderInt(f *Flag, v int64) string {
+	if f.Unit == Bytes {
+		switch {
+		case v != 0 && v%(1<<30) == 0:
+			return strconv.FormatInt(v>>30, 10) + "g"
+		case v != 0 && v%(1<<20) == 0:
+			return strconv.FormatInt(v>>20, 10) + "m"
+		case v != 0 && v%(1<<10) == 0:
+			return strconv.FormatInt(v>>10, 10) + "k"
+		}
+	}
+	return strconv.FormatInt(v, 10)
 }
 
 func (c *mapConfig) validate() error {
@@ -198,7 +220,7 @@ func (c *mapConfig) applySize(name, raw string, divisor int64) error {
 
 // FuzzPackedMapEquivalence feeds arbitrary java-style argument lines to the
 // packed parser and the map-based reference, then asserts the observables
-// every persisted format depends on — Key, command-line rendering, and
+// every persisted format depends on — Key, CommandLine, ExplicitArgs, and
 // Validate — are byte-identical. Seeded with the round-trip corpus.
 func FuzzPackedMapEquivalence(f *testing.F) {
 	for _, seed := range []string{
@@ -212,6 +234,7 @@ func FuzzPackedMapEquivalence(f *testing.F) {
 		"-XX:MaxHeapSize=1536m -Xss2m",
 		"-XX:+UseSerialGC -XX:TargetSurvivorRatio=60",
 		"-XX:GCTimeRatio=19 -XX:+UseStringDeduplication",
+		"-XX:+UseParallelGC -XX:StringDeduplicationAgeThreshold=3 -XX:+VerifyBeforeGC -Xmx3g -Xmn1536m -XX:CompileThreshold=1025",
 	} {
 		f.Add(seed)
 	}
@@ -232,10 +255,14 @@ func FuzzPackedMapEquivalence(f *testing.F) {
 		if pk, rk := packed.Key(), ref.key(); pk != rk {
 			t.Fatalf("Key diverged on %q:\n  packed %q\n  map    %q", args, pk, rk)
 		}
-		pc := strings.Join(packed.CommandLine(), " ")
-		rc := strings.Join(ref.commandLine(), " ")
-		if pc != rc {
+		// Both renderings, argument by argument: the transport ships
+		// ExplicitArgs, and a nil list (no "args" field on the wire) must
+		// stay apart from an empty one.
+		if pc, rc := packed.CommandLine(), ref.renderArgs(false); !reflect.DeepEqual(pc, rc) {
 			t.Fatalf("CommandLine diverged on %q:\n  packed %q\n  map    %q", args, pc, rc)
+		}
+		if pe, re := packed.ExplicitArgs(), ref.renderArgs(true); !reflect.DeepEqual(pe, re) {
+			t.Fatalf("ExplicitArgs diverged on %q:\n  packed %q\n  map    %q", args, pe, re)
 		}
 		perr, rerr := packed.Validate(), ref.validate()
 		if (perr == nil) != (rerr == nil) {

@@ -1,0 +1,42 @@
+// Package flagstest builds configurations shaped like the tuner's own
+// proposals, for tests and benchmarks that must price production-width
+// configs rather than a handful of hand-set flags.
+package flagstest
+
+import (
+	"math/rand"
+
+	"repro/internal/flags"
+	"repro/internal/hierarchy"
+)
+
+// Proposal returns a config shaped like a hierarchical proposal: the
+// Crossover of two mutated parents over the active flags of one branch
+// combination of the standard tree, with the branch selection reapplied,
+// as core.Hierarchical builds its children. Every active flag is explicit
+// (~200 on the standard registry) and about ten differ from their
+// defaults. The same seed gives the same config.
+func Proposal(reg *flags.Registry, seed int64) *flags.Config {
+	rng := rand.New(rand.NewSource(seed))
+	tree := hierarchy.Build(reg)
+	var branches []hierarchy.Branch
+	for _, ch := range tree.Choices() {
+		branches = append(branches, ch.Branches[rng.Intn(len(ch.Branches))])
+	}
+	apply := func(c *flags.Config) {
+		for _, br := range branches {
+			br.Apply(c)
+		}
+	}
+	base := flags.NewConfig(reg)
+	apply(base)
+	active := tree.ActiveFlags(base)
+	a, b := base.Clone(), base.Clone()
+	for i := 0; i < 6; i++ {
+		flags.MutateFlag(a, active[rng.Intn(len(active))], rng)
+		flags.MutateFlag(b, active[rng.Intn(len(active))], rng)
+	}
+	child := flags.Crossover(a, b, active, rng)
+	apply(child)
+	return child
+}

@@ -12,8 +12,8 @@ func TestRepairArgsKeepsKnownDropsUnknown(t *testing.T) {
 	cfg, dropped, err := RepairArgs(reg, []string{
 		"-XX:+UseG1GC",
 		"-XX:MaxGCPauseMillis=50",
-		"-XX:+FlagThatNeverExisted",   // removed across store generations
-		"-XX:AlsoGone=17",             // ditto, valued form
+		"-XX:+FlagThatNeverExisted",        // removed across store generations
+		"-XX:AlsoGone=17",                  // ditto, valued form
 		"-XX:+UnlockExperimentalVMOptions", // gate pseudo-flag, accepted+ignored
 	})
 	if err != nil {

@@ -28,16 +28,20 @@ trap 'rm -f "$OUT"' EXIT
 # are too noisy for a 10% regression gate and are not what the trajectory
 # tracks.
 {
+	# ExplicitArgs and ParseArgsIntoRecycled price a production-width
+	# proposal (~350 explicit flags): the per-trial render on the
+	# controller and the per-trial parse on an evald node.
 	go test -run '^$' \
-		-bench '^Benchmark(Config|CommandLine|ParseArgs|MutateFlag|SampleValue|Diff|Simulator)' \
+		-bench '^Benchmark(Config|CommandLine|ExplicitArgs|ParseArgs|MutateFlag|SampleValue|Diff|Simulator)' \
 		-benchmem -benchtime 1s \
 		./internal/flags ./internal/jvmsim
 	go test -run '^$' -bench 'BenchmarkSessionThroughput16' -benchtime 5s \
 		./internal/core
 	# The dispatch pair: the same fresh trial in-process and over loopback
 	# HTTP to a real evald handler. Their delta is the per-trial cost of
-	# the distributed plane's transport.
-	go test -run '^$' -bench '^BenchmarkDispatch' -benchmem -benchtime 1s \
+	# the distributed plane's transport. Batch16Wide and DecodeBatchRequest16
+	# price it at production width.
+	go test -run '^$' -bench '^Benchmark(Dispatch|DecodeBatchRequest)' -benchmem -benchtime 1s \
 		./internal/dispatch
 	# The transfer set: fingerprinting a workload, querying a populated
 	# knowledge base, and — at the durable-warm benchmark's scale of 1000

@@ -1,14 +1,25 @@
 #!/bin/sh
-# The repo's verification gate: build everything, vet everything, and run
-# the full test suite under the race detector. The engine runs real
-# goroutines (core executor, httpapi worker pool), so -race is part of the
-# gate, not an optional extra.
+# The repo's verification gate: build everything, vet everything, check
+# formatting, and run the full test suite under the race detector. The
+# engine runs real goroutines (core executor, httpapi worker pool), so
+# -race is part of the gate, not an optional extra.
 set -eux
 
 cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+
+# The formatting gate: gofmt must have nothing to say about any Go file in
+# the repository. .bench_build/ holds the benchmark's build cache and
+# module downloads, which are not ours to format.
+unformatted="$(find . -path ./.bench_build -prune -o -name '*.go' -exec gofmt -l {} +)"
+if [ -n "$unformatted" ]; then
+    echo "verify: gofmt -l lists files that need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 go test -race ./...
 
 # Replay the checked-in fuzz seed corpora (no fuzzing engine, just the
