@@ -35,10 +35,13 @@ overload-drill:
 # in-process run byte for byte — through node kills (re-dispatch), whole-
 # fleet death (degrade to best-so-far), and flapping nodes under hedging.
 # TestCLIDistDrill spawns 3 evald processes and SIGKILLs one mid-session.
+# Batched placement must fail as fast as single-trial placement on a dead
+# fleet, and every runner — the pool included — must keep the one harness
+# contract.
 dist-drill:
 	go test -race -count=1 \
-	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestCLIDistDrill' \
-	  ./internal/dispatch .
+	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestCLIDistDrill' \
+	  ./internal/dispatch ./internal/runner .
 
 # The transfer drills: the cross-workload knowledge base's survival and
 # equivalence story. A warm-started session at half the cold trial budget

@@ -4,6 +4,7 @@ package repro
 // drive it the way a user would.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -389,5 +390,32 @@ func TestCLIJvmsimPrintGC(t *testing.T) {
 	}
 	if strings.Contains(qerr.String(), "[GC ") {
 		t.Error("GC log printed without -XX:+PrintGC")
+	}
+}
+
+// Regression: a -jvmsim session kills hopeless runs at the same virtual
+// threshold as an in-process one (6× the default configuration's wall), so
+// the two transports produce byte-identical results. Without the threshold
+// the subprocess session let hopeless runs eat the budget and finished
+// with far fewer trials.
+func TestCLIJvmsimSessionMatchesInProcess(t *testing.T) {
+	auto, sim := cliBinary(t, "autotune"), cliBinary(t, "jvmsim")
+	dir := t.TempDir()
+	run := func(name string, extra ...string) []byte {
+		path := filepath.Join(dir, name)
+		args := append([]string{"-benchmark", "startup.xml.validation", "-searcher", "random",
+			"-seed", "6", "-budget", "30", "-workers", "2", "-out", path}, extra...)
+		if out, err := exec.Command(auto, args...).CombinedOutput(); err != nil {
+			t.Fatalf("autotune %v: %v\n%s", extra, err, out)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	local, sub := run("local.json"), run("jvmsim.json", "-jvmsim", sim)
+	if !bytes.Equal(local, sub) {
+		t.Errorf("-jvmsim result differs from the in-process one:\n%s\nvs\n%s", sub, local)
 	}
 }

@@ -470,10 +470,6 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 	// panic unwind of a crash-point kill, which is what guarantees the
 	// checkpoint on disk is complete when the "process" dies.
 	defer keeper.Close()
-	// Telemetry wires to the outermost measurement layer only: the chaos
-	// layer when active (it sees every attempt, injected and clean),
-	// otherwise the runner itself.
-	retry := runner.RetryPolicy{MaxAttempts: opts.RetryAttempts}
 	var run runner.Runner
 	var pool *dispatch.Pool
 	if len(opts.Nodes) > 0 || opts.FleetListen != "" {
@@ -484,11 +480,10 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pool.Retry = retry
-		if !plan.Active() {
-			pool.Telemetry, pool.Trace = opts.Telemetry, opts.Trace
-		}
 		pool.FaultHook = plan.NodeDownHook(opts.Seed)
+		// Wired before the fleet comes up: joins, orphan adoption and
+		// heartbeats report to the pool's telemetry.
+		run = measurementStack(pool, &pool.Harness, plan, opts)
 		sec := security(opts)
 		if opts.FleetStatePath != "" {
 			fleet, view, ferr := dispatch.OpenFleet(opts.FleetStatePath, opts.Telemetry)
@@ -513,34 +508,19 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 		}
 		pool.StartHeartbeats(heartbeatInterval)
 		defer pool.Close()
-		run = pool
 	} else if opts.JVMSimPath != "" {
 		sub := runner.NewSubprocess(opts.JVMSimPath, prof)
-		sub.Retry = retry
-		if !plan.Active() {
-			sub.Telemetry, sub.Trace = opts.Telemetry, opts.Trace
-		}
-		run = sub
+		run = measurementStack(sub, &sub.Harness, plan, opts)
 	} else {
 		sim := jvmsim.New()
 		if opts.Noise >= 0 {
 			sim.NoiseRelStdDev = opts.Noise
 		}
 		ip := runner.NewInProcess(sim, prof)
-		ip.Retry = retry
-		if !plan.Active() {
-			ip.Telemetry, ip.Trace = opts.Telemetry, opts.Trace
-		}
-		run = ip
+		run = measurementStack(ip, &ip.Harness, plan, opts)
 	}
 	if plan.NodeDown > 0 && pool == nil {
 		return nil, fmt.Errorf("hotspot: chaos node-down faults need a distributed session (set Nodes)")
-	}
-	if plan.Active() {
-		chaos := faultinject.New(run, plan, opts.Seed)
-		chaos.Retry = retry
-		chaos.Telemetry, chaos.Trace = opts.Telemetry, opts.Trace
-		run = chaos
 	}
 
 	budget := opts.BudgetMinutes * 60
@@ -592,6 +572,25 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 	// checkpoint resume sees the same neighbours it checkpointed under.
 	xfer.finish(res, opts, prof, phases, budget)
 	return res, nil
+}
+
+// measurementStack finishes the measurement layers of a session: run,
+// whose harness is h, wrapped in a chaos layer when the plan injects
+// faults. Every layer retries under the session's policy, and telemetry
+// wires to the outermost layer only — the chaos layer when active (it
+// sees every attempt, injected and clean, with its own attempt indices),
+// otherwise the runner itself — so nothing is counted twice.
+func measurementStack(run runner.Runner, h *runner.Harness, plan faultinject.Plan, opts Options) runner.Runner {
+	retry := runner.RetryPolicy{MaxAttempts: opts.RetryAttempts}
+	h.Retry = retry
+	if !plan.Active() {
+		h.Telemetry, h.Trace = opts.Telemetry, opts.Trace
+		return run
+	}
+	chaos := faultinject.New(run, plan, opts.Seed)
+	chaos.Retry = retry
+	chaos.Telemetry, chaos.Trace = opts.Telemetry, opts.Trace
+	return chaos
 }
 
 // heartbeatInterval is how often a distributed session probes its nodes'
@@ -809,9 +808,6 @@ func TuneCommonContext(ctx context.Context, profiles []*Profile, opts Options) (
 	if err != nil {
 		return nil, err
 	}
-	retry := runner.RetryPolicy{MaxAttempts: opts.RetryAttempts}
-	multi.Retry = retry
-	var run runner.Runner = multi
 	plan, err := faultinject.ParsePlan(opts.Chaos)
 	if err != nil {
 		return nil, err
@@ -825,14 +821,7 @@ func TuneCommonContext(ctx context.Context, profiles []*Profile, opts Options) (
 		return nil, err
 	}
 	defer keeper.Close()
-	if plan.Active() {
-		chaos := faultinject.New(run, plan, opts.Seed)
-		chaos.Retry = retry
-		chaos.Telemetry, chaos.Trace = opts.Telemetry, opts.Trace
-		run = chaos
-	} else {
-		multi.Telemetry, multi.Trace = opts.Telemetry, opts.Trace
-	}
+	run := measurementStack(multi, &multi.Harness, plan, opts)
 	searcherName := opts.Searcher
 	if searcherName == "" {
 		searcherName = "hierarchical"

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -287,5 +288,77 @@ func TestDecodeBatchRequestOwnsItsStrings(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, req) {
 		t.Fatalf("decoded batch changed when the body was overwritten:\ngot  %+v\nwant %+v", got, req)
+	}
+}
+
+// refusedAddrs returns n loopback addresses nothing listens on: ephemeral
+// ports bound and released, so a dial is refused at once.
+func refusedAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = l.Addr().String()
+		l.Close()
+	}
+	return addrs
+}
+
+// TestBatchedDeadFleetFailsFast: batched and unbatched placement share one
+// loop, so a batched round against a fleet that refuses every connection
+// skips the re-dispatch backoff once every node is breaker-dead, exactly
+// like single-trial placement — instead of sleeping out every one of the
+// try budget's rounds — and ends in the same node-down verdicts.
+func TestBatchedDeadFleetFailsFast(t *testing.T) {
+	addrs := refusedAddrs(t, 3)
+	cfgs := batchConfigs(flags.NewRegistry(), 4)
+	run := func(batch int) ([]runner.Measurement, map[string]float64, time.Duration) {
+		var evs []Evaluator
+		for _, a := range addrs {
+			evs = append(evs, NewRemote(a))
+		}
+		pool := newTestPool(t, "fop", evs...)
+		defer pool.Close()
+		pool.Batch = batch
+		t0 := time.Now()
+		ms := pool.MeasureBatch(cfgs, 2)
+		return ms, pool.Telemetry.Snapshot(), time.Since(t0)
+	}
+	wantMs, wantTel, _ := run(0)
+	gotMs, gotTel, took := run(4)
+	if took > 2*time.Second {
+		t.Errorf("batched round against a dead fleet took %v, want under 2s", took)
+	}
+	for i, m := range gotMs {
+		if m.Failure != runner.NodeDownFailure || !m.Transient || m.Attempts != 3 {
+			t.Errorf("trial %d: want a transient node-down after 3 attempts, got %+v", i, m)
+		}
+	}
+	if !reflect.DeepEqual(gotMs, wantMs) {
+		t.Errorf("batched measurements differ from unbatched:\n%+v\nvs\n%+v", gotMs, wantMs)
+	}
+	// Every series matches except the breaker's own accounting: a failed
+	// batch round trip strikes its node once, not once per trial (see
+	// TestBatchFaultStrikesBreakerOnce), so strikes, quarantines and the
+	// forced probes they cause legitimately differ.
+	breaker := map[string]bool{
+		"dispatch_node_failures_total": true, "dispatch_node_quarantined_total": true,
+		"dispatch_forced_probes_total": true,
+	}
+	for series, want := range wantTel {
+		if !breaker[series] && gotTel[series] != want {
+			t.Errorf("%s: batched %g, unbatched %g", series, gotTel[series], want)
+		}
+	}
+	for series := range gotTel {
+		if _, ok := wantTel[series]; !ok && !breaker[series] {
+			t.Errorf("%s: only the batched round reports it", series)
+		}
+	}
+	if wantTel["dispatch_no_node_total"] != 12 {
+		t.Errorf("dispatch_no_node_total = %g, want 12 (4 trials × 3 attempts)", wantTel["dispatch_no_node_total"])
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/flags"
 	"repro/internal/jvmsim"
 	"repro/internal/runner"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -36,9 +35,6 @@ import (
 // runs. Fleet membership and in-flight ownership are durably journaled
 // via AttachFleet. Safe for concurrent use.
 type Pool struct {
-	// Retry bounds re-attempts of transiently failed measurements; the
-	// zero value means the defaults (see runner.RetryPolicy).
-	Retry runner.RetryPolicy
 	// TimeoutSeconds is the per-repetition harness kill threshold sent
 	// with every trial. NewPool defaults it like runner.NewInProcess: 6×
 	// the default configuration's wall time.
@@ -69,11 +65,6 @@ type Pool struct {
 	// means 10s for dynamic pools. Waiting burns real time only — virtual
 	// cost and determinism are untouched.
 	JoinGrace time.Duration
-	// Telemetry and Trace optionally receive the shared runner_* series
-	// plus the dispatch_* fleet counters. When a ChaosRunner wraps this
-	// pool, wire them to the chaos layer instead.
-	Telemetry *telemetry.Registry
-	Trace     *telemetry.Tracer
 	// FaultHook, when set, is consulted before every placement and forces
 	// a simulated node death when it returns true. The chaos layer's
 	// node-down plans plug in here (Plan.NodeDownHook); the schedule is a
@@ -85,27 +76,22 @@ type Pool struct {
 	now     func() time.Time
 	dynamic bool
 
-	// State holds the clock, rep indices and cache, keyed through
-	// runner.PhaseKey like the in-process runner's, and snapshots them —
-	// byte for byte the in-process runner's serialization. Fleet state is
-	// deliberately absent: it lives in its own journal and is not a
-	// determinism input.
-	runner.State
+	// Harness holds the retry policy and telemetry — Telemetry also
+	// receives the dispatch_* fleet counters — and the clock, rep indices
+	// and cache, snapshotted byte for byte like the in-process runner's.
+	// Fleet state is deliberately absent: it lives in its own journal and
+	// is not a determinism input.
+	runner.Harness
+
+	// phases carries the shift of a phase-shifting workload
+	// (runner.PhaseSetter) onto every request, so any node derives the
+	// shifted profile itself.
+	phases runner.PhaseSwitch
 
 	mu      sync.Mutex
 	nodes   []*node
 	fleet   *Fleet
 	orphans []string
-	// phase and shift support phase-shifting workloads (runner.PhaseSetter):
-	// the shift travels with every request so any node derives the shifted
-	// profile itself.
-	phase int
-	shift jvmsim.PhaseShift
-	// timeout0 captures TimeoutSeconds at the first phase shift: phase
-	// timeouts rescale from the base-profile threshold (runner.PhaseTimeout)
-	// so repeated shifts never compound.
-	timeout0    float64
-	timeout0Set bool
 
 	hbStop chan struct{}
 	hbDone chan struct{}
@@ -499,160 +485,51 @@ func (p *Pool) failLocked(nd *node, t time.Time) {
 
 // SetPhase implements runner.PhaseSetter: subsequent trials carry the
 // shift on the wire and the pool's rep indices and cache re-scope to the
-// new phase (runner.PhaseKey), exactly like the in-process runner. The
-// shift is validated here, before any node sees it, and the harness kill
-// threshold recalibrates to the shifted workload's baseline
-// (runner.PhaseTimeout) so the per-request timeout matches what an
-// in-process runner would enforce.
+// new phase, exactly like the in-process runner — through the same
+// runner.PhaseSwitch, so the shift is validated before any node sees it
+// and the per-request kill threshold rescales exactly as an in-process
+// runner's does.
 func (p *Pool) SetPhase(phase int, shift jvmsim.PhaseShift) error {
-	eff, err := shift.Apply(p.profile)
-	if err != nil {
-		return err
-	}
-	if phase == 0 {
-		eff = p.profile
-	}
-	p.mu.Lock()
-	if !p.timeout0Set {
-		p.timeout0, p.timeout0Set = p.TimeoutSeconds, true
-	}
-	p.phase, p.shift = phase, shift
-	p.TimeoutSeconds = runner.PhaseTimeout(p.timeout0, jvmsim.New(), p.profile, eff)
-	p.mu.Unlock()
-	return nil
+	return p.phases.Set(phase, shift, jvmsim.New(), p.profile, &p.TimeoutSeconds)
 }
 
 // Measure implements runner.Runner with the exact cache, rep-index,
-// retry, and telemetry semantics of runner.InProcess — the dispatch layer
-// only changes where the attempt body runs.
+// retry, and telemetry semantics of runner.InProcess — the shared
+// runner.Harness — placing each attempt on the fleet as a wave of one.
 func (p *Pool) Measure(cfg *flags.Config, reps int) runner.Measurement {
-	return p.measure(cfg, reps, p.place)
+	return p.measure(cfg, reps, func(c *batchCall) { p.placeWave([]*batchCall{c}) })
 }
 
-// measure is the shared Measure body; place runs one placement attempt
-// (single-trial transport, or a rendezvous into a batched wave — the
-// choice changes only where the bytes travel, never what they are).
-func (p *Pool) measure(cfg *flags.Config, reps int, place func(*TrialRequest) runner.Measurement) runner.Measurement {
-	if reps < 1 {
-		reps = 1
-	}
-	key := cfg.Key()
-
-	p.mu.Lock()
-	// Phases only change between rounds (the PhaseSetter contract), never
-	// while a Measure is in flight.
-	phase, shift := p.phase, p.shift
-	p.mu.Unlock()
-	sk := runner.PhaseKey(phase, key)
-	if !p.DisableCache {
-		if m, ok := p.Cached(sk, reps); ok {
-			runner.NoteCacheHit(p.Telemetry, p.Trace, key)
-			return m
-		}
-	}
-
+// measure is the shared Measure body; place delivers one placement attempt
+// to the fleet (a wave of one, or a rendezvous into a batched wave — the
+// choice changes only where the bytes travel, never what they are) and
+// the attempt's measurement comes back on the call's reply channel.
+func (p *Pool) measure(cfg *flags.Config, reps int, place func(*batchCall)) runner.Measurement {
+	phase, shift, _ := p.phases.Current(p.profile)
 	// ExplicitArgs, not CommandLine: the minimal rendering drops explicit
 	// assignments that equal a flag's default, and the simulated VM — like
 	// a real one — behaves differently when, say, UseParallelGC is forced
 	// rather than defaulted. The transport form must carry explicitness.
-	args := cfg.ExplicitArgs()
-	m := p.Retry.Run(func(n int) runner.Measurement {
+	// Rendered once, by the first attempt: a cache hit renders nothing.
+	var args []string
+	rendered := false
+	return p.Run(cfg, reps, phase, !p.DisableCache, func(repBase, reps int) runner.Measurement {
+		if !rendered {
+			args, rendered = cfg.ExplicitArgs(), true
+		}
 		req := &TrialRequest{
-			Key: key, Benchmark: p.profile.Name, Args: args,
-			RepBase: p.Reserve(sk, reps), Reps: reps,
+			Key: cfg.Key(), Benchmark: p.profile.Name, Args: args,
+			RepBase: repBase, Reps: reps,
 			TimeoutSeconds: p.TimeoutSeconds, Noise: p.Noise,
 		}
 		if phase > 0 {
 			s := shift
 			req.Phase, req.Shift = phase, &s
 		}
-		m := place(req)
-		runner.NoteAttempt(p.Telemetry, p.Trace, key, n, n > 0, m)
-		return m
+		c := &batchCall{req: req, reply: make(chan runner.Measurement, 1)}
+		place(c)
+		return <-c.reply
 	})
-	runner.NoteMeasured(p.Telemetry, p.Trace, key, m)
-	p.Settle(sk, m, !p.DisableCache)
-	return m
-}
-
-// place runs one measurement attempt against the fleet, silently
-// re-dispatching across node deaths. Every placement failure is free in
-// virtual time — the trial never ran anywhere — and invisible to the
-// trace; only the dispatch_* counters see it. The attempt ends with the
-// first node that answers (its measurement is node-independent), with a
-// deterministic rejection, or — after MaxTries placements — with a
-// transient NodeDownFailure for the retry policy to absorb.
-func (p *Pool) place(req *TrialRequest) runner.Measurement {
-	p.Telemetry.Counter("dispatch_trials_total").Inc()
-	var joinDeadline time.Time
-	for try := 0; try < p.maxTries(); try++ {
-		if try > 0 {
-			p.Telemetry.Counter("dispatch_redispatch_total").Inc()
-			// Back off (real time only) exactly like a batched wave: a
-			// re-dispatch that instantly re-fails burns the try budget in
-			// microseconds, which under a node kill plus a shed burst can
-			// exhaust every placement before a 429'd node's Retry-After
-			// expires — surfacing a spurious transient failure that the
-			// retry policy then charges to the session. Waiting is
-			// pointless when the whole fleet is breaker-dead (only a
-			// heartbeat or a join can help, and those run on their own
-			// cadence), so a fully dead fleet still fails fast.
-			if p.anyNodeAlive() {
-				p.waveBackoff(try)
-			}
-		}
-		nd := p.acquire(req.Key)
-		if nd == nil {
-			// Empty fleet. A dynamic pool waits out the join grace — the
-			// session may have started before the first node registered —
-			// then retries the placement without burning the try budget.
-			if joinDeadline.IsZero() {
-				joinDeadline = time.Now().Add(p.joinGrace())
-			}
-			if p.waitForNode(joinDeadline) {
-				try--
-				continue
-			}
-			break
-		}
-		var res *TrialResult
-		var err error
-		if p.FaultHook != nil && p.FaultHook(nd.name, req.Key, try) {
-			p.Telemetry.Counter("dispatch_injected_node_down_total").Inc()
-			err = &NodeError{Node: nd.name, Err: errInjectedNodeDown}
-		} else {
-			res, err = nd.ev.Evaluate(context.Background(), req)
-			if err == nil && res.Measurement.Key != req.Key {
-				// A node answering with the wrong trial is broken, not the
-				// request: treat it like a transport fault.
-				err = &NodeError{Node: nd.name, Err: fmt.Errorf("answered key %q for trial %q", res.Measurement.Key, req.Key)}
-			}
-		}
-		if err == nil {
-			p.settle(nd, req.Key, true)
-			p.Telemetry.Counter("dispatch_evals_total").Inc()
-			return res.Measurement
-		}
-		if d := retryAfterOf(err); d > 0 {
-			p.settleShed(nd, req.Key, d)
-		} else {
-			p.settle(nd, req.Key, false)
-		}
-		if permanentError(err) {
-			// The node understood the request and refused it; every node
-			// would. The rejection condemns the trial deterministically.
-			p.Telemetry.Counter("dispatch_rejected_total").Inc()
-			return runner.Measurement{
-				Key: req.Key, Failed: true, Failure: runner.NodeRejectedFailure,
-				FailureMessage: err.Error(),
-			}
-		}
-	}
-	p.Telemetry.Counter("dispatch_no_node_total").Inc()
-	return runner.Measurement{
-		Key: req.Key, Failed: true, Failure: runner.NodeDownFailure,
-		FailureMessage: fmt.Sprintf("dispatch: no evaluator node reachable after %d placements", p.maxTries()),
-	}
 }
 
 // permanentError reports whether a placement error is a deterministic

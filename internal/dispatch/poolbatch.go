@@ -71,11 +71,7 @@ func (p *Pool) MeasureBatch(cfgs []*flags.Config, reps int) []runner.Measurement
 	finished := make(chan struct{})
 	for i, cfg := range cfgs {
 		go func(i int, cfg *flags.Config) {
-			out[i] = p.measure(cfg, reps, func(req *TrialRequest) runner.Measurement {
-				c := &batchCall{req: req, reply: make(chan runner.Measurement, 1)}
-				calls <- c
-				return <-c.reply
-			})
+			out[i] = p.measure(cfg, reps, func(c *batchCall) { calls <- c })
 			finished <- struct{}{}
 		}(i, cfg)
 	}
@@ -96,37 +92,37 @@ func (p *Pool) MeasureBatch(cfgs []*flags.Config, reps int) []runner.Measurement
 	return out
 }
 
-// placeWave places one wave of trials across the fleet, re-dispatching
-// the unsettled remainder round after round (partial-batch salvage) until
-// every trial settles or the try budget is spent. Re-dispatch rounds back
-// off exponentially with jitter — real time only, invisible to virtual
-// cost and the session's bytes.
+// placeWave places one wave of trials across the fleet — a single-trial
+// Measure is a wave of one — re-dispatching the unsettled remainder round
+// after round (partial-batch salvage) across node deaths. Every placement
+// failure is free in virtual time — the trial never ran anywhere — and
+// invisible to the trace; only the dispatch_* counters see it. A trial
+// settles with the first node that answers (its measurement is
+// node-independent) or with a deterministic rejection; the rest surface as
+// a transient NodeDownFailure for the retry policy to absorb once the try
+// budget is spent or a dynamic pool's join grace runs out.
 func (p *Pool) placeWave(wave []*batchCall) {
-	for range wave {
-		p.Telemetry.Counter("dispatch_trials_total").Inc()
-	}
-	remaining := append([]*batchCall(nil), wave...)
-	maxTries := p.maxTries()
+	p.Telemetry.Counter("dispatch_trials_total").Add(uint64(len(wave)))
+	remaining := wave
 	var joinDeadline time.Time
-	for try := 0; len(remaining) > 0; try++ {
-		if try >= maxTries {
-			for _, c := range remaining {
-				p.Telemetry.Counter("dispatch_no_node_total").Inc()
-				c.reply <- runner.Measurement{
-					Key: c.req.Key, Failed: true, Failure: runner.NodeDownFailure,
-					FailureMessage: fmt.Sprintf("dispatch: no evaluator node reachable after %d placements", maxTries),
-				}
-			}
-			return
-		}
+	// The try budget is re-read every round: a dynamic fleet can grow
+	// mid-attempt.
+	for try := 0; len(remaining) > 0 && try < p.maxTries(); try++ {
 		if try > 0 {
 			p.Telemetry.Counter("dispatch_redispatch_total").Add(uint64(len(remaining)))
-			p.waveBackoff(try)
+			// Back off (real time only): a re-dispatch that instantly
+			// re-fails burns the try budget in microseconds, which under a
+			// node kill plus a shed burst can exhaust every placement before
+			// a 429'd node's Retry-After expires — surfacing a spurious
+			// transient failure that the retry policy then charges to the
+			// session. Waiting is pointless when the whole fleet is
+			// breaker-dead (only a heartbeat or a join can help, and those
+			// run on their own cadence), so a dead fleet fails fast.
+			if p.anyNodeAlive() {
+				p.waveBackoff(try)
+			}
 		}
 
-		// Assign the round's trials through the same acquire as single
-		// dispatch, so work-stealing, in-flight accounting, and the fleet
-		// journal see batched trials identically.
 		assign := make(map[*node][]*batchCall)
 		var next []*batchCall
 		empty := false
@@ -146,34 +142,53 @@ func (p *Pool) placeWave(wave []*batchCall) {
 			assign[nd] = append(assign[nd], c)
 		}
 		if empty && len(assign) == 0 {
-			// Whole fleet gone mid-wave. A dynamic pool waits out the join
-			// grace for a replacement without burning the try budget.
+			// Whole fleet gone. A dynamic pool waits out the join grace —
+			// the session may have started before the first node
+			// registered — then retries the round without burning the try
+			// budget; once the grace runs out the attempt ends.
 			if joinDeadline.IsZero() {
 				joinDeadline = time.Now().Add(p.joinGrace())
 			}
-			if p.waitForNode(joinDeadline) {
-				try--
+			if !p.waitForNode(joinDeadline) {
+				break
 			}
+			try--
 			remaining = next
 			continue
 		}
 
+		// Each node's share ships concurrently; the last one on this
+		// goroutine, so a wave of one places inline like any call.
 		var wg sync.WaitGroup
 		var mu sync.Mutex
+		ship := func(nd *node, cs []*batchCall) {
+			if redo := p.shipNode(nd, cs); len(redo) > 0 {
+				mu.Lock()
+				next = append(next, redo...)
+				mu.Unlock()
+			}
+		}
+		shares := len(assign)
 		for nd, cs := range assign {
+			if shares--; shares == 0 {
+				ship(nd, cs)
+				break
+			}
 			wg.Add(1)
-			go func(nd *node, cs []*batchCall) {
+			go func() {
 				defer wg.Done()
-				redo := p.shipNode(nd, cs, try)
-				if len(redo) > 0 {
-					mu.Lock()
-					next = append(next, redo...)
-					mu.Unlock()
-				}
-			}(nd, cs)
+				ship(nd, cs)
+			}()
 		}
 		wg.Wait()
 		remaining = next
+	}
+	for _, c := range remaining {
+		p.Telemetry.Counter("dispatch_no_node_total").Inc()
+		c.reply <- runner.Measurement{
+			Key: c.req.Key, Failed: true, Failure: runner.NodeDownFailure,
+			FailureMessage: fmt.Sprintf("dispatch: no evaluator node reachable after %d placements", p.maxTries()),
+		}
 	}
 }
 
@@ -192,16 +207,14 @@ func (p *Pool) waveBackoff(round int) {
 	time.Sleep(d)
 }
 
-// shipNode ships one node's share of a wave, chunked to the batch cap,
-// and returns the trials that must re-dispatch elsewhere.
-func (p *Pool) shipNode(nd *node, cs []*batchCall, try int) []*batchCall {
+// shipNode ships one node's share of a wave, chunked to the batch cap
+// (single trials when batching is off), and returns the trials that must
+// re-dispatch elsewhere.
+func (p *Pool) shipNode(nd *node, cs []*batchCall) []*batchCall {
 	var redo []*batchCall
 	be, batchable := nd.ev.(BatchEvaluator)
 	for len(cs) > 0 {
-		n := len(cs)
-		if n > p.Batch {
-			n = p.Batch
-		}
+		n := min(len(cs), max(p.Batch, 1))
 		chunk := cs[:n]
 		cs = cs[n:]
 		if !batchable || len(chunk) == 1 {
@@ -232,11 +245,13 @@ func (p *Pool) shipNode(nd *node, cs []*batchCall, try int) []*batchCall {
 	return redo
 }
 
-// shipOne runs one single-trial placement inside a wave, mirroring the
-// inner body of place(). It returns the trial when it must re-dispatch.
+// shipOne runs one single-trial placement inside a wave. It returns the
+// trial when it must re-dispatch.
 func (p *Pool) shipOne(nd *node, c *batchCall) []*batchCall {
 	res, err := nd.ev.Evaluate(context.Background(), c.req)
 	if err == nil && res.Measurement.Key != c.req.Key {
+		// A node answering with the wrong trial is broken, not the
+		// request: treat it like a transport fault.
 		err = &NodeError{Node: nd.name, Err: fmt.Errorf("answered key %q for trial %q", res.Measurement.Key, c.req.Key)}
 	}
 	if err == nil {
@@ -251,6 +266,8 @@ func (p *Pool) shipOne(nd *node, c *batchCall) []*batchCall {
 		p.settle(nd, c.req.Key, false)
 	}
 	if permanentError(err) {
+		// The node understood the request and refused it; every node
+		// would. The rejection condemns the trial deterministically.
 		p.Telemetry.Counter("dispatch_rejected_total").Inc()
 		c.reply <- runner.Measurement{
 			Key: c.req.Key, Failed: true, Failure: runner.NodeRejectedFailure,

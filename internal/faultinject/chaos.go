@@ -3,6 +3,7 @@ package faultinject
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"time"
 
@@ -307,7 +308,11 @@ func (c *ChaosRunner) attempt(cfg *flags.Config, reps int, key, sk string, retry
 		if m.Failed || len(m.Walls) == 0 {
 			return note(m)
 		}
+		// Scale copies: the slices share backing arrays with the clean
+		// measurement the inner runner has just cached, and a replay of
+		// that must stay clean.
 		f := c.plan.SpikeFactor
+		m.Walls, m.Pauses = slices.Clone(m.Walls), slices.Clone(m.Pauses)
 		for i := range m.Walls {
 			m.Walls[i] *= f
 		}

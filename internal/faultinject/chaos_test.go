@@ -298,3 +298,46 @@ func TestChaosScheduleIsSeedDeterministic(t *testing.T) {
 		t.Error("different seeds should (overwhelmingly) schedule different faults")
 	}
 }
+
+// Regression: a spike scales copies of the walls and pauses. The inner
+// runner has just cached the clean measurement, whose slices the spiked
+// one shares, and scaling those in place left the cache holding spiked
+// walls under a clean Mean — a measurement inconsistent with itself,
+// replayed to the next proposal and persisted in checkpoints.
+func TestChaosSpikeLeavesInnerCacheClean(t *testing.T) {
+	p, _ := workload.ByName("fop")
+	ip := runner.NewInProcess(jvmsim.New(), p)
+	ch := New(ip, Plan{Spike: 1, SpikeFactor: 3}, 1)
+	cfg := testConfig()
+	mean := func(xs []float64) float64 {
+		sum := 0.0
+		for _, x := range xs {
+			sum += x
+		}
+		return sum / float64(len(xs))
+	}
+
+	spiked := ch.Measure(cfg, 2)
+	if spiked.Failed || spiked.FromCache {
+		t.Fatalf("want a fresh spiked measurement, got %+v", spiked)
+	}
+	if math.Abs(mean(spiked.Walls)-spiked.Mean) > 1e-9 {
+		t.Errorf("spiked walls %v average to %g, not their Mean %g", spiked.Walls, mean(spiked.Walls), spiked.Mean)
+	}
+	cached, ok := ip.Cached(cfg.Key(), 2)
+	if !ok {
+		t.Fatal("inner runner did not cache the measurement")
+	}
+	replay := ch.Measure(cfg, 2)
+	if !replay.FromCache {
+		t.Fatalf("a settled key must replay from the inner cache, got %+v", replay)
+	}
+	for name, m := range map[string]runner.Measurement{"cached": cached, "replay": replay} {
+		if math.Abs(mean(m.Walls)-m.Mean) > 1e-9 {
+			t.Errorf("%s walls %v average to %g, not their Mean %g", name, m.Walls, mean(m.Walls), m.Mean)
+		}
+		if math.Abs(m.Mean*3-spiked.Mean) > 1e-9 {
+			t.Errorf("%s Mean %g, want the clean %g", name, m.Mean, spiked.Mean/3)
+		}
+	}
+}

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/flags"
-	"repro/internal/jvmsim"
-	"repro/internal/workload"
 )
 
 // crashConfig returns a configuration that OOMs the h2 workload: a heap far
@@ -15,50 +13,6 @@ func crashConfig() *flags.Config {
 	cfg.SetInt("MaxHeapSize", 128<<20)
 	cfg.SetInt("InitialHeapSize", 64<<20)
 	return cfg
-}
-
-// Regression: failed measurements must be cached like successful ones. The
-// old cache-hit test (len(Walls) >= reps) could never match a failure —
-// failures carry no walls — so every re-proposal of a known-crashing config
-// re-paid the launch-and-crash cost, silently draining the tuning budget.
-func TestInProcessCachesFailures(t *testing.T) {
-	r, _ := newRunner(t, "h2")
-	first := r.Measure(crashConfig(), 3)
-	if !first.Failed || first.Failure != jvmsim.OOMFailure {
-		t.Fatalf("expected OOM, got %+v", first)
-	}
-	elapsed := r.Elapsed()
-
-	second := r.Measure(crashConfig().Clone(), 3)
-	if !second.FromCache {
-		t.Error("second measurement of a crashing config must replay from the cache")
-	}
-	if second.CostSeconds != 0 || r.Elapsed() != elapsed {
-		t.Errorf("re-measuring a known-bad config must cost zero budget (cost %.2f)", second.CostSeconds)
-	}
-	if !second.Failed || second.Failure != first.Failure {
-		t.Errorf("cached replay must preserve the failure: %+v", second)
-	}
-
-	// Fewer requested reps hit the same cached failure.
-	if m := r.Measure(crashConfig(), 1); !m.FromCache || m.CostSeconds != 0 {
-		t.Error("a cached failure satisfies any rep count")
-	}
-}
-
-func TestSubprocessCachesFailures(t *testing.T) {
-	bin := jvmsimBinary(t)
-	p, _ := workload.ByName("h2")
-	sub := NewSubprocess(bin, p)
-	first := sub.Measure(crashConfig(), 2)
-	if !first.Failed {
-		t.Fatalf("expected failure, got %+v", first)
-	}
-	elapsed := sub.Elapsed()
-	second := sub.Measure(crashConfig(), 2)
-	if !second.FromCache || second.CostSeconds != 0 || sub.Elapsed() != elapsed {
-		t.Errorf("subprocess runner must cache failures at zero cost: %+v", second)
-	}
 }
 
 func TestMultiCachesFailures(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/flags"
 	"repro/internal/jvmsim"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -29,16 +28,9 @@ type Multi struct {
 	// TimeoutSeconds per member run; defaults to 6× that member's baseline.
 	timeouts []float64
 
-	// Retry bounds re-attempts of transient failures; the zero value means
-	// the defaults (see RetryPolicy). Set before the first Measure call.
-	Retry RetryPolicy
-	// Telemetry and Trace optionally receive runner metrics and per-attempt
-	// trace events; see telemetry.go.
-	Telemetry *telemetry.Registry
-	Trace     *telemetry.Tracer
-
-	// State holds the clock, rep indices and cache, and snapshots them.
-	State
+	// Harness holds the retry policy, telemetry, clock, rep indices and
+	// cache.
+	Harness
 }
 
 // NewMulti builds a multi-workload runner over the given profiles.
@@ -113,19 +105,8 @@ func (m *Multi) Baselines() []float64 {
 // members (1.0 ≡ default performance), so Session improvement percentages
 // read as suite-average improvements.
 func (m *Multi) Measure(cfg *flags.Config, reps int) Measurement {
-	if reps < 1 {
-		reps = 1
-	}
-	key := cfg.Key()
-
-	if cached, ok := m.Cached(key, reps); ok {
-		NoteCacheHit(m.Telemetry, m.Trace, key)
-		return cached
-	}
-
-	out := m.Retry.Run(func(n int) Measurement {
-		repBase := m.Reserve(key, reps)
-		out := Measurement{Key: key}
+	return m.Run(cfg, reps, 0, true, func(repBase, reps int) Measurement {
+		out := Measurement{Key: cfg.Key()}
 		for rep := 0; rep < reps && !out.Failed; rep++ {
 			normSum := 0.0
 			for i, p := range m.profiles {
@@ -150,17 +131,7 @@ func (m *Multi) Measure(cfg *flags.Config, reps int) Measurement {
 				out.Walls = append(out.Walls, normSum/float64(len(m.profiles)))
 			}
 		}
-		if len(out.Walls) > 0 && !out.Failed {
-			sum := 0.0
-			for _, w := range out.Walls {
-				sum += w
-			}
-			out.Mean = sum / float64(len(out.Walls))
-		}
-		NoteAttempt(m.Telemetry, m.Trace, key, n, n > 0, out)
+		finalizeMeans(&out)
 		return out
 	})
-	NoteMeasured(m.Telemetry, m.Trace, key, out)
-	m.Settle(key, out, true)
-	return out
 }

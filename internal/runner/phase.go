@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/flags"
 	"repro/internal/jvmsim"
@@ -66,33 +67,51 @@ func PhaseTimeout(baseTimeout float64, sim *jvmsim.Simulator, base, eff *workloa
 	return baseTimeout * sim.DefaultWall(reg, eff, 1) / bw
 }
 
-// SetPhase implements PhaseSetter.
-func (r *InProcess) SetPhase(phase int, shift jvmsim.PhaseShift) error {
-	eff, err := shift.Apply(r.profile)
+// PhaseSwitch is the phase state of a runner that follows phase-shifting
+// workloads: InProcess and the dispatch pool hold one and implement
+// PhaseSetter through Set. The zero value is phase 0 on the base profile
+// and is safe for concurrent use. Runners whose attempts cannot run a
+// shifted profile (Subprocess, Multi) hold none, and so cannot shift.
+type PhaseSwitch struct {
+	mu    sync.Mutex
+	phase int
+	shift jvmsim.PhaseShift
+	eff   *workload.Profile // the shifted profile; nil before the first Set
+	// timeout0 captures the kill threshold at the first Set: phase
+	// timeouts rescale from the base-profile threshold (see PhaseTimeout),
+	// so repeated shifts never compound.
+	timeout0 float64
+}
+
+// Set switches to phase: shift applied to base, validated before anything
+// changes. It rescales *timeout, the runner's kill threshold, from its
+// value at the first Set (PhaseTimeout under sim). Phase 0 restores base.
+func (s *PhaseSwitch) Set(phase int, shift jvmsim.PhaseShift, sim *jvmsim.Simulator, base *workload.Profile, timeout *float64) error {
+	eff, err := shift.Apply(base)
 	if err != nil {
 		return err
 	}
 	if phase == 0 {
-		eff = r.profile
+		eff = base
 	}
-	r.mu.Lock()
-	if !r.timeout0Set {
-		r.timeout0, r.timeout0Set = r.TimeoutSeconds, true
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.eff == nil {
+		s.timeout0 = *timeout
 	}
-	r.phase, r.phased = phase, eff
-	r.TimeoutSeconds = PhaseTimeout(r.timeout0, r.sim, r.profile, eff)
-	r.mu.Unlock()
+	s.phase, s.shift, s.eff = phase, shift, eff
+	*timeout = PhaseTimeout(s.timeout0, sim, base, eff)
 	return nil
 }
 
-// currentPhase returns the phase and effective profile under the lock-free
-// assumption that phases only change between rounds (the PhaseSetter
-// contract): a Measure call never races a SetPhase.
-func (r *InProcess) currentPhase() (int, *workload.Profile) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.phased == nil {
-		return r.phase, r.profile
+// Current returns the phase, its shift, and the profile measurements run
+// against — base until the first Set. Phases only change between rounds
+// (the PhaseSetter contract), so a Measure call never races a Set.
+func (s *PhaseSwitch) Current(base *workload.Profile) (int, jvmsim.PhaseShift, *workload.Profile) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.eff == nil {
+		return s.phase, s.shift, base
 	}
-	return r.phase, r.phased
+	return s.phase, s.shift, s.eff
 }

@@ -100,7 +100,7 @@ func (p RetryPolicy) Backoff(retry int) float64 {
 	return p.BackoffSeconds * math.Pow(p.BackoffFactor, float64(retry))
 }
 
-// Run drives the attempt loop shared by every runner and the chaos layer:
+// Run drives the attempt loop shared by the Harness and the chaos layer:
 // attempt(n) performs measurement attempt n and Run retries it while the
 // outcome is a transient failure and the policy allows. Costs, attempt
 // counts, and flake counts accumulate across attempts into the returned

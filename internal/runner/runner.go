@@ -6,19 +6,25 @@
 // slow configurations eat more budget, crashed ones eat little — while the
 // whole experiment finishes in real milliseconds.
 //
-// Two runners are provided. InProcess calls the simulator directly and is
-// what the experiments use. Subprocess launches the cmd/jvmsim binary with
-// real -XX: command-line flags, exercising the same orchestration path the
-// paper used against a real java launcher.
+// Every caching runner embeds one Harness, which owns the rules around a
+// measurement — phase-scoped state keys, cache replay, fresh noise-rep
+// indices per attempt, the retry loop, telemetry, clock charging — so a
+// runner supplies only its attempt body. Four runners are built on it:
+// InProcess calls the simulator directly and is what the experiments use;
+// Subprocess launches the cmd/jvmsim binary with real -XX: command-line
+// flags, exercising the same orchestration path the paper used against a
+// real java launcher; Multi scores one configuration across a suite of
+// workloads; and the dispatch package's Pool places attempts on a fleet of
+// evaluator nodes. InProcess and the pool also follow phase-shifting
+// workloads through one PhaseSwitch. The fault-injection layer
+// (internal/faultinject) wraps any of them as a decorator runner.
 package runner
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/flags"
 	"repro/internal/jvmsim"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -108,32 +114,13 @@ type InProcess struct {
 	TimeoutSeconds float64
 	// DisableCache turns off config-key memoization.
 	DisableCache bool
-	// Retry bounds re-attempts of transient failures; the zero value means
-	// the defaults (see RetryPolicy). The simulator itself never fails
-	// transiently, but a fault-injection layer beneath this runner can.
-	Retry RetryPolicy
-	// Telemetry optionally receives the runner metric series (see
-	// telemetry.go); Trace optionally receives per-attempt trace events.
-	// Both are nil-safe no-ops when unset. When a ChaosRunner wraps this
-	// runner, wire telemetry to the chaos layer instead.
-	Telemetry *telemetry.Registry
-	Trace     *telemetry.Tracer
 
-	// State holds the clock, rep indices and cache, keyed through
-	// PhaseKey (the identity in phase 0), and snapshots them.
-	State
+	// Harness holds the retry policy, telemetry, clock, rep indices and
+	// cache. The simulator itself never fails transiently, but a
+	// fault-injection layer beneath this runner can.
+	Harness
 
-	mu sync.Mutex
-	// phase and phased support phase-shifting workloads (see PhaseSetter):
-	// phased is the effective profile measurements run against, nil until
-	// the first SetPhase.
-	phase  int
-	phased *workload.Profile
-	// timeout0 captures TimeoutSeconds at the first phase shift: phase
-	// timeouts rescale from the base-profile threshold (see PhaseTimeout),
-	// so repeated shifts never compound.
-	timeout0    float64
-	timeout0Set bool
+	phases PhaseSwitch
 }
 
 // NewInProcess builds an in-process runner. The timeout defaults to 6× the
@@ -150,32 +137,15 @@ func (r *InProcess) Workload() *workload.Profile { return r.profile }
 
 // Measure implements Runner.
 func (r *InProcess) Measure(cfg *flags.Config, reps int) Measurement {
-	if reps < 1 {
-		reps = 1
-	}
-	key := cfg.Key()
-	phase, prof := r.currentPhase()
-	// Rep indices and the cache are scoped per (phase, config): after a
-	// workload shift a configuration must be genuinely re-measured, not
-	// answered from its stale pre-drift verdict. Externally the measurement
-	// still carries the bare configuration key.
-	sk := PhaseKey(phase, key)
-
-	if !r.DisableCache {
-		if m, ok := r.Cached(sk, reps); ok {
-			NoteCacheHit(r.Telemetry, r.Trace, key)
-			return m
-		}
-	}
-
-	m := r.Retry.Run(func(n int) Measurement {
-		m := EvalConfig(r.sim, prof, cfg, r.Reserve(sk, reps), reps, r.TimeoutSeconds)
-		NoteAttempt(r.Telemetry, r.Trace, key, n, n > 0, m)
-		return m
+	phase, _, prof := r.phases.Current(r.profile)
+	return r.Run(cfg, reps, phase, !r.DisableCache, func(repBase, reps int) Measurement {
+		return EvalConfig(r.sim, prof, cfg, repBase, reps, r.TimeoutSeconds)
 	})
-	NoteMeasured(r.Telemetry, r.Trace, key, m)
-	r.Settle(sk, m, !r.DisableCache)
-	return m
+}
+
+// SetPhase implements PhaseSetter.
+func (r *InProcess) SetPhase(phase int, shift jvmsim.PhaseShift) error {
+	return r.phases.Set(phase, shift, r.sim, r.profile, &r.TimeoutSeconds)
 }
 
 // EvalConfig performs one measurement attempt of cfg: reps repetitions
@@ -189,31 +159,43 @@ func (r *InProcess) Measure(cfg *flags.Config, reps int) Measurement {
 func EvalConfig(sim *jvmsim.Simulator, p *workload.Profile, cfg *flags.Config, repBase, reps int, timeoutSeconds float64) Measurement {
 	m := Measurement{Key: cfg.Key()}
 	// Score the whole repetition batch in one simulator call: the cost
-	// model runs once and only the per-rep noise factor differs.
-	var buf [16]jvmsim.Result
-	for _, res := range sim.RunReps(cfg, p, repBase, reps, buf[:0]) {
-		cost := res.WallSeconds + LaunchOverheadSeconds
-		if timeoutSeconds > 0 && !res.Failed && res.WallSeconds > timeoutSeconds {
-			res.Failed = true
-			res.Failure = TimeoutFailure
-			res.FailureMessage = fmt.Sprintf("killed after %.0fs (timeout)", timeoutSeconds)
-			cost = timeoutSeconds + LaunchOverheadSeconds
-		}
-		m.CostSeconds += cost
-		if res.Failed {
-			if !m.Failed {
-				m.Failed = true
-				m.Failure = res.Failure
-				m.FailureMessage = res.FailureMessage
-			}
-			// One failure condemns the configuration; don't waste budget.
+	// model runs once and only the per-rep noise factor differs. The
+	// buffer covers the default three reps; it stays small because every
+	// fresh trial runs on a new goroutine whose stack this frame would
+	// otherwise grow. More reps cost one allocation per measurement.
+	var buf [4]jvmsim.Result
+	results := sim.RunReps(cfg, p, repBase, reps, buf[:0])
+	for i := range results {
+		if !m.addRep(&results[i], timeoutSeconds) {
 			break
 		}
-		m.Walls = append(m.Walls, res.WallSeconds)
-		m.Pauses = append(m.Pauses, res.MaxPauseSeconds)
 	}
 	finalizeMeans(&m)
 	return m
+}
+
+// addRep folds one repetition into m under the harness kill threshold
+// timeoutSeconds (0 disables it): a run slower than the threshold is a
+// TimeoutFailure charged the threshold, exactly like a real harness kill,
+// and the first failure condemns the configuration. It reports whether
+// another repetition should run.
+func (m *Measurement) addRep(res *jvmsim.Result, timeoutSeconds float64) bool {
+	cost := res.WallSeconds + LaunchOverheadSeconds
+	failed, kind, msg := res.Failed, res.Failure, res.FailureMessage
+	if timeoutSeconds > 0 && !failed && res.WallSeconds > timeoutSeconds {
+		failed, kind = true, TimeoutFailure
+		msg = fmt.Sprintf("killed after %.0fs (timeout)", timeoutSeconds)
+		cost = timeoutSeconds + LaunchOverheadSeconds
+	}
+	m.CostSeconds += cost
+	if failed {
+		// One failure condemns the configuration; don't waste budget.
+		m.Failed, m.Failure, m.FailureMessage = true, kind, msg
+		return false
+	}
+	m.Walls = append(m.Walls, res.WallSeconds)
+	m.Pauses = append(m.Pauses, res.MaxPauseSeconds)
+	return true
 }
 
 // finalizeMeans fills Mean and MeanPause from the collected walls.

@@ -35,13 +35,13 @@ type StateSnapshotter interface {
 // State is the mutable measurement state every caching runner keeps — the
 // elapsed virtual clock, the per-key noise-rep indices, and the evaluated-
 // config cache — together with its one serialization. InProcess,
-// Subprocess, Multi and the dispatch pool embed it, which makes their
-// snapshots byte-identical by construction: a checkpoint taken under a
-// remote pool resumes in-process and vice versa. Static configuration
-// (simulator, profile, timeouts, retry policy) is rebuilt from the session
-// options on resume and is deliberately absent; checkpoint.Meta guards
-// against resuming under different options. The zero value is ready to
-// use and safe for concurrent use.
+// Subprocess, Multi and the dispatch pool embed it through their Harness,
+// which makes their snapshots byte-identical by construction: a checkpoint
+// taken under a remote pool resumes in-process and vice versa. Static
+// configuration (simulator, profile, timeouts, retry policy) is rebuilt
+// from the session options on resume and is deliberately absent;
+// checkpoint.Meta guards against resuming under different options. The
+// zero value is ready to use and safe for concurrent use.
 //
 // The serialization is a stream of JSON objects ("segments"). Each
 // SnapshotState appends one segment — the clock plus every key changed

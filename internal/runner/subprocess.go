@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/flags"
 	"repro/internal/jvmsim"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -48,19 +47,15 @@ type Subprocess struct {
 	// TimeoutSeconds of virtual budget, exactly like the virtual-timeout
 	// path.
 	RealTimeout time.Duration
-	// TimeoutSeconds is the virtual harness timeout, as in InProcess.
+	// TimeoutSeconds is the virtual harness timeout, as in InProcess, and
+	// NewSubprocess defaults it the same way: 6× the default
+	// configuration's wall time under the model cmd/jvmsim runs.
 	TimeoutSeconds float64
-	// Retry bounds re-attempts of transient failures — launches that die
-	// without a report and corrupt reports. The zero value means the
-	// defaults (see RetryPolicy).
-	Retry RetryPolicy
-	// Telemetry and Trace optionally receive runner metrics and per-attempt
-	// trace events, including real-deadline kills; see telemetry.go.
-	Telemetry *telemetry.Registry
-	Trace     *telemetry.Tracer
 
-	// State holds the clock, rep indices and cache, and snapshots them.
-	State
+	// Harness holds the retry policy, telemetry, clock, rep indices and
+	// cache. Transient failures here are launches that die without a
+	// report and corrupt reports; telemetry includes real-deadline kills.
+	Harness
 
 	profile *workload.Profile
 }
@@ -68,9 +63,10 @@ type Subprocess struct {
 // NewSubprocess builds a subprocess runner for the given binary and profile.
 func NewSubprocess(binPath string, p *workload.Profile) *Subprocess {
 	return &Subprocess{
-		BinPath:     binPath,
-		RealTimeout: 30 * time.Second,
-		profile:     p,
+		BinPath:        binPath,
+		RealTimeout:    30 * time.Second,
+		TimeoutSeconds: 6 * jvmsim.New().DefaultWall(flags.NewRegistry(), p, 1),
+		profile:        p,
 	}
 }
 
@@ -79,19 +75,8 @@ func (r *Subprocess) Workload() *workload.Profile { return r.profile }
 
 // Measure implements Runner.
 func (r *Subprocess) Measure(cfg *flags.Config, reps int) Measurement {
-	if reps < 1 {
-		reps = 1
-	}
-	key := cfg.Key()
-
-	if m, ok := r.Cached(key, reps); ok {
-		NoteCacheHit(r.Telemetry, r.Trace, key)
-		return m
-	}
-
-	m := r.Retry.Run(func(n int) Measurement {
-		repBase := r.Reserve(key, reps)
-		m := Measurement{Key: key}
+	return r.Run(cfg, reps, 0, true, func(repBase, reps int) Measurement {
+		m := Measurement{Key: cfg.Key()}
 		for i := 0; i < reps; i++ {
 			rep, err := r.launch(cfg, repBase+i)
 			if err != nil {
@@ -100,31 +85,17 @@ func (r *Subprocess) Measure(cfg *flags.Config, reps int) Measurement {
 				m.FailureMessage = err.Error()
 				break
 			}
-			cost := rep.WallSeconds + LaunchOverheadSeconds
-			failed, kind, msg := rep.Failed, jvmsim.FailureKind(rep.Failure), rep.FailureMessage
-			if r.TimeoutSeconds > 0 && !failed && rep.WallSeconds > r.TimeoutSeconds {
-				failed = true
-				kind = TimeoutFailure
-				msg = fmt.Sprintf("killed after %.0fs (timeout)", r.TimeoutSeconds)
-				cost = r.TimeoutSeconds + LaunchOverheadSeconds
+			res := jvmsim.Result{
+				WallSeconds: rep.WallSeconds, MaxPauseSeconds: rep.MaxPauseSecs,
+				Failed: rep.Failed, Failure: jvmsim.FailureKind(rep.Failure), FailureMessage: rep.FailureMessage,
 			}
-			m.CostSeconds += cost
-			if failed {
-				if !m.Failed {
-					m.Failed, m.Failure, m.FailureMessage = true, kind, msg
-				}
+			if !m.addRep(&res, r.TimeoutSeconds) {
 				break
 			}
-			m.Walls = append(m.Walls, rep.WallSeconds)
-			m.Pauses = append(m.Pauses, rep.MaxPauseSecs)
 		}
 		finalizeMeans(&m)
-		NoteAttempt(r.Telemetry, r.Trace, key, n, n > 0, m)
 		return m
 	})
-	NoteMeasured(r.Telemetry, r.Trace, key, m)
-	r.Settle(key, m, true)
-	return m
 }
 
 // classifyLaunchError maps a launch error to a failure kind and the cost to

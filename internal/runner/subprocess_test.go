@@ -46,7 +46,6 @@ func TestSubprocessMeasureMatchesInProcess(t *testing.T) {
 	sub := NewSubprocess(bin, p)
 	sim := jvmsim.New()
 	inp := NewInProcess(sim, p)
-	inp.TimeoutSeconds = 0
 
 	cfg := flags.NewConfig(flags.NewRegistry())
 	cfg.SetBool("UseG1GC", true)

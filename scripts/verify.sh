@@ -22,6 +22,11 @@ fi
 
 go test -race ./...
 
+# The benchmark's build gate: prodbench is a nested module, so the root
+# ./... above never compiles it, and a change to the exported shapes of
+# runner or dispatch could pass everything else and still break it.
+(cd prodbench && go vet . && go test -race -count=1 .)
+
 # Replay the checked-in fuzz seed corpora (no fuzzing engine, just the
 # corpus as regular tests) and enforce the coverage floors on the
 # measurement pipeline.
