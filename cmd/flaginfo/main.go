@@ -62,8 +62,8 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("collector: %s\n", col)
-		for _, n := range tree.ActiveFlags(cfg) {
-			fmt.Println(n)
+		for _, id := range tree.ActiveFlags(cfg) {
+			fmt.Println(reg.FlagByID(id).Name)
 		}
 	case *space:
 		fmt.Println(experiments.RenderSpace(experiments.RunSpace()))
@@ -80,7 +80,7 @@ func printFlag(f *flags.Flag) {
 	case flags.Int:
 		fmt.Printf(" default=%d range=[%d,%d]", f.Default.I, f.Min, f.Max)
 	case flags.Enum:
-		fmt.Printf(" default=%s choices=%v", f.Default.S, f.Choices)
+		fmt.Printf(" default=%s choices=%v", f.ValueString(f.Default), f.Choices)
 	}
 	if f.Inert {
 		fmt.Printf(" inert")

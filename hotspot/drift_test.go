@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/flags"
 	"repro/internal/jvmsim"
 	"repro/internal/transfer"
 	"repro/internal/workload"
@@ -238,13 +237,12 @@ func TestDriftTransferRecordsEpochWinners(t *testing.T) {
 	}
 
 	// The epoch-prior hook resolves the same lookup for a later session.
-	reg := flags.NewRegistry()
-	ts := transferSetup(Options{TransferDir: dir}, base, reg)
+	ts := transferSetup(Options{TransferDir: dir}, base)
 	if ts.store == nil {
 		t.Fatal("store reopen failed")
 	}
 	defer ts.store.Close()
-	hook := ts.epochPriors(reg, base, jvmsim.DefaultSchedule([]int{40}), 3)
+	hook := ts.epochPriors(base, jvmsim.DefaultSchedule([]int{40}), 3)
 	if hook == nil {
 		t.Fatal("epochPriors hook nil with an open store")
 	}

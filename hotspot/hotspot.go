@@ -441,14 +441,9 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	// Warm-start plumbing. The session and the priors must share one
-	// registry instance: searchers diff and crossbreed configurations, and
-	// flags.Config operations panic across registries.
 	var xfer *transferSession
-	var reg *flags.Registry
 	if opts.TransferDir != "" {
-		reg = flags.NewRegistry()
-		xfer = transferSetup(opts, prof, reg)
+		xfer = transferSetup(opts, prof)
 		// Every return and a crash-point panic release the store handle;
 		// a leaked handle would keep the store's stale state open for the
 		// next session on the directory.
@@ -530,7 +525,6 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 	session := &core.Session{
 		Runner:        run,
 		Searcher:      searcher,
-		Reg:           reg,
 		BudgetSeconds: budget,
 		Reps:          opts.Reps,
 		Seed:          opts.Seed,
@@ -557,7 +551,7 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 			ns, _ := core.NewSearcher(searcherName)
 			return ns
 		}
-		session.EpochPriors = xfer.epochPriors(reg, prof, phases, opts.TransferK)
+		session.EpochPriors = xfer.epochPriors(prof, phases, opts.TransferK)
 	} else if opts.DriftSensitivity != 0 {
 		return nil, fmt.Errorf("hotspot: DriftSensitivity requires Drift")
 	}

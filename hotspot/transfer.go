@@ -53,8 +53,7 @@ type transferSession struct {
 
 // transferSetup opens the knowledge store under opts.TransferDir, queries
 // it for the profile's nearest fingerprints, and repairs the stored
-// configurations against reg (the registry instance the session will tune
-// over — priors must share it so searchers can diff and crossbreed them).
+// configurations against the standard registry the session tunes over.
 //
 // Degradation is the rule: an unusable store — unreadable directory, a
 // future-version file this build must not touch — yields a cold start with
@@ -62,7 +61,7 @@ type transferSession struct {
 // *recording* is the future version: appending through an older build
 // would mean rewriting (and on compaction, destroying) a newer build's
 // knowledge.
-func transferSetup(opts Options, prof *workload.Profile, reg *flags.Registry) *transferSession {
+func transferSetup(opts Options, prof *workload.Profile) *transferSession {
 	ts := &transferSession{
 		fp:   transfer.FingerprintOf(prof),
 		info: &TransferInfo{},
@@ -87,7 +86,7 @@ func transferSetup(opts Options, prof *workload.Profile, reg *flags.Registry) *t
 		ts.info.NearestDistance = neighbors[0].Distance
 		opts.Telemetry.Gauge("transfer_nearest_distance").Set(neighbors[0].Distance)
 	}
-	ts.priors = transfer.Priors(st, reg, ts.fp, k)
+	ts.priors = transfer.Priors(st, flags.NewRegistry(), ts.fp, k)
 	ts.info.Priors = len(ts.priors)
 	for _, p := range ts.priors {
 		ts.info.RepairedFlags += p.Dropped
@@ -217,9 +216,8 @@ func (ts *transferSession) finish(res *Result, opts Options, prof *workload.Prof
 // and workload phase, and the hook fingerprints the shifted profile and
 // queries the store for configurations tuned near that regime. Nil when
 // transfer is off — the engine then warm-starts from the demoted incumbent
-// alone. Priors share the session's registry (reg) so searchers can diff
-// and crossbreed them.
-func (ts *transferSession) epochPriors(reg *flags.Registry, prof *workload.Profile, phases *jvmsim.PhaseSchedule, k int) func(epoch, phase int) []core.PriorSample {
+// alone.
+func (ts *transferSession) epochPriors(prof *workload.Profile, phases *jvmsim.PhaseSchedule, k int) func(epoch, phase int) []core.PriorSample {
 	if ts == nil || ts.store == nil {
 		return nil
 	}
@@ -231,7 +229,7 @@ func (ts *transferSession) epochPriors(reg *flags.Registry, prof *workload.Profi
 		if err != nil {
 			return nil
 		}
-		priors := transfer.Priors(ts.store, reg, transfer.FingerprintOf(shifted), k)
+		priors := transfer.Priors(ts.store, flags.NewRegistry(), transfer.FingerprintOf(shifted), k)
 		out := make([]core.PriorSample, len(priors))
 		for i, p := range priors {
 			out[i] = core.PriorSample{Cfg: p.Config, Norm: p.Norm}

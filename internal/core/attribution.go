@@ -51,7 +51,7 @@ func Attribute(r runner.Runner, best *flags.Config, reps int) []FlagAttribution 
 		m := r.Measure(reverted, reps)
 		fa := FlagAttribution{
 			Name:     name,
-			Value:    v.String(f.Type),
+			Value:    f.ValueString(v),
 			Reverted: !m.Failed,
 		}
 		if !m.Failed && baseScore > 0 {

@@ -53,17 +53,17 @@ type pendingRef struct {
 }
 
 type branchCombo struct {
-	label string
-	apply func(c *flags.Config)
-	base  *flags.Config
-	wall  float64
-	seen  bool
+	label  string
+	apply  func(c *flags.Config)
+	base   *flags.Config
+	active []flags.ID // tunable flags active under this combination
+	wall   float64
+	seen   bool
 }
 
 type beam struct {
-	combo  *branchCombo
-	active []string // tunable flags active under this branch
-	pop    []individual
+	combo *branchCombo
+	pop   []individual
 }
 
 // NewHierarchical returns the paper's searcher with default parameters.
@@ -118,6 +118,7 @@ func (h *Hierarchical) initCombos(ctx *Context) {
 		base := flags.NewConfig(ctx.Reg)
 		combos[i].apply(base)
 		combos[i].base = base
+		combos[i].active = ctx.Tree.ActiveFlags(base)
 	}
 	h.combos = combos
 }
@@ -203,9 +204,8 @@ func (h *Hierarchical) finishSurvey(ctx *Context) {
 	}
 	for _, c := range ranked[:n] {
 		h.beams = append(h.beams, &beam{
-			combo:  c,
-			active: ctx.Tree.ActiveFlags(c.base),
-			pop:    []individual{{cfg: c.base, wall: c.wall}},
+			combo: c,
+			pop:   []individual{{cfg: c.base, wall: c.wall}},
 		})
 	}
 	// Degenerate case: every combo failed (should not happen — defaults
@@ -213,9 +213,9 @@ func (h *Hierarchical) finishSurvey(ctx *Context) {
 	if len(h.beams) == 0 {
 		def := flags.NewConfig(ctx.Reg)
 		h.beams = append(h.beams, &beam{
-			combo:  &branchCombo{label: "default", apply: func(*flags.Config) {}, base: def},
-			active: ctx.Tree.ActiveFlags(def),
-			pop:    []individual{{cfg: def, wall: ctx.DefaultWall}},
+			combo: &branchCombo{label: "default", apply: func(*flags.Config) {}, base: def,
+				active: ctx.Tree.ActiveFlags(def)},
+			pop: []individual{{cfg: def, wall: ctx.DefaultWall}},
 		})
 	}
 }
@@ -243,12 +243,13 @@ func (h *Hierarchical) pickBeam(ctx *Context) *beam {
 // Proposals are validated against the hierarchy's dependency rules before
 // they are ever launched; invalid mutants are repaired by re-rolling.
 func (h *Hierarchical) refineProposal(ctx *Context, b *beam) *flags.Config {
+	active := b.combo.active
 	for attempt := 0; attempt < 8; attempt++ {
 		var child *flags.Config
 		if len(b.pop) >= 4 && ctx.Rng.Float64() < 0.4 {
 			p1 := b.pop[ctx.Rng.Intn(len(b.pop))]
 			p2 := b.pop[ctx.Rng.Intn(len(b.pop))]
-			child = flags.Crossover(p1.cfg, p2.cfg, b.active, ctx.Rng)
+			child = flags.Crossover(p1.cfg, p2.cfg, active, ctx.Rng)
 			// Crossover only copies active flags; reapply the branch
 			// selection so the child stays inside the beam.
 			b.combo.apply(child)
@@ -258,7 +259,7 @@ func (h *Hierarchical) refineProposal(ctx *Context, b *beam) *flags.Config {
 		}
 		n := 1 + ctx.Rng.Intn(3)
 		for i := 0; i < n; i++ {
-			flags.MutateFlag(child, b.active[ctx.Rng.Intn(len(b.active))], ctx.Rng)
+			flags.MutateFlag(child, active[ctx.Rng.Intn(len(active))], ctx.Rng)
 		}
 		if hierarchy.Validate(child) == nil {
 			return child
@@ -285,9 +286,8 @@ func (h *Hierarchical) exploreProposal(ctx *Context) *flags.Config {
 	}
 	c := others[ctx.Rng.Intn(len(others))]
 	cfg := c.base.Clone()
-	active := ctx.Tree.ActiveFlags(cfg)
 	for i := 0; i < 2; i++ {
-		flags.MutateFlag(cfg, active[ctx.Rng.Intn(len(active))], ctx.Rng)
+		flags.MutateFlag(cfg, c.active[ctx.Rng.Intn(len(c.active))], ctx.Rng)
 	}
 	if hierarchy.Validate(cfg) != nil {
 		return nil

@@ -242,7 +242,7 @@ func (p QuarantinePolicy) String() string {
 // sigPair is one (flag, value) assignment that selects a subtree.
 type sigPair struct {
 	flag *flags.Flag
-	name string
+	id   flags.ID
 	want flags.Value
 }
 
@@ -258,8 +258,7 @@ type subtreeSig struct {
 
 func (s subtreeSig) matches(cfg *flags.Config) bool {
 	for _, p := range s.pairs {
-		v, ok := cfg.Get(p.name)
-		if !ok || !v.Equal(p.flag.Type, p.want) {
+		if !cfg.GetID(p.id).Equal(p.flag.Type, p.want) {
 			return false
 		}
 	}
@@ -331,9 +330,8 @@ func newQuarantine(pol *QuarantinePolicy, tree *hierarchy.Tree, tel *telemetry.R
 			br.Apply(c)
 			sig := subtreeSig{label: ch.Name + "/" + br.Name}
 			for _, name := range c.Diff(def) {
-				f := reg.Lookup(name)
-				v, _ := c.Get(name)
-				sig.pairs = append(sig.pairs, sigPair{flag: f, name: name, want: v})
+				id := reg.ID(name)
+				sig.pairs = append(sig.pairs, sigPair{flag: reg.FlagByID(id), id: id, want: c.GetID(id)})
 			}
 			if len(sig.pairs) == 0 {
 				continue // default branch: matches everything, never tracked

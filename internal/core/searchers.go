@@ -23,7 +23,7 @@ func (Random) Name() string { return "random" }
 // Propose implements Searcher.
 func (Random) Propose(ctx *Context) *flags.Config {
 	cfg := flags.NewConfig(ctx.Reg)
-	flags.RandomizeFlags(cfg, ctx.Reg.TunableNames(), ctx.Rng)
+	flags.RandomizeFlags(cfg, ctx.Reg.TunableIDs(), ctx.Rng)
 	return cfg
 }
 
@@ -54,6 +54,7 @@ type HillClimb struct {
 	// known configuration with a kick; 0 means 30.
 	RestartAfter int
 
+	flagIDs     []flags.ID // Flags, resolved on first use
 	current     *flags.Config
 	currentWall float64
 	stagnant    int
@@ -68,11 +69,20 @@ func (h *HillClimb) Name() string {
 	return "hillclimb"
 }
 
-func (h *HillClimb) pool(ctx *Context) []string {
-	if len(h.Flags) > 0 {
-		return h.Flags
+func (h *HillClimb) pool(ctx *Context) []flags.ID {
+	if len(h.Flags) == 0 {
+		return ctx.Reg.TunableIDs()
 	}
-	return ctx.Reg.TunableNames()
+	if h.flagIDs == nil {
+		for _, n := range h.Flags {
+			id := ctx.Reg.ID(n)
+			if id == flags.NoID {
+				panic("core: HillClimb flag " + n + " is not in the registry")
+			}
+			h.flagIDs = append(h.flagIDs, id)
+		}
+	}
+	return h.flagIDs
 }
 
 // Propose implements Searcher.
@@ -166,7 +176,7 @@ func (a *Anneal) Propose(ctx *Context) *flags.Config {
 		a.currentWall = ctx.DefaultWall
 	}
 	next := a.current.Clone()
-	pool := ctx.Reg.TunableNames()
+	pool := ctx.Reg.TunableIDs()
 	n := 1 + ctx.Rng.Intn(3)
 	for i := 0; i < n; i++ {
 		flags.MutateFlag(next, pool[ctx.Rng.Intn(len(pool))], ctx.Rng)
@@ -238,7 +248,7 @@ func (g *GeneticFlat) popSize() int {
 
 // Propose implements Searcher.
 func (g *GeneticFlat) Propose(ctx *Context) *flags.Config {
-	pool := ctx.Reg.TunableNames()
+	pool := ctx.Reg.TunableIDs()
 	// Seed the population with the default and light mutants of it.
 	if len(g.pop) < g.popSize() {
 		cfg := flags.NewConfig(ctx.Reg)

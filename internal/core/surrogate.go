@@ -25,10 +25,10 @@ type Surrogate struct {
 	// Bins is the number of domain regions learned per Int flag (default 4).
 	Bins int
 
-	models  map[string]*flagModel
-	names   []string
-	groupOf map[string]string // flag name → hierarchy subtree, for exploration weighting
-	warm    []PriorSample     // transfer priors folded into the model at init
+	models  []*flagModel  // indexed by flag ID; nil for untunable flags
+	ids     []flags.ID    // the tunable flags, in ID order
+	groupOf []string      // flag ID → hierarchy subtree, for exploration weighting
+	warm    []PriorSample // transfer priors folded into the model at init
 	pending map[*flags.Config]bool
 	seeded  int
 }
@@ -62,10 +62,10 @@ func (s *Surrogate) bins() int {
 }
 
 func (s *Surrogate) init(ctx *Context) {
-	s.models = map[string]*flagModel{}
-	s.names = ctx.Reg.TunableNames()
-	for _, n := range s.names {
-		f := ctx.Reg.Lookup(n)
+	s.models = make([]*flagModel, ctx.Reg.Len())
+	s.ids = ctx.Reg.TunableIDs()
+	for _, id := range s.ids {
+		f := ctx.Reg.FlagByID(id)
 		slots := s.bins()
 		switch f.Type {
 		case flags.Bool:
@@ -73,7 +73,7 @@ func (s *Surrogate) init(ctx *Context) {
 		case flags.Enum:
 			slots = len(f.Choices)
 		}
-		s.models[n] = &flagModel{
+		s.models[id] = &flagModel{
 			flag:  f,
 			sum:   make([]float64, slots),
 			count: make([]float64, slots),
@@ -83,13 +83,13 @@ func (s *Surrogate) init(ctx *Context) {
 	// can be steered per-subtree instead of per-flag. The root's direct
 	// flags form their own group; flags outside the tree get the empty
 	// group and a neutral weight.
-	s.groupOf = map[string]string{}
+	s.groupOf = make([]string, ctx.Reg.Len())
 	if ctx.Tree != nil && ctx.Tree.Root != nil {
 		var walk func(n *hierarchy.Node, top string)
 		walk = func(n *hierarchy.Node, top string) {
 			for _, name := range n.Flags {
-				if _, ok := s.groupOf[name]; !ok {
-					s.groupOf[name] = top
+				if id := ctx.Reg.ID(name); id != flags.NoID && s.groupOf[id] == "" {
+					s.groupOf[id] = top
 				}
 			}
 			for _, ch := range n.Children {
@@ -107,18 +107,8 @@ func (s *Surrogate) init(ctx *Context) {
 	// credits. The model starts with an opinion where earlier sessions had
 	// one and stays optimistic-uncertain everywhere else.
 	for _, ps := range s.warm {
-		if ps.Cfg == nil {
-			continue
-		}
-		for _, n := range ps.Cfg.ExplicitNames() {
-			fm, ok := s.models[n]
-			if !ok {
-				continue
-			}
-			v, _ := ps.Cfg.Get(n)
-			slot := fm.slotOf(v)
-			fm.sum[slot] += ps.Norm
-			fm.count[slot]++
+		if ps.Cfg != nil {
+			s.credit(ps.Cfg, ps.Norm)
 		}
 	}
 }
@@ -139,10 +129,8 @@ func (m *flagModel) slotOf(v flags.Value) int {
 		}
 		return 0
 	case flags.Enum:
-		for i, c := range m.flag.Choices {
-			if c == v.S {
-				return i
-			}
+		if v.I >= 0 && v.I < int64(len(m.sum)) {
+			return int(v.I)
 		}
 		return 0
 	default:
@@ -182,7 +170,7 @@ func (s *Surrogate) sampleInSlot(ctx *Context, m *flagModel, slot int) flags.Val
 	case flags.Bool:
 		return flags.BoolValue(slot == 1)
 	case flags.Enum:
-		return flags.EnumValue(m.flag.Choices[slot])
+		return flags.EnumValue(slot)
 	default:
 		span := m.flag.Max - m.flag.Min
 		n := int64(len(m.sum))
@@ -207,8 +195,7 @@ func (s *Surrogate) Propose(ctx *Context) *flags.Config {
 		cfg := flags.NewConfig(ctx.Reg)
 		// Light randomization: a handful of flags, so seeds mostly run.
 		for i := 0; i < 8; i++ {
-			n := s.names[ctx.Rng.Intn(len(s.names))]
-			flags.MutateFlag(cfg, n, ctx.Rng)
+			flags.MutateFlag(cfg, s.ids[ctx.Rng.Intn(len(s.ids))], ctx.Rng)
 		}
 		s.note(cfg)
 		return cfg
@@ -220,8 +207,8 @@ func (s *Surrogate) Propose(ctx *Context) *flags.Config {
 		cfg := flags.NewConfig(ctx.Reg)
 		// Only set flags the model has an opinion about (or explores);
 		// untouched flags stay at their defaults, keeping proposals sane.
-		for _, n := range s.names {
-			m := s.models[n]
+		for _, id := range s.ids {
+			m := s.models[id]
 			observed := 0.0
 			for _, c := range m.count {
 				observed += c
@@ -235,7 +222,7 @@ func (s *Surrogate) Propose(ctx *Context) *flags.Config {
 			// band keeps its width, so regularization pressure is uniform.
 			w := 1.0
 			if weights != nil {
-				if gw, ok := weights[s.groupOf[n]]; ok {
+				if gw, ok := weights[s.groupOf[id]]; ok {
 					w = gw
 				}
 			}
@@ -245,13 +232,13 @@ func (s *Surrogate) Propose(ctx *Context) *flags.Config {
 			case r < explore:
 				// Explore: random slot.
 				slot := ctx.Rng.Intn(len(m.sum))
-				cfg.Set(n, s.sampleInSlot(ctx, m, slot)) //nolint:errcheck
+				cfg.SetID(id, s.sampleInSlot(ctx, m, slot)) //nolint:errcheck
 			case r < explore+eps*0.5:
 				// Leave at default (regularization toward sanity).
 			default:
 				best := m.bestSlot()
 				if best >= 0 {
-					_ = cfg.Set(n, s.sampleInSlot(ctx, m, best))
+					_ = cfg.SetID(id, s.sampleInSlot(ctx, m, best))
 				}
 			}
 		}
@@ -264,7 +251,7 @@ func (s *Surrogate) Propose(ctx *Context) *flags.Config {
 	}
 	// Could not assemble a valid proposal; fall back to a best-config mutant.
 	cfg := ctx.Best.Clone()
-	flags.MutateFlag(cfg, s.names[ctx.Rng.Intn(len(s.names))], ctx.Rng)
+	flags.MutateFlag(cfg, s.ids[ctx.Rng.Intn(len(s.ids))], ctx.Rng)
 	s.note(cfg)
 	return cfg
 }
@@ -279,8 +266,8 @@ func (s *Surrogate) Propose(ctx *Context) *flags.Config {
 func (s *Surrogate) groupWeights() map[string]float64 {
 	spread := map[string]float64{}
 	maxSpread := 0.0
-	for _, n := range s.names {
-		m := s.models[n]
+	for _, id := range s.ids {
+		m := s.models[id]
 		lo, hi, seen := math.Inf(1), math.Inf(-1), 0
 		for i := range m.sum {
 			if m.count[i] == 0 {
@@ -298,7 +285,7 @@ func (s *Surrogate) groupWeights() map[string]float64 {
 		if seen < 2 {
 			continue
 		}
-		g := s.groupOf[n]
+		g := s.groupOf[id]
 		if d := hi - lo; d > spread[g] {
 			spread[g] = d
 			if d > maxSpread {
@@ -335,15 +322,17 @@ func (s *Surrogate) Observe(ctx *Context, cfg *flags.Config, m runner.Measuremen
 		// Failures teach too: charge a large penalty to the slots used.
 		sc = ctx.DefaultWall * 3
 	}
-	norm := sc / ctx.DefaultWall
-	for _, n := range cfg.ExplicitNames() {
-		fm, ok := s.models[n]
-		if !ok {
-			continue
+	s.credit(cfg, sc/ctx.DefaultWall)
+}
+
+// credit adds norm to the slot of every explicit flag of cfg the model
+// covers.
+func (s *Surrogate) credit(cfg *flags.Config, norm float64) {
+	for _, id := range cfg.ExplicitIDs() {
+		if fm := s.models[id]; fm != nil {
+			slot := fm.slotOf(cfg.GetID(id))
+			fm.sum[slot] += norm
+			fm.count[slot]++
 		}
-		v, _ := cfg.Get(n)
-		slot := fm.slotOf(v)
-		fm.sum[slot] += norm
-		fm.count[slot]++
 	}
 }

@@ -58,7 +58,7 @@ func TestSurrogateModelLearnsDirections(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	m := sur.models["TieredCompilation"]
+	m := sur.models[flags.NewRegistry().ID("TieredCompilation")]
 	if m == nil {
 		t.Fatal("no model for TieredCompilation")
 	}
@@ -84,7 +84,7 @@ func TestFlagModelSlots(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	m := sur.models["MaxHeapSize"]
+	m := sur.models[flags.NewRegistry().ID("MaxHeapSize")]
 	// Slot mapping covers the domain ends.
 	lo := m.slotOf(flags.IntValue(m.flag.Min))
 	hi := m.slotOf(flags.IntValue(m.flag.Max))

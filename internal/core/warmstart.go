@@ -25,9 +25,9 @@ type PriorPreloader interface {
 
 // NewWarmStart wraps inner so that the given prior configurations are the
 // session's first proposals, in order, before inner proposes anything. The
-// priors must be built over the same *flags.Registry instance the session
-// tunes (searchers diff and crossbreed observed configs, and those
-// operations reject cross-registry configs).
+// priors must be built over the registry the session tunes, which in
+// production is the one standard catalog (searchers diff and crossbreed
+// observed configs, and those operations reject cross-registry configs).
 //
 // Every observation is forwarded to inner — all searchers in this package
 // ignore observations of configs they did not propose, but they still see

@@ -118,7 +118,7 @@ func TestWarmStartPreloadsSurrogateModel(t *testing.T) {
 	if got := w.Propose(ctx); got == nil {
 		t.Fatal("inner searcher did not propose after priors drained")
 	}
-	m := sur.models["MaxGCPauseMillis"]
+	m := sur.models[reg.ID("MaxGCPauseMillis")]
 	if m == nil {
 		t.Fatal("no model for MaxGCPauseMillis")
 	}
@@ -127,7 +127,7 @@ func TestWarmStartPreloadsSurrogateModel(t *testing.T) {
 	if m.count[slot] != 1 || m.sum[slot] != 0.75 {
 		t.Fatalf("prior not folded into model: count=%v sum=%v", m.count[slot], m.sum[slot])
 	}
-	g1 := sur.models["UseG1GC"]
+	g1 := sur.models[reg.ID("UseG1GC")]
 	if g1.count[1] != 1 {
 		t.Fatal("prior's collector choice not folded into model")
 	}

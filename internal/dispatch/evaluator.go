@@ -56,8 +56,8 @@ func Eval(prof *workload.Profile, reg *flags.Registry, req *TrialRequest) (*Tria
 	}
 	// Parse into pooled scratch: the config lives only for this call (the
 	// simulator reads it and retains nothing), so recycling it keeps the
-	// registry-wide value arrays — the dominant per-trial allocation —
-	// off the evaluation hot path.
+	// config's value arrays — the dominant per-trial allocation — off the
+	// evaluation hot path.
 	cfg := reg.AcquireConfig()
 	defer reg.ReleaseConfig(cfg)
 	if err := req.ParseConfigInto(cfg); err != nil {

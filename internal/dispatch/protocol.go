@@ -258,8 +258,7 @@ func (q *TrialRequest) ParseConfig(reg *flags.Registry) (*flags.Config, error) {
 // ParseConfigInto is ParseConfig into caller-owned scratch: it resolves
 // Args into cfg (resetting it first) and verifies the declared key. The
 // evaluation hot path pairs it with Registry.AcquireConfig so a node
-// serving thousands of trials never allocates a registry-wide Config per
-// request.
+// serving thousands of trials never allocates a Config per request.
 func (q *TrialRequest) ParseConfigInto(cfg *flags.Config) error {
 	if err := flags.ParseArgsInto(cfg, q.Args); err != nil {
 		return reject(CodeBadFlag, "dispatch: parse args: %v", err)

@@ -24,14 +24,6 @@ func benchConfig(b *testing.B) (*Registry, *Config) {
 	return reg, c
 }
 
-func BenchmarkNewRegistry(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if NewRegistry().Len() < 600 {
-			b.Fatal("registry too small")
-		}
-	}
-}
-
 func BenchmarkConfigClone(b *testing.B) {
 	_, c := benchConfig(b)
 	b.ResetTimer()
@@ -100,10 +92,10 @@ func BenchmarkParseArgs(b *testing.B) {
 func BenchmarkMutateFlag(b *testing.B) {
 	reg, c := benchConfig(b)
 	rng := rand.New(rand.NewSource(1))
-	names := reg.TunableNames()
+	ids := reg.TunableIDs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MutateFlag(c, names[i%len(names)], rng)
+		MutateFlag(c, ids[i%len(ids)], rng)
 	}
 }
 

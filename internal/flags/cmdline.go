@@ -2,6 +2,7 @@ package flags
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,8 +45,8 @@ func (c *Config) renderArgs(includeDefaults bool) []string {
 	defer renderScratch.Put(sc)
 	buf, ends := sc.buf[:0], sc.ends[:0]
 	needExperimental, needDiagnostic := false, false
-	for _, id := range c.ids {
-		f, v := c.reg.byID[id], c.vals[id]
+	for i, id := range c.ids {
+		f, v := c.reg.byID[id], c.vals[i]
 		if !includeDefaults && v.Equal(f.Type, f.Default) {
 			continue
 		}
@@ -101,7 +102,7 @@ func appendArg(dst []byte, f *Flag, v Value) []byte {
 	if f.Type == Int {
 		return appendInt(dst, f, v.I)
 	}
-	return append(dst, v.S...)
+	return f.appendValue(dst, v)
 }
 
 // appendInt appends v as f's value. Byte-valued flags use the shortest
@@ -212,7 +213,12 @@ func (c *Config) applyXX(body, orig string) error {
 		}
 		return c.SetID(id, IntValue(v))
 	case Enum:
-		return c.SetID(id, EnumValue(raw))
+		v, err := c.reg.byID[id].ChoiceValue(raw)
+		if err != nil {
+			return err
+		}
+		c.putID(id, v)
+		return nil
 	case Bool:
 		switch raw {
 		case "true":
@@ -240,7 +246,8 @@ func (c *Config) applySize(name, raw, orig string, divisor int64) error {
 }
 
 // parseSize parses an integer with an optional k/m/g suffix (case
-// insensitive).
+// insensitive). A product that overflows int64 is an error, never a
+// wrapped-around size.
 func parseSize(s string) (int64, error) {
 	if s == "" {
 		return 0, fmt.Errorf("empty value")
@@ -257,6 +264,9 @@ func parseSize(s string) (int64, error) {
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
 		return 0, err
+	}
+	if n > math.MaxInt64/mult || n < math.MinInt64/mult {
+		return 0, fmt.Errorf("size %s×%d overflows int64", s, mult)
 	}
 	return n * mult, nil
 }

@@ -1,9 +1,13 @@
 package flags
 
 import (
+	"math/big"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func TestCommandLineRendering(t *testing.T) {
@@ -213,6 +217,65 @@ func TestParseSize(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("parseSize(%q) should fail", c.in)
+		}
+	}
+}
+
+// TestParseArgsRejectsOverflowingSizes: a suffixed size whose product
+// overflows int64 once wrapped around into a small valid size, so
+// -Xmx17179869185g measured as -Xmx1g. Outside input (evald requests,
+// tuned submissions, -jvmsim command lines, stored priors) reaches this
+// parser, so the overflow must be an error that names the argument.
+func TestParseArgsRejectsOverflowingSizes(t *testing.T) {
+	r := NewRegistry()
+	for _, arg := range []string{
+		"-Xmx17179869185g",
+		"-XX:MaxHeapSize=17179869185g",
+		"-XX:NewSize=18014398509481985k",
+		"-Xmn9223372036854775807m",
+		"-Xss-9007199254740993k",
+	} {
+		_, err := ParseArgs(r, []string{arg})
+		if err == nil {
+			t.Errorf("ParseArgs(%s) accepted an overflowing size", arg)
+			continue
+		}
+		if !strings.Contains(err.Error(), strconv.Quote(arg)) {
+			t.Errorf("ParseArgs(%s) error %q does not name the argument", arg, err)
+		}
+	}
+}
+
+// TestParseSizeSuffixProperty: every accepted suffixed size is exactly
+// n×factor, and every rejected one is a product outside int64.
+func TestParseSizeSuffixProperty(t *testing.T) {
+	factors := map[string]int64{"": 1, "k": 1 << 10, "K": 1 << 10, "m": 1 << 20, "M": 1 << 20, "g": 1 << 30, "G": 1 << 30}
+	check := func(n int64, shift uint8, pick uint8) bool {
+		n >>= shift % 64 // reach small and huge magnitudes alike
+		suffixes := []string{"", "k", "K", "m", "M", "g", "G"}
+		suffix := suffixes[int(pick)%len(suffixes)]
+		factor := factors[suffix]
+		got, err := parseSize(strconv.FormatInt(n, 10) + suffix)
+		exact := new(big.Int).Mul(big.NewInt(n), big.NewInt(factor))
+		if !exact.IsInt64() {
+			return err != nil
+		}
+		return err == nil && got == exact.Int64()
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	// The boundaries themselves.
+	for _, c := range []struct {
+		in string
+		ok bool
+	}{
+		{"8589934591g", true}, {"8589934592g", false},
+		{"-8589934592g", true}, {"-8589934593g", false},
+		{"9007199254740991k", true}, {"9007199254740992k", false},
+	} {
+		if _, err := parseSize(c.in); (err == nil) != c.ok {
+			t.Errorf("parseSize(%s): err %v, want ok=%v", c.in, err, c.ok)
 		}
 	}
 }

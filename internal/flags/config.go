@@ -2,8 +2,8 @@ package flags
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"math/bits"
+	"slices"
 )
 
 // UnknownFlagError is the typed validation error for a reference to a flag
@@ -26,30 +26,37 @@ func unknownFlag(name, format string, args ...any) *UnknownFlagError {
 	return &UnknownFlagError{Name: name, msg: fmt.Sprintf(format, args...)}
 }
 
-// Config is a concrete assignment of values to flags in one registry,
-// packed as a fixed-size value array indexed by flag ID: resolution,
-// canonical keys, cloning, validation, and command-line rendering are all
-// array walks in ID (= sorted-name) order, with no hashing or sorting on
-// the hot path. Flags not explicitly set take their registry defaults; Get
-// resolves that transparently. Config is not safe for concurrent mutation;
-// the tuner clones before handing configs to worker goroutines.
+// Config is a concrete assignment of values to flags in one registry.
+// Only explicit assignments are stored: their IDs in ascending (= sorted
+// name) order and their values alongside, so cloning, canonical keys,
+// validation, and command-line rendering are walks over what was set, and
+// a configuration's size grows with its explicit flags, not with the
+// registry. A per-64-ID bitmap with running counts finds any flag's value
+// in constant time. Flags not explicitly set take their registry defaults;
+// Get resolves that transparently. Config is not safe for concurrent
+// mutation; the tuner clones before handing configs to worker goroutines.
 type Config struct {
-	reg      *Registry
-	vals     []Value // indexed by ID; meaningful only where explicit
-	explicit []bool  // indexed by ID
-	ids      []ID    // sorted IDs of explicit assignments; len(ids) == n
-	n        int     // number of explicit assignments
-	memoKey  string  // Key() memo, valid when memoOK; any write clears it
-	memoOK   bool
+	reg     *Registry
+	ids     []ID        // sorted IDs of explicit assignments
+	vals    []Value     // vals[i] is the value assigned to ids[i]
+	index   []wordIndex // index[w] covers IDs [64w, 64w+64)
+	memoKey string      // Key() memo, valid when memoOK; any write clears it
+	memoOK  bool
+}
+
+// wordIndex locates the explicit IDs among 64 consecutive ones: bits marks
+// them, and rank counts the explicit IDs below the word, so an explicit
+// ID's value is vals[rank + the number of marked bits below its own]. rank
+// is kept current up to the word of the last explicit ID; words past it
+// hold no bits and are brought up to date when an ID lands in them.
+type wordIndex struct {
+	bits uint64
+	rank int32
 }
 
 // NewConfig returns an empty configuration (all defaults) over reg.
 func NewConfig(reg *Registry) *Config {
-	return &Config{
-		reg:      reg,
-		vals:     make([]Value, reg.Len()),
-		explicit: make([]bool, reg.Len()),
-	}
+	return &Config{reg: reg, index: make([]wordIndex, (reg.Len()+63)/64)}
 }
 
 // Registry returns the registry this configuration is bound to.
@@ -57,41 +64,57 @@ func (c *Config) Registry() *Registry { return c.reg }
 
 // Reset returns c to the all-defaults state (no explicit assignments),
 // keeping its storage so high-rate parsing paths can recycle one Config
-// instead of re-allocating the registry-wide value arrays per use. It
-// clears only the explicit IDs, so a recycled parse is O(explicit): putID
-// and Unset keep vals[id] zero unless explicit[id].
+// instead of re-allocating per use.
 func (c *Config) Reset() {
-	for _, id := range c.ids {
-		c.explicit[id] = false
-		c.vals[id] = Value{}
+	if n := len(c.ids); n > 0 {
+		clear(c.index[:c.ids[n-1]/64+1])
 	}
 	c.ids = c.ids[:0]
-	c.n = 0
+	c.vals = c.vals[:0]
 	c.memoOK = false
 	c.memoKey = ""
 }
 
+// locate returns the word and bit of id, and where its value sits in vals
+// if it is explicit. The position is meaningful only for explicit IDs and
+// IDs in words up to the last explicit one.
+func (c *Config) locate(id ID) (w *wordIndex, bit uint64, pos int) {
+	w, bit = &c.index[id/64], uint64(1)<<(id%64)
+	return w, bit, int(w.rank) + bits.OnesCount64(w.bits&(bit-1))
+}
+
 // putID records an explicit assignment without validating it.
 func (c *Config) putID(id ID, v Value) {
-	if !c.explicit[id] {
-		c.explicit[id] = true
-		c.n++
-		// Keep the explicit-ID list sorted so every canonical walk (keys,
-		// args, validation) is O(explicit), not O(registry width). Args
-		// arrive in ID order from every renderer, so the common case is an
-		// append; anything else is a binary search and a short memmove.
-		if k := len(c.ids); k == 0 || c.ids[k-1] < id {
-			c.ids = append(c.ids, id)
-		} else {
-			i := sort.Search(k, func(j int) bool { return c.ids[j] >= id })
-			c.ids = append(c.ids, 0)
-			copy(c.ids[i+1:], c.ids[i:])
-			c.ids[i] = id
-		}
-	}
-	c.vals[id] = v
 	c.memoOK = false
 	c.memoKey = ""
+	n := len(c.ids)
+	if n == 0 || c.ids[n-1] < id {
+		// Past the last explicit ID: every renderer and the crossover
+		// assign in ID order, so this append is the common case. Words
+		// skipped since the last explicit ID start counting at n.
+		first := ID(0)
+		if n > 0 {
+			first = c.ids[n-1]/64 + 1
+		}
+		for w := first; w <= id/64; w++ {
+			c.index[w].rank = int32(n)
+		}
+		c.index[id/64].bits |= uint64(1) << (id % 64)
+		c.ids = append(c.ids, id)
+		c.vals = append(c.vals, v)
+		return
+	}
+	w, bit, pos := c.locate(id)
+	if w.bits&bit != 0 {
+		c.vals[pos] = v
+		return
+	}
+	w.bits |= bit
+	c.ids = slices.Insert(c.ids, pos, id)
+	c.vals = slices.Insert(c.vals, pos, v)
+	for k := id/64 + 1; k <= c.ids[n]/64; k++ {
+		c.index[k].rank++
+	}
 }
 
 // put records an explicit assignment by name without validating the value.
@@ -126,36 +149,29 @@ func (c *Config) SetID(id ID, v Value) error {
 // SetBool assigns a boolean flag. It panics on unknown names or type
 // mismatches, which are programming errors in callers that hard-code names.
 func (c *Config) SetBool(name string, b bool) {
-	id, _ := c.mustID(name, Bool)
-	c.putID(id, BoolValue(b))
+	c.SetBoolAt(c.reg.MustBool(name), b)
+}
+
+// SetBoolAt assigns the boolean flag id, resolved once by MustBool.
+func (c *Config) SetBoolAt(id BoolID, b bool) {
+	c.putID(ID(id), BoolValue(b))
 }
 
 // SetInt assigns an integer flag, clamping into the flag's domain.
 func (c *Config) SetInt(name string, i int64) {
-	id, f := c.mustID(name, Int)
-	c.putID(id, f.Clamp(IntValue(i)))
+	id := c.reg.mustResolve(name, Int)
+	c.putID(id, c.reg.byID[id].Clamp(IntValue(i)))
 }
 
-// SetEnum assigns an enum flag. It panics on an unknown choice.
+// SetEnum assigns an enum flag by choice name. It panics on an unknown
+// choice.
 func (c *Config) SetEnum(name, choice string) {
-	id, f := c.mustID(name, Enum)
-	v := EnumValue(choice)
-	if err := f.Validate(v); err != nil {
+	id := c.reg.mustResolve(name, Enum)
+	v, err := c.reg.byID[id].ChoiceValue(choice)
+	if err != nil {
 		panic(err.Error())
 	}
 	c.putID(id, v)
-}
-
-func (c *Config) mustID(name string, t Type) (ID, *Flag) {
-	id := c.reg.ID(name)
-	if id == NoID {
-		panic(fmt.Sprintf("flags: unknown flag %s", name))
-	}
-	f := c.reg.byID[id]
-	if f.Type != t {
-		panic(fmt.Sprintf("flags: %s is %v, not %v", name, f.Type, t))
-	}
-	return id, f
 }
 
 // Get returns the effective value of name (explicit or default) and whether
@@ -171,8 +187,25 @@ func (c *Config) Get(name string) (Value, bool) {
 // GetID returns the effective value (explicit or default) of the flag with
 // the given ID.
 func (c *Config) GetID(id ID) Value {
-	if c.explicit[id] {
-		return c.vals[id]
+	if w, bit, pos := c.locate(id); w.bits&bit != 0 {
+		return c.vals[pos]
+	}
+	return c.reg.byID[id].Default
+}
+
+// seek returns the effective value of id like GetID, advancing the cursor
+// *i through c's explicit list. IDs asked for in ascending order, as
+// ActiveFlags and TunableIDs list them, cost one walk of the list in all;
+// an ID the cursor has already passed falls back to GetID.
+func (c *Config) seek(i *int, id ID) Value {
+	for *i < len(c.ids) && c.ids[*i] < id {
+		*i++
+	}
+	switch {
+	case *i < len(c.ids) && c.ids[*i] == id:
+		return c.vals[*i]
+	case *i > 0 && c.ids[*i-1] >= id:
+		return c.GetID(id)
 	}
 	return c.reg.byID[id].Default
 }
@@ -180,80 +213,104 @@ func (c *Config) GetID(id ID) Value {
 // Bool returns the effective boolean value of name.
 // It panics on unknown names or type mismatches.
 func (c *Config) Bool(name string) bool {
-	id, _ := c.mustID(name, Bool)
-	return c.GetID(id).B
+	return c.BoolAt(c.reg.MustBool(name))
+}
+
+// BoolAt returns the effective value of the boolean flag id, resolved once
+// by MustBool.
+func (c *Config) BoolAt(id BoolID) bool {
+	return c.GetID(ID(id)).B
 }
 
 // Int returns the effective integer value of name.
 // It panics on unknown names or type mismatches.
 func (c *Config) Int(name string) int64 {
-	id, _ := c.mustID(name, Int)
-	return c.GetID(id).I
+	return c.IntAt(c.reg.MustInt(name))
 }
 
-// Enum returns the effective enum value of name.
+// IntAt returns the effective value of the integer flag id, resolved once
+// by MustInt.
+func (c *Config) IntAt(id IntID) int64 {
+	return c.GetID(ID(id)).I
+}
+
+// Enum returns the name of the effective choice of the enum flag name.
 // It panics on unknown names or type mismatches.
 func (c *Config) Enum(name string) string {
-	id, _ := c.mustID(name, Enum)
-	return c.GetID(id).S
+	id := c.reg.mustResolve(name, Enum)
+	return c.reg.byID[id].ValueString(c.GetID(id))
 }
 
 // IsExplicit reports whether name was explicitly assigned (as opposed to
 // inheriting its default).
 func (c *Config) IsExplicit(name string) bool {
 	id := c.reg.ID(name)
-	return id != NoID && c.explicit[id]
+	return id != NoID && c.IsExplicitID(id)
+}
+
+// IsExplicitID reports whether the flag id was explicitly assigned.
+func (c *Config) IsExplicitID(id ID) bool {
+	return c.index[id/64].bits&(uint64(1)<<(id%64)) != 0
 }
 
 // Unset removes an explicit assignment, reverting name to its default.
 func (c *Config) Unset(name string) {
-	id := c.reg.ID(name)
-	if id == NoID || !c.explicit[id] {
+	if id := c.reg.ID(name); id != NoID {
+		c.UnsetID(id)
+	}
+}
+
+// UnsetID removes the explicit assignment of the flag id, if any.
+func (c *Config) UnsetID(id ID) {
+	w, bit, pos := c.locate(id)
+	if w.bits&bit == 0 {
 		return
 	}
-	c.explicit[id] = false
-	c.vals[id] = Value{}
-	c.n--
-	i := sort.Search(len(c.ids), func(j int) bool { return c.ids[j] >= id })
-	c.ids = append(c.ids[:i], c.ids[i+1:]...)
+	last := c.ids[len(c.ids)-1] / 64
+	w.bits &^= bit
+	c.ids = slices.Delete(c.ids, pos, pos+1)
+	c.vals = slices.Delete(c.vals, pos, pos+1)
+	for k := id/64 + 1; k <= last; k++ {
+		c.index[k].rank--
+	}
 	c.memoOK = false
 	c.memoKey = ""
 }
 
 // ExplicitNames returns the sorted names of explicitly assigned flags.
 func (c *Config) ExplicitNames() []string {
-	out := make([]string, 0, c.n)
+	out := make([]string, 0, len(c.ids))
 	for _, id := range c.ids {
 		out = append(out, c.reg.names[id])
 	}
 	return out
 }
 
+// ExplicitIDs returns the IDs of explicitly assigned flags in ID (sorted
+// name) order. The slice is the config's own: callers must not modify it,
+// and it is valid only until the config's next write.
+func (c *Config) ExplicitIDs() []ID {
+	return c.ids
+}
+
 // EachExplicit calls fn for every explicitly assigned flag in ID (sorted
 // name) order, without allocating.
 func (c *Config) EachExplicit(fn func(f *Flag, v Value)) {
-	if c.n == 0 {
-		return
-	}
-	for _, id := range c.ids {
-		fn(c.reg.byID[id], c.vals[id])
+	for i, id := range c.ids {
+		fn(c.reg.byID[id], c.vals[i])
 	}
 }
 
 // Clone returns an independent copy of the configuration.
 func (c *Config) Clone() *Config {
-	cp := &Config{
-		reg:      c.reg,
-		vals:     make([]Value, len(c.vals)),
-		explicit: make([]bool, len(c.explicit)),
-		ids:      append([]ID(nil), c.ids...),
-		n:        c.n,
-		memoKey:  c.memoKey,
-		memoOK:   c.memoOK,
+	return &Config{
+		reg:     c.reg,
+		ids:     slices.Clone(c.ids),
+		vals:    slices.Clone(c.vals),
+		index:   slices.Clone(c.index),
+		memoKey: c.memoKey,
+		memoOK:  c.memoOK,
 	}
-	copy(cp.vals, c.vals)
-	copy(cp.explicit, c.explicit)
-	return cp
 }
 
 // Key returns a canonical string identifying the *effective* configuration:
@@ -268,11 +325,14 @@ func (c *Config) Key() string {
 	if c.memoOK {
 		return c.memoKey
 	}
-	if c.n == 0 {
+	if len(c.ids) == 0 {
 		c.memoOK = true
 		return ""
 	}
-	c.memoKey = string(c.AppendKey(nil))
+	// A proposal's key is a few hundred bytes: render it on the stack and
+	// allocate only the string.
+	var buf [512]byte
+	c.memoKey = string(c.AppendKey(buf[:0]))
 	c.memoOK = true
 	return c.memoKey
 }
@@ -281,13 +341,10 @@ func (c *Config) Key() string {
 // extended buffer — the allocation-free form for callers that reuse a
 // scratch buffer across configurations.
 func (c *Config) AppendKey(dst []byte) []byte {
-	if c.n == 0 {
-		return dst
-	}
 	first := true
-	for _, id := range c.ids {
+	for i, id := range c.ids {
 		f := c.reg.byID[id]
-		v := c.vals[id]
+		v := c.vals[i]
 		if v.Equal(f.Type, f.Default) {
 			continue
 		}
@@ -297,36 +354,31 @@ func (c *Config) AppendKey(dst []byte) []byte {
 		first = false
 		dst = append(dst, f.Name...)
 		dst = append(dst, '=')
-		dst = appendValue(dst, f.Type, v)
+		dst = f.appendValue(dst, v)
 	}
 	return dst
 }
 
-// appendValue appends v rendered for type t (matching Value.String) to dst.
-func appendValue(dst []byte, t Type, v Value) []byte {
-	switch t {
-	case Bool:
-		if v.B {
-			return append(dst, "true"...)
-		}
-		return append(dst, "false"...)
-	case Int:
-		return strconv.AppendInt(dst, v.I, 10)
-	case Enum:
-		return append(dst, v.S...)
-	}
-	return append(dst, '?')
-}
-
 // Diff returns, in sorted flag order, the names whose effective values
-// differ between c and o. Both configs must share a registry.
+// differ between c and o. Both configs must share a registry. Only flags
+// explicit in either can differ, so it merges the two explicit lists.
 func (c *Config) Diff(o *Config) []string {
 	if c.reg != o.reg {
 		panic("flags: Diff across registries")
 	}
 	var out []string
-	for id, f := range c.reg.byID {
-		if !c.GetID(ID(id)).Equal(f.Type, o.GetID(ID(id))) {
+	a, b := c.ids, o.ids
+	for len(a) > 0 || len(b) > 0 {
+		var id ID
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			id, a = a[0], a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			id, b = b[0], b[1:]
+		default:
+			id, a, b = a[0], a[1:], b[1:]
+		}
+		if f := c.reg.byID[id]; !c.GetID(id).Equal(f.Type, o.GetID(id)) {
 			out = append(out, f.Name)
 		}
 	}
@@ -337,11 +389,8 @@ func (c *Config) Diff(o *Config) []string {
 // Structural validity only; semantic conflicts (e.g. two collectors
 // selected) are the hierarchy's and the VM's business.
 func (c *Config) Validate() error {
-	if c.n == 0 {
-		return nil
-	}
-	for _, id := range c.ids {
-		if err := c.reg.byID[id].Validate(c.vals[id]); err != nil {
+	for i, id := range c.ids {
+		if err := c.reg.byID[id].Validate(c.vals[i]); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package flags
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ func testRegistry(t *testing.T) *Registry {
 		{Name: "B1", Type: Bool, Kind: Product, Default: BoolValue(false)},
 		{Name: "B2", Type: Bool, Kind: Product, Default: BoolValue(true)},
 		{Name: "I1", Type: Int, Kind: Product, Min: 0, Max: 100, Default: IntValue(10)},
-		{Name: "E1", Type: Enum, Kind: Product, Choices: []string{"x", "y", "z"}, Default: EnumValue("x")},
+		{Name: "E1", Type: Enum, Kind: Product, Choices: []string{"x", "y", "z"}, Default: EnumValue(0)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,5 +200,133 @@ func TestDefaultConfigMatchesRegistry(t *testing.T) {
 	// differs from defaults.
 	if d.Key() != "" {
 		t.Errorf("DefaultConfig key = %q, want empty", d.Key())
+	}
+}
+
+// TestExplicitStorageMatchesModel drives configs through random
+// assignments, removals, resets and clones against a map of what was set:
+// the explicit-only storage must read every flag back as the model says
+// and keep its explicit IDs sorted, whether IDs arrive in order (as from
+// the renderers and the crossover), cluster in one bitmap word, or land
+// anywhere.
+func TestExplicitStorageMatchesModel(t *testing.T) {
+	reg := NewRegistry()
+	rng := rand.New(rand.NewSource(3))
+	c := NewConfig(reg)
+	model := map[ID]Value{}
+	next := ID(0)
+	for step := 0; step < 6000; step++ {
+		var id ID
+		switch rng.Intn(3) {
+		case 0: // ascending, as parsing a rendered config does
+			id = next % ID(reg.Len())
+			next += ID(1 + rng.Intn(3))
+		case 1: // clustered in a few bitmap words
+			id = ID(60 + rng.Intn(140))
+		default:
+			id = ID(rng.Intn(reg.Len()))
+		}
+		switch op := rng.Intn(100); {
+		case op < 60:
+			v := SampleValue(reg.byID[id], rng)
+			c.putID(id, v)
+			model[id] = v
+		case op < 95:
+			c.UnsetID(id)
+			delete(model, id)
+		case op < 98:
+			c = c.Clone()
+		default:
+			c.Reset()
+			clear(model)
+			next = 0
+		}
+		checkStorage(t, step, c, model)
+	}
+}
+
+func checkStorage(t *testing.T, step int, c *Config, model map[ID]Value) {
+	t.Helper()
+	ids := c.ExplicitIDs()
+	if len(ids) != len(model) {
+		t.Fatalf("step %d: %d explicit IDs, model has %d", step, len(ids), len(model))
+	}
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			t.Fatalf("step %d: explicit IDs not strictly ascending at %d: %v", step, i, ids)
+		}
+	}
+	for id := ID(0); int(id) < c.reg.Len(); id++ {
+		want, explicit := model[id]
+		if !explicit {
+			want = c.reg.byID[id].Default
+		}
+		if got := c.GetID(id); got != want || c.IsExplicitID(id) != explicit {
+			t.Fatalf("step %d: flag %d reads %+v (explicit %v), model %+v (explicit %v)",
+				step, id, got, c.IsExplicitID(id), want, explicit)
+		}
+	}
+}
+
+// TestDiffMatchesFullWalk: Diff merges the two explicit lists instead of
+// walking the registry; it must name exactly the flags a full walk finds,
+// explicit defaults and one-sided assignments included.
+func TestDiffMatchesFullWalk(t *testing.T) {
+	reg := NewRegistry()
+	rng := rand.New(rand.NewSource(5))
+	random := func() *Config {
+		c := NewConfig(reg)
+		for i := rng.Intn(40); i > 0; i-- {
+			id := ID(rng.Intn(reg.Len()))
+			if f := reg.byID[id]; rng.Intn(3) == 0 {
+				c.putID(id, f.Default)
+			} else {
+				c.putID(id, SampleValue(f, rng))
+			}
+		}
+		return c
+	}
+	for trial := 0; trial < 500; trial++ {
+		a, b := random(), random()
+		if trial%5 == 0 {
+			b = a.Clone()
+			MutateFlag(b, ID(rng.Intn(reg.Len())), rng)
+		}
+		var want []string
+		for id, f := range reg.byID {
+			if !a.GetID(ID(id)).Equal(f.Type, b.GetID(ID(id))) {
+				want = append(want, f.Name)
+			}
+		}
+		if got := a.Diff(b); strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("trial %d: Diff = %v, full walk %v", trial, got, want)
+		}
+	}
+}
+
+// TestSeekMatchesGetID: the crossover's cursor must read every flag as
+// GetID does, whether asked in ascending order or not, including IDs the
+// cursor stepped past exactly.
+func TestSeekMatchesGetID(t *testing.T) {
+	reg := NewRegistry()
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		c := NewConfig(reg)
+		for i := rng.Intn(400); i > 0; i-- {
+			id := ID(rng.Intn(reg.Len()))
+			c.putID(id, SampleValue(reg.byID[id], rng))
+		}
+		cur, id := 0, ID(0)
+		for k := 0; k < 400; k++ {
+			if rng.Intn(4) == 0 {
+				id = ID(rng.Intn(reg.Len()))
+			} else {
+				id = (id + ID(rng.Intn(5))) % ID(reg.Len())
+			}
+			from := cur
+			if got, want := c.seek(&cur, id), c.GetID(id); got != want {
+				t.Fatalf("trial %d: seek(%d) from cursor %d = %+v, GetID %+v", trial, id, from, got, want)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package flags
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -14,27 +15,93 @@ import (
 // representation wholesale; the checkpoint format, the traces, and the
 // runner cache all key off Config.Key(), so the two representations must
 // agree byte-for-byte on every observable. mapConfig below is a faithful
-// replica of the retired map implementation and of the retired fmt-based
-// argument renderer, and the fuzz target drives both through parsing, key
-// canonicalization, both command-line renderings, and validation on
-// arbitrary inputs.
+// replica of the retired map implementation, of the retired fmt-based
+// argument renderer, and of the retired string-valued Value, and the fuzz
+// target drives both through parsing, key canonicalization, both
+// command-line renderings, and validation on arbitrary inputs.
+
+// mapValue is the retired Value: an enum held its choice's name in S,
+// where Value now holds the choice's index in I.
+type mapValue struct {
+	B bool
+	I int64
+	S string
+}
+
+// mapValueOf converts v, a value of f, to the retired representation.
+func mapValueOf(f *Flag, v Value) mapValue {
+	if f.Type == Enum {
+		return mapValue{S: f.Choices[v.I]}
+	}
+	return mapValue{B: v.B, I: v.I}
+}
+
+func (v mapValue) equal(t Type, o mapValue) bool {
+	switch t {
+	case Bool:
+		return v.B == o.B
+	case Int:
+		return v.I == o.I
+	case Enum:
+		return v.S == o.S
+	}
+	return false
+}
+
+func (v mapValue) String(t Type) string {
+	switch t {
+	case Bool:
+		return strconv.FormatBool(v.B)
+	case Int:
+		return strconv.FormatInt(v.I, 10)
+	case Enum:
+		return v.S
+	}
+	return "?"
+}
+
+// mapValidate is the retired Flag.Validate over string-valued enums.
+func mapValidate(f *Flag, v mapValue) error {
+	switch f.Type {
+	case Bool:
+		return nil
+	case Int:
+		if v.I < f.Min || v.I > f.Max {
+			return fmt.Errorf("flags: %s=%d outside [%d, %d]", f.Name, v.I, f.Min, f.Max)
+		}
+		return nil
+	case Enum:
+		for _, c := range f.Choices {
+			if c == v.S {
+				return nil
+			}
+		}
+		return &mapChoiceError{fmt.Errorf("flags: %s=%q not in %v", f.Name, v.S, f.Choices)}
+	}
+	return fmt.Errorf("flags: %s has unknown type %v", f.Name, f.Type)
+}
+
+// mapChoiceError marks the reference's rejection of an enum choice, whose
+// text the packed parser must reproduce exactly: tuned returns it in 400
+// bodies.
+type mapChoiceError struct{ error }
 
 // mapConfig is the reference map-based configuration.
 type mapConfig struct {
 	reg    *Registry
-	values map[string]Value
+	values map[string]mapValue
 }
 
 func newMapConfig(reg *Registry) *mapConfig {
-	return &mapConfig{reg: reg, values: make(map[string]Value)}
+	return &mapConfig{reg: reg, values: make(map[string]mapValue)}
 }
 
-func (c *mapConfig) set(name string, v Value) error {
+func (c *mapConfig) set(name string, v mapValue) error {
 	f := c.reg.Lookup(name)
 	if f == nil {
 		return unknownFlag(name, "flags: unknown flag %s", name)
 	}
-	if err := f.Validate(v); err != nil {
+	if err := mapValidate(f, v); err != nil {
 		return err
 	}
 	c.values[name] = v
@@ -57,7 +124,7 @@ func (c *mapConfig) key() string {
 	for _, n := range c.explicitNames() {
 		f := c.reg.Lookup(n)
 		v := c.values[n]
-		if v.Equal(f.Type, f.Default) {
+		if v.equal(f.Type, mapValueOf(f, f.Default)) {
 			continue
 		}
 		parts = append(parts, n+"="+v.String(f.Type))
@@ -74,7 +141,7 @@ func (c *mapConfig) renderArgs(includeDefaults bool) []string {
 	for _, n := range c.explicitNames() {
 		f := c.reg.Lookup(n)
 		v := c.values[n]
-		if !includeDefaults && v.Equal(f.Type, f.Default) {
+		if !includeDefaults && v.equal(f.Type, mapValueOf(f, f.Default)) {
 			continue
 		}
 		switch f.Kind {
@@ -128,7 +195,7 @@ func (c *mapConfig) validate() error {
 		if f == nil {
 			return unknownFlag(n, "flags: config contains unknown flag %s", n)
 		}
-		if err := f.Validate(c.values[n]); err != nil {
+		if err := mapValidate(f, c.values[n]); err != nil {
 			return err
 		}
 	}
@@ -178,7 +245,7 @@ func (c *mapConfig) applyXX(body, orig string) error {
 		if f == nil || f.Type != Bool {
 			return unknownFlag(name, "bad bool flag")
 		}
-		c.values[name] = BoolValue(body[0] == '+')
+		c.values[name] = mapValue{B: body[0] == '+'}
 		return nil
 	}
 	eq := strings.IndexByte(body, '=')
@@ -196,13 +263,13 @@ func (c *mapConfig) applyXX(body, orig string) error {
 		if err != nil {
 			return err
 		}
-		return c.set(name, IntValue(v))
+		return c.set(name, mapValue{I: v})
 	case Enum:
-		return c.set(name, EnumValue(raw))
+		return c.set(name, mapValue{S: raw})
 	case Bool:
 		switch raw {
 		case "true", "false":
-			c.values[name] = BoolValue(raw == "true")
+			c.values[name] = mapValue{B: raw == "true"}
 			return nil
 		}
 		return unknownFlag(raw, "bad bool value")
@@ -215,13 +282,35 @@ func (c *mapConfig) applySize(name, raw string, divisor int64) error {
 	if err != nil {
 		return err
 	}
-	return c.set(name, IntValue(v/divisor))
+	return c.set(name, mapValue{I: v / divisor})
+}
+
+// fuzzRegistry is the standard catalog plus enum flags of every kind: the
+// standard catalog has none, and index-valued enums must render, key and
+// fail exactly as the retired string-valued ones did.
+func fuzzRegistry(t testing.TB) *Registry {
+	t.Helper()
+	defs := append(catalog(), inertCatalog()...)
+	defs = append(defs,
+		Flag{Name: "EnumGCPolicy", Type: Enum, Kind: Product,
+			Choices: []string{"throughput", "latency", "footprint"}, Default: EnumValue(0)},
+		Flag{Name: "EnumCompilerMode", Type: Enum, Kind: Experimental,
+			Choices: []string{"c1", "c2", "graal"}, Default: EnumValue(1)},
+		Flag{Name: "EnumTraceLevel", Type: Enum, Kind: Diagnostic,
+			Choices: []string{"off", "summary", "full"}, Default: EnumValue(2)},
+	)
+	reg, err := NewCustomRegistry(defs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
 }
 
 // FuzzPackedMapEquivalence feeds arbitrary java-style argument lines to the
 // packed parser and the map-based reference, then asserts the observables
 // every persisted format depends on — Key, CommandLine, ExplicitArgs, and
-// Validate — are byte-identical. Seeded with the round-trip corpus.
+// Validate — are byte-identical, and that a rejected enum choice fails
+// with the reference's exact text. Seeded with the round-trip corpus.
 func FuzzPackedMapEquivalence(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -235,20 +324,27 @@ func FuzzPackedMapEquivalence(f *testing.F) {
 		"-XX:+UseSerialGC -XX:TargetSurvivorRatio=60",
 		"-XX:GCTimeRatio=19 -XX:+UseStringDeduplication",
 		"-XX:+UseParallelGC -XX:StringDeduplicationAgeThreshold=3 -XX:+VerifyBeforeGC -Xmx3g -Xmn1536m -XX:CompileThreshold=1025",
+		enumHeavySeed,
 	} {
 		f.Add(seed)
 	}
-	reg := NewRegistry()
+	reg := fuzzRegistry(f)
 	f.Fuzz(func(t *testing.T, line string) {
 		args := strings.Fields(line)
 		packed, err := ParseArgs(reg, args)
+		ref := newMapConfig(reg)
+		rerr := ref.applyArgs(args)
 		if err != nil {
 			// The reference parser is a semantic mirror, not an error-message
-			// mirror; equivalence is asserted on accepted inputs.
+			// mirror, except for enum choices; equivalence is asserted on
+			// accepted inputs.
+			var choice *mapChoiceError
+			if errors.As(rerr, &choice) && err.Error() != choice.Error() {
+				t.Fatalf("enum choice error diverged on %q:\n  packed %q\n  map    %q", args, err, choice)
+			}
 			t.Skip()
 		}
-		ref := newMapConfig(reg)
-		if rerr := ref.applyArgs(args); rerr != nil {
+		if rerr != nil {
 			t.Fatalf("packed parser accepted %q but reference rejected it: %v", args, rerr)
 		}
 
@@ -290,7 +386,7 @@ func TestPackedMapValidateOutOfDomain(t *testing.T) {
 	ref := newMapConfig(reg)
 
 	packed.putID(reg.ID("CICompilerCount"), IntValue(1<<40))
-	ref.values["CICompilerCount"] = IntValue(1 << 40)
+	ref.values["CICompilerCount"] = mapValue{I: 1 << 40}
 
 	perr, rerr := packed.Validate(), ref.validate()
 	if perr == nil || rerr == nil {
@@ -298,5 +394,34 @@ func TestPackedMapValidateOutOfDomain(t *testing.T) {
 	}
 	if perr.Error() != rerr.Error() {
 		t.Fatalf("violation messages diverged:\n  packed %q\n  map    %q", perr, rerr)
+	}
+}
+
+// enumHeavySeed sets every test enum: one explicitly to its default, one
+// off its default, and the diagnostic one twice, so the unlock prefixes,
+// both renderings and last-write-wins all see index-valued enums.
+const enumHeavySeed = "-XX:EnumCompilerMode=c2 -XX:EnumGCPolicy=footprint -XX:+UseG1GC " +
+	"-XX:EnumTraceLevel=full -XX:EnumTraceLevel=off -XX:MaxGCPauseMillis=50"
+
+// TestPackedMapEnumChoiceErrors replays rejected enum choices: the packed
+// parser must fail with the retired representation's exact text.
+func TestPackedMapEnumChoiceErrors(t *testing.T) {
+	reg := fuzzRegistry(t)
+	for _, line := range []string{
+		"-XX:EnumGCPolicy=fast",
+		"-XX:EnumGCPolicy=",
+		"-XX:+UseG1GC -XX:EnumTraceLevel=Full",
+		"-XX:EnumCompilerMode=c1 -XX:EnumCompilerMode=\"c2\"",
+	} {
+		args := strings.Fields(line)
+		_, err := ParseArgs(reg, args)
+		rerr := newMapConfig(reg).applyArgs(args)
+		var choice *mapChoiceError
+		if err == nil || !errors.As(rerr, &choice) {
+			t.Fatalf("%q: packed error %v, reference error %v; want both to reject the choice", line, err, rerr)
+		}
+		if err.Error() != choice.Error() {
+			t.Errorf("%q: packed %q, reference %q", line, err, choice)
+		}
 	}
 }

@@ -24,7 +24,7 @@ const (
 	Bool Type = iota
 	// Int flags carry an integer value, -XX:Name=v. Sizes are in bytes.
 	Int
-	// Enum flags take one of a fixed set of strings, -XX:Name=choice.
+	// Enum flags take one of a fixed set of choices, -XX:Name=choice.
 	Enum
 )
 
@@ -125,6 +125,7 @@ type Flag struct {
 	Unit Unit
 
 	// Choices enumerates Enum values; Choices[0] need not be the default.
+	// An Enum Value holds an index into Choices.
 	Choices []string
 
 	// Inert marks flags with no modeled performance effect. Most of
@@ -138,11 +139,13 @@ type Flag struct {
 }
 
 // Value is the tagged value of a flag. Exactly one field is meaningful,
-// selected by the owning flag's Type.
+// selected by the owning flag's Type: B for Bool, I for Int, and for Enum
+// the index of the choice in the flag's Choices. Value holds no pointers,
+// so a Config's value array is allocated without pointer bits and the
+// garbage collector never scans it.
 type Value struct {
 	B bool
 	I int64
-	S string
 }
 
 // BoolValue returns a Bool-typed value.
@@ -151,36 +154,55 @@ func BoolValue(b bool) Value { return Value{B: b} }
 // IntValue returns an Int-typed value.
 func IntValue(i int64) Value { return Value{I: i} }
 
-// EnumValue returns an Enum-typed value.
-func EnumValue(s string) Value { return Value{S: s} }
+// EnumValue returns the Enum-typed value selecting the choice at index i
+// of the flag's Choices. Flag.ChoiceValue maps a choice's name to it.
+func EnumValue(i int) Value { return Value{I: int64(i)} }
 
 // Equal reports whether two values are identical under the given type.
 func (v Value) Equal(t Type, o Value) bool {
 	switch t {
 	case Bool:
 		return v.B == o.B
-	case Int:
+	case Int, Enum:
 		return v.I == o.I
-	case Enum:
-		return v.S == o.S
 	}
 	return false
 }
 
-// String renders the value for the given type; used in reports and errors.
-func (v Value) String(t Type) string {
-	switch t {
+// ValueString renders v as a value of f: "true"/"false", the decimal
+// integer, or the enum choice's name. Reports and errors use it; it is
+// the form Key renders.
+func (f *Flag) ValueString(v Value) string {
+	return string(f.appendValue(nil, v))
+}
+
+// appendValue appends v rendered as f's value (see ValueString) to dst.
+func (f *Flag) appendValue(dst []byte, v Value) []byte {
+	switch f.Type {
 	case Bool:
 		if v.B {
-			return "true"
+			return append(dst, "true"...)
 		}
-		return "false"
+		return append(dst, "false"...)
 	case Int:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(dst, v.I, 10)
 	case Enum:
-		return v.S
+		if v.I >= 0 && v.I < int64(len(f.Choices)) {
+			return append(dst, f.Choices[v.I]...)
+		}
 	}
-	return "?"
+	return append(dst, '?')
+}
+
+// ChoiceValue returns the Enum value selecting the named choice. A name
+// outside f's Choices yields the VM-style error that parsing reports.
+func (f *Flag) ChoiceValue(choice string) (Value, error) {
+	for i, c := range f.Choices {
+		if c == choice {
+			return EnumValue(i), nil
+		}
+	}
+	return Value{}, fmt.Errorf("flags: %s=%q not in %v", f.Name, choice, f.Choices)
 }
 
 // step returns the effective sampling granularity of an Int flag.
@@ -202,18 +224,16 @@ func (f *Flag) Validate(v Value) error {
 		}
 		return nil
 	case Enum:
-		for _, c := range f.Choices {
-			if c == v.S {
-				return nil
-			}
+		if v.I < 0 || v.I >= int64(len(f.Choices)) {
+			return fmt.Errorf("flags: %s choice %d outside %v", f.Name, v.I, f.Choices)
 		}
-		return fmt.Errorf("flags: %s=%q not in %v", f.Name, v.S, f.Choices)
+		return nil
 	}
 	return fmt.Errorf("flags: %s has unknown type %v", f.Name, f.Type)
 }
 
-// Clamp returns v forced into f's domain. For Enum flags an unknown choice
-// is replaced by the default.
+// Clamp returns v forced into f's domain. For Enum flags an out-of-range
+// choice index is replaced by the default.
 func (f *Flag) Clamp(v Value) Value {
 	switch f.Type {
 	case Int:

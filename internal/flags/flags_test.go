@@ -1,6 +1,8 @@
 package flags
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -31,7 +33,7 @@ func TestValueConstructorsAndEqual(t *testing.T) {
 	if !IntValue(7).Equal(Int, IntValue(7)) || IntValue(7).Equal(Int, IntValue(8)) {
 		t.Error("int equality")
 	}
-	if !EnumValue("a").Equal(Enum, EnumValue("a")) || EnumValue("a").Equal(Enum, EnumValue("b")) {
+	if !EnumValue(0).Equal(Enum, EnumValue(0)) || EnumValue(0).Equal(Enum, EnumValue(1)) {
 		t.Error("enum equality")
 	}
 	if IntValue(1).Equal(Type(99), IntValue(1)) {
@@ -40,14 +42,31 @@ func TestValueConstructorsAndEqual(t *testing.T) {
 }
 
 func TestValueString(t *testing.T) {
-	if BoolValue(true).String(Bool) != "true" || BoolValue(false).String(Bool) != "false" {
+	b, i := &Flag{Type: Bool}, &Flag{Type: Int}
+	if b.ValueString(BoolValue(true)) != "true" || b.ValueString(BoolValue(false)) != "false" {
 		t.Error("bool render")
 	}
-	if IntValue(-3).String(Int) != "-3" {
+	if i.ValueString(IntValue(-3)) != "-3" {
 		t.Error("int render")
 	}
-	if EnumValue("g1").String(Enum) != "g1" {
+	e := &Flag{Type: Enum, Choices: []string{"cms", "g1"}}
+	if e.ValueString(EnumValue(1)) != "g1" {
 		t.Error("enum render")
+	}
+	if e.ValueString(EnumValue(2)) != "?" || (&Flag{Type: Type(99)}).ValueString(IntValue(1)) != "?" {
+		t.Error("out-of-range choice and unknown type render as ?")
+	}
+}
+
+func TestChoiceValue(t *testing.T) {
+	e := &Flag{Name: "E", Type: Enum, Choices: []string{"a", "b"}}
+	if v, err := e.ChoiceValue("b"); err != nil || v != EnumValue(1) {
+		t.Errorf("ChoiceValue(b) = %+v, %v", v, err)
+	}
+	// tuned returns this text in 400 bodies: it must not change.
+	_, err := e.ChoiceValue("c")
+	if want := `flags: E="c" not in [a b]`; err == nil || err.Error() != want {
+		t.Errorf("ChoiceValue(c) error %v, want %q", err, want)
 	}
 }
 
@@ -66,11 +85,14 @@ func TestFlagValidate(t *testing.T) {
 		t.Error("above max should fail")
 	}
 	e := Flag{Name: "E", Type: Enum, Choices: []string{"a", "b"}}
-	if err := e.Validate(EnumValue("a")); err != nil {
+	if err := e.Validate(EnumValue(1)); err != nil {
 		t.Errorf("valid choice rejected: %v", err)
 	}
-	if err := e.Validate(EnumValue("c")); err == nil {
+	if err := e.Validate(EnumValue(2)); err == nil {
 		t.Error("invalid choice accepted")
+	}
+	if err := e.Validate(EnumValue(-1)); err == nil {
+		t.Error("negative choice accepted")
 	}
 	b := Flag{Name: "B", Type: Bool}
 	if err := b.Validate(BoolValue(true)); err != nil {
@@ -89,9 +111,9 @@ func TestFlagClamp(t *testing.T) {
 	if got := f.Clamp(IntValue(15)); got.I != 15 {
 		t.Errorf("clamp inside = %d", got.I)
 	}
-	e := Flag{Name: "E", Type: Enum, Choices: []string{"a", "b"}, Default: EnumValue("a")}
-	if got := e.Clamp(EnumValue("zzz")); got.S != "a" {
-		t.Errorf("enum clamp = %q", got.S)
+	e := Flag{Name: "E", Type: Enum, Choices: []string{"a", "b"}, Default: EnumValue(1)}
+	if got := e.Clamp(EnumValue(7)); got != EnumValue(1) {
+		t.Errorf("enum clamp = %+v", got)
 	}
 }
 
@@ -283,5 +305,56 @@ func TestRegistryNamesPrefixFamiliesPresent(t *testing.T) {
 	}
 	if count < 100 {
 		t.Errorf("expected a wide develop-flag tail, found %d Trace/Verify flags", count)
+	}
+}
+
+// TestMustResolvePanicsOnBadNames: hard-coded names are resolved once, so
+// a misspelled or mistyped one must fail loudly at resolution rather than
+// read the wrong flag later.
+func TestMustResolvePanicsOnBadNames(t *testing.T) {
+	r := NewRegistry()
+	if id := r.MustBool("UseG1GC"); ID(id) != r.ID("UseG1GC") {
+		t.Errorf("MustBool(UseG1GC) = %d, want %d", id, r.ID("UseG1GC"))
+	}
+	if id := r.MustInt("MaxHeapSize"); ID(id) != r.ID("MaxHeapSize") {
+		t.Errorf("MustInt(MaxHeapSize) = %d, want %d", id, r.ID("MaxHeapSize"))
+	}
+	for _, c := range []struct {
+		what, want string
+		fn         func()
+	}{
+		{"misspelled bool", "unknown flag UseG1Gc", func() { r.MustBool("UseG1Gc") }},
+		{"misspelled int", "unknown flag MaxHeapSise", func() { r.MustInt("MaxHeapSise") }},
+		{"int read as bool", "MaxHeapSize is int, not bool", func() { r.MustBool("MaxHeapSize") }},
+		{"bool read as int", "UseG1GC is bool, not int", func() { r.MustInt("UseG1GC") }},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), c.want) {
+					t.Errorf("%s: panic %v, want one naming %q", c.what, p, c.want)
+				}
+			}()
+			c.fn()
+		}()
+	}
+}
+
+// TestNewRegistryIsShared: every call returns the one standard instance,
+// so configurations from any two callers can be crossed and diffed.
+func TestNewRegistryIsShared(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	if a != b {
+		t.Fatal("NewRegistry returned two instances")
+	}
+	Crossover(NewConfig(a), NewConfig(b), a.TunableIDs(), rand.New(rand.NewSource(1)))
+}
+
+// TestNewCustomRegistryRejectsRepeatedChoices: an enum value is a choice
+// index rendered through Choices, so two equal names would key and render
+// two different values identically.
+func TestNewCustomRegistryRejectsRepeatedChoices(t *testing.T) {
+	_, err := NewCustomRegistry([]Flag{{Name: "E", Type: Enum, Choices: []string{"a", "b", "a"}}})
+	if err == nil || !strings.Contains(err.Error(), `repeats choice "a"`) {
+		t.Fatalf("repeated choice accepted or misreported: %v", err)
 	}
 }

@@ -17,26 +17,35 @@ import (
 // (~200 on the standard registry) and about ten differ from their
 // defaults. The same seed gives the same config.
 func Proposal(reg *flags.Registry, seed int64) *flags.Config {
-	rng := rand.New(rand.NewSource(seed))
+	a, b, active, apply, rng := Parents(reg, seed)
+	child := flags.Crossover(a, b, active, rng)
+	apply(child)
+	return child
+}
+
+// Parents returns what Proposal crosses: two mutated parents, the active
+// flags of their branch combination, the function that reapplies the
+// branch selection, and the random source positioned at the crossover's
+// first draw.
+func Parents(reg *flags.Registry, seed int64) (a, b *flags.Config, active []flags.ID, apply func(*flags.Config), rng *rand.Rand) {
+	rng = rand.New(rand.NewSource(seed))
 	tree := hierarchy.Build(reg)
 	var branches []hierarchy.Branch
 	for _, ch := range tree.Choices() {
 		branches = append(branches, ch.Branches[rng.Intn(len(ch.Branches))])
 	}
-	apply := func(c *flags.Config) {
+	apply = func(c *flags.Config) {
 		for _, br := range branches {
 			br.Apply(c)
 		}
 	}
 	base := flags.NewConfig(reg)
 	apply(base)
-	active := tree.ActiveFlags(base)
-	a, b := base.Clone(), base.Clone()
+	active = tree.ActiveFlags(base)
+	a, b = base.Clone(), base.Clone()
 	for i := 0; i < 6; i++ {
 		flags.MutateFlag(a, active[rng.Intn(len(active))], rng)
 		flags.MutateFlag(b, active[rng.Intn(len(active))], rng)
 	}
-	child := flags.Crossover(a, b, active, rng)
-	apply(child)
-	return child
+	return a, b, active, apply, rng
 }

@@ -1,6 +1,7 @@
 package flags_test
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -135,5 +136,21 @@ func BenchmarkParseArgsIntoRecycled(b *testing.B) {
 		if err := flags.ParseArgsInto(c, args); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var sinkConfig *flags.Config
+
+// BenchmarkCrossover breeds a production-width child from two
+// flagstest parents over their branch's ~350 active flags, as every
+// hierarchical crossover proposal does: one draw, one read and one
+// append per active flag, and the child's allocations.
+func BenchmarkCrossover(b *testing.B) {
+	a, p, active, _, _ := flagstest.Parents(flags.NewRegistry(), 1)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkConfig = flags.Crossover(a, p, active, rng)
 	}
 }

@@ -15,7 +15,7 @@ func SampleValue(f *Flag, rng *rand.Rand) Value {
 	case Bool:
 		return BoolValue(rng.Intn(2) == 0)
 	case Enum:
-		return EnumValue(f.Choices[rng.Intn(len(f.Choices))])
+		return EnumValue(rng.Intn(len(f.Choices)))
 	case Int:
 		return IntValue(sampleInt(f, rng))
 	}
@@ -71,9 +71,8 @@ func NeighborValue(f *Flag, current Value, rng *rand.Rand) Value {
 			return current
 		}
 		for {
-			c := f.Choices[rng.Intn(len(f.Choices))]
-			if c != current.S {
-				return EnumValue(c)
+			if i := rng.Intn(len(f.Choices)); int64(i) != current.I {
+				return EnumValue(i)
 			}
 		}
 	case Int:
@@ -112,46 +111,38 @@ func neighborInt(f *Flag, cur int64, rng *rand.Rand, scale float64) int64 {
 	return v
 }
 
-// RandomizeFlags assigns fresh uniform random values to the named flags in
-// c. Unknown names panic: callers derive names from the same registry.
-func RandomizeFlags(c *Config, names []string, rng *rand.Rand) {
-	for _, n := range names {
-		id := c.reg.ID(n)
-		if id == NoID {
-			panic("flags: RandomizeFlags of unknown flag " + n)
-		}
+// RandomizeFlags assigns fresh uniform random values to the flags ids in
+// c, drawing in the order given. IDs come from c's registry.
+func RandomizeFlags(c *Config, ids []ID, rng *rand.Rand) {
+	for _, id := range ids {
 		c.putID(id, SampleValue(c.reg.byID[id], rng))
 	}
 }
 
-// MutateFlag replaces the named flag's value in c with a neighbor of its
+// MutateFlag replaces the value of flag id in c with a neighbor of its
 // current effective value.
-func MutateFlag(c *Config, name string, rng *rand.Rand) {
-	id := c.reg.ID(name)
-	if id == NoID {
-		panic("flags: MutateFlag of unknown flag " + name)
-	}
+func MutateFlag(c *Config, id ID, rng *rand.Rand) {
 	c.putID(id, NeighborValue(c.reg.byID[id], c.GetID(id), rng))
 }
 
-// Crossover returns a child configuration that inherits each of the named
-// flags' effective values from parent a or b with equal probability.
-// Flags outside names stay at their defaults.
-func Crossover(a, b *Config, names []string, rng *rand.Rand) *Config {
+// Crossover returns a child configuration that inherits each of the flags
+// ids' effective values from parent a or b with equal probability, one
+// rng.Intn(2) draw per flag in the order given. Flags outside ids stay at
+// their defaults.
+func Crossover(a, b *Config, ids []ID, rng *rand.Rand) *Config {
 	if a.reg != b.reg {
 		panic("flags: Crossover across registries")
 	}
 	child := NewConfig(a.reg)
-	for _, n := range names {
-		src := a
+	child.ids = make([]ID, 0, len(ids))
+	child.vals = make([]Value, 0, len(ids))
+	var ia, ib int // cursors into a's and b's explicit lists
+	for _, id := range ids {
+		src, i := a, &ia
 		if rng.Intn(2) == 0 {
-			src = b
+			src, i = b, &ib
 		}
-		id := src.reg.ID(n)
-		if id == NoID {
-			panic("flags: Crossover of unknown flag " + n)
-		}
-		child.putID(id, src.GetID(id))
+		child.putID(id, src.seek(i, id))
 	}
 	return child
 }

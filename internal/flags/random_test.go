@@ -87,8 +87,8 @@ func TestNeighborValueBoolFlips(t *testing.T) {
 
 func TestNeighborValueDegenerateDomains(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	e := &Flag{Name: "E", Type: Enum, Choices: []string{"only"}, Default: EnumValue("only")}
-	if v := NeighborValue(e, EnumValue("only"), rng); v.S != "only" {
+	e := &Flag{Name: "E", Type: Enum, Choices: []string{"only"}, Default: EnumValue(0)}
+	if v := NeighborValue(e, EnumValue(0), rng); v != EnumValue(0) {
 		t.Error("single-choice enum should stay put")
 	}
 	i := &Flag{Name: "I", Type: Int, Min: 5, Max: 5, Default: IntValue(5)}
@@ -115,7 +115,7 @@ func TestRandomizeAndMutate(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	c := NewConfig(r)
 	names := []string{"MaxHeapSize", "NewRatio", "UseG1GC"}
-	RandomizeFlags(c, names, rng)
+	RandomizeFlags(c, idsOf(r, names...), rng)
 	for _, n := range names {
 		if !c.IsExplicit(n) {
 			t.Errorf("%s not assigned by RandomizeFlags", n)
@@ -125,12 +125,12 @@ func TestRandomizeAndMutate(t *testing.T) {
 		t.Errorf("randomized config invalid: %v", err)
 	}
 	before := c.Int("NewRatio")
-	MutateFlag(c, "NewRatio", rng)
+	MutateFlag(c, r.ID("NewRatio"), rng)
 	if c.Int("NewRatio") == before {
 		t.Error("MutateFlag did not move NewRatio")
 	}
-	mustPanic(t, "randomize unknown", func() { RandomizeFlags(c, []string{"Nope"}, rng) })
-	mustPanic(t, "mutate unknown", func() { MutateFlag(c, "Nope", rng) })
+	mustPanic(t, "randomize unknown", func() { RandomizeFlags(c, []ID{r.ID("Nope")}, rng) })
+	mustPanic(t, "mutate unknown", func() { MutateFlag(c, r.ID("Nope"), rng) })
 }
 
 func TestCrossoverInheritsFromParents(t *testing.T) {
@@ -142,10 +142,10 @@ func TestCrossoverInheritsFromParents(t *testing.T) {
 	b.SetInt("NewRatio", 16)
 	a.SetInt("SurvivorRatio", 2)
 	b.SetInt("SurvivorRatio", 32)
-	names := []string{"NewRatio", "SurvivorRatio"}
+	ids := idsOf(r, "NewRatio", "SurvivorRatio")
 	sawA, sawB := false, false
 	for i := 0; i < 100; i++ {
-		child := Crossover(a, b, names, rng)
+		child := Crossover(a, b, ids, rng)
 		nr := child.Int("NewRatio")
 		if nr != 1 && nr != 16 {
 			t.Fatalf("child NewRatio %d from neither parent", nr)
@@ -169,10 +169,19 @@ func TestCrossoverDeterministicWithSeed(t *testing.T) {
 	a, b := NewConfig(r), NewConfig(r)
 	a.SetInt("MaxHeapSize", 256<<20)
 	b.SetInt("MaxHeapSize", 4<<30)
-	names := []string{"MaxHeapSize", "NewRatio", "UseG1GC", "CompileThreshold"}
-	c1 := Crossover(a, b, names, rand.New(rand.NewSource(99)))
-	c2 := Crossover(a, b, names, rand.New(rand.NewSource(99)))
+	ids := idsOf(r, "MaxHeapSize", "NewRatio", "UseG1GC", "CompileThreshold")
+	c1 := Crossover(a, b, ids, rand.New(rand.NewSource(99)))
+	c2 := Crossover(a, b, ids, rand.New(rand.NewSource(99)))
 	if c1.Key() != c2.Key() {
 		t.Error("crossover not deterministic under a fixed seed")
 	}
+}
+
+// idsOf resolves names against r, in the order given.
+func idsOf(r *Registry, names ...string) []ID {
+	ids := make([]ID, len(names))
+	for i, n := range names {
+		ids[i] = r.ID(n)
+	}
+	return ids
 }

@@ -8,26 +8,38 @@ import (
 
 // ID is a dense, registry-assigned flag identifier: the index of the flag's
 // name in the registry's sorted name order. IDs are the hot-path currency of
-// the tuner — packed configurations index their value arrays by ID, so the
-// inner loop never hashes flag-name strings. IDs are only meaningful within
-// the registry that assigned them.
+// the tuner — configurations locate their values by ID, and searchers hold
+// ID lists, so the inner loop never hashes flag-name strings. IDs are only
+// meaningful within the registry that assigned them.
 type ID int32
 
 // NoID is the ID of a name absent from the registry.
 const NoID ID = -1
 
-// Registry is an immutable catalog of flag definitions. Construct one with
-// NewRegistry (the standard HotSpot catalog) or NewCustomRegistry (tests).
-type Registry struct {
-	byName  map[string]*Flag
-	names   []string // sorted, for deterministic iteration
-	byID    []*Flag  // byID[i] is the flag named names[i]
-	idOf    map[string]ID
-	tunable []string // sorted names of Tunable() flags, precomputed
+// BoolID and IntID are IDs of flags whose type was checked when the ID was
+// resolved (Registry.MustBool, Registry.MustInt). Packages that read
+// hard-coded flags resolve each name once, so a read is an array index
+// with no name lookup and no type check.
+type (
+	BoolID ID
+	IntID  ID
+)
 
-	// scratch recycles Configs for AcquireConfig/ReleaseConfig: a packed
-	// Config carries two registry-wide arrays, which is real garbage when
-	// a server parses one throwaway configuration per request.
+// Registry is an immutable catalog of flag definitions. NewRegistry returns
+// the process's one standard HotSpot catalog; NewCustomRegistry builds
+// others for tests.
+type Registry struct {
+	byName     map[string]*Flag
+	names      []string // sorted, for deterministic iteration
+	byID       []*Flag  // byID[i] is the flag named names[i]
+	idOf       map[string]ID
+	tunable    []string // sorted names of Tunable() flags, precomputed
+	tunableIDs []ID     // their IDs, in the same (ID) order
+
+	// scratch recycles Configs for AcquireConfig/ReleaseConfig: a parsed
+	// Config grows its value arrays to the width of what it holds, which
+	// is real garbage when a server parses one throwaway configuration
+	// per request.
 	scratch sync.Pool
 }
 
@@ -71,6 +83,15 @@ func NewCustomRegistry(defs []Flag) (*Registry, error) {
 		if f.Type == Enum && len(f.Choices) == 0 {
 			return nil, fmt.Errorf("flags: enum %s has no choices", f.Name)
 		}
+		// An enum value is a choice index, rendered through Choices: two
+		// equal names would render two distinct values identically.
+		for j, c := range f.Choices {
+			for _, d := range f.Choices[:j] {
+				if c == d {
+					return nil, fmt.Errorf("flags: enum %s repeats choice %q", f.Name, c)
+				}
+			}
+		}
 		if err := f.Validate(f.Default); err != nil {
 			return nil, fmt.Errorf("flags: %s default out of domain: %v", f.Name, err)
 		}
@@ -86,6 +107,7 @@ func NewCustomRegistry(defs []Flag) (*Registry, error) {
 		r.idOf[n] = ID(i)
 		if r.byID[i].Tunable() {
 			r.tunable = append(r.tunable, n)
+			r.tunableIDs = append(r.tunableIDs, ID(i))
 		}
 	}
 	return r, nil
@@ -93,16 +115,43 @@ func NewCustomRegistry(defs []Flag) (*Registry, error) {
 
 // NewRegistry returns the standard HotSpot flag catalog: every modeled
 // tuning knob plus the long tail of observability/verification flags, 600+
-// definitions in total. The catalog is static, so failure is a programming
-// error and panics.
-func NewRegistry() *Registry {
-	defs := catalog()
-	defs = append(defs, inertCatalog()...)
-	r, err := NewCustomRegistry(defs)
+// definitions in total. The catalog is built once per process, on the
+// first call, and every call returns that one immutable instance, so
+// configurations from any two callers can be crossed, diffed and recycled
+// together. The *Flag definitions and name slices it hands out are shared
+// by the whole process: callers must not modify them. The catalog is
+// static, so a build failure is a programming error and panics.
+func NewRegistry() *Registry { return standard() }
+
+var standard = sync.OnceValue(func() *Registry {
+	r, err := NewCustomRegistry(append(catalog(), inertCatalog()...))
 	if err != nil {
 		panic(err)
 	}
 	return r
+})
+
+// MustBool resolves the hard-coded name of a Bool flag. It panics if the
+// name is unknown or the flag is not a Bool: resolved at package
+// initialization, a misspelled name stops the program before any read.
+func (r *Registry) MustBool(name string) BoolID {
+	return BoolID(r.mustResolve(name, Bool))
+}
+
+// MustInt resolves the hard-coded name of an Int flag; see MustBool.
+func (r *Registry) MustInt(name string) IntID {
+	return IntID(r.mustResolve(name, Int))
+}
+
+func (r *Registry) mustResolve(name string, t Type) ID {
+	id := r.ID(name)
+	if id == NoID {
+		panic(fmt.Sprintf("flags: unknown flag %s", name))
+	}
+	if f := r.byID[id]; f.Type != t {
+		panic(fmt.Sprintf("flags: %s is %v, not %v", name, f.Type, t))
+	}
+	return id
 }
 
 // Lookup returns the definition of name, or nil if unknown.
@@ -150,6 +199,13 @@ func (r *Registry) ByCategory(c Category) []string {
 // flags, sorted. The returned slice is shared; callers must not modify it.
 func (r *Registry) TunableNames() []string {
 	return r.tunable
+}
+
+// TunableIDs returns the IDs of all tunable flags in ID (= sorted-name)
+// order: TunableIDs()[i] names TunableNames()[i]. The returned slice is
+// shared; callers must not modify it.
+func (r *Registry) TunableIDs() []ID {
+	return r.tunableIDs
 }
 
 // DefaultConfig returns a configuration with every flag explicitly set to

@@ -55,7 +55,7 @@ func TestCloneMutateDiffProperty(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			name := names[rng.Intn(len(names))]
 			touched[name] = true
-			MutateFlag(mut, name, rng)
+			MutateFlag(mut, reg.ID(name), rng)
 		}
 		if orig.Key() != origKey {
 			t.Fatal("mutating the clone changed the original")

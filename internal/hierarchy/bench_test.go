@@ -6,8 +6,8 @@ import (
 	"repro/internal/flags"
 )
 
-// ActiveFlags runs on every hierarchical proposal; Validate runs before
-// every launch.
+// ActiveFlags runs once per branch combination of a hierarchical session;
+// Validate runs before every launch.
 
 func BenchmarkBuildTree(b *testing.B) {
 	reg := flags.NewRegistry()
@@ -25,6 +25,7 @@ func BenchmarkActiveFlags(b *testing.B) {
 	c := flags.NewConfig(reg)
 	c.SetBool("UseG1GC", true)
 	c.SetBool("UseParallelGC", false)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if len(tree.ActiveFlags(c)) == 0 {

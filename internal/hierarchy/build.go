@@ -6,13 +6,17 @@ import (
 	"repro/internal/flags"
 )
 
-// Build assembles the standard HotSpot flag tree over reg. The shape follows
+// Build assembles the standard HotSpot flag tree over reg, which must be
+// the standard catalog (flags.NewRegistry). The shape follows
 // the paper's description: top-level decision points for the garbage
 // collector and the compilation mode, subtrees of collector- and
 // mode-specific flags beneath them, shared subsystems (heap geometry, TLABs,
 // inlining, synchronization, runtime services) alongside, and a tail node
 // that absorbs every remaining tunable flag so the whole JVM stays in scope.
 func Build(reg *flags.Registry) *Tree {
+	if reg != std {
+		panic("hierarchy: Build over a registry other than the standard catalog")
+	}
 	collectorIs := func(want Collector) Guard {
 		return func(c *flags.Config) bool {
 			got, err := SelectedCollector(c)
@@ -34,7 +38,8 @@ func Build(reg *flags.Registry) *Tree {
 		}
 	}
 	boolOn := func(name string) Guard {
-		return func(c *flags.Config) bool { return c.Bool(name) }
+		id := reg.MustBool(name)
+		return func(c *flags.Config) bool { return c.BoolAt(id) }
 	}
 
 	serialNode := &Node{
@@ -123,7 +128,7 @@ func Build(reg *flags.Registry) *Tree {
 	classicJIT := &Node{
 		Name:        "jit/classic",
 		Description: "single-compiler (C2) mode",
-		Guard:       func(c *flags.Config) bool { return !c.Bool("TieredCompilation") },
+		Guard:       func(c *flags.Config) bool { return !c.BoolAt(tieredCompilation) },
 		Flags:       []string{"CompileThreshold", "OnStackReplacePercentage", "InterpreterProfilePercentage"},
 	}
 	tieredJIT := &Node{
@@ -212,6 +217,7 @@ func Build(reg *flags.Registry) *Tree {
 		Description: "remaining product flags (observability, policies)",
 		Flags:       tail,
 	})
+	root.resolve(reg)
 
 	t.choices = []Choice{
 		{
@@ -227,10 +233,12 @@ func Build(reg *flags.Registry) *Tree {
 			Name: "compilation",
 			Branches: []Branch{
 				{Name: "classic", Node: classicJIT, Apply: func(c *flags.Config) {
-					c.SetBool("TieredCompilation", false)
+					checkRegistry(c)
+					c.SetBoolAt(tieredCompilation, false)
 				}},
 				{Name: "tiered", Node: tieredJIT, Apply: func(c *flags.Config) {
-					c.SetBool("TieredCompilation", true)
+					checkRegistry(c)
+					c.SetBoolAt(tieredCompilation, true)
 				}},
 			},
 		},
@@ -242,20 +250,30 @@ func Build(reg *flags.Registry) *Tree {
 // selection flags to pick exactly one collector, the way a launcher would.
 func selectCollector(col Collector) func(c *flags.Config) {
 	return func(c *flags.Config) {
-		c.SetBool("UseSerialGC", col == Serial)
-		c.SetBool("UseConcMarkSweepGC", col == CMS)
-		c.SetBool("UseG1GC", col == G1)
+		checkRegistry(c)
+		c.SetBoolAt(useSerialGC, col == Serial)
+		c.SetBoolAt(useConcMarkSweepGC, col == CMS)
+		c.SetBoolAt(useG1GC, col == G1)
 		// Leave UseParallelGC implicit (default true) unless another
 		// collector is chosen: an explicit true conflicts with them.
 		if col == Parallel {
-			c.Unset("UseParallelGC")
+			c.UnsetID(flags.ID(useParallelGC))
 		} else {
-			c.SetBool("UseParallelGC", false)
+			c.SetBoolAt(useParallelGC, false)
 		}
-		if col == CMS {
-			c.SetBool("UseParNewGC", true)
-		} else {
-			c.SetBool("UseParNewGC", false)
+		c.SetBoolAt(useParNewGC, col == CMS)
+	}
+}
+
+// resolve records the IDs of the tunable flags of n's subtree.
+func (n *Node) resolve(reg *flags.Registry) {
+	n.ids = n.ids[:0]
+	for _, name := range n.Flags {
+		if id := reg.ID(name); id != flags.NoID && reg.FlagByID(id).Tunable() {
+			n.ids = append(n.ids, id)
 		}
+	}
+	for _, ch := range n.Children {
+		ch.resolve(reg)
 	}
 }

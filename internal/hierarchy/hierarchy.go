@@ -18,10 +18,41 @@ package hierarchy
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/flags"
 )
+
+// The flags the hierarchy reads, resolved once against the standard
+// catalog. A misspelled or mistyped name panics at package initialization.
+var (
+	std = flags.NewRegistry()
+
+	useSerialGC           = std.MustBool("UseSerialGC")
+	useParallelGC         = std.MustBool("UseParallelGC")
+	useConcMarkSweepGC    = std.MustBool("UseConcMarkSweepGC")
+	useG1GC               = std.MustBool("UseG1GC")
+	useParNewGC           = std.MustBool("UseParNewGC")
+	tieredCompilation     = std.MustBool("TieredCompilation")
+	maxHeapSize           = std.MustInt("MaxHeapSize")
+	initialHeapSize       = std.MustInt("InitialHeapSize")
+	newSize               = std.MustInt("NewSize")
+	maxNewSize            = std.MustInt("MaxNewSize")
+	initialCodeCacheSize  = std.MustInt("InitialCodeCacheSize")
+	reservedCodeCacheSize = std.MustInt("ReservedCodeCacheSize")
+	permSize              = std.MustInt("PermSize")
+	maxPermSize           = std.MustInt("MaxPermSize")
+)
+
+// checkRegistry panics unless c is over the standard catalog: the
+// hierarchy reads configurations through IDs resolved against it, and an
+// ID of another registry names another flag.
+func checkRegistry(c *flags.Config) {
+	if c.Registry() != std {
+		panic("hierarchy: configuration from a registry other than the standard catalog")
+	}
+}
 
 // Collector identifies the garbage collection algorithm a configuration
 // selects.
@@ -41,28 +72,32 @@ const (
 // error reports conflicting selections, mirroring the VM's
 // "Conflicting collector combinations" startup failure.
 func SelectedCollector(c *flags.Config) (Collector, error) {
-	var picked []Collector
-	if c.Bool("UseSerialGC") {
+	checkRegistry(c)
+	// Every launch and every guard asks, so the selection lives on the
+	// stack; only the error paths copy it out.
+	var buf [3]Collector
+	picked := buf[:0]
+	if c.BoolAt(useSerialGC) {
 		picked = append(picked, Serial)
 	}
-	if c.Bool("UseConcMarkSweepGC") {
+	if c.BoolAt(useConcMarkSweepGC) {
 		picked = append(picked, CMS)
 	}
-	if c.Bool("UseG1GC") {
+	if c.BoolAt(useG1GC) {
 		picked = append(picked, G1)
 	}
 	if len(picked) > 1 {
-		return "", fmt.Errorf("hierarchy: conflicting collector combinations: %v", picked)
+		return "", fmt.Errorf("hierarchy: conflicting collector combinations: %v", append([]Collector(nil), picked...))
 	}
 	if len(picked) == 1 {
 		// UseParallelGC defaults to true; an explicit collector choice
 		// overrides it only if parallel was not *also* explicitly forced.
-		if c.Bool("UseParallelGC") && c.IsExplicit("UseParallelGC") {
-			return "", fmt.Errorf("hierarchy: conflicting collector combinations: %v and parallel", picked)
+		if c.BoolAt(useParallelGC) && c.IsExplicitID(flags.ID(useParallelGC)) {
+			return "", fmt.Errorf("hierarchy: conflicting collector combinations: %v and parallel", append([]Collector(nil), picked...))
 		}
 		return picked[0], nil
 	}
-	if c.Bool("UseParallelGC") {
+	if c.BoolAt(useParallelGC) {
 		return Parallel, nil
 	}
 	return Serial, nil
@@ -75,23 +110,23 @@ func Validate(c *flags.Config) error {
 	if err != nil {
 		return err
 	}
-	if c.Bool("UseParNewGC") && col != CMS {
+	if c.BoolAt(useParNewGC) && col != CMS {
 		return fmt.Errorf("hierarchy: UseParNewGC is only valid with the CMS collector (selected %s)", col)
 	}
-	heap := c.Int("MaxHeapSize")
-	if init := c.Int("InitialHeapSize"); init > heap {
+	heap := c.IntAt(maxHeapSize)
+	if init := c.IntAt(initialHeapSize); init > heap {
 		return fmt.Errorf("hierarchy: InitialHeapSize (%d) exceeds MaxHeapSize (%d)", init, heap)
 	}
-	if ns, ms := c.Int("NewSize"), c.Int("MaxNewSize"); ms != 0 && ns > ms {
+	if ns, ms := c.IntAt(newSize), c.IntAt(maxNewSize); ms != 0 && ns > ms {
 		return fmt.Errorf("hierarchy: NewSize (%d) exceeds MaxNewSize (%d)", ns, ms)
 	}
-	if ms := c.Int("MaxNewSize"); ms != 0 && ms >= heap {
+	if ms := c.IntAt(maxNewSize); ms != 0 && ms >= heap {
 		return fmt.Errorf("hierarchy: MaxNewSize (%d) leaves no old generation in a %d-byte heap", ms, heap)
 	}
-	if c.Int("InitialCodeCacheSize") > c.Int("ReservedCodeCacheSize") {
+	if c.IntAt(initialCodeCacheSize) > c.IntAt(reservedCodeCacheSize) {
 		return fmt.Errorf("hierarchy: InitialCodeCacheSize exceeds ReservedCodeCacheSize")
 	}
-	if c.Int("PermSize") > c.Int("MaxPermSize") {
+	if c.IntAt(permSize) > c.IntAt(maxPermSize) {
 		return fmt.Errorf("hierarchy: PermSize exceeds MaxPermSize")
 	}
 	return nil
@@ -110,6 +145,8 @@ type Node struct {
 	Guard       Guard
 	Flags       []string
 	Children    []*Node
+
+	ids []flags.ID // the tunable Flags' IDs, resolved by Build
 }
 
 // Branch is one alternative of a Choice: a way to configure the flags that
@@ -143,39 +180,53 @@ func (t *Tree) Registry() *flags.Registry { return t.reg }
 // Choices returns the tree's decision points in top-down order.
 func (t *Tree) Choices() []Choice { return t.choices }
 
-// ActiveFlags returns the sorted names of all *tunable* flags that are
-// active (their node's guard chain holds) under c. These are the flags a
-// dependency-respecting tuner may usefully mutate.
-func (t *Tree) ActiveFlags(c *flags.Config) []string {
-	seen := map[string]bool{}
-	var out []string
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.Guard != nil && !n.Guard(c) {
-			return
-		}
-		for _, name := range n.Flags {
-			if seen[name] {
-				continue
-			}
-			if f := t.reg.Lookup(name); f != nil && f.Tunable() {
-				seen[name] = true
-				out = append(out, name)
-			}
-		}
-		for _, ch := range n.Children {
-			walk(ch)
+// ActiveFlags returns the IDs of all *tunable* flags that are active
+// (their node's guard chain holds) under c, in ID (= sorted-name) order.
+// These are the flags a dependency-respecting tuner may usefully mutate.
+// The active nodes' ID lists are merged in a bitset, which yields them in
+// ID order with duplicates removed.
+func (t *Tree) ActiveFlags(c *flags.Config) []flags.ID {
+	checkRegistry(c)
+	var small [16]uint64 // the standard catalog needs 13 words
+	set := small[:]
+	if words := (t.reg.Len() + 63) / 64; words > len(small) {
+		set = make([]uint64, words)
+	}
+	n := t.Root.activate(c, set)
+	out := make([]flags.ID, 0, n)
+	for w, word := range set {
+		for word != 0 {
+			out = append(out, flags.ID(w*64+bits.TrailingZeros64(word)))
+			word &= word - 1
 		}
 	}
-	walk(t.Root)
-	sort.Strings(out)
 	return out
+}
+
+// activate adds the IDs of n's subtree that are active under c to set and
+// returns how many it added.
+func (n *Node) activate(c *flags.Config, set []uint64) int {
+	if n.Guard != nil && !n.Guard(c) {
+		return 0
+	}
+	added := 0
+	for _, id := range n.ids {
+		if w, bit := id/64, uint64(1)<<(id%64); set[w]&bit == 0 {
+			set[w] |= bit
+			added++
+		}
+	}
+	for _, ch := range n.Children {
+		added += ch.activate(c, set)
+	}
+	return added
 }
 
 // FlagActive reports whether the named flag is active under c.
 func (t *Tree) FlagActive(name string, c *flags.Config) bool {
-	for _, n := range t.ActiveFlags(c) {
-		if n == name {
+	id := t.reg.ID(name)
+	for _, a := range t.ActiveFlags(c) {
+		if a == id {
 			return true
 		}
 	}
@@ -219,8 +270,8 @@ type SpaceSize struct {
 // SpaceSize computes flat and hierarchy-reduced search-space sizes.
 func (t *Tree) SpaceSize() SpaceSize {
 	ss := SpaceSize{ActivePerBranch: map[string]int{}}
-	for _, name := range t.reg.TunableNames() {
-		ss.FlatLog10 += math.Log10(float64(t.reg.Lookup(name).DomainSize()))
+	for _, id := range t.reg.TunableIDs() {
+		ss.FlatLog10 += math.Log10(float64(t.reg.FlagByID(id).DomainSize()))
 		ss.TunableFlags++
 	}
 	// Enumerate the cross product of choice branches; for each combination,
@@ -240,8 +291,8 @@ func (t *Tree) SpaceSize() SpaceSize {
 		}
 		var branchLog float64
 		active := t.ActiveFlags(c)
-		for _, name := range active {
-			branchLog += math.Log10(float64(t.reg.Lookup(name).DomainSize()))
+		for _, id := range active {
+			branchLog += math.Log10(float64(t.reg.FlagByID(id).DomainSize()))
 		}
 		ss.ActivePerBranch[label] = len(active)
 		if first {

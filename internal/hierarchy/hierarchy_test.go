@@ -1,6 +1,8 @@
 package hierarchy
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/flags"
@@ -228,13 +230,12 @@ func TestActiveFlagsAreTunableAndSortedAndUnique(t *testing.T) {
 	if len(active) == 0 {
 		t.Fatal("no active flags under defaults")
 	}
-	for i, n := range active {
-		f := tr.Registry().Lookup(n)
-		if f == nil || !f.Tunable() {
-			t.Errorf("active flag %s is not tunable", n)
+	for i, id := range active {
+		if f := tr.Registry().FlagByID(id); !f.Tunable() {
+			t.Errorf("active flag %s is not tunable", f.Name)
 		}
-		if i > 0 && active[i-1] >= n {
-			t.Errorf("active flags not strictly sorted at %d: %s >= %s", i, active[i-1], n)
+		if i > 0 && active[i-1] >= id {
+			t.Errorf("active flags not strictly sorted at %d: %d >= %d", i, active[i-1], id)
 		}
 	}
 }
@@ -323,5 +324,53 @@ func TestEnumerateBranchCombos(t *testing.T) {
 	empty := enumerateBranchCombos(nil)
 	if len(empty) != 1 || len(empty[0]) != 0 {
 		t.Error("empty choice list should yield one empty combo")
+	}
+}
+
+// foreignConfig returns a config over a custom registry that defines every
+// flag the hierarchy reads, each at a different ID than in the standard
+// catalog: read through the standard IDs, it would answer for other flags.
+func foreignConfig(t *testing.T) *flags.Config {
+	t.Helper()
+	var defs []flags.Flag
+	for _, name := range []string{"UseSerialGC", "UseParallelGC", "UseConcMarkSweepGC", "UseG1GC", "UseParNewGC", "TieredCompilation"} {
+		defs = append(defs, flags.Flag{Name: name, Type: flags.Bool, Kind: flags.Product})
+	}
+	for _, name := range []string{"MaxHeapSize", "InitialHeapSize", "NewSize", "MaxNewSize",
+		"InitialCodeCacheSize", "ReservedCodeCacheSize", "PermSize", "MaxPermSize"} {
+		defs = append(defs, flags.Flag{Name: name, Type: flags.Int, Kind: flags.Product, Max: 1 << 40})
+	}
+	reg, err := flags.NewCustomRegistry(defs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flags.NewConfig(reg)
+}
+
+// TestForeignRegistryPanics: the hierarchy reads configurations through
+// IDs resolved against the standard catalog, so a configuration from any
+// other registry must stop at the entry, naming the mismatch, instead of
+// being judged by the wrong flags.
+func TestForeignRegistryPanics(t *testing.T) {
+	c := foreignConfig(t)
+	tr := newTree(t)
+	for _, e := range []struct {
+		what string
+		fn   func()
+	}{
+		{"Validate", func() { _ = Validate(c) }},
+		{"SelectedCollector", func() { _, _ = SelectedCollector(c) }},
+		{"ActiveFlags", func() { tr.ActiveFlags(c) }},
+		{"Branch.Apply", func() { tr.Choices()[0].Branches[0].Apply(c) }},
+		{"Build", func() { Build(c.Registry()) }},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "registry other than the standard catalog") {
+					t.Errorf("%s on a foreign config: panic %v, want one naming the registry mismatch", e.what, p)
+				}
+			}()
+			e.fn()
+		}()
 	}
 }

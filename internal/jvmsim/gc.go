@@ -30,22 +30,22 @@ type heapGeometry struct {
 }
 
 func resolveGeometry(c *flags.Config, p *workload.Profile, col hierarchy.Collector, m Machine) heapGeometry {
-	g := heapGeometry{heapMB: float64(c.Int("MaxHeapSize") >> 20)}
+	g := heapGeometry{heapMB: float64(c.IntAt(maxHeapSize) >> 20)}
 	if col == hierarchy.G1 {
 		// G1 sizes its young set of regions against the pause goal.
-		pauseMs := float64(c.Int("MaxGCPauseMillis"))
+		pauseMs := float64(c.IntAt(maxGCPauseMillis))
 		g.young = clamp(g.heapMB*(0.05+pauseMs/200*0.15), g.heapMB*0.05, g.heapMB*0.60)
 		g.eden = g.young * 0.9
 		g.surv = g.young * 0.05
 		g.old = g.heapMB - g.young
 		return g
 	}
-	if ms := c.Int("MaxNewSize"); ms > 0 {
+	if ms := c.IntAt(maxNewSize); ms > 0 {
 		g.young = clamp(float64(ms>>20), 1, g.heapMB*0.8)
 	} else {
-		g.young = g.heapMB / float64(c.Int("NewRatio")+1)
+		g.young = g.heapMB / float64(c.IntAt(newRatio)+1)
 	}
-	sr := float64(c.Int("SurvivorRatio"))
+	sr := float64(c.IntAt(survivorRatio))
 	g.eden = g.young * sr / (sr + 2)
 	g.surv = g.young / (sr + 2)
 	g.old = g.heapMB - g.young
@@ -53,8 +53,8 @@ func resolveGeometry(c *flags.Config, p *workload.Profile, col hierarchy.Collect
 	// The parallel collector's ergonomics resize the young generation
 	// online unless explicit sizes pin it. Model as a half-way pull toward
 	// a sensible size, damping (not erasing) manual young-gen tuning.
-	if col == hierarchy.Parallel && c.Bool("UseAdaptiveSizePolicy") &&
-		c.Int("NewSize") == 0 && c.Int("MaxNewSize") == 0 {
+	if col == hierarchy.Parallel && c.BoolAt(useAdaptiveSizePolicy) &&
+		c.IntAt(newSize) == 0 && c.IntAt(maxNewSize) == 0 {
 		allocRate := p.AllocRateMBps
 		goodEden := clamp(2.0*allocRate, 32, g.heapMB*0.5)
 		g.eden = 0.5*g.eden + 0.5*goodEden
@@ -79,13 +79,13 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 		// CMS never compacts during concurrent cycles; fragmentation taxes
 		// the free lists.
 		frag := 0.88
-		if n := c.Int("CMSFullGCsBeforeCompaction"); n > 0 {
+		if n := c.IntAt(cmsFullGCsBeforeCompaction); n > 0 {
 			frag *= pow(0.985, float64(n))
 		}
 		oldCap *= frag
 	case hierarchy.G1:
-		oldCap *= 1 - float64(c.Int("G1ReservePercent"))/100
-		oldCap *= 1 - float64(c.Int("G1HeapWastePercent"))/200
+		oldCap *= 1 - float64(c.IntAt(g1ReservePercent))/100
+		oldCap *= 1 - float64(c.IntAt(g1HeapWastePercent))/200
 		// Humongous objects fragment small-region heaps.
 		region := g1RegionMB(c, g.heapMB)
 		if p.LargeObjectFrac > 0 && region < 4 {
@@ -100,7 +100,7 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 
 	// Permanent generation (JDK-7 era): class metadata must fit, and
 	// crowding it triggers class-unloading full collections.
-	maxPermMB := float64(c.Int("MaxPermSize") >> 20)
+	maxPermMB := float64(c.IntAt(maxPermSize) >> 20)
 	if p.ClassMetaMB > maxPermMB*0.98 {
 		out.oom = true
 		out.oomMessage = "java.lang.OutOfMemoryError: PermGen space"
@@ -109,13 +109,13 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 	permFulls := 0.0
 	if occ := p.ClassMetaMB / maxPermMB; occ > 0.8 {
 		permFulls = (occ - 0.8) * 60
-		if !c.Bool("ClassUnloading") {
+		if !c.BoolAt(classUnloading) {
 			// Without unloading the only relief is a full GC that frees
 			// nothing; the VM keeps retrying.
 			permFulls *= 2.5
 		}
 	}
-	if permMB := float64(c.Int("PermSize") >> 20); permMB < p.ClassMetaMB {
+	if permMB := float64(c.IntAt(permSize) >> 20); permMB < p.ClassMetaMB {
 		out.startup += 0.02 * log2(p.ClassMetaMB/permMB)
 	}
 
@@ -127,7 +127,7 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 
 	// Pretenuring diverts large objects straight to the old generation.
 	largeDiverted := 0.0
-	if ptt := c.Int("PretenureSizeThreshold"); ptt > 0 && col != hierarchy.G1 {
+	if ptt := c.IntAt(pretenureSizeThreshold); ptt > 0 && col != hierarchy.G1 {
 		largeDiverted = p.LargeObjectFrac * 0.8
 	}
 	youngAlloc := alloc * (1 - largeDiverted)
@@ -138,7 +138,7 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 	minorCount := youngAlloc / g.eden
 	survivedPerMinor := g.eden * survivalFrac
 
-	mtt := float64(c.Int("MaxTenuringThreshold"))
+	mtt := float64(c.IntAt(maxTenuringThreshold))
 	tau := p.MidLifeRounds
 
 	// Survivor space as an aging buffer. Mid-lived objects need to sit in a
@@ -147,7 +147,7 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 	// cannot hold the stock, the excess inflow promotes prematurely — the
 	// classic undersized-survivor failure mode that SurvivorRatio,
 	// TargetSurvivorRatio and MaxTenuringThreshold exist to fix.
-	survCap := g.surv * float64(c.Int("TargetSurvivorRatio")) / 100
+	survCap := g.surv * float64(c.IntAt(targetSurvivorRatio)) / 100
 	if col == hierarchy.G1 {
 		// G1 takes survivor regions from the free set as needed.
 		survCap = g.young * 0.3
@@ -171,20 +171,20 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 	copyPerMinor := survivedPerMinor + minf(stock, survCap)
 
 	// Young-collection worker pool.
-	gcThreads := int(c.Int("ParallelGCThreads"))
+	gcThreads := int(c.IntAt(parallelGCThreads))
 	switch col {
 	case hierarchy.Serial:
 		gcThreads = 1
 	case hierarchy.CMS:
-		if !c.Bool("UseParNewGC") {
+		if !c.BoolAt(useParNewGC) {
 			gcThreads = 1 // classic serial young collector under CMS
 		}
 	}
 	eff := parallelEfficiency(gcThreads, m.Cores)
-	if c.Bool("UseGCTaskAffinity") && gcThreads >= 4 {
+	if c.BoolAt(useGCTaskAffinity) && gcThreads >= 4 {
 		eff *= 1.01
 	}
-	if c.Bool("BindGCTaskThreadsToCPUs") && gcThreads >= 4 {
+	if c.BoolAt(bindGCTaskThreadsToCPUs) && gcThreads >= 4 {
 		eff *= 1.01
 	}
 
@@ -197,7 +197,7 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 			minorPause += (regions - 2048) * 3e-6
 		}
 	}
-	if c.Bool("ParallelRefProcEnabled") && gcThreads > 1 {
+	if c.BoolAt(parallelRefProcEnabled) && gcThreads > 1 {
 		minorPause *= 1 - p.RefIntensity*0.25
 	}
 
@@ -217,11 +217,11 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 	switch col {
 	case hierarchy.Serial, hierarchy.Parallel:
 		fullEff := 1.0
-		if col == hierarchy.Parallel && c.Bool("UseParallelOldGC") {
+		if col == hierarchy.Parallel && c.BoolAt(useParallelOldGC) {
 			fullEff = parallelEfficiency(gcThreads, m.Cores)
 		}
 		fullPause := fullPauseSerial / fullEff
-		if c.Bool("ScavengeBeforeFullGC") {
+		if c.BoolAt(scavengeBeforeFullGC) {
 			fullPause *= 0.95
 		}
 		fulls := promotedTotal / freeOld
@@ -233,13 +233,13 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 		out.stopSeconds += explicitGCCost(c, p, fullPause, false)
 
 	case hierarchy.CMS:
-		iof := float64(c.Int("CMSInitiatingOccupancyFraction"))
-		if !c.Bool("UseCMSInitiatingOccupancyOnly") {
+		iof := float64(c.IntAt(cmsInitiatingOccupancyFraction))
+		if !c.BoolAt(useCMSInitiatingOccupancyOnly) {
 			// Adaptive triggering blends the hint with its own estimate.
 			iof = 0.5*iof + 0.5*80
 		}
 		headroomAtTrigger := g.old * (1 - iof/100)
-		concThreads := int(c.Int("ConcGCThreads"))
+		concThreads := int(c.IntAt(concGCThreads))
 		if concThreads <= 0 {
 			concThreads = (gcThreads + 3) / 4
 		}
@@ -250,15 +250,15 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 		out.appSlowdown += fracInCycles * clamp(float64(concThreads)/float64(m.Cores), 0, 1) * 0.9
 
 		remarkEff := 1.0
-		if c.Bool("CMSParallelRemarkEnabled") {
+		if c.BoolAt(cmsParallelRemarkEnabled) {
 			remarkEff = parallelEfficiency(gcThreads, m.Cores)
 		}
 		remark := p.LiveSetMB / (remarkRateMBps * remarkEff)
-		if c.Bool("CMSScavengeBeforeRemark") {
+		if c.BoolAt(cmsScavengeBeforeRemark) {
 			remark *= 0.75
 			out.stopSeconds += cycles * minorPause * 0.5
 		}
-		if c.Bool("CMSClassUnloadingEnabled") {
+		if c.BoolAt(cmsClassUnloadingEnabled) {
 			remark *= 1.12
 		}
 		initialMark := 0.01 + p.LiveSetMB/(remarkRateMBps*4)
@@ -285,11 +285,11 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 		out.stopSeconds += explicitGCCost(c, p, fullPauseSerial, true)
 
 	case hierarchy.G1:
-		concThreads := int(c.Int("ConcGCThreads"))
+		concThreads := int(c.IntAt(concGCThreads))
 		if concThreads <= 0 {
 			concThreads = (gcThreads + 3) / 4
 		}
-		ihop := float64(c.Int("InitiatingHeapOccupancyPercent"))
+		ihop := float64(c.IntAt(initiatingHeapOccupancyPercent))
 		headroom := g.old*(1-ihop/100) + 1
 		cycles := promotedTotal / clamp(freeOld, 1, g.old)
 		cycleDur := p.LiveSetMB / (concRateMBps * float64(concThreads))
@@ -299,7 +299,7 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 		// Mixed collections evacuate the promoted bytes.
 		mixedWork := promotedTotal / (copyRateMBps * eff) * 1.3
 		out.stopSeconds += mixedWork
-		mixedPer := mixedWork / clamp(cycles*float64(c.Int("G1MixedGCCountTarget")), 1, 1e9)
+		mixedPer := mixedWork / clamp(cycles*float64(c.IntAt(g1MixedGCCountTarget)), 1, 1e9)
 		if mixedPer > out.maxPause {
 			out.maxPause = mixedPer
 		}
@@ -315,11 +315,11 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 	}
 
 	// Heap growth from InitialHeapSize to the working size.
-	initMB := float64(c.Int("InitialHeapSize") >> 20)
+	initMB := float64(c.IntAt(initialHeapSize) >> 20)
 	if initMB < g.heapMB {
 		steps := log2(g.heapMB / initMB)
 		growCost := 0.04 * steps
-		if c.Int("MinHeapFreeRatio") >= 60 {
+		if c.IntAt(minHeapFreeRatio) >= 60 {
 			growCost *= 0.6 // eager expansion
 		}
 		out.startup += growCost
@@ -329,11 +329,11 @@ func computeGC(c *flags.Config, p *workload.Profile, col hierarchy.Collector,
 
 // explicitGCCost charges for System.gc() calls.
 func explicitGCCost(c *flags.Config, p *workload.Profile, fullPause float64, concurrentCapable bool) float64 {
-	if p.ExplicitGCCalls == 0 || c.Bool("DisableExplicitGC") {
+	if p.ExplicitGCCalls == 0 || c.BoolAt(disableExplicitGC) {
 		return 0
 	}
 	per := fullPause
-	if concurrentCapable && c.Bool("ExplicitGCInvokesConcurrent") {
+	if concurrentCapable && c.BoolAt(explicitGCInvokesConcurrent) {
 		per = fullPause * 0.1
 	}
 	return float64(p.ExplicitGCCalls) * per
@@ -342,7 +342,7 @@ func explicitGCCost(c *flags.Config, p *workload.Profile, fullPause float64, con
 // g1RegionMB resolves the G1 region size: explicit power-of-two or
 // ergonomic (heap/2048 clamped to [1, 32] MB).
 func g1RegionMB(c *flags.Config, heapMB float64) float64 {
-	if v := c.Int("G1HeapRegionSize"); v > 0 {
+	if v := c.IntAt(g1HeapRegionSize); v > 0 {
 		mb := float64(v >> 20)
 		// Round down to a power of two, as the VM does.
 		r := 1.0

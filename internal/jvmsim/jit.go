@@ -38,22 +38,22 @@ func computeJIT(c *flags.Config, p *workload.Profile, m Machine, fx featureEffec
 	base := p.BaseSeconds
 
 	warmRef := p.WarmupWork
-	if !c.Bool("UseCounterDecay") {
+	if !c.BoolAt(useCounterDecay) {
 		// Without decay, invocation counters accumulate monotonically and
 		// thresholds are reached slightly sooner.
 		warmRef *= 0.92
 	}
 	// OSR aggressiveness: loop-heavy code escapes the interpreter through
 	// on-stack replacement; raising the OSR percentage delays that.
-	osrPct := float64(c.Int("OnStackReplacePercentage"))
+	osrPct := float64(c.IntAt(onStackReplacePercentage))
 	osrRelief := 0.25 * p.LoopIntensity * clamp(140/osrPct, 0, 1.2)
 
-	tiered := c.Bool("TieredCompilation")
+	tiered := c.BoolAt(tieredCompilation)
 	var methodsC2, methodsC1 float64
 	if !tiered {
-		thr := float64(c.Int("CompileThreshold"))
+		thr := float64(c.IntAt(compileThreshold))
 		warm := warmRef * pow(thr/10000, 0.9) * (1 - osrRelief)
-		if pp := float64(c.Int("InterpreterProfilePercentage")); pp > 33 {
+		if pp := float64(c.IntAt(interpreterProfilePercentage)); pp > 33 {
 			warm *= 1 + (pp-33)/150
 		} else if pp < 10 {
 			// Too little profiling degrades the compiled code.
@@ -70,7 +70,7 @@ func computeJIT(c *flags.Config, p *workload.Profile, m Machine, fx featureEffec
 		if c1Phase < 0 {
 			c1Phase = 0
 		}
-		stopLevel := c.Int("TieredStopAtLevel")
+		stopLevel := c.IntAt(tieredStopAtLevel)
 		if stopLevel < 4 {
 			// Stopping at C1: quick warm-up but the whole run executes at
 			// C1 speed — a win only for the shortest programs.
@@ -88,11 +88,11 @@ func computeJIT(c *flags.Config, p *workload.Profile, m Machine, fx featureEffec
 	// Compilation work and its visibility.
 	compileWork := methodsC2*p.CodeKBPerMethod*compileSecPerKBC2 +
 		methodsC1*p.CodeKBPerMethod*compileSecPerKBC1
-	ci := int(c.Int("CICompilerCount"))
+	ci := int(c.IntAt(ciCompilerCount))
 	if ci < 1 {
 		ci = 1
 	}
-	if c.Bool("BackgroundCompilation") {
+	if c.BoolAt(backgroundCompilation) {
 		// Background compilation overlaps execution; what remains visible
 		// is queue-induced waiting during warm-up.
 		out.compileStall = compileWork * 0.08 / float64(ci)
@@ -109,9 +109,9 @@ func computeJIT(c *flags.Config, p *workload.Profile, m Machine, fx featureEffec
 	// Code cache.
 	used := (methodsC2 + methodsC1*0.6) * p.CodeKBPerMethod * fx.codeExpansion
 	out.codeCacheUsedKB = used
-	reservedKB := float64(c.Int("ReservedCodeCacheSize") >> 10)
+	reservedKB := float64(c.IntAt(reservedCodeCacheSize) >> 10)
 	if used > reservedKB {
-		if c.Bool("UseCodeCacheFlushing") {
+		if c.BoolAt(useCodeCacheFlushing) {
 			// Flushing keeps compiling at the price of recompilation churn.
 			out.appSeconds *= 1 + 0.06*clamp(used/reservedKB-1, 0, 1)
 		} else {
@@ -121,7 +121,7 @@ func computeJIT(c *flags.Config, p *workload.Profile, m Machine, fx featureEffec
 			out.appSeconds += base * overflow * (1/interpSpeed - 1) * 0.5
 		}
 	}
-	if c.Int("InitialCodeCacheSize") < 256<<10 {
+	if c.IntAt(initialCodeCacheSize) < 256<<10 {
 		out.startupExtra += 0.05
 	}
 	return out

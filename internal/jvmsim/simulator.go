@@ -76,6 +76,7 @@ func (s *Simulator) RunBatch(cfgs []*flags.Config, p *workload.Profile, rep int,
 // runNoiseless evaluates the full cost model for (c, p) without the
 // measurement-noise factor. Run and RunReps layer noise on top.
 func (s *Simulator) runNoiseless(c *flags.Config, p *workload.Profile) Result {
+	checkRegistry(c)
 	if err := p.Validate(); err != nil {
 		return failed(StartupFailure, 0, "invalid workload: %v", err)
 	}
@@ -92,13 +93,13 @@ func (s *Simulator) runNoiseless(c *flags.Config, p *workload.Profile) Result {
 	}
 
 	// Thread stacks too small for the program's call depth die immediately.
-	if ss := c.Int("ThreadStackSize"); ss > 0 && ss < 192 && p.CallIntensity > 0.6 {
+	if ss := c.IntAt(threadStackSize); ss > 0 && ss < 192 && p.CallIntensity > 0.6 {
 		return failed(StackOverflowFailure, 0.5+0.05*p.BaseSeconds,
 			"java.lang.StackOverflowError (ThreadStackSize=%dk)", ss)
 	}
 
 	// Heaps approaching physical memory start paging.
-	heapMB := float64(c.Int("MaxHeapSize") >> 20)
+	heapMB := float64(c.IntAt(maxHeapSize) >> 20)
 	pagingPenalty := 1.0
 	if limit := s.Machine.RAMMB * 0.9; heapMB > limit {
 		pagingPenalty = 1 + (heapMB-limit)/s.Machine.RAMMB*5
@@ -117,7 +118,7 @@ func (s *Simulator) runNoiseless(c *flags.Config, p *workload.Profile) Result {
 	}
 	// The GC-overhead limit kills runs that spend nearly all their time
 	// collecting (98% is HotSpot's GCTimeLimit default).
-	if c.Bool("UseGCOverheadLimit") &&
+	if c.BoolAt(useGCOverheadLimit) &&
 		gc.stopSeconds > 10 && gc.stopSeconds > 49*appSeconds {
 		wall := jvmBootSeconds + appSeconds + gc.stopSeconds*0.25
 		return failed(OOMFailure, wall,

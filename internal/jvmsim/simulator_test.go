@@ -1,7 +1,9 @@
 package jvmsim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/flags"
@@ -373,7 +375,7 @@ func TestResultValid(t *testing.T) {
 func TestSimulatorTotalityOverRandomConfigs(t *testing.T) {
 	s := quietSim()
 	reg := flags.NewRegistry()
-	tun := reg.TunableNames()
+	tun := reg.TunableIDs()
 	p := prof(t, "tomcat")
 	rng := newTestRand(1234)
 	for trial := 0; trial < 300; trial++ {
@@ -392,5 +394,38 @@ func TestSimulatorTotalityOverRandomConfigs(t *testing.T) {
 		if r.WallSeconds > 1e6 {
 			t.Fatalf("implausible wall %.1f for %s", r.WallSeconds, c.Key())
 		}
+	}
+}
+
+// TestForeignRegistryPanics: the model reads configurations through IDs
+// resolved against the standard catalog, so a configuration from another
+// registry must stop at the entry, naming the mismatch, instead of being
+// simulated through the wrong flags.
+func TestForeignRegistryPanics(t *testing.T) {
+	reg, err := flags.NewCustomRegistry([]flags.Flag{
+		{Name: "MaxHeapSize", Type: flags.Int, Kind: flags.Product, Max: 1 << 40, Default: flags.IntValue(1 << 30)},
+		{Name: "UseG1GC", Type: flags.Bool, Kind: flags.Product},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := flags.NewConfig(reg)
+	p := prof(t, "h2")
+	for _, e := range []struct {
+		what string
+		fn   func()
+	}{
+		{"Run", func() { quietSim().Run(c, p, 0) }},
+		{"RunReps", func() { quietSim().RunReps(c, p, 0, 3, nil) }},
+		{"DefaultWall", func() { quietSim().DefaultWall(reg, p, 1) }},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "registry other than the standard catalog") {
+					t.Errorf("%s on a foreign config: panic %v, want one naming the registry mismatch", e.what, p)
+				}
+			}()
+			e.fn()
+		}()
 	}
 }

@@ -86,7 +86,7 @@ func FromOutcome(o *core.Outcome) *SavedOutcome {
 		for _, name := range o.Best.Diff(flags.NewConfig(reg)) {
 			f := reg.Lookup(name)
 			v, _ := o.Best.Get(name)
-			s.BestFlags[name] = v.String(f.Type)
+			s.BestFlags[name] = f.ValueString(v)
 		}
 	}
 	return s

@@ -32,9 +32,8 @@ type Prior struct {
 // load-bearing argument fails validation and the caller discards it.
 func RepairArgs(reg *flags.Registry, args []string) (cfg *flags.Config, dropped int, err error) {
 	cfg = flags.NewConfig(reg)
-	// Each argument parses into one recycled scratch config; a fresh
-	// registry-wide Config per argument would be megabytes of garbage for
-	// an entry of a few hundred arguments.
+	// Each argument parses into one recycled scratch config rather than a
+	// fresh Config per argument, of which an entry has a few hundred.
 	one := reg.AcquireConfig()
 	defer reg.ReleaseConfig(one)
 	var arg [1]string

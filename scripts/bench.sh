@@ -24,17 +24,18 @@ trap 'rm -f "$OUT"' EXIT
 
 # -run '^$' keeps unit tests out of the run; -benchtime is bounded so the
 # whole suite stays in CI territory (~1 minute). The -bench selector names
-# hot-path benchmarks only — one-shot constructors (BenchmarkNewRegistry)
+# hot-path benchmarks only — one-shot constructors (BenchmarkBuildTree)
 # are too noisy for a 10% regression gate and are not what the trajectory
 # tracks.
 {
 	# ExplicitArgs and ParseArgsIntoRecycled price a production-width
 	# proposal (~350 explicit flags): the per-trial render on the
-	# controller and the per-trial parse on an evald node.
+	# controller and the per-trial parse on an evald node. Crossover
+	# breeds one such proposal, and ActiveFlags lists a branch's flags.
 	go test -run '^$' \
-		-bench '^Benchmark(Config|CommandLine|ExplicitArgs|ParseArgs|MutateFlag|SampleValue|Diff|Simulator)' \
+		-bench '^Benchmark(Config|CommandLine|ExplicitArgs|ParseArgs|MutateFlag|Crossover|SampleValue|Diff|Simulator|ActiveFlags)' \
 		-benchmem -benchtime 1s \
-		./internal/flags ./internal/jvmsim
+		./internal/flags ./internal/jvmsim ./internal/hierarchy
 	go test -run '^$' -bench 'BenchmarkSessionThroughput16' -benchtime 5s \
 		./internal/core
 	# The dispatch pair: the same fresh trial in-process and over loopback

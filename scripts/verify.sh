@@ -33,6 +33,10 @@ go test -race ./...
 go test -run 'Fuzz' ./internal/flags ./internal/runner ./internal/checkpoint ./internal/dispatch ./internal/evald ./internal/transfer
 ./scripts/cover.sh
 
+# The shared flag registry is built by whichever goroutine calls
+# flags.NewRegistry first; concurrent first calls must get one instance.
+go test -race -count=10 -run 'TestNewRegistryConcurrentFirstCall' ./internal/flags/firstcall
+
 # The durability gate: kill-and-resume drills for every searcher, the CLI,
 # and the job farm must converge to byte-identical results.
 make crash-matrix
