@@ -37,10 +37,10 @@ overload-drill:
 # TestCLIDistDrill spawns 3 evald processes and SIGKILLs one mid-session.
 # Batched placement must fail as fast as single-trial placement on a dead
 # fleet, and every runner — the pool included — must keep the one harness
-# contract.
+# contract and key an explicit -XX:+UseParallelGC apart from its absence.
 dist-drill:
 	go test -race -count=1 \
-	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestCLIDistDrill' \
+	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestCLIDistDrill' \
 	  ./internal/dispatch ./internal/runner .
 
 # The transfer drills: the cross-workload knowledge base's survival and

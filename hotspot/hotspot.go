@@ -253,7 +253,8 @@ type Result struct {
 	// Best is the winning configuration. It is omitted from JSON
 	// serializations; CommandLine carries the same information portably.
 	Best *Config `json:"-"`
-	// CommandLine is Best rendered as java-style arguments.
+	// CommandLine is Best's canonical form rendered as java-style
+	// arguments; parsing it rebuilds a configuration with Best's Key.
 	CommandLine []string
 	// Collector is the garbage collector Best selects.
 	Collector string

@@ -175,9 +175,10 @@ func (ts *transferSession) finish(res *Result, opts Options, prof *workload.Prof
 	if len(epochs) > 1 {
 		baseBest, baseScore, baseTrials = epochs[0].Best, epochs[0].BestScore, epochs[0].Trials
 	}
-	// A best that is the default configuration carries no tuning knowledge
-	// (and would be skipped at load time anyway) — don't record it.
-	if baseBest != nil && baseBest.Key() != "" {
+	// A best that behaves as the default configuration carries no tuning
+	// knowledge (and would be skipped at load time anyway) — don't record
+	// it.
+	if baseBest != nil && !baseBest.AtDefaults() {
 		e := stamp(ts.fp, baseTrials, baseBest.ExplicitArgs(), baseScore, res.DefaultWall)
 		if err := ts.store.Append(e); err == nil {
 			ts.info.Recorded = true
@@ -193,7 +194,7 @@ func (ts *transferSession) finish(res *Result, opts Options, prof *workload.Prof
 		// in phase 0 (a detector false positive) is already the base
 		// regime, covered above.
 		tunedPhase := epochs[i-1].Phase
-		if tunedPhase == 0 || eo.Best == nil || eo.Best.Key() == "" {
+		if tunedPhase == 0 || eo.Best == nil || eo.Best.AtDefaults() {
 			continue
 		}
 		shifted, err := phases.ProfileAt(prof, tunedPhase)

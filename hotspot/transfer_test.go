@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/flags"
 	"repro/internal/transfer"
+	"repro/internal/workload"
 )
 
 // TestTransferWarmStartHalvesTrialBudget is the subsystem's acceptance
@@ -304,5 +306,36 @@ func TestTransferV1StoreMigrationDrill(t *testing.T) {
 	}
 	if secondStore, _ := storeVersion(second); !bytes.Equal(firstStore, secondStore) {
 		t.Fatal("migrating in a session and migrating alone left different store bytes")
+	}
+}
+
+// TestTransferSkipsWinnersAtDefaults: a winner with no assignment off its
+// default carries no tuning knowledge and is not recorded, even when an
+// explicit -XX:+UseParallelGC keeps its key non-empty; a real winner is.
+func TestTransferSkipsWinnersAtDefaults(t *testing.T) {
+	prof, _ := workload.ByName("h2")
+	dir := t.TempDir()
+	for _, c := range []struct {
+		args     []string
+		recorded bool
+	}{
+		{nil, false},
+		{[]string{"-XX:+UseParallelGC"}, false},
+		{[]string{"-XX:+UseG1GC"}, true},
+	} {
+		best, err := flags.ParseArgs(flags.NewRegistry(), c.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{TransferDir: dir}
+		ts := transferSetup(opts, prof)
+		res := &Result{Best: best, BestWall: 40, DefaultWall: 50, Searcher: "hierarchical", Trials: 10}
+		ts.finish(res, opts, prof, nil, 600)
+		if err := ts.store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if res.Transfer.Recorded != c.recorded {
+			t.Errorf("winner %v (key %q): recorded %v, want %v", c.args, best.Key(), res.Transfer.Recorded, c.recorded)
+		}
 	}
 }

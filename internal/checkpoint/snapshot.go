@@ -90,7 +90,7 @@ type TrialRecord struct {
 }
 
 // PriorRecord serializes one warm-start prior a re-tuning epoch was opened
-// with: the configuration (by canonical key and full-fidelity args) and its
+// with: the configuration (by canonical key and canonical args) and its
 // baseline-relative quality signal. Recorded verbatim so a resumed session
 // rebuilds the epoch's searcher from exactly the priors the original run
 // used — the transfer store the priors came from may have changed since.

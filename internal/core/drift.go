@@ -202,6 +202,14 @@ func (s *Session) openEpoch(ctx *Context, out *Outcome, ds *driftState, ck *ckSt
 	if err != nil {
 		return nil, err
 	}
+	// Priors enter the epoch in their canonical form, the form the
+	// checkpoint records. A live epoch and its resume, from a checkpoint of
+	// any build, then hand the searcher the same configs, and a searcher
+	// that reads explicit assignments (the surrogate credits them) makes
+	// the same choices either way.
+	for i := range priors {
+		priors[i].Cfg = priors[i].Cfg.Canonical()
+	}
 	if ck != nil {
 		ck.epochs = append(ck.epochs, epochRecord(ds, priors))
 	}

@@ -258,7 +258,18 @@ type phaselessRunner struct{ runner.Runner }
 // re-tune transition resumes to the byte-identical outcome — including the
 // epoch history — without re-invoking the EpochPriors hook (the recorded
 // priors are replayed verbatim; the transfer store may have changed since).
+//
+// The surrogate credits every explicit assignment of a prior, and its
+// incumbents hold explicit defaults that the recorded args (the canonical
+// form) leave out: the live epoch must see the priors in that form too,
+// or the resumed session makes different choices.
 func TestDriftKillAndResumeMidEpoch(t *testing.T) {
+	for _, searcher := range []string{"hierarchical", "surrogate"} {
+		t.Run(searcher, func(t *testing.T) { driftKillAndResumeMidEpoch(t, searcher) })
+	}
+}
+
+func driftKillAndResumeMidEpoch(t *testing.T, searcher string) {
 	const (
 		budget  = 9000.0
 		seed    = int64(7)
@@ -272,7 +283,7 @@ func TestDriftKillAndResumeMidEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	build := func() *Session {
-		s := driftSession(t, "xalan", "hierarchical", budget, seed, workers, sched)
+		s := driftSession(t, "xalan", searcher, budget, seed, workers, sched)
 		s.Reg = reg
 		s.EpochPriors = func(epoch, phase int) []PriorSample {
 			return []PriorSample{{Cfg: prior, Norm: 0.9}}

@@ -267,12 +267,12 @@ func TestBatchPerEntryRejectionCondemnsOnlyOwnTrial(t *testing.T) {
 // TestDecodeBatchRequestOwnsItsStrings: every string the decoder returns
 // is a substring of its own copy of the body, never of the caller's
 // buffer, so a caller that overwrites or recycles the body cannot rewrite
-// decoded trials — at production width too.
+// decoded trials — at the ~350-arg width older builds sent too.
 func TestDecodeBatchRequestOwnsItsStrings(t *testing.T) {
 	reg := flags.NewRegistry()
 	wide := flagstest.Proposal(reg, 1)
 	req := &BatchRequest{Trials: []TrialRequest{
-		{Key: wide.Key(), Benchmark: "h2", Args: wide.ExplicitArgs(), RepBase: 7, Reps: 1, TimeoutSeconds: 120, Noise: -1},
+		{Key: wide.Key(), Benchmark: "h2", Args: flagstest.WideArgs(wide), RepBase: 7, Reps: 1, TimeoutSeconds: 120, Noise: -1},
 		{Key: "MaxHeapSize=536870912", Benchmark: "fop", Args: []string{"-XX:MaxHeapSize=512m"}, Reps: 2, Noise: 0.05},
 	}}
 	body, ok := encodeBatchRequest(req)

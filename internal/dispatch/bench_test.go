@@ -97,12 +97,13 @@ func BenchmarkDispatchBatch16(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchBatch16Wide is BenchmarkDispatchBatch16 at production
-// width: each of the 16 trials is shaped like a hierarchical proposal
-// (flagstest.Proposal, ~350 explicit args), so rendering, the request
-// body, node-side decoding and parsing are priced at the size a real
-// session ships. ns/op is per trial.
-func BenchmarkDispatchBatch16Wide(b *testing.B) {
+// BenchmarkDispatchBatch16Proposal is BenchmarkDispatchBatch16 with each
+// of the 16 trials shaped like a hierarchical proposal
+// (flagstest.Proposal: ~350 explicit flags, shipped as their canonical
+// form of about ten args), so rendering, the request body, node-side
+// decoding and parsing are priced at the size a real session ships.
+// ns/op is per trial.
+func BenchmarkDispatchBatch16Proposal(b *testing.B) {
 	_, evs := startFleet(b, 1)
 	pool, err := dispatch.NewPool(profileOf(b, "fop"), evs...)
 	if err != nil {
@@ -126,9 +127,12 @@ func BenchmarkDispatchBatch16Wide(b *testing.B) {
 }
 
 // BenchmarkDecodeBatchRequest16 decodes a 16-trial batch body, the
-// node's first step per batch, at two arg widths: 10 args per trial
-// (narrow) and a production-width proposal (wide, ~350). ns/op and
-// allocs/op are per batch; allocations must not grow with the arg count.
+// node's first step per batch, at three arg widths: 10 hand-set args per
+// trial (narrow), a hierarchical proposal's canonical form as a session
+// ships it (proposal, about ten), and every explicit assignment of that
+// proposal (wide, ~350), the width older builds sent and nodes still
+// accept up to MaxArgs. ns/op and allocs/op are per batch; allocations
+// must not grow with the arg count.
 func BenchmarkDecodeBatchRequest16(b *testing.B) {
 	reg := flags.NewRegistry()
 	narrow := func(i int) *flags.Config {
@@ -145,16 +149,18 @@ func BenchmarkDecodeBatchRequest16(b *testing.B) {
 		c.SetInt("CompileThreshold", 2500)
 		return c
 	}
-	wide := func(i int) *flags.Config { return flagstest.Proposal(reg, int64(i+1)) }
+	proposal := func(i int) *flags.Config { return flagstest.Proposal(reg, int64(i+1)) }
+	explicit := (*flags.Config).ExplicitArgs
 	for _, shape := range []struct {
 		name string
 		cfg  func(int) *flags.Config
-	}{{"narrow", narrow}, {"wide", wide}} {
+		args func(*flags.Config) []string
+	}{{"narrow", narrow, explicit}, {"proposal", proposal, explicit}, {"wide", proposal, flagstest.WideArgs}} {
 		req := &dispatch.BatchRequest{Trials: make([]dispatch.TrialRequest, 16)}
 		for i := range req.Trials {
 			c := shape.cfg(i)
 			req.Trials[i] = dispatch.TrialRequest{
-				Key: c.Key(), Benchmark: "h2", Args: c.ExplicitArgs(),
+				Key: c.Key(), Benchmark: "h2", Args: shape.args(c),
 				RepBase: 40 * i, Reps: 1, TimeoutSeconds: 120, Noise: -1,
 			}
 		}

@@ -506,11 +506,12 @@ func (p *Pool) Measure(cfg *flags.Config, reps int) runner.Measurement {
 // the attempt's measurement comes back on the call's reply channel.
 func (p *Pool) measure(cfg *flags.Config, reps int, place func(*batchCall)) runner.Measurement {
 	phase, shift, _ := p.phases.Current(p.profile)
-	// ExplicitArgs, not CommandLine: the minimal rendering drops explicit
-	// assignments that equal a flag's default, and the simulated VM — like
-	// a real one — behaves differently when, say, UseParallelGC is forced
-	// rather than defaulted. The transport form must carry explicitness.
-	// Rendered once, by the first attempt: a cache hit renders nothing.
+	// The args are the canonical form that cfg.Key() names: every
+	// assignment off its default, plus forced defaults whose explicitness
+	// the simulated VM — like a real one — can tell apart (an explicit
+	// UseParallelGC). The node re-derives the key from them, so what it
+	// measures is what the cache entry stands for. Rendered once, by the
+	// first attempt: a cache hit renders nothing.
 	var args []string
 	rendered := false
 	return p.Run(cfg, reps, phase, !p.DisableCache, func(repBase, reps int) runner.Measurement {

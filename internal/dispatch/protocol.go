@@ -64,10 +64,12 @@ type TrialRequest struct {
 	Key string `json:"key"`
 	// Benchmark names a built-in workload profile (workload.ByName).
 	Benchmark string `json:"benchmark"`
-	// Args is the full-fidelity -XX: command line of the configuration
-	// (flags.Config.ExplicitArgs): every explicit assignment, including
-	// forced defaults, so explicitness-dependent VM behavior survives the
-	// wire.
+	// Args is the canonical -XX: command line of the configuration
+	// (flags.Config.ExplicitArgs): its assignments off their defaults plus
+	// the forced defaults whose explicitness matters, so everything the VM
+	// can tell apart survives the wire and parses back to Key. A node
+	// accepts any explicit superset up to MaxArgs; one whose build keys
+	// differently rejects with key-mismatch (docs/DISTRIBUTED.md).
 	Args []string `json:"args,omitempty"`
 	// RepBase is the first noise-rep index of this attempt; the session's
 	// runner allocates rep indices so retries are fresh measurements.

@@ -33,7 +33,10 @@ func catalog() []Flag {
 		// combination the (simulated) VM refuses to start with.
 		// ------------------------------------------------------------------
 		boolFlag("UseSerialGC", CatGC, false, "single-threaded stop-the-world collector"),
-		boolFlag("UseParallelGC", CatGC, true, "throughput collector, parallel young generation"),
+		// An explicit -XX:+UseParallelGC next to another collector is a
+		// conflict; the defaulted one yields to it.
+		{Name: "UseParallelGC", Type: Bool, Kind: Product, Category: CatGC, Default: BoolValue(true),
+			ExplicitMatters: true, Description: "throughput collector, parallel young generation"},
 		boolFlag("UseParallelOldGC", CatGC, true, "parallel old-generation compaction (with UseParallelGC)"),
 		boolFlag("UseConcMarkSweepGC", CatGC, false, "concurrent mark-sweep old-generation collector"),
 		boolFlag("UseParNewGC", CatGC, false, "parallel young collector for CMS"),

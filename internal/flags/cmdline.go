@@ -8,46 +8,41 @@ import (
 	"sync"
 )
 
-// CommandLine renders the non-default assignments of c as java-style
+// CommandLine renders the canonical form of c (see Key) as java-style
 // arguments: -XX:+Flag / -XX:-Flag for booleans and -XX:Flag=value for
-// integers and enums. Byte-valued flags use the shortest exact k/m/g suffix.
-// The slice is sorted (by flag name) and deterministic.
+// integers and enums. Byte-valued flags use the shortest exact k/m/g
+// suffix. The slice is sorted (by flag name) and deterministic.
 //
 // Experimental flags are preceded by -XX:+UnlockExperimentalVMOptions and
 // diagnostic flags by -XX:+UnlockDiagnosticVMOptions, exactly once, as a
 // real launch would require.
 //
-// This is the human-facing minimal form: explicit assignments that equal
-// the flag's default are omitted. It preserves the configuration's
-// canonical key but NOT its explicit-assignment set — and the VM
-// distinguishes the two (an explicit -XX:+UseParallelGC conflicts with
-// -XX:+UseG1GC even though parallel is the default). Transports that must
-// reproduce behavior exactly use ExplicitArgs instead.
-func (c *Config) CommandLine() []string { return c.renderArgs(false) }
+// The canonical form is every assignment off its default plus the explicit
+// assignments of flags whose explicitness matters, so ParseArgs of the
+// result has c's Key, and rendering that again gives the same arguments:
+// reports and persisted results reload to exactly the configuration that
+// was measured.
+func (c *Config) CommandLine() []string { return c.renderArgs() }
 
-// ExplicitArgs renders EVERY explicitly assigned flag of c, including
-// assignments that equal the flag's default, in the same java-style form
-// as CommandLine. This is the full-fidelity transport encoding: parsing
-// it back with ParseArgs reproduces both the effective values and the
-// explicit-assignment set, so explicitness-dependent VM behavior
-// (collector conflicts, engaged inert flags) survives the trip. The
-// subprocess runner and the distributed evaluation plane ship configs in
-// this form.
-func (c *Config) ExplicitArgs() []string { return c.renderArgs(true) }
+// ExplicitArgs renders c in the same canonical form as CommandLine; it is
+// the name the transports use. The subprocess runner, the distributed
+// evaluation plane, transfer-store entries and drift priors ship configs
+// in this form: an explicit assignment that equals a default and whose
+// explicitness does not matter changes nothing the VM does, so it is left
+// off the wire.
+func (c *Config) ExplicitArgs() []string { return c.renderArgs() }
 
-func (c *Config) renderArgs(includeDefaults bool) []string {
+func (c *Config) renderArgs() []string {
 	// Every argument goes into one recycled buffer, and the result is
 	// substrings of one string: a render allocates that string and the
-	// slice, however wide the config. A hierarchical proposal ships a few
-	// hundred explicit flags per trial, and a string per flag was most of
-	// a fleet trial's rendering cost.
+	// slice, however wide the config.
 	sc := renderScratch.Get().(*argScratch)
 	defer renderScratch.Put(sc)
 	buf, ends := sc.buf[:0], sc.ends[:0]
 	needExperimental, needDiagnostic := false, false
 	for i, id := range c.ids {
 		f, v := c.reg.byID[id], c.vals[i]
-		if !includeDefaults && v.Equal(f.Type, f.Default) {
+		if !f.canonical(v) {
 			continue
 		}
 		switch f.Kind {

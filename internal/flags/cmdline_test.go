@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -29,12 +30,21 @@ func TestCommandLineRendering(t *testing.T) {
 	}
 }
 
+// TestCommandLineOmitsDefaults: an explicit assignment equal to its
+// default is left out unless its flag's explicitness matters; an explicit
+// -XX:+UseParallelGC is the one the standard catalog keeps.
 func TestCommandLineOmitsDefaults(t *testing.T) {
 	r := NewRegistry()
 	c := NewConfig(r)
-	c.SetBool("UseParallelGC", true) // explicit, but equal to default
+	c.SetBool("UseG1GC", false)          // explicit, equal to default
+	c.SetBool("UseCompressedOops", true) // explicit, equal to default
+	c.SetInt("MaxHeapSize", 512<<20)     // explicit, equal to default
 	if got := c.CommandLine(); len(got) != 0 {
 		t.Errorf("default-valued assignment rendered: %v", got)
+	}
+	c.SetBool("UseParallelGC", true) // explicit, equal to default, and it matters
+	if got, want := c.CommandLine(), []string{"-XX:+UseParallelGC"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("CommandLine = %v, want %v", got, want)
 	}
 }
 
@@ -280,25 +290,32 @@ func TestParseSizeSuffixProperty(t *testing.T) {
 	}
 }
 
+// TestExplicitArgsKeepForcedDefaults: the forced default whose
+// explicitness matters survives in both renderings, which are one form;
+// a forced default whose explicitness does not matter is dropped from
+// both.
 func TestExplicitArgsKeepForcedDefaults(t *testing.T) {
 	r := NewRegistry()
 	c := NewConfig(r)
 	c.SetBool("UseParallelGC", true) // explicit, equal to default
 	c.SetBool("UseG1GC", true)
-	got := c.ExplicitArgs()
+	c.SetBool("UseCompressedOops", true) // explicit, equal to default
 	want := []string{"-XX:+UseG1GC", "-XX:+UseParallelGC"}
-	if !reflect.DeepEqual(got, want) {
+	if got := c.ExplicitArgs(); !reflect.DeepEqual(got, want) {
 		t.Errorf("ExplicitArgs = %v, want %v", got, want)
 	}
-	// The minimal form still drops the forced default.
-	if min := c.CommandLine(); !reflect.DeepEqual(min, []string{"-XX:+UseG1GC"}) {
-		t.Errorf("CommandLine = %v, want just -XX:+UseG1GC", min)
+	if got := c.CommandLine(); !reflect.DeepEqual(got, want) {
+		t.Errorf("CommandLine = %v, want %v", got, want)
+	}
+	if got, want := c.Key(), "UseG1GC=true,UseParallelGC=true"; got != want {
+		t.Errorf("Key = %q, want %q", got, want)
 	}
 }
 
-// Property: ExplicitArgs round-trips the explicit-assignment set exactly,
-// not just the canonical key — the fidelity the subprocess runner and the
-// distributed evaluation plane depend on.
+// Property: ExplicitArgs round-trips the canonical form exactly — the key,
+// the canonical explicit set and every effective value — and nothing
+// beyond it: the fidelity the subprocess runner and the distributed
+// evaluation plane depend on.
 func TestExplicitArgsRoundTripsExplicitness(t *testing.T) {
 	reg := NewRegistry()
 	names := reg.TunableNames()
@@ -317,8 +334,15 @@ func TestExplicitArgsRoundTripsExplicitness(t *testing.T) {
 		if parsed.Key() != c.Key() {
 			t.Fatalf("trial %d: key changed: %q vs %q", trial, parsed.Key(), c.Key())
 		}
-		if got, want := parsed.ExplicitNames(), c.ExplicitNames(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: explicit set changed\n in: %v\nout: %v", trial, want, got)
+		var canonical []string
+		for _, name := range c.ExplicitNames() {
+			v, _ := c.Get(name)
+			if f := reg.Lookup(name); f.ExplicitMatters || !v.Equal(f.Type, f.Default) {
+				canonical = append(canonical, name)
+			}
+		}
+		if got := parsed.ExplicitNames(); !slices.Equal(got, canonical) {
+			t.Fatalf("trial %d: explicit set is not the canonical form\n in: %v\nout: %v", trial, canonical, got)
 		}
 		for _, name := range c.ExplicitNames() {
 			av, _ := c.Get(name)
@@ -326,6 +350,9 @@ func TestExplicitArgsRoundTripsExplicitness(t *testing.T) {
 			if f := reg.Lookup(name); !av.Equal(f.Type, bv) {
 				t.Fatalf("trial %d: %s changed value across the wire", trial, name)
 			}
+		}
+		if got, want := parsed.ExplicitArgs(), c.ExplicitArgs(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: rendering is not a fixed point\n in: %v\nout: %v", trial, want, got)
 		}
 	}
 }

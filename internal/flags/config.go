@@ -313,10 +313,13 @@ func (c *Config) Clone() *Config {
 	}
 }
 
-// Key returns a canonical string identifying the *effective* configuration:
-// only assignments that differ from the default appear, sorted by name.
-// Two configs with equal Keys behave identically; the runner uses Key for
-// result caching.
+// Key returns the canonical string identifying c: its canonical form as
+// "name=value" pairs, sorted by name and joined by commas. The canonical
+// form is every assignment off its flag's default, plus the explicit
+// assignments of flags whose explicitness matters (Flag.ExplicitMatters)
+// even at the default. It is everything the VM can tell apart, so two
+// configs with equal Keys behave identically: the runner caches results
+// by Key, and CommandLine renders the same form as arguments.
 //
 // The result is memoized until the next write. The first Key call counts as
 // a mutation for concurrency purposes: key a config before sharing it across
@@ -345,7 +348,7 @@ func (c *Config) AppendKey(dst []byte) []byte {
 	for i, id := range c.ids {
 		f := c.reg.byID[id]
 		v := c.vals[i]
-		if v.Equal(f.Type, f.Default) {
+		if !f.canonical(v) {
 			continue
 		}
 		if !first {
@@ -357,6 +360,34 @@ func (c *Config) AppendKey(dst []byte) []byte {
 		dst = f.appendValue(dst, v)
 	}
 	return dst
+}
+
+// Canonical returns a copy of c that holds only its canonical form (see
+// Key): the configuration ParseArgs rebuilds from c.CommandLine(), with
+// the same Key and an explicit set that round-trips.
+func (c *Config) Canonical() *Config {
+	out := NewConfig(c.reg)
+	for i, id := range c.ids {
+		if c.reg.byID[id].canonical(c.vals[i]) {
+			out.putID(id, c.vals[i])
+		}
+	}
+	return out
+}
+
+// AtDefaults reports whether every flag of c takes its default value,
+// explicitly or not: no assignment is off its default. This, not an
+// empty Key, is the test for "this is the defaults configuration": the
+// canonical form keeps an explicit default whose explicitness matters, so
+// an explicit -XX:+UseParallelGC alone keys as "UseParallelGC=true" and
+// still selects what the defaults select.
+func (c *Config) AtDefaults() bool {
+	for i, id := range c.ids {
+		if f := c.reg.byID[id]; !c.vals[i].Equal(f.Type, f.Default) {
+			return false
+		}
+	}
+	return true
 }
 
 // Diff returns, in sorted flag order, the names whose effective values
@@ -397,7 +428,7 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// String renders the non-default assignments as a human-readable list.
+// String renders the canonical form (see Key) as a human-readable list.
 func (c *Config) String() string {
 	k := c.Key()
 	if k == "" {

@@ -2,6 +2,7 @@ package flags
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -196,10 +197,37 @@ func TestDefaultConfigMatchesRegistry(t *testing.T) {
 			t.Errorf("DefaultConfig: %s = %v, want default", n, v)
 		}
 	}
-	// Although every flag is explicit, the key must still be empty: nothing
-	// differs from defaults.
-	if d.Key() != "" {
-		t.Errorf("DefaultConfig key = %q, want empty", d.Key())
+	// Every flag is explicit, and nothing differs from its default: the
+	// canonical form keeps only the explicit default that matters, and the
+	// config still counts as the defaults.
+	if got, want := d.Key(), "UseParallelGC=true"; got != want {
+		t.Errorf("DefaultConfig key = %q, want %q", got, want)
+	}
+	if got, want := d.CommandLine(), []string{"-XX:+UseParallelGC"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("DefaultConfig CommandLine = %v, want %v", got, want)
+	}
+	if !d.AtDefaults() {
+		t.Error("DefaultConfig is not AtDefaults")
+	}
+}
+
+// TestAtDefaults: a config counts as the defaults while no assignment is
+// off its default, even when an explicit default whose explicitness
+// matters keeps its key non-empty.
+func TestAtDefaults(t *testing.T) {
+	r := NewRegistry()
+	c := NewConfig(r)
+	if !c.AtDefaults() {
+		t.Error("empty config is not AtDefaults")
+	}
+	c.SetBool("UseParallelGC", true)
+	c.SetInt("MaxHeapSize", 512<<20)
+	if !c.AtDefaults() || c.Key() != "UseParallelGC=true" {
+		t.Errorf("explicit defaults: AtDefaults %v, Key %q", c.AtDefaults(), c.Key())
+	}
+	c.SetBool("UseParallelGC", false)
+	if c.AtDefaults() {
+		t.Error("-XX:-UseParallelGC is AtDefaults")
 	}
 }
 

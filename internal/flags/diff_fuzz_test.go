@@ -16,9 +16,11 @@ import (
 // runner cache all key off Config.Key(), so the two representations must
 // agree byte-for-byte on every observable. mapConfig below is a faithful
 // replica of the retired map implementation, of the retired fmt-based
-// argument renderer, and of the retired string-valued Value, and the fuzz
-// target drives both through parsing, key canonicalization, both
-// command-line renderings, and validation on arbitrary inputs.
+// argument renderer, and of the retired string-valued Value, keyed and
+// rendered under the canonical rule from its own list of flags whose
+// explicitness matters. The fuzz target drives both through parsing, key
+// canonicalization, command-line rendering, and validation on arbitrary
+// inputs.
 
 // mapValue is the retired Value: an enum held its choice's name in S,
 // where Value now holds the choice's index in I.
@@ -117,31 +119,44 @@ func (c *mapConfig) explicitNames() []string {
 	return out
 }
 
-// key mirrors the retired map-based Config.Key: sorted non-default
-// "name=value" pairs joined by commas.
+// mapExplicitMatters names the flags whose explicit assignment the
+// reference keeps even at the default value. It is the reference's own
+// list, not the catalog's field, so a catalog edit shows up here as a
+// divergence.
+var mapExplicitMatters = map[string]bool{"UseParallelGC": true}
+
+// canonical is the reference's rule for the canonical form: an explicit
+// assignment stays if it is off its default or its flag is listed in
+// mapExplicitMatters.
+func (c *mapConfig) canonical(n string) bool {
+	f := c.reg.Lookup(n)
+	return mapExplicitMatters[n] || !c.values[n].equal(f.Type, mapValueOf(f, f.Default))
+}
+
+// key mirrors the retired map-based Config.Key under the canonical rule:
+// sorted "name=value" pairs of the canonical form joined by commas.
 func (c *mapConfig) key() string {
 	var parts []string
 	for _, n := range c.explicitNames() {
-		f := c.reg.Lookup(n)
-		v := c.values[n]
-		if v.equal(f.Type, mapValueOf(f, f.Default)) {
+		if !c.canonical(n) {
 			continue
 		}
-		parts = append(parts, n+"="+v.String(f.Type))
+		f := c.reg.Lookup(n)
+		parts = append(parts, n+"="+c.values[n].String(f.Type))
 	}
 	return strings.Join(parts, ",")
 }
 
-// renderArgs mirrors the retired fmt-based renderer behind CommandLine
-// (includeDefaults false) and ExplicitArgs (true): one formatted string
-// per argument.
-func (c *mapConfig) renderArgs(includeDefaults bool) []string {
+// renderArgs mirrors the retired fmt-based renderer under the canonical
+// rule, the one form behind both CommandLine and ExplicitArgs: one
+// formatted string per argument.
+func (c *mapConfig) renderArgs() []string {
 	var args []string
 	needExperimental, needDiagnostic := false, false
 	for _, n := range c.explicitNames() {
 		f := c.reg.Lookup(n)
 		v := c.values[n]
-		if !includeDefaults && v.equal(f.Type, mapValueOf(f, f.Default)) {
+		if !c.canonical(n) {
 			continue
 		}
 		switch f.Kind {
@@ -310,7 +325,8 @@ func fuzzRegistry(t testing.TB) *Registry {
 // packed parser and the map-based reference, then asserts the observables
 // every persisted format depends on — Key, CommandLine, ExplicitArgs, and
 // Validate — are byte-identical, and that a rejected enum choice fails
-// with the reference's exact text. Seeded with the round-trip corpus.
+// with the reference's exact text. Seeded with the round-trip corpus, an
+// enum-heavy line and G1 next to an explicit -XX:+UseParallelGC.
 func FuzzPackedMapEquivalence(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -325,6 +341,7 @@ func FuzzPackedMapEquivalence(f *testing.F) {
 		"-XX:GCTimeRatio=19 -XX:+UseStringDeduplication",
 		"-XX:+UseParallelGC -XX:StringDeduplicationAgeThreshold=3 -XX:+VerifyBeforeGC -Xmx3g -Xmn1536m -XX:CompileThreshold=1025",
 		enumHeavySeed,
+		"-XX:+UseG1GC -XX:+UseParallelGC",
 	} {
 		f.Add(seed)
 	}
@@ -351,14 +368,15 @@ func FuzzPackedMapEquivalence(f *testing.F) {
 		if pk, rk := packed.Key(), ref.key(); pk != rk {
 			t.Fatalf("Key diverged on %q:\n  packed %q\n  map    %q", args, pk, rk)
 		}
-		// Both renderings, argument by argument: the transport ships
-		// ExplicitArgs, and a nil list (no "args" field on the wire) must
-		// stay apart from an empty one.
-		if pc, rc := packed.CommandLine(), ref.renderArgs(false); !reflect.DeepEqual(pc, rc) {
+		// Both names of the one rendering, argument by argument: the
+		// transport ships ExplicitArgs, and a nil list (no "args" field on
+		// the wire) must stay apart from an empty one.
+		rc := ref.renderArgs()
+		if pc := packed.CommandLine(); !reflect.DeepEqual(pc, rc) {
 			t.Fatalf("CommandLine diverged on %q:\n  packed %q\n  map    %q", args, pc, rc)
 		}
-		if pe, re := packed.ExplicitArgs(), ref.renderArgs(true); !reflect.DeepEqual(pe, re) {
-			t.Fatalf("ExplicitArgs diverged on %q:\n  packed %q\n  map    %q", args, pe, re)
+		if pe := packed.ExplicitArgs(); !reflect.DeepEqual(pe, rc) {
+			t.Fatalf("ExplicitArgs diverged on %q:\n  packed %q\n  map    %q", args, pe, rc)
 		}
 		perr, rerr := packed.Validate(), ref.validate()
 		if (perr == nil) != (rerr == nil) {

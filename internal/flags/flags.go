@@ -136,6 +136,21 @@ type Flag struct {
 	// OverheadPct is the relative slowdown (e.g. 0.02 = 2%) the simulator
 	// charges when an inert flag is engaged. Zero means truly free.
 	OverheadPct float64
+
+	// ExplicitMatters marks flags whose explicit assignment changes VM
+	// behaviour even at the default value, the way HotSpot's ergonomics
+	// test FLAG_IS_DEFAULT: an explicit -XX:+UseParallelGC conflicts with
+	// another collector, a defaulted one does not. The canonical form of a
+	// configuration keeps such assignments; every other flag appears in it
+	// only off its default.
+	ExplicitMatters bool
+}
+
+// canonical reports whether an explicit assignment of v to f belongs to
+// the canonical form of a configuration: it is off f's default, or f's
+// explicitness matters. Key and the argument renderer share this rule.
+func (f *Flag) canonical(v Value) bool {
+	return f.ExplicitMatters || !v.Equal(f.Type, f.Default)
 }
 
 // Value is the tagged value of a flag. Exactly one field is meaningful,

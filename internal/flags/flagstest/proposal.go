@@ -49,3 +49,23 @@ func Parents(reg *flags.Registry, seed int64) (a, b *flags.Config, active []flag
 	}
 	return a, b, active, apply, rng
 }
+
+// WideArgs renders every explicit assignment of c as a java-style
+// argument, explicit defaults included. CommandLine and ExplicitArgs ship
+// only the canonical form (about ten args for a Proposal); this is the
+// ~350-arg width older builds sent, which nodes still accept up to
+// dispatch.MaxArgs. It parses back to c's Key.
+func WideArgs(c *flags.Config) []string {
+	var args []string
+	c.EachExplicit(func(f *flags.Flag, v flags.Value) {
+		switch {
+		case f.Type != flags.Bool:
+			args = append(args, "-XX:"+f.Name+"="+f.ValueString(v))
+		case v.B:
+			args = append(args, "-XX:+"+f.Name)
+		default:
+			args = append(args, "-XX:-"+f.Name)
+		}
+	})
+	return args
+}

@@ -6,9 +6,10 @@ import (
 )
 
 // FuzzCommandLineRoundTrip checks the command-line codec's core invariant:
-// any argument list that parses renders (via CommandLine) to a form that
-// re-parses to the identical configuration key. The seed corpus in
-// testdata/fuzz replays on every normal `go test` run.
+// any argument list that parses renders (via CommandLine) to its
+// canonical form, and parsing that reproduces the canonical form exactly:
+// the same key, the same explicit assignments, the same rendering. The
+// seed corpus in testdata/fuzz replays on every normal `go test` run.
 func FuzzCommandLineRoundTrip(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -40,6 +41,17 @@ func FuzzCommandLineRoundTrip(f *testing.F) {
 		if back.Key() != cfg.Key() {
 			t.Fatalf("round trip changed the configuration:\n  in   %q\n  out  %q\n  key  %q\n  key' %q",
 				args, rendered, cfg.Key(), back.Key())
+		}
+		// The re-parse holds exactly the canonical form: its explicit
+		// assignments are cfg's canonical ones, value for value.
+		canon := cfg.Canonical()
+		if got, want := strings.Join(back.ExplicitNames(), ","), strings.Join(canon.ExplicitNames(), ","); got != want {
+			t.Fatalf("re-parse is not the canonical form:\n  in   %q\n  got  %s\n  want %s", args, got, want)
+		}
+		for _, id := range canon.ExplicitIDs() {
+			if back.GetID(id) != canon.GetID(id) {
+				t.Fatalf("re-parse changed %s: %+v, want %+v", reg.FlagByID(id).Name, back.GetID(id), canon.GetID(id))
+			}
 		}
 		// Rendering must be a fixed point: rendering the re-parse gives the
 		// same command line again.

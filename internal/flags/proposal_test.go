@@ -14,13 +14,14 @@ import (
 // Config.Reset, which clears only the explicit IDs: one pooled config
 // that parses wide and narrow arg lists in turn, including lists that
 // fail halfway, must read exactly like a fresh parse of the same list
-// after every step.
+// after every step. The wide lists carry every explicit assignment of a
+// proposal, as older builds sent them.
 func TestRecycledParseMatchesFresh(t *testing.T) {
 	reg := flags.NewRegistry()
-	wide := flagstest.Proposal(reg, 1).ExplicitArgs()
-	wide2 := flagstest.Proposal(reg, 2).ExplicitArgs()
+	wide := flagstest.WideArgs(flagstest.Proposal(reg, 1))
+	wide2 := flagstest.WideArgs(flagstest.Proposal(reg, 2))
 	narrow := []string{"-XX:+UseG1GC", "-XX:-UseParallelGC", "-Xmx2g", "-XX:MaxGCPauseMillis=50"}
-	all := reg.DefaultConfig().ExplicitArgs()
+	all := flagstest.WideArgs(reg.DefaultConfig())
 	half := len(wide2) / 2
 	broken := append(append(wide2[:half:half], "-XX:+NoSuchFlag"), wide2[half:]...)
 
@@ -32,6 +33,7 @@ func TestRecycledParseMatchesFresh(t *testing.T) {
 		release bool
 	}{
 		{name: "wide", args: wide},
+		{name: "canonical", args: flagstest.Proposal(reg, 1).ExplicitArgs()},
 		{name: "narrow", args: narrow},
 		{name: "every flag", args: all},
 		{name: "wide again", args: wide2},
@@ -111,9 +113,9 @@ func TestExplicitArgsConcurrent(t *testing.T) {
 
 var sinkArgs []string
 
-// BenchmarkExplicitArgs renders the transport form of a production-width
-// proposal (~350 explicit flags, about ten off their defaults): the
-// controller pays it once per fleet trial.
+// BenchmarkExplicitArgs renders the transport form of a hierarchical
+// proposal: a walk over its ~350 explicit flags that emits the canonical
+// form, about ten args. The controller pays it once per fleet trial.
 func BenchmarkExplicitArgs(b *testing.B) {
 	c := flagstest.Proposal(flags.NewRegistry(), 1)
 	b.ReportAllocs()
@@ -123,8 +125,9 @@ func BenchmarkExplicitArgs(b *testing.B) {
 	}
 }
 
-// BenchmarkParseArgsIntoRecycled parses a production-width proposal's
-// args into one pooled config, as an evald node does once per trial.
+// BenchmarkParseArgsIntoRecycled parses a hierarchical proposal's
+// transport args (its canonical form, about ten) into one pooled config,
+// as an evald node does once per trial.
 func BenchmarkParseArgsIntoRecycled(b *testing.B) {
 	reg := flags.NewRegistry()
 	args := flagstest.Proposal(reg, 1).ExplicitArgs()

@@ -93,7 +93,8 @@ func FromOutcome(o *core.Outcome) *SavedOutcome {
 }
 
 // Config rebuilds the winning configuration over reg from the stored
-// command line.
+// command line. It holds the winner's canonical form, so the rebuilt
+// configuration has the winner's Key.
 func (s *SavedOutcome) Config(reg *flags.Registry) (*flags.Config, error) {
 	return flags.ParseArgs(reg, s.CommandLine)
 }

@@ -127,9 +127,9 @@ var (
 func (r *Subprocess) launch(cfg *flags.Config, rep int) (*RunReport, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.RealTimeout)
 	defer cancel()
-	// Full-fidelity rendering: explicit-at-default assignments must reach
-	// the subprocess, since the simulated VM distinguishes forced defaults
-	// from silent ones (collector conflicts, engaged inert flags).
+	// The canonical form: everything the simulated VM can tell apart,
+	// including a forced default whose explicitness matters (an explicit
+	// -XX:+UseParallelGC conflicts with another collector).
 	args := append(cfg.ExplicitArgs(), r.profile.Name)
 	cmd := exec.CommandContext(ctx, r.BinPath, args...)
 	cmd.Env = append(cmd.Environ(), RepEnvVar+"="+strconv.Itoa(rep))

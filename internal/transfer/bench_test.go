@@ -64,10 +64,13 @@ func BenchmarkStoreLookup(b *testing.B) {
 	}
 }
 
-// benchStore writes a store shaped like the durable-warm benchmark's: 1000
-// entries for generated workloads, each carrying one of 24 valid winning
-// configurations whose widths run from 7 to 362 explicit arguments (mean
-// ~140). It returns the store directory.
+// benchStore writes a store of 1000 entries for generated workloads, the
+// durable-warm benchmark's count. Each entry carries one of 24 valid
+// winning configurations that assign 7 to 362 flags at random values and
+// are stored in their canonical form: 4 to 225 args, mean ~86. That is
+// wider than the durable-warm store, whose hierarchical winners ship
+// about ten args each, and about the width of random-searcher winners.
+// It returns the store directory.
 func benchStore(b *testing.B) string {
 	b.Helper()
 	reg := flags.NewRegistry()
@@ -125,8 +128,8 @@ func benchStore(b *testing.B) string {
 }
 
 // BenchmarkStoreOpen is a warm start's store open at the durable-warm
-// benchmark's scale: read, CRC-check and decode 1000 entries and build the
-// fingerprint index. Each iteration's Close drops the state, so every Open
+// benchmark's entry count (see benchStore for the entry widths): read,
+// CRC-check and decode 1000 entries and build the fingerprint index. Each iteration's Close drops the state, so every Open
 // reads the file again.
 func BenchmarkStoreOpen(b *testing.B) {
 	dir := benchStore(b)

@@ -47,10 +47,12 @@ var errClosed = errors.New("transfer: store closed")
 
 // Entry is one unit of tuning knowledge: the best configuration a completed
 // session found for a fingerprinted workload, with enough provenance to
-// judge and reproduce it. Args is the configuration as ExplicitArgs — the
-// rendered command-line form survives registry generations, unlike interned
-// flag IDs, and is re-parsed (and repaired) against the live registry at
-// warm-start time.
+// judge and reproduce it. Args is the configuration's canonical form as
+// ExplicitArgs renders it — the rendered command-line form survives
+// registry generations, unlike interned flag IDs, and is re-parsed (and
+// repaired) against the live registry at warm-start time. Entries written
+// by older builds carry every explicit assignment, a superset that parses
+// to the same values.
 //
 // Entries deliberately carry no wall-clock timestamp: the store feeds
 // deterministic fixed-seed sessions, and Seq already orders entries by
@@ -71,7 +73,7 @@ type Entry struct {
 	Reps          int     `json:"reps"`
 	Trials        int     `json:"trials"`
 	BudgetSeconds float64 `json:"budget_seconds"`
-	// Args is the winning configuration as explicit command-line
+	// Args is the winning configuration's canonical form as command-line
 	// assignments (flags.Config.ExplicitArgs).
 	Args []string `json:"args"`
 	// Score is the winning objective value; BaselineScore is the default

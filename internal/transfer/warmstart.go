@@ -24,7 +24,7 @@ type Prior struct {
 
 // RepairArgs re-parses a stored argument list against reg, keeping every
 // argument the live registry still understands and counting the rest as
-// dropped. Stored configs travel as rendered ExplicitArgs precisely so this
+// dropped. Stored configs travel as rendered arguments precisely so this
 // per-argument salvage is possible: interned flag IDs differ across
 // registry generations, but "-XX:+UseG1GC" parses against any registry that
 // still has the flag. The repaired config must still satisfy the hierarchy
@@ -33,7 +33,7 @@ type Prior struct {
 func RepairArgs(reg *flags.Registry, args []string) (cfg *flags.Config, dropped int, err error) {
 	cfg = flags.NewConfig(reg)
 	// Each argument parses into one recycled scratch config rather than a
-	// fresh Config per argument, of which an entry has a few hundred.
+	// fresh Config per argument, of which an entry can have a few hundred.
 	one := reg.AcquireConfig()
 	defer reg.ReleaseConfig(one)
 	var arg [1]string
@@ -66,8 +66,9 @@ func RepairArgs(reg *flags.Registry, args []string) (cfg *flags.Config, dropped 
 // repairs each group's best configuration against reg. Invalid or duplicate
 // configurations (same canonical key after repair) are skipped, so the
 // result injects each distinct surviving configuration exactly once, in
-// nearest-first order. A config whose canonical key is empty — i.e. one
-// that repair reduced to the registry defaults — is skipped too: the
+// nearest-first order. A config that repair reduced to the registry
+// defaults (flags.Config.AtDefaults: no assignment off its default, even
+// if an explicit default keeps its key non-empty) is skipped too: the
 // session measures the baseline regardless, so it carries no information.
 func Priors(st *Store, reg *flags.Registry, fp Fingerprint, k int) []Prior {
 	var out []Prior
@@ -78,7 +79,7 @@ func Priors(st *Store, reg *flags.Registry, fp Fingerprint, k int) []Prior {
 			continue
 		}
 		key := cfg.Key()
-		if key == "" || seen[key] {
+		if cfg.AtDefaults() || seen[key] {
 			continue
 		}
 		seen[key] = true

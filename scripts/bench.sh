@@ -28,10 +28,11 @@ trap 'rm -f "$OUT"' EXIT
 # are too noisy for a 10% regression gate and are not what the trajectory
 # tracks.
 {
-	# ExplicitArgs and ParseArgsIntoRecycled price a production-width
-	# proposal (~350 explicit flags): the per-trial render on the
-	# controller and the per-trial parse on an evald node. Crossover
-	# breeds one such proposal, and ActiveFlags lists a branch's flags.
+	# ExplicitArgs and ParseArgsIntoRecycled price a hierarchical
+	# proposal (~350 explicit flags, shipped as its canonical form of
+	# about ten args): the per-trial render on the controller and the
+	# per-trial parse on an evald node. Crossover breeds one such
+	# proposal, and ActiveFlags lists a branch's flags.
 	go test -run '^$' \
 		-bench '^Benchmark(Config|CommandLine|ExplicitArgs|ParseArgs|MutateFlag|Crossover|SampleValue|Diff|Simulator|ActiveFlags)' \
 		-benchmem -benchtime 1s \
@@ -40,14 +41,15 @@ trap 'rm -f "$OUT"' EXIT
 		./internal/core
 	# The dispatch pair: the same fresh trial in-process and over loopback
 	# HTTP to a real evald handler. Their delta is the per-trial cost of
-	# the distributed plane's transport. Batch16Wide and DecodeBatchRequest16
-	# price it at production width.
+	# the distributed plane's transport. Batch16Proposal prices it at the
+	# width a session ships; DecodeBatchRequest16 decodes that width and
+	# the ~350-arg one older builds sent.
 	go test -run '^$' -bench '^Benchmark(Dispatch|DecodeBatchRequest)' -benchmem -benchtime 1s \
 		./internal/dispatch
 	# The transfer set: fingerprinting a workload, querying a populated
-	# knowledge base, and — at the durable-warm benchmark's scale of 1000
-	# wide entries — opening the store and repairing its priors; all on
-	# every warm-started session's startup path.
+	# knowledge base, and — at the durable-warm benchmark's count of 1000
+	# entries, ~86 args each — opening the store and repairing its priors;
+	# all on every warm-started session's startup path.
 	go test -run '^$' -bench '^Benchmark(Fingerprint|StoreLookup|StoreOpen|Priors)$' -benchmem -benchtime 1s \
 		./internal/transfer
 	# The drift pair: the detector's per-observation fold (paid on every
