@@ -11,12 +11,14 @@ cover:
 # The crash drills: kill fixed-seed sessions (and the job farm) mid-run,
 # resume from checkpoints, and demand byte-identical results — including a
 # second kill inside the resume's replay prefix, and a resume from a
-# version 1 checkpoint written by the last build that wrote one. Run under
-# -race because recovery code is exactly where concurrency bugs hide.
+# version 1 checkpoint written by the last build that wrote one. A
+# checkpoint's first base write must sweep the temp a crash inside an
+# earlier one stranded. Run under -race because recovery code is exactly
+# where concurrency bugs hide.
 crash-matrix:
 	go test -race -count=1 \
-	  -run 'TestKillAndResume|TestKillDuringReplayAndResume|TestV1CheckpointResumes|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume' \
-	  ./hotspot ./internal/core ./internal/httpapi .
+	  -run 'TestKillAndResume|TestKillDuringReplayAndResume|TestV1CheckpointResumes|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume|TestKeeperSweepsStaleTemps' \
+	  ./hotspot ./internal/core ./internal/httpapi ./internal/checkpoint .
 
 # The overload drills: shed a submission burst against a bounded queue
 # (while polls and cancels keep answering), rate-limit a greedy client,
@@ -51,11 +53,14 @@ dist-drill:
 # real evald fleet. A v1 store checked in by the last build that wrote v1
 # must migrate to v2 and warm-start the golden session byte for byte, and
 # concurrent sessions sharing one store must never lose or renumber a
-# winner. See docs/TRANSFER.md.
+# winner. The store, a checkpoint and a journal written by the last build
+# that framed each itself must match this build's byte for byte, and a
+# winner stored with explicit defaults must warm-start exactly like its
+# canonical form. See docs/TRANSFER.md.
 transfer-drill:
 	go test -race -count=1 \
-	  -run 'TestTransferWarmStartHalvesTrialBudget|TestTransferOffLeavesSessionByteIdentical|TestTransferBogusStoreDegradesToCold|TestTransferV1StoreMigrationDrill|TestTransferStoreClosedOnEveryPath|TestStoreSalvagesTornTail|TestStoreMigratesV1|TestStoreSharedHandles|TestTuneTransferJob|TestCLITransferStoreTornTailDrill|TestCLITransferFleetEquivalence' \
-	  ./hotspot ./internal/transfer ./internal/httpapi .
+	  -run 'TestTransferWarmStartHalvesTrialBudget|TestTransferOffLeavesSessionByteIdentical|TestTransferBogusStoreDegradesToCold|TestTransferV1StoreMigrationDrill|TestTransferStoreClosedOnEveryPath|TestTransferPriorsCanonical|TestStoreSalvagesTornTail|TestStoreMigratesV1|TestStoreSharedHandles|TestStoreFixture|TestKeeperFixture|TestJournalFixture|TestTuneTransferJob|TestCLITransferStoreTornTailDrill|TestCLITransferFleetEquivalence' \
+	  ./hotspot ./internal/transfer ./internal/checkpoint ./internal/httpapi .
 	go test -race -count=10 -run 'TestStoreConcurrentOpenAppendClose' ./internal/transfer
 
 # The drift drills: the live re-tuning story end to end. A phase-shifting

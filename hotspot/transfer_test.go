@@ -3,12 +3,14 @@ package hotspot
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/flags"
+	"repro/internal/flags/flagstest"
 	"repro/internal/transfer"
 	"repro/internal/workload"
 )
@@ -336,6 +338,58 @@ func TestTransferSkipsWinnersAtDefaults(t *testing.T) {
 		}
 		if res.Transfer.Recorded != c.recorded {
 			t.Errorf("winner %v (key %q): recorded %v, want %v", c.args, best.Key(), res.Transfer.Recorded, c.recorded)
+		}
+	}
+}
+
+// TestTransferPriorsCanonical: a store entry written before entries were
+// stored in canonical form holds its winner's explicit defaults too. The
+// surrogate credits every explicit assignment of a prior, so a warm start
+// must read such an entry as a prior in canonical form, exactly as it
+// reads the same winner stored by this build.
+func TestTransferPriorsCanonical(t *testing.T) {
+	donor, err := Tune(Options{Benchmark: "h2", BudgetMinutes: 30, Seed: 3, Noise: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := flagstest.WideArgs(donor.Best)
+	if len(wide) <= len(donor.CommandLine) {
+		t.Fatalf("the h2 winner holds no explicit default (%d args, %d canonical)", len(wide), len(donor.CommandLine))
+	}
+	prof, ok := workload.ByName("h2")
+	if !ok {
+		t.Fatal("no h2 profile")
+	}
+	warm := func(bench string, args []string) []byte {
+		t.Helper()
+		dir := t.TempDir()
+		st, err := transfer.Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(&transfer.Entry{
+			FP: transfer.FingerprintOf(prof), Workload: "h2", Searcher: "hierarchical", Objective: "throughput",
+			Seed: 3, Args: args, Score: donor.BestWall, BaselineScore: donor.DefaultWall,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		res, err := Tune(Options{Benchmark: bench, Searcher: "surrogate", BudgetMinutes: 200, Seed: 7, Noise: -1, TransferDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Transfer == nil || res.Transfer.Priors != 1 {
+			t.Fatalf("%s: warm start injected %+v, want the one prior", bench, res.Transfer)
+		}
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, bench := range []string{"h2", "avrora", "xalan"} {
+		if canonical, explicit := warm(bench, donor.CommandLine), warm(bench, wide); !bytes.Equal(canonical, explicit) {
+			t.Errorf("%s: a warm start from the winner's explicit args differs from one from its canonical args:\n%s\n%s", bench, canonical, explicit)
 		}
 	}
 }

@@ -41,13 +41,9 @@ func sampleSnapshot() *Snapshot {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	want := sampleSnapshot()
-	var buf bytes.Buffer
-	if err := want.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
+	got, err := decode(encoded(t, want))
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if got.Meta != want.Meta || got.Trial != want.Trial || got.BestKey != want.BestKey {
 		t.Fatalf("round-trip mismatch:\ngot  %+v\nwant %+v", got, want)
@@ -61,11 +57,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestDecodeFailsClosed(t *testing.T) {
-	var valid bytes.Buffer
-	if err := sampleSnapshot().Encode(&valid); err != nil {
-		t.Fatal(err)
-	}
-	v := valid.Bytes()
+	v := encoded(t, sampleSnapshot())
 
 	futureHeader := append([]byte(magic), 0, 0, 0, 0)
 	binary.LittleEndian.PutUint32(futureHeader[4:], Version+7)
@@ -93,26 +85,23 @@ func TestDecodeFailsClosed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Decode(bytes.NewReader(tc.data)); !errors.Is(err, tc.want) {
-				t.Fatalf("Decode = %v, want %v", err, tc.want)
+			if _, err := decode(tc.data); !errors.Is(err, tc.want) {
+				t.Fatalf("decode = %v, want %v", err, tc.want)
 			}
 		})
 	}
 }
 
 func TestDecodeRejectsImplausibleLength(t *testing.T) {
-	var b bytes.Buffer
-	if err := writeHeader(&b, Version); err != nil {
-		t.Fatal(err)
-	}
 	var h [recordHeaderSize]byte
 	binary.LittleEndian.PutUint32(h[:4], maxRecordBytes+1)
-	b.Write(h[:])
-	if _, err := Decode(bytes.NewReader(b.Bytes())); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Decode = %v, want ErrCorrupt", err)
+	if _, err := decode(append(snapshotKind.header(), h[:]...)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("decode = %v, want ErrCorrupt", err)
 	}
 }
 
+// TestSaveLoadAtomic: a base write replaces the file whole, through a
+// temp that does not outlive it.
 func TestSaveLoadAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "session.ckpt")
@@ -121,14 +110,22 @@ func TestSaveLoadAtomic(t *testing.T) {
 		t.Fatalf("Load(missing) = %v, want ErrNotExist", err)
 	}
 
-	first := sampleSnapshot()
-	if err := first.Save(path); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
+	k := NewKeeper(path, 1, nil)
+	k.SyncWrites = true
+	k.Write(sampleSnapshot())
 	second := sampleSnapshot()
 	second.Trial = 40
-	if err := second.Save(path); err != nil {
-		t.Fatalf("Save (overwrite): %v", err)
+	second.Meta.Seed = 7 // does not extend the first: a second base
+	k.Write(second)
+	if err := k.Close(); err != nil {
+		t.Fatalf("Keeper: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, encoded(t, second)) {
+		t.Fatal("second base write did not replace the file")
 	}
 
 	got, err := Load(path)
@@ -144,7 +141,7 @@ func TestSaveLoadAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp") {
+		if strings.Contains(e.Name(), ".compact") {
 			t.Fatalf("temp file %s left behind", e.Name())
 		}
 	}
@@ -249,7 +246,7 @@ func TestJournalAppendReplay(t *testing.T) {
 	reg := telemetry.New()
 	path := filepath.Join(t.TempDir(), "journal.wal")
 
-	j, records, err := OpenJournal(path, reg)
+	j, records, err := OpenJournal(path, JournalKind, reg)
 	if err != nil {
 		t.Fatalf("OpenJournal (fresh): %v", err)
 	}
@@ -268,7 +265,7 @@ func TestJournalAppendReplay(t *testing.T) {
 		t.Fatal("Append after Close succeeded")
 	}
 
-	j2, records, err := OpenJournal(path, reg)
+	j2, records, err := OpenJournal(path, JournalKind, reg)
 	if err != nil {
 		t.Fatalf("OpenJournal (reopen): %v", err)
 	}
@@ -285,7 +282,7 @@ func TestJournalSalvagesCorruptTail(t *testing.T) {
 	reg := telemetry.New()
 	path := filepath.Join(t.TempDir(), "journal.wal")
 
-	j, _, err := OpenJournal(path, reg)
+	j, _, err := OpenJournal(path, JournalKind, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +306,7 @@ func TestJournalSalvagesCorruptTail(t *testing.T) {
 	}
 	f.Close()
 
-	j2, records, err := OpenJournal(path, reg)
+	j2, records, err := OpenJournal(path, JournalKind, reg)
 	if err != nil {
 		t.Fatalf("OpenJournal after torn tail: %v", err)
 	}
@@ -324,7 +321,7 @@ func TestJournalSalvagesCorruptTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	j3, records, err := OpenJournal(path, reg)
+	j3, records, err := OpenJournal(path, JournalKind, reg)
 	if err != nil {
 		t.Fatalf("OpenJournal after salvage+append: %v", err)
 	}
@@ -339,7 +336,7 @@ func TestJournalRejectsCorruptHeader(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a journal at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenJournal(path, nil); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := OpenJournal(path, JournalKind, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("OpenJournal(garbage) = %v, want ErrCorrupt", err)
 	}
 
@@ -349,7 +346,7 @@ func TestJournalRejectsCorruptHeader(t *testing.T) {
 	if err := os.WriteFile(future, h, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenJournal(future, nil); !errors.Is(err, ErrFutureVersion) {
+	if _, _, err := OpenJournal(future, JournalKind, nil); !errors.Is(err, ErrFutureVersion) {
 		t.Fatalf("OpenJournal(future) = %v, want ErrFutureVersion", err)
 	}
 }
@@ -374,7 +371,7 @@ func TestJournalRewrite(t *testing.T) {
 	reg := telemetry.New()
 	path := filepath.Join(t.TempDir(), "journal.wal")
 
-	j, _, err := OpenJournal(path, reg)
+	j, _, err := OpenJournal(path, JournalKind, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +398,7 @@ func TestJournalRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, records, err := OpenJournal(path, reg)
+	j2, records, err := OpenJournal(path, JournalKind, reg)
 	if err != nil {
 		t.Fatalf("OpenJournal after Rewrite: %v", err)
 	}
@@ -415,8 +412,10 @@ func TestJournalRewrite(t *testing.T) {
 			t.Fatalf("record %d = %q, want %q", i, records[i], w)
 		}
 	}
-	if got := reg.Counter("journal_compactions_total").Value(); got != 1 {
-		t.Fatalf("journal_compactions_total = %d, want 1", got)
+	// What a rewrite is for (the farm compacts, the store also migrates
+	// and salvages) is the caller's to say, and to count.
+	if got := reg.Counter("journal_compactions_total").Value(); got != 0 {
+		t.Fatalf("Rewrite ticked journal_compactions_total = %d, want 0", got)
 	}
 	// No temp file should survive a successful rewrite.
 	if stale, _ := filepath.Glob(path + ".compact*"); len(stale) != 0 {
@@ -428,7 +427,7 @@ func TestJournalSweepsStaleCompactionTemps(t *testing.T) {
 	reg := telemetry.New()
 	path := filepath.Join(t.TempDir(), "journal.wal")
 
-	j, _, err := OpenJournal(path, reg)
+	j, _, err := OpenJournal(path, JournalKind, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +443,7 @@ func TestJournalSweepsStaleCompactionTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, records, err := OpenJournal(path, reg)
+	j2, records, err := OpenJournal(path, JournalKind, reg)
 	if err != nil {
 		t.Fatalf("OpenJournal with stale temp: %v", err)
 	}

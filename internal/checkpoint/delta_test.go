@@ -22,14 +22,7 @@ func encodeV1(t testing.TB, s *Snapshot) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b bytes.Buffer
-	if err := writeHeader(&b, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writeRecord(&b, payload); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
+	return appendRecord(Kind{Magic: magic, Version: 1}.header(), payload)
 }
 
 // growingSnapshots is a session's checkpoints at rounds: each one extends
@@ -68,33 +61,37 @@ func growingSnapshots(rounds int) []*Snapshot {
 // base for the first and one delta per later snapshot.
 func v2Image(t testing.TB, snaps ...*Snapshot) []byte {
 	t.Helper()
-	var b bytes.Buffer
-	if err := snaps[0].Encode(&b); err != nil {
-		t.Fatal(err)
-	}
+	img := encoded(t, snaps[0])
 	for i := 1; i < len(snaps); i++ {
-		rec, err := encodeDelta(snaps[i-1], snaps[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Write(rec)
+		img = append(img, deltaRecord(t, snaps[i-1], snaps[i])...)
 	}
-	return b.Bytes()
+	return img
 }
 
-// encoded is a snapshot's canonical bytes, for equality checks.
+// encoded is a snapshot's canonical bytes, for equality checks: the file a
+// base write of s leaves, the header and one base record.
 func encoded(t testing.TB, s *Snapshot) []byte {
 	t.Helper()
-	var b bytes.Buffer
-	if err := s.Encode(&b); err != nil {
+	parts, err := s.encodeBase()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return b.Bytes()
+	return appendRecord(snapshotKind.header(), parts...)
+}
+
+// deltaRecord is the framed delta record prev → s.
+func deltaRecord(t testing.TB, prev, s *Snapshot) []byte {
+	t.Helper()
+	parts, err := encodeDelta(prev, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return appendRecord(nil, parts...)
 }
 
 func mustDecode(t testing.TB, data []byte) *Snapshot {
 	t.Helper()
-	s, err := Decode(bytes.NewReader(data))
+	s, err := decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,23 +141,15 @@ func TestDecodeSalvagesTornTail(t *testing.T) {
 func TestDecodeRejectsBadV2(t *testing.T) {
 	snaps := growingSnapshots(3)
 	base := v2Image(t, snaps[0])
-	delta, err := encodeDelta(snaps[0], snaps[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	gap, err := encodeDelta(snaps[1], snaps[2]) // continues trial 2 onto a 1-trial log
-	if err != nil {
-		t.Fatal(err)
-	}
+	delta := deltaRecord(t, snaps[0], snaps[1])
+	gap := deltaRecord(t, snaps[1], snaps[2]) // continues trial 2 onto a 1-trial log
 	withState := *snaps[0]
 	withState.RunnerState = []byte(`{"elapsed":21}`)
 	stateInJSON, err := json.Marshal(&withState)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inline bytes.Buffer
-	writeHeader(&inline, Version)
-	writeRecord(&inline, recordHead(recordBase, len(stateInJSON)), stateInJSON)
+	inline := appendRecord(snapshotKind.header(), recordHead(recordBase, len(stateInJSON)), stateInJSON)
 	future := append([]byte(magic), 3, 0, 0, 0)
 
 	cases := []struct {
@@ -171,13 +160,13 @@ func TestDecodeRejectsBadV2(t *testing.T) {
 		{"delta without base", append(append([]byte(nil), base[:headerSize]...), delta...), ErrCorrupt},
 		{"delta gap", append(append([]byte(nil), base...), gap...), ErrCorrupt},
 		{"base frame as delta", append(append([]byte(nil), base...), base[headerSize:]...), ErrCorrupt},
-		{"runner state inside base JSON", inline.Bytes(), ErrCorrupt},
+		{"runner state inside base JSON", inline, ErrCorrupt},
 		{"version 3", append(future, base[headerSize:]...), ErrFutureVersion},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Decode(bytes.NewReader(tc.data)); !errors.Is(err, tc.want) {
-				t.Fatalf("Decode = %v, want %v", err, tc.want)
+			if _, err := decode(tc.data); !errors.Is(err, tc.want) {
+				t.Fatalf("decode = %v, want %v", err, tc.want)
 			}
 		})
 	}
@@ -260,7 +249,7 @@ func TestKeeperWritesBaseWhenDeltaCannot(t *testing.T) {
 		t.Fatal("non-extending runner state was appended instead of rebased")
 	}
 
-	k.f.Close() // the next append fails
+	k.j.f.Close() // the next append fails
 	k.Write(r4)
 	if err := k.Close(); err == nil {
 		t.Fatal("failed append not reported")
@@ -278,7 +267,7 @@ func TestKeeperWritesBaseWhenDeltaCannot(t *testing.T) {
 // 2 journal header is a future version, not a checkpoint to read.
 func TestJournalStaysVersion1(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	j, _, err := OpenJournal(path, nil)
+	j, _, err := OpenJournal(path, JournalKind, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +286,7 @@ func TestJournalStaysVersion1(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenJournal(path, nil); !errors.Is(err, ErrFutureVersion) {
+	if _, _, err := OpenJournal(path, JournalKind, nil); !errors.Is(err, ErrFutureVersion) {
 		t.Fatalf("OpenJournal(version %d) = %v, want ErrFutureVersion", Version, err)
 	}
 }

@@ -33,7 +33,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Decode(bytes.NewReader(data))
+		s, err := decode(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrFutureVersion) {
 				t.Fatalf("decode error is neither ErrCorrupt nor ErrFutureVersion: %v", err)
@@ -86,14 +86,8 @@ func v2Seeds(t testing.TB) []struct {
 	base := v2Image(t, snaps[0])
 	badCRC := append([]byte(nil), full...)
 	badCRC[len(badCRC)-2] ^= 0xff
-	d01, err := encodeDelta(snaps[0], snaps[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	d12, err := encodeDelta(snaps[1], snaps[2])
-	if err != nil {
-		t.Fatal(err)
-	}
+	d01 := deltaRecord(t, snaps[0], snaps[1])
+	d12 := deltaRecord(t, snaps[1], snaps[2])
 	future := append([]byte(nil), full...)
 	binary.LittleEndian.PutUint32(future[4:8], Version+1)
 	return []struct {
@@ -115,20 +109,15 @@ func v2Seeds(t testing.TB) []struct {
 // reopen replays the salvage result plus the new record. A rejected file
 // must fail with a sentinel error, not a panic, and must not be modified.
 func FuzzJournalReplay(f *testing.F) {
-	var fresh bytes.Buffer
-	if err := writeHeader(&fresh, journalVersion); err != nil {
-		f.Fatal(err)
-	}
-	withRecords := bytes.NewBuffer(append([]byte(nil), fresh.Bytes()...))
+	fresh := JournalKind.header()
+	withRecords := fresh
 	for _, p := range []string{`{"op":"submit","id":1}`, `{"op":"done","id":1}`} {
-		if _, err := writeRecord(withRecords, []byte(p)); err != nil {
-			f.Fatal(err)
-		}
+		withRecords = appendRecord(withRecords, []byte(p))
 	}
 	f.Add([]byte{})
-	f.Add(fresh.Bytes())
-	f.Add(withRecords.Bytes())
-	f.Add(withRecords.Bytes()[:withRecords.Len()-3]) // torn tail
+	f.Add(fresh)
+	f.Add(withRecords)
+	f.Add(withRecords[:len(withRecords)-3]) // torn tail
 	f.Add([]byte("not a journal"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -136,7 +125,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, records, err := OpenJournal(path, nil)
+		j, records, err := OpenJournal(path, JournalKind, nil)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrFutureVersion) {
 				t.Fatalf("open error is neither sentinel: %v", err)
@@ -156,7 +145,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := j.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		_, again, err := OpenJournal(path, nil)
+		_, again, err := OpenJournal(path, JournalKind, nil)
 		if err != nil {
 			t.Fatalf("reopen after salvage: %v", err)
 		}

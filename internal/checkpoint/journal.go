@@ -11,101 +11,160 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Journal is an append-only write-ahead log of framed records, used by the
-// tuning farm to make job submissions, state transitions, and results
-// durable. Appends are fsynced before returning, so a record the caller saw
-// accepted survives a crash. Rewrite compacts the log in place (atomically,
-// via a temp file renamed over the journal) once the caller decides the
-// append history has grown past what its live state justifies.
+// Journal is an append-only log of framed records in a file of one Kind:
+// the farm's and the fleet's write-ahead journals, the transfer store, and
+// a Keeper's session checkpoint are all journals. Appends are fsynced
+// before returning, so a record the caller saw accepted survives a crash.
+// Rewrite replaces the log atomically once the caller decides its records
+// should change: compacted, migrated to the kind's newest version, or cut
+// back to the prefix the caller can decode.
+//
+// A journal counts what it does on its own in the registry it was opened
+// with: stale temps swept (journal_stale_temps_removed_total) and a torn
+// tail salvaged (journal_salvaged_total) at open, records replayed
+// (journal_records_replayed_total) and appended (journal_appends_total).
+// What a Rewrite means is the caller's to say, and to count. A caller that
+// counts under its own names (the transfer store) opens the journal with a
+// nil registry and reads what the open did from Swept and Salvaged.
 type Journal struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
-	size   int64 // bytes of valid journal (header + records)
-	closed bool
-	tel    *telemetry.Registry
+	mu       sync.Mutex
+	f        *os.File
+	path     string
+	kind     Kind
+	version  uint32 // the file's format version
+	size     int64  // bytes of valid journal (header + records)
+	swept    int    // stale temps the open removed; fixed at open
+	salvaged bool   // the open cut a torn tail; fixed at open
+	closed   bool
+	buf      []byte // Append's framed record, reused
+	tel      *telemetry.Registry
 }
 
-// OpenJournal opens (or creates) the journal at path and replays it,
-// returning the decoded record payloads in append order.
+// OpenJournal opens (or creates) the kind k journal at path and replays
+// it, returning the record payloads in append order. The payloads share
+// one buffer holding the whole file, which is never written again.
 //
 // Recovery is deliberately forgiving about the tail and strict about the
 // head: a crash mid-append legitimately leaves a torn last record, so a
 // corrupt tail is truncated back to the end of the valid prefix and the
 // journal reopens for appends — losing only the record that never finished.
-// A corrupt header, by contrast, means the file is not a journal at all
-// (or was written by a future version), and replaying a guess would
-// resurrect a farm state that never existed; that fails closed.
-func OpenJournal(path string, tel *telemetry.Registry) (*Journal, [][]byte, error) {
+// A corrupt header, by contrast, means the file is not a journal of this
+// kind at all (or was written by a future version), and replaying a guess
+// would resurrect state that never existed; that fails closed, leaving the
+// file untouched. A file at an older version opens as it is (see Version);
+// migrating its records is the caller's business.
+func OpenJournal(path string, k Kind, tel *telemetry.Registry) (*Journal, [][]byte, error) {
 	// A crash mid-Rewrite can strand a temp file next to the journal; it
 	// was never renamed, so it holds no authoritative state — sweep it.
-	if stale, _ := filepath.Glob(path + ".compact*"); len(stale) > 0 {
-		for _, p := range stale {
-			os.Remove(p)
-		}
-		tel.Counter("journal_stale_temps_removed_total").Add(uint64(len(stale)))
+	swept := sweepTemps(path)
+	if swept > 0 {
+		tel.Counter("journal_stale_temps_removed_total").Add(uint64(swept))
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("journal: %w", err)
+		return nil, nil, err
 	}
-	j := &Journal{f: f, path: path, tel: tel}
-
-	data, err := io.ReadAll(f)
+	j := &Journal{f: f, path: path, kind: k, swept: swept, tel: tel}
+	records, err := j.replay()
 	if err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("journal: %w", err)
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return j, records, nil
+}
+
+// replay reads the file in one read, checks its header and frames, cuts a
+// torn tail, and leaves the file positioned after the valid prefix.
+func (j *Journal) replay() ([][]byte, error) {
+	data, err := readAll(j.f)
+	if err != nil {
+		return nil, err
 	}
 	if len(data) == 0 {
-		if err := writeHeader(f, journalVersion); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal: init header: %w", err)
+		if _, err := j.f.Write(j.kind.header()); err != nil {
+			return nil, fmt.Errorf("init header: %w", err)
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal: init sync: %w", err)
+		if err := j.f.Sync(); err != nil {
+			return nil, fmt.Errorf("init sync: %w", err)
 		}
-		j.size = headerSize
-		return j, nil, nil
+		j.version, j.size = j.kind.Version, headerSize
+		return nil, nil
 	}
-
-	if _, err := parseHeader(data, journalVersion); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal %s: %w", path, err)
+	if j.version, err = parseHeader(data, j.kind); err != nil {
+		return nil, err
 	}
 
 	var records [][]byte
-	valid := int64(headerSize) // byte offset of the end of the valid prefix
-	for rest := data[headerSize:]; ; {
+	rest := data[headerSize:]
+	for {
 		payload, next, err := nextRecord(rest)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			// Torn tail from a crash mid-append: salvage the valid prefix.
-			if terr := f.Truncate(valid); terr != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("journal %s: truncate corrupt tail: %w", path, terr)
-			}
-			if serr := f.Sync(); serr != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("journal %s: sync after truncate: %w", path, serr)
-			}
-			tel.Counter("journal_salvaged_total").Inc()
+			j.salvaged = true
 			break
 		}
 		records = append(records, payload)
-		valid += int64(len(rest) - len(next))
 		rest = next
 	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal %s: seek: %w", path, err)
+	j.size = int64(len(data) - len(rest))
+	if j.salvaged {
+		// Torn tail from a crash mid-append: salvage the valid prefix.
+		if err := j.f.Truncate(j.size); err != nil {
+			return nil, fmt.Errorf("truncate corrupt tail: %w", err)
+		}
+		if err := j.f.Sync(); err != nil {
+			return nil, fmt.Errorf("sync after truncate: %w", err)
+		}
+		j.tel.Counter("journal_salvaged_total").Inc()
 	}
-	j.size = valid
-	tel.Counter("journal_records_replayed_total").Add(uint64(len(records)))
-	return j, records, nil
+	if _, err := j.f.Seek(j.size, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("seek: %w", err)
+	}
+	j.tel.Counter("journal_records_replayed_total").Add(uint64(len(records)))
+	return records, nil
 }
+
+// readAll reads f from its start in one read sized by Stat.
+func readAll(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("stat: %w", err)
+	}
+	data := make([]byte, fi.Size())
+	n, err := io.ReadFull(f, data)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return nil, fmt.Errorf("read: %w", err)
+	}
+	return data[:n], nil
+}
+
+// createJournal atomically replaces the file at path with a kind k file
+// holding one record framed from parts, and returns a journal appending
+// after it. The parts are written as they are, never copied together.
+func createJournal(path string, k Kind, parts ...[]byte) (*Journal, error) {
+	h := frameHeader(parts)
+	j := &Journal{path: path, kind: k}
+	if err := j.replace(append([][]byte{k.header(), h[:]}, parts...)...); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// Version returns the file's format version: the one it was opened at, or
+// the kind's newest once a Rewrite has replaced it.
+func (j *Journal) Version() uint32 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.version
+}
+
+// Swept returns how many stale temps the open removed.
+func (j *Journal) Swept() int { return j.swept }
+
+// Salvaged reports whether the open cut a torn tail off the file.
+func (j *Journal) Salvaged() bool { return j.salvaged }
 
 // Size returns the journal's current on-disk size in bytes (header plus
 // valid records). Callers use it to decide when a Rewrite pays off.
@@ -118,8 +177,9 @@ func (j *Journal) Size() int64 {
 	return j.size
 }
 
-// Append durably writes one record: framed, then fsynced.
-func (j *Journal) Append(payload []byte) error {
+// Append durably writes one record, framed from the consecutive parts of
+// its payload in a single write, then fsynced.
+func (j *Journal) Append(parts ...[]byte) error {
 	if j == nil {
 		return nil
 	}
@@ -128,23 +188,23 @@ func (j *Journal) Append(payload []byte) error {
 	if j.closed {
 		return errors.New("journal: closed")
 	}
-	if _, err := writeRecord(j.f, payload); err != nil {
+	j.buf = appendRecord(j.buf[:0], parts...)
+	if _, err := j.f.Write(j.buf); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: append sync: %w", err)
 	}
-	j.size += recordHeaderSize + int64(len(payload))
+	j.size += int64(len(j.buf))
 	j.tel.Counter("journal_appends_total").Inc()
 	return nil
 }
 
 // Rewrite atomically replaces the journal's contents with the given record
-// payloads: they are written to a temp file in the journal's directory,
-// fsynced, and renamed over the journal — a crash at any point leaves
-// either the complete old log or the complete new one, never a mix. The
-// stranded temp of a crash-before-rename is swept by the next OpenJournal.
-// On success the journal continues appending after the last new record.
+// payloads at the kind's newest version (see ReplaceFile). A crash at any
+// point leaves either the complete old log or the complete new one, never
+// a mix. On success the journal continues appending after the last new
+// record.
 func (j *Journal) Rewrite(payloads [][]byte) error {
 	if j == nil {
 		return nil
@@ -154,40 +214,28 @@ func (j *Journal) Rewrite(payloads [][]byte) error {
 	if j.closed {
 		return errors.New("journal: closed")
 	}
-	f, err := os.CreateTemp(filepath.Dir(j.path), filepath.Base(j.path)+".compact*")
+	img := j.kind.header()
+	for _, p := range payloads {
+		img = appendRecord(img, p)
+	}
+	return j.replace(img)
+}
+
+// replace swaps the file for the concatenation of parts and adopts the new
+// file, positioned at its end, for later appends. The superseded file is
+// closed only after the swap.
+func (j *Journal) replace(parts ...[]byte) error {
+	f, err := ReplaceFile(j.path, parts...)
 	if err != nil {
 		return fmt.Errorf("journal: rewrite: %w", err)
 	}
-	tmp := f.Name()
-	abort := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if j.f != nil {
+		j.f.Close()
 	}
-	if err := writeHeader(f, journalVersion); err != nil {
-		return abort(fmt.Errorf("journal: rewrite header: %w", err))
+	j.f, j.version, j.size = f, j.kind.Version, 0
+	for _, p := range parts {
+		j.size += int64(len(p))
 	}
-	size := int64(headerSize)
-	for _, p := range payloads {
-		n, err := writeRecord(f, p)
-		if err != nil {
-			return abort(fmt.Errorf("journal: rewrite record: %w", err))
-		}
-		size += int64(n)
-	}
-	if err := f.Sync(); err != nil {
-		return abort(fmt.Errorf("journal: rewrite sync: %w", err))
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		return abort(fmt.Errorf("journal: rewrite: %w", err))
-	}
-	// The temp fd is now the journal: positioned at its end, ready for
-	// appends. Close the superseded file only after the swap is in place.
-	old := j.f
-	j.f = f
-	j.size = size
-	old.Close()
-	j.tel.Counter("journal_compactions_total").Inc()
 	return nil
 }
 
@@ -203,4 +251,47 @@ func (j *Journal) Close() error {
 	}
 	j.closed = true
 	return j.f.Close()
+}
+
+// ReplaceFile atomically replaces the file at path with the concatenation
+// of parts: they go to a temp file next to it, <path>.compact*, which is
+// made mode 0644 (the mode a fresh journal gets, where the temp would keep
+// 0600), fsynced, and only then renamed over path. A crash at any point
+// leaves either the complete old file or the complete new one; a temp it
+// strands is swept by the next OpenJournal of path, or the first base write
+// of a Keeper on it. It returns the new file, open at its end.
+func ReplaceFile(path string, parts ...[]byte) (*os.File, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".compact*")
+	if err != nil {
+		return nil, err
+	}
+	err = f.Chmod(0o644)
+	for _, p := range parts {
+		if err == nil {
+			_, err = f.Write(p)
+		}
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return nil, err
+	}
+	return f, nil
+}
+
+// sweepTemps removes the temps ReplaceFile stranded next to path when a
+// crash beat the rename, and returns how many it found. The caller owns
+// path, so no temp belongs to a write still in flight.
+func sweepTemps(path string) int {
+	stale, _ := filepath.Glob(path + ".compact*")
+	for _, p := range stale {
+		os.Remove(p)
+	}
+	return len(stale)
 }

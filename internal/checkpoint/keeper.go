@@ -1,7 +1,7 @@
 package checkpoint
 
 import (
-	"os"
+	"fmt"
 	"sync"
 	"time"
 
@@ -23,11 +23,13 @@ const DefaultEveryTrials = 8
 // write carries everything since the last one that completed, so a backlog
 // would only delay it.
 //
-// A write costs what the session changed since the last completed write,
-// not what it holds: the first write, any write after a failed one, and
-// any snapshot that does not extend the one on disk (see Snapshot.extends)
-// replace the file with a base record through temp+fsync+rename; every
-// other write appends and fsyncs one delta record.
+// The file is a Journal, and a write costs what the session changed since
+// the last completed write, not what it holds: the first write, any write
+// after a failed one, and any snapshot that does not extend the one on
+// disk (see Snapshot.extends) atomically replace the file with one base
+// record (see ReplaceFile); every other write appends and fsyncs one delta
+// record. One Keeper owns its path, so its first base write sweeps the
+// temps an earlier crash stranded there.
 type Keeper struct {
 	path string
 	// Every is the trial cadence; zero means DefaultEveryTrials.
@@ -44,12 +46,14 @@ type Keeper struct {
 	err  error
 	wg   sync.WaitGroup
 
-	// Owned by the write in flight (and Close, once none is): f is the
+	// Owned by the write in flight (and Close, once none is): j is the
 	// checkpoint file open for appends, nil until a base write succeeds
 	// and again after any failed write; onDisk is the snapshot the file
-	// holds, the last one whose write completed.
-	f      *os.File
+	// holds, the last one whose write completed; swept is set once the
+	// path's stale temps are gone.
+	j      *Journal
 	onDisk *Snapshot
+	swept  bool
 }
 
 // NewKeeper returns a Keeper writing to path. tel may be nil.
@@ -135,30 +139,41 @@ func (k *Keeper) save(snap *Snapshot) {
 // persist writes snap as a delta when the file holds a snapshot it
 // extends, and as a base otherwise; it returns the bytes written.
 func (k *Keeper) persist(snap *Snapshot) (int, error) {
-	if k.f != nil && snap.extends(k.onDisk) {
-		rec, err := encodeDelta(k.onDisk, snap)
+	if k.j != nil && snap.extends(k.onDisk) {
+		parts, err := encodeDelta(k.onDisk, snap)
 		if err != nil {
 			return 0, err
 		}
-		if _, err := k.f.Write(rec); err != nil {
+		before := k.j.Size()
+		if err := k.j.Append(parts...); err != nil {
 			return 0, err
 		}
-		return len(rec), k.f.Sync()
+		return int(k.j.Size() - before), nil
 	}
 	k.closeFile()
-	f, n, err := writeBase(k.path, snap)
+	parts, err := snap.encodeBase()
 	if err != nil {
 		return 0, err
 	}
-	k.f = f
-	return n, nil
+	if !k.swept {
+		if n := sweepTemps(k.path); n > 0 {
+			k.tel.Counter("checkpoint_stale_temps_removed_total").Add(uint64(n))
+		}
+		k.swept = true
+	}
+	j, err := createJournal(k.path, snapshotKind, parts...)
+	if err != nil {
+		return 0, fmt.Errorf("checkpoint: save: %w", err)
+	}
+	k.j = j
+	return int(j.Size()), nil
 }
 
 // closeFile releases the append handle; the next write is a base.
 func (k *Keeper) closeFile() {
-	if k.f != nil {
-		k.f.Close()
-		k.f = nil
+	if k.j != nil {
+		k.j.Close()
+		k.j = nil
 	}
 }
 

@@ -24,12 +24,8 @@ func TestMetaTransferMismatch(t *testing.T) {
 // TestMetaTransferOmittedWhenCold keeps transfer-off snapshots byte-identical
 // to those of builds that predate the field.
 func TestMetaTransferOmittedWhenCold(t *testing.T) {
-	var buf bytes.Buffer
 	s := &Snapshot{Meta: Meta{Workload: "h2", Searcher: "random", Objective: "throughput", Seed: 1, Reps: 3}, Baseline: fuzzBaseline()}
-	if err := s.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(buf.Bytes(), []byte(`"transfer"`)) {
+	if bytes.Contains(encoded(t, s), []byte(`"transfer"`)) {
 		t.Fatal("cold snapshot serializes a transfer field")
 	}
 }

@@ -1,20 +1,24 @@
 // Package checkpoint is the tuner's durability layer: crash-safe snapshots
-// of in-flight tuning sessions and an append-only write-ahead journal for
-// the tuning farm.
+// of in-flight tuning sessions, an append-only write-ahead journal for
+// the tuning farm, and the one framed-file format under both of them and
+// under the transfer store.
 //
 // The paper's headline cost is wall-clock — up to 200 minutes of tuning per
 // program — so losing in-flight state to a crash, OOM, or operator restart
 // forfeits real time. This package makes that state durable with one shared
-// on-disk framing: a magic+version header followed by length- and
-// CRC32-guarded records. A snapshot file is a base record written
-// atomically (to a temp file, fsynced, then renamed over the old file, so a
-// reader only ever sees a complete base or the previous file) followed by
-// delta records appended as the session goes; journals are append-only
-// record streams. Both recovery paths salvage the valid prefix of a
-// truncated or corrupted tail instead of refusing to start. Everything else
-// fails closed: corrupt headers, a torn base, CRC-valid records that do
-// not decode, and future format versions are errors, never panics and
-// never partially-applied state.
+// on-disk framing: a magic+version header (the file's Kind) followed by
+// length- and CRC32-guarded records. Journal is the one implementation of
+// such a file: it opens and replays one, salvages a torn tail, appends
+// fsynced records, and replaces the whole file atomically (ReplaceFile: a
+// temp file, fsynced, then renamed over the old one, so a reader only ever
+// sees the complete old file or the complete new one). A snapshot file is a
+// journal of one base record followed by delta records appended as the
+// session goes. Recovery salvages the valid prefix of a truncated or
+// corrupted tail instead of refusing to start. Everything else fails
+// closed: corrupt headers, a torn base, CRC-valid records that do not
+// decode, and future format versions are errors, never panics and never
+// partially-applied state. What a record means, and what a caller does with
+// one it cannot decode, stays with the caller.
 //
 // A session Snapshot captures everything a killed session needs to continue
 // and converge to the byte-identical outcome of an uninterrupted run: the
@@ -42,13 +46,25 @@ import (
 // deltas; version 1 files (one whole-snapshot record) still load.
 const Version = 2
 
-// journalVersion is the version journals write and the newest they read.
-// Journals did not change with checkpoint version 2, and keeping them at 1
-// means a downgraded build can still replay a farm's history.
-const journalVersion = 1
-
 // magic opens every checkpoint file and journal.
 const magic = "ATCK"
+
+// Kind is the format of one kind of framed file: the four-byte magic its
+// header opens with and the newest version this build writes; readers
+// reject anything newer. Each file kind is one fixed value; nothing
+// configures it.
+type Kind struct {
+	Magic   string
+	Version uint32
+}
+
+// JournalKind is the farm's and the fleet's write-ahead journal. Journals
+// did not change with checkpoint version 2, and keeping them at 1 means a
+// downgraded build can still replay a farm's history.
+var JournalKind = Kind{Magic: magic, Version: 1}
+
+// snapshotKind is a session checkpoint file.
+var snapshotKind = Kind{Magic: magic, Version: Version}
 
 // headerSize is the byte length of the file header (magic + version).
 const headerSize = 8
@@ -70,30 +86,27 @@ var (
 	ErrFutureVersion = errors.New("checkpoint: future format version")
 )
 
-// writeHeader emits the file header: magic then version, little-endian.
-func writeHeader(w io.Writer, version uint32) error {
-	var h [headerSize]byte
-	copy(h[:4], magic)
-	binary.LittleEndian.PutUint32(h[4:], version)
-	_, err := w.Write(h[:])
-	return err
+// header is the file header of a kind k file at its newest version:
+// magic then version, little-endian.
+func (k Kind) header() []byte {
+	return binary.LittleEndian.AppendUint32([]byte(k.Magic), k.Version)
 }
 
-// parseHeader validates the header at the start of b against the newest
-// version the caller reads and returns the file's format version.
-func parseHeader(b []byte, newest uint32) (uint32, error) {
+// parseHeader validates the header at the start of b against kind k and
+// returns the file's format version.
+func parseHeader(b []byte, k Kind) (uint32, error) {
 	if len(b) < headerSize {
 		return 0, fmt.Errorf("%w: short header", ErrCorrupt)
 	}
-	if string(b[:4]) != magic {
+	if string(b[:4]) != k.Magic {
 		return 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, b[:4])
 	}
 	v := binary.LittleEndian.Uint32(b[4:headerSize])
 	if v == 0 {
 		return 0, fmt.Errorf("%w: version 0", ErrCorrupt)
 	}
-	if v > newest {
-		return v, fmt.Errorf("%w: %d (this build reads up to %d)", ErrFutureVersion, v, newest)
+	if v > k.Version {
+		return v, fmt.Errorf("%w: %d (this build reads up to %d)", ErrFutureVersion, v, k.Version)
 	}
 	return v, nil
 }
@@ -112,25 +125,8 @@ func frameHeader(parts [][]byte) [recordHeaderSize]byte {
 	return h
 }
 
-// writeRecord frames one payload, given as consecutive parts so large ones
-// are never copied together, and returns the bytes written.
-func writeRecord(w io.Writer, parts ...[]byte) (int, error) {
-	h := frameHeader(parts)
-	if _, err := w.Write(h[:]); err != nil {
-		return 0, err
-	}
-	n := len(h)
-	for _, p := range parts {
-		if _, err := w.Write(p); err != nil {
-			return n, err
-		}
-		n += len(p)
-	}
-	return n, nil
-}
-
-// appendRecord appends one framed payload to dst, so a small record goes
-// to disk in a single write.
+// appendRecord appends one framed payload, given as consecutive parts, to
+// dst, so a record goes to disk in a single write.
 func appendRecord(dst []byte, parts ...[]byte) []byte {
 	h := frameHeader(parts)
 	dst = append(dst, h[:]...)

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/runner"
 )
@@ -191,31 +190,21 @@ func decodeJSON(js []byte, v any) error {
 	return nil
 }
 
-// Encode writes the snapshot to w as a complete checkpoint file: the header
-// and one base record.
-func (s *Snapshot) Encode(w io.Writer) error {
-	_, err := s.encode(w)
-	return err
-}
-
-// encode is Encode returning the bytes written.
-func (s *Snapshot) encode(w io.Writer) (int, error) {
+// encodeBase is the payload of s's base record, as parts: the record
+// head, the snapshot's JSON without the runner state, and the runner state.
+func (s *Snapshot) encodeBase() ([][]byte, error) {
 	head := *s
 	head.RunnerState = nil
 	js, err := json.Marshal(&head)
 	if err != nil {
-		return 0, fmt.Errorf("checkpoint: encode snapshot: %w", err)
+		return nil, fmt.Errorf("checkpoint: encode snapshot: %w", err)
 	}
-	if err := writeHeader(w, Version); err != nil {
-		return 0, err
-	}
-	n, err := writeRecord(w, recordHead(recordBase, len(js)), js, s.RunnerState)
-	return headerSize + n, err
+	return [][]byte{recordHead(recordBase, len(js)), js, s.RunnerState}, nil
 }
 
-// encodeDelta frames the records prev → s adds as one delta record; the
-// caller has checked that s extends prev (see extends).
-func encodeDelta(prev, s *Snapshot) ([]byte, error) {
+// encodeDelta is the payload of the delta record prev → s adds, as parts;
+// the caller has checked that s extends prev (see extends).
+func encodeDelta(prev, s *Snapshot) ([][]byte, error) {
 	js, err := json.Marshal(&delta{
 		From:      len(prev.Trials),
 		Trial:     s.Trial,
@@ -228,7 +217,7 @@ func encodeDelta(prev, s *Snapshot) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode delta: %w", err)
 	}
-	return appendRecord(nil, recordHead(recordDelta, len(js)), js, s.RunnerState[len(prev.RunnerState):]), nil
+	return [][]byte{recordHead(recordDelta, len(js)), js, s.RunnerState[len(prev.RunnerState):]}, nil
 }
 
 // extends reports whether s continues prev, so that a delta can carry the
@@ -241,23 +230,15 @@ func (s *Snapshot) extends(prev *Snapshot) bool {
 		bytes.HasPrefix(s.RunnerState, prev.RunnerState)
 }
 
-// Decode reads a checkpoint file written by Encode or a Keeper, version 1
-// or 2. It fails closed on a bad header, a future version, a missing, torn
-// or undecodable base (or version 1 snapshot) record, trailing data after
-// a version 1 record, and any CRC-valid delta that does not decode or
+// decode reads a checkpoint file written by a Keeper, version 1 or 2. It
+// fails closed on a bad header, a future version, a missing, torn or
+// undecodable base (or version 1 snapshot) record, trailing data after a
+// version 1 record, and any CRC-valid delta that does not decode or
 // continue the log. A torn or CRC-corrupt tail — a delta whose write a
 // crash cut short — is salvaged: the snapshot of the last complete record
 // stands.
-func Decode(r io.Reader) (*Snapshot, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read: %w", err)
-	}
-	return decode(data)
-}
-
 func decode(data []byte) (*Snapshot, error) {
-	v, err := parseHeader(data, Version)
+	v, err := parseHeader(data, snapshotKind)
 	if err != nil {
 		return nil, err
 	}
@@ -328,49 +309,7 @@ func (s *Snapshot) applyDelta(payload []byte) error {
 	return nil
 }
 
-// writeBase atomically replaces the checkpoint at path with s as a base
-// record: the bytes go to a temp file in the same directory, are fsynced,
-// and only then renamed over the destination. A crash at any point leaves
-// either the previous complete file or the new one — never a torn base.
-// It returns the new file, open at its end for appends, and the bytes
-// written.
-func writeBase(path string, s *Snapshot) (*os.File, int, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: save: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) (*os.File, int, error) {
-		f.Close()
-		os.Remove(tmp)
-		return nil, 0, err
-	}
-	n, err := s.encode(f)
-	if err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("checkpoint: save: sync: %w", err))
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fail(fmt.Errorf("checkpoint: save: %w", err))
-	}
-	return f, n, nil
-}
-
-// Save atomically replaces the checkpoint at path with s (see writeBase).
-func (s *Snapshot) Save(path string) error {
-	f, _, err := writeBase(path, s)
-	if err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("checkpoint: save: close: %w", err)
-	}
-	return nil
-}
-
-// Load reads and validates the checkpoint at path (see Decode). The caller
+// Load reads and validates the checkpoint at path (see decode). The caller
 // distinguishes "no checkpoint yet" with errors.Is(err, os.ErrNotExist).
 func Load(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)

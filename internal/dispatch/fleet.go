@@ -75,7 +75,7 @@ type FleetView struct {
 // OpenFleet opens (or creates) the fleet journal at path and replays it
 // into a view. Torn tails are salvaged by the journal layer.
 func OpenFleet(path string, tel *telemetry.Registry) (*Fleet, *FleetView, error) {
-	j, payloads, err := checkpoint.OpenJournal(path, tel)
+	j, payloads, err := checkpoint.OpenJournal(path, checkpoint.JournalKind, tel)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dispatch: open fleet journal: %w", err)
 	}

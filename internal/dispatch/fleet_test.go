@@ -76,7 +76,7 @@ func TestFleetAliveClearsDeath(t *testing.T) {
 func TestFleetSkipsBadRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.journal")
 	tel := telemetry.New()
-	j, _, err := checkpoint.OpenJournal(path, tel)
+	j, _, err := checkpoint.OpenJournal(path, checkpoint.JournalKind, tel)
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}

@@ -283,6 +283,9 @@ func TestJournalCompactionAcrossRestart(t *testing.T) {
 	if s.reg.Counter("httpapi_journal_compacted_records_total").Value() == 0 {
 		t.Fatal("compaction never ran despite a 1-byte threshold")
 	}
+	if s.reg.Counter("journal_compactions_total").Value() == 0 {
+		t.Fatal("compactions not counted")
+	}
 	if s.reg.Counter("httpapi_journal_errors_total").Value() != 0 {
 		t.Fatal("compaction logged journal errors")
 	}

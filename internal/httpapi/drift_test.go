@@ -112,7 +112,7 @@ func TestDegradedReasonVisibleInPoll(t *testing.T) {
 // "degraded_reason" — exactly the field the legacy shim exists for.
 func TestDurableLegacyJournalDegradedReason(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := checkpoint.OpenJournal(filepath.Join(dir, "farm.journal"), nil)
+	j, _, err := checkpoint.OpenJournal(filepath.Join(dir, "farm.journal"), checkpoint.JournalKind, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

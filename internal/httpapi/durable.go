@@ -133,7 +133,7 @@ func (s *Server) recover() error {
 	if err := os.MkdirAll(s.stateDir, 0o755); err != nil {
 		return fmt.Errorf("httpapi: state dir: %w", err)
 	}
-	journal, records, err := checkpoint.OpenJournal(filepath.Join(s.stateDir, "farm.journal"), s.reg)
+	journal, records, err := checkpoint.OpenJournal(filepath.Join(s.stateDir, "farm.journal"), checkpoint.JournalKind, s.reg)
 	if err != nil {
 		return fmt.Errorf("httpapi: journal: %w", err)
 	}
@@ -338,6 +338,7 @@ func (s *Server) compactJournalLocked() {
 		fail()
 		return
 	}
+	s.reg.Counter("journal_compactions_total").Inc()
 	s.reg.Counter("httpapi_journal_compacted_records_total").Add(uint64(len(payloads)))
 }
 

@@ -5,12 +5,13 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/flags"
 )
@@ -119,47 +120,27 @@ func Read(r io.Reader) (*SavedOutcome, error) {
 	return &s, nil
 }
 
-// SaveFile writes the outcome to path atomically: the JSON goes to a
-// temporary file in the same directory, is fsynced, and is renamed over
-// path. A crash mid-save leaves either the old file or the new one, never
-// a truncated hybrid.
+// SaveFile writes the outcome to path atomically (checkpoint.ReplaceFile):
+// the JSON goes to a temporary file in the same directory, is fsynced, and
+// is renamed over path. A crash mid-save leaves either the old file or the
+// new one, never a truncated hybrid.
 func SaveFile(path string, o *core.Outcome) error {
 	return FromOutcome(o).SaveFile(path)
 }
 
-// SaveFile writes s to path with the same atomic temp-file + rename
-// protocol as the package-level SaveFile. Use this form when the caller
-// decorates the converted outcome (e.g. with transfer provenance) before
-// archiving it.
+// SaveFile writes s to path with the same atomic replace as the
+// package-level SaveFile. Use this form when the caller decorates the
+// converted outcome (e.g. with transfer provenance) before archiving it.
 func (s *SavedOutcome) SaveFile(path string) error {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, base+".tmp*")
+	var b bytes.Buffer
+	if err := s.Write(&b); err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	f, err := checkpoint.ReplaceFile(path, b.Bytes())
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	defer func() {
-		if f != nil {
-			f.Close()
-			os.Remove(f.Name())
-		}
-	}()
-	if err := s.Write(f); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	tmp := f.Name()
-	f = nil
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("persist: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("persist: %w", err)
 	}
 	return nil

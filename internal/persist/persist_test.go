@@ -126,6 +126,25 @@ func TestSaveFileAtomic(t *testing.T) {
 	}
 }
 
+// TestSaveFileMode: an archive is readable by others, 0644, whether it is
+// written fresh or over an older one.
+func TestSaveFileMode(t *testing.T) {
+	out := sampleOutcome(t)
+	path := filepath.Join(t.TempDir(), "outcome.json")
+	for i := 0; i < 2; i++ {
+		if err := SaveFile(path, out); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fi.Mode().Perm(); got != 0o644 {
+			t.Fatalf("save %d left mode %v, want -rw-r--r--", i+1, got)
+		}
+	}
+}
+
 func TestReadRejectsBadInput(t *testing.T) {
 	if _, err := Read(strings.NewReader("not json")); err == nil {
 		t.Error("garbage should error")

@@ -103,8 +103,8 @@ func benchStore(b *testing.B) string {
 		winners[i] = cfg.ExplicitArgs()
 	}
 	kinds := workload.GenKinds()
-	img := appendHeader(nil, StoreVersion)
-	for i := 0; i < 1000; i++ {
+	payloads := make([][]byte, 1000)
+	for i := range payloads {
 		p, err := workload.Generate(kinds[i%len(kinds)], rng.Int63n(1<<31))
 		if err != nil {
 			b.Fatal(err)
@@ -118,10 +118,10 @@ func benchStore(b *testing.B) string {
 		if err != nil {
 			b.Fatal(err)
 		}
-		img = appendFrame(img, payload)
+		payloads[i] = payload
 	}
 	dir := b.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, storeFile), img, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, storeFile), frameImage(StoreVersion, payloads...), 0o644); err != nil {
 		b.Fatal(err)
 	}
 	return dir

@@ -4,18 +4,17 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"strings"
 	"unicode/utf8"
 	"unsafe"
 )
 
-// The store file format. A file is an 8-byte header — the magic "ATTS" then
-// the format version as a little-endian uint32 — followed by framed records:
-// the payload length (uint32 LE), the CRC32 (IEEE) of the payload (uint32
-// LE), then the payload. Every version shares the header and the framing;
-// only the payload encoding changed.
+// The store file format. A store is a checkpoint.Journal of kind "ATTS":
+// an 8-byte header — the magic then the format version as a little-endian
+// uint32 — followed by records framed by their length and CRC32. Every
+// version shares the header and the framing; only the payload encoding
+// changed.
 //
 // Version 2 payloads are binary, so a warm start costs one read and one
 // linear scan of the file:
@@ -35,68 +34,9 @@ import (
 // Version 1 payloads were JSON-encoded storeRecords. A version 1 file is
 // read once and rewritten as version 2 (migrateV1).
 const (
-	// headerSize is the byte length of the file header (magic + version).
-	headerSize = 8
-	// frameHeaderSize is the byte length of each record's frame (length + CRC).
-	frameHeaderSize = 8
-
 	kindEntry byte = 1
 	kindMark  byte = 2
 )
-
-// appendHeader appends a file header for the given format version.
-func appendHeader(dst []byte, version uint32) []byte {
-	dst = append(dst, storeMagic...)
-	return binary.LittleEndian.AppendUint32(dst, version)
-}
-
-// parseHeader validates the header at the start of image and returns the
-// file's format version.
-func parseHeader(image []byte) (uint32, error) {
-	if len(image) < headerSize {
-		return 0, fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(image))
-	}
-	if string(image[:4]) != storeMagic {
-		return 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, image[:4])
-	}
-	v := binary.LittleEndian.Uint32(image[4:headerSize])
-	if v == 0 {
-		return 0, fmt.Errorf("%w: version 0", ErrCorrupt)
-	}
-	if v > StoreVersion {
-		return v, fmt.Errorf("%w: %d (this build reads up to %d)", ErrFutureVersion, v, StoreVersion)
-	}
-	return v, nil
-}
-
-// appendFrame appends one framed record: length, CRC32 (IEEE) of the
-// payload, then the payload itself.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
-}
-
-// frameAt checks the record framed at image[off:] and returns its payload
-// length; the payload starts at off+frameHeaderSize. A torn frame header, a
-// length past the end of the file, or a CRC mismatch returns an error
-// wrapping ErrCorrupt, which the replay treats as "the valid prefix ends
-// here".
-func frameAt(image []byte, off int) (int, error) {
-	rest := image[off:]
-	if len(rest) < frameHeaderSize {
-		return 0, fmt.Errorf("%w: torn record header", ErrCorrupt)
-	}
-	n := binary.LittleEndian.Uint32(rest)
-	if uint64(n) > uint64(len(rest)-frameHeaderSize) {
-		return 0, fmt.Errorf("%w: truncated record (want %d bytes)", ErrCorrupt, n)
-	}
-	payload := rest[frameHeaderSize : frameHeaderSize+int(n)]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(rest[4:]); got != want {
-		return 0, fmt.Errorf("%w: record CRC mismatch (got %08x, want %08x)", ErrCorrupt, got, want)
-	}
-	return int(n), nil
-}
 
 // stringView returns b's bytes as a string without copying them. The
 // caller must never write to b again. Replay decodes every string of a
@@ -365,28 +305,22 @@ func appendRecord(dst []byte, rec *storeRecord) ([]byte, error) {
 	return appendEntry(dst, rec.Entry)
 }
 
-// migrateV1 re-encodes a format v1 image as v2, record for record: every
+// migrateV1 re-encodes format v1 payloads as v2, record for record: every
 // entry keeps its position and Seq, and every watermark stays where it was.
-// A torn or corrupt tail ends the valid prefix exactly as replay would
-// salvage it, and salvaged reports that it did.
-func migrateV1(image []byte) (out []byte, salvaged bool) {
-	out = appendHeader(make([]byte, 0, len(image)), StoreVersion)
-	var payload []byte
-	for off := headerSize; off < len(image); {
-		n, err := frameAt(image, off)
+// A payload that does not decode ends the valid prefix exactly as replay
+// would cut it there, and salvaged reports that one did.
+func migrateV1(v1 [][]byte) (v2 [][]byte, salvaged bool) {
+	v2 = make([][]byte, 0, len(v1))
+	for _, p := range v1 {
+		rec, err := decodeRecordV1(p)
 		if err != nil {
-			return out, true
+			return v2, true
 		}
-		p := off + frameHeaderSize
-		rec, err := decodeRecordV1(image[p : p+n])
+		q, err := appendRecord(nil, rec)
 		if err != nil {
-			return out, true
+			return v2, true
 		}
-		if payload, err = appendRecord(payload[:0], rec); err != nil {
-			return out, true
-		}
-		out = appendFrame(out, payload)
-		off = p + n
+		v2 = append(v2, q)
 	}
-	return out, false
+	return v2, false
 }

@@ -11,10 +11,10 @@
 //   - Fingerprint: a deterministic, versioned feature vector derived from a
 //     workload.Profile, with a documented weighted distance metric, so
 //     "similar workload" is a number rather than a vibe.
-//   - Store: an append-only, CRC-framed, crash-safe on-disk store of
-//     (fingerprint, best flag configuration, score) records in the
-//     internal/checkpoint house style — fsynced appends, salvaged-tail
-//     recovery, atomic temp+rename compaction behind a sequence watermark.
+//   - Store: an append-only, crash-safe on-disk store of (fingerprint,
+//     best flag configuration, score) records on a checkpoint.Journal —
+//     fsynced appends, salvaged-tail recovery, atomic compaction behind a
+//     sequence watermark.
 //   - Priors: nearest-fingerprint lookup plus validation/repair of stored
 //     configurations against the current flag registry, producing the
 //     ready-to-inject warm-start proposals core.WarmStart consumes.

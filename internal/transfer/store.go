@@ -3,13 +3,13 @@ package transfer
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 
+	"repro/internal/checkpoint"
 	"repro/internal/telemetry"
 )
 
@@ -19,10 +19,10 @@ import (
 // newer build's knowledge). Older versions are migrated on open.
 const StoreVersion = 2
 
-// storeMagic opens every transfer store file. It differs from the
-// checkpoint magic so a store can never be mistaken for a journal (or vice
-// versa) by a misconfigured path.
-const storeMagic = "ATTS"
+// storeKind is the store file's format: a checkpoint.Journal whose magic
+// "ATTS" differs from the checkpoint magic, so a store can never be
+// mistaken for a journal (or vice versa) by a misconfigured path.
+var storeKind = checkpoint.Kind{Magic: "ATTS", Version: StoreVersion}
 
 // storeFile is the store's file name inside the -transfer-dir directory.
 const storeFile = "transfer.store"
@@ -33,13 +33,14 @@ const storeFile = "transfer.store"
 // per append even for long-lived stores.
 const compactBytes = 1 << 20
 
-// Sentinel decode errors, matched with errors.Is.
+// Sentinel decode errors, matched with errors.Is. They are the
+// checkpoint package's: the store is a checkpoint.Journal.
 var (
 	// ErrCorrupt marks unreadable on-disk state: bad magic, torn records,
 	// CRC mismatches, implausible lengths, undecodable entries.
-	ErrCorrupt = errors.New("transfer: corrupt store")
+	ErrCorrupt = checkpoint.ErrCorrupt
 	// ErrFutureVersion marks a store written by a newer format revision.
-	ErrFutureVersion = errors.New("transfer: future store version")
+	ErrFutureVersion = checkpoint.ErrFutureVersion
 )
 
 // errClosed is returned by writes through a closed handle.
@@ -93,13 +94,13 @@ func (e *Entry) relScore() float64 {
 	return e.Score
 }
 
-// Store is a handle on the persistent cross-workload knowledge base: an
-// append-only, CRC-framed record file in the checkpoint house style.
-// Appends are fsynced before returning, so an entry the caller saw accepted
-// survives a crash; recovery is forgiving about the tail (a crash
-// mid-append salvages the valid prefix) and strict about the head.
-// Compaction keeps only the best entry per (fingerprint, configuration) and
-// rewrites the file atomically via temp+rename behind a sequence watermark.
+// Store is a handle on the persistent cross-workload knowledge base: a
+// checkpoint.Journal of entry records. Appends are fsynced before
+// returning, so an entry the caller saw accepted survives a crash; recovery
+// is forgiving about the tail (a crash mid-append salvages the valid
+// prefix) and strict about the head. Compaction keeps only the best entry
+// per (fingerprint, configuration) and rewrites the file atomically behind
+// a sequence watermark.
 //
 // Every Open of one directory within a process returns a handle on the same
 // reference-counted store — one file descriptor, one lock, one index — so
@@ -117,8 +118,7 @@ type store struct {
 	refs int // open handles; guarded by openStores.mu
 
 	mu      sync.Mutex
-	f       *os.File
-	size    int64 // bytes of valid store (header + records)
+	j       *checkpoint.Journal
 	lastCmp int64 // size after the most recent compaction (or open)
 	entries []*Entry
 	nextSeq int64
@@ -149,15 +149,17 @@ type Neighbor struct {
 //
 // Recovery policy, in order of severity:
 //   - empty file → initialize a fresh header;
-//   - format v1 → rewrite as v2 via temp+rename, keeping every record,
-//     counting transfer_store_migrated_total;
-//   - torn or corrupt tail (crash mid-append) → truncate back to the valid
-//     prefix, count transfer_store_salvaged_total, continue;
-//   - corrupt header or first-record garbage that makes the file "not a
-//     store at all" → the file is renamed aside to <name>.corrupt
-//     (preserving the bytes for inspection) and a fresh store starts,
-//     counting transfer_store_corrupt_total — a bogus store degrades the
-//     session to a cold start, it never aborts it;
+//   - format v1 → rewrite as v2 through the journal's atomic rewrite,
+//     keeping every record, counting transfer_store_migrated_total;
+//   - torn or corrupt tail (crash mid-append), or a CRC-valid record that
+//     does not decode → cut back to the valid prefix, count
+//     transfer_store_salvaged_total, continue. Garbage in the first record
+//     therefore salvages to an empty store;
+//   - corrupt header (bad magic, a file too short for one) that makes the
+//     file "not a store at all" → the file is renamed aside to
+//     <name>.corrupt (preserving the bytes for inspection) and a fresh
+//     store starts, counting transfer_store_corrupt_total — a bogus store
+//     degrades the session to a cold start, it never aborts it;
 //   - future version → ErrFutureVersion. This is the one fail-closed case
 //     with no recovery: the file is fine, this build is just too old to be
 //     trusted with it, and renaming it aside would destroy newer knowledge.
@@ -174,16 +176,6 @@ func Open(dir string, tel *telemetry.Registry) (*Store, error) {
 	if s := openStores.m[path]; s != nil {
 		s.refs++
 		return &Store{s: s, tel: tel}, nil
-	}
-
-	// A crash mid-compaction can strand a temp file next to the store; it
-	// was never renamed, so it holds no authoritative state — sweep it. No
-	// handle in this process has the store open, so none is compacting.
-	if stale, _ := filepath.Glob(path + ".compact*"); len(stale) > 0 {
-		for _, p := range stale {
-			os.Remove(p)
-		}
-		tel.Counter("transfer_store_stale_temps_removed_total").Add(uint64(len(stale)))
 	}
 
 	s, err := load(path, tel)
@@ -203,111 +195,66 @@ func Open(dir string, tel *telemetry.Registry) (*Store, error) {
 	return &Store{s: s, tel: tel}, nil
 }
 
-// load does one open-and-replay attempt against path.
+// load does one open-and-replay attempt against path. No handle in this
+// process has the store open, so none is compacting while the journal
+// sweeps stale compaction temps. The store counts under its own names,
+// and appends and compactions in the registry of the handle that made
+// them, so its journal gets no registry.
 func load(path string, tel *telemetry.Registry) (*store, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	j, payloads, err := checkpoint.OpenJournal(path, storeKind, nil)
 	if err != nil {
 		return nil, fmt.Errorf("transfer: %w", err)
 	}
-	s := &store{f: f, path: path, groups: make(map[string]int)}
-	fail := func(err error) (*store, error) {
-		s.f.Close()
-		return nil, fmt.Errorf("transfer store %s: %w", path, err)
+	if n := j.Swept(); n > 0 {
+		tel.Counter("transfer_store_stale_temps_removed_total").Add(uint64(n))
 	}
-
-	image, err := readAll(f)
-	if err != nil {
-		return fail(err)
+	s := &store{j: j, path: path, groups: make(map[string]int)}
+	migrate := j.Version() < StoreVersion
+	var cut bool
+	if migrate {
+		payloads, cut = migrateV1(payloads)
 	}
-	if len(image) == 0 {
-		image = appendHeader(nil, StoreVersion)
-		if _, err := f.Write(image); err != nil {
-			return fail(fmt.Errorf("init header: %w", err))
+	n := s.replay(payloads)
+	cut = cut || n < len(payloads)
+	if migrate || cut {
+		if err := j.Rewrite(payloads[:n]); err != nil {
+			j.Close()
+			return nil, fmt.Errorf("transfer: %w", err)
 		}
-		if err := f.Sync(); err != nil {
-			return fail(fmt.Errorf("init sync: %w", err))
-		}
-		s.size, s.lastCmp = headerSize, headerSize
-		return s, nil
 	}
-	v, err := parseHeader(image)
-	if err != nil {
-		return fail(err)
-	}
-	if v < StoreVersion {
-		var salvaged bool
-		image, salvaged = migrateV1(image)
-		if salvaged {
-			tel.Counter("transfer_store_salvaged_total").Inc()
-		}
-		if err := s.replace(image); err != nil {
-			return fail(err)
-		}
+	if migrate {
 		tel.Counter("transfer_store_migrated_total").Inc()
 	}
-
-	valid := s.replay(image)
-	if valid < int64(len(image)) {
-		// Torn tail from a crash mid-append: salvage the valid prefix.
-		if err := s.f.Truncate(valid); err != nil {
-			return fail(fmt.Errorf("truncate corrupt tail: %w", err))
-		}
-		if err := s.f.Sync(); err != nil {
-			return fail(fmt.Errorf("sync after truncate: %w", err))
-		}
+	if cut || j.Salvaged() {
 		tel.Counter("transfer_store_salvaged_total").Inc()
 	}
-	if _, err := s.f.Seek(valid, io.SeekStart); err != nil {
-		return fail(fmt.Errorf("seek: %w", err))
-	}
-	s.size, s.lastCmp = valid, valid
+	s.lastCmp = j.Size()
 	tel.Counter("transfer_store_entries_replayed_total").Add(uint64(len(s.entries)))
 	return s, nil
 }
 
-// readAll reads f from its start in one read sized by Stat.
-func readAll(f *os.File) ([]byte, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("stat: %w", err)
-	}
-	image := make([]byte, fi.Size())
-	n, err := io.ReadFull(f, image)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return nil, fmt.Errorf("read: %w", err)
-	}
-	return image[:n], nil
-}
-
-// replay decodes a v2 image's records into the store and returns the byte
-// length of its valid prefix; image must not be written afterwards, since
-// the entries' strings share its bytes.
-func (s *store) replay(image []byte) int64 {
-	text := stringView(image)
-	off := headerSize
-	for off < len(image) {
-		n, err := frameAt(image, off)
+// replay decodes v2 payloads into the store and returns how many decoded:
+// a CRC-valid record that does not decode ends the valid prefix, as a torn
+// frame does. The payloads must never be written afterwards, since the
+// entries' strings share their bytes.
+func (s *store) replay(payloads [][]byte) int {
+	for i, p := range payloads {
+		rec, err := decodeRecord(p, stringView(p))
 		if err != nil {
-			break
-		}
-		p := off + frameHeaderSize
-		rec, err := decodeRecord(image[p:p+n], text[p:p+n])
-		if err != nil {
-			break
+			return i
 		}
 		if rec.Kind == "mark" {
 			s.nextSeq = max(s.nextSeq, rec.NextSeq)
-		} else {
-			e := rec.Entry
-			s.entries = append(s.entries, e)
-			if e.Seq >= s.nextSeq {
-				s.nextSeq = e.Seq + 1
-			}
-			s.index(e)
+			continue
 		}
-		off = p + n
+		e := rec.Entry
+		s.entries = append(s.entries, e)
+		if e.Seq >= s.nextSeq {
+			s.nextSeq = e.Seq + 1
+		}
+		s.index(e)
 	}
-	return int64(off)
+	return len(payloads)
 }
 
 // index files e under its fingerprint group, replacing the group's best
@@ -324,31 +271,6 @@ func (s *store) index(e *Entry) {
 	if r, rb := e.relScore(), b.relScore(); r < rb || r == rb && e.Seq < b.Seq {
 		s.best[i] = e
 	}
-}
-
-// replace atomically swaps the store file for image (temp file, fsync,
-// rename) and adopts the temp file's descriptor, positioned at its end, for
-// later appends. The superseded descriptor is closed only after the swap.
-func (s *store) replace(image []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(s.path), filepath.Base(s.path)+".compact*")
-	if err != nil {
-		return fmt.Errorf("rewrite: %w", err)
-	}
-	tmp := f.Name()
-	if _, err = f.Write(image); err == nil {
-		if err = f.Sync(); err == nil {
-			err = os.Rename(tmp, s.path)
-		}
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("rewrite: %w", err)
-	}
-	s.f.Close()
-	s.f = f
-	s.size, s.lastCmp = int64(len(image)), int64(len(image))
-	return nil
 }
 
 // Len returns the number of live entries.
@@ -380,7 +302,7 @@ func (s *store) bySeq() []*Entry {
 }
 
 // Append durably records one entry: the store assigns its sequence number,
-// frames and fsyncs the record, then opportunistically compacts once the
+// appends the record to the journal, then opportunistically compacts once the
 // file has outgrown both the compaction floor and twice its size at the
 // last compaction. An entry holding a NaN or infinite float is rejected.
 func (h *Store) Append(e *Entry) error {
@@ -399,26 +321,21 @@ func (h *Store) Append(e *Entry) error {
 	if err != nil {
 		return fmt.Errorf("transfer: encode entry: %w", err)
 	}
-	frame := appendFrame(nil, payload)
-	if _, err := s.f.Write(frame); err != nil {
-		return fmt.Errorf("transfer: append: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("transfer: append sync: %w", err)
+	if err := s.j.Append(payload); err != nil {
+		return fmt.Errorf("transfer: %w", err)
 	}
 	s.nextSeq++
-	s.size += int64(len(frame))
 	s.entries = append(s.entries, &cp)
 	s.index(&cp)
 	h.tel.Counter("transfer_store_appends_total").Inc()
-	if s.size > compactBytes && s.size > 2*s.lastCmp {
+	if size := s.j.Size(); size > compactBytes && size > 2*s.lastCmp {
 		return s.compact(h.tel)
 	}
 	return nil
 }
 
 // Compact rewrites the store keeping only the best entry per
-// (fingerprint, configuration) group, atomically via temp+rename. A mark
+// (fingerprint, configuration) group, atomically (see Journal.Rewrite). A mark
 // record carrying the next sequence number is written first, so sequence
 // assignment survives even when compaction drops the highest-numbered
 // entries.
@@ -454,22 +371,21 @@ func (s *store) compact(tel *telemetry.Registry) error {
 	// The watermark leads: a reader of the compacted store learns the next
 	// sequence number before any entry, so a store compacted down to zero
 	// entries still never reissues a sequence number.
-	image := appendHeader(nil, StoreVersion)
-	payload := appendMark(nil, s.nextSeq)
-	image = appendFrame(image, payload)
+	payloads := [][]byte{appendMark(nil, s.nextSeq)}
 	kept := make([]*Entry, 0, len(best))
 	for _, k := range keys {
 		e := best[k]
-		var err error
-		if payload, err = appendEntry(payload[:0], e); err != nil {
+		payload, err := appendEntry(nil, e)
+		if err != nil {
 			return fmt.Errorf("transfer: compact encode: %w", err)
 		}
-		image = appendFrame(image, payload)
+		payloads = append(payloads, payload)
 		kept = append(kept, e)
 	}
-	if err := s.replace(image); err != nil {
+	if err := s.j.Rewrite(payloads); err != nil {
 		return fmt.Errorf("transfer: compact: %w", err)
 	}
+	s.lastCmp = s.j.Size()
 	s.entries = kept
 	clear(s.groups)
 	s.best = s.best[:0]
@@ -541,5 +457,5 @@ func (h *Store) Close() error {
 	}
 	delete(openStores.m, s.path)
 	s.entries, s.groups, s.best = nil, nil, nil
-	return s.f.Close()
+	return s.j.Close()
 }

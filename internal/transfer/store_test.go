@@ -2,7 +2,6 @@ package transfer
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -158,12 +157,8 @@ func TestStoreCorruptHeaderMovedAside(t *testing.T) {
 func TestStoreFutureVersionFailsClosed(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, storeFile)
-	var buf bytes.Buffer
-	buf.WriteString(storeMagic)
-	var v [4]byte
-	binary.LittleEndian.PutUint32(v[:], StoreVersion+1)
-	buf.Write(v[:])
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	future := frameImage(StoreVersion + 1)
+	if err := os.WriteFile(path, future, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := Open(dir, nil)
@@ -172,7 +167,7 @@ func TestStoreFutureVersionFailsClosed(t *testing.T) {
 	}
 	// Fail closed means the newer build's file is untouched.
 	after, rerr := os.ReadFile(path)
-	if rerr != nil || !bytes.Equal(after, buf.Bytes()) {
+	if rerr != nil || !bytes.Equal(after, future) {
 		t.Fatalf("future-version store was modified: %v", rerr)
 	}
 }
@@ -490,4 +485,86 @@ func TestStoreMigratesV1(t *testing.T) {
 		t.Fatalf("append after migration got Seq %d, want the watermark 9", last.Seq)
 	}
 	st.Close()
+}
+
+// TestStoreRewritesKeepMode: a store keeps the 0644 a fresh store gets
+// through a compaction and through a v1 migration, both of which replace
+// the file with a temp created 0600.
+func TestStoreRewritesKeepMode(t *testing.T) {
+	mode := func(dir string) os.FileMode {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, storeFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode().Perm()
+	}
+	compacted := t.TempDir()
+	st, err := Open(compacted, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(testEntry(t, workload.Names()[0], 12, "-XX:+UseG1GC")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if got := mode(compacted); got != 0o644 {
+		t.Fatalf("compacted store has mode %v, want -rw-r--r--", got)
+	}
+
+	migrated := t.TempDir()
+	img := v1Image(t, storeRecord{Kind: "entry", Entry: testEntry(t, workload.Names()[1], 9)})
+	if err := os.WriteFile(filepath.Join(migrated, storeFile), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(migrated, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if got := mode(migrated); got != 0o644 {
+		t.Fatalf("migrated store has mode %v, want -rw-r--r--", got)
+	}
+}
+
+// TestStoreCutsUndecodableRecord: a CRC-valid record that does not decode
+// ends the valid prefix as a torn frame does. The file is cut back to the
+// records before it, and one open that finds both counts one salvage.
+func TestStoreCutsUndecodableRecord(t *testing.T) {
+	names := workload.Names()
+	good := storeRecord{Kind: "entry", Entry: testEntry(t, names[0], 12, "-XX:+UseG1GC")}
+	later := storeRecord{Kind: "entry", Entry: testEntry(t, names[1], 11)}
+	var payloads [][]byte
+	for _, r := range []*storeRecord{&good, &later} {
+		p, err := appendRecord(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, p)
+	}
+	first := frameImage(StoreVersion, payloads[0])
+	img := frameImage(StoreVersion, payloads[0], []byte{0x7f, 'x'}, payloads[1])
+	dir := t.TempDir()
+	path := filepath.Join(dir, storeFile)
+	if err := os.WriteFile(path, img[:len(img)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New()
+	st, err := Open(dir, tel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Len() != 1 || !sameEntry(st.Entries()[0], good.Entry) {
+		t.Fatalf("store kept %d entries, want the one before the undecodable record", st.Len())
+	}
+	if got := tel.Counter("transfer_store_salvaged_total").Value(); got != 1 {
+		t.Fatalf("transfer_store_salvaged_total = %d, want 1", got)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, first) {
+		t.Fatalf("file not cut back to the decodable prefix (%v)", err)
+	}
 }

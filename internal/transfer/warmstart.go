@@ -63,13 +63,17 @@ func RepairArgs(reg *flags.Registry, args []string) (cfg *flags.Config, dropped 
 }
 
 // Priors queries the store for the k nearest fingerprint groups to fp and
-// repairs each group's best configuration against reg. Invalid or duplicate
-// configurations (same canonical key after repair) are skipped, so the
-// result injects each distinct surviving configuration exactly once, in
-// nearest-first order. A config that repair reduced to the registry
-// defaults (flags.Config.AtDefaults: no assignment off its default, even
-// if an explicit default keeps its key non-empty) is skipped too: the
-// session measures the baseline regardless, so it carries no information.
+// repairs each group's best configuration against reg, cut to its
+// canonical form: entries from older builds also hold explicit defaults,
+// and a searcher that credits every explicit assignment (the surrogate)
+// must see the same prior whichever build stored the winner. Invalid or
+// duplicate configurations (same canonical key after repair) are skipped,
+// so the result injects each distinct surviving configuration exactly
+// once, in nearest-first order. A config that repair reduced to the
+// registry defaults (flags.Config.AtDefaults: no assignment off its
+// default, even if an explicit default keeps its key non-empty) is
+// skipped too: the session measures the baseline regardless, so it
+// carries no information.
 func Priors(st *Store, reg *flags.Registry, fp Fingerprint, k int) []Prior {
 	var out []Prior
 	seen := make(map[string]bool)
@@ -78,6 +82,7 @@ func Priors(st *Store, reg *flags.Registry, fp Fingerprint, k int) []Prior {
 		if err != nil {
 			continue
 		}
+		cfg = cfg.Canonical()
 		key := cfg.Key()
 		if cfg.AtDefaults() || seen[key] {
 			continue
