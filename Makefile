@@ -40,9 +40,13 @@ overload-drill:
 # Batched placement must fail as fast as single-trial placement on a dead
 # fleet, and every runner — the pool included — must keep the one harness
 # contract and key an explicit -XX:+UseParallelGC apart from its absence.
+# A rejected trial must be one measurement whichever way it was placed
+# (any batch size, Local or evald, any fleet order); placements must
+# append nothing to the fleet journal, and a journal written by the last
+# build that journaled placements must replay to the same membership.
 dist-drill:
 	go test -race -count=1 \
-	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestCLIDistDrill' \
+	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestRejectedTrialMeasurementsAgree|TestPlacementsAppendNothingToFleetJournal|TestAttachFleetReplaysOlderJournal|TestCLIDistDrill' \
 	  ./internal/dispatch ./internal/runner .
 
 # The transfer drills: the cross-workload knowledge base's survival and
@@ -56,10 +60,11 @@ dist-drill:
 # winner. The store, a checkpoint and a journal written by the last build
 # that framed each itself must match this build's byte for byte, and a
 # winner stored with explicit defaults must warm-start exactly like its
-# canonical form. See docs/TRANSFER.md.
+# canonical form, and an open that fails on the store's header must still
+# count the stale temps it swept. See docs/TRANSFER.md.
 transfer-drill:
 	go test -race -count=1 \
-	  -run 'TestTransferWarmStartHalvesTrialBudget|TestTransferOffLeavesSessionByteIdentical|TestTransferBogusStoreDegradesToCold|TestTransferV1StoreMigrationDrill|TestTransferStoreClosedOnEveryPath|TestTransferPriorsCanonical|TestStoreSalvagesTornTail|TestStoreMigratesV1|TestStoreSharedHandles|TestStoreFixture|TestKeeperFixture|TestJournalFixture|TestTuneTransferJob|TestCLITransferStoreTornTailDrill|TestCLITransferFleetEquivalence' \
+	  -run 'TestTransferWarmStartHalvesTrialBudget|TestTransferOffLeavesSessionByteIdentical|TestTransferBogusStoreDegradesToCold|TestTransferV1StoreMigrationDrill|TestTransferStoreClosedOnEveryPath|TestTransferPriorsCanonical|TestStoreSalvagesTornTail|TestStoreMigratesV1|TestStoreSharedHandles|TestStoreFixture|TestKeeperFixture|TestJournalFixture|TestStoreHeaderFailureCountsSweptTemps|TestTuneTransferJob|TestCLITransferStoreTornTailDrill|TestCLITransferFleetEquivalence' \
 	  ./hotspot ./internal/transfer ./internal/checkpoint ./internal/httpapi .
 	go test -race -count=10 -run 'TestStoreConcurrentOpenAppendClose' ./internal/transfer
 

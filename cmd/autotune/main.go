@@ -117,9 +117,9 @@ func main() {
 		converge = flag.Bool("convergence", false, "print the convergence trace")
 		jvmsim   = flag.String("jvmsim", "", "path to the jvmsim binary; measure via subprocesses")
 		nodes    = flag.String("nodes", "", "comma-separated evald nodes (host:port); dispatch measurements to this fleet")
-		fleetSt  = flag.String("fleet-state", "", "journal fleet membership and in-flight trials to this file (default <checkpoint>.fleet with -nodes and -checkpoint)")
+		fleetSt  = flag.String("fleet-state", "", "journal fleet membership to this file (default <checkpoint>.fleet with -nodes and -checkpoint)")
 		fleetLn  = flag.String("fleet-listen", "", "serve fleet registration on this address so evald -join nodes enter and drain at runtime")
-		batch    = flag.Int("batch", 0, "trials per evaluate-batch round trip to the fleet (0 = one POST per trial)")
+		batch    = flag.Int("batch", 0, "trials per evaluate-batch round trip to the fleet (0 = one trial per round trip)")
 		tlsCert  = flag.String("tls-cert", "", "PEM certificate presented to fleet peers (mutual TLS)")
 		tlsKey   = flag.String("tls-key", "", "PEM key for -tls-cert")
 		tlsCA    = flag.String("tls-ca", "", "PEM CA bundle fleet peers must chain to")

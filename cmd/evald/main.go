@@ -8,10 +8,10 @@
 //	      [-join CONTROLLER -advertise HOST:PORT]
 //	      [-tls-cert F -tls-key F -tls-ca F] [-auth-token T]
 //
-// One POST /v1/evaluate round trip per evaluation attempt (or up to
-// dispatch.MaxBatchTrials per POST /v1/evaluate-batch); GET /healthz
-// answers the controller's heartbeats and GET /metrics serves the node's
-// telemetry in Prometheus text format. A measurement is a pure function
+// One POST /v1/evaluate-batch round trip carries 1 to
+// dispatch.MaxBatchTrials evaluation attempts (a single attempt is a
+// batch of one); GET /healthz answers the controller's heartbeats and GET
+// /metrics serves the node's telemetry in Prometheus text format. A measurement is a pure function
 // of the request, so nodes are interchangeable and a killed node costs
 // the controller nothing but a re-dispatch. Excess load is shed with
 // 429 + Retry-After once -max-concurrent evaluations are in flight.

@@ -105,7 +105,7 @@ func main() {
 		clientRate    = flag.Float64("client-rate", 0, "per-client submissions per second, keyed by X-Client (0 = unlimited)")
 		clientBurst   = flag.Int("client-burst", 0, "per-client token-bucket burst (0 = max(1, ceil(client-rate)))")
 		nodes         = flag.String("nodes", "", "comma-separated evald nodes (host:port); run sessions against this fleet instead of in-process")
-		batch         = flag.Int("batch", 0, "trials per evaluate-batch round trip to the fleet (0 = one POST per trial)")
+		batch         = flag.Int("batch", 0, "trials per evaluate-batch round trip to the fleet (0 = one trial per round trip)")
 		tlsCert       = flag.String("tls-cert", "", "PEM certificate presented to fleet peers (mutual TLS)")
 		tlsKey        = flag.String("tls-key", "", "PEM key for -tls-cert")
 		tlsCA         = flag.String("tls-ca", "", "PEM CA bundle fleet peers must chain to")

@@ -99,10 +99,9 @@ type Options struct {
 	// in-process run. Mutually exclusive with JVMSimPath. See
 	// docs/DISTRIBUTED.md.
 	Nodes []string
-	// FleetStatePath, with Nodes, journals fleet membership and in-flight
-	// trial ownership to this file so a killed controller resumes with its
-	// fleet view intact (dead nodes stay suspect, orphaned trials are
-	// adopted and accounted).
+	// FleetStatePath, with Nodes, journals fleet membership to this file
+	// so a killed controller resumes with its fleet view intact (dead
+	// nodes stay suspect, joined nodes are re-dialed).
 	FleetStatePath string
 	// FleetListen, when non-empty, serves the fleet registration endpoints
 	// on this address so evald nodes join and leave at runtime
@@ -112,8 +111,9 @@ type Options struct {
 	// it starts an empty dynamic fleet that waits for its first join.
 	FleetListen string
 	// DispatchBatch, with a distributed session, ships up to this many
-	// trials per evaluate-batch round trip instead of one POST each. Purely
-	// a transport knob: results are byte-identical at any batch size.
+	// trials per evaluate-batch round trip; 0 = one trial per round trip.
+	// Purely a transport knob: results are byte-identical at any batch
+	// size.
 	DispatchBatch int
 	// TLSCert/TLSKey/TLSCA and AuthToken secure the distributed wire:
 	// mutual TLS between controller and nodes (cert+key presented, peers
@@ -477,8 +477,8 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 			return nil, err
 		}
 		pool.FaultHook = plan.NodeDownHook(opts.Seed)
-		// Wired before the fleet comes up: joins, orphan adoption and
-		// heartbeats report to the pool's telemetry.
+		// Wired before the fleet comes up: joins and heartbeats report to
+		// the pool's telemetry.
 		run = measurementStack(pool, &pool.Harness, plan, opts)
 		sec := security(opts)
 		if opts.FleetStatePath != "" {

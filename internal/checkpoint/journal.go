@@ -24,8 +24,9 @@ import (
 // tail salvaged (journal_salvaged_total) at open, records replayed
 // (journal_records_replayed_total) and appended (journal_appends_total).
 // What a Rewrite means is the caller's to say, and to count. A caller that
-// counts under its own names (the transfer store) opens the journal with a
-// nil registry and reads what the open did from Swept and Salvaged.
+// counts under its own names (the transfer store) sweeps first with
+// SweepTemps, opens the journal with a nil registry, and reads whether the
+// open salvaged from Salvaged.
 type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -33,7 +34,6 @@ type Journal struct {
 	kind     Kind
 	version  uint32 // the file's format version
 	size     int64  // bytes of valid journal (header + records)
-	swept    int    // stale temps the open removed; fixed at open
 	salvaged bool   // the open cut a torn tail; fixed at open
 	closed   bool
 	buf      []byte // Append's framed record, reused
@@ -56,15 +56,14 @@ type Journal struct {
 func OpenJournal(path string, k Kind, tel *telemetry.Registry) (*Journal, [][]byte, error) {
 	// A crash mid-Rewrite can strand a temp file next to the journal; it
 	// was never renamed, so it holds no authoritative state — sweep it.
-	swept := sweepTemps(path)
-	if swept > 0 {
-		tel.Counter("journal_stale_temps_removed_total").Add(uint64(swept))
+	if n := SweepTemps(path); n > 0 {
+		tel.Counter("journal_stale_temps_removed_total").Add(uint64(n))
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &Journal{f: f, path: path, kind: k, swept: swept, tel: tel}
+	j := &Journal{f: f, path: path, kind: k, tel: tel}
 	records, err := j.replay()
 	if err != nil {
 		f.Close()
@@ -159,9 +158,6 @@ func (j *Journal) Version() uint32 {
 	defer j.mu.Unlock()
 	return j.version
 }
-
-// Swept returns how many stale temps the open removed.
-func (j *Journal) Swept() int { return j.swept }
 
 // Salvaged reports whether the open cut a torn tail off the file.
 func (j *Journal) Salvaged() bool { return j.salvaged }
@@ -285,10 +281,13 @@ func ReplaceFile(path string, parts ...[]byte) (*os.File, error) {
 	return f, nil
 }
 
-// sweepTemps removes the temps ReplaceFile stranded next to path when a
+// SweepTemps removes the temps ReplaceFile stranded next to path when a
 // crash beat the rename, and returns how many it found. The caller owns
-// path, so no temp belongs to a write still in flight.
-func sweepTemps(path string) int {
+// path, so no temp belongs to a write still in flight. OpenJournal and a
+// Keeper's first base write sweep on their own; a caller that counts the
+// sweep under its own name calls it first, so the count survives an open
+// that then fails.
+func SweepTemps(path string) int {
 	stale, _ := filepath.Glob(path + ".compact*")
 	for _, p := range stale {
 		os.Remove(p)

@@ -156,7 +156,7 @@ func (k *Keeper) persist(snap *Snapshot) (int, error) {
 		return 0, err
 	}
 	if !k.swept {
-		if n := sweepTemps(k.path); n > 0 {
+		if n := SweepTemps(k.path); n > 0 {
 			k.tel.Counter("checkpoint_stale_temps_removed_total").Add(uint64(n))
 		}
 		k.swept = true

@@ -63,7 +63,9 @@ func (b *BatchRequest) Validate() error {
 }
 
 // DecodeBatchRequest parses and validates a batch envelope. Unknown fields
-// fail closed, exactly like DecodeTrialRequest. The hand-rolled scanner
+// fail closed, in the envelope and in every trial: a request from a
+// different protocol generation must be rejected loudly, not
+// half-understood. The hand-rolled scanner
 // handles the shape our own controllers emit; anything it does not
 // recognize — including unknown fields and drift requests — goes through
 // the strict reflection decoder (see wirefast.go).

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"context"
-	"errors"
 	"net"
 	"reflect"
 	"testing"
@@ -14,8 +13,8 @@ import (
 	"repro/internal/runner"
 )
 
-// batchFake scripts a BatchEvaluator for fault scenarios: single-trial
-// placements delegate to fakeEval, batches to batchFn.
+// batchFake scripts a BatchEvaluator for fault scenarios: the pool
+// places every trial, alone or batched, through batchFn.
 type batchFake struct {
 	fakeEval
 	batchFn func(req *BatchRequest) (*BatchResult, error)
@@ -74,9 +73,9 @@ func TestMeasureBatchMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestMeasureBatchDegradesWithoutBatchEvaluator: nodes that cannot speak
-// evaluate-batch serve their share of a wave trial by trial, with the
-// same results.
+// TestMeasureBatchDegradesWithoutBatchEvaluator: a node that cannot speak
+// evaluate-batch is served through the pool's adapter, which evaluates
+// its share of a wave trial by trial, with the same results.
 func TestMeasureBatchDegradesWithoutBatchEvaluator(t *testing.T) {
 	prof := poolProfile(t, "fop")
 	local := NewLocal(prof, "plain")
@@ -100,8 +99,8 @@ func TestMeasureBatchDegradesWithoutBatchEvaluator(t *testing.T) {
 			t.Fatalf("trial %d: %+v != %+v", i, got[i], want[i])
 		}
 	}
-	if pool.Telemetry.Counter("dispatch_batches_total").Value() != 0 {
-		t.Error("a non-batchable node must never be counted as serving a batch")
+	if got := pool.Telemetry.Counter("dispatch_batches_total").Value(); got != 1 {
+		t.Errorf("dispatch_batches_total = %d, want 1: the adapter serves the whole share as one batch", got)
 	}
 }
 
@@ -114,9 +113,7 @@ func TestMeasureBatchPartialSalvage(t *testing.T) {
 	backing := NewLocal(prof, "half")
 	faults := 0
 	half := &batchFake{
-		fakeEval: fakeEval{name: "half", fn: func(req *TrialRequest) (*TrialResult, error) {
-			return backing.Evaluate(context.Background(), req)
-		}},
+		fakeEval: fakeEval{name: "half"},
 		batchFn: func(req *BatchRequest) (*BatchResult, error) {
 			res, err := backing.EvaluateBatch(context.Background(), req)
 			if err != nil {
@@ -177,7 +174,7 @@ func TestBatchFaultStrikesBreakerOnce(t *testing.T) {
 	for _, k := range keys {
 		pool.acquire(k)
 	}
-	pool.settleBatchFault(nd, keys, 0)
+	pool.settleBatchFault(nd, len(keys), 0)
 	if nd.fails != 1 {
 		t.Fatalf("one batch fault = one strike, got %d", nd.fails)
 	}
@@ -199,7 +196,7 @@ func TestBatchShedFloorsCooldown(t *testing.T) {
 
 	pool.acquire("k1")
 	pool.acquire("k2")
-	pool.settleBatchFault(nd, []string{"k1", "k2"}, 4*time.Second)
+	pool.settleBatchFault(nd, 2, 4*time.Second)
 	if nd.fails != 0 || nd.dead {
 		t.Fatalf("shed batch must not strike the breaker: fails=%d dead=%v", nd.fails, nd.dead)
 	}
@@ -222,13 +219,7 @@ func TestBatchPerEntryRejectionCondemnsOnlyOwnTrial(t *testing.T) {
 	condemned := cfgs[2].Key()
 
 	strict := &batchFake{
-		fakeEval: fakeEval{name: "strict", fn: func(req *TrialRequest) (*TrialResult, error) {
-			if req.Key == condemned {
-				return nil, &NodeError{Node: "strict", Status: 400, Code: CodeBadFlag, Permanent: true,
-					Err: errors.New("unknown flag")}
-			}
-			return backing.Evaluate(context.Background(), req)
-		}},
+		fakeEval: fakeEval{name: "strict"},
 		batchFn: func(req *BatchRequest) (*BatchResult, error) {
 			res, err := backing.EvaluateBatch(context.Background(), req)
 			if err != nil {
@@ -256,11 +247,11 @@ func TestBatchPerEntryRejectionCondemnsOnlyOwnTrial(t *testing.T) {
 			t.Fatalf("sibling trial %d condemned by a per-entry rejection: %+v", i, got[i])
 		}
 	}
-	// A rejection settles like its single-dispatch twin: one not-ok
-	// placement, which the batch's successful siblings may immediately
-	// reset. Either way it must never quarantine an otherwise healthy node.
+	// A rejection settles as one not-ok placement, which the batch's
+	// successful siblings may immediately reset. Either way it must never
+	// quarantine an otherwise healthy node.
 	if nd := pool.nodes[0]; nd.fails > 1 || nd.dead {
-		t.Fatalf("rejection settle diverged from single dispatch: fails=%d dead=%v", nd.fails, nd.dead)
+		t.Fatalf("rejection settle struck the node too hard: fails=%d dead=%v", nd.fails, nd.dead)
 	}
 }
 

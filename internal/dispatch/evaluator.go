@@ -89,15 +89,33 @@ func Eval(prof *workload.Profile, reg *flags.Registry, req *TrialRequest) (*Tria
 // never condemns its siblings.
 func EvalBatch(prof *workload.Profile, reg *flags.Registry, req *BatchRequest) *BatchResult {
 	out := &BatchResult{Entries: make([]BatchEntry, len(req.Trials))}
+	eval := func(i int) {
+		res, err := Eval(prof, reg, &req.Trials[i])
+		if err != nil {
+			env := &ErrorEnvelope{Error: err.Error(), Code: CodeInternal}
+			var re *RequestError
+			if errors.As(err, &re) {
+				env.Code = re.Code
+			}
+			out.Entries[i] = BatchEntry{Error: env}
+			return
+		}
+		out.Entries[i] = BatchEntry{Result: res}
+	}
 	// Bounded workers pulling from a shared index counter, not one
 	// goroutine per trial: the evaluation call tree is deep enough that a
 	// fresh goroutine pays stack growth on every trial, which at batch
 	// width dominates the work itself. A worker amortizes that growth
 	// across all the trials it drains, and extra workers beyond the CPU
-	// count buy nothing for a compute-bound simulator.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(req.Trials) {
-		workers = len(req.Trials)
+	// count buy nothing for a compute-bound simulator. One worker's share
+	// — a batch of one, every single-trial placement — runs on the
+	// caller's goroutine, whose stack has already grown.
+	workers := min(runtime.GOMAXPROCS(0), len(req.Trials))
+	if workers == 1 {
+		for i := range req.Trials {
+			eval(i)
+		}
+		return out
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -105,22 +123,8 @@ func EvalBatch(prof *workload.Profile, reg *flags.Registry, req *BatchRequest) *
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(req.Trials) {
-					return
-				}
-				res, err := Eval(prof, reg, &req.Trials[i])
-				if err != nil {
-					env := &ErrorEnvelope{Error: err.Error(), Code: CodeInternal}
-					var re *RequestError
-					if errors.As(err, &re) {
-						env.Code = re.Code
-					}
-					out.Entries[i] = BatchEntry{Error: env}
-					continue
-				}
-				out.Entries[i] = BatchEntry{Result: res}
+			for i := int(next.Add(1)) - 1; i < len(req.Trials); i = int(next.Add(1)) - 1 {
+				eval(i)
 			}
 		}()
 	}
@@ -163,9 +167,8 @@ func (l *Local) Evaluate(_ context.Context, req *TrialRequest) (*TrialResult, er
 	return res, nil
 }
 
-// EvaluateBatch implements BatchEvaluator, so the pool's batched waves
-// work without sockets (and the differential suite can prove them
-// byte-identical to single dispatch in-memory).
+// EvaluateBatch implements BatchEvaluator, so the pool places on a Local
+// node exactly as on a remote one, without sockets.
 func (l *Local) EvaluateBatch(_ context.Context, req *BatchRequest) (*BatchResult, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err

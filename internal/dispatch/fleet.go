@@ -11,9 +11,9 @@ import (
 
 // Fleet state rides the same write-ahead journal machinery the job farm
 // uses (checkpoint.Journal: CRC-framed, fsynced appends, salvaged-tail
-// recovery), so a killed tuned resumes with its fleet view intact: which
-// nodes it knew, which were last seen dead, and which trials were in
-// flight on whom when the process died. Records are small JSON payloads:
+// recovery), so a killed tuned resumes with its fleet membership intact:
+// which nodes it knew, and which were last seen dead. Records are small
+// JSON payloads, one per membership change, never one per placement:
 //
 //	{"op":"register","node":N}   node N configured statically (-nodes)
 //	{"op":"join","node":N,"addr":A}  N registered itself at runtime from A
@@ -21,17 +21,13 @@ import (
 //	{"op":"drain","node":N}      N deregistered itself (graceful decommission)
 //	{"op":"dead","node":N}       N was quarantined (consecutive failures)
 //	{"op":"alive","node":N}      N answered again after a quarantine
-//	{"op":"dispatch","node":N,"key":K}  trial K placed on N
-//	{"op":"settle","node":N,"key":K}    placement resolved (ok or failed)
 //
-// A dispatch without a matching settle is an orphan: the controller died
-// while the trial was in flight. Orphans are adopted on recovery — their
-// ownership is cleared and the session's own checkpoint replay decides
-// whether the trial re-runs — and surfaced via Pool.Orphans so nothing is
-// silently lost or double-counted. Join/leave/drain give a restarted
-// controller the last-known dynamic membership (FleetView.Members): nodes
-// that joined and never drained are re-dialed on resume without waiting
-// for them to re-register.
+// Join/leave/drain give a restarted controller the last-known dynamic
+// membership (FleetView.Members): nodes that joined and never drained are
+// re-dialed on resume without waiting for them to re-register. Which
+// trials are banked is the session checkpoint's business, so placements
+// are not journaled; the "dispatch" and "settle" records older builds
+// wrote per placement replay as no-ops.
 
 const (
 	opRegister = "register"
@@ -40,15 +36,12 @@ const (
 	opDrain    = "drain"
 	opDead     = "dead"
 	opAlive    = "alive"
-	opDispatch = "dispatch"
-	opSettle   = "settle"
 )
 
 type fleetRecord struct {
 	Op   string `json:"op"`
 	Node string `json:"node,omitempty"`
 	Addr string `json:"addr,omitempty"`
-	Key  string `json:"key,omitempty"`
 }
 
 // Fleet is the durable fleet-state journal attached to a Pool.
@@ -67,9 +60,6 @@ type FleetView struct {
 	// drain) to the address they advertised — the live membership the
 	// controller last knew, re-dialed on resume.
 	Members map[string]string
-	// Inflight maps orphaned trial keys to the node that owned them when
-	// the journal went quiet.
-	Inflight map[string]string
 }
 
 // OpenFleet opens (or creates) the fleet journal at path and replays it
@@ -79,7 +69,7 @@ func OpenFleet(path string, tel *telemetry.Registry) (*Fleet, *FleetView, error)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dispatch: open fleet journal: %w", err)
 	}
-	view := &FleetView{Dead: make(map[string]bool), Members: make(map[string]string), Inflight: make(map[string]string)}
+	view := &FleetView{Dead: make(map[string]bool), Members: make(map[string]string)}
 	known := make(map[string]bool)
 	for _, p := range payloads {
 		var rec fleetRecord
@@ -105,10 +95,6 @@ func OpenFleet(path string, tel *telemetry.Registry) (*Fleet, *FleetView, error)
 		case opAlive:
 			known[rec.Node] = true
 			delete(view.Dead, rec.Node)
-		case opDispatch:
-			view.Inflight[rec.Key] = rec.Node
-		case opSettle:
-			delete(view.Inflight, rec.Key)
 		}
 	}
 	for n := range known {
@@ -140,10 +126,6 @@ func (f *Fleet) leave(node string)      { f.append(fleetRecord{Op: opLeave, Node
 func (f *Fleet) drain(node string)      { f.append(fleetRecord{Op: opDrain, Node: node}) }
 func (f *Fleet) dead(node string)       { f.append(fleetRecord{Op: opDead, Node: node}) }
 func (f *Fleet) alive(node string)      { f.append(fleetRecord{Op: opAlive, Node: node}) }
-func (f *Fleet) dispatch(node, key string) {
-	f.append(fleetRecord{Op: opDispatch, Node: node, Key: key})
-}
-func (f *Fleet) settle(node, key string) { f.append(fleetRecord{Op: opSettle, Node: node, Key: key}) }
 
 // Close closes the underlying journal.
 func (f *Fleet) Close() error {

@@ -311,7 +311,7 @@ func TestFleetJournalMembershipReplay(t *testing.T) {
 		}
 	}
 	if !sliceHas(view.Known, "b") {
-		t.Error("a drained node should stay known (its trials may be orphaned)")
+		t.Error("a drained node should stay known")
 	}
 }
 
@@ -370,7 +370,7 @@ func TestPoolHonorsRetryAfterFloor(t *testing.T) {
 	if nd2 := pool.acquire(cfg.Key() + "x"); nd2 != nil && nd2.name == "busy" {
 		t.Fatal("node acquired inside its Retry-After floor")
 	} else if nd2 != nil {
-		pool.settle(nd2, cfg.Key()+"x", true)
+		pool.settle(nd2, true)
 	}
 	clock = clock.Add(4 * time.Second)
 	if m := pool.Measure(cfg, 2); m.Failed {

@@ -32,8 +32,8 @@ import (
 // Pool implements runner.StateSnapshotter with the exact serialization of
 // the in-process runner and reports the in-process determinism
 // fingerprint, so checkpoints move freely between local and distributed
-// runs. Fleet membership and in-flight ownership are durably journaled
-// via AttachFleet. Safe for concurrent use.
+// runs. Fleet membership is durably journaled via AttachFleet. Safe for
+// concurrent use.
 type Pool struct {
 	// TimeoutSeconds is the per-repetition harness kill threshold sent
 	// with every trial. NewPool defaults it like runner.NewInProcess: 6×
@@ -54,10 +54,10 @@ type Pool struct {
 	// MaxTries bounds placements per attempt before the trial surfaces as
 	// a transient NodeDownFailure; values below 1 mean 8× the fleet size.
 	MaxTries int
-	// Batch caps trials per evaluate-batch round trip. Zero disables
-	// batched transport: MeasureBatch still satisfies the executor's batch
-	// seam but degrades to concurrent single-trial placement, which is the
-	// reference behavior batching must stay byte-identical to.
+	// Batch caps trials per evaluate-batch round trip. Zero ships each
+	// trial as a batch of one: MeasureBatch still satisfies the executor's
+	// batch seam but degrades to concurrent single-trial placement, which
+	// is the reference behavior batching must stay byte-identical to.
 	Batch int
 	// JoinGrace is how long a placement waits for a first node when a
 	// dynamic pool's fleet is momentarily empty (nodes join at runtime;
@@ -88,10 +88,9 @@ type Pool struct {
 	// shifted profile itself.
 	phases runner.PhaseSwitch
 
-	mu      sync.Mutex
-	nodes   []*node
-	fleet   *Fleet
-	orphans []string
+	mu    sync.Mutex
+	nodes []*node
+	fleet *Fleet
 
 	hbStop chan struct{}
 	hbDone chan struct{}
@@ -168,21 +167,11 @@ func (p *Pool) Workload() *workload.Profile { return p.profile }
 // under either resumes under the other.
 func (p *Pool) DeterminismFingerprint() string { return "*runner.InProcess" }
 
-// Orphans returns the trial keys recovered from the fleet journal as
-// in-flight when a previous controller died, sorted. Their ownership has
-// been cleared; the session's own checkpoint replay decides whether they
-// re-run, so nothing is lost or double-counted.
-func (p *Pool) Orphans() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.orphans...)
-}
-
 // AttachFleet wires a durable fleet journal (and the view replayed from
 // it) into the pool: known-dead nodes start quarantined until a probe
-// revives them, orphaned in-flight trials are adopted, and membership for
-// new nodes is journaled. Call before the first Measure. The pool owns
-// the journal from here; Close closes it.
+// revives them, and membership for new nodes is journaled. Call before
+// the first Measure. The pool owns the journal from here; Close closes
+// it.
 func (p *Pool) AttachFleet(f *Fleet, view *FleetView) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -204,14 +193,6 @@ func (p *Pool) AttachFleet(f *Fleet, view *FleetView) {
 			nd.dead = true
 			nd.until = t.Add(p.cooldown(0))
 		}
-	}
-	if view != nil && len(view.Inflight) > 0 {
-		for key, owner := range view.Inflight {
-			p.orphans = append(p.orphans, key)
-			f.settle(owner, key)
-		}
-		sort.Strings(p.orphans)
-		p.Telemetry.Counter("dispatch_orphans_adopted_total").Add(uint64(len(p.orphans)))
 	}
 }
 
@@ -418,42 +399,23 @@ func (p *Pool) acquire(key string) *node {
 		best = pref
 	}
 	best.inflight++
-	p.fleet.dispatch(best.name, key)
 	return best
 }
 
 // settle accounts the end of a placement: success resets the node's
 // breaker (reviving it if it was dead), failure advances it and may
 // quarantine the node.
-func (p *Pool) settle(nd *node, key string, ok bool) {
+func (p *Pool) settle(nd *node, ok bool) {
 	t := p.now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	nd.inflight--
-	p.fleet.settle(nd.name, key)
 	if ok {
 		nd.evals++
 		p.reviveLocked(nd)
 		return
 	}
 	p.failLocked(nd, t)
-}
-
-// settleShed accounts the end of a placement the node shed (429 with a
-// Retry-After hint): the node is loaded, not broken, so the breaker does
-// not advance and the node is never journaled dead — instead the hint
-// becomes a cooldown floor, keeping the pool from hammering a node that
-// said when it wants to be bothered again.
-func (p *Pool) settleShed(nd *node, key string, d time.Duration) {
-	t := p.now()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	nd.inflight--
-	p.fleet.settle(nd.name, key)
-	if until := t.Add(d); nd.until.Before(until) {
-		nd.until = until
-	}
-	p.Telemetry.Counter("dispatch_node_shed_total").Inc()
 }
 
 // reviveLocked resets a node's breaker after a successful interaction.
@@ -531,17 +493,6 @@ func (p *Pool) measure(cfg *flags.Config, reps int, place func(*batchCall)) runn
 		place(c)
 		return <-c.reply
 	})
-}
-
-// permanentError reports whether a placement error is a deterministic
-// protocol rejection rather than a node fault.
-func permanentError(err error) bool {
-	var ne *NodeError
-	if errors.As(err, &ne) {
-		return ne.Permanent
-	}
-	var re *RequestError
-	return errors.As(err, &re)
 }
 
 // retryAfterOf extracts a shed node's backoff hint, if the error carries

@@ -262,7 +262,7 @@ func TestPoolWorkStealing(t *testing.T) {
 	if nd != owner {
 		t.Fatalf("idle fleet placed %q on %s, want shard owner %s", key, nd.name, owner.name)
 	}
-	pool.settle(nd, key, true)
+	pool.settle(nd, true)
 
 	// Load the shard owner: the trial must be stolen by an idle node.
 	owner.inflight = 4
@@ -270,7 +270,7 @@ func TestPoolWorkStealing(t *testing.T) {
 	if nd == owner {
 		t.Fatal("loaded shard owner should lose the trial to an idle node")
 	}
-	pool.settle(nd, key, true)
+	pool.settle(nd, true)
 	owner.inflight = 0
 }
 

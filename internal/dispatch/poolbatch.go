@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -14,18 +15,20 @@ import (
 // Batched dispatch, pool side. MeasureBatch implements the executor's
 // runner.BatchMeasurer seam: a round of fresh trials arrives as one call,
 // and the pool ships it in waves of evaluate-batch round trips instead of
-// one HTTP POST per trial. The machinery is transport-only by design —
+// one round trip per trial. The machinery is transport-only by design —
 // every trial keeps the exact cache, rep-index, retry, and telemetry path
 // of a single Measure (literally the same measure() body; only the
-// placement callback changes), so a batched session is byte-identical to
-// an unbatched or in-process one at any batch size. That equivalence is
-// what lets partial-batch salvage re-dispatch the unsettled remainder of a
-// failed batch under the same repBase: a placement that never settled
-// never measured anywhere, exactly like a single-dispatch node death.
+// placement callback changes), and every placement, batched or not, ships
+// through EvaluateBatch and settles by one verdict rule, so a batched
+// session is byte-identical to an unbatched or in-process one at any batch
+// size. That equivalence is what lets partial-batch salvage re-dispatch
+// the unsettled remainder of a failed batch under the same repBase: a
+// placement that never settled never measured anywhere, exactly like a
+// node death.
 
 // BatchEvaluator is implemented by evaluators that can serve several
-// trials in one round trip (Remote, Local). Nodes without it degrade to
-// per-trial placement inside the wave.
+// trials in one round trip (Remote, Local). The pool serves an evaluator
+// without it through an adapter that evaluates a batch trial by trial.
 type BatchEvaluator interface {
 	EvaluateBatch(ctx context.Context, req *BatchRequest) (*BatchResult, error)
 }
@@ -135,7 +138,7 @@ func (p *Pool) placeWave(wave []*batchCall) {
 			}
 			if p.FaultHook != nil && p.FaultHook(nd.name, c.req.Key, try) {
 				p.Telemetry.Counter("dispatch_injected_node_down_total").Inc()
-				p.settle(nd, c.req.Key, false)
+				p.settle(nd, false)
 				next = append(next, c)
 				continue
 			}
@@ -207,33 +210,28 @@ func (p *Pool) waveBackoff(round int) {
 	time.Sleep(d)
 }
 
-// shipNode ships one node's share of a wave, chunked to the batch cap
-// (single trials when batching is off), and returns the trials that must
-// re-dispatch elsewhere.
+// shipNode ships one node's share of a wave in batches of at most the
+// batch cap (one trial each with batching off: a share of one is a batch
+// of one) and returns the trials that must re-dispatch elsewhere. Every
+// placement takes this one path, so a trial's verdict never depends on
+// the batch size, the transport or the node that served it.
 func (p *Pool) shipNode(nd *node, cs []*batchCall) []*batchCall {
 	var redo []*batchCall
-	be, batchable := nd.ev.(BatchEvaluator)
+	be, ok := nd.ev.(BatchEvaluator)
+	if !ok {
+		be = evaluateEach{nd.ev}
+	}
 	for len(cs) > 0 {
 		n := min(len(cs), max(p.Batch, 1))
 		chunk := cs[:n]
 		cs = cs[n:]
-		if !batchable || len(chunk) == 1 {
-			for _, c := range chunk {
-				redo = append(redo, p.shipOne(nd, c)...)
-			}
-			continue
-		}
 		req := &BatchRequest{Trials: make([]TrialRequest, len(chunk))}
 		for i, c := range chunk {
 			req.Trials[i] = *c.req
 		}
 		res, err := be.EvaluateBatch(context.Background(), req)
 		if err != nil {
-			keys := make([]string, len(chunk))
-			for i, c := range chunk {
-				keys[i] = c.req.Key
-			}
-			p.settleBatchFault(nd, keys, retryAfterOf(err))
+			p.settleBatchFault(nd, len(chunk), retryAfterOf(err))
 			redo = append(redo, chunk...)
 			continue
 		}
@@ -245,82 +243,46 @@ func (p *Pool) shipNode(nd *node, cs []*batchCall) []*batchCall {
 	return redo
 }
 
-// shipOne runs one single-trial placement inside a wave. It returns the
-// trial when it must re-dispatch.
-func (p *Pool) shipOne(nd *node, c *batchCall) []*batchCall {
-	res, err := nd.ev.Evaluate(context.Background(), c.req)
-	if err == nil && res.Measurement.Key != c.req.Key {
-		// A node answering with the wrong trial is broken, not the
-		// request: treat it like a transport fault.
-		err = &NodeError{Node: nd.name, Err: fmt.Errorf("answered key %q for trial %q", res.Measurement.Key, c.req.Key)}
-	}
-	if err == nil {
-		p.settle(nd, c.req.Key, true)
-		p.Telemetry.Counter("dispatch_evals_total").Inc()
-		c.reply <- res.Measurement
-		return nil
-	}
-	if d := retryAfterOf(err); d > 0 {
-		p.settleShed(nd, c.req.Key, d)
-	} else {
-		p.settle(nd, c.req.Key, false)
-	}
-	if permanentError(err) {
-		// The node understood the request and refused it; every node
-		// would. The rejection condemns the trial deterministically.
-		p.Telemetry.Counter("dispatch_rejected_total").Inc()
-		c.reply <- runner.Measurement{
-			Key: c.req.Key, Failed: true, Failure: runner.NodeRejectedFailure,
-			FailureMessage: err.Error(),
-		}
-		return nil
-	}
-	return []*batchCall{c}
-}
-
 // settleEntry resolves one trial of a successfully returned batch.
 func (p *Pool) settleEntry(nd *node, c *batchCall, e *BatchEntry) []*batchCall {
 	switch {
 	case e.Result != nil && e.Result.Measurement.Key == c.req.Key:
-		p.settle(nd, c.req.Key, true)
+		p.settle(nd, true)
 		p.Telemetry.Counter("dispatch_evals_total").Inc()
 		c.reply <- e.Result.Measurement
 		return nil
-	case e.Error != nil && e.Error.Error != "" &&
-		e.Error.Code != CodeInternal && e.Error.Code != CodeBusy && e.Error.Code != CodeUnauthorized:
-		// A per-entry envelope is the node refusing that one trial — the
-		// same deterministic verdict as a single-dispatch 4xx, condemning
-		// only its own trial; siblings in the batch settle normally.
-		p.settle(nd, c.req.Key, false)
+	case e.Error.rejects():
+		// The node understood the trial and refused it; every node would.
+		// The verdict condemns only its own trial, and it reads the same
+		// whichever node, transport or batch delivered it: the node's code
+		// and diagnostic, nothing about the round trip.
+		p.settle(nd, false)
 		p.Telemetry.Counter("dispatch_rejected_total").Inc()
-		ne := &NodeError{Node: nd.name, Code: e.Error.Code, Permanent: true, Err: fmt.Errorf("%s", e.Error.Error)}
 		c.reply <- runner.Measurement{
 			Key: c.req.Key, Failed: true, Failure: runner.NodeRejectedFailure,
-			FailureMessage: ne.Error(),
+			FailureMessage: fmt.Sprintf("dispatch: node rejected trial [%s]: %s", e.Error.Code, e.Error.Error),
 		}
 		return nil
 	default:
 		// Wrong key, a per-entry internal error, or an empty entry: that
 		// one placement failed transiently; salvage re-dispatches it under
 		// the same repBase (it never measured anywhere).
-		p.settle(nd, c.req.Key, false)
+		p.settle(nd, false)
 		return []*batchCall{c}
 	}
 }
 
-// settleBatchFault accounts a whole-batch transport failure: every
-// trial's placement ends (in-flight counts, fleet journal), but the
-// breaker advances once — one TCP fault must not count as a batch's worth
-// of strikes and insta-quarantine an otherwise healthy node. A shed batch
-// (429) floors the cooldown instead, like settleShed.
-func (p *Pool) settleBatchFault(nd *node, keys []string, retryAfter time.Duration) {
+// settleBatchFault accounts a whole-batch transport failure: each of the
+// batch's n placements ends, but the breaker advances once — one TCP
+// fault must not count as a batch's worth of strikes and insta-quarantine
+// an otherwise healthy node. A shed batch (429) floors the cooldown with
+// the node's Retry-After instead and takes no strike: the node is loaded,
+// not broken, and is never journaled dead for shedding.
+func (p *Pool) settleBatchFault(nd *node, n int, retryAfter time.Duration) {
 	t := p.now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, k := range keys {
-		nd.inflight--
-		p.fleet.settle(nd.name, k)
-	}
+	nd.inflight -= n
 	if retryAfter > 0 {
 		if until := t.Add(retryAfter); nd.until.Before(until) {
 			nd.until = until
@@ -329,4 +291,49 @@ func (p *Pool) settleBatchFault(nd *node, keys []string, retryAfter time.Duratio
 		return
 	}
 	p.failLocked(nd, t)
+}
+
+// evaluateEach serves an Evaluator without EvaluateBatch as a batch
+// endpoint: it evaluates the trials one by one, answers a rejection in
+// its own entry, and fails the whole batch on any other error, as a
+// failed round trip would.
+type evaluateEach struct{ Evaluator }
+
+func (e evaluateEach) EvaluateBatch(ctx context.Context, req *BatchRequest) (*BatchResult, error) {
+	res := &BatchResult{Node: e.Name(), Entries: make([]BatchEntry, len(req.Trials))}
+	for i := range req.Trials {
+		r, err := e.Evaluate(ctx, &req.Trials[i])
+		if err != nil {
+			env := rejection(err)
+			if env == nil {
+				return nil, err
+			}
+			res.Entries[i].Error = env
+			continue
+		}
+		res.Entries[i].Result = r
+	}
+	return res, nil
+}
+
+// rejection renders an Evaluate error that every node would repeat — a
+// *RequestError, or a permanent *NodeError — as the entry envelope a batch
+// answers it with. It returns nil for a placement fault.
+func rejection(err error) *ErrorEnvelope {
+	var ne *NodeError
+	if errors.As(err, &ne) {
+		if !ne.Permanent {
+			return nil
+		}
+		env := &ErrorEnvelope{Error: ne.Code, Code: ne.Code}
+		if ne.Err != nil {
+			env.Error = ne.Err.Error()
+		}
+		return env
+	}
+	var re *RequestError
+	if errors.As(err, &re) {
+		return &ErrorEnvelope{Error: re.Error(), Code: re.Code}
+	}
+	return nil
 }

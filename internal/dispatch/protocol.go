@@ -1,8 +1,6 @@
 package dispatch
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/flags"
@@ -11,20 +9,18 @@ import (
 )
 
 // The wire protocol between a tuning session and an evald measurement node
-// is one JSON round trip per evaluation attempt. The request names the
+// is one JSON round trip per batch of evaluation attempts (a single
+// attempt travels as a batch of one; see batch.go). Each attempt names the
 // trial by its canonical config key and carries everything the measurement
 // is a function of — command-line args, benchmark name, noise-rep base,
 // repetition count, timeout, and noise level — so any node computes the
-// byte-identical measurement. The response is the runner.Measurement plus
-// the answering node's name; rejections are ErrorEnvelope with a stable
+// byte-identical measurement. A result is the runner.Measurement plus the
+// answering node's name; rejections are ErrorEnvelope with a stable
 // machine code, mirroring the httpapi admission envelopes.
 
-// Wire protocol bounds. Requests and responses are small (a config is a
-// few dozen flags); anything past the cap is a malformed or hostile
-// payload and is rejected before decoding.
+// Wire protocol bounds. A config is a few dozen flags; anything past the
+// caps is a malformed or hostile payload.
 const (
-	// MaxRequestBytes bounds an evaluate request body.
-	MaxRequestBytes = 1 << 20
 	// MaxReps bounds repetitions per request; the paper uses single-digit
 	// rep counts, so anything large is a bogus payload, not a workload.
 	MaxReps = 1024
@@ -34,7 +30,8 @@ const (
 
 // Rejection codes carried in ErrorEnvelope.Code. Stable wire contract.
 const (
-	// CodeBadPayload: the body was not a well-formed TrialRequest.
+	// CodeBadPayload: the body was not a well-formed request, or a trial
+	// broke the request bounds.
 	CodeBadPayload = "bad-payload"
 	// CodeBadFlag: an argument referenced an unknown flag or malformed
 	// value (flags.UnknownFlagError and friends).
@@ -160,15 +157,6 @@ func fromWire(w *wireTrialResult) *TrialResult {
 	}}
 }
 
-// MarshalTrialResult renders res in its compact wire form. The evald
-// server's evaluate endpoint responds with it; the emitted field names
-// match the plain structs, so any std-JSON consumer decodes it unchanged.
-func MarshalTrialResult(res *TrialResult) ([]byte, error) {
-	var buf bytes.Buffer
-	err := json.NewEncoder(&buf).Encode(toWire(res))
-	return buf.Bytes(), err
-}
-
 // ErrorEnvelope is the JSON body of every evald rejection: a stable
 // machine code, a human diagnostic, and — for shed requests — a retry
 // hint. A bogus payload yields this envelope with status 400, never a
@@ -177,6 +165,15 @@ type ErrorEnvelope struct {
 	Error             string `json:"error"`
 	Code              string `json:"code"`
 	RetryAfterSeconds int    `json:"retry_after_seconds,omitempty"`
+}
+
+// rejects reports whether a batch entry's envelope is a verdict on its
+// trial that every node would repeat, rather than a fault of the node
+// that answered (internal, busy, unauthorized), which another node may
+// not share.
+func (e *ErrorEnvelope) rejects() bool {
+	return e != nil && e.Error != "" &&
+		e.Code != CodeInternal && e.Code != CodeBusy && e.Code != CodeUnauthorized
 }
 
 // RequestError is a typed protocol rejection: the request itself is
@@ -199,7 +196,7 @@ func reject(code, format string, args ...any) *RequestError {
 func (q *TrialRequest) Validate() error {
 	// Note: an empty Key is legitimate — it is the canonical key of the
 	// all-defaults configuration (the baseline trial). Key integrity is
-	// enforced by ParseConfig's mismatch check instead.
+	// enforced by ParseConfigInto's mismatch check instead.
 	switch {
 	case q.Benchmark == "":
 		return reject(CodeBadPayload, "dispatch: request missing benchmark")
@@ -228,39 +225,11 @@ func (q *TrialRequest) Validate() error {
 	return nil
 }
 
-// DecodeTrialRequest parses and validates a request body. Unknown fields
-// fail closed: a request from a different protocol generation must be
-// rejected loudly, not half-understood.
-func DecodeTrialRequest(data []byte) (*TrialRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var q TrialRequest
-	if err := dec.Decode(&q); err != nil {
-		return nil, reject(CodeBadPayload, "dispatch: decode request: %v", err)
-	}
-	if dec.More() {
-		return nil, reject(CodeBadPayload, "dispatch: trailing data after request")
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	return &q, nil
-}
-
-// ParseConfig resolves the request's Args against reg and verifies the
-// declared key matches the canonical key of the parsed configuration.
-func (q *TrialRequest) ParseConfig(reg *flags.Registry) (*flags.Config, error) {
-	cfg := flags.NewConfig(reg)
-	if err := q.ParseConfigInto(cfg); err != nil {
-		return nil, err
-	}
-	return cfg, nil
-}
-
-// ParseConfigInto is ParseConfig into caller-owned scratch: it resolves
-// Args into cfg (resetting it first) and verifies the declared key. The
-// evaluation hot path pairs it with Registry.AcquireConfig so a node
-// serving thousands of trials never allocates a Config per request.
+// ParseConfigInto resolves the request's Args into cfg (resetting it
+// first) and verifies the declared key matches the canonical key of the
+// parsed configuration. The evaluation hot path pairs it with
+// Registry.AcquireConfig so a node serving thousands of trials never
+// allocates a Config per request.
 func (q *TrialRequest) ParseConfigInto(cfg *flags.Config) error {
 	if err := flags.ParseArgsInto(cfg, q.Args); err != nil {
 		return reject(CodeBadFlag, "dispatch: parse args: %v", err)

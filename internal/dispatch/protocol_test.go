@@ -3,6 +3,7 @@ package dispatch
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -32,42 +33,75 @@ func validRequest(t *testing.T) *TrialRequest {
 	}
 }
 
-func TestDecodeTrialRequestRoundTrip(t *testing.T) {
-	req := validRequest(t)
-	data, err := json.Marshal(req)
+// batchOfOne renders req as the body a controller ships it in.
+func batchOfOne(t *testing.T, req *TrialRequest) []byte {
+	t.Helper()
+	data, err := json.Marshal(&BatchRequest{Trials: []TrialRequest{*req}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTrialRequest(data)
+	return data
+}
+
+// verdictCode is the code a node answers a batch body with: the
+// envelope of a body DecodeBatchRequest refuses, else its one entry's
+// (empty for a measurement).
+func verdictCode(t *testing.T, body []byte) string {
+	t.Helper()
+	b, err := DecodeBatchRequest(body)
+	if err != nil {
+		var re *RequestError
+		if !errors.As(err, &re) {
+			t.Fatalf("want *RequestError, got %T: %v", err, err)
+		}
+		return re.Code
+	}
+	res := EvalBatch(poolProfile(t, "fop"), flags.NewRegistry(), b)
+	if len(res.Entries) != 1 {
+		t.Fatalf("batch of one answered with %d entries", len(res.Entries))
+	}
+	if e := res.Entries[0].Error; e != nil {
+		return e.Code
+	}
+	return ""
+}
+
+func TestDecodeTrialRequestRoundTrip(t *testing.T) {
+	req := validRequest(t)
+	got, err := DecodeBatchRequest(batchOfOne(t, req))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.Key != req.Key || got.Benchmark != req.Benchmark || got.Reps != req.Reps {
-		t.Fatalf("round trip mangled the request: %+v", got)
+	if len(got.Trials) != 1 || !reflect.DeepEqual(&got.Trials[0], req) {
+		t.Fatalf("round trip mangled the request: %+v", got.Trials)
 	}
 }
 
+// TestDecodeTrialRequestRejections: a malformed body is refused whole, a
+// well-formed trial outside the request bounds in its own entry; both
+// with bad-payload.
 func TestDecodeTrialRequestRejections(t *testing.T) {
 	cases := []struct {
 		name, body string
 	}{
-		{"empty", ``},
-		{"not json", `]][[`},
-		{"truncated", `{"key":"k","bench`},
-		{"unknown field", `{"key":"k","benchmark":"fop","reps":1,"noise":-1,"exploit":"x"}`},
-		{"trailing data", `{"key":"k","benchmark":"fop","reps":1,"noise":-1}{"again":1}`},
-		{"missing benchmark", `{"key":"k","reps":1,"noise":-1}`},
-		{"zero reps", `{"key":"k","benchmark":"fop","reps":0,"noise":-1}`},
-		{"huge reps", `{"key":"k","benchmark":"fop","reps":99999,"noise":-1}`},
-		{"negative rep base", `{"key":"k","benchmark":"fop","reps":1,"rep_base":-1,"noise":-1}`},
-		{"negative timeout", `{"key":"k","benchmark":"fop","reps":1,"timeout_seconds":-5,"noise":-1}`},
-		{"absurd noise", `{"key":"k","benchmark":"fop","reps":1,"noise":40}`},
-		{"wrong type", `{"key":17,"benchmark":"fop","reps":1,"noise":-1}`},
+		{"empty", `{"trials":[]}`},
+		{"not json", `{"trials":[]][[]}`},
+		{"truncated", `{"trials":[{"key":"k","bench`},
+		{"unknown field", `{"trials":[{"key":"k","benchmark":"fop","reps":1,"noise":-1,"exploit":"x"}]}`},
+		{"trailing data", `{"trials":[{"key":"k","benchmark":"fop","reps":1,"noise":-1}]}{"again":1}`},
+		{"missing benchmark", `{"trials":[{"key":"k","reps":1,"noise":-1}]}`},
+		{"zero reps", `{"trials":[{"key":"k","benchmark":"fop","reps":0,"noise":-1}]}`},
+		{"huge reps", `{"trials":[{"key":"k","benchmark":"fop","reps":99999,"noise":-1}]}`},
+		{"negative rep base", `{"trials":[{"key":"k","benchmark":"fop","reps":1,"rep_base":-1,"noise":-1}]}`},
+		{"negative timeout", `{"trials":[{"key":"k","benchmark":"fop","reps":1,"timeout_seconds":-5,"noise":-1}]}`},
+		{"absurd noise", `{"trials":[{"key":"k","benchmark":"fop","reps":1,"noise":40}]}`},
+		{"wrong type", `{"trials":[{"key":17,"benchmark":"fop","reps":1,"noise":-1}]}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := DecodeTrialRequest([]byte(c.body))
-			wantCode(t, err, CodeBadPayload)
+			if code := verdictCode(t, []byte(c.body)); code != CodeBadPayload {
+				t.Fatalf("code = %q, want %q", code, CodeBadPayload)
+			}
 		})
 	}
 }
@@ -75,15 +109,17 @@ func TestDecodeTrialRequestRejections(t *testing.T) {
 func TestParseConfigRejectsUnknownFlag(t *testing.T) {
 	req := validRequest(t)
 	req.Args = []string{"-XX:+EnableTimeTravel"}
-	_, err := req.ParseConfig(flags.NewRegistry())
-	wantCode(t, err, CodeBadFlag)
+	if code := verdictCode(t, batchOfOne(t, req)); code != CodeBadFlag {
+		t.Fatalf("code = %q, want %q", code, CodeBadFlag)
+	}
 }
 
 func TestParseConfigRejectsKeyMismatch(t *testing.T) {
 	req := validRequest(t)
 	req.Key = "lies"
-	_, err := req.ParseConfig(flags.NewRegistry())
-	wantCode(t, err, CodeKeyMismatch)
+	if code := verdictCode(t, batchOfOne(t, req)); code != CodeKeyMismatch {
+		t.Fatalf("code = %q, want %q", code, CodeKeyMismatch)
+	}
 }
 
 func TestEvalRejectsWrongBenchmark(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,10 +13,8 @@ import (
 	"time"
 )
 
-// EvaluatePath is the evald measurement endpoint.
-const EvaluatePath = "/v1/evaluate"
-
-// EvaluateBatchPath is the evald batched-measurement endpoint.
+// EvaluateBatchPath is the evald measurement endpoint: one round trip per
+// batch of trials, a single trial being a batch of one.
 const EvaluateBatchPath = "/v1/evaluate-batch"
 
 // HealthPath is the evald liveness endpoint heartbeats probe.
@@ -63,21 +62,19 @@ func (e *NodeError) Error() string {
 
 func (e *NodeError) Unwrap() error { return e.Err }
 
-// Remote is the HTTP/JSON Evaluator: one POST per evaluation attempt
-// against an evald node. Safe for concurrent use.
+// Remote is the HTTP/JSON Evaluator: one POST per batch of evaluation
+// attempts against an evald node. Safe for concurrent use.
 type Remote struct {
 	base string
 	// Client is the HTTP client; defaults to a dedicated client so node
 	// connection pools are independent of the ambient default transport.
 	Client *http.Client
-	// RequestTimeout bounds one evaluation round trip in real time.
-	// Defaults to 30s — generous, because the simulator answers in
-	// microseconds and anything slower is a sick node.
+	// RequestTimeout bounds one round trip in real time: an evaluate-batch
+	// POST or a health probe. Defaults to 30s — generous, because the
+	// simulator answers in microseconds and anything slower is a sick
+	// node, and a batch is served concurrently node-side, so its wall time
+	// tracks the slowest trial, not the sum.
 	RequestTimeout time.Duration
-	// BatchTimeout bounds one evaluate-batch round trip; it defaults to
-	// RequestTimeout (a batch is served concurrently node-side, so its
-	// wall time tracks the slowest trial, not the sum).
-	BatchTimeout time.Duration
 	// Token is the shared bearer credential stamped on every request.
 	Token string
 	// NodeName overrides the fleet identity (Name); empty means the base
@@ -135,30 +132,24 @@ func (r *Remote) fail(status int, err error) *NodeError {
 	return &NodeError{Node: r.base, Status: status, Err: err}
 }
 
-// post runs one JSON POST round trip and returns the status, response
-// body (capped at maxBody), and headers. Transport faults come back as
-// transient NodeErrors.
-func (r *Remote) post(ctx context.Context, path string, payload any, timeout time.Duration, maxBody int64) (int, []byte, http.Header, error) {
-	var body []byte
-	// Batch requests go through the purpose-built appender when they are
-	// representable (wireenc.go) — at batch width the reflection encoder
-	// is real per-trial overhead; everything else takes encoding/json.
-	if br, ok := payload.(*BatchRequest); ok {
-		body, ok = encodeBatchRequest(br)
-		if !ok {
-			body = nil
-		}
-	}
-	if body == nil {
+// post runs one evaluate-batch round trip and returns the status,
+// response body (capped at MaxBatchRequestBytes), and headers. Transport
+// faults come back as transient NodeErrors.
+func (r *Remote) post(ctx context.Context, req *BatchRequest) (int, []byte, http.Header, error) {
+	// The purpose-built appender (wireenc.go) encodes every request it can
+	// represent — at batch width the reflection encoder is real per-trial
+	// overhead; anything else takes encoding/json.
+	body, ok := encodeBatchRequest(req)
+	if !ok {
 		var err error
-		body, err = json.Marshal(payload)
+		body, err = json.Marshal(req)
 		if err != nil {
 			return 0, nil, nil, r.fail(0, fmt.Errorf("encode request: %w", err))
 		}
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := context.WithTimeout(ctx, r.timeout())
 	defer cancel()
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+path, bytes.NewReader(body))
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+EvaluateBatchPath, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, nil, r.fail(0, err)
 	}
@@ -175,10 +166,10 @@ func (r *Remote) post(ctx context.Context, path string, payload any, timeout tim
 	// through io.ReadAll is measurable garbage at batch width. The spare
 	// MinRead bytes let bytes.Buffer see EOF without growing.
 	var buf bytes.Buffer
-	if n := resp.ContentLength; n > 0 && n < maxBody {
+	if n := resp.ContentLength; n > 0 && n < MaxBatchRequestBytes {
 		buf.Grow(int(n) + bytes.MinRead)
 	}
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBody)); err != nil {
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, MaxBatchRequestBytes)); err != nil {
 		return resp.StatusCode, nil, resp.Header, r.fail(resp.StatusCode, fmt.Errorf("read response: %w", err))
 	}
 	return resp.StatusCode, buf.Bytes(), resp.Header, nil
@@ -241,27 +232,20 @@ func (r *Remote) classify(status int, data []byte, h http.Header) error {
 	}
 }
 
-// Evaluate implements Evaluator.
+// Evaluate implements Evaluator as a batch of one. A rejected trial comes
+// back as a permanent NodeError carrying the entry's code.
 func (r *Remote) Evaluate(ctx context.Context, req *TrialRequest) (*TrialResult, error) {
-	status, data, hdr, err := r.post(ctx, EvaluatePath, req, r.timeout(), MaxRequestBytes)
+	res, err := r.EvaluateBatch(ctx, &BatchRequest{Trials: []TrialRequest{*req}})
 	if err != nil {
 		return nil, err
 	}
-	if status != http.StatusOK {
-		return nil, r.classify(status, data, hdr)
+	switch e := res.Entries[0]; {
+	case e.Result != nil:
+		return e.Result, nil
+	case e.Error != nil:
+		return nil, &NodeError{Node: r.base, Code: e.Error.Code, Permanent: e.Error.rejects(), Err: errors.New(e.Error.Error)}
 	}
-	var wire wireTrialResult
-	if err := decodeBody(data, &wire); err != nil {
-		return nil, r.fail(status, fmt.Errorf("decode response: %w", err))
-	}
-	return fromWire(&wire), nil
-}
-
-func (r *Remote) batchTimeout() time.Duration {
-	if r.BatchTimeout > 0 {
-		return r.BatchTimeout
-	}
-	return r.timeout()
+	return nil, r.fail(http.StatusOK, errors.New("empty batch entry"))
 }
 
 // EvaluateBatch ships a whole batch of trials in one round trip. A non-OK
@@ -270,7 +254,7 @@ func (r *Remote) batchTimeout() time.Duration {
 // response always carries one entry per trial, each settling its own trial
 // independently.
 func (r *Remote) EvaluateBatch(ctx context.Context, req *BatchRequest) (*BatchResult, error) {
-	status, data, hdr, err := r.post(ctx, EvaluateBatchPath, req, r.batchTimeout(), MaxBatchRequestBytes)
+	status, data, hdr, err := r.post(ctx, req)
 	if err != nil {
 		return nil, err
 	}

@@ -3,19 +3,21 @@ package evald
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"repro/internal/dispatch"
 )
 
 // FuzzEvaluateEnvelope throws arbitrary bytes at the evaluate endpoint
-// and holds the wire contract: every response is 200 with a TrialResult
-// or 4xx with a well-formed ErrorEnvelope — never a panic, never a naked
-// non-JSON error, never a 5xx for a bad input. The seed corpus under
-// testdata/fuzz covers the malformed-payload taxonomy (bad JSON, unknown
-// fields and flags, truncated bodies, key mismatches, bogus bounds).
+// as the one trial of a batch, the shape every single-trial placement
+// ships in, and holds FuzzEvaluateBatchEnvelope's wire contract. The seed
+// corpus under testdata/fuzz covers the malformed-trial taxonomy (bad
+// JSON, unknown fields and flags, truncated bodies, key mismatches, bogus
+// bounds); whole-body shapes are FuzzEvaluateBatchEnvelope's.
 func FuzzEvaluateEnvelope(f *testing.F) {
 	seeds := [][]byte{
 		[]byte(``),
@@ -37,59 +39,53 @@ func FuzzEvaluateEnvelope(f *testing.F) {
 		f.Add(s)
 	}
 	srv := New(Config{MaxConcurrent: 4})
-	f.Fuzz(func(t *testing.T, body []byte) {
+	f.Fuzz(func(t *testing.T, trial []byte) {
+		body := batchOfOne(trial)
 		w := httptest.NewRecorder()
-		r := httptest.NewRequest(http.MethodPost, dispatch.EvaluatePath, bytes.NewReader(body))
+		r := httptest.NewRequest(http.MethodPost, dispatch.EvaluateBatchPath, bytes.NewReader(body))
 		srv.ServeHTTP(w, r) // the handler's recover would turn a panic into a 500
-		switch {
-		case w.Code == http.StatusOK:
-			var res dispatch.TrialResult
-			if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
-				t.Fatalf("200 with non-TrialResult body %q: %v", w.Body, err)
-			}
-		case w.Code >= 400 && w.Code < 500:
-			var env dispatch.ErrorEnvelope
-			if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
-				t.Fatalf("%d with non-envelope body %q: %v", w.Code, w.Body, err)
-			}
-			if env.Code == "" || env.Error == "" {
-				t.Fatalf("%d envelope missing fields: %+v", w.Code, env)
-			}
-		default:
-			t.Fatalf("bogus payload produced status %d (body %q) — want 200 or 4xx", w.Code, w.Body)
-		}
+		holdsAnswerContract(t, body, w)
 	})
 }
 
-// FuzzDecodeTrialRequest holds the decoder's contract directly: it
-// either returns a validated request or a typed *RequestError; any
-// request it accepts re-encodes and decodes to the same value.
+// batchOfOne frames a trial payload as the one trial of a batch body.
+func batchOfOne(trial []byte) []byte {
+	body := append([]byte(`{"trials":[`), trial...)
+	return append(body, "]}"...)
+}
+
+// FuzzDecodeTrialRequest holds the trial decoder's contract directly on
+// a batch of one: DecodeBatchRequest either refuses it with a typed
+// *RequestError or returns its trial, which Validate accepts or refuses
+// with a *RequestError in turn; any trial it accepts re-encodes and
+// decodes to the same value.
 func FuzzDecodeTrialRequest(f *testing.F) {
 	f.Add([]byte(`{"key":"","benchmark":"fop","reps":1,"noise":-1}`))
 	f.Add([]byte(`{"key":"k","benchmark":"h2","args":["-Xmx4g"],"reps":3,"rep_base":7,"noise":0.01}`))
 	f.Add([]byte(`{"reps":1}`))
 	f.Add([]byte(`null`))
-	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := dispatch.DecodeTrialRequest(body)
+	f.Fuzz(func(t *testing.T, trial []byte) {
+		b, err := dispatch.DecodeBatchRequest(batchOfOne(trial))
+		for i := 0; err == nil && i < len(b.Trials); i++ {
+			err = b.Trials[i].Validate()
+		}
 		if err != nil {
+			var re *dispatch.RequestError
+			if !errors.As(err, &re) {
+				t.Fatalf("rejection is not a *RequestError: %v", err)
+			}
 			return
 		}
-		out, err := json.Marshal(req)
+		out, err := json.Marshal(b)
 		if err != nil {
-			t.Fatalf("accepted request fails to re-encode: %v", err)
+			t.Fatalf("accepted trial fails to re-encode: %v", err)
 		}
-		again, err := dispatch.DecodeTrialRequest(out)
+		again, err := dispatch.DecodeBatchRequest(out)
 		if err != nil {
-			t.Fatalf("re-encoded request rejected: %v (%s)", err, out)
+			t.Fatalf("re-encoded trial rejected: %v (%s)", err, out)
 		}
-		if *req2str(req) != *req2str(again) {
-			t.Fatalf("round trip changed the request:\n%s\n%s", *req2str(req), *req2str(again))
+		if !reflect.DeepEqual(b, again) {
+			t.Fatalf("round trip changed the trial:\n%+v\n%+v", b, again)
 		}
 	})
-}
-
-func req2str(q *dispatch.TrialRequest) *string {
-	b, _ := json.Marshal(q)
-	s := string(b)
-	return &s
 }

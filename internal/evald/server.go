@@ -7,14 +7,13 @@
 //
 // Endpoints:
 //
-//	POST /v1/evaluate        one evaluation attempt; dispatch.TrialRequest
-//	                         in, dispatch.TrialResult out. Bogus payloads
-//	                         get a 400 dispatch.ErrorEnvelope — never a
-//	                         panic.
-//	POST /v1/evaluate-batch  up to dispatch.MaxBatchTrials attempts in one
-//	                         round trip; per-trial verdicts come back
-//	                         positionally, so one bogus trial rejects only
-//	                         its own entry.
+//	POST /v1/evaluate-batch  1 to dispatch.MaxBatchTrials evaluation
+//	                         attempts in one round trip (a single attempt
+//	                         is a batch of one); dispatch.BatchRequest in,
+//	                         dispatch.BatchResult out. Per-trial verdicts
+//	                         come back positionally, so one bogus trial
+//	                         rejects only its own entry; a bogus body gets
+//	                         a 400 dispatch.ErrorEnvelope — never a panic.
 //	GET  /healthz            liveness for the controller's heartbeats.
 //	GET  /metrics            Prometheus exposition of the node's telemetry.
 //
@@ -23,8 +22,8 @@
 // envelope shape, so a saturated node reads as "busy, come back" and the
 // dispatch layer steals the trial to a sibling.
 //
-// With a bearer token configured (Config.Auth), both evaluate endpoints
-// demand it and answer 401 + CodeUnauthorized envelopes otherwise —
+// With a bearer token configured (Config.Auth), the evaluate endpoint
+// demands it and answers 401 + CodeUnauthorized envelopes otherwise —
 // fail-closed: nothing is evaluated without credentials. /healthz and
 // /metrics stay open (liveness probes and scrapers carry no secrets).
 // Transport-level mutual TLS wraps the listener in cmd/evald, not here.
@@ -53,13 +52,10 @@ type Config struct {
 	// MaxConcurrent bounds in-flight evaluations; excess requests are
 	// shed with 429. Values below 1 mean GOMAXPROCS.
 	MaxConcurrent int
-	// MaxBodyBytes bounds request bodies; values below 1 mean
-	// dispatch.MaxRequestBytes.
-	MaxBodyBytes int64
 	// Telemetry receives the node's metric series; nil means a private
 	// registry (always exposed via /metrics).
 	Telemetry *telemetry.Registry
-	// Auth gates the evaluate endpoints (bearer token); nil or a zero
+	// Auth gates the evaluate endpoint (bearer token); nil or a zero
 	// value means open.
 	Auth *dispatch.Security
 }
@@ -81,9 +77,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxConcurrent < 1 {
 		cfg.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
-	if cfg.MaxBodyBytes < 1 {
-		cfg.MaxBodyBytes = dispatch.MaxRequestBytes
-	}
 	tel := cfg.Telemetry
 	if tel == nil {
 		tel = telemetry.New()
@@ -95,7 +88,6 @@ func New(cfg Config) *Server {
 		sem: make(chan struct{}, cfg.MaxConcurrent),
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc(dispatch.EvaluatePath, s.handleEvaluate)
 	s.mux.HandleFunc(dispatch.EvaluateBatchPath, s.handleEvaluateBatch)
 	s.mux.HandleFunc(dispatch.HealthPath, s.handleHealth)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -120,62 +112,13 @@ func (s *Server) rejected(w http.ResponseWriter, status int, env dispatch.ErrorE
 	writeEnvelope(w, status, env)
 }
 
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	// A panic must never take the node down or leave the dispatcher
-	// hanging: whatever slipped past validation becomes a 500 envelope.
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.tel.Counter("evald_panics_total").Inc()
-			writeEnvelope(w, http.StatusInternalServerError, dispatch.ErrorEnvelope{
-				Error: fmt.Sprintf("evald: internal error: %v", rec), Code: dispatch.CodeInternal,
-			})
-		}
-	}()
-
-	release := s.admit(w, r)
-	if release == nil {
-		return
-	}
-	defer release()
-
-	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
-	if err != nil {
-		s.rejected(w, http.StatusBadRequest, dispatch.ErrorEnvelope{
-			Error: fmt.Sprintf("evald: read body: %v", err), Code: dispatch.CodeBadPayload,
-		})
-		return
-	}
-	req, err := dispatch.DecodeTrialRequest(body)
-	if err != nil {
-		s.rejected(w, http.StatusBadRequest, envelopeFor(err))
-		return
-	}
-	prof, ok := workload.ByName(req.Benchmark)
-	if !ok {
-		s.rejected(w, http.StatusBadRequest, dispatch.ErrorEnvelope{
-			Error: fmt.Sprintf("evald: unknown benchmark %q", req.Benchmark), Code: dispatch.CodeBadBenchmark,
-		})
-		return
-	}
-	res, err := dispatch.Eval(prof, s.reg, req)
-	if err != nil {
-		s.rejected(w, http.StatusBadRequest, envelopeFor(err))
-		return
-	}
-	res.Node = s.cfg.Node
-
-	s.tel.Counter("evald_evaluations_total").Inc()
-	s.tel.Histogram("evald_eval_cost_seconds", telemetry.DefSecondsBuckets).
-		Observe(res.Measurement.CostSeconds)
-	out, err := dispatch.MarshalTrialResult(res)
-	writeResult(w, out, err)
-}
-
-// readBody reads a request body, capped at limit by http.MaxBytesReader,
-// into one buffer sized from Content-Length: io.ReadAll's doubling chain
-// was a fifth of all bytes a fleet session allocated. The spare MinRead
-// bytes let bytes.Buffer see EOF without growing.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+// readBody reads a request body, capped at dispatch.MaxBatchRequestBytes
+// by http.MaxBytesReader, into one buffer sized from Content-Length:
+// io.ReadAll's doubling chain was a fifth of all bytes a fleet session
+// allocated. The spare MinRead bytes let bytes.Buffer see EOF without
+// growing.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	const limit = dispatch.MaxBatchRequestBytes
 	var buf bytes.Buffer
 	if n := r.ContentLength; n > 0 && n <= limit {
 		buf.Grow(int(n) + bytes.MinRead)
@@ -200,8 +143,8 @@ func writeResult(w http.ResponseWriter, body []byte, err error) {
 	w.Write(body)
 }
 
-// admit runs the shared admission gate for the evaluate endpoints:
-// method, credentials, then the concurrency slot. It returns the slot's
+// admit runs the admission gate for the evaluate endpoint: method,
+// credentials, then the concurrency slot. It returns the slot's
 // release func, or nil after writing the rejection. Credentials are
 // checked before the semaphore so an unauthenticated flood can never
 // starve real work, and the 401 leaks nothing about the node's load.
@@ -231,6 +174,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) func() {
 }
 
 func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
+	// A panic must never take the node down or leave the dispatcher
+	// hanging: whatever slipped past validation becomes a 500 envelope.
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.tel.Counter("evald_panics_total").Inc()
@@ -246,7 +191,7 @@ func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	body, err := readBody(w, r, dispatch.MaxBatchRequestBytes)
+	body, err := readBody(w, r)
 	if err != nil {
 		s.rejected(w, http.StatusBadRequest, dispatch.ErrorEnvelope{
 			Error: fmt.Sprintf("evald: read body: %v", err), Code: dispatch.CodeBadPayload,
@@ -260,22 +205,16 @@ func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// One benchmark profile serves the whole batch: a controller's wave is
 	// one session's round, and sessions measure one workload. A mixed
-	// batch still answers per-entry (bad-benchmark envelopes), not 400.
+	// batch still answers per-entry, not 400, and an unknown benchmark
+	// (no profile) is rejected by dispatch.Eval's own check, worded as a
+	// dispatch.Local node words it.
 	res := &dispatch.BatchResult{Node: s.cfg.Node, Entries: make([]dispatch.BatchEntry, len(req.Trials))}
 	byBench := make(map[string][]int)
 	for i := range req.Trials {
 		byBench[req.Trials[i].Benchmark] = append(byBench[req.Trials[i].Benchmark], i)
 	}
 	for bench, idxs := range byBench {
-		prof, ok := workload.ByName(bench)
-		if !ok {
-			for _, i := range idxs {
-				res.Entries[i] = dispatch.BatchEntry{Error: &dispatch.ErrorEnvelope{
-					Error: fmt.Sprintf("evald: unknown benchmark %q", bench), Code: dispatch.CodeBadBenchmark,
-				}}
-			}
-			continue
-		}
+		prof, _ := workload.ByName(bench)
 		sub := &dispatch.BatchRequest{Trials: make([]dispatch.TrialRequest, len(idxs))}
 		for j, i := range idxs {
 			sub.Trials[j] = req.Trials[i]

@@ -8,23 +8,29 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/dispatch"
 	"repro/internal/flags"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
-func evaluateBody(t testing.TB) []byte {
-	t.Helper()
+func trialRequest() dispatch.TrialRequest {
 	cfg := flags.NewConfig(flags.NewRegistry())
 	cfg.SetInt("MaxHeapSize", 1<<30)
-	req := &dispatch.TrialRequest{
+	return dispatch.TrialRequest{
 		Key: cfg.Key(), Benchmark: "fop", Args: cfg.CommandLine(),
 		Reps: 2, TimeoutSeconds: 120, Noise: -1,
 	}
-	data, err := json.Marshal(req)
+}
+
+// evaluateBody is one trial's request body: a batch of one.
+func evaluateBody(t testing.TB) []byte {
+	t.Helper()
+	data, err := json.Marshal(&dispatch.BatchRequest{Trials: []dispatch.TrialRequest{trialRequest()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,9 +39,23 @@ func evaluateBody(t testing.TB) []byte {
 
 func post(s *Server, body []byte) *httptest.ResponseRecorder {
 	w := httptest.NewRecorder()
-	r := httptest.NewRequest(http.MethodPost, dispatch.EvaluatePath, bytes.NewReader(body))
+	r := httptest.NewRequest(http.MethodPost, dispatch.EvaluateBatchPath, bytes.NewReader(body))
 	s.ServeHTTP(w, r)
 	return w
+}
+
+// decodeOne decodes a 200 answer to a batch of one, checked to hold one
+// entry.
+func decodeOne(t *testing.T, w *httptest.ResponseRecorder) *dispatch.BatchResult {
+	t.Helper()
+	var res dispatch.BatchResult
+	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
+		t.Fatalf("decode result: %v (body %q)", err, w.Body.String())
+	}
+	if len(res.Entries) != 1 {
+		t.Fatalf("batch of one answered with %d entries", len(res.Entries))
+	}
+	return &res
 }
 
 func decodeEnvelope(t *testing.T, w *httptest.ResponseRecorder) dispatch.ErrorEnvelope {
@@ -56,12 +76,13 @@ func TestEvaluateHappyPath(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, body %s", w.Code, w.Body)
 	}
-	var res dispatch.TrialResult
-	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
-		t.Fatalf("decode result: %v", err)
+	batch := decodeOne(t, w)
+	res := batch.Entries[0].Result
+	if res == nil {
+		t.Fatalf("entry is not a result: %+v", batch.Entries[0].Error)
 	}
-	if res.Node != "w1" {
-		t.Errorf("node = %q, want w1", res.Node)
+	if batch.Node != "w1" || res.Node != "w1" {
+		t.Errorf("node = %q/%q, want w1", batch.Node, res.Node)
 	}
 	if res.Measurement.Failed || len(res.Measurement.Walls) != 2 {
 		t.Fatalf("unexpected measurement: %+v", res.Measurement)
@@ -80,26 +101,49 @@ func TestEvaluateSameRequestSameBytes(t *testing.T) {
 	}
 }
 
+// TestEvaluateRejections: a body that is not a batch is refused whole
+// with a 400 envelope; a trial the node will not measure is refused in
+// its own entry, worded exactly as a dispatch.Local node words it.
 func TestEvaluateRejections(t *testing.T) {
 	s := New(Config{})
+	prof, _ := workload.ByName("fop")
+	local := dispatch.NewLocal(prof, "")
 	cases := []struct {
 		name string
 		body string
 		code string
 	}{
 		{"garbage", `%%%%`, dispatch.CodeBadPayload},
-		{"unknown benchmark", `{"key":"","benchmark":"quake3","reps":1,"noise":-1}`, dispatch.CodeBadBenchmark},
-		{"unknown flag", `{"key":"","benchmark":"fop","args":["-XX:+FTLDrive"],"reps":1,"noise":-1}`, dispatch.CodeBadFlag},
-		{"key mismatch", `{"key":"wrong","benchmark":"fop","reps":1,"noise":-1}`, dispatch.CodeKeyMismatch},
+		{"unknown benchmark", `{"trials":[{"key":"","benchmark":"quake3","reps":1,"noise":-1}]}`, dispatch.CodeBadBenchmark},
+		{"unknown flag", `{"trials":[{"key":"","benchmark":"fop","args":["-XX:+FTLDrive"],"reps":1,"noise":-1}]}`, dispatch.CodeBadFlag},
+		{"key mismatch", `{"trials":[{"key":"wrong","benchmark":"fop","reps":1,"noise":-1}]}`, dispatch.CodeKeyMismatch},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			w := post(s, []byte(c.body))
-			if w.Code != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400 (body %s)", w.Code, w.Body)
+			req, err := dispatch.DecodeBatchRequest([]byte(c.body))
+			if err != nil {
+				if w.Code != http.StatusBadRequest {
+					t.Fatalf("status %d, want 400 (body %s)", w.Code, w.Body)
+				}
+				if env := decodeEnvelope(t, w); env.Code != c.code {
+					t.Fatalf("code %q, want %q", env.Code, c.code)
+				}
+				return
 			}
-			if env := decodeEnvelope(t, w); env.Code != c.code {
-				t.Fatalf("code %q, want %q", env.Code, c.code)
+			if w.Code != http.StatusOK {
+				t.Fatalf("status %d, want 200 with a rejected entry (body %s)", w.Code, w.Body)
+			}
+			env := decodeOne(t, w).Entries[0].Error
+			if env == nil || env.Code != c.code {
+				t.Fatalf("entry envelope %+v, want code %q", env, c.code)
+			}
+			want, err := local.EvaluateBatch(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(env, want.Entries[0].Error) {
+				t.Fatalf("evald rejected with %+v, Local with %+v", env, want.Entries[0].Error)
 			}
 		})
 	}
@@ -108,7 +152,7 @@ func TestEvaluateRejections(t *testing.T) {
 func TestEvaluateMethodNotAllowed(t *testing.T) {
 	s := New(Config{})
 	w := httptest.NewRecorder()
-	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, dispatch.EvaluatePath, nil))
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, dispatch.EvaluateBatchPath, nil))
 	if w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("status %d, want 405", w.Code)
 	}
@@ -118,8 +162,8 @@ func TestEvaluateMethodNotAllowed(t *testing.T) {
 }
 
 func TestEvaluateOversizedBody(t *testing.T) {
-	s := New(Config{MaxBodyBytes: 64})
-	w := post(s, bytes.Repeat([]byte("x"), 1024))
+	s := New(Config{})
+	w := post(s, bytes.Repeat([]byte("x"), dispatch.MaxBatchRequestBytes+1))
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", w.Code)
 	}
@@ -194,10 +238,7 @@ func TestRemoteAgainstServer(t *testing.T) {
 	rem := dispatch.NewRemote(strings.TrimPrefix(ts.URL, "http://"))
 
 	ctx := context.Background()
-	var req dispatch.TrialRequest
-	if err := json.Unmarshal(evaluateBody(t), &req); err != nil {
-		t.Fatal(err)
-	}
+	req := trialRequest()
 	res, err := rem.Evaluate(ctx, &req)
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
@@ -229,7 +270,8 @@ func TestRemoteAgainstServer(t *testing.T) {
 // TestAnswersCarryContentLength: an answer longer than net/http's 2 KiB
 // response buffer goes out chunked unless the handler sets
 // Content-Length, and then the controller cannot size its read. Both a
-// 16-trial batch answer and a single trial at 64 reps are past 2 KiB.
+// 16-trial batch answer and a batch of one trial at 64 reps are past
+// 2 KiB.
 func TestAnswersCarryContentLength(t *testing.T) {
 	ts := httptest.NewServer(New(Config{Node: "w1"}))
 	defer ts.Close()
@@ -246,19 +288,19 @@ func TestAnswersCarryContentLength(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		batch.Trials = append(batch.Trials, trial(i, 1))
 	}
-	single := trial(0, 64)
+	single := &dispatch.BatchRequest{Trials: []dispatch.TrialRequest{trial(0, 64)}}
 	for _, c := range []struct {
-		path string
-		req  any
+		name string
+		req  *dispatch.BatchRequest
 	}{
-		{dispatch.EvaluateBatchPath, batch},
-		{dispatch.EvaluatePath, &single},
+		{"batch of 16", batch},
+		{"batch of one", single},
 	} {
 		body, err := json.Marshal(c.req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := ts.Client().Post(ts.URL+c.path, "application/json", bytes.NewReader(body))
+		resp, err := ts.Client().Post(ts.URL+dispatch.EvaluateBatchPath, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,14 +310,14 @@ func TestAnswersCarryContentLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d, body %s", c.path, resp.StatusCode, data)
+			t.Fatalf("%s: status %d, body %s", c.name, resp.StatusCode, data)
 		}
 		if len(data) <= 2048 {
-			t.Fatalf("%s: a %d-byte answer fits net/http's buffer and proves nothing", c.path, len(data))
+			t.Fatalf("%s: a %d-byte answer fits net/http's buffer and proves nothing", c.name, len(data))
 		}
 		if resp.ContentLength != int64(len(data)) || len(resp.TransferEncoding) != 0 {
 			t.Fatalf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte answer",
-				c.path, resp.ContentLength, resp.TransferEncoding, len(data))
+				c.name, resp.ContentLength, resp.TransferEncoding, len(data))
 		}
 	}
 }

@@ -243,7 +243,7 @@ type Config struct {
 	// journals its fleet view next to its checkpoint.
 	Nodes []string
 	// DispatchBatch ships up to this many trials per evaluate-batch round
-	// trip to the fleet; 0 means one POST per trial. Transport-only: job
+	// trip to the fleet; 0 = one trial per round trip. Transport-only: job
 	// results are byte-identical at any batch size.
 	DispatchBatch int
 	// TLSCert/TLSKey/TLSCA and AuthToken secure the fleet wire (mutual

@@ -196,17 +196,18 @@ func Open(dir string, tel *telemetry.Registry) (*Store, error) {
 }
 
 // load does one open-and-replay attempt against path. No handle in this
-// process has the store open, so none is compacting while the journal
-// sweeps stale compaction temps. The store counts under its own names,
-// and appends and compactions in the registry of the handle that made
-// them, so its journal gets no registry.
+// process has the store open, so none is compacting while load sweeps
+// stale compaction temps. The store counts under its own names, and
+// appends and compactions in the registry of the handle that made them,
+// so its journal gets no registry; the sweep comes first and is counted
+// even when the open then fails on the header.
 func load(path string, tel *telemetry.Registry) (*store, error) {
+	if n := checkpoint.SweepTemps(path); n > 0 {
+		tel.Counter("transfer_store_stale_temps_removed_total").Add(uint64(n))
+	}
 	j, payloads, err := checkpoint.OpenJournal(path, storeKind, nil)
 	if err != nil {
 		return nil, fmt.Errorf("transfer: %w", err)
-	}
-	if n := j.Swept(); n > 0 {
-		tel.Counter("transfer_store_stale_temps_removed_total").Add(uint64(n))
 	}
 	s := &store{j: j, path: path, groups: make(map[string]int)}
 	migrate := j.Version() < StoreVersion

@@ -249,6 +249,46 @@ func TestStoreStaleCompactTempSwept(t *testing.T) {
 	}
 }
 
+// TestStoreHeaderFailureCountsSweptTemps: an open that fails on the
+// store's header — garbage moved aside as .corrupt, or a future version
+// refused — still removes the compaction temps a crash stranded, and
+// counts them.
+func TestStoreHeaderFailureCountsSweptTemps(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		file []byte
+		err  error
+	}{
+		{"corrupt", []byte("this is not a transfer store at all"), nil},
+		{"future", frameImage(StoreVersion + 1), ErrFutureVersion},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, storeFile), c.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			stale := filepath.Join(dir, storeFile+".compact77")
+			if err := os.WriteFile(stale, []byte("leftover"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tel := telemetry.New()
+			st, err := Open(dir, tel)
+			if !errors.Is(err, c.err) {
+				t.Fatalf("err = %v, want %v", err, c.err)
+			}
+			if err == nil {
+				st.Close()
+			}
+			if _, err := os.Stat(stale); !os.IsNotExist(err) {
+				t.Fatal("stale compaction temp not swept")
+			}
+			if got := tel.Counter("transfer_store_stale_temps_removed_total").Value(); got != 1 {
+				t.Fatalf("transfer_store_stale_temps_removed_total = %d, want 1", got)
+			}
+		})
+	}
+}
+
 func TestNearest(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, nil)
