@@ -13,11 +13,12 @@ cover:
 # second kill inside the resume's replay prefix, and a resume from a
 # version 1 checkpoint written by the last build that wrote one. A
 # checkpoint's first base write must sweep the temp a crash inside an
-# earlier one stranded. Run under -race because recovery code is exactly
-# where concurrency bugs hide.
+# earlier one stranded, and a session that ends must leave its last trial
+# in the file. Run under -race because recovery code is exactly where
+# concurrency bugs hide.
 crash-matrix:
 	go test -race -count=1 \
-	  -run 'TestKillAndResume|TestKillDuringReplayAndResume|TestV1CheckpointResumes|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume|TestKeeperSweepsStaleTemps' \
+	  -run 'TestKillAndResume|TestKillDuringReplayAndResume|TestV1CheckpointResumes|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume|TestKeeperSweepsStaleTemps|TestFinalCheckpointHoldsLastTrial' \
 	  ./hotspot ./internal/core ./internal/httpapi ./internal/checkpoint .
 
 # The overload drills: shed a submission burst against a bounded queue

@@ -152,12 +152,12 @@ type Options struct {
 	// canceled session returns its best-so-far result with Result.Degraded
 	// set rather than the context's error.
 	BestEffort bool
-	// Hedge enables straggler hedging with the default core.HedgePolicy:
+	// Hedge enables straggler hedging (core.HedgePolicy):
 	// trials whose virtual cost exceeds a percentile-based deadline are
 	// charged as if a hedged duplicate dispatch had finished first.
 	Hedge bool
-	// Quarantine enables the failure circuit breaker with the default
-	// core.QuarantinePolicy: flag-hierarchy subtrees with a high
+	// Quarantine enables the failure circuit breaker
+	// (core.QuarantinePolicy): flag-hierarchy subtrees with a high
 	// deterministic-failure density are temporarily rejected at zero
 	// virtual cost.
 	Quarantine bool
@@ -433,14 +433,19 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	searcherName := opts.Searcher
-	if searcherName == "" {
-		searcherName = "hierarchical"
-	}
-	searcher, err := core.NewSearcher(searcherName)
+	plan, err := faultinject.ParsePlan(opts.Chaos)
 	if err != nil {
 		return nil, err
 	}
+	phases := driftSchedule(&plan)
+	session, keeper, err := newSession(ctx, opts, &plan, core.DefaultBudgetSeconds)
+	if err != nil {
+		return nil, err
+	}
+	// Close waits out any in-flight snapshot write — including during the
+	// panic unwind of a crash-point kill, which is what guarantees the
+	// checkpoint on disk is complete when the "process" dies.
+	defer keeper.Close()
 
 	var xfer *transferSession
 	if opts.TransferDir != "" {
@@ -449,24 +454,10 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 		// a leaked handle would keep the store's stale state open for the
 		// next session on the directory.
 		defer xfer.store.Close()
-		searcher = core.NewWarmStart(searcher, xfer.samples())
+		session.Searcher = core.NewWarmStart(session.Searcher, xfer.samples())
+		session.Transfer = xfer.metaFingerprint()
 	}
 
-	plan, err := faultinject.ParsePlan(opts.Chaos)
-	if err != nil {
-		return nil, err
-	}
-	onProgress := armCrashPoint(&plan, progressAdapter(opts.OnProgress))
-	phases := driftSchedule(&plan)
-	keeper, resume, err := durabilitySetup(opts)
-	if err != nil {
-		return nil, err
-	}
-	// Close waits out any in-flight snapshot write — including during the
-	// panic unwind of a crash-point kill, which is what guarantees the
-	// checkpoint on disk is complete when the "process" dies.
-	defer keeper.Close()
-	var run runner.Runner
 	var pool *dispatch.Pool
 	if len(opts.Nodes) > 0 || opts.FleetListen != "" {
 		if opts.JVMSimPath != "" {
@@ -479,7 +470,7 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 		pool.FaultHook = plan.NodeDownHook(opts.Seed)
 		// Wired before the fleet comes up: joins and heartbeats report to
 		// the pool's telemetry.
-		run = measurementStack(pool, &pool.Harness, plan, opts)
+		session.Runner = measurementStack(pool, &pool.Harness, plan, opts)
 		sec := security(opts)
 		if opts.FleetStatePath != "" {
 			fleet, view, ferr := dispatch.OpenFleet(opts.FleetStatePath, opts.Telemetry)
@@ -506,40 +497,21 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 		defer pool.Close()
 	} else if opts.JVMSimPath != "" {
 		sub := runner.NewSubprocess(opts.JVMSimPath, prof)
-		run = measurementStack(sub, &sub.Harness, plan, opts)
+		session.Runner = measurementStack(sub, &sub.Harness, plan, opts)
 	} else {
 		sim := jvmsim.New()
 		if opts.Noise >= 0 {
 			sim.NoiseRelStdDev = opts.Noise
 		}
 		ip := runner.NewInProcess(sim, prof)
-		run = measurementStack(ip, &ip.Harness, plan, opts)
+		session.Runner = measurementStack(ip, &ip.Harness, plan, opts)
 	}
 	if plan.NodeDown > 0 && pool == nil {
 		return nil, fmt.Errorf("hotspot: chaos node-down faults need a distributed session (set Nodes)")
 	}
 
-	budget := opts.BudgetMinutes * 60
-	if budget <= 0 {
-		budget = core.DefaultBudgetSeconds
-	}
-	session := &core.Session{
-		Runner:        run,
-		Searcher:      searcher,
-		BudgetSeconds: budget,
-		Reps:          opts.Reps,
-		Seed:          opts.Seed,
-		Workers:       opts.Workers,
-		Objective:     core.Objective(opts.Objective),
-		Ctx:           ctx,
-		OnProgress:    onProgress,
-		Telemetry:     opts.Telemetry,
-		Trace:         opts.Trace,
-		Checkpoint:    keeper,
-		Resume:        resume,
-		Transfer:      xfer.metaFingerprint(),
-		Phases:        phases,
-	}
+	session.Objective = core.Objective(opts.Objective)
+	session.Phases = phases
 	if opts.Drift {
 		dcfg, derr := driftConfig(opts)
 		if derr != nil {
@@ -549,14 +521,13 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 		// A drift transition rebuilds the searcher from scratch for the new
 		// regime; the name was validated above, so the factory cannot fail.
 		session.NewSearcher = func() core.Searcher {
-			ns, _ := core.NewSearcher(searcherName)
+			ns, _ := core.NewSearcher(searcherName(opts))
 			return ns
 		}
 		session.EpochPriors = xfer.epochPriors(prof, phases, opts.TransferK)
 	} else if opts.DriftSensitivity != 0 {
 		return nil, fmt.Errorf("hotspot: DriftSensitivity requires Drift")
 	}
-	applyRobustness(session, opts)
 	out, err := session.Run()
 	if err != nil {
 		return nil, err
@@ -565,8 +536,61 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 	// The store is written only here on the controller, and only after a
 	// completed session: a killed run leaves the store unchanged, so a
 	// checkpoint resume sees the same neighbours it checkpointed under.
-	xfer.finish(res, opts, prof, phases, budget)
+	xfer.finish(res, opts, prof, phases, session.BudgetSeconds)
 	return res, nil
+}
+
+// searcherName is the strategy opts selects, the paper's tuner by default.
+func searcherName(opts Options) string {
+	if opts.Searcher == "" {
+		return "hierarchical"
+	}
+	return opts.Searcher
+}
+
+// newSession builds what TuneContext and TuneCommonContext share: the
+// searcher, the budget (defaultBudget when opts sets none), the crash
+// point, the checkpoint keeper and resume snapshot, and the overload and
+// degradation options. The caller sets the Runner and closes the keeper.
+func newSession(ctx context.Context, opts Options, plan *faultinject.Plan, defaultBudget float64) (*core.Session, *checkpoint.Keeper, error) {
+	searcher, err := core.NewSearcher(searcherName(opts))
+	if err != nil {
+		return nil, nil, err
+	}
+	onProgress := armCrashPoint(plan, progressAdapter(opts.OnProgress))
+	keeper, resume, err := durabilitySetup(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	budget := opts.BudgetMinutes * 60
+	if budget <= 0 {
+		budget = defaultBudget
+	}
+	s := &core.Session{
+		Searcher:      searcher,
+		BudgetSeconds: budget,
+		Reps:          opts.Reps,
+		Seed:          opts.Seed,
+		Workers:       opts.Workers,
+		Ctx:           ctx,
+		OnProgress:    onProgress,
+		Telemetry:     opts.Telemetry,
+		Trace:         opts.Trace,
+		Checkpoint:    keeper,
+		Resume:        resume,
+		MaxTrials:     opts.MaxTrials,
+		BestEffort:    opts.BestEffort,
+	}
+	if opts.RealBudgetSeconds > 0 {
+		s.RealBudget = time.Duration(opts.RealBudgetSeconds * float64(time.Second))
+	}
+	if opts.Hedge {
+		s.Hedge = &core.HedgePolicy{}
+	}
+	if opts.Quarantine {
+		s.Quarantine = &core.QuarantinePolicy{}
+	}
+	return s, keeper, nil
 }
 
 // measurementStack finishes the measurement layers of a session: run,
@@ -662,21 +686,6 @@ func buildPool(opts Options, prof *workload.Profile) (*dispatch.Pool, error) {
 	}
 	pool.TimeoutSeconds = 6 * sim.DefaultWall(flags.NewRegistry(), prof, 1)
 	return pool, nil
-}
-
-// applyRobustness wires the overload/degradation options onto a session.
-func applyRobustness(s *core.Session, opts Options) {
-	s.MaxTrials = opts.MaxTrials
-	if opts.RealBudgetSeconds > 0 {
-		s.RealBudget = time.Duration(opts.RealBudgetSeconds * float64(time.Second))
-	}
-	s.BestEffort = opts.BestEffort
-	if opts.Hedge {
-		s.Hedge = &core.HedgePolicy{}
-	}
-	if opts.Quarantine {
-		s.Quarantine = &core.QuarantinePolicy{}
-	}
 }
 
 // resultFromOutcome maps the engine's outcome to the public Result.
@@ -784,11 +793,28 @@ func TuneCommon(profiles []*Profile, opts Options) (*Result, error) {
 }
 
 // TuneCommonContext is TuneCommon with cancellation, like TuneContext.
+// Suite-common tuning measures in-process and scores throughput, so it
+// refuses the options that would change either rather than ignore them.
 func TuneCommonContext(ctx context.Context, profiles []*Profile, opts Options) (*Result, error) {
 	if opts.Drift || opts.DriftSensitivity != 0 {
 		// Suite-common tuning scores one configuration across the whole
 		// suite; there is no single workload to drift or re-fingerprint.
 		return nil, fmt.Errorf("hotspot: drift re-tuning needs a single-workload session")
+	}
+	for _, o := range []struct {
+		set  bool
+		name string
+	}{
+		{len(opts.Nodes) > 0, "Nodes"},
+		{opts.FleetListen != "", "FleetListen"},
+		{opts.JVMSimPath != "", "JVMSimPath"},
+		{opts.TransferDir != "", "TransferDir"},
+		// The suite runner records no pauses, so there is nothing to score.
+		{opts.Objective == "pause", `Objective "pause"`},
+	} {
+		if o.set {
+			return nil, fmt.Errorf("hotspot: suite-common tuning does not support %s", o.name)
+		}
 	}
 	for _, p := range profiles {
 		if err := p.Validate(); err != nil {
@@ -810,40 +836,12 @@ func TuneCommonContext(ctx context.Context, profiles []*Profile, opts Options) (
 	if driftSchedule(&plan) != nil {
 		return nil, fmt.Errorf("hotspot: chaos drift-at needs a single-workload session")
 	}
-	onProgress := armCrashPoint(&plan, progressAdapter(opts.OnProgress))
-	keeper, resume, err := durabilitySetup(opts)
+	session, keeper, err := newSession(ctx, opts, &plan, core.DefaultBudgetSeconds*float64(len(profiles)))
 	if err != nil {
 		return nil, err
 	}
 	defer keeper.Close()
-	run := measurementStack(multi, &multi.Harness, plan, opts)
-	searcherName := opts.Searcher
-	if searcherName == "" {
-		searcherName = "hierarchical"
-	}
-	searcher, err := core.NewSearcher(searcherName)
-	if err != nil {
-		return nil, err
-	}
-	budget := opts.BudgetMinutes * 60
-	if budget <= 0 {
-		budget = core.DefaultBudgetSeconds * float64(len(profiles))
-	}
-	session := &core.Session{
-		Runner:        run,
-		Searcher:      searcher,
-		BudgetSeconds: budget,
-		Reps:          opts.Reps,
-		Seed:          opts.Seed,
-		Workers:       opts.Workers,
-		Ctx:           ctx,
-		OnProgress:    onProgress,
-		Telemetry:     opts.Telemetry,
-		Trace:         opts.Trace,
-		Checkpoint:    keeper,
-		Resume:        resume,
-	}
-	applyRobustness(session, opts)
+	session.Runner = measurementStack(multi, &multi.Harness, plan, opts)
 	out, err := session.Run()
 	if err != nil {
 		return nil, err

@@ -121,6 +121,25 @@ func TestTuneCommon(t *testing.T) {
 	}
 }
 
+// TuneCommon measures in-process throughput only; an option that would
+// change the transport, the store or the objective is refused by name,
+// not silently ignored.
+func TestTuneCommonRejectsIgnoredOptions(t *testing.T) {
+	suite, _ := Suite("dacapo")
+	for name, opts := range map[string]Options{
+		"Nodes":             {Nodes: []string{"127.0.0.1:1"}},
+		"FleetListen":       {FleetListen: "127.0.0.1:0"},
+		"JVMSimPath":        {JVMSimPath: "/nonexistent/jvmsim"},
+		"TransferDir":       {TransferDir: t.TempDir()},
+		`Objective "pause"`: {Objective: "pause"},
+	} {
+		opts.BudgetMinutes = 1
+		if _, err := TuneCommon(suite[:2], opts); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("TuneCommon with %s: err = %v, want one naming the option", name, err)
+		}
+	}
+}
+
 func TestTuneCommonInvalid(t *testing.T) {
 	if _, err := TuneCommon(nil, Options{}); err == nil {
 		t.Error("empty suite should error")

@@ -24,8 +24,8 @@ import (
 // tail salvaged (journal_salvaged_total) at open, records replayed
 // (journal_records_replayed_total) and appended (journal_appends_total).
 // What a Rewrite means is the caller's to say, and to count. A caller that
-// counts under its own names (the transfer store) sweeps first with
-// SweepTemps, opens the journal with a nil registry, and reads whether the
+// counts under its own names (the transfer store) sweeps with SweepTemps,
+// opens with OpenSweptJournal and a nil registry, and reads whether the
 // open salvaged from Salvaged.
 type Journal struct {
 	mu       sync.Mutex
@@ -59,6 +59,12 @@ func OpenJournal(path string, k Kind, tel *telemetry.Registry) (*Journal, [][]by
 	if n := SweepTemps(path); n > 0 {
 		tel.Counter("journal_stale_temps_removed_total").Add(uint64(n))
 	}
+	return OpenSweptJournal(path, k, tel)
+}
+
+// OpenSweptJournal is OpenJournal for an owner that has swept path itself
+// with SweepTemps, so one open globs for temps once.
+func OpenSweptJournal(path string, k Kind, tel *telemetry.Registry) (*Journal, [][]byte, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
@@ -285,8 +291,8 @@ func ReplaceFile(path string, parts ...[]byte) (*os.File, error) {
 // crash beat the rename, and returns how many it found. The caller owns
 // path, so no temp belongs to a write still in flight. OpenJournal and a
 // Keeper's first base write sweep on their own; a caller that counts the
-// sweep under its own name calls it first, so the count survives an open
-// that then fails.
+// sweep under its own name calls it and then OpenSweptJournal, so the
+// count survives an open that then fails.
 func SweepTemps(path string) int {
 	stale, _ := filepath.Glob(path + ".compact*")
 	for _, p := range stale {

@@ -113,6 +113,26 @@ func (k *Keeper) Write(snap *Snapshot) bool {
 	return true
 }
 
+// Final persists snap, the last snapshot of a session that ended, once any
+// write in flight has finished, and returns when it is on disk: a due
+// write skipped while another was in flight would otherwise leave the file
+// short of the session's last trials. It writes nothing when the last
+// completed write already holds snap's trials.
+func (k *Keeper) Final(snap *Snapshot) {
+	if k == nil {
+		return
+	}
+	k.wg.Wait()
+	if k.onDisk != nil && k.onDisk.Trial == snap.Trial {
+		return
+	}
+	k.mu.Lock()
+	k.busy = true
+	k.last = snap.Trial
+	k.mu.Unlock()
+	k.save(snap)
+}
+
 func (k *Keeper) save(snap *Snapshot) {
 	start := time.Now()
 	n, err := k.persist(snap)

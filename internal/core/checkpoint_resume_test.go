@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/runner"
+	"repro/internal/telemetry"
 )
 
 // runToCheckpoint runs a session that checkpoints every round and is
@@ -197,5 +198,58 @@ func TestSessionCheckpointDoesNotPerturbOutcome(t *testing.T) {
 	}
 	if got, want := outcomeFingerprint(t, ckd), outcomeFingerprint(t, plain); got != want {
 		t.Fatalf("checkpointing changed the outcome:\nwith:    %s\nwithout: %s", got, want)
+	}
+}
+
+// A session that ends on its own terms leaves every delivered trial in its
+// checkpoint, even with the background writer (which skips a due write
+// while another is in flight) and a trial count the cadence does not
+// divide. Resuming that file replays every trial and measures nothing.
+func TestFinalCheckpointHoldsLastTrial(t *testing.T) {
+	const trials = 45 // not a multiple of the cadence, 8
+	path := filepath.Join(t.TempDir(), "final.ckpt")
+	mk := func() (*Session, *checkpoint.Keeper) {
+		s := newSession(t, "h2", "hierarchical", 1e9, 7)
+		s.Workers = 2
+		s.MaxTrials = trials
+		keeper := checkpoint.NewKeeper(path, 8, nil)
+		s.Checkpoint = keeper
+		return s, keeper
+	}
+	s, keeper := mk()
+	out, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := keeper.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if out.Trials != trials {
+		t.Fatalf("session ran %d trials, want %d", out.Trials, trials)
+	}
+	snap := loadSnapshot(t, path)
+	if snap.Trial != trials || len(snap.Trials) != trials {
+		t.Fatalf("final checkpoint holds trial %d (%d records), want %d", snap.Trial, len(snap.Trials), trials)
+	}
+
+	resumed, keeper := mk()
+	resumed.Resume = snap
+	reg := telemetry.New()
+	resumed.Runner.(*runner.InProcess).Telemetry = reg
+	again, err := resumed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := keeper.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := outcomeFingerprint(t, again), outcomeFingerprint(t, out); got != want {
+		t.Fatalf("resumed finished session diverged:\nresumed:  %s\noriginal: %s", got, want)
+	}
+	if n := reg.Snapshot()["runner_attempts_total"]; n != 0 {
+		t.Fatalf("resuming a finished session launched %g attempts", n)
+	}
+	if snap := loadSnapshot(t, path); snap.Trial != trials {
+		t.Fatalf("after the resume the checkpoint holds trial %d, want %d", snap.Trial, trials)
 	}
 }

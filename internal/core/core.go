@@ -526,14 +526,20 @@ func (s *Session) Run() (*Outcome, error) {
 		rob.deadline = rob.now().Add(s.RealBudget)
 	}
 	if s.Hedge != nil {
-		rob.hg = newHedger(s.Hedge)
+		rob.hg = newHedger()
 		rob.hg.observe(base.CostSeconds)
 	}
 	if s.Quarantine != nil {
-		rob.quar = newQuarantine(s.Quarantine, tree, s.Telemetry, s.Trace)
+		rob.quar = newQuarantine(tree, s.Telemetry, s.Trace)
 	}
 	if err := s.runLoop(runCtx, ctx, out, slotFree, reps, budget, history, ck, rob, ds); err != nil {
 		return nil, err
+	}
+	// The session ended on its own terms, so its file must hold every
+	// delivered trial; a resume that delivered none past the file's end has
+	// nothing to add.
+	if ck != nil && ck.keeper != nil && ctx.Trial > ck.resumed {
+		s.writeCheckpoint(ck, ctx, true)
 	}
 	if ds.det != nil {
 		// Close the final (still-open) epoch so the report always accounts

@@ -280,14 +280,14 @@ func TestSubsetOnlyTouchesItsFlags(t *testing.T) {
 func TestGeneticFlatMaintainsBoundedPopulation(t *testing.T) {
 	p, _ := workload.ByName("fop")
 	sim := jvmsim.New()
-	g := &GeneticFlat{PopSize: 6}
+	g := &GeneticFlat{}
 	s := &Session{Runner: runner.NewInProcess(sim, p), Searcher: g, BudgetSeconds: 1e9, Seed: 2}
 	s.MaxTrials = 40
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(g.pop) != 6 {
-		t.Errorf("population size %d, want 6", len(g.pop))
+	if len(g.pop) != geneticPopSize {
+		t.Errorf("population size %d, want %d", len(g.pop), geneticPopSize)
 	}
 	for i := 1; i < len(g.pop); i++ {
 		if g.pop[i-1].wall > g.pop[i].wall {
@@ -299,18 +299,18 @@ func TestGeneticFlatMaintainsBoundedPopulation(t *testing.T) {
 func TestHillClimbRestartsAfterStagnation(t *testing.T) {
 	p, _ := workload.ByName("startup.scimark.fft")
 	sim := jvmsim.New()
-	h := &HillClimb{RestartAfter: 5}
+	h := &HillClimb{}
 	s := &Session{Runner: runner.NewInProcess(sim, p), Searcher: h, BudgetSeconds: 1e9, Seed: 3}
-	s.MaxTrials = 60
+	s.MaxTrials = 12 * hillRestartAfter
 	out, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Trials != 60 {
-		t.Fatalf("expected 60 trials, got %d", out.Trials)
+	if out.Trials != s.MaxTrials {
+		t.Fatalf("expected %d trials, got %d", s.MaxTrials, out.Trials)
 	}
-	// After 60 trials with restart-after-5, the climber must have moved off
-	// its initial current config at least once.
+	// After 12 stagnation limits' worth of trials, the climber must have
+	// moved off its initial current config at least once.
 	if h.current == nil {
 		t.Fatal("climber never initialized")
 	}

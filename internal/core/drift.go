@@ -219,10 +219,10 @@ func (s *Session) openEpoch(ctx *Context, out *Outcome, ds *driftState, ck *ckSt
 	// describe the old workload.
 	ds.det.Reset()
 	if s.Hedge != nil {
-		rob.hg = newHedger(s.Hedge)
+		rob.hg = newHedger()
 	}
 	if s.Quarantine != nil {
-		rob.quar = newQuarantine(s.Quarantine, ctx.Tree, s.Telemetry, s.Trace)
+		rob.quar = newQuarantine(ctx.Tree, s.Telemetry, s.Trace)
 	}
 	return NewWarmStart(s.NewSearcher(), priors), nil
 }

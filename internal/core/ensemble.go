@@ -18,11 +18,6 @@ import (
 // earns credit when its proposal improves on the global best, decayed over
 // a sliding window; arms are chosen by credit with an exploration bonus.
 type Ensemble struct {
-	// Window is the sliding history length for credit (default 50).
-	Window int
-	// ExplorationC is the UCB-style exploration constant (default 1.4).
-	ExplorationC float64
-
 	arms    []ensembleArm
 	pending map[*flags.Config]*armOutcome
 	history []*armOutcome
@@ -59,19 +54,12 @@ func NewEnsemble() *Ensemble {
 // Name implements Searcher.
 func (e *Ensemble) Name() string { return "ensemble" }
 
-func (e *Ensemble) window() int {
-	if e.Window > 0 {
-		return e.Window
-	}
-	return 50
-}
-
-func (e *Ensemble) explorationC() float64 {
-	if e.ExplorationC > 0 {
-		return e.ExplorationC
-	}
-	return 1.4
-}
+// The sliding history length for credit, and the UCB-style exploration
+// constant.
+const (
+	ensembleWindow       = 50
+	ensembleExplorationC = 1.4
+)
 
 // Propose implements Searcher: pick an arm by windowed credit + UCB
 // exploration, then delegate.
@@ -90,7 +78,7 @@ func (e *Ensemble) Propose(ctx *Context) *flags.Config {
 	out := &armOutcome{arm: arm}
 	e.pending[cfg] = out
 	e.history = append(e.history, out)
-	if len(e.history) > e.window() {
+	if len(e.history) > ensembleWindow {
 		e.history = e.history[1:]
 	}
 	return cfg
@@ -114,7 +102,7 @@ func (e *Ensemble) pickArm(ctx *Context) int {
 	}
 	bestArm, bestScore := 0, math.Inf(-1)
 	total := float64(len(e.history)) + 1
-	c := e.explorationC()
+	c := ensembleExplorationC
 	for i := range e.arms {
 		u := uses[i]
 		if u == 0 {

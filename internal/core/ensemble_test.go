@@ -56,19 +56,22 @@ func TestEnsembleImproves(t *testing.T) {
 
 func TestEnsembleWindowBounded(t *testing.T) {
 	p, _ := workload.ByName("fop")
-	e := &Ensemble{Window: 10}
-	e.arms = NewEnsemble().arms
+	e := NewEnsemble()
 	s := &Session{
 		Runner:   runner.NewInProcess(jvmsim.New(), p),
 		Searcher: e,
 		Seed:     4,
 	}
-	s.MaxTrials = 40
-	if _, err := s.Run(); err != nil {
+	s.MaxTrials = 2 * ensembleWindow
+	out, err := s.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.history) > 10 {
-		t.Errorf("history grew to %d, window is 10", len(e.history))
+	if out.Trials <= ensembleWindow {
+		t.Fatalf("only %d trials; the window (%d) never filled", out.Trials, ensembleWindow)
+	}
+	if len(e.history) > ensembleWindow {
+		t.Errorf("history grew to %d, window is %d", len(e.history), ensembleWindow)
 	}
 }
 

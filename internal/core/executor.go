@@ -80,12 +80,14 @@ type ckState struct {
 	epochReplay map[int]checkpoint.EpochRecord
 }
 
-// write snapshots the session at a round boundary and hands it to the
-// keeper, which persists it off the session goroutine. Rounds are barriers,
-// so no Measure call is in flight and the runner state is consistent. A
-// snapshot failure is counted but never fails the session — durability is
-// best-effort, the search itself must not be.
-func (s *Session) writeCheckpoint(ck *ckState, ctx *Context) {
+// writeCheckpoint snapshots the session at a round boundary and hands it
+// to the keeper, which persists it off the session goroutine — or, for the
+// final snapshot of a session that ended, once any write in flight is done
+// (see Keeper.Final). Rounds are barriers, so no Measure call is in flight
+// and the runner state is consistent. A snapshot failure is counted but
+// never fails the session — durability is best-effort, the search itself
+// must not be.
+func (s *Session) writeCheckpoint(ck *ckState, ctx *Context, final bool) {
 	state, err := ck.snap.SnapshotState()
 	if err != nil {
 		s.Telemetry.Counter("checkpoint_snapshot_errors_total").Inc()
@@ -94,7 +96,7 @@ func (s *Session) writeCheckpoint(ck *ckState, ctx *Context) {
 	// The full slice expression freezes the log's current extent; delivered
 	// records are never rewritten, so the background encode can read them
 	// while the session keeps appending.
-	ck.keeper.Write(&checkpoint.Snapshot{
+	snap := &checkpoint.Snapshot{
 		Meta:        ck.meta,
 		Trial:       ctx.Trial,
 		Elapsed:     ctx.Elapsed,
@@ -104,7 +106,12 @@ func (s *Session) writeCheckpoint(ck *ckState, ctx *Context) {
 		Trials:      ck.log[:len(ck.log):len(ck.log)],
 		Epochs:      ck.epochs[:len(ck.epochs):len(ck.epochs)],
 		RunnerState: state,
-	})
+	}
+	if final {
+		ck.keeper.Final(snap)
+	} else {
+		ck.keeper.Write(snap)
+	}
 }
 
 // runLoop is the session's evaluation engine: a bulk-synchronous batched
@@ -476,7 +483,7 @@ func (s *Session) runLoop(runCtx context.Context, ctx *Context, out *Outcome,
 		// snapshot here would pair the prefix's trial log with the later
 		// runner state, and a crash would leave that mix to the next resume.
 		if ck != nil && ctx.Trial >= ck.resumed && ck.keeper.Due(ctx.Trial) {
-			s.writeCheckpoint(ck, ctx)
+			s.writeCheckpoint(ck, ctx, false)
 		}
 	}
 	return nil

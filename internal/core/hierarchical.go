@@ -29,11 +29,6 @@ import (
 type Hierarchical struct {
 	// BeamWidth is how many branch combinations refinement keeps (default 2).
 	BeamWidth int
-	// PopSize is the per-beam population size (default 10).
-	PopSize int
-	// ExploreEvery inserts one non-beam exploration trial every N proposals
-	// (default 50; 0 disables).
-	ExploreEvery int
 
 	surveyed  bool
 	combos    []branchCombo
@@ -79,19 +74,12 @@ func (h *Hierarchical) beamWidth() int {
 	return 2
 }
 
-func (h *Hierarchical) popSize() int {
-	if h.PopSize > 0 {
-		return h.PopSize
-	}
-	return 10
-}
-
-func (h *Hierarchical) exploreEvery() int {
-	if h.ExploreEvery != 0 {
-		return h.ExploreEvery
-	}
-	return 50
-}
+// Each beam evolves a population of hierPopSize, and every
+// hierExploreEvery-th proposal is an exploration trial.
+const (
+	hierPopSize      = 10
+	hierExploreEvery = 50
+)
 
 // initCombos enumerates the tree's branch cross product.
 func (h *Hierarchical) initCombos(ctx *Context) {
@@ -142,7 +130,7 @@ func (h *Hierarchical) Propose(ctx *Context) *flags.Config {
 	}
 
 	// Occasional exploration of a non-beam branch with a random mutation.
-	if ee := h.exploreEvery(); ee > 0 && h.proposals%ee == 0 {
+	if h.proposals%hierExploreEvery == 0 {
 		if cfg := h.exploreProposal(ctx); cfg != nil {
 			h.note(cfg, pendingRef{})
 			return cfg
@@ -314,7 +302,7 @@ func (h *Hierarchical) Observe(ctx *Context, cfg *flags.Config, m runner.Measure
 		return // exploration trial: best-tracking happens in the session
 	}
 	ind := individual{cfg: cfg, wall: sc}
-	if len(b.pop) < h.popSize() {
+	if len(b.pop) < hierPopSize {
 		b.pop = append(b.pop, ind)
 	} else {
 		worst := 0

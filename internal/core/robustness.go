@@ -18,77 +18,42 @@ import (
 // probe re-measures the subtree once the cooldown passes.
 const QuarantinedFailure jvmsim.FailureKind = "quarantined"
 
-// HedgePolicy configures the straggler watchdog. The session tracks the
-// virtual cost of recently delivered trials; a trial whose cost exceeds
-// Factor times the Percentile of that window is treated as a straggler, and
-// the watchdog hedges a duplicate dispatch at the deadline. First result
-// wins: if the duplicate would have finished first (its clean cost rides in
+// HedgePolicy arms the straggler watchdog. The session tracks the virtual
+// cost of the last 64 delivered trials; once 8 are in, a trial whose cost
+// exceeds 3 times the window's 90th percentile (and at least 1 virtual
+// second) is treated as a straggler, and the watchdog hedges a duplicate
+// dispatch at that deadline. First result wins: if the duplicate would
+// have finished first (its clean cost rides in
 // runner.Measurement.HedgeCostSeconds when the chaos layer stalled the
-// primary), the trial is charged deadline+duplicate cost and the primary is
-// canceled; otherwise the duplicate is canceled and the trial costs what it
-// always did. Either way the loser is accounted in telemetry, never the
-// budget — on a real farm it runs on a spare machine.
+// primary), the trial is charged deadline+duplicate cost and the primary
+// is canceled; otherwise the duplicate is canceled and the trial costs
+// what it always did. Either way the loser is accounted in telemetry,
+// never the budget — on a real farm it runs on a spare machine.
 //
 // The watchdog lives entirely in virtual time, so fixed-seed sessions stay
-// byte-deterministic at any worker count with hedging enabled.
-type HedgePolicy struct {
-	// Percentile of the recent-cost window that anchors the deadline
-	// (0 < p ≤ 1; values ≤ 0 mean the default, 0.9).
-	Percentile float64
-	// Factor multiplies the percentile cost into the deadline; values ≤ 0
-	// mean the default, 3.
-	Factor float64
-	// Window is how many recent trial costs are remembered; values ≤ 0 mean
-	// the default, 64.
-	Window int
-	// MinSamples is how many costs must be observed before the watchdog
-	// arms; values ≤ 0 mean the default, 8.
-	MinSamples int
-	// MinSeconds floors the deadline so a streak of cheap trials cannot
-	// hedge everything; values ≤ 0 mean the default, 1.
-	MinSeconds float64
-}
+// byte-deterministic at any worker count with hedging enabled. Its
+// parameters are fixed; a non-nil policy arms it.
+type HedgePolicy struct{}
 
-// Hedge policy defaults.
+// The watchdog's parameters.
 const (
-	DefaultHedgePercentile = 0.9
-	DefaultHedgeFactor     = 3.0
-	DefaultHedgeWindow     = 64
-	DefaultHedgeMinSamples = 8
-	DefaultHedgeMinSeconds = 1.0
+	hedgePercentile = 0.9 // of the recent-cost window, anchors the deadline
+	hedgeFactor     = 3.0 // multiplies the percentile cost into the deadline
+	hedgeWindow     = 64  // recent trial costs remembered
+	hedgeMinSamples = 8   // costs observed before the watchdog arms
+	hedgeMinSeconds = 1.0 // floors the deadline against streaks of cheap trials
 )
 
-func (p HedgePolicy) normalized() HedgePolicy {
-	if p.Percentile <= 0 || p.Percentile > 1 {
-		p.Percentile = DefaultHedgePercentile
-	}
-	if p.Factor <= 0 {
-		p.Factor = DefaultHedgeFactor
-	}
-	if p.Window <= 0 {
-		p.Window = DefaultHedgeWindow
-	}
-	if p.MinSamples <= 0 {
-		p.MinSamples = DefaultHedgeMinSamples
-	}
-	if p.MinSeconds <= 0 {
-		p.MinSeconds = DefaultHedgeMinSeconds
-	}
-	return p
-}
-
-// String renders the normalized policy canonically; the checkpoint layer
-// folds it into the session fingerprint.
-func (p HedgePolicy) String() string {
-	n := p.normalized()
+// String renders the policy canonically; the checkpoint layer folds it
+// into the session fingerprint.
+func (HedgePolicy) String() string {
 	return fmt.Sprintf("p%g×%g,w%d,min%d,floor%g",
-		n.Percentile, n.Factor, n.Window, n.MinSamples, n.MinSeconds)
+		hedgePercentile, hedgeFactor, hedgeWindow, hedgeMinSamples, hedgeMinSeconds)
 }
 
 // hedger is the watchdog state: a ring of recent delivered trial costs and
 // the win/loss accounting.
 type hedger struct {
-	pol    HedgePolicy
 	costs  []float64
 	next   int
 	filled bool
@@ -98,9 +63,8 @@ type hedger struct {
 	saved  float64
 }
 
-func newHedger(p *HedgePolicy) *hedger {
-	n := p.normalized()
-	return &hedger{pol: n, costs: make([]float64, 0, n.Window)}
+func newHedger() *hedger {
+	return &hedger{costs: make([]float64, 0, hedgeWindow)}
 }
 
 // observe feeds one delivered trial's effective cost into the window.
@@ -108,12 +72,12 @@ func (h *hedger) observe(cost float64) {
 	if cost <= 0 {
 		return
 	}
-	if len(h.costs) < h.pol.Window {
+	if len(h.costs) < hedgeWindow {
 		h.costs = append(h.costs, cost)
 		return
 	}
 	h.costs[h.next] = cost
-	h.next = (h.next + 1) % h.pol.Window
+	h.next = (h.next + 1) % hedgeWindow
 	h.filled = true
 }
 
@@ -121,22 +85,22 @@ func (h *hedger) observe(cost float64) {
 // window is too small to arm the watchdog.
 func (h *hedger) deadline() (float64, bool) {
 	n := len(h.costs)
-	if n < h.pol.MinSamples {
+	if n < hedgeMinSamples {
 		return 0, false
 	}
 	sorted := make([]float64, n)
 	copy(sorted, h.costs)
 	sort.Float64s(sorted)
-	idx := int(math.Ceil(h.pol.Percentile*float64(n))) - 1
+	idx := int(math.Ceil(hedgePercentile*float64(n))) - 1
 	if idx < 0 {
 		idx = 0
 	}
 	if idx >= n {
 		idx = n - 1
 	}
-	d := sorted[idx] * h.pol.Factor
-	if d < h.pol.MinSeconds {
-		d = h.pol.MinSeconds
+	d := sorted[idx] * hedgeFactor
+	if d < hedgeMinSeconds {
+		d = hedgeMinSeconds
 	}
 	return d, true
 }
@@ -170,73 +134,31 @@ func (h *hedger) decide(m runner.Measurement) (eff float64, verdict string) {
 	return raw, "primary-won"
 }
 
-// QuarantinePolicy configures the failure circuit breaker. The session
+// QuarantinePolicy arms the failure circuit breaker. The session
 // classifies every configuration into the flag-hierarchy subtrees it
-// selects (one branch per tree choice, most specific match wins) and tracks
-// a sliding window of deterministic-failure verdicts per subtree. A subtree
-// whose failure density crosses Threshold is quarantined: its proposals are
-// rejected unmeasured (zero cost, QuarantinedFailure) for CooldownTrials,
-// after which a single half-open probe is measured — success closes the
-// breaker, another deterministic failure re-opens it with a doubled
-// cooldown (capped at MaxCooldownTrials).
-type QuarantinePolicy struct {
-	// Window is the verdicts remembered per subtree; values ≤ 0 mean the
-	// default, 16.
-	Window int
-	// MinSamples is the verdicts required before the breaker may open;
-	// values ≤ 0 mean the default, 8.
-	MinSamples int
-	// Threshold is the deterministic-failure fraction that opens the
-	// breaker; values ≤ 0 mean the default, 0.7.
-	Threshold float64
-	// CooldownTrials is how many delivered trials a quarantine lasts before
-	// the half-open probe; values ≤ 0 mean the default, 25.
-	CooldownTrials int
-	// MaxCooldownTrials caps the doubling of repeat offenders' cooldowns;
-	// values ≤ 0 mean the default, 200.
-	MaxCooldownTrials int
-}
+// selects (one branch per tree choice, most specific match wins) and
+// tracks a sliding window of the last 16 deterministic-failure verdicts
+// per subtree. Once 8 verdicts are in, a subtree whose failure density
+// reaches 0.7 is quarantined: its proposals are rejected unmeasured (zero
+// cost, QuarantinedFailure) for 25 delivered trials, after which a single
+// half-open probe is measured — success closes the breaker, another
+// deterministic failure re-opens it with a doubled cooldown (capped at
+// 200 trials). Its parameters are fixed; a non-nil policy arms it.
+type QuarantinePolicy struct{}
 
-// Quarantine policy defaults.
+// The breaker's parameters.
 const (
-	DefaultQuarantineWindow      = 16
-	DefaultQuarantineMinSamples  = 8
-	DefaultQuarantineThreshold   = 0.7
-	DefaultQuarantineCooldown    = 25
-	DefaultQuarantineMaxCooldown = 200
+	quarantineWindow            = 16  // verdicts remembered per subtree
+	quarantineMinSamples        = 8   // verdicts required before the breaker may open
+	quarantineThreshold         = 0.7 // deterministic-failure fraction that opens it
+	quarantineCooldownTrials    = 25  // delivered trials before the half-open probe
+	quarantineMaxCooldownTrials = 200 // cap on a repeat offender's doubled cooldown
 )
 
-func (p QuarantinePolicy) normalized() QuarantinePolicy {
-	if p.Window <= 0 {
-		p.Window = DefaultQuarantineWindow
-	}
-	if p.MinSamples <= 0 {
-		p.MinSamples = DefaultQuarantineMinSamples
-	}
-	if p.MinSamples > p.Window {
-		p.MinSamples = p.Window
-	}
-	if p.Threshold <= 0 || p.Threshold > 1 {
-		p.Threshold = DefaultQuarantineThreshold
-	}
-	if p.CooldownTrials <= 0 {
-		p.CooldownTrials = DefaultQuarantineCooldown
-	}
-	if p.MaxCooldownTrials < p.CooldownTrials {
-		p.MaxCooldownTrials = DefaultQuarantineMaxCooldown
-	}
-	if p.MaxCooldownTrials < p.CooldownTrials {
-		p.MaxCooldownTrials = p.CooldownTrials
-	}
-	return p
-}
-
-// String renders the normalized policy canonically for the session
-// fingerprint.
-func (p QuarantinePolicy) String() string {
-	n := p.normalized()
-	return fmt.Sprintf("w%d,min%d,t%g,cd%d..%d",
-		n.Window, n.MinSamples, n.Threshold, n.CooldownTrials, n.MaxCooldownTrials)
+// String renders the policy canonically for the session fingerprint.
+func (QuarantinePolicy) String() string {
+	return fmt.Sprintf("w%d,min%d,t%g,cd%d..%d", quarantineWindow, quarantineMinSamples,
+		quarantineThreshold, quarantineCooldownTrials, quarantineMaxCooldownTrials)
 }
 
 // sigPair is one (flag, value) assignment that selects a subtree.
@@ -304,7 +226,6 @@ func (b *breaker) reset() {
 // subtree, driven synchronously from the session goroutine so state
 // transitions are deterministic for a fixed seed.
 type quarantine struct {
-	pol    QuarantinePolicy
 	groups [][]subtreeSig // one group per tree choice
 	state  map[string]*breaker
 	tel    *telemetry.Registry
@@ -314,11 +235,10 @@ type quarantine struct {
 	opens    int
 }
 
-func newQuarantine(pol *QuarantinePolicy, tree *hierarchy.Tree, tel *telemetry.Registry, trace *telemetry.Tracer) *quarantine {
+func newQuarantine(tree *hierarchy.Tree, tel *telemetry.Registry, trace *telemetry.Tracer) *quarantine {
 	reg := tree.Registry()
 	def := flags.NewConfig(reg)
 	q := &quarantine{
-		pol:   pol.normalized(),
 		state: make(map[string]*breaker),
 		tel:   tel,
 		trace: trace,
@@ -412,7 +332,7 @@ func (q *quarantine) observe(cfg *flags.Config, key string, trial int, t float64
 			st.probe = false
 			if det {
 				st.trips++
-				cd := q.cooldown(st.trips)
+				cd := cooldown(st.trips)
 				st.until = trial + cd
 				q.tel.Counter("session_quarantine_reopens_total").Inc()
 				q.trace.Emit(telemetry.Event{
@@ -430,35 +350,33 @@ func (q *quarantine) observe(cfg *flags.Config, key string, trial int, t float64
 			}
 			continue
 		}
-		st.push(det, q.pol.Window)
-		if st.count >= q.pol.MinSamples &&
-			float64(st.fails) >= q.pol.Threshold*float64(st.count) {
+		st.push(det, quarantineWindow)
+		if st.count >= quarantineMinSamples &&
+			float64(st.fails) >= quarantineThreshold*float64(st.count) {
 			st.open = true
 			st.probe = false
 			st.trips = 1
-			st.until = trial + q.pol.CooldownTrials
+			st.until = trial + quarantineCooldownTrials
 			st.reset()
 			q.opens++
 			q.tel.Counter("session_quarantine_opens_total").Inc()
 			q.trace.Emit(telemetry.Event{
 				T: t, Kind: telemetry.EvQuarantine, Key: key,
-				Detail: fmt.Sprintf("open:%s:%d", label, q.pol.CooldownTrials),
+				Detail: fmt.Sprintf("open:%s:%d", label, quarantineCooldownTrials),
 			})
 		}
 	}
 }
 
-// cooldown doubles per consecutive trip, capped.
-func (q *quarantine) cooldown(trips int) int {
-	cd := q.pol.CooldownTrials
+// cooldown is the quarantine length after a subtree's trips-th consecutive
+// open: it doubles per trip, capped.
+func cooldown(trips int) int {
+	cd := quarantineCooldownTrials
 	for i := 1; i < trips; i++ {
 		cd *= 2
-		if cd >= q.pol.MaxCooldownTrials {
-			return q.pol.MaxCooldownTrials
+		if cd >= quarantineMaxCooldownTrials {
+			return quarantineMaxCooldownTrials
 		}
-	}
-	if cd > q.pol.MaxCooldownTrials {
-		cd = q.pol.MaxCooldownTrials
 	}
 	return cd
 }

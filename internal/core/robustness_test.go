@@ -18,11 +18,17 @@ import (
 )
 
 func TestHedgerDeadline(t *testing.T) {
-	h := newHedger(&HedgePolicy{Percentile: 0.9, Factor: 3, Window: 64, MinSamples: 8, MinSeconds: 1})
+	h := newHedger()
 	if _, armed := h.deadline(); armed {
 		t.Fatal("watchdog armed with no samples")
 	}
-	for i := 1; i <= 10; i++ {
+	for i := 1; i <= 7; i++ {
+		h.observe(float64(i))
+	}
+	if _, armed := h.deadline(); armed {
+		t.Fatal("watchdog armed with 7 samples; it needs 8")
+	}
+	for i := 8; i <= 10; i++ {
 		h.observe(float64(i))
 	}
 	d, armed := h.deadline()
@@ -34,16 +40,20 @@ func TestHedgerDeadline(t *testing.T) {
 		t.Fatalf("deadline = %g, want 27", d)
 	}
 
-	// The floor guards against a streak of near-zero costs.
-	cheap := newHedger(&HedgePolicy{MinSamples: 2, MinSeconds: 5})
-	cheap.observe(0.01)
-	cheap.observe(0.02)
-	if d, _ := cheap.deadline(); d != 5 {
-		t.Fatalf("floored deadline = %g, want 5", d)
+	// The 1-second floor guards against a streak of near-zero costs.
+	cheap := newHedger()
+	for i := 0; i < 8; i++ {
+		cheap.observe(0.01)
+	}
+	if d, _ := cheap.deadline(); d != 1 {
+		t.Fatalf("floored deadline = %g, want 1", d)
 	}
 
 	// Zero and negative costs (synthetic rejections) never enter the window.
-	h2 := newHedger(&HedgePolicy{MinSamples: 1})
+	h2 := newHedger()
+	for i := 0; i < 7; i++ {
+		h2.observe(1)
+	}
 	h2.observe(0)
 	h2.observe(-1)
 	if _, armed := h2.deadline(); armed {
@@ -52,8 +62,8 @@ func TestHedgerDeadline(t *testing.T) {
 }
 
 func TestHedgerDecide(t *testing.T) {
-	h := newHedger(&HedgePolicy{Percentile: 0.9, Factor: 3, Window: 64, MinSamples: 4, MinSeconds: 1})
-	for i := 0; i < 4; i++ {
+	h := newHedger()
+	for i := 0; i < 8; i++ {
 		h.observe(10) // deadline = 30
 	}
 
@@ -84,11 +94,11 @@ func TestHedgerDecide(t *testing.T) {
 
 // quarantineHarness builds a quarantine over the real flag hierarchy and
 // returns configs selecting the serial and G1 collector subtrees.
-func quarantineHarness(t *testing.T, pol QuarantinePolicy) (*quarantine, *flags.Config, *flags.Config) {
+func quarantineHarness(t *testing.T) (*quarantine, *flags.Config, *flags.Config) {
 	t.Helper()
 	reg := flags.NewRegistry()
 	tree := hierarchy.Build(reg)
-	q := newQuarantine(&pol, tree, telemetry.New(), nil)
+	q := newQuarantine(tree, telemetry.New(), nil)
 
 	mk := func(branch string) *flags.Config {
 		for _, ch := range tree.Choices() {
@@ -107,19 +117,22 @@ func quarantineHarness(t *testing.T, pol QuarantinePolicy) (*quarantine, *flags.
 }
 
 func TestQuarantineBreakerLifecycle(t *testing.T) {
-	pol := QuarantinePolicy{Window: 8, MinSamples: 4, Threshold: 0.5, CooldownTrials: 10, MaxCooldownTrials: 40}
-	q, serial, g1 := quarantineHarness(t, pol)
+	q, serial, g1 := quarantineHarness(t)
 	detFail := runner.Measurement{Failed: true, Failure: "configuration"}
 	ok := runner.Measurement{CostSeconds: 5, Mean: 5}
 
-	// Four deterministic failures open the serial subtree's breaker.
+	// Eight deterministic failures (the minimum sample) open the serial
+	// subtree's breaker; seven do not.
 	trial := 0
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ {
+		if q.opens != 0 {
+			t.Fatalf("breaker opened after %d verdicts; it needs 8", i)
+		}
 		trial++
 		q.observe(serial, serial.Key(), trial, float64(trial), detFail)
 	}
 	if q.opens != 1 {
-		t.Fatalf("opens=%d after 4 det failures at threshold 0.5/min 4", q.opens)
+		t.Fatalf("opens=%d after 8 det failures", q.opens)
 	}
 	if label, blocked := q.blocked(serial, serial.Key(), trial+1, 0); !blocked || !strings.Contains(label, "serial") {
 		t.Fatalf("serial subtree not blocked: %q/%v", label, blocked)
@@ -130,7 +143,7 @@ func TestQuarantineBreakerLifecycle(t *testing.T) {
 	}
 
 	// Past the cooldown the first proposal becomes the half-open probe...
-	probeTrial := trial + pol.CooldownTrials + 1
+	probeTrial := trial + quarantineCooldownTrials + 1
 	if _, blocked := q.blocked(serial, serial.Key(), probeTrial, 0); blocked {
 		t.Fatal("probe-eligible proposal still blocked after cooldown")
 	}
@@ -140,10 +153,10 @@ func TestQuarantineBreakerLifecycle(t *testing.T) {
 	}
 	// A failing probe re-opens with a doubled cooldown.
 	q.observe(serial, serial.Key(), probeTrial, 0, detFail)
-	if _, blocked := q.blocked(serial, serial.Key(), probeTrial+pol.CooldownTrials+1, 0); !blocked {
+	if _, blocked := q.blocked(serial, serial.Key(), probeTrial+quarantineCooldownTrials+1, 0); !blocked {
 		t.Fatal("reopened breaker honored the original cooldown, not the doubled one")
 	}
-	probe2 := probeTrial + 2*pol.CooldownTrials + 1
+	probe2 := probeTrial + 2*quarantineCooldownTrials + 1
 	if _, blocked := q.blocked(serial, serial.Key(), probe2, 0); blocked {
 		t.Fatal("probe not admitted after the doubled cooldown")
 	}
@@ -162,9 +175,8 @@ func TestQuarantineBreakerLifecycle(t *testing.T) {
 }
 
 func TestQuarantineCooldownDoublingCapped(t *testing.T) {
-	q := &quarantine{pol: QuarantinePolicy{CooldownTrials: 10, MaxCooldownTrials: 35}.normalized()}
-	for i, want := range map[int]int{1: 10, 2: 20, 3: 35, 10: 35} {
-		if got := q.cooldown(i); got != want {
+	for i, want := range map[int]int{1: 25, 2: 50, 3: 100, 4: 200, 5: 200, 10: 200} {
+		if got := cooldown(i); got != want {
 			t.Errorf("cooldown(trips=%d) = %d, want %d", i, got, want)
 		}
 	}
@@ -175,10 +187,12 @@ func TestRobustnessFingerprint(t *testing.T) {
 		t.Errorf("both off should fingerprint empty, got %q", s)
 	}
 	h, q := &HedgePolicy{}, &QuarantinePolicy{}
-	if s := robustnessFingerprint(h, nil); !strings.HasPrefix(s, "hedge(") {
+	if s := robustnessFingerprint(h, nil); s != "hedge(p0.9×3,w64,min8,floor1)" {
 		t.Errorf("hedge fingerprint: %q", s)
 	}
-	if s := robustnessFingerprint(h, q); !strings.Contains(s, ")+quarantine(") {
+	// Checkpoints written with hedging and quarantine carry this literal;
+	// it must not move, or they stop resuming.
+	if s := robustnessFingerprint(h, q); s != "hedge(p0.9×3,w64,min8,floor1)+quarantine(w16,min8,t0.7,cd25..200)" {
 		t.Errorf("combined fingerprint: %q", s)
 	}
 }
@@ -409,7 +423,7 @@ func TestQuarantineIsolatesBrokenSubtree(t *testing.T) {
 			BudgetSeconds: 4000,
 			Seed:          9,
 			Workers:       workers,
-			Quarantine:    &QuarantinePolicy{Window: 8, MinSamples: 4, Threshold: 0.5, CooldownTrials: 15},
+			Quarantine:    &QuarantinePolicy{},
 			Telemetry:     telemetry.New(),
 		}
 		out, err := s.Run()

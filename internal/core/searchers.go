@@ -46,13 +46,12 @@ func (Random) Observe(*Context, *flags.Config, runner.Measurement) {}
 // ---------------------------------------------------------------------------
 
 // HillClimb is first-improvement local search from the default config.
+// After hillRestartAfter non-improving observations in a row it restarts
+// from the best known configuration with a kick.
 type HillClimb struct {
 	// Flags restricts the search to the named flags; empty means every
 	// tunable flag. (The Subset searcher is a HillClimb with Flags set.)
 	Flags []string
-	// RestartAfter is the stagnation limit before restarting from the best
-	// known configuration with a kick; 0 means 30.
-	RestartAfter int
 
 	flagIDs     []flags.ID // Flags, resolved on first use
 	current     *flags.Config
@@ -91,11 +90,7 @@ func (h *HillClimb) Propose(ctx *Context) *flags.Config {
 		h.current = flags.NewConfig(ctx.Reg)
 		h.currentWall = ctx.DefaultWall
 	}
-	limit := h.RestartAfter
-	if limit <= 0 {
-		limit = 30
-	}
-	if h.stagnant >= limit {
+	if h.stagnant >= hillRestartAfter {
 		// Kick: restart from the global best with a random double-mutation.
 		h.current = ctx.Best.Clone()
 		h.currentWall = ctx.BestWall
@@ -134,6 +129,9 @@ func (h *HillClimb) Observe(ctx *Context, cfg *flags.Config, m runner.Measuremen
 	}
 }
 
+// hillRestartAfter is HillClimb's stagnation limit.
+const hillRestartAfter = 30
+
 // NewSubset returns the prior-work proxy: hill climbing restricted to the
 // half-dozen heap/GC flags earlier JVM-tuning papers considered. Its
 // contrast with whole-JVM tuning is the paper's Figure 2.
@@ -155,16 +153,20 @@ func SubsetFlags() []string {
 // tuning time, not trial count.
 // ---------------------------------------------------------------------------
 
-// Anneal is simulated annealing over the flat space.
+// Anneal is simulated annealing over the flat space. Its temperature
+// falls geometrically from annealStartTemp to annealEndTemp times the
+// baseline wall time as the budget is consumed.
 type Anneal struct {
-	// StartTemp and EndTemp are relative to the baseline wall time.
-	// Zero values default to 0.02 and 0.001.
-	StartTemp, EndTemp float64
-
 	current     *flags.Config
 	currentWall float64
 	pending     map[*flags.Config]bool
 }
+
+// The annealing schedule's ends, relative to the baseline wall time.
+const (
+	annealStartTemp = 0.02
+	annealEndTemp   = 0.001
+)
 
 // Name implements Searcher.
 func (a *Anneal) Name() string { return "anneal" }
@@ -202,15 +204,8 @@ func (a *Anneal) Observe(ctx *Context, cfg *flags.Config, m runner.Measurement) 
 	if math.IsInf(sc, 1) {
 		return // never walk into a crash
 	}
-	t0, t1 := a.StartTemp, a.EndTemp
-	if t0 <= 0 {
-		t0 = 0.02
-	}
-	if t1 <= 0 {
-		t1 = 0.001
-	}
 	frac := clamp01(ctx.Elapsed / ctx.Budget)
-	temp := t0 * math.Pow(t1/t0, frac) * ctx.DefaultWall
+	temp := annealStartTemp * math.Pow(annealEndTemp/annealStartTemp, frac) * ctx.DefaultWall
 	if temp > 0 && ctx.Rng.Float64() < math.Exp(-(sc-a.currentWall)/temp) {
 		a.current, a.currentWall = cfg, sc
 	}
@@ -222,11 +217,9 @@ func (a *Anneal) Observe(ctx *Context, cfg *flags.Config, m runner.Measurement) 
 // hierarchical searcher (Figure 3).
 // ---------------------------------------------------------------------------
 
-// GeneticFlat is a steady-state GA over the flat space.
+// GeneticFlat is a steady-state GA over the flat space, with a population
+// of geneticPopSize.
 type GeneticFlat struct {
-	// PopSize defaults to 16.
-	PopSize int
-
 	pop     []individual
 	pending map[*flags.Config]bool
 }
@@ -239,18 +232,13 @@ type individual struct {
 // Name implements Searcher.
 func (g *GeneticFlat) Name() string { return "genetic-flat" }
 
-func (g *GeneticFlat) popSize() int {
-	if g.PopSize > 0 {
-		return g.PopSize
-	}
-	return 16
-}
+const geneticPopSize = 16
 
 // Propose implements Searcher.
 func (g *GeneticFlat) Propose(ctx *Context) *flags.Config {
 	pool := ctx.Reg.TunableIDs()
 	// Seed the population with the default and light mutants of it.
-	if len(g.pop) < g.popSize() {
+	if len(g.pop) < geneticPopSize {
 		cfg := flags.NewConfig(ctx.Reg)
 		for i := 0; i < len(g.pop); i++ { // 0 mutations for the first
 			flags.MutateFlag(cfg, pool[ctx.Rng.Intn(len(pool))], ctx.Rng)
@@ -295,7 +283,7 @@ func (g *GeneticFlat) Observe(ctx *Context, cfg *flags.Config, m runner.Measurem
 	}
 	delete(g.pending, cfg)
 	ind := individual{cfg: cfg, wall: ctx.Score(m)}
-	if len(g.pop) < g.popSize() {
+	if len(g.pop) < geneticPopSize {
 		g.pop = append(g.pop, ind)
 	} else if worst := g.worstIndex(); ind.wall < g.pop[worst].wall {
 		g.pop[worst] = ind

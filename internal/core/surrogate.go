@@ -20,11 +20,6 @@ import (
 // launchable — proposals are validated and repaired — but learns nothing
 // about conditional relevance.
 type Surrogate struct {
-	// Epsilon is the exploration rate (default 0.25).
-	Epsilon float64
-	// Bins is the number of domain regions learned per Int flag (default 4).
-	Bins int
-
 	models  []*flagModel  // indexed by flag ID; nil for untunable flags
 	ids     []flags.ID    // the tunable flags, in ID order
 	groupOf []string      // flag ID → hierarchy subtree, for exploration weighting
@@ -47,26 +42,19 @@ func NewSurrogate() *Surrogate { return &Surrogate{} }
 // Name implements Searcher.
 func (s *Surrogate) Name() string { return "surrogate" }
 
-func (s *Surrogate) epsilon() float64 {
-	if s.Epsilon > 0 {
-		return s.Epsilon
-	}
-	return 0.25
-}
-
-func (s *Surrogate) bins() int {
-	if s.Bins > 1 {
-		return s.Bins
-	}
-	return 4
-}
+// The exploration rate, and the number of domain regions learned per Int
+// flag.
+const (
+	surrogateEpsilon = 0.25
+	surrogateBins    = 4
+)
 
 func (s *Surrogate) init(ctx *Context) {
 	s.models = make([]*flagModel, ctx.Reg.Len())
 	s.ids = ctx.Reg.TunableIDs()
 	for _, id := range s.ids {
 		f := ctx.Reg.FlagByID(id)
-		slots := s.bins()
+		slots := surrogateBins
 		switch f.Type {
 		case flags.Bool:
 			slots = 2
@@ -201,7 +189,7 @@ func (s *Surrogate) Propose(ctx *Context) *flags.Config {
 		return cfg
 	}
 
-	eps := s.epsilon()
+	eps := surrogateEpsilon
 	weights := s.groupWeights()
 	for attempt := 0; attempt < 8; attempt++ {
 		cfg := flags.NewConfig(ctx.Reg)

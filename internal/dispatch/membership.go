@@ -129,11 +129,6 @@ func DecodeDeregisterRequest(data []byte) (*DeregisterRequest, error) {
 // Membership is the controller-side registry: it serves the registration
 // endpoints, maps leases onto a dynamic Pool, and expires silent nodes.
 type Membership struct {
-	// LeaseTTL is the default (and maximum granted) liveness lease;
-	// zero means 15s.
-	LeaseTTL time.Duration
-	// Sweep is the expiry janitor's period; zero means LeaseTTL/3.
-	Sweep time.Duration
 	// Sec authenticates registrations and supplies the dial credentials
 	// for joined nodes; nil means open and plaintext.
 	Sec *Security
@@ -159,12 +154,12 @@ func NewMembership(pool *Pool, sec *Security) *Membership {
 	return &Membership{Sec: sec, pool: pool, leases: make(map[string]time.Time)}
 }
 
-func (m *Membership) leaseTTL() time.Duration {
-	if m.LeaseTTL > 0 {
-		return m.LeaseTTL
-	}
-	return 15 * time.Second
-}
+// leaseTTL is the default (and maximum granted) liveness lease, and
+// leaseSweep the expiry janitor's period.
+const (
+	leaseTTL   = 15 * time.Second
+	leaseSweep = leaseTTL / 3
+)
 
 func (m *Membership) dial(name, addr string) (Evaluator, error) {
 	if m.Dial != nil {
@@ -239,7 +234,7 @@ func (m *Membership) handleRegister(w http.ResponseWriter, r *http.Request) {
 		m.writeError(w, http.StatusBadRequest, reject(CodeBadPayload, "dispatch: dial %s: %v", q.Addr, err))
 		return
 	}
-	ttl := m.leaseTTL()
+	ttl := leaseTTL
 	if q.TTLSeconds > 0 {
 		if asked := time.Duration(q.TTLSeconds) * time.Second; asked < ttl {
 			ttl = asked
@@ -303,15 +298,11 @@ func (m *Membership) Start() {
 	if m.stop != nil {
 		return
 	}
-	sweep := m.Sweep
-	if sweep <= 0 {
-		sweep = m.leaseTTL() / 3
-	}
 	stop, done := make(chan struct{}), make(chan struct{})
 	m.stop, m.done = stop, done
 	go func() {
 		defer close(done)
-		tick := time.NewTicker(sweep)
+		tick := time.NewTicker(leaseSweep)
 		defer tick.Stop()
 		for {
 			select {

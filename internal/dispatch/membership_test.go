@@ -384,7 +384,6 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 	pool := newDynamicTestPool(t, "fop")
 	m := NewMembership(pool, nil)
 	m.Dial = localDial(t, "fop")
-	m.Sweep = time.Hour // keep the janitor quiet; this test is about Serve
 
 	addr, stop, err := m.Serve("127.0.0.1:0")
 	if err != nil {

@@ -44,13 +44,6 @@ type Pool struct {
 	Noise float64
 	// DisableCache turns off config-key memoization.
 	DisableCache bool
-	// MaxNodeFailures is how many consecutive placement failures
-	// quarantine a node; values below 1 mean the default, 3.
-	MaxNodeFailures int
-	// Cooldown is the first quarantine's length, doubling each round up
-	// to MaxCooldown. Zero means 250ms / 15s.
-	Cooldown    time.Duration
-	MaxCooldown time.Duration
 	// MaxTries bounds placements per attempt before the trial surfaces as
 	// a transient NodeDownFailure; values below 1 mean 8× the fleet size.
 	MaxTries int
@@ -191,7 +184,7 @@ func (p *Pool) AttachFleet(f *Fleet, view *FleetView) {
 			// Last seen dead: keep it out of rotation until a heartbeat or
 			// half-open placement proves it back.
 			nd.dead = true
-			nd.until = t.Add(p.cooldown(0))
+			nd.until = t.Add(minNodeCooldown)
 		}
 	}
 }
@@ -260,13 +253,6 @@ func (p *Pool) Nodes() []string {
 	return names
 }
 
-func (p *Pool) maxNodeFailures() int {
-	if p.MaxNodeFailures < 1 {
-		return 3
-	}
-	return p.MaxNodeFailures
-}
-
 func (p *Pool) maxTries() int {
 	if p.MaxTries >= 1 {
 		return p.MaxTries
@@ -325,25 +311,22 @@ func (p *Pool) waitForNode(deadline time.Time) bool {
 	return false
 }
 
-// cooldown returns the quarantine length for round r (0-based), doubling
-// from Cooldown up to MaxCooldown.
-func (p *Pool) cooldown(r int) time.Duration {
-	base := p.Cooldown
-	if base <= 0 {
-		base = 250 * time.Millisecond
-	}
-	capd := p.MaxCooldown
-	if capd <= 0 {
-		capd = 15 * time.Second
-	}
-	d := base
-	for i := 0; i < r && d < capd; i++ {
+// A node's breaker: maxNodeFailures consecutive placement failures
+// quarantine it, for minNodeCooldown the first time, doubling each
+// further round up to maxNodeCooldown.
+const (
+	maxNodeFailures = 3
+	minNodeCooldown = 250 * time.Millisecond
+	maxNodeCooldown = 15 * time.Second
+)
+
+// nodeCooldown returns the quarantine length for round r (0-based).
+func nodeCooldown(r int) time.Duration {
+	d := minNodeCooldown
+	for i := 0; i < r && d < maxNodeCooldown; i++ {
 		d *= 2
 	}
-	if d > capd {
-		d = capd
-	}
-	return d
+	return min(d, maxNodeCooldown)
 }
 
 // shardOf maps a trial key to its preferred node index.
@@ -432,11 +415,11 @@ func (p *Pool) reviveLocked(nd *node) {
 func (p *Pool) failLocked(nd *node, t time.Time) {
 	nd.fails++
 	p.Telemetry.Counter("dispatch_node_failures_total").Inc()
-	if nd.fails < p.maxNodeFailures() {
+	if nd.fails < maxNodeFailures {
 		return
 	}
 	nd.fails = 0
-	nd.until = t.Add(p.cooldown(nd.rounds))
+	nd.until = t.Add(nodeCooldown(nd.rounds))
 	nd.rounds++
 	p.Telemetry.Counter("dispatch_node_quarantined_total").Inc()
 	if !nd.dead {

@@ -238,14 +238,13 @@ func TestPoolQuarantineAndRevive(t *testing.T) {
 
 // TestPoolCooldownDoubles checks the quarantine backoff shape.
 func TestPoolCooldownDoubles(t *testing.T) {
-	pool := newTestPool(t, "fop", NewLocal(poolProfile(t, "fop"), "n"))
 	want := []time.Duration{250 * time.Millisecond, 500 * time.Millisecond, time.Second}
 	for r, w := range want {
-		if d := pool.cooldown(r); d != w {
+		if d := nodeCooldown(r); d != w {
 			t.Errorf("cooldown(%d) = %v, want %v", r, d, w)
 		}
 	}
-	if d := pool.cooldown(40); d != 15*time.Second {
+	if d := nodeCooldown(40); d != 15*time.Second {
 		t.Errorf("cooldown cap = %v, want 15s", d)
 	}
 }

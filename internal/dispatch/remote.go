@@ -69,12 +69,6 @@ type Remote struct {
 	// Client is the HTTP client; defaults to a dedicated client so node
 	// connection pools are independent of the ambient default transport.
 	Client *http.Client
-	// RequestTimeout bounds one round trip in real time: an evaluate-batch
-	// POST or a health probe. Defaults to 30s — generous, because the
-	// simulator answers in microseconds and anything slower is a sick
-	// node, and a batch is served concurrently node-side, so its wall time
-	// tracks the slowest trial, not the sum.
-	RequestTimeout time.Duration
 	// Token is the shared bearer credential stamped on every request.
 	Token string
 	// NodeName overrides the fleet identity (Name); empty means the base
@@ -121,12 +115,12 @@ func (r *Remote) Name() string {
 	return r.base
 }
 
-func (r *Remote) timeout() time.Duration {
-	if r.RequestTimeout > 0 {
-		return r.RequestTimeout
-	}
-	return 30 * time.Second
-}
+// requestTimeout bounds one round trip in real time: an evaluate-batch
+// POST or a health probe. It is generous, because the simulator answers in
+// microseconds and anything slower is a sick node, and a batch is served
+// concurrently node-side, so its wall time tracks the slowest trial, not
+// the sum.
+const requestTimeout = 30 * time.Second
 
 func (r *Remote) fail(status int, err error) *NodeError {
 	return &NodeError{Node: r.base, Status: status, Err: err}
@@ -147,7 +141,7 @@ func (r *Remote) post(ctx context.Context, req *BatchRequest) (int, []byte, http
 			return 0, nil, nil, r.fail(0, fmt.Errorf("encode request: %w", err))
 		}
 	}
-	ctx, cancel := context.WithTimeout(ctx, r.timeout())
+	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+EvaluateBatchPath, bytes.NewReader(body))
 	if err != nil {
@@ -273,7 +267,7 @@ func (r *Remote) EvaluateBatch(ctx context.Context, req *BatchRequest) (*BatchRe
 
 // Ping probes the node's liveness endpoint; used by Pool heartbeats.
 func (r *Remote) Ping(ctx context.Context) error {
-	ctx, cancel := context.WithTimeout(ctx, r.timeout())
+	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+HealthPath, nil)
 	if err != nil {

@@ -172,15 +172,12 @@ func (c *ChaosRunner) Measure(cfg *flags.Config, reps int) runner.Measurement {
 			runner.NoteMeasured(c.Telemetry, c.Trace, key, m)
 		}
 	} else {
-		// Leave the policy un-normalized here — Run normalizes exactly once,
-		// and normalizing twice would turn an explicit "no backoff" (-1 → 0)
-		// back into the default charge.
-		policy := c.Retry
 		// Guarantee the retry budget outlasts the longest possible streak
 		// of injected failures: the plan caps consecutive faults per key at
 		// MaxConsecutive, so MaxConsecutive+1 attempts always reach a clean
 		// one. Without this a transient-only config could be condemned.
-		if policy.Normalized().MaxAttempts <= c.plan.MaxConsecutive {
+		policy := c.Retry
+		if policy.Attempts() <= c.plan.MaxConsecutive {
 			policy.MaxAttempts = c.plan.MaxConsecutive + 1
 		}
 		m = policy.Run(func(retryN int) runner.Measurement {

@@ -65,7 +65,7 @@ func TestChaosInjectsAndRetriesToSuccess(t *testing.T) {
 	// Every attempt wants to fail, but the streak cap (2) guarantees the
 	// third attempt runs clean.
 	ch := New(inner, Plan{Launch: 1, MaxConsecutive: 2}, 1)
-	ch.Retry = runner.RetryPolicy{MaxAttempts: 3, BackoffSeconds: 2, BackoffFactor: 2}
+	ch.Retry = runner.RetryPolicy{MaxAttempts: 3}
 
 	m := ch.Measure(testConfig(), 1)
 	if m.Failed {
@@ -97,7 +97,7 @@ func TestChaosRetryBudgetOutlastsStreak(t *testing.T) {
 	// chaos layer widens it past the streak cap so a transient-only config
 	// can never be condemned.
 	ch := New(inner, Plan{Launch: 1, MaxConsecutive: 3}, 1)
-	ch.Retry = runner.RetryPolicy{MaxAttempts: 1, BackoffSeconds: -1}
+	ch.Retry = runner.RetryPolicy{MaxAttempts: 1}
 	m := ch.Measure(testConfig(), 1)
 	if m.Failed {
 		t.Fatalf("transient-only config must not end up failed: %+v", m)
@@ -110,7 +110,6 @@ func TestChaosRetryBudgetOutlastsStreak(t *testing.T) {
 func TestChaosSettledKeysAreLeftAlone(t *testing.T) {
 	inner := newFake(okRun)
 	ch := New(inner, Plan{Launch: 1, MaxConsecutive: 1}, 1)
-	ch.Retry = runner.RetryPolicy{BackoffSeconds: -1}
 	first := ch.Measure(testConfig(), 1)
 	if first.Failed {
 		t.Fatalf("first measurement should settle: %+v", first)
@@ -155,7 +154,7 @@ func TestChaosDeterministicFailureSettles(t *testing.T) {
 func TestChaosHangBlocksUntilRealDeadline(t *testing.T) {
 	inner := newFake(okRun)
 	ch := New(inner, Plan{Hang: 1, MaxConsecutive: 1, HangSeconds: 120}, 1)
-	ch.Retry = runner.RetryPolicy{MaxAttempts: 2, BackoffSeconds: -1}
+	ch.Retry = runner.RetryPolicy{MaxAttempts: 2}
 	ch.HangDeadline = 10 * time.Millisecond
 
 	start := time.Now()
@@ -169,8 +168,8 @@ func TestChaosHangBlocksUntilRealDeadline(t *testing.T) {
 	if m.Flakes != 1 {
 		t.Errorf("the killed hang is one flake: %+v", m)
 	}
-	// The hang charges its virtual cost plus the clean run.
-	want := 120 + runner.LaunchOverheadSeconds + 2 + runner.LaunchOverheadSeconds
+	// The hang charges its virtual cost, the 2s backoff, and the clean run.
+	want := 120 + runner.LaunchOverheadSeconds + 2 + 2 + runner.LaunchOverheadSeconds
 	if math.Abs(m.CostSeconds-want) > 1e-9 {
 		t.Errorf("cost = %g, want %g", m.CostSeconds, want)
 	}
@@ -226,12 +225,13 @@ func TestChaosCorruptAndCrashFaults(t *testing.T) {
 	} {
 		inner := newFake(okRun)
 		ch := New(inner, tc.plan, 1)
-		ch.Retry = runner.RetryPolicy{MaxAttempts: 2, BackoffSeconds: -1}
+		ch.Retry = runner.RetryPolicy{MaxAttempts: 2}
 		m := ch.Measure(testConfig(), 1)
 		if m.Failed || m.Flakes != 1 {
 			t.Fatalf("%s: expected one absorbed flake: %+v", tc.kind, m)
 		}
-		want := 7 + runner.LaunchOverheadSeconds + 2 + runner.LaunchOverheadSeconds
+		// The fault, the 2s backoff, and the clean run.
+		want := 7 + runner.LaunchOverheadSeconds + 2 + 2 + runner.LaunchOverheadSeconds
 		if math.Abs(m.CostSeconds-want) > 1e-9 {
 			t.Errorf("%s: cost = %g, want %g", tc.kind, m.CostSeconds, want)
 		}
@@ -260,7 +260,7 @@ func TestChaosTransientExhaustionNotSettled(t *testing.T) {
 		}
 	})
 	ch := New(inner, Plan{Spike: 0.1}, 1)
-	ch.Retry = runner.RetryPolicy{MaxAttempts: 2, BackoffSeconds: -1}
+	ch.Retry = runner.RetryPolicy{MaxAttempts: 2}
 	m := ch.Measure(testConfig(), 1)
 	if !m.Failed || !m.Transient {
 		t.Fatalf("expected transient exhaustion: %+v", m)
@@ -277,7 +277,7 @@ func TestChaosScheduleIsSeedDeterministic(t *testing.T) {
 	run := func(seed int64) (runner.Measurement, Stats) {
 		inner := newFake(okRun)
 		ch := New(inner, Plan{Launch: 0.4, Corrupt: 0.2, Spike: 0.2, MaxConsecutive: 2}, seed)
-		ch.Retry = runner.RetryPolicy{MaxAttempts: 4, BackoffSeconds: 2, BackoffFactor: 2}
+		ch.Retry = runner.RetryPolicy{MaxAttempts: 4}
 		var last runner.Measurement
 		for i := 0; i < 8; i++ {
 			cfg := testConfig()

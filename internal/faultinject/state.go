@@ -99,7 +99,8 @@ func (c *ChaosRunner) SnapshotState() ([]byte, error) {
 
 // RestoreState implements runner.StateSnapshotter: it folds the segments,
 // restores the inner runner from the concatenation of their inner parts,
-// and keeps the stream so the next snapshot extends it.
+// and keeps the stream so the next snapshot extends it. A stream either
+// restores both layers or leaves both unchanged.
 func (c *ChaosRunner) RestoreState(data []byte) error {
 	snap, err := c.innerSnapshotter()
 	if err != nil {
@@ -121,6 +122,9 @@ func (c *ChaosRunner) RestoreState(data []byte) error {
 		}
 		elapsed, stats = seg.Elapsed, seg.Stats
 		inner = append(inner, seg.Inner...)
+	}
+	if err := runner.CheckClock(elapsed); err != nil {
+		return fmt.Errorf("faultinject: restore state: %w", err)
 	}
 	if err := snap.RestoreState(inner); err != nil {
 		return err

@@ -12,7 +12,7 @@ func TestChaosTelemetryCountsFaultsAndRetries(t *testing.T) {
 	// Every attempt wants a launch fault; the streak cap (2) forces the
 	// third to run clean and suppresses its scheduled fault.
 	ch := New(inner, Plan{Launch: 1, MaxConsecutive: 2}, 1)
-	ch.Retry = runner.RetryPolicy{MaxAttempts: 3, BackoffSeconds: 2, BackoffFactor: 2}
+	ch.Retry = runner.RetryPolicy{MaxAttempts: 3}
 	ch.Telemetry = telemetry.New()
 	ch.Trace = telemetry.NewTracer(0)
 

@@ -79,7 +79,6 @@ func NewDurableServer(cfg Config) (*Server, error) {
 		nextID:   1,
 		reg:      telemetry.New(),
 		evTrace:  telemetry.NewTracer(4 * cfg.MaxJobs),
-		events:   make(chan telemetry.Event, 4*cfg.MaxJobs),
 	}
 	switch {
 	case cfg.MaxQueueDepth > 0 && cfg.MaxQueueDepth <= cfg.MaxJobs:
@@ -99,19 +98,10 @@ func NewDurableServer(cfg Config) (*Server, error) {
 	s.routes()
 	s.reg.Gauge("httpapi_workers").Set(float64(cfg.MaxConcurrent))
 
-	// The lifecycle-event collector starts before journal replay so that
-	// recovery can stream an unbounded number of events without filling the
-	// channel; the worker pool starts after, so no job runs mid-replay.
-	s.evWG.Add(1)
-	go func() {
-		defer s.evWG.Done()
-		for ev := range s.events {
-			s.evTrace.Emit(ev)
-		}
-	}()
+	// The worker pool starts after journal replay, so no job runs
+	// mid-replay.
 	if s.stateDir != "" {
 		if err := s.recover(); err != nil {
-			s.drainEvents()
 			return nil, err
 		}
 	}
@@ -409,5 +399,4 @@ func (s *Server) Crash() {
 	close(s.queue)
 	s.inflight.Wait()
 	s.workers.Wait()
-	s.drainEvents()
 }

@@ -118,12 +118,11 @@ type TuneRequest struct {
 	RetryAttempts int `json:"retry_attempts,omitempty"`
 	// Hedge enables straggler hedging: trials exceeding a percentile-based
 	// virtual deadline are charged as if a duplicate dispatch had finished
-	// first (default policy; see core.HedgePolicy).
+	// first (see core.HedgePolicy).
 	Hedge bool `json:"hedge,omitempty"`
 	// Quarantine enables the failure circuit breaker: flag-hierarchy
 	// subtrees with a high deterministic-failure density are temporarily
-	// rejected without spending budget (default policy; see
-	// core.QuarantinePolicy).
+	// rejected without spending budget (see core.QuarantinePolicy).
 	Quarantine bool `json:"quarantine,omitempty"`
 	// Transfer opts the job into the farm's cross-workload knowledge base
 	// (Config.TransferDir; see docs/TRANSFER.md): the session warm-starts
@@ -274,17 +273,9 @@ type Server struct {
 	workers sync.WaitGroup // the worker pool goroutines
 
 	// reg holds the server-wide farm metrics served at /metrics; evTrace
-	// records job lifecycle transitions, fed through the events channel by
-	// an asynchronous collector so handlers never block on trace writes.
-	// Shutdown closes the channel and waits the collector out, so a
-	// graceful shutdown loses no events; late events (rejections during
-	// shutdown) fall back to a synchronous Emit.
-	reg      *telemetry.Registry
-	evTrace  *telemetry.Tracer
-	events   chan telemetry.Event
-	evWG     sync.WaitGroup
-	evMu     sync.RWMutex
-	evClosed bool
+	// records job lifecycle transitions.
+	reg     *telemetry.Registry
+	evTrace *telemetry.Tracer
 
 	mu        sync.Mutex
 	closed    bool
@@ -353,31 +344,11 @@ func (s *Server) routes() {
 	}
 }
 
-// noteJob streams one job lifecycle transition to the collector. After the
-// collector is closed (shutdown), the event is committed synchronously so
-// nothing is ever dropped.
+// noteJob records one job lifecycle transition. Every caller holds s.mu
+// (or runs single-threaded recovery), so the trace keeps the order the
+// transitions happened in.
 func (s *Server) noteJob(id int, state string) {
-	ev := telemetry.Event{Kind: "job", Trial: id, Detail: state}
-	s.evMu.RLock()
-	if !s.evClosed {
-		s.events <- ev
-		s.evMu.RUnlock()
-		return
-	}
-	s.evMu.RUnlock()
-	s.evTrace.Emit(ev)
-}
-
-// drainEvents closes the lifecycle-event collector and waits until every
-// queued event has been committed to the trace buffer.
-func (s *Server) drainEvents() {
-	s.evMu.Lock()
-	if !s.evClosed {
-		s.evClosed = true
-		close(s.events)
-	}
-	s.evMu.Unlock()
-	s.evWG.Wait()
+	s.evTrace.Emit(telemetry.Event{Kind: "job", Trial: id, Detail: state})
 }
 
 // ServeHTTP implements http.Handler.
@@ -434,7 +405,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}()
-	s.drainEvents()
 	s.mu.Lock()
 	journal := s.journal
 	s.journal = nil

@@ -54,50 +54,35 @@ func Transient(kind jvmsim.FailureKind) bool {
 
 // RetryPolicy bounds how a runner re-attempts transiently failed
 // measurements. Every attempt is charged to the virtual budget, and each
-// retry additionally charges an exponentially growing backoff — the virtual
-// cost of waiting out whatever upset the farm — so flaky infrastructure
-// costs tuning time exactly as it would in the paper's wall-clock economy.
-//
-// The zero value means the defaults; see each field.
+// retry additionally charges an exponentially growing backoff — 2 virtual
+// seconds before the first retry, doubling before each further one — the
+// virtual cost of waiting out whatever upset the farm, so flaky
+// infrastructure costs tuning time exactly as it would in the paper's
+// wall-clock economy.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per measurement,
 	// including the first. Values below 1 mean the default, 3.
 	MaxAttempts int
-	// BackoffSeconds is the virtual charge before the first retry. Zero
-	// means the default, 2 seconds; negative disables backoff charges.
-	BackoffSeconds float64
-	// BackoffFactor multiplies the backoff on each further retry. Values
-	// below 1 mean the default, 2.
-	BackoffFactor float64
 }
 
-// DefaultRetryPolicy returns the defaults: 3 attempts, 2s backoff, doubling.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BackoffSeconds: 2, BackoffFactor: 2}
-}
+// The backoff schedule: the charge before the first retry, and its growth
+// factor per further retry.
+const (
+	retryBackoffSeconds = 2.0
+	retryBackoffFactor  = 2.0
+)
 
-// Normalized resolves the zero-value defaults.
-func (p RetryPolicy) Normalized() RetryPolicy {
-	d := DefaultRetryPolicy()
+// Attempts returns MaxAttempts, or the default 3 when it is below 1.
+func (p RetryPolicy) Attempts() int {
 	if p.MaxAttempts < 1 {
-		p.MaxAttempts = d.MaxAttempts
+		return 3
 	}
-	if p.BackoffSeconds == 0 {
-		p.BackoffSeconds = d.BackoffSeconds
-	} else if p.BackoffSeconds < 0 {
-		p.BackoffSeconds = 0
-	}
-	if p.BackoffFactor < 1 {
-		p.BackoffFactor = d.BackoffFactor
-	}
-	return p
+	return p.MaxAttempts
 }
 
-// Backoff returns the virtual-seconds charge before retry n (0-based): the
-// first retry costs BackoffSeconds, each further one BackoffFactor× more.
-func (p RetryPolicy) Backoff(retry int) float64 {
-	p = p.Normalized()
-	return p.BackoffSeconds * math.Pow(p.BackoffFactor, float64(retry))
+// backoff returns the virtual-seconds charge before retry n (0-based).
+func backoff(retry int) float64 {
+	return retryBackoffSeconds * math.Pow(retryBackoffFactor, float64(retry))
 }
 
 // Run drives the attempt loop shared by the Harness and the chaos layer:
@@ -108,7 +93,7 @@ func (p RetryPolicy) Backoff(retry int) float64 {
 // that is still failing transiently when the budget runs out is marked
 // Transient so callers know not to condemn (cache) the configuration.
 func (p RetryPolicy) Run(attempt func(n int) Measurement) Measurement {
-	p = p.Normalized()
+	maxAttempts := p.Attempts()
 	cost, attempts, flakes := 0.0, 0, 0
 	for n := 0; ; n++ {
 		m := attempt(n)
@@ -119,12 +104,9 @@ func (p RetryPolicy) Run(attempt func(n int) Measurement) Measurement {
 			attempts++
 		}
 		flakes += m.Flakes
-		if m.Failed && Transient(m.Failure) && n+1 < p.MaxAttempts {
+		if m.Failed && Transient(m.Failure) && n+1 < maxAttempts {
 			flakes++
-			// p is already normalized; going through Backoff again would
-			// turn an explicit "no backoff" (0 after normalization) back
-			// into the default.
-			cost += p.BackoffSeconds * math.Pow(p.BackoffFactor, float64(n))
+			cost += backoff(n)
 			continue
 		}
 		m.CostSeconds = cost

@@ -31,24 +31,19 @@ func TestTransientClassification(t *testing.T) {
 }
 
 func TestRetryPolicyBackoff(t *testing.T) {
-	p := RetryPolicy{BackoffSeconds: 3, BackoffFactor: 2}
-	for i, want := range []float64{3, 6, 12} {
-		if got := p.Backoff(i); math.Abs(got-want) > 1e-9 {
-			t.Errorf("Backoff(%d) = %g, want %g", i, got, want)
+	for i, want := range []float64{2, 4, 8} {
+		if got := backoff(i); math.Abs(got-want) > 1e-9 {
+			t.Errorf("backoff(%d) = %g, want %g", i, got, want)
 		}
 	}
-	// Negative disables the charge; zero factor falls back to the default.
-	if got := (RetryPolicy{BackoffSeconds: -1}).Backoff(0); got != 0 {
-		t.Errorf("negative backoff should charge nothing, got %g", got)
-	}
-	if got := DefaultRetryPolicy().Backoff(1); got != 4 {
-		t.Errorf("default second backoff = %g, want 4", got)
+	if got := (RetryPolicy{}).Attempts(); got != 3 {
+		t.Errorf("default attempts = %d, want 3", got)
 	}
 }
 
 func TestRetryPolicyRunAbsorbsTransientFailures(t *testing.T) {
 	calls := 0
-	m := RetryPolicy{MaxAttempts: 3, BackoffSeconds: 2, BackoffFactor: 2}.Run(func(n int) Measurement {
+	m := RetryPolicy{MaxAttempts: 3}.Run(func(n int) Measurement {
 		calls++
 		if n < 2 {
 			return Measurement{Failed: true, Failure: LaunchFlakeFailure, CostSeconds: 0.5}
@@ -86,13 +81,14 @@ func TestRetryPolicyRunStopsOnDeterministicFailure(t *testing.T) {
 }
 
 func TestRetryPolicyRunExhaustsAsTransient(t *testing.T) {
-	m := RetryPolicy{MaxAttempts: 2, BackoffSeconds: -1}.Run(func(int) Measurement {
+	m := RetryPolicy{MaxAttempts: 2}.Run(func(int) Measurement {
 		return Measurement{Failed: true, Failure: CorruptReportFailure, CostSeconds: 0.5}
 	})
 	if !m.Failed || !m.Transient {
 		t.Fatalf("exhausted retries must surface a transient failure: %+v", m)
 	}
-	if m.Attempts != 2 || m.Flakes != 1 || m.CostSeconds != 1.0 {
+	// Both attempts plus the 2s backoff between them.
+	if m.Attempts != 2 || m.Flakes != 1 || m.CostSeconds != 3.0 {
 		t.Errorf("accounting wrong: %+v", m)
 	}
 }
@@ -138,7 +134,7 @@ func TestSubprocessRetriesCorruptReports(t *testing.T) {
 	p, _ := workload.ByName("fop")
 	// A launcher that always truncates its report mid-JSON.
 	sub := NewSubprocess(fakeLauncher(t, `printf '{"benchmark":"fop","wall_se'`), p)
-	sub.Retry = RetryPolicy{MaxAttempts: 3, BackoffSeconds: 2, BackoffFactor: 2}
+	sub.Retry = RetryPolicy{MaxAttempts: 3}
 
 	cfg := flags.NewConfig(flags.NewRegistry())
 	m := sub.Measure(cfg, 1)
@@ -168,7 +164,7 @@ func TestSubprocessRetriesLaunchFlakes(t *testing.T) {
 	p, _ := workload.ByName("fop")
 	// A launcher that dies without producing any report.
 	sub := NewSubprocess(fakeLauncher(t, "exit 3"), p)
-	sub.Retry = RetryPolicy{MaxAttempts: 2, BackoffSeconds: -1}
+	sub.Retry = RetryPolicy{MaxAttempts: 2}
 	m := sub.Measure(flags.NewConfig(flags.NewRegistry()), 1)
 	if !m.Failed || m.Failure != LaunchFlakeFailure {
 		t.Fatalf("expected a launch flake, got %+v", m)
@@ -187,7 +183,7 @@ func TestSubprocessRecoversAfterFlake(t *testing.T) {
 	script := `if [ ! -f ` + marker + ` ]; then touch ` + marker + `; exit 9; fi
 exec ` + real + ` "$@"`
 	sub := NewSubprocess(fakeLauncher(t, script), p)
-	sub.Retry = RetryPolicy{MaxAttempts: 3, BackoffSeconds: 2, BackoffFactor: 2}
+	sub.Retry = RetryPolicy{MaxAttempts: 3}
 
 	m := sub.Measure(flags.NewConfig(flags.NewRegistry()), 1)
 	if m.Failed {

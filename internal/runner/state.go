@@ -74,6 +74,16 @@ type stateSegment struct {
 // microsecond grid round-trips exactly (see VirtualClock).
 const maxElapsedSeconds = float64(1<<51) / 1e6
 
+// CheckClock refuses a persisted clock reading VirtualClock.Set cannot
+// restore exactly: negative, NaN, or past maxElapsedSeconds. Every state
+// stream that carries a clock runs it before restoring anything.
+func CheckClock(seconds float64) error {
+	if !(seconds >= 0 && seconds <= maxElapsedSeconds) {
+		return fmt.Errorf("elapsed %g out of range", seconds)
+	}
+	return nil
+}
+
 // Elapsed returns total virtual seconds consumed.
 func (s *State) Elapsed() float64 {
 	s.mu.Lock()
@@ -191,8 +201,8 @@ func (s *State) RestoreState(data []byte) error {
 	if segments == 0 {
 		return errors.New("runner: restore state: empty state")
 	}
-	if !(elapsed >= 0 && elapsed <= maxElapsedSeconds) {
-		return fmt.Errorf("runner: restore state: elapsed %g out of range", elapsed)
+	if err := CheckClock(elapsed); err != nil {
+		return fmt.Errorf("runner: restore state: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

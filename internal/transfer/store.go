@@ -178,6 +178,12 @@ func Open(dir string, tel *telemetry.Registry) (*Store, error) {
 		return &Store{s: s, tel: tel}, nil
 	}
 
+	// No handle in this process has the store open, so none is compacting
+	// while the stale compaction temps go. The sweep is counted even when
+	// the open then fails on the header.
+	if n := checkpoint.SweepTemps(path); n > 0 {
+		tel.Counter("transfer_store_stale_temps_removed_total").Add(uint64(n))
+	}
 	s, err := load(path, tel)
 	if errors.Is(err, ErrCorrupt) {
 		// Head corruption: not a store. Preserve the bytes and start fresh.
@@ -195,17 +201,12 @@ func Open(dir string, tel *telemetry.Registry) (*Store, error) {
 	return &Store{s: s, tel: tel}, nil
 }
 
-// load does one open-and-replay attempt against path. No handle in this
-// process has the store open, so none is compacting while load sweeps
-// stale compaction temps. The store counts under its own names, and
-// appends and compactions in the registry of the handle that made them,
-// so its journal gets no registry; the sweep comes first and is counted
-// even when the open then fails on the header.
+// load does one open-and-replay attempt against path, whose stale temps
+// Open has swept. The store counts under its own names, and appends and
+// compactions in the registry of the handle that made them, so its
+// journal gets no registry.
 func load(path string, tel *telemetry.Registry) (*store, error) {
-	if n := checkpoint.SweepTemps(path); n > 0 {
-		tel.Counter("transfer_store_stale_temps_removed_total").Add(uint64(n))
-	}
-	j, payloads, err := checkpoint.OpenJournal(path, storeKind, nil)
+	j, payloads, err := checkpoint.OpenSweptJournal(path, storeKind, nil)
 	if err != nil {
 		return nil, fmt.Errorf("transfer: %w", err)
 	}

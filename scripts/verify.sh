@@ -30,7 +30,7 @@ go test -race ./...
 # Replay the checked-in fuzz seed corpora (no fuzzing engine, just the
 # corpus as regular tests) and enforce the coverage floors on the
 # measurement pipeline.
-go test -run 'Fuzz' ./internal/flags ./internal/runner ./internal/checkpoint ./internal/dispatch ./internal/evald ./internal/transfer
+go test -run 'Fuzz' ./internal/flags ./internal/runner ./internal/faultinject ./internal/checkpoint ./internal/dispatch ./internal/evald ./internal/transfer
 ./scripts/cover.sh
 
 # The shared flag registry is built by whichever goroutine calls
