@@ -12,14 +12,17 @@ cover:
 # resume from checkpoints, and demand byte-identical results — including a
 # second kill inside the resume's replay prefix, and a resume from a
 # version 1 checkpoint written by the last build that wrote one. A
-# checkpoint's first base write must sweep the temp a crash inside an
-# earlier one stranded, and a session that ends must leave its last trial
-# in the file. Run under -race because recovery code is exactly where
-# concurrency bugs hide.
+# checkpoint's first write must sweep the temp a crash inside an earlier
+# one stranded, a session that ends must leave its last trial in the file,
+# and resuming a finished file must leave it untouched. The byte gate runs
+# ten times over: the file the background writer leaves must be the same
+# bytes on every run and after every kill and resume. Run under -race
+# because recovery code is exactly where concurrency bugs hide.
 crash-matrix:
 	go test -race -count=1 \
-	  -run 'TestKillAndResume|TestKillDuringReplayAndResume|TestV1CheckpointResumes|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume|TestKeeperSweepsStaleTemps|TestFinalCheckpointHoldsLastTrial' \
+	  -run 'TestKillAndResume|TestKillDuringReplayAndResume|TestV1CheckpointResumes|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume|TestKeeperSweepsStaleTemps|TestFinalCheckpointHoldsLastTrial|TestResumeOfFinishedFileWritesNothing' \
 	  ./hotspot ./internal/core ./internal/httpapi ./internal/checkpoint .
+	go test -race -count=10 -run 'TestCheckpointBytesReproducible|TestCheckpointBytesSurviveKillAndResume' ./hotspot
 
 # The overload drills: shed a submission burst against a bounded queue
 # (while polls and cancels keep answering), rate-limit a greedy client,
@@ -44,11 +47,14 @@ overload-drill:
 # A rejected trial must be one measurement whichever way it was placed
 # (any batch size, Local or evald, any fleet order); placements must
 # append nothing to the fleet journal, and a journal written by the last
-# build that journaled placements must replay to the same membership.
+# build that journaled placements must replay to the same membership. A
+# session's background checkpoint writer must leave the same bytes against
+# a loopback node, one trial or 16 at a time, as in-process, and the
+# controller must grant a joining node the lease it asks for.
 dist-drill:
 	go test -race -count=1 \
-	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestRejectedTrialMeasurementsAgree|TestPlacementsAppendNothingToFleetJournal|TestAttachFleetReplaysOlderJournal|TestCLIDistDrill' \
-	  ./internal/dispatch ./internal/runner .
+	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestRejectedTrialMeasurementsAgree|TestPlacementsAppendNothingToFleetJournal|TestAttachFleetReplaysOlderJournal|TestCheckpointBytesFleetEquivalence|TestMembershipGrantsAskedLease|TestCLIDistDrill' \
+	  ./internal/dispatch ./internal/runner ./hotspot .
 
 # The transfer drills: the cross-workload knowledge base's survival and
 # equivalence story. A warm-started session at half the cold trial budget

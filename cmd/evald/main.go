@@ -52,7 +52,7 @@ func main() {
 		grace         = flag.Duration("grace", 5*time.Second, "shutdown grace period for in-flight evaluations")
 		join          = flag.String("join", "", "controller fleet endpoint to register with (host:port or URL)")
 		advertise     = flag.String("advertise", "", "address controllers dial to reach this node (required with -join)")
-		joinEvery     = flag.Duration("join-interval", 5*time.Second, "re-registration period; the lease is 3x this")
+		joinEvery     = flag.Duration("join-interval", 5*time.Second, "re-registration period, at most 20m; the node asks the controller for a lease of 3x this")
 		tlsCert       = flag.String("tls-cert", "", "PEM certificate presented to peers (enables TLS serving)")
 		tlsKey        = flag.String("tls-key", "", "PEM key for -tls-cert")
 		tlsCA         = flag.String("tls-ca", "", "PEM CA bundle peers must chain to (demands client certificates)")

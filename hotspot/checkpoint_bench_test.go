@@ -9,7 +9,7 @@ import (
 
 // BenchmarkSessionCheckpoint times a paper-budget h2 session (seed 7, two
 // workers, transient chaos) that checkpoints as it goes, and reports what
-// durability wrote: bytes and completed writes per session, and the size of
+// durability wrote: bytes and records per session, and the size of
 // the checkpoint the session leaves. Written bytes that grow linearly stay
 // within a small multiple of the final size at any cadence.
 //

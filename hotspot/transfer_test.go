@@ -96,16 +96,11 @@ func TestTransferCrossWorkload(t *testing.T) {
 
 // TestTransferOffLeavesSessionByteIdentical pins the transfer-off
 // guarantee: a session with an empty knowledge base produces a
-// byte-identical event trace and an equivalent checkpoint fingerprint to
-// one with transfer disabled entirely — the subsystem contributes nothing
-// (not even RNG draws or checkpoint fields) until the store actually holds
-// priors. Checkpoint FILES are not compared byte-for-byte because the
-// keeper writes them asynchronously (a busy write skips a cadence point),
-// so which trial the final snapshot covers is wall-clock dependent even
-// with transfer out of the picture; the loaded Meta is the deterministic
-// part.
+// byte-identical event trace and checkpoint file to one with transfer
+// disabled entirely — the subsystem contributes nothing (not even RNG
+// draws or checkpoint fields) until the store actually holds priors.
 func TestTransferOffLeavesSessionByteIdentical(t *testing.T) {
-	run := func(transferDir string) (trace []byte, meta checkpoint.Meta, res *Result) {
+	run := func(transferDir string) (trace, ckpt []byte, meta checkpoint.Meta, res *Result) {
 		t.Helper()
 		ckptPath := filepath.Join(t.TempDir(), "s.ckpt")
 		tr := NewTracer(1 << 16)
@@ -130,11 +125,11 @@ func TestTransferOffLeavesSessionByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes(), snap.Meta, res
+		return buf.Bytes(), readFile(t, ckptPath), snap.Meta, res
 	}
 
-	offTrace, offMeta, offRes := run("")
-	emptyTrace, emptyMeta, emptyRes := run(t.TempDir())
+	offTrace, offCkpt, offMeta, offRes := run("")
+	emptyTrace, emptyCkpt, emptyMeta, emptyRes := run(t.TempDir())
 
 	if offRes.Transfer != nil {
 		t.Fatal("transfer-off session reports transfer provenance")
@@ -147,6 +142,9 @@ func TestTransferOffLeavesSessionByteIdentical(t *testing.T) {
 	}
 	if offMeta != emptyMeta {
 		t.Errorf("checkpoint fingerprints differ: %+v vs %+v", offMeta, emptyMeta)
+	}
+	if !bytes.Equal(offCkpt, emptyCkpt) {
+		t.Error("checkpoint files differ between transfer-off and empty-store sessions")
 	}
 	if emptyMeta.Transfer != "" {
 		t.Errorf("empty-store session checkpointed a transfer fingerprint %q", emptyMeta.Transfer)

@@ -111,7 +111,6 @@ func TestSaveLoadAtomic(t *testing.T) {
 	}
 
 	k := NewKeeper(path, 1, nil)
-	k.SyncWrites = true
 	k.Write(sampleSnapshot())
 	second := sampleSnapshot()
 	second.Trial = 40
@@ -185,8 +184,8 @@ func TestMetaCheck(t *testing.T) {
 }
 
 func TestKeeperCadence(t *testing.T) {
-	k := NewKeeper(filepath.Join(t.TempDir(), "s.ckpt"), 5, nil)
-	k.SyncWrites = true
+	path := filepath.Join(t.TempDir(), "s.ckpt")
+	k := NewKeeper(path, 5, nil)
 	if k.Due(4) {
 		t.Fatal("due before cadence")
 	}
@@ -195,9 +194,7 @@ func TestKeeperCadence(t *testing.T) {
 	}
 	snap := sampleSnapshot()
 	snap.Trial = 5
-	if !k.Write(snap) {
-		t.Fatal("sync write skipped")
-	}
+	k.Write(snap)
 	if k.Due(9) {
 		t.Fatal("due again before next cadence")
 	}
@@ -207,7 +204,7 @@ func TestKeeperCadence(t *testing.T) {
 	if err := k.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := Load(k.Path()); err != nil {
+	if _, err := Load(path); err != nil {
 		t.Fatalf("keeper wrote unreadable snapshot: %v", err)
 	}
 }
@@ -221,7 +218,9 @@ func TestKeeperDefaultCadenceAndNil(t *testing.T) {
 		t.Fatal("default cadence never fired")
 	}
 	var nilK *Keeper
-	if nilK.Due(100) || nilK.Write(nil) || nilK.Path() != "" {
+	nilK.Resume(nil)
+	nilK.Write(nil)
+	if nilK.Due(100) {
 		t.Fatal("nil keeper is not a no-op")
 	}
 	if err := nilK.Close(); err != nil {
@@ -232,7 +231,6 @@ func TestKeeperDefaultCadenceAndNil(t *testing.T) {
 func TestKeeperReportsWriteError(t *testing.T) {
 	reg := telemetry.New()
 	k := NewKeeper(filepath.Join(t.TempDir(), "no-such-dir", "s.ckpt"), 1, reg)
-	k.SyncWrites = true
 	k.Write(sampleSnapshot())
 	if err := k.Close(); err == nil {
 		t.Fatal("Close returned nil after failed write")

@@ -178,18 +178,9 @@ func TestKeeperAppendsDeltas(t *testing.T) {
 	reg := telemetry.New()
 	path := filepath.Join(t.TempDir(), "s.ckpt")
 	k := NewKeeper(path, 1, reg)
-	k.SyncWrites = true
 	snaps := growingSnapshots(5)
-	var sizes []int64
 	for _, s := range snaps {
-		if !k.Write(s) {
-			t.Fatal("sync write skipped")
-		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, fi.Size())
+		k.Write(s)
 	}
 	if err := k.Close(); err != nil {
 		t.Fatal(err)
@@ -201,8 +192,8 @@ func TestKeeperAppendsDeltas(t *testing.T) {
 	if !bytes.Equal(data, v2Image(t, snaps...)) {
 		t.Fatal("keeper file is not one base plus one delta per write")
 	}
-	if got := reg.Counter("checkpoint_bytes_written_total").Value(); got != uint64(sizes[len(sizes)-1]) {
-		t.Fatalf("checkpoint_bytes_written_total = %d, file is %d bytes", got, sizes[len(sizes)-1])
+	if got := reg.Counter("checkpoint_bytes_written_total").Value(); got != uint64(len(data)) {
+		t.Fatalf("checkpoint_bytes_written_total = %d, file is %d bytes", got, len(data))
 	}
 	if got := reg.Counter("checkpoint_writes_total").Value(); got != uint64(len(snaps)) {
 		t.Fatalf("checkpoint_writes_total = %d, want %d", got, len(snaps))
@@ -216,16 +207,21 @@ func TestKeeperAppendsDeltas(t *testing.T) {
 	}
 }
 
+// settle waits until k's writer has written everything queued, without
+// releasing the file as Close does.
+func settle(k *Keeper) { k.wg.Wait() }
+
 // TestKeeperWritesBaseWhenDeltaCannot: a snapshot whose runner state does
-// not extend the file's, and the write after a failed one, replace the
-// file with a base; a skipped snapshot folds into the next delta.
+// not extend the one before it, and the write after a failed one, replace
+// the file with a base; a snapshot never handed over leaves its trials to
+// the next delta.
 func TestKeeperWritesBaseWhenDeltaCannot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.ckpt")
 	k := NewKeeper(path, 1, nil)
-	k.SyncWrites = true
-	snaps := growingSnapshots(5)
+	snaps := growingSnapshots(6)
 	k.Write(snaps[0])
-	k.Write(snaps[2]) // snaps[1] skipped: its trial rides in this delta
+	k.Write(snaps[2]) // snaps[1] never handed over: its trial rides in this delta
+	settle(k)
 	onDisk := func() []byte {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -234,7 +230,7 @@ func TestKeeperWritesBaseWhenDeltaCannot(t *testing.T) {
 		return data
 	}
 	if !bytes.Equal(onDisk(), v2Image(t, snaps[0], snaps[2])) {
-		t.Fatal("skipped snapshot did not fold into the next delta")
+		t.Fatal("a later snapshot did not carry the trials before it")
 	}
 
 	// A restored runner's stream starts over: not a prefix of the file's.
@@ -243,23 +239,102 @@ func TestKeeperWritesBaseWhenDeltaCannot(t *testing.T) {
 		c.RunnerState = append([]byte(`{"elapsed":63}`), s.RunnerState[len(snaps[2].RunnerState):]...)
 		return &c
 	}
-	r3, r4 := rebase(snaps[3]), rebase(snaps[4])
+	r3, r4, r5 := rebase(snaps[3]), rebase(snaps[4]), rebase(snaps[5])
 	k.Write(r3)
+	settle(k)
 	if !bytes.Equal(onDisk(), v2Image(t, r3)) {
 		t.Fatal("non-extending runner state was appended instead of rebased")
 	}
 
 	k.j.f.Close() // the next append fails
 	k.Write(r4)
+	settle(k)
+	k.Write(r5)
 	if err := k.Close(); err == nil {
 		t.Fatal("failed append not reported")
 	}
-	k.Write(r4)
 	if err := k.Close(); err == nil {
 		t.Fatal("Close forgot the failed write")
 	}
-	if !bytes.Equal(onDisk(), v2Image(t, r4)) {
+	if !bytes.Equal(onDisk(), v2Image(t, r5)) {
 		t.Fatal("write after a failed one is not a base")
+	}
+}
+
+// TestKeeperResumeContinuesFile: a Keeper resuming a snapshot Load read
+// appends to that file, after cutting a torn tail back to what Load
+// decoded; a file that changed since the load, a version 1 file and a
+// file at another path get a base instead.
+func TestKeeperResumeContinuesFile(t *testing.T) {
+	snaps := growingSnapshots(4)
+	two := v2Image(t, snaps[:2]...)
+	whole := v2Image(t, snaps...)
+	rebased := v2Image(t, snaps[2:]...)
+	v1 := *snaps[1]
+	v1.RunnerState = []byte(`{"elapsed":42}`) // one object, as version 1 held it
+	for _, tc := range []struct {
+		name   string
+		file   []byte // what Load reads
+		after  []byte // appended to the file after the load
+		other  bool   // the Keeper writes another path
+		want   []byte
+		create bool // the file ends up a new inode
+	}{
+		{name: "appends", file: two, want: whole},
+		{name: "cuts a torn tail", file: whole[:len(two)+5], want: whole},
+		{name: "file changed since the load", file: two, after: []byte("x"), want: rebased, create: true},
+		{name: "version 1", file: encodeV1(t, &v1), want: rebased, create: true},
+		{name: "another path", file: two, other: true, want: rebased, create: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "s.ckpt")
+			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tc.after) > 0 {
+				f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Write(tc.after)
+				f.Close()
+			}
+			before, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := path
+			if tc.other {
+				dst = filepath.Join(dir, "other.ckpt")
+			}
+			k := NewKeeper(dst, 1, nil)
+			k.Resume(loaded)
+			k.Write(snaps[1]) // holds no trial past the resumed one
+			k.Write(snaps[2])
+			k.Write(snaps[3])
+			if err := k.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, tc.want) {
+				t.Fatalf("resumed keeper left %d bytes, want %d", len(got), len(tc.want))
+			}
+			after, err := os.Stat(dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if appended := os.SameFile(before, after); appended == tc.create {
+				t.Fatalf("file replaced = %v, want %v", !appended, tc.create)
+			}
+		})
 	}
 }
 

@@ -146,15 +146,55 @@ func readAll(f *os.File) ([]byte, error) {
 }
 
 // createJournal atomically replaces the file at path with a kind k file
-// holding one record framed from parts, and returns a journal appending
-// after it. The parts are written as they are, never copied together.
-func createJournal(path string, k Kind, parts ...[]byte) (*Journal, error) {
-	h := frameHeader(parts)
+// holding the given records, each framed from the consecutive parts of its
+// payload, and returns a journal appending after them. The parts are
+// written as they are, never copied together.
+func createJournal(path string, k Kind, records ...[][]byte) (*Journal, error) {
+	frames := make([][recordHeaderSize]byte, len(records))
+	img := [][]byte{k.header()}
+	for i, parts := range records {
+		frames[i] = frameHeader(parts)
+		img = append(append(img, frames[i][:]), parts...)
+	}
 	j := &Journal{path: path, kind: k}
-	if err := j.replace(append([][]byte{k.header(), h[:]}, parts...)...); err != nil {
+	if err := j.replace(img...); err != nil {
 		return nil, err
 	}
 	return j, nil
+}
+
+// reopenJournal opens the kind k file at path for appends after its first
+// valid bytes, the prefix its caller decoded from a read of size bytes.
+// It fails unless the file is still that read's: size bytes long, at the
+// kind's newest version. A torn tail past valid is cut off; the next
+// append's fsync makes the cut durable with it.
+func reopenJournal(path string, k Kind, size, valid int64) (*Journal, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
+	if err != nil {
+		return nil, err
+	}
+	h := make([]byte, headerSize)
+	fi, err := f.Stat()
+	if err == nil && fi.Size() != size {
+		err = fmt.Errorf("%s: %d bytes, not the %d read", path, fi.Size(), size)
+	}
+	if err == nil {
+		_, err = f.ReadAt(h, 0)
+	}
+	if err == nil {
+		var v uint32
+		if v, err = parseHeader(h, k); err == nil && v != k.Version {
+			err = fmt.Errorf("%s: version %d, not %d", path, v, k.Version)
+		}
+	}
+	if err == nil {
+		err = f.Truncate(valid)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &Journal{f: f, path: path, kind: k, version: k.Version, size: valid}, nil
 }
 
 // Version returns the file's format version: the one it was opened at, or
@@ -182,6 +222,12 @@ func (j *Journal) Size() int64 {
 // Append durably writes one record, framed from the consecutive parts of
 // its payload in a single write, then fsynced.
 func (j *Journal) Append(parts ...[]byte) error {
+	return j.appendRecords(parts)
+}
+
+// appendRecords durably writes several records, each framed from the
+// consecutive parts of its payload, in a single write and one fsync.
+func (j *Journal) appendRecords(records ...[][]byte) error {
 	if j == nil {
 		return nil
 	}
@@ -190,7 +236,10 @@ func (j *Journal) Append(parts ...[]byte) error {
 	if j.closed {
 		return errors.New("journal: closed")
 	}
-	j.buf = appendRecord(j.buf[:0], parts...)
+	j.buf = j.buf[:0]
+	for _, parts := range records {
+		j.buf = appendRecord(j.buf, parts...)
+	}
 	if _, err := j.f.Write(j.buf); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
@@ -198,7 +247,7 @@ func (j *Journal) Append(parts ...[]byte) error {
 		return fmt.Errorf("journal: append sync: %w", err)
 	}
 	j.size += int64(len(j.buf))
-	j.tel.Counter("journal_appends_total").Inc()
+	j.tel.Counter("journal_appends_total").Add(uint64(len(records)))
 	return nil
 }
 
@@ -260,8 +309,8 @@ func (j *Journal) Close() error {
 // made mode 0644 (the mode a fresh journal gets, where the temp would keep
 // 0600), fsynced, and only then renamed over path. A crash at any point
 // leaves either the complete old file or the complete new one; a temp it
-// strands is swept by the next OpenJournal of path, or the first base write
-// of a Keeper on it. It returns the new file, open at its end.
+// strands is swept by the next OpenJournal of path, or the first write of
+// a Keeper on it. It returns the new file, open at its end.
 func ReplaceFile(path string, parts ...[]byte) (*os.File, error) {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".compact*")
 	if err != nil {
@@ -290,7 +339,7 @@ func ReplaceFile(path string, parts ...[]byte) (*os.File, error) {
 // SweepTemps removes the temps ReplaceFile stranded next to path when a
 // crash beat the rename, and returns how many it found. The caller owns
 // path, so no temp belongs to a write still in flight. OpenJournal and a
-// Keeper's first base write sweep on their own; a caller that counts the
+// Keeper's first write sweep on their own; a caller that counts the
 // sweep under its own name calls it and then OpenSweptJournal, so the
 // count survives an open that then fails.
 func SweepTemps(path string) int {

@@ -17,56 +17,51 @@ const DefaultEveryTrials = 8
 
 // Keeper writes one session's snapshots to a fixed path on a trial cadence
 // without blocking the session. The engine hands it a fully-built Snapshot
-// at a round boundary (a cheap in-memory copy); the encode and fsync happen
-// on a background goroutine. If that write is still in flight when the next
-// one is due, the new snapshot is skipped rather than queued — the next
-// write carries everything since the last one that completed, so a backlog
-// would only delay it.
+// at a round boundary (a cheap in-memory copy) and goes on; a background
+// writer encodes and writes it. Every snapshot handed over becomes exactly
+// one record, in order (group commit): the writer takes everything queued
+// since its last write and puts it in the file with one write and one
+// fsync. Which records the file holds therefore depends on the snapshots
+// alone, never on how fast the disk is.
 //
-// The file is a Journal, and a write costs what the session changed since
-// the last completed write, not what it holds: the first write, any write
-// after a failed one, and any snapshot that does not extend the one on
-// disk (see Snapshot.extends) atomically replace the file with one base
-// record (see ReplaceFile); every other write appends and fsyncs one delta
-// record. One Keeper owns its path, so its first base write sweeps the
-// temps an earlier crash stranded there.
+// The file is a Journal, and a record costs what the session changed since
+// the snapshot before it, not what it holds. A record is a base when the
+// file is new, after a failed write, or when the snapshot does not extend
+// the one before it (see Snapshot.extends); a base atomically replaces the
+// file (see ReplaceFile). Every other record is a delta, appended. A Keeper
+// continuing a resumed session appends to the file the session was loaded
+// from (see Resume). One Keeper owns its path, so its first write sweeps
+// the temps an earlier crash stranded there.
 type Keeper struct {
-	path string
-	// Every is the trial cadence; zero means DefaultEveryTrials.
-	Every int
-	// SyncWrites makes Write complete the disk write before returning.
-	// Tests use it to assert on-disk state; production leaves it off.
-	SyncWrites bool
+	path  string
+	every int // the trial cadence
+	tel   *telemetry.Registry
 
-	tel *telemetry.Registry
+	mu      sync.Mutex
+	last    int         // trial count of the last snapshot queued or resumed
+	queue   []*Snapshot // handed over, not yet taken by the writer
+	writing bool        // a writer goroutine is running
+	err     error
+	wg      sync.WaitGroup
 
-	mu   sync.Mutex
-	last int  // trial count at the most recent accepted write
-	busy bool // a background write is in flight
-	err  error
-	wg   sync.WaitGroup
-
-	// Owned by the write in flight (and Close, once none is): j is the
-	// checkpoint file open for appends, nil until a base write succeeds
-	// and again after any failed write; onDisk is the snapshot the file
-	// holds, the last one whose write completed; swept is set once the
-	// path's stale temps are gone.
+	// Owned by the writer (and by Close once it has drained): j is the
+	// checkpoint file open for appends, nil until a write succeeds and
+	// again after a failed one; onDisk is the snapshot the file holds;
+	// cont is set while the first write should continue the file onDisk
+	// was loaded from; swept is set once the path's stale temps are gone.
 	j      *Journal
 	onDisk *Snapshot
+	cont   bool
 	swept  bool
 }
 
-// NewKeeper returns a Keeper writing to path. tel may be nil.
+// NewKeeper returns a Keeper writing to path every everyTrials trials
+// (DefaultEveryTrials when not positive). tel may be nil.
 func NewKeeper(path string, everyTrials int, tel *telemetry.Registry) *Keeper {
-	return &Keeper{path: path, Every: everyTrials, tel: tel}
-}
-
-// Path returns the checkpoint destination.
-func (k *Keeper) Path() string {
-	if k == nil {
-		return ""
+	if everyTrials <= 0 {
+		everyTrials = DefaultEveryTrials
 	}
-	return k.path
+	return &Keeper{path: path, every: everyTrials, tel: tel}
 }
 
 // Due reports whether a session at the given trial count should checkpoint.
@@ -74,119 +69,141 @@ func (k *Keeper) Due(trial int) bool {
 	if k == nil {
 		return false
 	}
-	every := k.Every
-	if every <= 0 {
-		every = DefaultEveryTrials
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return trial-k.last >= k.every
+}
+
+// Resume tells the Keeper its session continues snap, a snapshot Load
+// read. The cadence then counts from snap's trial, so nothing is written
+// while the session replays what the file holds, and a session that
+// delivers no trial past it writes nothing. When Load read snap from this
+// Keeper's path, the first write appends to that file, once it has checked
+// the file is still the one Load read (its size, and a header at the
+// current version) and cut a torn tail back to the prefix Load decoded.
+// Otherwise (a version 1 file, another path, a file changed since) the
+// first write is a base. Call it before the first Write.
+func (k *Keeper) Resume(snap *Snapshot) {
+	if k == nil {
+		return
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return trial-k.last >= every
+	k.last = snap.Trial
+	k.onDisk = snap
+	k.cont = snap.read.path == k.path
 }
 
-// Write persists snap asynchronously (synchronously when SyncWrites is
-// set). Returns false when skipped because a prior write is still running.
-// The keeper keeps snap (and the slices it shares) until a later write
-// completes, so the caller must not modify what snap covers.
-func (k *Keeper) Write(snap *Snapshot) bool {
+// Write queues snap for the background writer and returns without waiting
+// for the disk. A snapshot holding no trial past the last one queued (or
+// resumed) is dropped: the file already holds its trials. The Keeper keeps
+// snap (and the slices it shares) until the one after it is written, so
+// the caller must not modify what snap covers.
+func (k *Keeper) Write(snap *Snapshot) {
 	if k == nil {
-		return false
+		return
 	}
 	k.mu.Lock()
-	if k.busy {
+	defer k.mu.Unlock()
+	if snap.Trial <= k.last {
+		return
+	}
+	k.last = snap.Trial
+	k.queue = append(k.queue, snap)
+	if !k.writing {
+		k.writing = true
+		k.wg.Add(1)
+		go k.drain()
+	}
+}
+
+// drain is the writer: it writes what is queued, one batch per write, and
+// exits once the queue is empty.
+func (k *Keeper) drain() {
+	defer k.wg.Done()
+	for {
+		k.mu.Lock()
+		batch := k.queue
+		k.queue = nil
+		if len(batch) == 0 {
+			k.writing = false
+			k.mu.Unlock()
+			return
+		}
 		k.mu.Unlock()
-		k.tel.Counter("checkpoint_write_skipped_total").Inc()
-		return false
+		k.save(batch)
 	}
-	k.busy = true
-	k.last = snap.Trial
-	k.mu.Unlock()
-
-	if k.SyncWrites {
-		k.save(snap)
-		return true
-	}
-	k.wg.Add(1)
-	go func() {
-		defer k.wg.Done()
-		k.save(snap)
-	}()
-	return true
 }
 
-// Final persists snap, the last snapshot of a session that ended, once any
-// write in flight has finished, and returns when it is on disk: a due
-// write skipped while another was in flight would otherwise leave the file
-// short of the session's last trials. It writes nothing when the last
-// completed write already holds snap's trials.
-func (k *Keeper) Final(snap *Snapshot) {
-	if k == nil {
-		return
-	}
-	k.wg.Wait()
-	if k.onDisk != nil && k.onDisk.Trial == snap.Trial {
-		return
-	}
-	k.mu.Lock()
-	k.busy = true
-	k.last = snap.Trial
-	k.mu.Unlock()
-	k.save(snap)
-}
-
-func (k *Keeper) save(snap *Snapshot) {
+func (k *Keeper) save(batch []*Snapshot) {
 	start := time.Now()
-	n, err := k.persist(snap)
+	n, err := k.persist(batch)
 	k.tel.Histogram("checkpoint_write_seconds", telemetry.DefLatencyBuckets).Observe(time.Since(start).Seconds())
 	if err != nil {
 		// The file may end in a torn delta now (Load salvages past it);
 		// the next write starts over with a base.
 		k.closeFile()
 		k.tel.Counter("checkpoint_write_errors_total").Inc()
-	} else {
-		k.onDisk = snap
-		k.tel.Counter("checkpoint_writes_total").Inc()
-		k.tel.Counter("checkpoint_bytes_written_total").Add(uint64(n))
-		k.tel.Gauge("checkpoint_last_trial").Set(float64(snap.Trial))
-	}
-	k.mu.Lock()
-	k.busy = false
-	if err != nil {
+		k.mu.Lock()
 		k.err = err
+		k.mu.Unlock()
+		return
 	}
-	k.mu.Unlock()
+	k.onDisk = batch[len(batch)-1]
+	k.tel.Counter("checkpoint_writes_total").Add(uint64(len(batch)))
+	k.tel.Counter("checkpoint_bytes_written_total").Add(uint64(n))
+	k.tel.Gauge("checkpoint_last_trial").Set(float64(k.onDisk.Trial))
 }
 
-// persist writes snap as a delta when the file holds a snapshot it
-// extends, and as a base otherwise; it returns the bytes written.
-func (k *Keeper) persist(snap *Snapshot) (int, error) {
-	if k.j != nil && snap.extends(k.onDisk) {
-		parts, err := encodeDelta(k.onDisk, snap)
-		if err != nil {
-			return 0, err
-		}
-		before := k.j.Size()
-		if err := k.j.Append(parts...); err != nil {
-			return 0, err
-		}
-		return int(k.j.Size() - before), nil
-	}
-	k.closeFile()
-	parts, err := snap.encodeBase()
-	if err != nil {
-		return 0, err
-	}
+// persist writes one record per snapshot of batch, in one write, and
+// returns the bytes written: deltas append to the file, and a base starts
+// the file over holding itself and the deltas after it. A base supersedes
+// the records before it in the batch, which the file it replaces would
+// have held.
+func (k *Keeper) persist(batch []*Snapshot) (int, error) {
 	if !k.swept {
 		if n := SweepTemps(k.path); n > 0 {
 			k.tel.Counter("checkpoint_stale_temps_removed_total").Add(uint64(n))
 		}
 		k.swept = true
 	}
-	j, err := createJournal(k.path, snapshotKind, parts...)
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: save: %w", err)
+	if k.cont {
+		// A file that is no longer the one Load read gets a base.
+		k.cont = false
+		k.j, _ = reopenJournal(k.path, snapshotKind, k.onDisk.read.size, k.onDisk.read.valid)
 	}
-	k.j = j
-	return int(j.Size()), nil
+	recs := make([][][]byte, 0, len(batch)) // each record as its parts
+	base := false
+	prev := k.onDisk
+	for _, s := range batch {
+		var parts [][]byte
+		var err error
+		if (k.j != nil || len(recs) > 0) && s.extends(prev) {
+			parts, err = encodeDelta(prev, s)
+		} else {
+			recs, base = recs[:0], true
+			parts, err = s.encodeBase()
+		}
+		if err != nil {
+			return 0, err
+		}
+		recs = append(recs, parts)
+		prev = s
+	}
+	if base {
+		k.closeFile()
+		j, err := createJournal(k.path, snapshotKind, recs...)
+		if err != nil {
+			return 0, fmt.Errorf("checkpoint: save: %w", err)
+		}
+		k.j = j
+		return int(j.Size()), nil
+	}
+	before := k.j.Size()
+	if err := k.j.appendRecords(recs...); err != nil {
+		return 0, err
+	}
+	return int(k.j.Size() - before), nil
 }
 
 // closeFile releases the append handle; the next write is a base.
@@ -197,9 +214,9 @@ func (k *Keeper) closeFile() {
 	}
 }
 
-// Close waits for any in-flight write, releases the file, and returns the
-// last write error, if any. A later Write starts over with a base. Safe on
-// nil.
+// Close waits until every queued snapshot is written, releases the file,
+// and returns the last write error, if any. A later Write starts over with
+// a base. Safe on nil.
 func (k *Keeper) Close() error {
 	if k == nil {
 		return nil

@@ -38,7 +38,6 @@ func TestRewritesKeepMode(t *testing.T) {
 
 	ckpt := filepath.Join(dir, "s.ckpt")
 	k := NewKeeper(ckpt, 1, nil)
-	k.SyncWrites = true
 	k.Write(sampleSnapshot())
 	if err := k.Close(); err != nil {
 		t.Fatal(err)
@@ -58,7 +57,6 @@ func TestKeeperSweepsStaleTemps(t *testing.T) {
 	}
 	reg := telemetry.New()
 	k := NewKeeper(path, 1, reg)
-	k.SyncWrites = true
 	k.Write(sampleSnapshot())
 	if err := k.Close(); err != nil {
 		t.Fatal(err)

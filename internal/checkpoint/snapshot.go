@@ -129,6 +129,18 @@ type Snapshot struct {
 	Trials      []TrialRecord      `json:"trials"`
 	Epochs      []EpochRecord      `json:"epochs,omitempty"`
 	RunnerState json.RawMessage    `json:"runner_state,omitempty"` // inside the JSON in version 1 only
+
+	// read is where Load found the snapshot, for a Keeper that continues
+	// the file (see Keeper.Resume); zero for a snapshot built in memory.
+	read fileRead
+}
+
+// fileRead locates a loaded snapshot in its file: the path Load read, the
+// bytes it read, and the length of the valid prefix that decoded to the
+// snapshot (shorter than the read when decode salvaged past a torn tail).
+type fileRead struct {
+	path        string
+	size, valid int64
 }
 
 // Record kinds of a version 2 file. Every payload is the kind byte, the
@@ -142,11 +154,10 @@ const (
 	recordDelta byte = 'D'
 )
 
-// delta is what a write adds to the snapshot the file holds: the trials
-// and epochs delivered since the last completed write, the new scalar
-// fields, and (outside the JSON) the runner state's new suffix. From is
-// the trial count the delta continues, so a delta cannot splice onto the
-// wrong log.
+// delta is what a record adds to the snapshot before it: the trials and
+// epochs delivered since, the new scalar fields, and (outside the JSON)
+// the runner state's new suffix. From is the trial count the delta
+// continues, so a delta cannot splice onto the wrong log.
 type delta struct {
 	From      int           `json:"from"`
 	Trial     int           `json:"trial"`
@@ -275,15 +286,17 @@ func decode(data []byte) (*Snapshot, error) {
 		s.RunnerState = raw[:len(raw):len(raw)]
 	}
 	for {
-		payload, rest, err = nextRecord(rest)
+		payload, next, err := nextRecord(rest)
 		if err != nil {
 			// io.EOF, or a tail a crash tore: either way the snapshot of
 			// the last complete record is the checkpoint.
+			s.read = fileRead{size: int64(len(data)), valid: int64(len(data) - len(rest))}
 			return s, nil
 		}
 		if err := s.applyDelta(payload); err != nil {
 			return nil, err
 		}
+		rest = next
 	}
 }
 
@@ -309,8 +322,10 @@ func (s *Snapshot) applyDelta(payload []byte) error {
 	return nil
 }
 
-// Load reads and validates the checkpoint at path (see decode). The caller
-// distinguishes "no checkpoint yet" with errors.Is(err, os.ErrNotExist).
+// Load reads and validates the checkpoint at path (see decode), and notes
+// where the snapshot came from, so a Keeper resuming it can append to the
+// file (see Keeper.Resume). The caller distinguishes "no checkpoint yet"
+// with errors.Is(err, os.ErrNotExist).
 func Load(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -320,5 +335,6 @@ func Load(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	s.read.path = path
 	return s, nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -23,7 +25,6 @@ func runToCheckpoint(t *testing.T, bench, searcher string, budget float64, seed 
 	s := newSession(t, bench, searcher, budget, seed)
 	s.Workers = workers
 	keeper := checkpoint.NewKeeper(path, 1, nil)
-	keeper.SyncWrites = true
 	s.Checkpoint = keeper
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -187,7 +188,6 @@ func TestSessionCheckpointDoesNotPerturbOutcome(t *testing.T) {
 	}
 	s := newSession(t, "xalan", "anneal", 900, 8)
 	keeper := checkpoint.NewKeeper(filepath.Join(t.TempDir(), "s.ckpt"), 1, nil)
-	keeper.SyncWrites = true
 	s.Checkpoint = keeper
 	ckd, err := s.Run()
 	if err != nil {
@@ -201,22 +201,24 @@ func TestSessionCheckpointDoesNotPerturbOutcome(t *testing.T) {
 	}
 }
 
-// A session that ends on its own terms leaves every delivered trial in its
-// checkpoint, even with the background writer (which skips a due write
-// while another is in flight) and a trial count the cadence does not
-// divide. Resuming that file replays every trial and measures nothing.
-func TestFinalCheckpointHoldsLastTrial(t *testing.T) {
-	const trials = 45 // not a multiple of the cadence, 8
-	path := filepath.Join(t.TempDir(), "final.ckpt")
-	mk := func() (*Session, *checkpoint.Keeper) {
-		s := newSession(t, "h2", "hierarchical", 1e9, 7)
-		s.Workers = 2
-		s.MaxTrials = trials
-		keeper := checkpoint.NewKeeper(path, 8, nil)
-		s.Checkpoint = keeper
-		return s, keeper
-	}
-	s, keeper := mk()
+const finishedTrials = 45 // not a multiple of the cadence, 8
+
+// finishedSessionSetup builds the 45-trial h2 session, checkpointing to
+// path every 8 trials, so its last trials are left to the final write.
+func finishedSessionSetup(t *testing.T, path string) (*Session, *checkpoint.Keeper) {
+	t.Helper()
+	s := newSession(t, "h2", "hierarchical", 1e9, 7)
+	s.Workers = 2
+	s.MaxTrials = finishedTrials
+	keeper := checkpoint.NewKeeper(path, 8, nil)
+	s.Checkpoint = keeper
+	return s, keeper
+}
+
+// finishedSession runs that session to its end and returns its outcome.
+func finishedSession(t *testing.T, path string) *Outcome {
+	t.Helper()
+	s, keeper := finishedSessionSetup(t, path)
 	out, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -224,16 +226,41 @@ func TestFinalCheckpointHoldsLastTrial(t *testing.T) {
 	if err := keeper.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if out.Trials != trials {
-		t.Fatalf("session ran %d trials, want %d", out.Trials, trials)
+	if out.Trials != finishedTrials {
+		t.Fatalf("session ran %d trials, want %d", out.Trials, finishedTrials)
 	}
+	return out
+}
+
+// A session that ends on its own terms leaves every delivered trial in its
+// checkpoint, written by the background writer, with a trial count the
+// cadence does not divide.
+func TestFinalCheckpointHoldsLastTrial(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "final.ckpt")
+	finishedSession(t, path)
 	snap := loadSnapshot(t, path)
-	if snap.Trial != trials || len(snap.Trials) != trials {
-		t.Fatalf("final checkpoint holds trial %d (%d records), want %d", snap.Trial, len(snap.Trials), trials)
+	if snap.Trial != finishedTrials || len(snap.Trials) != finishedTrials {
+		t.Fatalf("final checkpoint holds trial %d (%d records), want %d", snap.Trial, len(snap.Trials), finishedTrials)
+	}
+}
+
+// TestResumeOfFinishedFileWritesNothing: resuming a finished session
+// replays every trial, measures nothing, and leaves its file alone — the
+// same bytes in the same inode, not a rewrite of what it already holds.
+func TestResumeOfFinishedFileWritesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "final.ckpt")
+	out := finishedSession(t, path)
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	resumed, keeper := mk()
-	resumed.Resume = snap
+	resumed, keeper := finishedSessionSetup(t, path)
+	resumed.Resume = loadSnapshot(t, path)
 	reg := telemetry.New()
 	resumed.Runner.(*runner.InProcess).Telemetry = reg
 	again, err := resumed.Run()
@@ -249,7 +276,14 @@ func TestFinalCheckpointHoldsLastTrial(t *testing.T) {
 	if n := reg.Snapshot()["runner_attempts_total"]; n != 0 {
 		t.Fatalf("resuming a finished session launched %g attempts", n)
 	}
-	if snap := loadSnapshot(t, path); snap.Trial != trials {
-		t.Fatalf("after the resume the checkpoint holds trial %d, want %d", snap.Trial, trials)
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Fatal("resuming a finished session replaced its file")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("resuming a finished session changed its file (%v)", err)
 	}
 }

@@ -302,7 +302,8 @@ type Session struct {
 	// continued run converges to the byte-identical outcome of the
 	// uninterrupted one. Divergence — a recorded trial whose key differs
 	// from what the resumed engine proposes — fails the session rather than
-	// splicing mismatched histories.
+	// splicing mismatched histories. With Checkpoint set too, the keeper
+	// continues from the snapshot (see checkpoint.Keeper.Resume).
 	Resume *checkpoint.Snapshot
 	// Transfer fingerprints the warm-start priors injected into Searcher
 	// (empty when the session starts cold). Warm-started sessions propose
@@ -451,7 +452,6 @@ func (s *Session) Run() (*Outcome, error) {
 	var base runner.Measurement
 	replay := make(map[int]checkpoint.TrialRecord)
 	epochReplay := make(map[int]checkpoint.EpochRecord)
-	resumed := 0
 	if s.Resume != nil {
 		snap := s.Resume
 		if err := snap.Meta.Check(meta); err != nil {
@@ -469,7 +469,6 @@ func (s *Session) Run() (*Outcome, error) {
 			return nil, err
 		}
 		base = snap.Baseline
-		resumed = snap.Trial
 		for _, rec := range snap.Trials {
 			replay[rec.Seq] = rec
 		}
@@ -480,6 +479,7 @@ func (s *Session) Run() (*Outcome, error) {
 			}
 			epochReplay[rec.Epoch] = rec
 		}
+		s.Checkpoint.Resume(snap)
 		s.Telemetry.Counter("checkpoint_resumes_total").Inc()
 		s.Telemetry.Counter("checkpoint_resumed_trials_total").Add(uint64(len(snap.Trials)))
 	} else {
@@ -516,7 +516,7 @@ func (s *Session) Run() (*Outcome, error) {
 	var ck *ckState
 	if snapRunner != nil {
 		ck = &ckState{keeper: s.Checkpoint, meta: meta, base: base, snap: snapRunner,
-			replay: replay, resumed: resumed, epochReplay: epochReplay}
+			replay: replay, epochReplay: epochReplay}
 	}
 	rob := &robState{now: s.now}
 	if rob.now == nil {
@@ -536,10 +536,10 @@ func (s *Session) Run() (*Outcome, error) {
 		return nil, err
 	}
 	// The session ended on its own terms, so its file must hold every
-	// delivered trial; a resume that delivered none past the file's end has
-	// nothing to add.
-	if ck != nil && ck.keeper != nil && ctx.Trial > ck.resumed {
-		s.writeCheckpoint(ck, ctx, true)
+	// delivered trial; the keeper drops the snapshot when the file already
+	// does (a last write at this trial, or a finished file resumed).
+	if ck != nil && ck.keeper != nil {
+		s.writeCheckpoint(ck, ctx)
 	}
 	if ds.det != nil {
 		// Close the final (still-open) epoch so the report always accounts

@@ -306,7 +306,6 @@ func driftKillAndResumeMidEpoch(t *testing.T, searcher string) {
 	path := filepath.Join(t.TempDir(), "drift.ckpt")
 	s := build()
 	keeper := checkpoint.NewKeeper(path, 1, nil)
-	keeper.SyncWrites = true
 	s.Checkpoint = keeper
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -362,7 +361,6 @@ func TestDriftResumeChecksFingerprint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "drift.ckpt")
 	s := driftSession(t, "xalan", "hierarchical", 9000, 7, 3, defaultSchedule(40))
 	keeper := checkpoint.NewKeeper(path, 1, nil)
-	keeper.SyncWrites = true
 	s.Checkpoint = keeper
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

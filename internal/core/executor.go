@@ -63,11 +63,10 @@ type robState struct {
 // ckState is the session's durability bookkeeping, non-nil only when
 // checkpointing or resuming. log accumulates every delivered measurement in
 // delivery order; replay maps dispatch seq → recorded trial for the resume
-// prefix, satisfied without touching the runner, and resumed is the
-// prefix's length. epochs accumulates the re-tuning epochs opened so far
-// (with the warm-start priors each used); epochReplay maps epoch index →
-// recorded epoch so a resumed session rebuilds each epoch's searcher from
-// the original priors verbatim.
+// prefix, satisfied without touching the runner. epochs accumulates the
+// re-tuning epochs opened so far (with the warm-start priors each used);
+// epochReplay maps epoch index → recorded epoch so a resumed session
+// rebuilds each epoch's searcher from the original priors verbatim.
 type ckState struct {
 	keeper      *checkpoint.Keeper
 	meta        checkpoint.Meta
@@ -75,19 +74,16 @@ type ckState struct {
 	snap        runner.StateSnapshotter
 	log         []checkpoint.TrialRecord
 	replay      map[int]checkpoint.TrialRecord
-	resumed     int
 	epochs      []checkpoint.EpochRecord
 	epochReplay map[int]checkpoint.EpochRecord
 }
 
 // writeCheckpoint snapshots the session at a round boundary and hands it
-// to the keeper, which persists it off the session goroutine — or, for the
-// final snapshot of a session that ended, once any write in flight is done
-// (see Keeper.Final). Rounds are barriers, so no Measure call is in flight
-// and the runner state is consistent. A snapshot failure is counted but
-// never fails the session — durability is best-effort, the search itself
-// must not be.
-func (s *Session) writeCheckpoint(ck *ckState, ctx *Context, final bool) {
+// to the keeper, which persists it off the session goroutine. Rounds are
+// barriers, so no Measure call is in flight and the runner state is
+// consistent. A snapshot failure is counted but never fails the session —
+// durability is best-effort, the search itself must not be.
+func (s *Session) writeCheckpoint(ck *ckState, ctx *Context) {
 	state, err := ck.snap.SnapshotState()
 	if err != nil {
 		s.Telemetry.Counter("checkpoint_snapshot_errors_total").Inc()
@@ -107,11 +103,7 @@ func (s *Session) writeCheckpoint(ck *ckState, ctx *Context, final bool) {
 		Epochs:      ck.epochs[:len(ck.epochs):len(ck.epochs)],
 		RunnerState: state,
 	}
-	if final {
-		ck.keeper.Final(snap)
-	} else {
-		ck.keeper.Write(snap)
-	}
+	ck.keeper.Write(snap)
 }
 
 // runLoop is the session's evaluation engine: a bulk-synchronous batched
@@ -478,12 +470,11 @@ func (s *Session) runLoop(runCtx context.Context, ctx *Context, out *Outcome,
 			carry = nil
 			freeTrials = 0
 		}
-		// No checkpoint inside the replay prefix: the loaded file already
-		// holds that state, and the runner was restored to its end — a
-		// snapshot here would pair the prefix's trial log with the later
-		// runner state, and a crash would leave that mix to the next resume.
-		if ck != nil && ctx.Trial >= ck.resumed && ck.keeper.Due(ctx.Trial) {
-			s.writeCheckpoint(ck, ctx, false)
+		// A resumed keeper's cadence counts from the loaded file's last
+		// trial, so nothing is due inside the replay prefix: the file holds
+		// that state, and the runner was restored to its end.
+		if ck != nil && ck.keeper.Due(ctx.Trial) {
+			s.writeCheckpoint(ck, ctx)
 		}
 	}
 	return nil

@@ -54,9 +54,8 @@ func (HedgePolicy) String() string {
 // hedger is the watchdog state: a ring of recent delivered trial costs and
 // the win/loss accounting.
 type hedger struct {
-	costs  []float64
-	next   int
-	filled bool
+	costs []float64
+	next  int
 
 	hedges int
 	wins   int
@@ -78,7 +77,6 @@ func (h *hedger) observe(cost float64) {
 	}
 	h.costs[h.next] = cost
 	h.next = (h.next + 1) % hedgeWindow
-	h.filled = true
 }
 
 // deadline returns the current straggler deadline, or false while the

@@ -288,9 +288,7 @@ func TestSessionBestEffortCancellation(t *testing.T) {
 
 func checkpointKeeper(t *testing.T, path string) *checkpoint.Keeper {
 	t.Helper()
-	k := checkpoint.NewKeeper(path, 1, nil)
-	k.SyncWrites = true
-	return k
+	return checkpoint.NewKeeper(path, 1, nil)
 }
 
 func loadSnapshot(t *testing.T, path string) *checkpoint.Snapshot {

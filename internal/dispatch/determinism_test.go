@@ -71,7 +71,6 @@ func runSession(t *testing.T, bench, searcher string, seed int64, budget float64
 	}
 	path := filepath.Join(t.TempDir(), "session.ckpt")
 	keeper := checkpoint.NewKeeper(path, 1, nil)
-	keeper.SyncWrites = true
 	sess := &core.Session{
 		Runner:        run,
 		Searcher:      s,

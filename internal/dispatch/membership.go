@@ -55,9 +55,9 @@ type RegisterRequest struct {
 	// identity: re-registering under a known name renews its lease (and
 	// revives it after a flap) rather than adding a duplicate.
 	Node string `json:"node,omitempty"`
-	// TTLSeconds is the lease the node asks for; the controller clamps it
-	// and answers with the granted lease. Zero means the controller's
-	// default.
+	// TTLSeconds is the lease the node asks for, at most MaxLeaseSeconds;
+	// the controller grants it and answers with the granted lease. Zero
+	// means the controller's default, 15 s.
 	TTLSeconds int `json:"ttl_seconds,omitempty"`
 }
 
@@ -154,7 +154,7 @@ func NewMembership(pool *Pool, sec *Security) *Membership {
 	return &Membership{Sec: sec, pool: pool, leases: make(map[string]time.Time)}
 }
 
-// leaseTTL is the default (and maximum granted) liveness lease, and
+// leaseTTL is the liveness lease granted to a node that asks for none, and
 // leaseSweep the expiry janitor's period.
 const (
 	leaseTTL   = 15 * time.Second
@@ -234,11 +234,11 @@ func (m *Membership) handleRegister(w http.ResponseWriter, r *http.Request) {
 		m.writeError(w, http.StatusBadRequest, reject(CodeBadPayload, "dispatch: dial %s: %v", q.Addr, err))
 		return
 	}
+	// A node renews every third of the lease it asks for, so granting less
+	// would let the lease lapse between renewals.
 	ttl := leaseTTL
 	if q.TTLSeconds > 0 {
-		if asked := time.Duration(q.TTLSeconds) * time.Second; asked < ttl {
-			ttl = asked
-		}
+		ttl = time.Duration(q.TTLSeconds) * time.Second
 	}
 	m.mu.Lock()
 	_, renewal := m.leases[name]

@@ -54,6 +54,29 @@ func postJSON(t *testing.T, h http.Handler, path string, payload any, hdr map[st
 	return w
 }
 
+// TestMembershipGrantsAskedLease: the controller grants the lease a node
+// asks for, up to MaxLeaseSeconds, so a node renewing every 20 s with a
+// 60 s lease is not evicted between renewals; one that asks for none gets
+// the 15 s default.
+func TestMembershipGrantsAskedLease(t *testing.T) {
+	m := NewMembership(newDynamicTestPool(t, "fop"), nil)
+	m.Dial = localDial(t, "fop")
+	h := m.Handler()
+	for _, tc := range []struct{ asked, want int }{{60, 60}, {0, 15}} {
+		w := postJSON(t, h, RegisterPath, &RegisterRequest{Addr: "10.0.0.1:1", Node: "n1", TTLSeconds: tc.asked}, nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("register asking %d s: %d %s", tc.asked, w.Code, w.Body)
+		}
+		var resp RegisterResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.LeaseSeconds != tc.want {
+			t.Fatalf("asked for %d s, granted lease_seconds %d, want %d", tc.asked, resp.LeaseSeconds, tc.want)
+		}
+	}
+}
+
 // TestMembershipRegisterRenewDrainExpire walks one node through the whole
 // membership lifecycle: register (join), re-register (lease renewal, no
 // duplicate), deregister (drain, immediate removal), and a second node
