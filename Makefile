@@ -17,12 +17,17 @@ cover:
 # and resuming a finished file must leave it untouched. The byte gate runs
 # ten times over: the file the background writer leaves must be the same
 # bytes on every run and after every kill and resume. Run under -race
-# because recovery code is exactly where concurrency bugs hide.
+# because recovery code is exactly where concurrency bugs hide. Every way
+# a session ends — budgets, the wall clock, a cancel, a crash-point panic,
+# a diverged resume — must stop the session's measuring goroutines, and a
+# crossover child must hold exactly the canonical form the reference
+# implementation keys, ten times over as well.
 crash-matrix:
 	go test -race -count=1 \
 	  -run 'TestKillAndResume|TestKillDuringReplayAndResume|TestV1CheckpointResumes|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume|TestKeeperSweepsStaleTemps|TestFinalCheckpointHoldsLastTrial|TestResumeOfFinishedFileWritesNothing' \
 	  ./hotspot ./internal/core ./internal/httpapi ./internal/checkpoint .
 	go test -race -count=10 -run 'TestCheckpointBytesReproducible|TestCheckpointBytesSurviveKillAndResume' ./hotspot
+	go test -race -count=10 -run 'TestSessionStopsItsMeasurers|TestCrossoverStoresCanonicalForm' ./internal/core ./internal/flags
 
 # The overload drills: shed a submission burst against a bounded queue
 # (while polls and cancels keep answering), rate-limit a greedy client,
@@ -50,10 +55,12 @@ overload-drill:
 # build that journaled placements must replay to the same membership. A
 # session's background checkpoint writer must leave the same bytes against
 # a loopback node, one trial or 16 at a time, as in-process, and the
-# controller must grant a joining node the lease it asks for.
+# controller must grant a joining node the lease it asks for — while a node
+# whose join interval asks for more than any controller grants must refuse
+# to start rather than retry forever.
 dist-drill:
 	go test -race -count=1 \
-	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestRejectedTrialMeasurementsAgree|TestPlacementsAppendNothingToFleetJournal|TestAttachFleetReplaysOlderJournal|TestCheckpointBytesFleetEquivalence|TestMembershipGrantsAskedLease|TestCLIDistDrill' \
+	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestRejectedTrialMeasurementsAgree|TestPlacementsAppendNothingToFleetJournal|TestAttachFleetReplaysOlderJournal|TestCheckpointBytesFleetEquivalence|TestMembershipGrantsAskedLease|TestJoinerRefusesIntervalPastLeaseLimit|TestCLIEvaldRefusesLongJoinInterval|TestCLIDistDrill' \
 	  ./internal/dispatch ./internal/runner ./hotspot .
 
 # The transfer drills: the cross-workload knowledge base's survival and

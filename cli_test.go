@@ -5,14 +5,20 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/hotspot"
+	"repro/internal/dispatch"
 )
 
 var (
@@ -232,6 +238,40 @@ func TestCLIAutotuneErrors(t *testing.T) {
 	}
 	if err := exec.Command(bin, "-benchmark", "fop", "-searcher", "nope").Run(); err == nil {
 		t.Error("unknown searcher should exit non-zero")
+	}
+}
+
+// TestCLIAutotuneRejectsOutOfRangeSize: -workers and -reps past their
+// bounds are usage errors (exit 2) before anything is measured.
+func TestCLIAutotuneRejectsOutOfRangeSize(t *testing.T) {
+	bin := cliBinary(t, "autotune")
+	for _, args := range [][]string{
+		{"-workers", fmt.Sprint(hotspot.MaxWorkers + 1)},
+		{"-reps", fmt.Sprint(dispatch.MaxReps + 1)},
+		{"-workers", "-1"},
+	} {
+		out, err := exec.Command(bin, append([]string{"-benchmark", "fop", "-budget", "1"}, args...)...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "outside") {
+			t.Errorf("%v: err=%v, want exit code 2 naming the range\n%s", args, err, out)
+		}
+	}
+}
+
+// TestCLIEvaldRefusesLongJoinInterval: a -join-interval whose lease no
+// controller grants stops evald at startup with the Joiner's error,
+// instead of a node that serves but never joins. The deadline bounds a
+// node that starts serving anyway.
+func TestCLIEvaldRefusesLongJoinInterval(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, cliBinary(t, "evald"), "-addr", "127.0.0.1:0",
+		"-join", "127.0.0.1:1", "-advertise", "127.0.0.1:2", "-join-interval", "21m").CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("evald kept running with a 21m join interval:\n%s", out)
+	}
+	if err == nil || !strings.Contains(string(out), "join interval 21m0s") || strings.Contains(string(out), "serving") {
+		t.Fatalf("err=%v, want a startup failure naming the interval\n%s", err, out)
 	}
 }
 

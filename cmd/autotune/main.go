@@ -124,7 +124,7 @@ func main() {
 		tlsKey   = flag.String("tls-key", "", "PEM key for -tls-cert")
 		tlsCA    = flag.String("tls-ca", "", "PEM CA bundle fleet peers must chain to")
 		token    = flag.String("auth-token", "", "shared bearer token stamped on fleet requests and demanded on registrations")
-		workers  = flag.Int("workers", 1, "parallel evaluation workers (goroutines and virtual slots)")
+		workers  = flag.Int("workers", 1, fmt.Sprintf("parallel evaluation workers (goroutines and virtual slots, at most %d)", hotspot.MaxWorkers))
 		objectiv = flag.String("objective", "throughput", "what to minimize: throughput (wall time) or pause (worst GC pause)")
 		explain  = flag.Bool("explain", false, "attribute the improvement to individual flags")
 		chaos    = flag.String("chaos", "", "fault-injection plan: a scenario (see -scenarios) or DSL like launch=0.1,spike=0.2")
@@ -160,6 +160,10 @@ func main() {
 	}
 	if *bench == "" {
 		fmt.Fprintln(os.Stderr, "autotune: -benchmark is required (try -list)")
+		os.Exit(2)
+	}
+	if err := hotspot.CheckWorkersReps(*workers, *reps); err != nil {
+		fmt.Fprintf(os.Stderr, "autotune: %v\n", err)
 		os.Exit(2)
 	}
 

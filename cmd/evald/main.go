@@ -52,7 +52,7 @@ func main() {
 		grace         = flag.Duration("grace", 5*time.Second, "shutdown grace period for in-flight evaluations")
 		join          = flag.String("join", "", "controller fleet endpoint to register with (host:port or URL)")
 		advertise     = flag.String("advertise", "", "address controllers dial to reach this node (required with -join)")
-		joinEvery     = flag.Duration("join-interval", 5*time.Second, "re-registration period, at most 20m; the node asks the controller for a lease of 3x this")
+		joinEvery     = flag.Duration("join-interval", 5*time.Second, fmt.Sprintf("re-registration period, at most %s; the node asks the controller for a lease of 3x this", dispatch.MaxJoinInterval))
 		tlsCert       = flag.String("tls-cert", "", "PEM certificate presented to peers (enables TLS serving)")
 		tlsKey        = flag.String("tls-key", "", "PEM key for -tls-cert")
 		tlsCA         = flag.String("tls-ca", "", "PEM CA bundle peers must chain to (demands client certificates)")
@@ -64,6 +64,22 @@ func main() {
 	name := *node
 	if name == "" {
 		name = *addr
+	}
+	// With -join, the node announces itself to the controller once it
+	// serves and keeps the lease alive until drain. A joiner no controller
+	// would admit is a startup error, not a retry loop.
+	var joiner *dispatch.Joiner
+	if *join != "" {
+		if *advertise == "" {
+			log.Fatal("evald: -join requires -advertise (the address controllers dial)")
+		}
+		joiner = &dispatch.Joiner{
+			Controller: *join, Advertise: *advertise, Node: *node,
+			Interval: *joinEvery, Sec: sec,
+		}
+		if err := joiner.Validate(); err != nil {
+			log.Fatalf("evald: %v", err)
+		}
 	}
 	srv := &http.Server{Addr: *addr, Handler: evald.New(evald.Config{
 		Node:          name,
@@ -90,19 +106,9 @@ func main() {
 	}()
 	fmt.Printf("evald: node %q serving measurements on %s\n", name, *addr)
 
-	// With -join, announce ourselves to the controller and keep the lease
-	// alive until drain.
-	var joiner *dispatch.Joiner
 	joinCtx, stopJoining := context.WithCancel(context.Background())
 	defer stopJoining()
-	if *join != "" {
-		if *advertise == "" {
-			log.Fatal("evald: -join requires -advertise (the address controllers dial)")
-		}
-		joiner = &dispatch.Joiner{
-			Controller: *join, Advertise: *advertise, Node: *node,
-			Interval: *joinEvery, Sec: sec,
-		}
+	if joiner != nil {
 		if err := joiner.Register(joinCtx); err != nil {
 			// Not fatal: the controller may come up after us; Run keeps
 			// trying on every tick.

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/dispatch"
+	"repro/internal/workload"
 )
 
 // resultBytes flattens a result for byte comparison.
@@ -113,6 +115,23 @@ func TestResumeRequiresCheckpointPath(t *testing.T) {
 	_, err := Tune(Options{Benchmark: "fop", BudgetMinutes: 5, Resume: true})
 	if err == nil || !strings.Contains(err.Error(), "Resume requires CheckpointPath") {
 		t.Fatalf("resume without a path = %v, want usage error", err)
+	}
+}
+
+// TestTuneRejectsOutOfRangeSize: a session refuses Workers and Reps past
+// their bounds, through Tune and TuneCommon alike, before it measures.
+func TestTuneRejectsOutOfRangeSize(t *testing.T) {
+	fop, _ := workload.ByName("fop")
+	for _, opts := range []Options{
+		{Benchmark: "fop", BudgetMinutes: 1, Workers: MaxWorkers + 1},
+		{Benchmark: "fop", BudgetMinutes: 1, Reps: dispatch.MaxReps + 1},
+	} {
+		if _, err := Tune(opts); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("Tune with workers %d, reps %d = %v, want a range error", opts.Workers, opts.Reps, err)
+		}
+		if _, err := TuneCommon([]*Profile{fop}, opts); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("TuneCommon with workers %d, reps %d = %v, want a range error", opts.Workers, opts.Reps, err)
+		}
 	}
 }
 

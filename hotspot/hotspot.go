@@ -79,7 +79,8 @@ type Options struct {
 	Searcher string
 	// BudgetMinutes is the virtual tuning budget; default 200, the paper's.
 	BudgetMinutes float64
-	// Reps is the repetitions per measurement; default 3.
+	// Reps is the repetitions per measurement; default 3, at most
+	// dispatch.MaxReps (see CheckWorkersReps).
 	Reps int
 	// Seed drives all randomness; equal inputs and seeds reproduce
 	// identical sessions.
@@ -123,9 +124,10 @@ type Options struct {
 	TLSCert, TLSKey, TLSCA string
 	AuthToken              string
 	// Workers is the number of parallel evaluation slots; default 1 (the
-	// paper's single-machine setup). With Workers > 1 the session measures
-	// up to that many configurations concurrently on real goroutines while
-	// staying deterministic for a fixed Seed. See core.Session.Workers.
+	// paper's single-machine setup), at most MaxWorkers. With Workers > 1
+	// the session measures up to that many configurations concurrently on
+	// real goroutines while staying deterministic for a fixed Seed. See
+	// core.Session.Workers.
 	Workers int
 	// Objective selects what to minimize: "throughput" (default, the
 	// paper's metric) or "pause" (worst GC pause, for latency tuning).
@@ -414,6 +416,26 @@ func armCrashPoint(plan *faultinject.Plan, onProgress func(core.TracePoint)) fun
 	}
 }
 
+// MaxWorkers is the most evaluation slots a session accepts: a session
+// keeps per-slot state, picks each round's slots in time quadratic in the
+// slot count, and runs one measuring goroutine per slot.
+const MaxWorkers = 64
+
+// CheckWorkersReps rejects an Options.Workers or Options.Reps value no
+// session accepts: a negative one, more than MaxWorkers workers, or more
+// than dispatch.MaxReps repetitions (the most the fleet wire carries).
+// Zero means the default of each. Sessions check it before anything
+// runs, and the CLI and the HTTP API check it where the values come in.
+func CheckWorkersReps(workers, reps int) error {
+	switch {
+	case workers < 0 || workers > MaxWorkers:
+		return fmt.Errorf("hotspot: workers %d outside [0, %d]", workers, MaxWorkers)
+	case reps < 0 || reps > dispatch.MaxReps:
+		return fmt.Errorf("hotspot: reps %d outside [0, %d]", reps, dispatch.MaxReps)
+	}
+	return nil
+}
+
 // Tune runs one budgeted tuning session.
 func Tune(opts Options) (*Result, error) {
 	return TuneContext(context.Background(), opts)
@@ -553,6 +575,9 @@ func searcherName(opts Options) string {
 // point, the checkpoint keeper and resume snapshot, and the overload and
 // degradation options. The caller sets the Runner and closes the keeper.
 func newSession(ctx context.Context, opts Options, plan *faultinject.Plan, defaultBudget float64) (*core.Session, *checkpoint.Keeper, error) {
+	if err := CheckWorkersReps(opts.Workers, opts.Reps); err != nil {
+		return nil, nil, err
+	}
 	searcher, err := core.NewSearcher(searcherName(opts))
 	if err != nil {
 		return nil, nil, err

@@ -11,6 +11,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/flags"
 	"repro/internal/flags/flagstest"
+	"repro/internal/hierarchy"
 	"repro/internal/transfer"
 	"repro/internal/workload"
 )
@@ -350,9 +351,11 @@ func TestTransferPriorsCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide := flagstest.WideArgs(donor.Best)
-	if len(wide) <= len(donor.CommandLine) {
-		t.Fatalf("the h2 winner holds no explicit default (%d args, %d canonical)", len(wide), len(donor.CommandLine))
+	// Older builds stored a hierarchical winner with every flag active
+	// under its branches explicit, defaults included.
+	wide := flagstest.WideArgs(flagstest.Widen(donor.Best, hierarchy.Build(donor.Best.Registry()).ActiveFlags(donor.Best)))
+	if len(wide) < 300 {
+		t.Fatalf("the pre-canonical h2 winner has %d args (%d canonical), want the ~350 older builds stored", len(wide), len(donor.CommandLine))
 	}
 	prof, ok := workload.ByName("h2")
 	if !ok {

@@ -261,13 +261,17 @@ type Session struct {
 	Objective Objective
 	// Workers is the number of parallel evaluation slots (default 1, the
 	// paper's single-machine setup). With W > 1 the session is a tuning
-	// farm: each round it dispatches up to W Runner.Measure calls on real
-	// goroutines, charges each to a virtual slot for its virtual cost, and
-	// delivers the observations in virtual-completion order. Trials start
-	// on the earliest-free slot, so the budget bounds the *makespan*
-	// rather than total machine time. The Runner must be safe for
-	// concurrent use (all built-in runners are). Sessions stay
-	// deterministic for a fixed seed at any W; see executor.go.
+	// farm: each round it runs up to W Runner.Measure calls at once,
+	// charges each to a virtual slot for its virtual cost, and delivers
+	// the observations in virtual-completion order. The session measures
+	// a round's first trial on its own goroutine and owns W-1 measuring
+	// goroutines for the rest, started once and stopped however the
+	// session ends; a runner.BatchMeasurer runner gets a round in one
+	// MeasureBatch call instead. Trials start on the earliest-free slot,
+	// so the budget bounds the *makespan* rather than total machine time.
+	// The Runner must be safe for concurrent use (all built-in runners
+	// are). Sessions stay deterministic for a fixed seed at any W; see
+	// executor.go.
 	Workers int
 	// Ctx optionally cancels the session between evaluation rounds. A
 	// canceled session returns the context's error; measurements already

@@ -78,6 +78,64 @@ type ckState struct {
 	epochReplay map[int]checkpoint.EpochRecord
 }
 
+// measurers is a session's own measuring fan-out: workers-1 goroutines
+// that live as long as the session and measure a round's fresh trials past
+// the first, which the session goroutine measures itself. Each trial's
+// measurement lands in its own trial, so delivery order never depends on
+// which goroutine measured what.
+type measurers struct {
+	run  runner.Runner
+	reps int
+	// work holds one round's trials past the first: at most workers-1, so
+	// a send never blocks.
+	work chan *trial
+	busy sync.WaitGroup // the round's trials still being measured
+	live sync.WaitGroup // the goroutines still running
+}
+
+// startMeasurers starts the fan-out for a session of the given width.
+// With one worker it starts nothing.
+func startMeasurers(run runner.Runner, reps, workers int) *measurers {
+	ms := &measurers{run: run, reps: reps}
+	if workers > 1 {
+		ms.work = make(chan *trial, workers-1)
+		ms.live.Add(workers - 1)
+		for i := 1; i < workers; i++ {
+			go ms.serve()
+		}
+	}
+	return ms
+}
+
+func (ms *measurers) serve() {
+	defer ms.live.Done()
+	for tr := range ms.work {
+		tr.m = ms.run.Measure(tr.cfg, ms.reps)
+		ms.busy.Done()
+	}
+}
+
+// measure measures one round's fresh trials, at most one per worker, and
+// returns once every measurement is in.
+func (ms *measurers) measure(fresh []*trial) {
+	ms.busy.Add(len(fresh) - 1)
+	for _, tr := range fresh[1:] {
+		ms.work <- tr
+	}
+	fresh[0].m = ms.run.Measure(fresh[0].cfg, ms.reps)
+	ms.busy.Wait()
+}
+
+// stop ends the fan-out and returns once its goroutines have exited. Only
+// a panic on the session goroutine can leave a measurement in flight; it
+// finishes first.
+func (ms *measurers) stop() {
+	if ms.work != nil {
+		close(ms.work)
+		ms.live.Wait()
+	}
+}
+
 // writeCheckpoint snapshots the session at a round boundary and hands it
 // to the keeper, which persists it off the session goroutine. Rounds are
 // barriers, so no Measure call is in flight and the runner state is
@@ -108,8 +166,11 @@ func (s *Session) writeCheckpoint(ck *ckState, ctx *Context) {
 
 // runLoop is the session's evaluation engine: a bulk-synchronous batched
 // executor. Each round it fills every budget-eligible slot with a proposal
-// (earliest-free slot first), measures the whole batch concurrently on
-// goroutines, then delivers the observations in virtual-completion order.
+// (earliest-free slot first), measures the whole batch concurrently, then
+// delivers the observations in virtual-completion order. Unless the runner
+// batches, the session owns workers-1 measuring goroutines for its whole
+// run and measures each round's first fresh trial itself; every return,
+// and a panic unwinding the session goroutine, stops them.
 //
 // Determinism for a fixed seed holds because every source of randomness is
 // serialized deterministically: proposals draw from the session RNG on the
@@ -123,6 +184,16 @@ func (s *Session) runLoop(runCtx context.Context, ctx *Context, out *Outcome,
 	slotFree []float64, reps int, budget float64, history map[string]*AttemptRecord,
 	ck *ckState, rob *robState, ds *driftState) error {
 	workers := len(slotFree)
+
+	// A batching runner fans a round out itself (the dispatch pool's
+	// batched transport), so it gets no measuring goroutines.
+	bm, batched := s.Runner.(runner.BatchMeasurer)
+	width := workers
+	if batched {
+		width = 1
+	}
+	fan := startMeasurers(s.Runner, reps, width)
+	defer fan.stop()
 
 	// searcher is the live proposal strategy. It starts as the session's
 	// Searcher and is rebuilt (warm-started) at each re-tuning epoch.
@@ -308,12 +379,11 @@ func (s *Session) runLoop(runCtx context.Context, ctx *Context, out *Outcome,
 		// Measure the fresh trials concurrently. This is where the session
 		// overlaps real work: up to `workers` Runner.Measure calls in
 		// flight — or, when the runner batches (runner.BatchMeasurer, the
-		// dispatch pool's batched transport), the whole round in one call.
-		// The two paths are byte-equivalent by the BatchMeasurer contract;
-		// only the number of wire round trips differs.
-		if len(fresh) == 1 {
-			fresh[0].m = s.Runner.Measure(fresh[0].cfg, reps)
-		} else if bm, ok := s.Runner.(runner.BatchMeasurer); ok && len(fresh) > 1 {
+		// dispatch pool's batched transport), a round of several in one
+		// call. The two paths are byte-equivalent by the BatchMeasurer
+		// contract; only the number of wire round trips differs.
+		switch {
+		case batched && len(fresh) > 1:
 			cfgs := make([]*flags.Config, len(fresh))
 			for i, tr := range fresh {
 				cfgs[i] = tr.cfg
@@ -321,16 +391,8 @@ func (s *Session) runLoop(runCtx context.Context, ctx *Context, out *Outcome,
 			for i, m := range bm.MeasureBatch(cfgs, reps) {
 				fresh[i].m = m
 			}
-		} else if len(fresh) > 1 {
-			var wg sync.WaitGroup
-			for _, tr := range fresh {
-				wg.Add(1)
-				go func(tr *trial) {
-					defer wg.Done()
-					tr.m = s.Runner.Measure(tr.cfg, reps)
-				}(tr)
-			}
-			wg.Wait()
+		case len(fresh) > 0:
+			fan.measure(fresh)
 		}
 
 		// Resolve the straggler watchdog in dispatch order before delivery:

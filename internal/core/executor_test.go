@@ -5,11 +5,14 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/flags"
 	"repro/internal/hierarchy"
 	"repro/internal/jvmsim"
@@ -253,5 +256,129 @@ func TestHierarchicalProposeBatchStopsAtSurveyBoundary(t *testing.T) {
 	}
 	if len(second) != 4 {
 		t.Fatalf("refinement batch has %d proposals, want 4", len(second))
+	}
+}
+
+// TestSessionStopsItsMeasurers: a session's measuring goroutines live
+// exactly as long as the session. Each exit path — either budget, the
+// wall clock, a cancel with and without BestEffort, a crash-point panic
+// and a diverged resume — must leave the goroutine count at its value
+// before the session and no measurer running, and each session must run
+// exactly workers-1 measurers while it delivers trials.
+func TestSessionStopsItsMeasurers(t *testing.T) {
+	const workers = 4
+	// The diverged resume replays a checkpoint whose seventh delivered trial
+	// names a configuration the session never proposes.
+	diverged := runToCheckpoint(t, "fop", "random", 1e6, 5, workers, 12)
+	diverged.Trials[6].Key = "NoSuchKey=1"
+
+	cases := []struct {
+		name  string
+		setup func(s *Session, cancel context.CancelFunc)
+		// want is in the error Run returns, or in the degraded reason of
+		// the outcome when ok; a crash case must panic instead.
+		want      string
+		ok, crash bool
+	}{
+		{name: "virtual budget", ok: true, want: "virtual tuning budget", setup: func(s *Session, _ context.CancelFunc) {
+			s.BudgetSeconds = 900
+		}},
+		{name: "trial budget", ok: true, want: "trial budget", setup: func(s *Session, _ context.CancelFunc) {
+			s.MaxTrials = 25
+		}},
+		{name: "wall clock", ok: true, want: "wall-clock", setup: func(s *Session, _ context.CancelFunc) {
+			s.RealBudget = time.Minute
+			// The clock jumps an hour after a few rounds have run.
+			base, reads := time.Unix(0, 0), 0
+			s.now = func() time.Time {
+				if reads++; reads > 4 {
+					base = base.Add(time.Hour)
+				}
+				return base
+			}
+		}},
+		{name: "cancel", want: "session canceled", setup: func(s *Session, cancel context.CancelFunc) {
+			s.OnProgress = cancelAt(s.OnProgress, 10, cancel)
+		}},
+		{name: "cancel, best effort", ok: true, want: "canceled", setup: func(s *Session, cancel context.CancelFunc) {
+			s.BestEffort = true
+			s.OnProgress = cancelAt(s.OnProgress, 10, cancel)
+		}},
+		{name: "crash point", crash: true, setup: func(s *Session, _ context.CancelFunc) {
+			cp := &faultinject.CrashPoint{AtTrial: 10}
+			inner := s.OnProgress
+			s.OnProgress = func(tp TracePoint) { inner(tp); cp.OnTrial(tp.Trial) }
+		}},
+		{name: "diverged resume", want: "resume diverged at trial", setup: func(s *Session, _ context.CancelFunc) {
+			s.Resume = diverged
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			s := newSession(t, "fop", "random", 1e6, 5)
+			s.Workers, s.Ctx = workers, ctx
+			base := runtime.NumGoroutine()
+			during := -1
+			s.OnProgress = func(tp TracePoint) {
+				if tp.Trial == 1 {
+					during = measuring()
+				}
+			}
+			tc.setup(s, cancel)
+
+			var out *Outcome
+			var err error
+			crashed := func() (crashed bool) {
+				defer func() {
+					if r := recover(); r != nil {
+						if _, ok := r.(faultinject.SessionCrash); !ok {
+							panic(r)
+						}
+						crashed = true
+					}
+				}()
+				out, err = s.Run()
+				return false
+			}()
+			switch {
+			case crashed != tc.crash:
+				t.Fatalf("session crashed=%v, want %v", crashed, tc.crash)
+			case tc.crash:
+			case tc.ok && (err != nil || !strings.Contains(out.DegradedReason, tc.want)):
+				t.Fatalf("session ended with err=%v, want an outcome degraded by %q", err, tc.want)
+			case !tc.ok && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("session ended with err=%v, want %q", err, tc.want)
+			}
+			if during != workers-1 {
+				t.Fatalf("%d measuring goroutines when the first trial was delivered, want %d", during, workers-1)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for runtime.NumGoroutine() > base || measuring() > 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the session ended (%d measuring), %d before it",
+						runtime.NumGoroutine(), measuring(), base)
+				}
+				runtime.Gosched()
+			}
+		})
+	}
+}
+
+// measuring counts the live goroutines a session's measurers started,
+// whether or not they have run yet.
+func measuring() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by repro/internal/core.startMeasurers")
+}
+
+// cancelAt chains fn with a cancel once trial n is delivered.
+func cancelAt(fn func(TracePoint), n int, cancel context.CancelFunc) func(TracePoint) {
+	return func(tp TracePoint) {
+		fn(tp)
+		if tp.Trial >= n {
+			cancel()
+		}
 	}
 }

@@ -261,7 +261,7 @@ func TestBatchPerEntryRejectionCondemnsOnlyOwnTrial(t *testing.T) {
 // decoded trials — at the ~350-arg width older builds sent too.
 func TestDecodeBatchRequestOwnsItsStrings(t *testing.T) {
 	reg := flags.NewRegistry()
-	wide := flagstest.Proposal(reg, 1)
+	wide := flagstest.WideProposal(reg, 1)
 	req := &BatchRequest{Trials: []TrialRequest{
 		{Key: wide.Key(), Benchmark: "h2", Args: flagstest.WideArgs(wide), RepBase: 7, Reps: 1, TimeoutSeconds: 120, Noise: -1},
 		{Key: "MaxHeapSize=536870912", Benchmark: "fop", Args: []string{"-XX:MaxHeapSize=512m"}, Reps: 2, Noise: 0.05},

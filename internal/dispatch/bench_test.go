@@ -99,9 +99,9 @@ func BenchmarkDispatchBatch16(b *testing.B) {
 
 // BenchmarkDispatchBatch16Proposal is BenchmarkDispatchBatch16 with each
 // of the 16 trials shaped like a hierarchical proposal
-// (flagstest.Proposal: ~350 explicit flags, shipped as their canonical
-// form of about ten args), so rendering, the request body, node-side
-// decoding and parsing are priced at the size a real session ships.
+// (flagstest.Proposal, shipped as its canonical form of about ten args),
+// so rendering, the request body, node-side decoding and parsing are
+// priced at the size a real session ships.
 // ns/op is per trial.
 func BenchmarkDispatchBatch16Proposal(b *testing.B) {
 	_, evs := startFleet(b, 1)
@@ -129,9 +129,9 @@ func BenchmarkDispatchBatch16Proposal(b *testing.B) {
 // BenchmarkDecodeBatchRequest16 decodes a 16-trial batch body, the
 // node's first step per batch, at three arg widths: 10 hand-set args per
 // trial (narrow), a hierarchical proposal's canonical form as a session
-// ships it (proposal, about ten), and every explicit assignment of that
-// proposal (wide, ~350), the width older builds sent and nodes still
-// accept up to MaxArgs. ns/op and allocs/op are per batch; allocations
+// ships it (proposal, about ten), and the same proposal with every active
+// flag explicit (wide, ~350, flagstest.WideProposal), the width older
+// builds sent and nodes still accept up to MaxArgs. ns/op and allocs/op are per batch; allocations
 // must not grow with the arg count.
 func BenchmarkDecodeBatchRequest16(b *testing.B) {
 	reg := flags.NewRegistry()
@@ -150,12 +150,13 @@ func BenchmarkDecodeBatchRequest16(b *testing.B) {
 		return c
 	}
 	proposal := func(i int) *flags.Config { return flagstest.Proposal(reg, int64(i+1)) }
+	wide := func(i int) *flags.Config { return flagstest.WideProposal(reg, int64(i+1)) }
 	explicit := (*flags.Config).ExplicitArgs
 	for _, shape := range []struct {
 		name string
 		cfg  func(int) *flags.Config
 		args func(*flags.Config) []string
-	}{{"narrow", narrow, explicit}, {"proposal", proposal, explicit}, {"wide", proposal, flagstest.WideArgs}} {
+	}{{"narrow", narrow, explicit}, {"proposal", proposal, explicit}, {"wide", wide, flagstest.WideArgs}} {
 		req := &dispatch.BatchRequest{Trials: make([]dispatch.TrialRequest, 16)}
 		for i := range req.Trials {
 			c := shape.cfg(i)

@@ -44,6 +44,9 @@ const (
 	MaxAddrLen = 512
 	// MaxLeaseSeconds caps the lease a node may request.
 	MaxLeaseSeconds = 3600
+	// MaxJoinInterval is the longest Joiner.Interval: a node asks for a
+	// lease of three intervals, which must stay within MaxLeaseSeconds.
+	MaxJoinInterval = MaxLeaseSeconds * time.Second / 3
 )
 
 // RegisterRequest is one node announcing (or renewing) itself.
@@ -368,7 +371,8 @@ type Joiner struct {
 	Advertise string
 	// Node names the node; defaults to Advertise.
 	Node string
-	// Interval is the re-registration period; zero means 5s.
+	// Interval is the re-registration period; zero means 5s, and at most
+	// MaxJoinInterval.
 	Interval time.Duration
 	// Sec supplies TLS material and the bearer token.
 	Sec *Security
@@ -433,8 +437,23 @@ func (j *Joiner) post(ctx context.Context, path string, payload any) error {
 	return nil
 }
 
+// Validate reports a Joiner no controller admits: an Interval past
+// MaxJoinInterval asks for a lease above MaxLeaseSeconds, which every
+// registration endpoint refuses. Register and Run return the same error
+// before they send anything.
+func (j *Joiner) Validate() error {
+	if iv := j.interval(); iv > MaxJoinInterval {
+		return fmt.Errorf("dispatch: join interval %s exceeds %s: the lease of 3x the interval would pass the controller's %d s limit",
+			iv, MaxJoinInterval, MaxLeaseSeconds)
+	}
+	return nil
+}
+
 // Register performs one registration (join or lease renewal).
 func (j *Joiner) Register(ctx context.Context) error {
+	if err := j.Validate(); err != nil {
+		return err
+	}
 	ttl := 3 * j.interval()
 	return j.post(ctx, RegisterPath, &RegisterRequest{
 		Addr: j.Advertise, Node: j.Node, TTLSeconds: int(ttl / time.Second),
@@ -450,16 +469,20 @@ func (j *Joiner) Deregister(ctx context.Context) error {
 	return j.post(ctx, DeregisterPath, &DeregisterRequest{Node: name})
 }
 
-// Run re-registers every Interval until ctx is done. Transient controller
-// outages are retried on the next tick — the lease TTL (3× the interval)
-// rides out two missed renewals.
-func (j *Joiner) Run(ctx context.Context) {
+// Run re-registers every Interval until ctx is done, then returns nil.
+// Transient controller outages are retried on the next tick — the lease
+// TTL (3× the interval) rides out two missed renewals. A Joiner that fails
+// Validate is never retried: Run returns its error at once.
+func (j *Joiner) Run(ctx context.Context) error {
+	if err := j.Validate(); err != nil {
+		return err
+	}
 	tick := time.NewTicker(j.interval())
 	defer tick.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			return
+			return nil
 		case <-tick.C:
 			_ = j.Register(ctx)
 		}

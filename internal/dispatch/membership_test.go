@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -217,6 +219,51 @@ func TestJoinerLifecycle(t *testing.T) {
 	}
 	if len(pool.Nodes()) != 0 {
 		t.Fatal("rejected registration mutated the fleet")
+	}
+}
+
+// TestJoinerRefusesIntervalPastLeaseLimit: a join interval whose lease
+// (3x the interval) no controller grants is refused by the Joiner itself,
+// naming the interval, before any request is sent — Register returns it,
+// and Run returns it at once instead of retrying every tick. An interval
+// at the bound joins a real controller.
+func TestJoinerRefusesIntervalPastLeaseLimit(t *testing.T) {
+	pool := newDynamicTestPool(t, "fop")
+	m := NewMembership(pool, nil)
+	m.Dial = localDial(t, "fop")
+	var requests atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		m.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	j := &Joiner{Controller: ts.URL, Advertise: "10.9.9.9:1", Node: "slow", Interval: 21 * time.Minute}
+	if err := j.Register(ctx); err == nil || !strings.Contains(err.Error(), "21m0s") {
+		t.Fatalf("register = %v, want an error naming the 21m0s interval", err)
+	}
+	ran := make(chan error, 1)
+	go func() { ran <- j.Run(ctx) }()
+	select {
+	case err := <-ran:
+		if err == nil || !strings.Contains(err.Error(), "21m0s") {
+			t.Fatalf("run = %v, want an error naming the 21m0s interval", err)
+		}
+	case <-ctx.Done():
+		t.Fatal("run kept waiting to retry an interval no controller admits")
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("the refused joiner sent %d requests", n)
+	}
+
+	j.Interval = MaxJoinInterval
+	if err := j.Register(ctx); err != nil {
+		t.Fatalf("register at the bound: %v", err)
+	}
+	if got := pool.Nodes(); len(got) != 1 || got[0] != "slow" {
+		t.Fatalf("pool after a join at the bound: %v", got)
 	}
 }
 

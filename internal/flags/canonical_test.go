@@ -19,7 +19,8 @@ import (
 // hierarchy.Validate verdict, and the same noiseless RunReps results on
 // built-in and generated profiles — and Canonical builds that config
 // without the round trip. Inputs are random assignments of every tunable,
-// hierarchical proposals, and the explicit defaults that could matter.
+// hierarchical proposals in their wide form (every active flag explicit),
+// and the explicit defaults that could matter.
 func TestCanonicalFormKeepsWhatTheModelReads(t *testing.T) {
 	reg := flags.NewRegistry()
 	sim := jvmsim.New()
@@ -74,7 +75,7 @@ func TestCanonicalFormKeepsWhatTheModelReads(t *testing.T) {
 		inputs = append(inputs, input{fmt.Sprintf("random-%d", i), c})
 	}
 	for i := 0; i < 40; i++ {
-		inputs = append(inputs, input{fmt.Sprintf("proposal-%d", i), flagstest.Proposal(reg, int64(i+1))})
+		inputs = append(inputs, input{fmt.Sprintf("proposal-%d", i), flagstest.WideProposal(reg, int64(i+1))})
 	}
 
 	for _, in := range inputs {

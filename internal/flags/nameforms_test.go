@@ -1,6 +1,7 @@
 package flags_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -159,6 +160,64 @@ func TestIDFormsMatchNameForms(t *testing.T) {
 		if got := namesOf(reg, tree.ActiveFlags(fresh)); !reflect.DeepEqual(got, activeFlagsByName(tree, fresh)) {
 			t.Fatalf("seed %d: ActiveFlags of a random config\n  got  %v\n  want %v", seed, got, activeFlagsByName(tree, fresh))
 		}
+	}
+}
+
+// TestCrossoverStoresCanonicalForm: a crossover child holds exactly the
+// canonical form of the name-form child, which stores every ID it is
+// given: the same explicit IDs as its Canonical, the same Key, and the
+// same next random draw, over production-width parents in ID order and
+// shuffled with repeats. flagstest.WideProposal must rebuild the
+// name-form child exactly.
+func TestCrossoverStoresCanonicalForm(t *testing.T) {
+	reg := flags.NewRegistry()
+	for seed := int64(1); seed <= 60; seed++ {
+		a, b, active, apply, wideRng := flagstest.Parents(reg, seed)
+		repeats := append(append([]flags.ID(nil), active...), active...)
+		rand.New(rand.NewSource(-seed)).Shuffle(len(repeats), func(i, j int) { repeats[i], repeats[j] = repeats[j], repeats[i] })
+		for _, tc := range []struct {
+			what string
+			ids  []flags.ID
+		}{{"in ID order", active}, {"shuffled, every ID twice", repeats}} {
+			r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			child := flags.Crossover(a, b, tc.ids, r1)
+			ref := crossoverByName(a, b, namesOf(reg, tc.ids), r2)
+			what := fmt.Sprintf("seed %d, %s", seed, tc.what)
+			if got, want := namesOf(reg, child.ExplicitIDs()), namesOf(reg, ref.Canonical().ExplicitIDs()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: explicit flags\n  got  %v\n  want %v", what, got, want)
+			}
+			sameConfigs(t, what, child, ref)
+			sameNextDraw(t, what, r1, r2)
+		}
+
+		ref := crossoverByName(a, b, namesOf(reg, active), wideRng)
+		apply(ref)
+		wide := flagstest.WideProposal(reg, seed)
+		if got, want := wide.ExplicitNames(), ref.ExplicitNames(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: WideProposal holds %v\n  the name-form child %v", seed, got, want)
+		}
+		sameConfigs(t, fmt.Sprintf("seed %d, WideProposal", seed), wide, ref)
+	}
+
+	// A repeated ID whose later draw lands on the default is unset, even
+	// after an earlier draw set it off the default.
+	id := reg.ID("NewRatio")
+	a, b := flags.NewConfig(reg), flags.NewConfig(reg)
+	mustSet(a, id, flags.IntValue(1))
+	unset := 0
+	for seed := int64(1); seed <= 32; seed++ {
+		draws := rand.New(rand.NewSource(seed))
+		first, last := draws.Intn(2), draws.Intn(2)
+		child := flags.Crossover(a, b, []flags.ID{id, id}, rand.New(rand.NewSource(seed)))
+		if got, want := child.IsExplicitID(id), last == 1; got != want {
+			t.Fatalf("seed %d: draws %d then %d left NewRatio explicit=%v, want %v", seed, first, last, got, want)
+		}
+		if first == 1 && last == 0 {
+			unset++
+		}
+	}
+	if unset == 0 {
+		t.Fatal("no seed drew the off-default parent and then the default one")
 	}
 }
 

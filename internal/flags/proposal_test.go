@@ -18,8 +18,8 @@ import (
 // proposal, as older builds sent them.
 func TestRecycledParseMatchesFresh(t *testing.T) {
 	reg := flags.NewRegistry()
-	wide := flagstest.WideArgs(flagstest.Proposal(reg, 1))
-	wide2 := flagstest.WideArgs(flagstest.Proposal(reg, 2))
+	wide := flagstest.WideArgs(flagstest.WideProposal(reg, 1))
+	wide2 := flagstest.WideArgs(flagstest.WideProposal(reg, 2))
 	narrow := []string{"-XX:+UseG1GC", "-XX:-UseParallelGC", "-Xmx2g", "-XX:MaxGCPauseMillis=50"}
 	all := flagstest.WideArgs(reg.DefaultConfig())
 	half := len(wide2) / 2
@@ -114,8 +114,9 @@ func TestExplicitArgsConcurrent(t *testing.T) {
 var sinkArgs []string
 
 // BenchmarkExplicitArgs renders the transport form of a hierarchical
-// proposal: a walk over its ~350 explicit flags that emits the canonical
-// form, about ten args. The controller pays it once per fleet trial.
+// proposal: a walk over its dozen or so explicit flags that emits the
+// canonical form, about ten args. The controller pays it once per fleet
+// trial.
 func BenchmarkExplicitArgs(b *testing.B) {
 	c := flagstest.Proposal(flags.NewRegistry(), 1)
 	b.ReportAllocs()
@@ -144,10 +145,10 @@ func BenchmarkParseArgsIntoRecycled(b *testing.B) {
 
 var sinkConfig *flags.Config
 
-// BenchmarkCrossover breeds a production-width child from two
-// flagstest parents over their branch's ~350 active flags, as every
-// hierarchical crossover proposal does: one draw, one read and one
-// append per active flag, and the child's allocations.
+// BenchmarkCrossover breeds a child from two flagstest parents over their
+// branch's ~350 active flags, as every hierarchical crossover proposal
+// does: one draw and one read per active flag, an append per canonical
+// assignment, and the child's allocations.
 func BenchmarkCrossover(b *testing.B) {
 	a, p, active, _, _ := flagstest.Parents(flags.NewRegistry(), 1)
 	rng := rand.New(rand.NewSource(1))

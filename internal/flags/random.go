@@ -129,20 +129,28 @@ func MutateFlag(c *Config, id ID, rng *rand.Rand) {
 // ids' effective values from parent a or b with equal probability, one
 // rng.Intn(2) draw per flag in the order given. Flags outside ids stay at
 // their defaults.
+//
+// The child holds only its canonical form (see Key): an inherited value
+// is stored when it is off its default or its flag's explicitness
+// matters, so a child of a few hundred active flags stores the dozen or
+// so that its key keeps. When an ID repeats in ids the later draw wins,
+// and a later draw of the default unsets the ID.
 func Crossover(a, b *Config, ids []ID, rng *rand.Rand) *Config {
 	if a.reg != b.reg {
 		panic("flags: Crossover across registries")
 	}
 	child := NewConfig(a.reg)
-	child.ids = make([]ID, 0, len(ids))
-	child.vals = make([]Value, 0, len(ids))
 	var ia, ib int // cursors into a's and b's explicit lists
 	for _, id := range ids {
 		src, i := a, &ia
 		if rng.Intn(2) == 0 {
 			src, i = b, &ib
 		}
-		child.putID(id, src.seek(i, id))
+		if v := src.seek(i, id); a.reg.byID[id].canonical(v) {
+			child.putID(id, v)
+		} else {
+			child.UnsetID(id)
+		}
 	}
 	return child
 }

@@ -8,11 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/hotspot"
 	"repro/internal/checkpoint"
+	"repro/internal/dispatch"
 )
 
 // newDurableServer builds a durable test server over dir and serves it.
@@ -260,5 +262,49 @@ func TestEvictNeverDropsLiveJobs(t *testing.T) {
 	}
 	if _, alive := s.jobs[1]; alive {
 		t.Fatal("terminal job survived eviction under pressure")
+	}
+}
+
+// TestTuneRejectsOutOfRangeSize: workers and reps outside the bounds a
+// session accepts come back as the 400 envelope before the job reaches
+// the journal, so nothing runs, nothing is replayed after a restart, and
+// the next accepted job takes the first ID. The bounds themselves are
+// accepted.
+func TestTuneRejectsOutOfRangeSize(t *testing.T) {
+	dir := t.TempDir()
+	ran := make(chan hotspot.Options, 8)
+	stubTune(t, func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
+		ran <- opts
+		return &hotspot.Result{Benchmark: opts.Benchmark}, nil
+	})
+	s, ts := newDurableServer(t, dir, Config{MaxConcurrent: 1, MaxJobs: 8})
+	for _, req := range []TuneRequest{
+		{Benchmark: "fop", Workers: hotspot.MaxWorkers + 1},
+		{Benchmark: "fop", Reps: dispatch.MaxReps + 1},
+		{Benchmark: "fop", Workers: -1},
+		{Benchmark: "fop", Reps: -1},
+	} {
+		var env map[string]string
+		if code := postJSON(t, ts.URL+"/v1/tune", req, &env); code != 400 || !strings.Contains(env["error"], "outside") {
+			t.Errorf("workers %d, reps %d: status %d, body %v; want 400 naming the range", req.Workers, req.Reps, code, env)
+		}
+	}
+	if id := submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop", Workers: hotspot.MaxWorkers, Reps: dispatch.MaxReps}); id != 1 {
+		t.Errorf("the first accepted job got ID %d, want 1", id)
+	}
+	s.Wait()
+	if opts := <-ran; opts.Workers != hotspot.MaxWorkers || opts.Reps != dispatch.MaxReps {
+		t.Errorf("ran workers %d, reps %d", opts.Workers, opts.Reps)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) != 0 {
+		t.Fatalf("%d rejected submissions ran", len(ran))
+	}
+	_, ts2 := newDurableServer(t, dir, Config{MaxConcurrent: 1, MaxJobs: 8})
+	var jobs []Job
+	if code := getJSON(t, ts2.URL+"/v1/jobs", &jobs); code != 200 || len(jobs) != 1 {
+		t.Fatalf("after a restart: status %d, %d jobs, want the one accepted", code, len(jobs))
 	}
 }

@@ -603,6 +603,10 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "retry_attempts must be ≥ 0")
 		return
 	}
+	if err := hotspot.CheckWorkersReps(req.Workers, req.Reps); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	if req.DriftSensitivity != 0 && !req.Drift {
 		writeError(w, http.StatusBadRequest, "drift_sensitivity requires drift")
 		return
