@@ -75,10 +75,14 @@ dist-drill:
 # that framed each itself must match this build's byte for byte, and a
 # winner stored with explicit defaults must warm-start exactly like its
 # canonical form, and an open that fails on the store's header must still
-# count the stale temps it swept. See docs/TRANSFER.md.
+# count the stale temps it swept. The store's binary group key must group
+# exactly as Fingerprint.Key does, Key's bytes must stay those older
+# builds wrote into warm checkpoints, the top-k nearest-neighbour
+# selection must answer as sorting every group did, and compaction must
+# keep argument lists apart that print alike. See docs/TRANSFER.md.
 transfer-drill:
 	go test -race -count=1 \
-	  -run 'TestTransferWarmStartHalvesTrialBudget|TestTransferOffLeavesSessionByteIdentical|TestTransferBogusStoreDegradesToCold|TestTransferV1StoreMigrationDrill|TestTransferStoreClosedOnEveryPath|TestTransferPriorsCanonical|TestStoreSalvagesTornTail|TestStoreMigratesV1|TestStoreSharedHandles|TestStoreFixture|TestKeeperFixture|TestJournalFixture|TestStoreHeaderFailureCountsSweptTemps|TestTuneTransferJob|TestCLITransferStoreTornTailDrill|TestCLITransferFleetEquivalence' \
+	  -run 'TestTransferWarmStartHalvesTrialBudget|TestTransferOffLeavesSessionByteIdentical|TestTransferBogusStoreDegradesToCold|TestTransferV1StoreMigrationDrill|TestTransferStoreClosedOnEveryPath|TestTransferPriorsCanonical|TestStoreSalvagesTornTail|TestStoreMigratesV1|TestStoreSharedHandles|TestStoreFixture|TestKeeperFixture|TestJournalFixture|TestStoreHeaderFailureCountsSweptTemps|TestTuneTransferJob|TestCLITransferStoreTornTailDrill|TestCLITransferFleetEquivalence|FuzzGroupKey|TestFingerprintKeyGolden|TestNearestMatchesSortTruncate|TestStoreCompactKeepsDistinctArgLists' \
 	  ./hotspot ./internal/transfer ./internal/checkpoint ./internal/httpapi .
 	go test -race -count=10 -run 'TestStoreConcurrentOpenAppendClose' ./internal/transfer
 

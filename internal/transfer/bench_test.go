@@ -129,8 +129,9 @@ func benchStore(b *testing.B) string {
 
 // BenchmarkStoreOpen is a warm start's store open at the durable-warm
 // benchmark's entry count (see benchStore for the entry widths): read,
-// CRC-check and decode 1000 entries and build the fingerprint index. Each iteration's Close drops the state, so every Open
-// reads the file again.
+// CRC-check and decode 1000 entries and build the fingerprint index.
+// Each iteration's Close drops the state, so every Open reads the file
+// again.
 func BenchmarkStoreOpen(b *testing.B) {
 	dir := benchStore(b)
 	b.ResetTimer()

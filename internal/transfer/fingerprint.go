@@ -27,6 +27,7 @@
 package transfer
 
 import (
+	"encoding/binary"
 	"math"
 	"strconv"
 
@@ -139,16 +140,12 @@ func FingerprintOf(p *workload.Profile) Fingerprint {
 	return fp
 }
 
-// Key renders the fingerprint as a compact stable string, used to group
-// store entries that describe the same workload behaviour.
+// Key renders the fingerprint as a compact stable string: the version,
+// then each value at 9 significant digits. Store entries whose Keys are
+// equal describe the same workload behaviour and share a group. Warm
+// checkpoints record the Key, so its bytes never change.
 func (fp Fingerprint) Key() string {
-	return string(fp.appendKey(nil))
-}
-
-// appendKey appends Key's rendering to dst.
-func (fp Fingerprint) appendKey(dst []byte) []byte {
-	dst = append(dst, 'v')
-	dst = strconv.AppendInt(dst, int64(fp.Version), 10)
+	dst := strconv.AppendInt([]byte("v"), int64(fp.Version), 10)
 	dst = append(dst, ':')
 	for i, v := range fp.F {
 		if i > 0 {
@@ -156,7 +153,137 @@ func (fp Fingerprint) appendKey(dst []byte) []byte {
 		}
 		dst = strconv.AppendFloat(dst, v, 'g', 9, 64)
 	}
+	return string(dst)
+}
+
+// The group key is Key's grouping without its float formatting, which
+// costs most of a store open. Key prints a value as its sign and its 9
+// significant digits, rounded half to even, so two values print alike
+// exactly when they share a class below and, if nonzero and finite, the
+// same 9 digits and decimal exponent. The group key holds those per
+// feature: a class byte, the digits as a big-endian uint32 (for a
+// non-finite value, which of NaN, +Inf and -Inf it is) and the exponent as
+// a big-endian int16.
+const (
+	classPosZero byte = iota
+	classNegZero
+	classPos
+	classNeg
+	classNonFinite
+)
+
+// appendGroupKey appends fp's group key to dst: the version and the feature
+// count as big-endian uint64s, then 7 bytes per feature. The fixed widths
+// make the key injective and no key a prefix of another, and two
+// fingerprints have equal group keys exactly when their Keys are equal.
+func (fp Fingerprint) appendGroupKey(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(fp.Version))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(fp.F)))
+	for _, v := range fp.F {
+		var class byte
+		var m uint64
+		var exp int
+		switch {
+		case v > 0 && v <= math.MaxFloat64:
+			class = classPos
+			m, exp = decimal9(v)
+		case v < 0 && v >= -math.MaxFloat64:
+			class = classNeg
+			m, exp = decimal9(-v)
+		case v == 0 && math.Signbit(v):
+			class = classNegZero
+		case v == 0:
+			class = classPosZero
+		case v > 0:
+			class, m = classNonFinite, 1
+		case v < 0:
+			class, m = classNonFinite, 2
+		default:
+			class = classNonFinite // NaN
+		}
+		dst = append(dst, class)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(m))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(int16(exp)))
+	}
 	return dst
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// decimal9 returns the 9 significant digits of a positive finite v as an
+// integer m in [1e8, 1e9) and its decimal exponent: exactly what
+// strconv.AppendFloat(v, 'e', 8, 64) prints, v ≈ m·10^(exp−8).
+//
+// It estimates the decade from v's binary exponent, scales v by one power
+// of ten that a float64 holds exactly, and rounds in integer arithmetic.
+// The one rounding of the scale leaves the scaled value, below 1e9 < 2³⁰,
+// within 2⁻²⁴ of the exact product, so rounding it gives the right digits
+// unless the product lies within 1e-6 of a tie. Those values, and those
+// whose scale needs a power of ten past 10^22, take decimal9Slow.
+func decimal9(v float64) (m uint64, exp int) {
+	// A normal v lies in [2^e2, 2^(e2+1)), and 78913/2^18 is log10(2)
+	// less 8e-7, so this is log10(v)'s floor or off by one. A subnormal v
+	// reads as e2 = -1023, whose scale needs strconv anyway.
+	e2 := int(math.Float64bits(v)>>52) - 1023
+	exp = e2 * 78913 >> 18
+	x, ok := scale10(v, 8-exp)
+	switch {
+	case ok && x >= 1e9:
+		exp++
+		x, ok = scale10(v, 8-exp)
+	case ok && x < 1e8:
+		exp--
+		x, ok = scale10(v, 8-exp)
+	}
+	if !ok || x < 1e8 || x >= 1e9 {
+		return decimal9Slow(v)
+	}
+	m = uint64(x)
+	switch frac := x - float64(m); {
+	case math.Abs(frac-0.5) < 1e-6:
+		return decimal9Slow(v)
+	case frac > 0.5:
+		m++
+	}
+	if m == 1e9 { // 999999999.5 and up round into the next decade
+		m, exp = 1e8, exp+1
+	}
+	return m, exp
+}
+
+// scale10 returns v·10^p, rounded once, if 10^|p| is in pow10. The
+// conversion keeps the compiler from fusing the product into a later
+// operation.
+func scale10(v float64, p int) (float64, bool) {
+	switch {
+	case 0 <= p && p < len(pow10):
+		return float64(v * pow10[p]), true
+	case -len(pow10) < p && p < 0:
+		return float64(v / pow10[-p]), true
+	}
+	return 0, false
+}
+
+// decimal9Slow is decimal9 read off strconv's output, "d.dddddddde±dd"
+// with two or three exponent digits.
+func decimal9Slow(v float64) (m uint64, exp int) {
+	var buf [24]byte
+	b := strconv.AppendFloat(buf[:0], v, 'e', 8, 64)
+	m = uint64(b[0] - '0')
+	for _, c := range b[2:10] {
+		m = m*10 + uint64(c-'0')
+	}
+	for _, c := range b[12:] {
+		exp = exp*10 + int(c-'0')
+	}
+	if b[11] == '-' {
+		exp = -exp
+	}
+	return m, exp
 }
 
 // Distance is the similarity metric between two fingerprints: the weighted

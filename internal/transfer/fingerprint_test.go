@@ -111,3 +111,33 @@ func TestFeatureNamesUniqueAndStable(t *testing.T) {
 		t.Fatalf("fingerprint schema drifted (first=%q, len=%d) — bump FingerprintVersion", names[0], len(names))
 	}
 }
+
+// TestFingerprintKeyGolden pins Key's bytes to what the build before the
+// binary group key printed. Warm checkpoints record the Key and a resume
+// compares it, so the group key's fast path must never reach Key, or
+// checkpoints written by older builds would stop resuming.
+func TestFingerprintKeyGolden(t *testing.T) {
+	h2, ok := workload.ByName("h2")
+	if !ok {
+		t.Fatal("h2: not found")
+	}
+	crafted := Fingerprint{Version: 1, F: []float64{
+		0, math.Copysign(0, -1), 1, 5e-324, 0.9999999995,
+		math.Nextafter(1234567885, math.Inf(1)), // one ulp above a tie
+		1234567885,                              // a tie, rounded to even
+		math.Nextafter(123456789.5, 0),          // one ulp below a tie
+		999999999.5,                             // a tie that rounds into the next decade
+		-0.25, math.MaxFloat64,
+	}}
+	for _, c := range []struct {
+		fp   Fingerprint
+		want string
+	}{
+		{FingerprintOf(h2), "v1:0.806391928,0.1,0.02,0.813878428,0.6,0.6,0.2,0.2,0.840148218,0.95135916,0.77815125,0.8,0.12,0.5,0.714131934,0.05,0.7,0.15,0.3,0.5,0.15,0.465980003,0"},
+		{crafted, "v1:0,-0,1,4.94065646e-324,0.999999999,1.23456789e+09,1.23456788e+09,123456789,1e+09,-0.25,1.79769313e+308"},
+	} {
+		if got := c.fp.Key(); got != c.want {
+			t.Errorf("Key() = %q, want %q", got, c.want)
+		}
+	}
+}

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -243,6 +245,59 @@ func FuzzEntryCodec(f *testing.F) {
 		for _, bad := range [][]byte{p2[:len(p2)-1], append(p2[:len(p2):len(p2)], 0)} {
 			if _, err := decodeRecord(bad, string(bad)); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("malformed payload (%d of %d bytes) decoded: %v", len(bad), len(p2), err)
+			}
+		}
+	})
+}
+
+// FuzzGroupKey holds the store's binary group key to Key, which it stands
+// in for: for any two values, one-feature fingerprints have equal group
+// keys exactly when their Keys are equal, and so do the two-feature
+// fingerprints that hold the values in either order. For a nonzero finite
+// value, decimal9's digits and exponent must be those strconv prints with
+// the 'e' format at 8 decimals. A non-finite value never reaches the store's
+// index, since Append and the decoder reject it, but the key still takes
+// it without a panic.
+//
+// The seeds in code sweep what the fast path decides near: one ulp either
+// side of a 9-digit tie and of a power of ten, at every exponent the fast
+// path serves and a few past it, plus random bit patterns.
+func FuzzGroupKey(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for exp := -17; exp <= 32; exp++ {
+		tie := (float64(1e8+rng.Int63n(9e8)) + 0.5) * math.Pow(10, float64(exp-8))
+		pow := math.Pow(10, float64(exp))
+		f.Add(math.Nextafter(tie, 0), math.Nextafter(tie, math.Inf(1)))
+		f.Add(math.Nextafter(pow, 0), math.Nextafter(pow, math.Inf(1)))
+	}
+	for range 20 {
+		f.Add(math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64()))
+	}
+
+	f.Fuzz(func(t *testing.T, a, b float64) {
+		groupKey := func(fp Fingerprint) string { return string(fp.appendGroupKey(nil)) }
+		one := func(v float64) Fingerprint { return Fingerprint{Version: 1, F: []float64{v}} }
+		ab := Fingerprint{Version: 1, F: []float64{a, b}}
+		ba := Fingerprint{Version: 1, F: []float64{b, a}}
+		for _, p := range [][2]Fingerprint{{one(a), one(b)}, {ab, ba}} {
+			if (groupKey(p[0]) == groupKey(p[1])) != (p[0].Key() == p[1].Key()) {
+				t.Fatalf("group keys of %q and %q disagree with their Keys", p[0].Key(), p[1].Key())
+			}
+		}
+		for _, v := range []float64{a, b} {
+			v = math.Abs(v)
+			if v == 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+				continue
+			}
+			s := strconv.FormatFloat(v, 'e', 8, 64)
+			mant, exp, _ := strings.Cut(s, "e")
+			wantM, err1 := strconv.ParseUint(strings.Replace(mant, ".", "", 1), 10, 64)
+			wantE, err2 := strconv.Atoi(exp)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("cannot parse strconv's %q", s)
+			}
+			if m, e := decimal9(v); m != wantM || e != wantE {
+				t.Fatalf("decimal9(%v) = %d, %d; strconv prints %s", v, m, e, s)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -122,9 +123,10 @@ type store struct {
 	lastCmp int64 // size after the most recent compaction (or open)
 	entries []*Entry
 	nextSeq int64
-	// groups maps a fingerprint Key to its group's index in best, the
-	// group's best entry: lowest relScore, ties to the lower Seq. Nearest
-	// answers from best without regrouping the entries on every call.
+	// groups maps a fingerprint's group key (appendGroupKey) to its
+	// group's index in best, the group's best entry: lowest relScore, ties
+	// to the lower Seq. Nearest answers from best without regrouping the
+	// entries on every call.
 	groups map[string]int
 	best   []*Entry
 	keyBuf []byte
@@ -210,12 +212,14 @@ func load(path string, tel *telemetry.Registry) (*store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transfer: %w", err)
 	}
-	s := &store{j: j, path: path, groups: make(map[string]int)}
 	migrate := j.Version() < StoreVersion
 	var cut bool
 	if migrate {
 		payloads, cut = migrateV1(payloads)
 	}
+	// Each payload holds at most one entry, which opens at most one group.
+	s := &store{j: j, path: path, entries: make([]*Entry, 0, len(payloads)),
+		groups: make(map[string]int, len(payloads)), best: make([]*Entry, 0, len(payloads))}
 	n := s.replay(payloads)
 	cut = cut || n < len(payloads)
 	if migrate || cut {
@@ -262,7 +266,7 @@ func (s *store) replay(payloads [][]byte) int {
 // index files e under its fingerprint group, replacing the group's best
 // entry if e ranks ahead of it.
 func (s *store) index(e *Entry) {
-	s.keyBuf = e.FP.appendKey(s.keyBuf[:0])
+	s.keyBuf = e.FP.appendGroupKey(s.keyBuf[:0])
 	i, ok := s.groups[string(s.keyBuf)]
 	if !ok {
 		s.groups[string(s.keyBuf)] = len(s.best)
@@ -356,12 +360,18 @@ func (h *Store) Compact() error {
 // compact is Compact with s.mu held.
 func (s *store) compact(tel *telemetry.Registry) error {
 	// Keep the best (lowest relScore, ties to the earliest Seq) entry for
-	// each distinct (fingerprint, configuration) pair. Iterating in Seq
-	// order makes "first wins on tie" fall out of the strict < comparison.
+	// each distinct (fingerprint, configuration) pair, keyed by the group
+	// key and then each argument behind its length. Iterating in Seq order
+	// makes "first wins on tie" fall out of the strict < comparison.
 	best := make(map[string]*Entry)
 	var keys []string
+	var buf []byte
 	for _, e := range s.bySeq() {
-		k := e.FP.Key() + "|" + fmt.Sprint(e.Args)
+		buf = e.FP.appendGroupKey(buf[:0])
+		for _, a := range e.Args {
+			buf = append(binary.AppendUvarint(buf, uint64(len(a))), a...)
+		}
+		k := string(buf)
 		if cur, ok := best[k]; !ok {
 			best[k] = e
 			keys = append(keys, k)
@@ -414,27 +424,37 @@ func (h *Store) Nearest(fp Fingerprint, k int) []Neighbor {
 	h.s.mu.Lock()
 	defer h.s.mu.Unlock()
 
-	out := make([]Neighbor, 0, len(h.s.best))
+	// Keep the k best neighbours seen so far in order. A new one goes
+	// behind every neighbour it does not rank ahead of; once k are kept,
+	// it takes the place of the last.
+	out := make([]Neighbor, 0, min(k, len(h.s.best)))
 	for _, e := range h.s.best {
-		d := fp.Distance(e.FP)
-		if math.IsInf(d, 1) {
+		nb := Neighbor{Entry: e, Distance: fp.Distance(e.FP)}
+		if math.IsInf(nb.Distance, 1) || len(out) == k && !nb.before(&out[k-1]) {
 			continue
 		}
-		out = append(out, Neighbor{Entry: e, Distance: d})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Distance != out[j].Distance {
-			return out[i].Distance < out[j].Distance
+		if len(out) < k {
+			out = append(out, nb)
 		}
-		if out[i].Entry.Workload != out[j].Entry.Workload {
-			return out[i].Entry.Workload < out[j].Entry.Workload
+		i := len(out) - 1
+		for ; i > 0 && nb.before(&out[i-1]); i-- {
+			out[i] = out[i-1]
 		}
-		return out[i].Entry.Seq < out[j].Entry.Seq
-	})
-	if len(out) > k {
-		out = out[:k]
+		out[i] = nb
 	}
 	return out
+}
+
+// before reports whether n ranks ahead of o in Nearest's order: by
+// distance, then workload name, then sequence number.
+func (n *Neighbor) before(o *Neighbor) bool {
+	if n.Distance != o.Distance {
+		return n.Distance < o.Distance
+	}
+	if n.Entry.Workload != o.Entry.Workload {
+		return n.Entry.Workload < o.Entry.Workload
+	}
+	return n.Entry.Seq < o.Entry.Seq
 }
 
 // Close releases the handle; later Appends through it fail. Closing a

@@ -3,8 +3,12 @@ package transfer
 import (
 	"bytes"
 	"errors"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -224,6 +228,43 @@ func TestStoreCompact(t *testing.T) {
 	}
 }
 
+// TestStoreCompactKeepsDistinctArgLists pins that compaction keys a
+// configuration by its argument list rather than a rendering of it: one
+// argument holding a space and the two arguments it splits into print
+// alike under fmt.Sprint, but they are different configurations, and both
+// must survive.
+func TestStoreCompactKeepsDistinctArgLists(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := workload.Names()[0]
+	joined := []string{"-XX:+UseG1GC -XX:+UseStringDeduplication"}
+	split := []string{"-XX:+UseG1GC", "-XX:+UseStringDeduplication"}
+	if err := st.Append(testEntry(t, n, 15, joined...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(testEntry(t, n, 12, split...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st2, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	ents := st2.Entries()
+	if len(ents) != 2 || !slices.Equal(ents[0].Args, joined) || ents[0].Score != 15 ||
+		!slices.Equal(ents[1].Args, split) || ents[1].Score != 12 {
+		t.Fatalf("compaction kept %d entries, want the joined (15) and the split (12) lists", len(ents))
+	}
+}
+
 func TestStoreStaleCompactTempSwept(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, nil)
@@ -346,6 +387,98 @@ func TestNearest(t *testing.T) {
 	// Default k.
 	if got := st.Nearest(fp, 0); len(got) != 3 {
 		t.Fatalf("default k returned %d", len(got))
+	}
+}
+
+// TestNearestMatchesSortTruncate holds Nearest's top-k selection to the
+// reference it replaced, sorting every group and truncating to k: over
+// random in-memory stores whose fingerprints sit on a coarse grid (so
+// distances tie), whose workload names repeat, and which hold entries
+// from a future fingerprint version, for k of 1, 3, 7, more than the
+// number of groups, and the default (k ≤ 0 means 3). A nil store has no
+// neighbours.
+func TestNearestMatchesSortTruncate(t *testing.T) {
+	if nb := (*Store)(nil).Nearest(Fingerprint{}, 3); nb != nil {
+		t.Fatalf("nil store returned %d neighbours", len(nb))
+	}
+	reference := func(s *store, fp Fingerprint, k int) []Neighbor {
+		if k <= 0 {
+			k = 3
+		}
+		var all []Neighbor
+		for _, e := range s.best {
+			if d := fp.Distance(e.FP); !math.IsInf(d, 1) {
+				all = append(all, Neighbor{Entry: e, Distance: d})
+			}
+		}
+		sort.SliceStable(all, func(i, j int) bool {
+			a, b := all[i], all[j]
+			if a.Distance != b.Distance {
+				return a.Distance < b.Distance
+			}
+			if a.Entry.Workload != b.Entry.Workload {
+				return a.Entry.Workload < b.Entry.Workload
+			}
+			return a.Entry.Seq < b.Entry.Seq
+		})
+		return all[:min(k, len(all))]
+	}
+	rng := rand.New(rand.NewSource(1))
+	// Sparse vectors over {0, ½, 1} put many groups at equal distances.
+	grid := func() Fingerprint {
+		fp := Fingerprint{Version: FingerprintVersion, F: make([]float64, len(features))}
+		for i := range fp.F {
+			if rng.Intn(8) == 0 {
+				fp.F[i] = float64(1+rng.Intn(2)) / 2
+			}
+		}
+		return fp
+	}
+	var ties, nameTies int
+	for n := 0; n < 2000; n++ {
+		s := &store{groups: make(map[string]int)}
+		pool := make([]Fingerprint, 1+rng.Intn(12))
+		for i := range pool {
+			pool[i] = grid()
+			if rng.Intn(6) == 0 {
+				pool[i].Version++
+			}
+		}
+		for seq := range rng.Intn(40) {
+			e := &Entry{
+				Seq:      int64(seq),
+				FP:       pool[rng.Intn(len(pool))],
+				Workload: string(rune('a' + rng.Intn(3))),
+				Score:    float64(10 + rng.Intn(3)), BaselineScore: 20,
+			}
+			s.entries = append(s.entries, e)
+			s.index(e)
+		}
+		h := &Store{s: s}
+		fp := grid()
+		if rng.Intn(2) == 0 {
+			fp = pool[rng.Intn(len(pool))]
+		}
+		for _, k := range []int{1, 3, 7, len(s.best) + 1, 0, -1} {
+			got, want := h.Nearest(fp, k), reference(s, fp, k)
+			if len(got) != len(want) {
+				t.Fatalf("store %d, k=%d: %d neighbours, want %d", n, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Entry != want[i].Entry || got[i].Distance != want[i].Distance {
+					t.Fatalf("store %d, k=%d: neighbour %d is %+v, want %+v", n, k, i, got[i], want[i])
+				}
+				if i > 0 && want[i].Distance == want[i-1].Distance {
+					ties++
+					if want[i].Entry.Workload == want[i-1].Entry.Workload {
+						nameTies++
+					}
+				}
+			}
+		}
+	}
+	if ties < 500 || nameTies < 100 {
+		t.Fatalf("the stores tied on distance %d times and on the name too %d times: too few to test the tie-breaks", ties, nameTies)
 	}
 }
 
