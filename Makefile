@@ -57,10 +57,13 @@ overload-drill:
 # a loopback node, one trial or 16 at a time, as in-process, and the
 # controller must grant a joining node the lease it asks for — while a node
 # whose join interval asks for more than any controller grants must refuse
-# to start rather than retry forever.
+# to start rather than retry forever. The pool measures along one path: a
+# round's retries run in lockstep exactly as one-by-one measurements would,
+# a trial measured alone is a batch of one, and a wave starts one goroutine
+# per request past the first and none per trial.
 dist-drill:
 	go test -race -count=1 \
-	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestRejectedTrialMeasurementsAgree|TestPlacementsAppendNothingToFleetJournal|TestAttachFleetReplaysOlderJournal|TestCheckpointBytesFleetEquivalence|TestMembershipGrantsAskedLease|TestJoinerRefusesIntervalPastLeaseLimit|TestCLIEvaldRefusesLongJoinInterval|TestCLIDistDrill' \
+	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestRejectedTrialMeasurementsAgree|TestPlacementsAppendNothingToFleetJournal|TestAttachFleetReplaysOlderJournal|TestCheckpointBytesFleetEquivalence|TestMembershipGrantsAskedLease|TestJoinerRefusesIntervalPastLeaseLimit|TestCLIEvaldRefusesLongJoinInterval|TestRunBatchMatchesRun|TestMeasureIsBatchOfOne|TestWaveStartsOneGoroutinePerRequestPastTheFirst|TestCLIDistDrill' \
 	  ./internal/dispatch ./internal/runner ./hotspot .
 
 # The transfer drills: the cross-workload knowledge base's survival and
@@ -106,7 +109,8 @@ test:
 	go test ./...
 
 # Record the next BENCH_<n>.json trajectory point. bench-check reruns the
-# suite and fails on >10% regression against the latest recorded point.
+# suite five times and fails when a metric's median is more than 10% worse
+# than the latest recorded point.
 bench:
 	./scripts/bench.sh
 

@@ -6,13 +6,14 @@
 //
 // fmt reads benchmark output on stdin and writes one JSON object per suite
 // run: ns/op, allocs/op, B/op, and any custom metrics (trials/s) keyed by
-// benchmark name, with -note free text attached verbatim.
+// benchmark name, with -note free text attached verbatim. A benchmark run
+// several times (-count) records each metric's median sample.
 //
 // check exits 1 when any benchmark present in both files got more than 10%
 // slower (ns/op up, or a custom rate metric like trials/s down); new and
 // vanished benchmarks are reported but never fail the check, so the suite
-// can grow. The threshold absorbs scheduler noise — real regressions from
-// representation changes are multiples, not percents.
+// can grow. It compares the recorded medians: one sample of a session
+// benchmark can stray further than the threshold on an unchanged binary.
 package main
 
 import (
@@ -64,6 +65,7 @@ func cmdFmt(args []string) {
 	_ = fs.Parse(args)
 
 	p := Point{Note: *note, Benchmarks: map[string]map[string]float64{}}
+	samples := map[[2]string][]float64{} // (name, unit) → every run's value
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -71,14 +73,19 @@ func cmdFmt(args []string) {
 		if !ok {
 			continue
 		}
-		// A re-run of the same benchmark (e.g. -count) keeps the last sample.
 		p.Benchmarks[name] = metrics
+		for unit, v := range metrics {
+			samples[[2]string{name, unit}] = append(samples[[2]string{name, unit}], v)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		fatal("read: %v", err)
 	}
 	if len(p.Benchmarks) == 0 {
 		fatal("no benchmark lines on stdin")
+	}
+	for k, vs := range samples {
+		p.Benchmarks[k[0]][k[1]] = median(vs)
 	}
 	enc, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {
@@ -92,6 +99,12 @@ func cmdFmt(args []string) {
 	if err := os.WriteFile(*out, enc, 0o644); err != nil {
 		fatal("write: %v", err)
 	}
+}
+
+// median returns the middle sample of vs, or the mean of the middle two.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	return (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
 }
 
 // parseBenchLine parses one `go test -bench` result line:

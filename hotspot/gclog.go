@@ -3,8 +3,6 @@ package hotspot
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/jvmsim"
 )
 
 // GCLogStats summarizes a -XX:+PrintGC-style log: the observable facts a
@@ -168,7 +166,3 @@ func clampf(v, lo, hi float64) float64 {
 	}
 	return v
 }
-
-// formatGCLogForTest re-exports the simulator's log synthesizer so the
-// import path can be tested against logs of the same dialect.
-var formatGCLogForTest = jvmsim.FormatGCLog

@@ -1,6 +1,7 @@
 package hotspot
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,9 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
-// sampleLog synthesizes a GC log by running a known workload on the
-// simulator — the same dialect a real -XX:+PrintGC produces.
-func sampleLog(t *testing.T, bench string) (string, float64) {
+// sampleRun runs a known workload under defaults on a noiseless
+// simulator.
+func sampleRun(t *testing.T, bench string) jvmsim.Result {
 	t.Helper()
 	p, ok := workload.ByName(bench)
 	if !ok {
@@ -23,7 +24,53 @@ func sampleLog(t *testing.T, bench string) (string, float64) {
 	if r.Failed {
 		t.Fatal("run failed")
 	}
-	return formatGCLogForTest(r), r.WallSeconds
+	return r
+}
+
+// sampleLog synthesizes a GC log by running a known workload on the
+// simulator — the same dialect a real -XX:+PrintGC produces.
+func sampleLog(t *testing.T, bench string) (string, float64) {
+	t.Helper()
+	r := sampleRun(t, bench)
+	return jvmsim.FormatGCLog(r), r.WallSeconds
+}
+
+// TestFormatGCLogRoundTrip: the log the simulator synthesizes for a run
+// parses back to that run's collections and stop time, with increasing
+// timestamps.
+func TestFormatGCLogRoundTrip(t *testing.T) {
+	r := sampleRun(t, "h2")
+	log := jvmsim.FormatGCLog(r)
+	if log == "" {
+		t.Fatal("h2 collects; log should not be empty")
+	}
+	stats, err := ParseGCLog(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Integer truncation of modelled counts, so allow off-by-one-ish.
+	if diff := float64(stats.MinorGCs+stats.FullGCs) - (r.MinorGCs + r.FullGCs); diff > 2 || diff < -2 {
+		t.Errorf("log events %d+%d vs model %.1f+%.1f", stats.MinorGCs, stats.FullGCs, r.MinorGCs, r.FullGCs)
+	}
+	if stats.FullGCs == 0 {
+		t.Error("h2 under defaults has full GCs; none in log")
+	}
+	// Reconstructed stop time within 30% of the model (apportioning between
+	// minor and full pauses is approximate).
+	if stats.StopSeconds < r.GCStopSeconds*0.7 || stats.StopSeconds > r.GCStopSeconds*1.3 {
+		t.Errorf("log stop time %.2fs vs model %.2fs", stats.StopSeconds, r.GCStopSeconds)
+	}
+	lastT := -1.0
+	for _, line := range strings.Split(strings.TrimSpace(log), "\n") {
+		var ts float64
+		if n, _ := fmt.Sscanf(line, "%f:", &ts); n != 1 {
+			t.Fatalf("bad line %q", line)
+		}
+		if ts <= lastT {
+			t.Fatalf("timestamps not increasing at %q", line)
+		}
+		lastT = ts
+	}
 }
 
 func TestParseGCLog(t *testing.T) {
@@ -52,6 +99,9 @@ func TestParseGCLog(t *testing.T) {
 func TestParseGCLogRejectsGarbage(t *testing.T) {
 	if _, err := ParseGCLog("hello world"); err == nil {
 		t.Error("garbage should error")
+	}
+	if s, err := ParseGCLog(""); err != nil || *s != (GCLogStats{}) {
+		t.Errorf("empty log should parse to zeros: %+v, %v", s, err)
 	}
 }
 

@@ -86,7 +86,7 @@ func transferSetup(opts Options, prof *workload.Profile) *transferSession {
 		ts.info.NearestDistance = neighbors[0].Distance
 		opts.Telemetry.Gauge("transfer_nearest_distance").Set(neighbors[0].Distance)
 	}
-	ts.priors = transfer.Priors(st, flags.NewRegistry(), ts.fp, k)
+	ts.priors = transfer.PriorsFrom(flags.NewRegistry(), neighbors)
 	ts.info.Priors = len(ts.priors)
 	for _, p := range ts.priors {
 		ts.info.RepairedFlags += p.Dropped

@@ -185,8 +185,8 @@ func (s *Session) runLoop(runCtx context.Context, ctx *Context, out *Outcome,
 	ck *ckState, rob *robState, ds *driftState) error {
 	workers := len(slotFree)
 
-	// A batching runner fans a round out itself (the dispatch pool's
-	// batched transport), so it gets no measuring goroutines.
+	// A batching runner fans a round out itself (the dispatch pool), so it
+	// gets no measuring goroutines.
 	bm, batched := s.Runner.(runner.BatchMeasurer)
 	width := workers
 	if batched {
@@ -379,11 +379,10 @@ func (s *Session) runLoop(runCtx context.Context, ctx *Context, out *Outcome,
 		// Measure the fresh trials concurrently. This is where the session
 		// overlaps real work: up to `workers` Runner.Measure calls in
 		// flight — or, when the runner batches (runner.BatchMeasurer, the
-		// dispatch pool's batched transport), a round of several in one
-		// call. The two paths are byte-equivalent by the BatchMeasurer
-		// contract; only the number of wire round trips differs.
+		// dispatch pool), the whole round in one call. The two paths are
+		// byte-equivalent by the BatchMeasurer contract.
 		switch {
-		case batched && len(fresh) > 1:
+		case batched:
 			cfgs := make([]*flags.Config, len(fresh))
 			for i, tr := range fresh {
 				cfgs[i] = tr.cfg

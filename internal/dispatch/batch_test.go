@@ -1,9 +1,15 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"reflect"
+	"runtime"
+	"runtime/pprof"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -69,6 +75,145 @@ func TestMeasureBatchMatchesInProcess(t *testing.T) {
 		if pool.Elapsed() != ip.Elapsed() {
 			t.Fatalf("batch=%d: virtual clocks diverged: pool %v, in-process %v",
 				batch, pool.Elapsed(), ip.Elapsed())
+		}
+	}
+}
+
+// callerEval answers every request on the goroutine that sends it, one
+// trial after another. Per request it records that goroutine's ID and how
+// many goroutines carry the round's profiler label: the measuring
+// goroutine and every goroutine started under it.
+type callerEval struct {
+	*Local
+	label string
+	mu    sync.Mutex
+	gids  []uint64
+	peak  int
+}
+
+func (e *callerEval) EvaluateBatch(ctx context.Context, req *BatchRequest) (*BatchResult, error) {
+	n := labelled(e.label)
+	e.mu.Lock()
+	e.gids = append(e.gids, goid())
+	e.peak = max(e.peak, n)
+	e.mu.Unlock()
+	return evaluateEach{e.Local}.EvaluateBatch(ctx, req)
+}
+
+// goid returns the calling goroutine's ID, which the runtime never reuses.
+func goid() uint64 {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, err := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// labelled counts the live goroutines whose profiler labels hold
+// round=label; a goroutine inherits the labels of the one that starts it.
+func labelled(label string) int {
+	var b bytes.Buffer
+	pprof.Lookup("goroutine").WriteTo(&b, 1)
+	total, group := 0, 0
+	for _, line := range strings.Split(b.String(), "\n") {
+		if n, _, ok := strings.Cut(line, " @ "); ok {
+			group, _ = strconv.Atoi(n)
+		} else if strings.HasPrefix(line, "# labels: ") && strings.Contains(line, `"round":"`+label+`"`) {
+			total += group
+		}
+	}
+	return total
+}
+
+// TestWaveStartsOneGoroutinePerRequestPastTheFirst: a wave ships its
+// first request on the measuring goroutine and every further request on a
+// goroutine of its own, and starts no goroutine per trial. A 16-trial
+// round at Batch 16 is one request on the caller's goroutine and starts
+// nothing; at Batch 0 it is 16 one-trial requests on 16 goroutines, one
+// of them the caller's.
+func TestWaveStartsOneGoroutinePerRequestPastTheFirst(t *testing.T) {
+	prof := poolProfile(t, "fop")
+	cfgs := batchConfigs(flags.NewRegistry(), 16)
+	for _, tc := range []struct{ batch, requests int }{{16, 1}, {0, 16}} {
+		// Unique per run, so a goroutine of an earlier run still exiting
+		// is never counted.
+		label := strconv.Itoa(tc.batch) + "@" + strconv.FormatInt(time.Now().UnixNano(), 10)
+		ev := &callerEval{Local: NewLocal(prof, "n0"), label: label}
+		pool := newTestPool(t, "fop", ev)
+		pool.Batch = tc.batch
+		self := goid()
+		pprof.Do(context.Background(), pprof.Labels("round", label), func(context.Context) {
+			for i, m := range pool.MeasureBatch(cfgs, 1) {
+				if m.Failed {
+					t.Fatalf("batch=%d trial %d: %+v", tc.batch, i, m)
+				}
+			}
+		})
+		distinct := make(map[uint64]bool)
+		for _, g := range ev.gids {
+			distinct[g] = true
+		}
+		if len(ev.gids) != tc.requests || len(distinct) != tc.requests || !distinct[self] {
+			t.Errorf("batch=%d: %d requests on goroutines %v, want %d on as many goroutines, one of them the caller's (%d)",
+				tc.batch, len(ev.gids), ev.gids, tc.requests, self)
+		}
+		if ev.peak < 1 || ev.peak > tc.requests {
+			t.Errorf("batch=%d: %d goroutines of the round alive during a request, want between 1 and %d",
+				tc.batch, ev.peak, tc.requests)
+		}
+	}
+}
+
+// TestMeasureIsBatchOfOne: a trial placed through Measure and the same
+// trial placed as a MeasureBatch of one leave the same measurement, clock
+// and state bytes at any batch size, through cache replays and through
+// retries of placements the fleet could not take.
+func TestMeasureIsBatchOfOne(t *testing.T) {
+	prof := poolProfile(t, "fop")
+	reg := flags.NewRegistry()
+	cfgs := batchConfigs(reg, 4)
+	cfgs = append(cfgs, cfgs[1].Clone(), cfgs[2])
+	for _, batch := range []int{0, 1, 16} {
+		type result struct {
+			ms    []runner.Measurement
+			clock float64
+			state []byte
+		}
+		run := func(measure func(p *Pool, cfg *flags.Config) runner.Measurement) result {
+			pool := newTestPool(t, "fop", NewLocal(prof, "n0"), NewLocal(prof, "n1"))
+			pool.Batch, pool.MaxTries = batch, 2
+			// The first attempt of cfgs[0] and cfgs[3] finds no node: a
+			// transient node-down the harness retries.
+			placed := make(map[string]int)
+			pool.FaultHook = func(_, key string, _ int) bool {
+				placed[key]++
+				return placed[key] <= 2 && (key == cfgs[0].Key() || key == cfgs[3].Key())
+			}
+			var r result
+			for _, cfg := range cfgs {
+				r.ms = append(r.ms, measure(pool, cfg))
+			}
+			r.clock = pool.Elapsed()
+			var err error
+			if r.state, err = pool.SnapshotState(); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		want := run(func(p *Pool, cfg *flags.Config) runner.Measurement { return p.Measure(cfg, 2) })
+		got := run(func(p *Pool, cfg *flags.Config) runner.Measurement {
+			return p.MeasureBatch([]*flags.Config{cfg}, 2)[0]
+		})
+		if m := want.ms[0]; m.Failed || m.Attempts != 2 || m.Flakes != 1 {
+			t.Fatalf("batch=%d: want one retried node-down before the measurement, got %+v", batch, m)
+		}
+		if !want.ms[4].FromCache || !want.ms[5].FromCache {
+			t.Fatalf("batch=%d: re-proposals should replay from the cache: %+v", batch, want.ms[4:])
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("batch=%d: MeasureBatch of one diverges from Measure:\n%+v\nvs\n%+v", batch, got, want)
 		}
 	}
 }

@@ -47,10 +47,9 @@ type Pool struct {
 	// MaxTries bounds placements per attempt before the trial surfaces as
 	// a transient NodeDownFailure; values below 1 mean 8× the fleet size.
 	MaxTries int
-	// Batch caps trials per evaluate-batch round trip. Zero ships each
-	// trial as a batch of one: MeasureBatch still satisfies the executor's
-	// batch seam but degrades to concurrent single-trial placement, which
-	// is the reference behavior batching must stay byte-identical to.
+	// Batch caps trials per evaluate-batch round trip; zero or less sends
+	// one trial per request. It sets a request size only: a wave ships
+	// every request concurrently along the same path at any value.
 	Batch int
 	// JoinGrace is how long a placement waits for a first node when a
 	// dynamic pool's fleet is momentarily empty (nodes join at runtime;
@@ -101,9 +100,6 @@ type node struct {
 	dead     bool      // currently considered dead (journaled)
 	evals    uint64    // successful evaluations served
 }
-
-// errInjectedNodeDown marks a FaultHook-forced placement failure.
-var errInjectedNodeDown = errors.New("dispatch: injected node-down fault")
 
 // NewPool builds a pool over evs measuring prof. At least one evaluator
 // is required.
@@ -438,44 +434,10 @@ func (p *Pool) SetPhase(phase int, shift jvmsim.PhaseShift) error {
 	return p.phases.Set(phase, shift, jvmsim.New(), p.profile, &p.TimeoutSeconds)
 }
 
-// Measure implements runner.Runner with the exact cache, rep-index,
-// retry, and telemetry semantics of runner.InProcess — the shared
-// runner.Harness — placing each attempt on the fleet as a wave of one.
+// Measure implements runner.Runner as a batch of one, so a trial placed
+// alone takes the pool's one measuring path.
 func (p *Pool) Measure(cfg *flags.Config, reps int) runner.Measurement {
-	return p.measure(cfg, reps, func(c *batchCall) { p.placeWave([]*batchCall{c}) })
-}
-
-// measure is the shared Measure body; place delivers one placement attempt
-// to the fleet (a wave of one, or a rendezvous into a batched wave — the
-// choice changes only where the bytes travel, never what they are) and
-// the attempt's measurement comes back on the call's reply channel.
-func (p *Pool) measure(cfg *flags.Config, reps int, place func(*batchCall)) runner.Measurement {
-	phase, shift, _ := p.phases.Current(p.profile)
-	// The args are the canonical form that cfg.Key() names: every
-	// assignment off its default, plus forced defaults whose explicitness
-	// the simulated VM — like a real one — can tell apart (an explicit
-	// UseParallelGC). The node re-derives the key from them, so what it
-	// measures is what the cache entry stands for. Rendered once, by the
-	// first attempt: a cache hit renders nothing.
-	var args []string
-	rendered := false
-	return p.Run(cfg, reps, phase, !p.DisableCache, func(repBase, reps int) runner.Measurement {
-		if !rendered {
-			args, rendered = cfg.ExplicitArgs(), true
-		}
-		req := &TrialRequest{
-			Key: cfg.Key(), Benchmark: p.profile.Name, Args: args,
-			RepBase: repBase, Reps: reps,
-			TimeoutSeconds: p.TimeoutSeconds, Noise: p.Noise,
-		}
-		if phase > 0 {
-			s := shift
-			req.Phase, req.Shift = phase, &s
-		}
-		c := &batchCall{req: req, reply: make(chan runner.Measurement, 1)}
-		place(c)
-		return <-c.reply
-	})
+	return p.MeasureBatch([]*flags.Config{cfg}, reps)[0]
 }
 
 // retryAfterOf extracts a shed node's backoff hint, if the error carries

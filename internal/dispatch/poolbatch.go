@@ -9,22 +9,23 @@ import (
 	"time"
 
 	"repro/internal/flags"
+	"repro/internal/jvmsim"
 	"repro/internal/runner"
 )
 
-// Batched dispatch, pool side. MeasureBatch implements the executor's
-// runner.BatchMeasurer seam: a round of fresh trials arrives as one call,
-// and the pool ships it in waves of evaluate-batch round trips instead of
-// one round trip per trial. The machinery is transport-only by design —
-// every trial keeps the exact cache, rep-index, retry, and telemetry path
-// of a single Measure (literally the same measure() body; only the
-// placement callback changes), and every placement, batched or not, ships
-// through EvaluateBatch and settles by one verdict rule, so a batched
-// session is byte-identical to an unbatched or in-process one at any batch
-// size. That equivalence is what lets partial-batch salvage re-dispatch
-// the unsettled remainder of a failed batch under the same repBase: a
-// placement that never settled never measured anywhere, exactly like a
-// node death.
+// The pool's one measuring path. MeasureBatch implements the executor's
+// runner.BatchMeasurer seam, and Measure is a batch of one: the shared
+// runner.Harness drives a round's trials in lockstep (Harness.RunBatch),
+// so every trial keeps the exact cache, rep-index, retry and telemetry
+// path of the in-process runner, and each retry round's pending attempts
+// are one placement wave. A wave cuts each node's share into requests of
+// at most Batch trials (one with batching off) and ships them all at
+// once, so the batch knob sets a request size and never a code path. Every
+// placement ships through EvaluateBatch and settles by one verdict rule,
+// so a session is byte-identical at any batch size and in-process. That
+// equivalence is what lets partial-batch salvage re-dispatch the unsettled
+// remainder of a failed request under the same repBase: a placement that
+// never settled never measured anywhere, exactly like a node death.
 
 // BatchEvaluator is implemented by evaluators that can serve several
 // trials in one round trip (Remote, Local). The pool serves an evaluator
@@ -33,78 +34,49 @@ type BatchEvaluator interface {
 	EvaluateBatch(ctx context.Context, req *BatchRequest) (*BatchResult, error)
 }
 
-// batchCall is one trial's rendezvous with the wave coordinator: a
-// placement request and the channel its measurement comes back on.
-type batchCall struct {
-	req   *TrialRequest
-	reply chan runner.Measurement
+// call is one attempt on its way to the fleet: the request that places it
+// and the measurement it settles into.
+type call struct {
+	req TrialRequest
+	m   *runner.Measurement
 }
 
-// MeasureBatch implements runner.BatchMeasurer. With Batch <= 0 it
-// degrades to the reference behavior — concurrent single Measures, which
-// is exactly what the executor would do without the seam — so the batch
-// knob can never change results, only round trips.
+// MeasureBatch implements runner.BatchMeasurer.
 func (p *Pool) MeasureBatch(cfgs []*flags.Config, reps int) []runner.Measurement {
-	out := make([]runner.Measurement, len(cfgs))
-	switch {
-	case len(cfgs) == 0:
-		return out
-	case len(cfgs) == 1:
-		out[0] = p.Measure(cfgs[0], reps)
-		return out
-	case p.Batch <= 0:
-		var wg sync.WaitGroup
-		for i, cfg := range cfgs {
-			wg.Add(1)
-			go func(i int, cfg *flags.Config) {
-				defer wg.Done()
-				out[i] = p.Measure(cfg, reps)
-			}(i, cfg)
-		}
-		wg.Wait()
-		return out
+	phase, shift, _ := p.phases.Current(p.profile)
+	var sp *jvmsim.PhaseShift
+	if phase > 0 {
+		sp = &shift
 	}
-
-	// Each trial runs the ordinary measure body in its own goroutine; its
-	// placement attempts rendezvous on calls. The coordinator releases a
-	// wave when every still-active trial has an attempt pending — a
-	// deterministic grouping rule (no linger timers), so batch composition
-	// depends only on which trials are still in flight, never on timing.
-	calls := make(chan *batchCall)
-	finished := make(chan struct{})
-	for i, cfg := range cfgs {
-		go func(i int, cfg *flags.Config) {
-			out[i] = p.measure(cfg, reps, func(c *batchCall) { calls <- c })
-			finished <- struct{}{}
-		}(i, cfg)
-	}
-	active := len(cfgs)
-	var pending []*batchCall
-	for active > 0 {
-		select {
-		case c := <-calls:
-			pending = append(pending, c)
-		case <-finished:
-			active--
+	return p.RunBatch(cfgs, reps, phase, !p.DisableCache, func(round []*runner.Attempt) {
+		wave := make([]*call, len(round))
+		for i, a := range round {
+			// The args are the canonical form that the key names: every
+			// assignment off its default, plus forced defaults whose
+			// explicitness the simulated VM — like a real one — can tell
+			// apart (an explicit UseParallelGC). The node re-derives the
+			// key from them, so what it measures is what the cache entry
+			// stands for.
+			wave[i] = &call{req: TrialRequest{
+				Key: a.Key, Benchmark: p.profile.Name, Args: a.Cfg.ExplicitArgs(),
+				RepBase: a.RepBase, Reps: a.Reps, Phase: phase, Shift: sp,
+				TimeoutSeconds: p.TimeoutSeconds, Noise: p.Noise,
+			}, m: &a.M}
 		}
-		if active > 0 && len(pending) == active {
-			p.placeWave(pending)
-			pending = nil
-		}
-	}
-	return out
+		p.placeWave(wave)
+	})
 }
 
-// placeWave places one wave of trials across the fleet — a single-trial
-// Measure is a wave of one — re-dispatching the unsettled remainder round
-// after round (partial-batch salvage) across node deaths. Every placement
-// failure is free in virtual time — the trial never ran anywhere — and
-// invisible to the trace; only the dispatch_* counters see it. A trial
-// settles with the first node that answers (its measurement is
-// node-independent) or with a deterministic rejection; the rest surface as
-// a transient NodeDownFailure for the retry policy to absorb once the try
-// budget is spent or a dynamic pool's join grace runs out.
-func (p *Pool) placeWave(wave []*batchCall) {
+// placeWave places one wave of attempts across the fleet, re-dispatching
+// the unsettled remainder round after round (partial-batch salvage)
+// across node deaths. Every placement failure is free in virtual time —
+// the trial never ran anywhere — and invisible to the trace; only the
+// dispatch_* counters see it. A trial settles with the first node that
+// answers (its measurement is node-independent) or with a deterministic
+// rejection; the rest surface as a transient NodeDownFailure for the
+// retry policy to absorb once the try budget is spent or a dynamic pool's
+// join grace runs out.
+func (p *Pool) placeWave(wave []*call) {
 	p.Telemetry.Counter("dispatch_trials_total").Add(uint64(len(wave)))
 	remaining := wave
 	var joinDeadline time.Time
@@ -126,8 +98,8 @@ func (p *Pool) placeWave(wave []*batchCall) {
 			}
 		}
 
-		assign := make(map[*node][]*batchCall)
-		var next []*batchCall
+		assign := make(map[*node][]*call)
+		var next []*call
 		empty := false
 		for _, c := range remaining {
 			nd := p.acquire(c.req.Key)
@@ -160,35 +132,35 @@ func (p *Pool) placeWave(wave []*batchCall) {
 			continue
 		}
 
-		// Each node's share ships concurrently; the last one on this
-		// goroutine, so a wave of one places inline like any call.
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		ship := func(nd *node, cs []*batchCall) {
-			if redo := p.shipNode(nd, cs); len(redo) > 0 {
-				mu.Lock()
-				next = append(next, redo...)
-				mu.Unlock()
+		// Cut each node's share into requests of at most the batch cap and
+		// ship them all at once: one goroutine per request past the first,
+		// which ships on this goroutine, so a wave of one places inline.
+		var reqs []request
+		for nd, cs := range assign {
+			for size := max(p.Batch, 1); len(cs) > 0; cs = cs[min(size, len(cs)):] {
+				reqs = append(reqs, request{nd: nd, cs: cs[:min(size, len(cs))]})
 			}
 		}
-		shares := len(assign)
-		for nd, cs := range assign {
-			if shares--; shares == 0 {
-				ship(nd, cs)
-				break
-			}
+		var wg sync.WaitGroup
+		for i := 1; i < len(reqs); i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ship(nd, cs)
+				p.ship(&reqs[i])
 			}()
 		}
+		if len(reqs) > 0 {
+			p.ship(&reqs[0])
+		}
 		wg.Wait()
+		for _, r := range reqs {
+			next = append(next, r.redo...)
+		}
 		remaining = next
 	}
 	for _, c := range remaining {
 		p.Telemetry.Counter("dispatch_no_node_total").Inc()
-		c.reply <- runner.Measurement{
+		*c.m = runner.Measurement{
 			Key: c.req.Key, Failed: true, Failure: runner.NodeDownFailure,
 			FailureMessage: fmt.Sprintf("dispatch: no evaluator node reachable after %d placements", p.maxTries()),
 		}
@@ -210,47 +182,49 @@ func (p *Pool) waveBackoff(round int) {
 	time.Sleep(d)
 }
 
-// shipNode ships one node's share of a wave in batches of at most the
-// batch cap (one trial each with batching off: a share of one is a batch
-// of one) and returns the trials that must re-dispatch elsewhere. Every
-// placement takes this one path, so a trial's verdict never depends on
-// the batch size, the transport or the node that served it.
-func (p *Pool) shipNode(nd *node, cs []*batchCall) []*batchCall {
-	var redo []*batchCall
-	be, ok := nd.ev.(BatchEvaluator)
-	if !ok {
-		be = evaluateEach{nd.ev}
-	}
-	for len(cs) > 0 {
-		n := min(len(cs), max(p.Batch, 1))
-		chunk := cs[:n]
-		cs = cs[n:]
-		req := &BatchRequest{Trials: make([]TrialRequest, len(chunk))}
-		for i, c := range chunk {
-			req.Trials[i] = *c.req
-		}
-		res, err := be.EvaluateBatch(context.Background(), req)
-		if err != nil {
-			p.settleBatchFault(nd, len(chunk), retryAfterOf(err))
-			redo = append(redo, chunk...)
-			continue
-		}
-		p.Telemetry.Counter("dispatch_batches_total").Inc()
-		for i, c := range chunk {
-			redo = append(redo, p.settleEntry(nd, c, &res.Entries[i])...)
-		}
-	}
-	return redo
+// request is one evaluate-batch round trip of a wave: a chunk of one
+// node's share, and the trials it leaves to re-dispatch elsewhere.
+type request struct {
+	nd   *node
+	cs   []*call
+	redo []*call
 }
 
-// settleEntry resolves one trial of a successfully returned batch.
-func (p *Pool) settleEntry(nd *node, c *batchCall, e *BatchEntry) []*batchCall {
+// ship sends one request and settles its trials. Every placement takes
+// this one path, so a trial's verdict never depends on the batch size,
+// the transport or the node that served it.
+func (p *Pool) ship(r *request) {
+	be, ok := r.nd.ev.(BatchEvaluator)
+	if !ok {
+		be = evaluateEach{r.nd.ev}
+	}
+	req := &BatchRequest{Trials: make([]TrialRequest, len(r.cs))}
+	for i, c := range r.cs {
+		req.Trials[i] = c.req
+	}
+	res, err := be.EvaluateBatch(context.Background(), req)
+	if err != nil {
+		p.settleBatchFault(r.nd, len(r.cs), retryAfterOf(err))
+		r.redo = r.cs
+		return
+	}
+	p.Telemetry.Counter("dispatch_batches_total").Inc()
+	for i, c := range r.cs {
+		if !p.settleEntry(r.nd, c, &res.Entries[i]) {
+			r.redo = append(r.redo, c)
+		}
+	}
+}
+
+// settleEntry resolves one trial of a successfully returned batch and
+// reports whether it settled.
+func (p *Pool) settleEntry(nd *node, c *call, e *BatchEntry) bool {
 	switch {
 	case e.Result != nil && e.Result.Measurement.Key == c.req.Key:
 		p.settle(nd, true)
 		p.Telemetry.Counter("dispatch_evals_total").Inc()
-		c.reply <- e.Result.Measurement
-		return nil
+		*c.m = e.Result.Measurement
+		return true
 	case e.Error.rejects():
 		// The node understood the trial and refused it; every node would.
 		// The verdict condemns only its own trial, and it reads the same
@@ -258,17 +232,17 @@ func (p *Pool) settleEntry(nd *node, c *batchCall, e *BatchEntry) []*batchCall {
 		// and diagnostic, nothing about the round trip.
 		p.settle(nd, false)
 		p.Telemetry.Counter("dispatch_rejected_total").Inc()
-		c.reply <- runner.Measurement{
+		*c.m = runner.Measurement{
 			Key: c.req.Key, Failed: true, Failure: runner.NodeRejectedFailure,
 			FailureMessage: fmt.Sprintf("dispatch: node rejected trial [%s]: %s", e.Error.Code, e.Error.Error),
 		}
-		return nil
+		return true
 	default:
 		// Wrong key, a per-entry internal error, or an empty entry: that
 		// one placement failed transiently; salvage re-dispatches it under
 		// the same repBase (it never measured anywhere).
 		p.settle(nd, false)
-		return []*batchCall{c}
+		return false
 	}
 }
 

@@ -43,9 +43,6 @@ func (s *Security) TLS() bool {
 	return s != nil && (s.CertFile != "" || s.KeyFile != "" || s.CAFile != "")
 }
 
-// Enabled reports whether the security layer does anything at all.
-func (s *Security) Enabled() bool { return s.TLS() || (s != nil && s.Token != "") }
-
 func (s *Security) loadCA() (*x509.CertPool, error) {
 	pem, err := os.ReadFile(s.CAFile)
 	if err != nil {

@@ -47,21 +47,3 @@ func BenchmarkSimulatorRunReps(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSimulatorRunBatch(b *testing.B) {
-	s, c, p := benchSimConfig(b)
-	cfgs := make([]*flags.Config, 8)
-	for i := range cfgs {
-		cfgs[i] = c.Clone()
-		cfgs[i].SetInt("SurvivorRatio", int64(2+i))
-		cfgs[i].Key() // pre-key, as the executor does before sharing
-	}
-	out := make([]Result, 0, len(cfgs))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = s.RunBatch(cfgs, p, i, out[:0])
-		if out[0].Failed {
-			b.Fatal(out[0].FailureMessage)
-		}
-	}
-}

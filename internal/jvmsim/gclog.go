@@ -74,29 +74,3 @@ func FormatGCLog(r Result) string {
 	}
 	return b.String()
 }
-
-// GCLogSummary parses a FormatGCLog document back into event counts and
-// total pause time — the scraping half of the round trip, usable against
-// real -XX:+PrintGC output of the same shape.
-func GCLogSummary(log string) (minors, fulls int, stopSeconds float64, err error) {
-	for _, line := range strings.Split(strings.TrimSpace(log), "\n") {
-		if line == "" {
-			continue
-		}
-		var t, before, after, total, secs float64
-		if n, _ := fmt.Sscanf(line, "%f: [Full GC %fK->%fK(%fK), %f secs]",
-			&t, &before, &after, &total, &secs); n == 5 {
-			fulls++
-			stopSeconds += secs
-			continue
-		}
-		if n, _ := fmt.Sscanf(line, "%f: [GC %fK->%fK(%fK), %f secs]",
-			&t, &before, &after, &total, &secs); n == 5 {
-			minors++
-			stopSeconds += secs
-			continue
-		}
-		return 0, 0, 0, fmt.Errorf("jvmsim: unparseable GC log line %q", line)
-	}
-	return minors, fulls, stopSeconds, nil
-}

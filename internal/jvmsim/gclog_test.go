@@ -1,54 +1,6 @@
 package jvmsim
 
-import (
-	"fmt"
-	"strings"
-	"testing"
-
-	"repro/internal/flags"
-	"repro/internal/workload"
-)
-
-func TestFormatGCLogRoundTrip(t *testing.T) {
-	s := quietSim()
-	p, _ := workload.ByName("h2")
-	r := s.Run(flags.NewConfig(flags.NewRegistry()), p, 0)
-	if r.Failed {
-		t.Fatal("run failed")
-	}
-	log := FormatGCLog(r)
-	if log == "" {
-		t.Fatal("h2 collects; log should not be empty")
-	}
-	minors, fulls, stop, err := GCLogSummary(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Integer truncation of modelled counts, so allow off-by-one-ish.
-	if diff := float64(minors+fulls) - (r.MinorGCs + r.FullGCs); diff > 2 || diff < -2 {
-		t.Errorf("log events %d+%d vs model %.1f+%.1f", minors, fulls, r.MinorGCs, r.FullGCs)
-	}
-	if fulls == 0 {
-		t.Error("h2 under defaults has full GCs; none in log")
-	}
-	// Reconstructed stop time within 30% of the model (apportioning between
-	// minor and full pauses is approximate).
-	if stop < r.GCStopSeconds*0.7 || stop > r.GCStopSeconds*1.3 {
-		t.Errorf("log stop time %.2fs vs model %.2fs", stop, r.GCStopSeconds)
-	}
-	// Timestamps increase monotonically.
-	lastT := -1.0
-	for _, line := range strings.Split(strings.TrimSpace(log), "\n") {
-		var ts float64
-		if n, _ := fmt.Sscanf(line, "%f:", &ts); n != 1 {
-			t.Fatalf("bad line %q", line)
-		}
-		if ts <= lastT {
-			t.Fatalf("timestamps not increasing at %q", line)
-		}
-		lastT = ts
-	}
-}
+import "testing"
 
 func TestFormatGCLogQuietWorkload(t *testing.T) {
 	r := Result{WallSeconds: 10} // no collections
@@ -57,14 +9,5 @@ func TestFormatGCLogQuietWorkload(t *testing.T) {
 	}
 	if FormatGCLog(Result{Failed: true}) != "" {
 		t.Error("failed runs have no log")
-	}
-}
-
-func TestGCLogSummaryRejectsGarbage(t *testing.T) {
-	if _, _, _, err := GCLogSummary("not a gc log"); err == nil {
-		t.Error("garbage should error")
-	}
-	if m, f, s, err := GCLogSummary(""); err != nil || m != 0 || f != 0 || s != 0 {
-		t.Error("empty log should parse to zeros")
 	}
 }

@@ -62,17 +62,6 @@ func (s *Simulator) RunReps(c *flags.Config, p *workload.Profile, repBase, n int
 	return out
 }
 
-// RunBatch scores a slice of configurations against one profile at a shared
-// rep index, appending one Result per configuration to out and returning the
-// extended slice. Searchers that propose whole generations (genetic, random
-// restarts) use it to evaluate a population without per-config allocation.
-func (s *Simulator) RunBatch(cfgs []*flags.Config, p *workload.Profile, rep int, out []Result) []Result {
-	for _, c := range cfgs {
-		out = append(out, s.Run(c, p, rep))
-	}
-	return out
-}
-
 // runNoiseless evaluates the full cost model for (c, p) without the
 // measurement-noise factor. Run and RunReps layer noise on top.
 func (s *Simulator) runNoiseless(c *flags.Config, p *workload.Profile) Result {

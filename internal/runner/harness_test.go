@@ -154,3 +154,89 @@ func TestHarnessContract(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBatchMatchesRun holds the lockstep driver to the one-measurement
+// loop: a round through RunBatch — a cache hit, a clean trial, a trial
+// whose first attempt flakes, one that flakes on every attempt and one
+// that is condemned — returns the measurements, clock, state bytes,
+// runner_* series and trace events that Run gives the same trials one by
+// one, and hands place every pending attempt of a retry round at once.
+func TestRunBatchMatchesRun(t *testing.T) {
+	reg := flags.NewRegistry()
+	cfgs := make([]*flags.Config, 5)
+	for i := range cfgs {
+		cfgs[i] = flags.NewConfig(reg)
+		cfgs[i].SetInt("MaxHeapSize", int64(256+64*i)<<20)
+	}
+	const cached, clean, flakyOnce, flaky, condemned = 0, 1, 2, 3, 4
+	kind := make(map[string]int)
+	for i, c := range cfgs {
+		kind[c.Key()] = i
+	}
+	attempt := func(key string, repBase, reps int) runner.Measurement {
+		m := runner.Measurement{Key: key, CostSeconds: float64(reps) + float64(repBase)/8}
+		switch k := kind[key]; {
+		case k == flaky || (k == flakyOnce && repBase == 0):
+			m.Failed, m.Failure = true, runner.LaunchFlakeFailure
+		case k == condemned:
+			m.Failed, m.Failure = true, jvmsim.OOMFailure
+		default:
+			for r := 0; r < reps; r++ {
+				m.Walls = append(m.Walls, 10+float64(repBase+r))
+			}
+			m.Mean = 10 + float64(repBase) + float64(reps-1)/2
+		}
+		return m
+	}
+
+	type result struct {
+		ms     []runner.Measurement
+		state  []byte
+		series map[string]float64
+		events []telemetry.Event
+	}
+	run := func(batch bool) (result, []int) {
+		h := &runner.Harness{Telemetry: telemetry.New(), Trace: telemetry.NewTracer(0)}
+		measure := func(c *flags.Config) runner.Measurement {
+			return h.Run(c, 2, 0, true, func(repBase, reps int) runner.Measurement {
+				return attempt(c.Key(), repBase, reps)
+			})
+		}
+		measure(cfgs[cached])
+		var ms []runner.Measurement
+		var rounds []int
+		if batch {
+			ms = h.RunBatch(cfgs, 2, 0, true, func(round []*runner.Attempt) {
+				rounds = append(rounds, len(round))
+				for _, a := range round {
+					a.M = attempt(a.Key, a.RepBase, a.Reps)
+				}
+			})
+		} else {
+			for _, c := range cfgs {
+				ms = append(ms, measure(c))
+			}
+		}
+		for _, c := range cfgs {
+			h.Trace.Commit(c.Key(), h.Elapsed())
+		}
+		state, err := h.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return result{ms, state, h.Telemetry.Snapshot(), h.Trace.Events()}, rounds
+	}
+
+	want, _ := run(false)
+	got, rounds := run(true)
+	if !reflect.DeepEqual(rounds, []int{4, 2, 1}) {
+		t.Errorf("retry rounds placed %v attempts, want [4 2 1]", rounds)
+	}
+	if !got.ms[cached].FromCache || got.ms[flakyOnce].Attempts != 2 || !got.ms[flaky].Transient ||
+		got.ms[condemned].Failure != jvmsim.OOMFailure {
+		t.Errorf("verdicts: %+v", got.ms)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("RunBatch diverges from Run:\n%+v\nvs\n%+v", got, want)
+	}
+}

@@ -85,34 +85,45 @@ func backoff(retry int) float64 {
 	return retryBackoffSeconds * math.Pow(retryBackoffFactor, float64(retry))
 }
 
-// Run drives the attempt loop shared by the Harness and the chaos layer:
-// attempt(n) performs measurement attempt n and Run retries it while the
-// outcome is a transient failure and the policy allows. Costs, attempt
-// counts, and flake counts accumulate across attempts into the returned
-// measurement; the final attempt supplies everything else. A measurement
-// that is still failing transiently when the budget runs out is marked
-// Transient so callers know not to condemn (cache) the configuration.
+// Run drives the attempt loop of the chaos layer: attempt(n) performs
+// measurement attempt n, and Run retries it by the policy's one step.
 func (p RetryPolicy) Run(attempt func(n int) Measurement) Measurement {
-	maxAttempts := p.Attempts()
-	cost, attempts, flakes := 0.0, 0, 0
+	var t retryTally
 	for n := 0; ; n++ {
-		m := attempt(n)
-		cost += m.CostSeconds
-		if m.Attempts > 0 {
-			attempts += m.Attempts
-		} else {
-			attempts++
+		if m, done := p.step(&t, n, attempt(n)); done {
+			return m
 		}
-		flakes += m.Flakes
-		if m.Failed && Transient(m.Failure) && n+1 < maxAttempts {
-			flakes++
-			cost += backoff(n)
-			continue
-		}
-		m.CostSeconds = cost
-		m.Attempts = attempts
-		m.Flakes = flakes
-		m.Transient = m.Failed && Transient(m.Failure)
-		return m
 	}
+}
+
+// retryTally accumulates one measurement's attempts across its retries.
+type retryTally struct {
+	cost             float64
+	attempts, flakes int
+}
+
+// step is the retry rule every attempt loop shares (Run, Harness.Run and
+// Harness.RunBatch): it folds attempt n's outcome m into t and reports
+// whether the measurement is done. A transient failure with attempts left
+// is retried, after charging the backoff. A done measurement carries the
+// cost, attempt and flake counts accumulated across its attempts; the
+// final attempt supplies everything else. One still failing transiently
+// when the attempts run out is marked Transient, so callers know not to
+// condemn (cache) the configuration.
+func (p RetryPolicy) step(t *retryTally, n int, m Measurement) (Measurement, bool) {
+	t.cost += m.CostSeconds
+	if m.Attempts > 0 {
+		t.attempts += m.Attempts
+	} else {
+		t.attempts++
+	}
+	t.flakes += m.Flakes
+	if m.Failed && Transient(m.Failure) && n+1 < p.Attempts() {
+		t.flakes++
+		t.cost += backoff(n)
+		return m, false
+	}
+	m.CostSeconds, m.Attempts, m.Flakes = t.cost, t.attempts, t.flakes
+	m.Transient = m.Failed && Transient(m.Failure)
+	return m, true
 }

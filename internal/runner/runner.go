@@ -86,8 +86,8 @@ type Runner interface {
 }
 
 // BatchMeasurer is optionally implemented by runners that can measure a
-// whole round of distinct configurations in one call (the dispatch pool's
-// batched transport). The contract is strict equivalence: MeasureBatch
+// whole round of distinct configurations in one call (the dispatch pool,
+// through Harness.RunBatch). The contract is strict equivalence: MeasureBatch
 // must return exactly what reps-identical concurrent Measure calls would
 // — same measurements, same virtual cost, same caching — so the executor
 // may use either path for the same session without changing a byte of its

@@ -63,21 +63,26 @@ func RepairArgs(reg *flags.Registry, args []string) (cfg *flags.Config, dropped 
 }
 
 // Priors queries the store for the k nearest fingerprint groups to fp and
-// repairs each group's best configuration against reg, cut to its
-// canonical form: entries from older builds also hold explicit defaults,
-// and a searcher that credits every explicit assignment (the surrogate)
-// must see the same prior whichever build stored the winner. Invalid or
-// duplicate configurations (same canonical key after repair) are skipped,
-// so the result injects each distinct surviving configuration exactly
-// once, in nearest-first order. A config that repair reduced to the
-// registry defaults (flags.Config.AtDefaults: no assignment off its
-// default, even if an explicit default keeps its key non-empty) is
-// skipped too: the session measures the baseline regardless, so it
-// carries no information.
+// repairs their configurations against reg (see PriorsFrom).
 func Priors(st *Store, reg *flags.Registry, fp Fingerprint, k int) []Prior {
+	return PriorsFrom(reg, st.Nearest(fp, k))
+}
+
+// PriorsFrom repairs each ranked neighbour's configuration against reg,
+// cut to its canonical form: entries from older builds also hold explicit
+// defaults, and a searcher that credits every explicit assignment (the
+// surrogate) must see the same prior whichever build stored the winner.
+// Invalid or duplicate configurations (same canonical key after repair)
+// are skipped, so the result injects each distinct surviving
+// configuration exactly once, in the neighbours' order. A config that
+// repair reduced to the registry defaults (flags.Config.AtDefaults: no
+// assignment off its default, even if an explicit default keeps its key
+// non-empty) is skipped too: the session measures the baseline
+// regardless, so it carries no information.
+func PriorsFrom(reg *flags.Registry, neighbors []Neighbor) []Prior {
 	var out []Prior
 	seen := make(map[string]bool)
-	for _, nb := range st.Nearest(fp, k) {
+	for _, nb := range neighbors {
 		cfg, dropped, err := RepairArgs(reg, nb.Entry.Args)
 		if err != nil {
 			continue
