@@ -10,11 +10,13 @@ cover:
 
 # The crash drills: kill fixed-seed sessions (and the job farm) mid-run,
 # resume from checkpoints, and demand byte-identical results — including a
-# second kill inside the resume's replay prefix, and a resume from a
-# version 1 checkpoint written by the last build that wrote one. A
-# checkpoint's first write must sweep the temp a crash inside an earlier
-# one stranded, a session that ends must leave its last trial in the file,
-# and resuming a finished file must leave it untouched. The byte gate runs
+# second kill inside the resume's replay prefix, and resumes from a version
+# 1 and a version 2 chaos checkpoint, each written by the last build that
+# wrote its version (the version 2 one under launch, crash, spike and
+# straggle faults with hedging and quarantine). A checkpoint's first
+# write must sweep the temp a crash inside an earlier one stranded, a
+# session that ends must leave its last trial in the file, and resuming a
+# finished file must leave it untouched. The byte gate runs
 # ten times over: the file the background writer leaves must be the same
 # bytes on every run and after every kill and resume. Run under -race
 # because recovery code is exactly where concurrency bugs hide. Every way
@@ -24,7 +26,7 @@ cover:
 # implementation keys, ten times over as well.
 crash-matrix:
 	go test -race -count=1 \
-	  -run 'TestKillAndResume|TestKillDuringReplayAndResume|TestV1CheckpointResumes|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume|TestKeeperSweepsStaleTemps|TestFinalCheckpointHoldsLastTrial|TestResumeOfFinishedFileWritesNothing' \
+	  -run 'TestKillAndResume|TestKillDuringReplayAndResume|TestV1CheckpointResumes|TestV2CheckpointResumes|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume|TestKeeperSweepsStaleTemps|TestFinalCheckpointHoldsLastTrial|TestResumeOfFinishedFileWritesNothing' \
 	  ./hotspot ./internal/core ./internal/httpapi ./internal/checkpoint .
 	go test -race -count=10 -run 'TestCheckpointBytesReproducible|TestCheckpointBytesSurviveKillAndResume' ./hotspot
 	go test -race -count=10 -run 'TestSessionStopsItsMeasurers|TestCrossoverStoresCanonicalForm' ./internal/core ./internal/flags
@@ -108,9 +110,12 @@ build:
 test:
 	go test ./...
 
-# Record the next BENCH_<n>.json trajectory point. bench-check reruns the
-# suite five times and fails when a metric's median is more than 10% worse
-# than the latest recorded point.
+# Record the next BENCH_<n>.json trajectory point, with the host it ran on.
+# bench-check reruns the suite five times and fails when a metric's median
+# is more than 10% worse than the latest recorded point. It compares
+# builds, not machines: a latest point recorded on another host, or on no
+# recorded host (BENCH_1..5), fails the check naming both hosts until
+# `make bench` records one on this host.
 bench:
 	./scripts/bench.sh
 

@@ -9,6 +9,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,6 +21,7 @@ import (
 
 	"repro/hotspot"
 	"repro/internal/dispatch"
+	"repro/internal/httpapi"
 )
 
 var (
@@ -255,6 +258,65 @@ func TestCLIAutotuneRejectsOutOfRangeSize(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "outside") {
 			t.Errorf("%v: err=%v, want exit code 2 naming the range\n%s", args, err, out)
 		}
+	}
+}
+
+// TestEveryEntryPointRefusesBadOptions: options no session accepts are
+// refused by hotspot.CheckOptions before anything is opened or built —
+// through Tune and TuneCommon, by autotune as a usage error (exit 2), and
+// by tuned as a 400 before the job exists — so a refused session leaves
+// no transfer store behind.
+func TestEveryEntryPointRefusesBadOptions(t *testing.T) {
+	suite, err := hotspot.Suite("dacapo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(httpapi.NewServer())
+	defer srv.Close()
+	bin := cliBinary(t, "autotune")
+	for _, tc := range []struct {
+		name string
+		opts hotspot.Options
+		args []string
+		req  string
+	}{
+		{"negative retries", hotspot.Options{RetryAttempts: -1},
+			[]string{"-retries", "-1"}, `"retry_attempts":-1`},
+		{"node-down without a fleet", hotspot.Options{Chaos: "node-down=0.2"},
+			[]string{"-chaos", "node-down=0.2"}, `"chaos":"node-down=0.2"`},
+		{"drift sensitivity without drift", hotspot.Options{DriftSensitivity: 2},
+			[]string{"-drift-sensitivity", "2"}, `"drift_sensitivity":2`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := t.TempDir()
+			opts := tc.opts
+			opts.Benchmark, opts.BudgetMinutes, opts.TransferDir = "h2", 1, store
+			if _, err := hotspot.Tune(opts); err == nil {
+				t.Error("Tune accepted the options")
+			}
+			opts.TransferDir = ""
+			if _, err := hotspot.TuneCommon(suite[:2], opts); err == nil {
+				t.Error("TuneCommon accepted the options")
+			}
+			args := append([]string{"-benchmark", "h2", "-budget", "1", "-transfer-dir", store}, tc.args...)
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Errorf("autotune %v: err=%v, want exit code 2\n%s", tc.args, err, out)
+			}
+			if entries, err := os.ReadDir(store); err != nil || len(entries) > 0 {
+				t.Errorf("a refused session left %v in the transfer directory (%v)", entries, err)
+			}
+			resp, err := http.Post(srv.URL+"/v1/tune", "application/json",
+				strings.NewReader(`{"benchmark":"h2","budget_minutes":1,`+tc.req+`}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST /v1/tune with %s: status %d, want 400", tc.req, resp.StatusCode)
+			}
+		})
 	}
 }
 

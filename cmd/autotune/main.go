@@ -162,22 +162,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "autotune: -benchmark is required (try -list)")
 		os.Exit(2)
 	}
-	if err := hotspot.CheckWorkersReps(*workers, *reps); err != nil {
-		fmt.Fprintf(os.Stderr, "autotune: %v\n", err)
-		os.Exit(2)
-	}
 
 	reg := hotspot.NewMetricsRegistry()
 	var tracer *hotspot.Tracer
 	if *trace != "" {
 		tracer = hotspot.NewTracer(traceCap)
 	}
-	// Ctrl-C is a best-effort stop, not an abort: the session halts at its
-	// next evaluation round and reports the best configuration found so
-	// far, marked degraded. A second signal kills the process the hard way
-	// (signal.NotifyContext restores default handling once ctx is done).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	var nodeList []string
 	if *nodes != "" {
 		nodeList = strings.Split(*nodes, ",")
@@ -188,7 +178,7 @@ func main() {
 		// checkpoint by default, so -resume recovers both.
 		fleetPath = *ckpt + ".fleet"
 	}
-	res, err := runTune(ctx, hotspot.Options{
+	opts := hotspot.Options{
 		Benchmark:             *bench,
 		Searcher:              *searcher,
 		BudgetMinutes:         *budget,
@@ -222,7 +212,18 @@ func main() {
 		Resume:                *resume,
 		TransferDir:           *xferDir,
 		TransferK:             *xferK,
-	})
+	}
+	if err := hotspot.CheckOptions(opts); err != nil {
+		fmt.Fprintf(os.Stderr, "autotune: %v\n", err)
+		os.Exit(2)
+	}
+	// Ctrl-C is a best-effort stop, not an abort: the session halts at its
+	// next evaluation round and reports the best configuration found so
+	// far, marked degraded. A second signal kills the process the hard way
+	// (signal.NotifyContext restores default handling once ctx is done).
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	res, err := runTune(ctx, opts)
 	if err != nil {
 		var crash hotspot.SessionCrash
 		if errors.As(err, &crash) {

@@ -6,14 +6,18 @@
 //
 // fmt reads benchmark output on stdin and writes one JSON object per suite
 // run: ns/op, allocs/op, B/op, and any custom metrics (trials/s) keyed by
-// benchmark name, with -note free text attached verbatim. A benchmark run
-// several times (-count) records each metric's median sample.
+// benchmark name, with -note free text attached verbatim, and the host the
+// run reports (its goos, goarch and cpu lines). A benchmark run several
+// times (-count) records each metric's median sample.
 //
-// check exits 1 when any benchmark present in both files got more than 10%
-// slower (ns/op up, or a custom rate metric like trials/s down); new and
-// vanished benchmarks are reported but never fail the check, so the suite
-// can grow. It compares the recorded medians: one sample of a session
-// benchmark can stray further than the threshold on an unchanged binary.
+// check compares builds, not machines: it refuses, with exit status 1 and
+// both hosts named, two points recorded on different hosts or a point
+// that records none. Otherwise it exits 1 when any benchmark present in
+// both files got more than 10% slower (ns/op up, or a custom rate metric
+// like trials/s down); new and vanished benchmarks are reported but never
+// fail the check, so the suite can grow. It compares the recorded medians:
+// one sample of a session benchmark can stray further than the threshold
+// on an unchanged binary.
 package main
 
 import (
@@ -21,6 +25,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"sort"
 	"strconv"
@@ -32,6 +38,10 @@ type Point struct {
 	// Note is free-form context: what changed, what baseline this run
 	// follows, machine quirks.
 	Note string `json:"note,omitempty"`
+	// Host is the machine the benchmarks ran on: the goos, goarch and cpu
+	// lines of the run, by name. Points recorded before hosts were have
+	// none.
+	Host map[string]string `json:"host,omitempty"`
 	// Benchmarks maps benchmark name (CPU suffix stripped) to its metrics:
 	// always "ns/op" when present, plus "allocs/op", "B/op", and custom
 	// rates such as "trials/s".
@@ -64,29 +74,11 @@ func cmdFmt(args []string) {
 	note := fs.String("note", "", "free-form note recorded with the point")
 	_ = fs.Parse(args)
 
-	p := Point{Note: *note, Benchmarks: map[string]map[string]float64{}}
-	samples := map[[2]string][]float64{} // (name, unit) → every run's value
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		name, metrics, ok := parseBenchLine(sc.Text())
-		if !ok {
-			continue
-		}
-		p.Benchmarks[name] = metrics
-		for unit, v := range metrics {
-			samples[[2]string{name, unit}] = append(samples[[2]string{name, unit}], v)
-		}
+	p, err := readPoint(os.Stdin)
+	if err != nil {
+		fatal("%v", err)
 	}
-	if err := sc.Err(); err != nil {
-		fatal("read: %v", err)
-	}
-	if len(p.Benchmarks) == 0 {
-		fatal("no benchmark lines on stdin")
-	}
-	for k, vs := range samples {
-		p.Benchmarks[k[0]][k[1]] = median(vs)
-	}
+	p.Note = *note
 	enc, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {
 		fatal("encode: %v", err)
@@ -99,6 +91,43 @@ func cmdFmt(args []string) {
 	if err := os.WriteFile(*out, enc, 0o644); err != nil {
 		fatal("write: %v", err)
 	}
+}
+
+// readPoint reads `go test -bench` output: each metric's median sample,
+// and the host every package's header names.
+func readPoint(r io.Reader) (Point, error) {
+	p := Point{Host: map[string]string{}, Benchmarks: map[string]map[string]float64{}}
+	samples := map[[2]string][]float64{} // (name, unit) → every run's value
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if key, value, _ := strings.Cut(line, ": "); key == "goos" || key == "goarch" || key == "cpu" {
+			if seen, ok := p.Host[key]; ok && seen != value {
+				return Point{}, fmt.Errorf("the input names two hosts: %s %q and %q", key, seen, value)
+			}
+			p.Host[key] = value
+			continue
+		}
+		name, metrics, ok := parseBenchLine(line)
+		if !ok {
+			continue
+		}
+		p.Benchmarks[name] = metrics
+		for unit, v := range metrics {
+			samples[[2]string{name, unit}] = append(samples[[2]string{name, unit}], v)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return Point{}, fmt.Errorf("read: %v", err)
+	}
+	if len(p.Benchmarks) == 0 {
+		return Point{}, fmt.Errorf("no benchmark lines on stdin")
+	}
+	for k, vs := range samples {
+		p.Benchmarks[k[0]][k[1]] = median(vs)
+	}
+	return p, nil
 }
 
 // median returns the middle sample of vs, or the mean of the middle two.
@@ -149,7 +178,26 @@ func cmdCheck(args []string) {
 	if len(args) != 2 {
 		usage()
 	}
-	oldP, newP := load(args[0]), load(args[1])
+	regressions, err := check(os.Stdout, load(args[0]), load(args[1]), args[0], args[1])
+	if err != nil {
+		fatal("%v", err)
+	}
+	if regressions > 0 {
+		fmt.Printf("benchdiff: %d regression(s) beyond %.0f%% vs %s\n",
+			regressions, tolerance*100, args[0])
+		os.Exit(1)
+	}
+	fmt.Printf("benchdiff: no regressions beyond %.0f%% vs %s\n", tolerance*100, args[0])
+}
+
+// check reports each metric of oldP against newP on w and returns how many
+// regressed. Points from different hosts, or without one, are an error:
+// their differences are the machines', not the builds'.
+func check(w io.Writer, oldP, newP Point, oldName, newName string) (int, error) {
+	if len(oldP.Host) == 0 || !maps.Equal(oldP.Host, newP.Host) {
+		return 0, fmt.Errorf("%s (host %v) and %s (host %v) were not recorded on one host; record a baseline on this host with scripts/bench.sh",
+			oldName, oldP.Host, newName, newP.Host)
+	}
 	regressions := 0
 	var names []string
 	for name := range oldP.Benchmarks {
@@ -160,7 +208,7 @@ func cmdCheck(args []string) {
 		oldM := oldP.Benchmarks[name]
 		newM, ok := newP.Benchmarks[name]
 		if !ok {
-			fmt.Printf("SKIP  %s: not in %s\n", name, args[1])
+			fmt.Fprintf(w, "SKIP  %s: not in %s\n", name, newName)
 			continue
 		}
 		for _, unit := range sortedUnits(oldM) {
@@ -179,16 +227,11 @@ func cmdCheck(args []string) {
 				status = "REGRESSION"
 				regressions++
 			}
-			fmt.Printf("%s %-45s %-10s %12.4g -> %12.4g  (%+.1f%%)\n",
+			fmt.Fprintf(w, "%s %-45s %-10s %12.4g -> %12.4g  (%+.1f%%)\n",
 				status, name, unit, ov, nv, change*100)
 		}
 	}
-	if regressions > 0 {
-		fmt.Printf("benchdiff: %d regression(s) beyond %.0f%% vs %s\n",
-			regressions, tolerance*100, args[0])
-		os.Exit(1)
-	}
-	fmt.Printf("benchdiff: no regressions beyond %.0f%% vs %s\n", tolerance*100, args[0])
+	return regressions, nil
 }
 
 func sortedUnits(m map[string]float64) []string {

@@ -1,9 +1,6 @@
 package hotspot
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/drift"
 	"repro/internal/faultinject"
@@ -72,17 +69,15 @@ func driftSchedule(plan *faultinject.Plan) *jvmsim.PhaseSchedule {
 	return jvmsim.DefaultSchedule(at)
 }
 
-// driftConfig maps the public sensitivity knob onto the detector: the
-// Page–Hinkley decision threshold is the calibrated default divided by the
-// sensitivity, so 1 (or unset) is the calibrated default, 2 fires on half
-// the evidence, 0.5 needs twice as much.
-func driftConfig(opts Options) (drift.Config, error) {
+// driftConfig maps the public sensitivity knob, which CheckOptions has
+// checked, onto the detector: the Page–Hinkley decision threshold is the
+// calibrated default divided by the sensitivity, so 1 (or unset) is the
+// calibrated default, 2 fires on half the evidence, 0.5 needs twice as
+// much.
+func driftConfig(opts Options) drift.Config {
 	s := opts.DriftSensitivity
 	if s == 0 {
 		s = 1
 	}
-	if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-		return drift.Config{}, fmt.Errorf("hotspot: DriftSensitivity must be positive and finite, got %v", opts.DriftSensitivity)
-	}
-	return drift.Config{Lambda: drift.DefaultLambda / s}, nil
+	return drift.Config{Lambda: drift.DefaultLambda / s}
 }

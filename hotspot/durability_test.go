@@ -201,39 +201,68 @@ func TestKillDuringReplayAndResume(t *testing.T) {
 // under a transient chaos plan, killed by crash-at so the nested chaos and
 // in-process runner state is in it, and testdata/checkpoint_v1.golden.json
 // the resumed result; both were written by the last build that wrote
-// version 1 and cannot be regenerated by this one. Resuming a copy must
-// reproduce the golden byte for byte and leave a version 2 file behind; a
-// further kill and resume from that version 2 file must too.
+// version 1 and cannot be regenerated by this one.
 func TestV1CheckpointResumes(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	version := func(path string) uint32 {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return binary.LittleEndian.Uint32(b[4:8])
-	}
-	if v := binary.LittleEndian.Uint32(fixture[4:8]); v != 1 {
-		t.Fatalf("fixture header reads version %d, want 1", v)
-	}
-	opts := Options{
+	resumesFixture(t, "checkpoint_v1", 1, "crash-at=40", Options{
 		Benchmark:             "fop",
 		BudgetMinutes:         30,
 		Seed:                  23,
 		Workers:               2,
 		Noise:                 -1,
 		Chaos:                 "launch=0.05,corrupt=0.03,crash=0.03",
-		CheckpointPath:        filepath.Join(t.TempDir(), "session.ckpt"),
 		CheckpointEveryTrials: 4,
-		Resume:                true,
+	})
+}
+
+// TestV2CheckpointResumes: testdata/checkpoint_v2.ckpt is a version 2
+// checkpoint of an h2 session under launch, crash, spike and straggle
+// faults with hedging and quarantine, killed by crash-at=40, and
+// testdata/checkpoint_v2.golden.json the uninterrupted session's result;
+// both were written by the last build that wrote version 2, whose chaos
+// state also held the streaks, settled keys and fault counts this build
+// derives.
+func TestV2CheckpointResumes(t *testing.T) {
+	resumesFixture(t, "checkpoint_v2", 2, "crash-at=60", Options{
+		Benchmark:             "h2",
+		BudgetMinutes:         120,
+		Seed:                  7,
+		Workers:               4,
+		Noise:                 -1,
+		Chaos:                 "launch=0.1,crash=0.05,spike=0.15,straggle=0.08",
+		Hedge:                 true,
+		Quarantine:            true,
+		CheckpointEveryTrials: 8,
+	})
+}
+
+// resumesFixture resumes a copy of testdata/<name>.ckpt, a checkpoint at
+// format version, under opts: the result must be testdata/<name>.golden.json
+// byte for byte and the file must be at this build's version afterwards.
+// A second copy, resumed until the crash point kill (past the fixture's
+// trials) fires and then resumed from the file this build wrote, must
+// reproduce the golden too.
+func resumesFixture(t *testing.T, name string, version uint32, kill string, opts Options) {
+	t.Helper()
+	fixture, err := os.ReadFile(filepath.Join("testdata", name+".ckpt"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	golden, err := os.ReadFile(filepath.Join("testdata", name+".golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileVersion := func(path string) uint32 {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return binary.LittleEndian.Uint32(b[4:8])
+	}
+	if v := binary.LittleEndian.Uint32(fixture[4:8]); v != version {
+		t.Fatalf("fixture header reads version %d, want %d", v, version)
+	}
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "session.ckpt")
+	opts.Resume = true
 	resume := func() []byte {
 		res, err := Tune(opts)
 		if err != nil {
@@ -250,20 +279,20 @@ func TestV1CheckpointResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := resume(); !bytes.Equal(got, golden) {
-		t.Fatalf("resume from the v1 fixture differs from the golden:\n%s", got)
+		t.Fatalf("resume from the version %d fixture differs from the golden:\n%s", version, got)
 	}
-	if v := version(opts.CheckpointPath); v != checkpoint.Version {
+	if v := fileVersion(opts.CheckpointPath); v != checkpoint.Version {
 		t.Fatalf("checkpoint reads version %d after the session, want %d", v, checkpoint.Version)
 	}
 
 	if err := os.WriteFile(opts.CheckpointPath, fixture, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	crashTune(t, opts, "crash-at=40")
-	if v := version(opts.CheckpointPath); v != checkpoint.Version {
+	crashTune(t, opts, kill)
+	if v := fileVersion(opts.CheckpointPath); v != checkpoint.Version {
 		t.Fatalf("checkpoint reads version %d after the kill, want %d", v, checkpoint.Version)
 	}
 	if got := resume(); !bytes.Equal(got, golden) {
-		t.Fatalf("resume from the v2 checkpoint differs from the golden:\n%s", got)
+		t.Fatalf("resume from the version %d checkpoint differs from the golden:\n%s", checkpoint.Version, got)
 	}
 }

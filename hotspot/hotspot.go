@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -80,7 +81,7 @@ type Options struct {
 	// BudgetMinutes is the virtual tuning budget; default 200, the paper's.
 	BudgetMinutes float64
 	// Reps is the repetitions per measurement; default 3, at most
-	// dispatch.MaxReps (see CheckWorkersReps).
+	// dispatch.MaxReps (see CheckOptions).
 	Reps int
 	// Seed drives all randomness; equal inputs and seeds reproduce
 	// identical sessions.
@@ -376,9 +377,6 @@ func LoadResult(path string) (*persist.SavedOutcome, *Config, error) {
 func durabilitySetup(opts Options) (*checkpoint.Keeper, *checkpoint.Snapshot, error) {
 	var resume *checkpoint.Snapshot
 	if opts.Resume {
-		if opts.CheckpointPath == "" {
-			return nil, nil, fmt.Errorf("hotspot: Resume requires CheckpointPath")
-		}
 		snap, err := checkpoint.Load(opts.CheckpointPath)
 		switch {
 		case err == nil:
@@ -421,19 +419,60 @@ func armCrashPoint(plan *faultinject.Plan, onProgress func(core.TracePoint)) fun
 // slot count, and runs one measuring goroutine per slot.
 const MaxWorkers = 64
 
-// CheckWorkersReps rejects an Options.Workers or Options.Reps value no
-// session accepts: a negative one, more than MaxWorkers workers, or more
-// than dispatch.MaxReps repetitions (the most the fleet wire carries).
-// Zero means the default of each. Sessions check it before anything
-// runs, and the CLI and the HTTP API check it where the values come in.
-func CheckWorkersReps(workers, reps int) error {
-	switch {
-	case workers < 0 || workers > MaxWorkers:
-		return fmt.Errorf("hotspot: workers %d outside [0, %d]", workers, MaxWorkers)
-	case reps < 0 || reps > dispatch.MaxReps:
-		return fmt.Errorf("hotspot: reps %d outside [0, %d]", reps, dispatch.MaxReps)
+// CheckOptions refuses the Options no session accepts: a Benchmark that
+// names no built-in workload, Workers outside [0, MaxWorkers], Reps
+// outside [0, dispatch.MaxReps] (the most the fleet wire carries), a
+// negative RetryAttempts, a DriftSensitivity without Drift or not
+// positive and finite, Resume without CheckpointPath, both a fleet and
+// JVMSimPath, a Chaos plan that does not parse, and node-down faults
+// without a fleet. Zero means the default of each number. Tune and
+// TuneCommon run it before they open, build or measure anything, and the
+// CLI and the HTTP API run it on the options they build, so a refused
+// option leaves nothing behind and reads the same everywhere.
+func CheckOptions(opts Options) error {
+	_, _, err := checkOptions(opts)
+	return err
+}
+
+// checkOptions is CheckOptions, returning what it resolved on the way:
+// the workload profile (nil when opts names none, as suite-common options
+// do) and the chaos plan.
+func checkOptions(opts Options) (prof *Profile, plan faultinject.Plan, err error) {
+	prof = opts.Workload
+	if prof == nil && opts.Benchmark != "" {
+		var ok bool
+		if prof, ok = workload.ByName(opts.Benchmark); !ok {
+			return nil, plan, fmt.Errorf("hotspot: unknown benchmark %q (see hotspot.Benchmarks)", opts.Benchmark)
+		}
 	}
-	return nil
+	fleet := len(opts.Nodes) > 0 || opts.FleetListen != ""
+	s := opts.DriftSensitivity
+	switch {
+	case opts.Workers < 0 || opts.Workers > MaxWorkers:
+		err = fmt.Errorf("hotspot: workers %d outside [0, %d]", opts.Workers, MaxWorkers)
+	case opts.Reps < 0 || opts.Reps > dispatch.MaxReps:
+		err = fmt.Errorf("hotspot: reps %d outside [0, %d]", opts.Reps, dispatch.MaxReps)
+	case opts.RetryAttempts < 0:
+		err = fmt.Errorf("hotspot: RetryAttempts %d is negative", opts.RetryAttempts)
+	case s != 0 && !opts.Drift:
+		err = fmt.Errorf("hotspot: drift sensitivity %v requires Drift", s)
+	case s < 0 || math.IsNaN(s) || math.IsInf(s, 0):
+		err = fmt.Errorf("hotspot: DriftSensitivity must be positive and finite, got %v", s)
+	case opts.Resume && opts.CheckpointPath == "":
+		err = fmt.Errorf("hotspot: Resume requires CheckpointPath")
+	case fleet && opts.JVMSimPath != "":
+		err = fmt.Errorf("hotspot: Nodes and JVMSimPath are mutually exclusive")
+	}
+	if err != nil {
+		return nil, plan, err
+	}
+	if plan, err = faultinject.ParsePlan(opts.Chaos); err != nil {
+		return nil, plan, err
+	}
+	if plan.NodeDown > 0 && !fleet {
+		return nil, plan, fmt.Errorf("hotspot: chaos node-down faults need a distributed session (set Nodes)")
+	}
+	return prof, plan, nil
 }
 
 // Tune runs one budgeted tuning session.
@@ -444,19 +483,14 @@ func Tune(opts Options) (*Result, error) {
 // TuneContext is Tune with cancellation: the session stops between
 // evaluation rounds once ctx is done and returns the context's error.
 func TuneContext(ctx context.Context, opts Options) (*Result, error) {
-	prof := opts.Workload
-	if prof == nil {
-		p, ok := workload.ByName(opts.Benchmark)
-		if !ok {
-			return nil, fmt.Errorf("hotspot: unknown benchmark %q (see hotspot.Benchmarks)", opts.Benchmark)
-		}
-		prof = p
-	}
-	if err := prof.Validate(); err != nil {
+	prof, plan, err := checkOptions(opts)
+	if err != nil {
 		return nil, err
 	}
-	plan, err := faultinject.ParsePlan(opts.Chaos)
-	if err != nil {
+	if prof == nil {
+		return nil, errors.New("hotspot: no benchmark to tune (set Benchmark or Workload)")
+	}
+	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
 	phases := driftSchedule(&plan)
@@ -482,9 +516,6 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 
 	var pool *dispatch.Pool
 	if len(opts.Nodes) > 0 || opts.FleetListen != "" {
-		if opts.JVMSimPath != "" {
-			return nil, fmt.Errorf("hotspot: Nodes and JVMSimPath are mutually exclusive")
-		}
 		pool, err = buildPool(opts, prof)
 		if err != nil {
 			return nil, err
@@ -528,18 +559,11 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 		ip := runner.NewInProcess(sim, prof)
 		session.Runner = measurementStack(ip, &ip.Harness, plan, opts)
 	}
-	if plan.NodeDown > 0 && pool == nil {
-		return nil, fmt.Errorf("hotspot: chaos node-down faults need a distributed session (set Nodes)")
-	}
 
 	session.Objective = core.Objective(opts.Objective)
 	session.Phases = phases
 	if opts.Drift {
-		dcfg, derr := driftConfig(opts)
-		if derr != nil {
-			return nil, derr
-		}
-		session.Drift = &core.DriftPolicy{Detector: dcfg}
+		session.Drift = &core.DriftPolicy{Detector: driftConfig(opts)}
 		// A drift transition rebuilds the searcher from scratch for the new
 		// regime; the name was validated above, so the factory cannot fail.
 		session.NewSearcher = func() core.Searcher {
@@ -547,8 +571,6 @@ func TuneContext(ctx context.Context, opts Options) (*Result, error) {
 			return ns
 		}
 		session.EpochPriors = xfer.epochPriors(prof, phases, opts.TransferK)
-	} else if opts.DriftSensitivity != 0 {
-		return nil, fmt.Errorf("hotspot: DriftSensitivity requires Drift")
 	}
 	out, err := session.Run()
 	if err != nil {
@@ -575,9 +597,6 @@ func searcherName(opts Options) string {
 // point, the checkpoint keeper and resume snapshot, and the overload and
 // degradation options. The caller sets the Runner and closes the keeper.
 func newSession(ctx context.Context, opts Options, plan *faultinject.Plan, defaultBudget float64) (*core.Session, *checkpoint.Keeper, error) {
-	if err := CheckWorkersReps(opts.Workers, opts.Reps); err != nil {
-		return nil, nil, err
-	}
 	searcher, err := core.NewSearcher(searcherName(opts))
 	if err != nil {
 		return nil, nil, err
@@ -821,7 +840,11 @@ func TuneCommon(profiles []*Profile, opts Options) (*Result, error) {
 // Suite-common tuning measures in-process and scores throughput, so it
 // refuses the options that would change either rather than ignore them.
 func TuneCommonContext(ctx context.Context, profiles []*Profile, opts Options) (*Result, error) {
-	if opts.Drift || opts.DriftSensitivity != 0 {
+	_, plan, err := checkOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Drift {
 		// Suite-common tuning scores one configuration across the whole
 		// suite; there is no single workload to drift or re-fingerprint.
 		return nil, fmt.Errorf("hotspot: drift re-tuning needs a single-workload session")
@@ -851,10 +874,6 @@ func TuneCommonContext(ctx context.Context, profiles []*Profile, opts Options) (
 		sim.NoiseRelStdDev = opts.Noise
 	}
 	multi, err := runner.NewMulti(sim, profiles)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := faultinject.ParsePlan(opts.Chaos)
 	if err != nil {
 		return nil, err
 	}

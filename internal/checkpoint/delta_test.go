@@ -58,7 +58,8 @@ func growingSnapshots(rounds int) []*Snapshot {
 }
 
 // v2Image is the file a Keeper leaves after writing snaps in order: a
-// base for the first and one delta per later snapshot.
+// base for the first and one delta per later snapshot, in the record
+// layout version 2 introduced, under this build's header.
 func v2Image(t testing.TB, snaps ...*Snapshot) []byte {
 	t.Helper()
 	img := encoded(t, snaps[0])
@@ -150,7 +151,7 @@ func TestDecodeRejectsBadV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	inline := appendRecord(snapshotKind.header(), recordHead(recordBase, len(stateInJSON)), stateInJSON)
-	future := append([]byte(magic), 3, 0, 0, 0)
+	future := binary.LittleEndian.AppendUint32([]byte(magic), Version+1)
 
 	cases := []struct {
 		name string
@@ -161,7 +162,7 @@ func TestDecodeRejectsBadV2(t *testing.T) {
 		{"delta gap", append(append([]byte(nil), base...), gap...), ErrCorrupt},
 		{"base frame as delta", append(append([]byte(nil), base...), base[headerSize:]...), ErrCorrupt},
 		{"runner state inside base JSON", inline, ErrCorrupt},
-		{"version 3", append(future, base[headerSize:]...), ErrFutureVersion},
+		{"version 4", append(future, base[headerSize:]...), ErrFutureVersion},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

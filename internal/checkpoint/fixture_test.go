@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -16,6 +17,8 @@ var update = flag.Bool("update", false, "rewrite the testdata fixtures with what
 // the journal each wrote their own files. The tests run the same writes
 // through this build and demand the same bytes, then read the fixtures
 // back: moving both writers onto one Journal changed no byte on disk.
+// keeper.ckpt is a version 2 file, so its header is the one byte this
+// build writes differently (see Version); -update leaves it alone.
 //
 //	go test ./internal/checkpoint -run Fixture -update
 
@@ -82,7 +85,19 @@ func TestKeeperFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixture(t, "keeper.ckpt", got)
+	want, err := os.ReadFile(filepath.Join("testdata", "keeper.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(want[4:headerSize]); v != 2 {
+		t.Fatalf("fixture header reads version %d, want 2", v)
+	}
+	if v := binary.LittleEndian.Uint32(got[4:headerSize]); v != Version {
+		t.Fatalf("this build wrote version %d, want %d", v, Version)
+	}
+	if !bytes.Equal(got[headerSize:], want[headerSize:]) {
+		t.Fatalf("keeper.ckpt: this build wrote %d bytes whose records differ from the fixture's %d", len(got), len(want))
+	}
 	if !bytes.Equal(got, v2Image(t, snaps[3:]...)) {
 		t.Fatal("the rebase did not start the file over")
 	}

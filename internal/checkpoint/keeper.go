@@ -81,8 +81,8 @@ func (k *Keeper) Due(trial int) bool {
 // Keeper's path, the first write appends to that file, once it has checked
 // the file is still the one Load read (its size, and a header at the
 // current version) and cut a torn tail back to the prefix Load decoded.
-// Otherwise (a version 1 file, another path, a file changed since) the
-// first write is a base. Call it before the first Write.
+// Otherwise (a file at an older version, another path, a file changed
+// since) the first write is a base. Call it before the first Write.
 func (k *Keeper) Resume(snap *Snapshot) {
 	if k == nil {
 		return

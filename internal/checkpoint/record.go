@@ -24,7 +24,7 @@
 // and converge to the byte-identical outcome of an uninterrupted run: the
 // session fingerprint (Meta), the baseline measurement, the ordered log of
 // every delivered measurement, and the runner's per-key state (evaluated-
-// config cache, noise-rep indices, chaos-layer counters, elapsed virtual
+// config cache, noise-rep indices, chaos attempt counters, elapsed virtual
 // clock). Searcher and RNG state are deliberately *not* serialized —
 // searchers key in-flight work by pointer, which no flat encoding survives.
 // Instead core.Session replays the measurement log through the searcher on
@@ -43,8 +43,12 @@ import (
 // Version is the checkpoint format version written by this build; readers
 // reject anything newer (fail closed — a future format may carry state this
 // build would silently drop). Version 2 is a base record plus appended
-// deltas; version 1 files (one whole-snapshot record) still load.
-const Version = 2
+// deltas; version 1 files (one whole-snapshot record) still load. Version
+// 3 keeps version 2's records; it marks runner state whose chaos layer
+// derives its settled keys from the inner runner's cache instead of
+// storing them, which a version 2 build would restore with nothing
+// settled. Version 2 files still load.
+const Version = 3
 
 // magic opens every checkpoint file and journal.
 const magic = "ATCK"
@@ -59,8 +63,8 @@ type Kind struct {
 }
 
 // JournalKind is the farm's and the fleet's write-ahead journal. Journals
-// did not change with checkpoint version 2, and keeping them at 1 means a
-// downgraded build can still replay a farm's history.
+// did not change with checkpoint versions 2 and 3, and keeping them at 1
+// means a downgraded build can still replay a farm's history.
 var JournalKind = Kind{Magic: magic, Version: 1}
 
 // snapshotKind is a session checkpoint file.

@@ -115,10 +115,11 @@ type EpochRecord struct {
 // a killed run and converge to the byte-identical outcome of an
 // uninterrupted one. Trials is the ordered log of delivered measurements;
 // RunnerState is the runner's own opaque serialization (evaluated-config
-// cache, noise-rep indices, chaos counters, elapsed virtual clock) produced
-// by runner.StateSnapshotter — an append-only stream, which is what lets a
-// Keeper persist each round as a delta. Epochs lists the re-tuning epochs a
-// drifting session has opened (empty for stationary sessions).
+// cache, noise-rep indices, chaos attempt counters, elapsed virtual
+// clock) produced by runner.StateSnapshotter — an append-only stream,
+// which is what lets a Keeper persist each round as a delta. Epochs lists
+// the re-tuning epochs a drifting session has opened (empty for
+// stationary sessions).
 type Snapshot struct {
 	Meta        Meta               `json:"meta"`
 	Trial       int                `json:"trial"`   // trials completed when the snapshot was taken
@@ -143,9 +144,9 @@ type fileRead struct {
 	size, valid int64
 }
 
-// Record kinds of a version 2 file. Every payload is the kind byte, the
-// uvarint length of a JSON part, the JSON part, and raw runner-state bytes
-// — carried outside the JSON so no write re-encodes them.
+// Record kinds of a version 2 or 3 file. Every payload is the kind byte,
+// the uvarint length of a JSON part, the JSON part, and raw runner-state
+// bytes — carried outside the JSON so no write re-encodes them.
 const (
 	// recordBase opens the file: the whole Snapshot (JSON without
 	// runner_state) and the whole runner state.
@@ -241,7 +242,7 @@ func (s *Snapshot) extends(prev *Snapshot) bool {
 		bytes.HasPrefix(s.RunnerState, prev.RunnerState)
 }
 
-// decode reads a checkpoint file written by a Keeper, version 1 or 2. It
+// decode reads a checkpoint file written by a Keeper, version 1, 2 or 3. It
 // fails closed on a bad header, a future version, a missing, torn or
 // undecodable base (or version 1 snapshot) record, trailing data after a
 // version 1 record, and any CRC-valid delta that does not decode or

@@ -35,9 +35,18 @@ const (
 // Determinism: the fault for attempt n of configuration key k is a pure
 // hash of (Seed, k, n). Attempt numbering per key only depends on that
 // key's own history, never on goroutine scheduling, so sessions stay
-// reproducible at any worker count. Keys that have reached a definitive
-// verdict (success or deterministic failure) are left alone afterwards:
-// replays of the inner runner's cache involve no launch to sabotage.
+// reproducible at any worker count. The per-key attempt counters (and the
+// virtual clock) are the layer's only state; everything else it acts on
+// is derived:
+//
+//   - a key is settled — left alone, since a replay of the inner runner's
+//     cache involves no launch to sabotage — exactly when that cache
+//     answers it (runner.State.Cached); an inner runner without a cache
+//     settles nothing, so every re-measurement is a fresh launch;
+//   - the streak of consecutive injected failures a measurement opens
+//     with is the key's trailing run of failure draws in the schedule,
+//     modulo MaxConsecutive+1 (a suppressed draw ends a capped streak);
+//   - injected faults are counted by the chaos_* telemetry series only.
 type ChaosRunner struct {
 	// Retry bounds re-attempts of transiently failed measurements. The
 	// zero value means the defaults; the effective attempt count is always
@@ -57,15 +66,18 @@ type ChaosRunner struct {
 	Trace     *telemetry.Tracer
 
 	inner runner.Runner
+	// cache is the inner runner's memo of definitive verdicts, nil when it
+	// keeps none.
+	cache cacher
 	plan  Plan
 	seed  int64
+	// alwaysFails is set when every draw of the schedule is a failure
+	// fault, so a streak needs no walk back through the schedule.
+	alwaysFails bool
 
 	mu       sync.Mutex
 	elapsed  runner.VirtualClock
-	attempts map[string]int  // per-key launch-attempt counter
-	streaks  map[string]int  // consecutive injected failures per key
-	settled  map[string]bool // keys with a definitive (cacheable) verdict
-	stats    Stats
+	attempts map[string]int // per-key launch-attempt counter
 	// phase scopes the per-key state under phase-shifting workloads (see
 	// runner.PhaseSetter): a key settled before a drift is fair game again
 	// after it — the post-shift measurement is a fresh launch to sabotage.
@@ -81,31 +93,25 @@ type ChaosRunner struct {
 	dirty    map[string]struct{}
 }
 
-// Stats counts the chaos layer's activity.
-type Stats struct {
-	// Attempts is the number of launch attempts scheduled through the
-	// chaos layer (injected or clean).
-	Attempts int
-	// Injected faults by kind.
-	Launch, Corrupt, Crash, Hang, Spike, Straggle int
-	// Suppressed counts failure faults skipped by the MaxConsecutive cap.
-	Suppressed int
+// cacher is the part of runner.State the chaos layer reads: whether the
+// inner runner's cache answers a request.
+type cacher interface {
+	Cached(sk string, reps int) (runner.Measurement, bool)
 }
-
-// Injected is the total number of injected failure faults (spikes are
-// slowdowns, not failures, and are counted separately).
-func (s Stats) Injected() int { return s.Launch + s.Corrupt + s.Crash + s.Hang }
 
 // New wraps inner in a chaos layer driven by plan and seed.
 func New(inner runner.Runner, plan Plan, seed int64) *ChaosRunner {
-	return &ChaosRunner{
+	c := &ChaosRunner{
 		inner:    inner,
 		plan:     plan.normalized(),
 		seed:     seed,
 		attempts: make(map[string]int),
-		streaks:  make(map[string]int),
-		settled:  make(map[string]bool),
 	}
+	c.cache, _ = inner.(cacher)
+	// The draws that fail form a prefix of [0, 1), so the largest draw
+	// fails only when every draw does.
+	c.alwaysFails = isFailureFault(c.plan.faultAt(maxDraw))
+	return c
 }
 
 // Plan returns the normalized fault plan in effect.
@@ -127,17 +133,10 @@ func (c *ChaosRunner) Elapsed() float64 {
 	return c.elapsed.Seconds()
 }
 
-// Stats returns a snapshot of the injection counters.
-func (c *ChaosRunner) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
 // SetPhase implements runner.PhaseSetter: the inner runner switches to the
-// shifted profile and the chaos layer's own per-key state (attempt
-// counters, streaks, settled verdicts — and with them the seeded fault
-// schedule) re-scopes to the new phase.
+// shifted profile and the chaos layer's per-key attempt counters (and
+// with them the seeded fault schedule) re-scope to the new phase, as the
+// inner runner's cache, and so the settled keys, do.
 func (c *ChaosRunner) SetPhase(phase int, shift jvmsim.PhaseShift) error {
 	ps, ok := c.inner.(runner.PhaseSetter)
 	if !ok {
@@ -160,11 +159,11 @@ func (c *ChaosRunner) Measure(cfg *flags.Config, reps int) runner.Measurement {
 	// everything externally visible — measurement key, traces, telemetry —
 	// stays on the bare configuration key.
 	sk := runner.PhaseKey(c.phase, key)
-	settled := c.settled[sk]
+	n := c.attempts[sk]
 	c.mu.Unlock()
 
 	var m runner.Measurement
-	if !c.plan.Active() || settled {
+	if !c.plan.Active() || c.settled(sk, reps) {
 		m = c.inner.Measure(cfg, reps)
 		if m.FromCache {
 			runner.NoteCacheHit(c.Telemetry, c.Trace, key)
@@ -180,8 +179,11 @@ func (c *ChaosRunner) Measure(cfg *flags.Config, reps int) runner.Measurement {
 		if policy.Attempts() <= c.plan.MaxConsecutive {
 			policy.MaxAttempts = c.plan.MaxConsecutive + 1
 		}
+		// A round measures a key at most once, so this measurement's
+		// attempts are the key's next ones, in order.
+		streak := c.streakBefore(sk, n)
 		m = policy.Run(func(retryN int) runner.Measurement {
-			return c.attempt(cfg, reps, key, sk, retryN)
+			return c.attempt(cfg, reps, key, sk, retryN, &streak)
 		})
 		m.Key = key
 		if !m.FromCache {
@@ -190,13 +192,35 @@ func (c *ChaosRunner) Measure(cfg *flags.Config, reps int) runner.Measurement {
 	}
 
 	c.mu.Lock()
-	if !m.Transient {
-		c.settled[sk] = true
-		c.touch(sk)
-	}
 	c.elapsed.Charge(m.CostSeconds)
 	c.mu.Unlock()
 	return m
+}
+
+// settled reports whether the inner runner's cache answers sk — what the
+// inner runner would replay instead of launching.
+func (c *ChaosRunner) settled(sk string, reps int) bool {
+	if c.cache == nil {
+		return false
+	}
+	_, ok := c.cache.Cached(sk, max(reps, 1))
+	return ok
+}
+
+// streakBefore is the streak of consecutive injected failures key sk
+// carries into attempt n: each failure draw extends it, a clean draw ends
+// it, and a failure draw at MaxConsecutive is suppressed and ends it too,
+// so it is the trailing run of failure draws before n modulo
+// MaxConsecutive+1. The walk back is as long as that run.
+func (c *ChaosRunner) streakBefore(sk string, n int) int {
+	run := n
+	if !c.alwaysFails {
+		run = 0
+		for i := n - 1; i >= 0 && isFailureFault(c.faultFor(sk, i)); i-- {
+			run++
+		}
+	}
+	return run % (c.plan.MaxConsecutive + 1)
 }
 
 // faultName labels kinds in metrics and trace events.
@@ -221,41 +245,25 @@ func faultName(k faultKind) string {
 // attempt performs one launch attempt of key, consulting the seeded
 // schedule for what (if anything) to inject. sk is the phase-scoped state
 // key (equal to key before any drift); retryN is the retry-loop index of
-// the surrounding policy (0 for a fresh measurement's first try).
-func (c *ChaosRunner) attempt(cfg *flags.Config, reps int, key, sk string, retryN int) runner.Measurement {
+// the surrounding policy (0 for a fresh measurement's first try); streak
+// is the key's current streak of injected failures, which the attempt
+// advances.
+func (c *ChaosRunner) attempt(cfg *flags.Config, reps int, key, sk string, retryN int, streak *int) runner.Measurement {
 	c.mu.Lock()
 	n := c.attempts[sk]
 	c.attempts[sk] = n + 1
 	c.touch(sk)
-	kind := c.faultFor(sk, n)
-	if isFailureFault(kind) {
-		if c.streaks[sk] >= c.plan.MaxConsecutive {
-			c.stats.Suppressed++
-			c.Telemetry.Counter("chaos_suppressed_total").Inc()
-			kind = faultNone
-		} else {
-			c.streaks[sk]++
-		}
-	}
-	if !isFailureFault(kind) {
-		c.streaks[sk] = 0
-	}
-	c.stats.Attempts++
-	switch kind {
-	case faultLaunch:
-		c.stats.Launch++
-	case faultCorrupt:
-		c.stats.Corrupt++
-	case faultCrash:
-		c.stats.Crash++
-	case faultHang:
-		c.stats.Hang++
-	case faultSpike:
-		c.stats.Spike++
-	case faultStraggle:
-		c.stats.Straggle++
-	}
 	c.mu.Unlock()
+	kind := c.faultFor(sk, n)
+	switch {
+	case !isFailureFault(kind):
+		*streak = 0
+	case *streak >= c.plan.MaxConsecutive:
+		c.Telemetry.Counter("chaos_suppressed_total").Inc()
+		kind, *streak = faultNone, 0
+	default:
+		*streak++
+	}
 
 	if kind != faultNone {
 		c.Telemetry.Counter(`chaos_faults_total{kind="` + faultName(kind) + `"}`).Inc()
@@ -355,17 +363,22 @@ func isFailureFault(k faultKind) bool {
 // faultFor is the seeded schedule: a pure hash of (seed, key, attempt)
 // mapped onto the plan's cumulative fault probabilities.
 func (c *ChaosRunner) faultFor(key string, attempt int) faultKind {
-	u := hash01(c.seed, key, attempt)
+	return c.plan.faultAt(hash01(c.seed, key, attempt))
+}
+
+// faultAt maps a draw u in [0, 1) onto the plan's cumulative fault
+// probabilities, failure kinds first.
+func (p Plan) faultAt(u float64) faultKind {
 	for _, f := range []struct {
 		p float64
 		k faultKind
 	}{
-		{c.plan.Launch, faultLaunch},
-		{c.plan.Corrupt, faultCorrupt},
-		{c.plan.Crash, faultCrash},
-		{c.plan.Hang, faultHang},
-		{c.plan.Spike, faultSpike},
-		{c.plan.Straggle, faultStraggle},
+		{p.Launch, faultLaunch},
+		{p.Corrupt, faultCorrupt},
+		{p.Crash, faultCrash},
+		{p.Hang, faultHang},
+		{p.Spike, faultSpike},
+		{p.Straggle, faultStraggle},
 	} {
 		if u < f.p {
 			return f.k
@@ -374,6 +387,9 @@ func (c *ChaosRunner) faultFor(key string, attempt int) faultKind {
 	}
 	return faultNone
 }
+
+// maxDraw is the largest draw hash01 returns.
+const maxDraw = float64(1<<53-1) / (1 << 53)
 
 // hash01 maps (seed, key, attempt) to a uniform float in [0, 1).
 func hash01(seed int64, key string, attempt int) float64 {

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/flags"
 	"repro/internal/jvmsim"
 	"repro/internal/runner"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -82,10 +84,6 @@ func TestChaosInjectsAndRetriesToSuccess(t *testing.T) {
 	if inner.Calls() != 1 {
 		t.Errorf("inner runner should have run exactly once, ran %d times", inner.Calls())
 	}
-	st := ch.Stats()
-	if st.Launch != 2 || st.Attempts != 3 || st.Suppressed != 1 {
-		t.Errorf("stats wrong: %+v", st)
-	}
 	if math.Abs(ch.Elapsed()-m.CostSeconds) > 1e-6 {
 		t.Errorf("chaos elapsed = %g, want %g", ch.Elapsed(), m.CostSeconds)
 	}
@@ -107,33 +105,79 @@ func TestChaosRetryBudgetOutlastsStreak(t *testing.T) {
 	}
 }
 
+// cachingFake is a fakeRunner with a cache, as every production runner
+// has: it memoizes each definitive verdict in a runner.State and replays
+// it without calling the fake again.
+type cachingFake struct {
+	*fakeRunner
+	runner.State
+}
+
+func (f *cachingFake) Measure(cfg *flags.Config, reps int) runner.Measurement {
+	if m, ok := f.Cached(cfg.Key(), reps); ok {
+		return m
+	}
+	m := f.fakeRunner.Measure(cfg, reps)
+	f.Settle(cfg.Key(), m, true)
+	return m
+}
+
+func (f *cachingFake) Elapsed() float64 { return f.State.Elapsed() }
+
 func TestChaosSettledKeysAreLeftAlone(t *testing.T) {
-	inner := newFake(okRun)
+	inner := &cachingFake{fakeRunner: newFake(okRun)}
 	ch := New(inner, Plan{Launch: 1, MaxConsecutive: 1}, 1)
+	ch.Telemetry = telemetry.New()
 	first := ch.Measure(testConfig(), 1)
 	if first.Failed {
 		t.Fatalf("first measurement should settle: %+v", first)
 	}
-	stats := ch.Stats()
+	before := ch.Telemetry.Snapshot()
 
-	// The key has a definitive verdict; replays bypass injection entirely
+	// The inner cache answers the key; replays bypass injection entirely
 	// (a cache replay involves no launch to sabotage).
 	second := ch.Measure(testConfig(), 1)
-	if second.Failed || second.Flakes != 0 {
+	if second.Failed || second.Flakes != 0 || !second.FromCache {
 		t.Errorf("settled key was sabotaged: %+v", second)
 	}
-	if got := ch.Stats(); got != stats {
-		t.Errorf("injection stats moved on a settled key: %+v -> %+v", stats, got)
+	after := ch.Telemetry.Snapshot()
+	for _, name := range []string{`chaos_faults_total{kind="launch"}`, "chaos_suppressed_total", "runner_attempts_total"} {
+		if after[name] != before[name] {
+			t.Errorf("%s moved on a settled key: %g -> %g", name, before[name], after[name])
+		}
+	}
+	if inner.Calls() != 1 {
+		t.Errorf("a settled key must replay from the inner cache, inner ran %d times", inner.Calls())
+	}
+}
+
+// An inner runner that keeps no cache answers nothing, so the chaos layer
+// settles nothing: each re-measurement is a fresh launch that draws the
+// key's next attempts from the schedule.
+func TestChaosWithoutInnerCacheSettlesNothing(t *testing.T) {
+	inner := newFake(okRun)
+	ch := New(inner, Plan{Launch: 1, MaxConsecutive: 1}, 1)
+	for i := 1; i <= 2; i++ {
+		m := ch.Measure(testConfig(), 1)
+		if m.Failed || m.Flakes != 1 || m.FromCache {
+			t.Fatalf("measurement %d: want one absorbed flake, then a fresh run: %+v", i, m)
+		}
+		if inner.Calls() != i {
+			t.Errorf("measurement %d: inner ran %d times", i, inner.Calls())
+		}
+	}
+	if n := ch.attempts[testConfig().Key()]; n != 4 {
+		t.Errorf("two measurements of two attempts each left the counter at %d", n)
 	}
 }
 
 func TestChaosDeterministicFailureSettles(t *testing.T) {
-	inner := newFake(func(cfg *flags.Config, _ int) runner.Measurement {
+	inner := &cachingFake{fakeRunner: newFake(func(cfg *flags.Config, _ int) runner.Measurement {
 		return runner.Measurement{
 			Key: cfg.Key(), Failed: true, Failure: jvmsim.OOMFailure,
 			FailureMessage: "OutOfMemoryError", CostSeconds: 1,
 		}
-	})
+	})}
 	// No faults scheduled for this seed/key on attempt 0 is not guaranteed,
 	// so use a plan whose only fault is a spike: spikes pass failures through.
 	ch := New(inner, Plan{Spike: 1}, 1)
@@ -144,10 +188,14 @@ func TestChaosDeterministicFailureSettles(t *testing.T) {
 	if m.Flakes != 0 || inner.Calls() != 1 {
 		t.Error("deterministic failures must not be retried")
 	}
-	// The verdict settles the key: no further injection.
-	ch.Measure(testConfig(), 1)
-	if inner.Calls() != 2 {
-		t.Error("settled key should go straight to the inner runner")
+	// The verdict settles the key: the replay is the inner cache's, with
+	// no further injection and no attempt.
+	if again := ch.Measure(testConfig(), 1); !again.FromCache || again.Failure != jvmsim.OOMFailure {
+		t.Errorf("a condemned key must replay its verdict from the inner cache: %+v", again)
+	}
+	if inner.Calls() != 1 || ch.attempts[testConfig().Key()] != 1 {
+		t.Errorf("settled key went past the inner cache: %d calls, %d attempts",
+			inner.Calls(), ch.attempts[testConfig().Key()])
 	}
 }
 
@@ -193,6 +241,7 @@ func TestChaosLatencySpike(t *testing.T) {
 func TestChaosStraggleStallsDeliveryOnly(t *testing.T) {
 	inner := newFake(okRun)
 	ch := New(inner, Plan{Straggle: 1, StraggleFactor: 16}, 1)
+	ch.Telemetry = telemetry.New()
 	m := ch.Measure(testConfig(), 1)
 	if m.Failed || m.Flakes != 0 {
 		t.Fatalf("a straggler is a stalled delivery, not a failure: %+v", m)
@@ -210,8 +259,8 @@ func TestChaosStraggleStallsDeliveryOnly(t *testing.T) {
 	if math.Abs(m.HedgeCostSeconds-clean) > 1e-9 {
 		t.Errorf("HedgeCostSeconds = %g, want clean cost %g", m.HedgeCostSeconds, clean)
 	}
-	if ch.Stats().Straggle != 1 {
-		t.Errorf("straggle not counted: %+v", ch.Stats())
+	if n := ch.Telemetry.Snapshot()[`chaos_faults_total{kind="straggle"}`]; n != 1 {
+		t.Errorf("straggle counted %g times, want 1", n)
 	}
 }
 
@@ -242,8 +291,8 @@ func TestChaosInactivePlanIsTransparent(t *testing.T) {
 	inner := newFake(okRun)
 	ch := New(inner, Plan{}, 1)
 	m := ch.Measure(testConfig(), 2)
-	if m.Failed || m.Flakes != 0 || ch.Stats().Attempts != 0 {
-		t.Errorf("inactive plan must be a pass-through: %+v stats=%+v", m, ch.Stats())
+	if m.Failed || m.Flakes != 0 || len(ch.attempts) != 0 {
+		t.Errorf("inactive plan must be a pass-through: %+v attempts=%v", m, ch.attempts)
 	}
 	if math.Abs(m.CostSeconds-ch.Elapsed()) > 1e-6 {
 		t.Errorf("elapsed should still track costs: %g vs %g", ch.Elapsed(), m.CostSeconds)
@@ -274,27 +323,28 @@ func TestChaosTransientExhaustionNotSettled(t *testing.T) {
 }
 
 func TestChaosScheduleIsSeedDeterministic(t *testing.T) {
-	run := func(seed int64) (runner.Measurement, Stats) {
+	run := func(seed int64) (runner.Measurement, map[string]float64) {
 		inner := newFake(okRun)
 		ch := New(inner, Plan{Launch: 0.4, Corrupt: 0.2, Spike: 0.2, MaxConsecutive: 2}, seed)
 		ch.Retry = runner.RetryPolicy{MaxAttempts: 4}
+		ch.Telemetry = telemetry.New()
 		var last runner.Measurement
 		for i := 0; i < 8; i++ {
 			cfg := testConfig()
 			cfg.SetInt("MaxHeapSize", int64(i+1)<<26)
 			last = ch.Measure(cfg, 1)
 		}
-		return last, ch.Stats()
+		return last, ch.Telemetry.Snapshot()
 	}
 	m1, s1 := run(99)
 	m2, s2 := run(99)
-	if s1 != s2 {
+	if !reflect.DeepEqual(s1, s2) {
 		t.Errorf("same seed, different injections: %+v vs %+v", s1, s2)
 	}
 	if m1.CostSeconds != m2.CostSeconds || m1.Flakes != m2.Flakes {
 		t.Errorf("same seed, different measurements: %+v vs %+v", m1, m2)
 	}
-	if _, s3 := run(100); s1 == s3 {
+	if _, s3 := run(100); reflect.DeepEqual(s1, s3) {
 		t.Error("different seeds should (overwhelmingly) schedule different faults")
 	}
 }
@@ -339,5 +389,67 @@ func TestChaosSpikeLeavesInnerCacheClean(t *testing.T) {
 		if math.Abs(m.Mean*3-spiked.Mean) > 1e-9 {
 			t.Errorf("%s Mean %g, want the clean %g", name, m.Mean, spiked.Mean/3)
 		}
+	}
+}
+
+// The streak a measurement opens with is derived from the schedule. It
+// must equal the streak a counter kept attempt by attempt would hold:
+// a clean draw resets it, a failure draw extends it, and a failure draw
+// at the cap is suppressed and resets it.
+func TestStreakMatchesTrackedStreak(t *testing.T) {
+	for _, plan := range []Plan{
+		{Launch: 0.5},
+		{Launch: 0.3, Crash: 0.3, Spike: 0.2, MaxConsecutive: 1},
+		{Corrupt: 0.45, Hang: 0.45, Straggle: 0.1, MaxConsecutive: 4},
+		{Launch: 1, MaxConsecutive: 3},
+		{Launch: 0.25, Corrupt: 0.25, Crash: 0.25, Hang: 0.25},
+		{Spike: 1},
+	} {
+		ch := New(newFake(okRun), plan, 11)
+		for i := 0; i < 4; i++ {
+			cfg := testConfig()
+			cfg.SetInt("MaxHeapSize", int64(i+1)<<26)
+			sk := cfg.Key()
+			tracked := 0
+			for n := 0; n < 300; n++ {
+				if got := ch.streakBefore(sk, n); got != tracked {
+					t.Fatalf("plan %v, key %s: streak before attempt %d = %d, a tracked counter holds %d",
+						plan, sk, n, got, tracked)
+				}
+				switch {
+				case !isFailureFault(ch.faultFor(sk, n)):
+					tracked = 0
+				case tracked >= ch.plan.MaxConsecutive:
+					tracked = 0
+				default:
+					tracked++
+				}
+			}
+		}
+	}
+}
+
+// A plan whose failure kinds sum to 1 fails every draw, so a streak is the
+// attempt count modulo the cap and needs no walk back: a key restored at
+// 2^40 attempts measures at once.
+func TestHugeAttemptCountMeasuresPromptly(t *testing.T) {
+	ch := New(newFake(okRun), Plan{Launch: 1}, 1)
+	if !ch.alwaysFails {
+		t.Fatal("launch=1 fails every draw")
+	}
+	key := testConfig().Key()
+	ch.attempts[key] = 1 << 40
+	start := time.Now()
+	m := ch.Measure(testConfig(), 1)
+	if wait := time.Since(start); wait > time.Second {
+		t.Errorf("measuring took %s", wait)
+	}
+	// 2^40 mod 3 = 1: the key opens one failure into its streak, so one
+	// more injected failure reaches the cap of 2 and the next is clean.
+	if m.Failed || m.Flakes != 1 || m.Attempts != 2 {
+		t.Errorf("want one flake then a clean run: %+v", m)
+	}
+	if n := ch.attempts[key]; n != 1<<40+2 {
+		t.Errorf("attempt counter = %d, want 2^40+2", n)
 	}
 }

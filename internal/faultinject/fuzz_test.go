@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"bytes"
+	"maps"
 	"reflect"
 	"testing"
 
@@ -47,9 +48,7 @@ func (r *stateInner) RestoreState(data []byte) error {
 // chaosView is everything a chaos layer's state stream carries.
 type chaosView struct {
 	elapsed, innerElapsed float64
-	attempts, streaks     map[string]int
-	settled               map[string]bool
-	stats                 Stats
+	attempts              map[string]int
 	inner                 []byte
 }
 
@@ -59,27 +58,21 @@ func viewOf(c *ChaosRunner) chaosView {
 	defer c.mu.Unlock()
 	return chaosView{
 		elapsed: c.elapsed.Seconds(), innerElapsed: in.Elapsed(),
-		attempts: clone(c.attempts), streaks: clone(c.streaks), settled: clone(c.settled),
-		stats: c.stats, inner: bytes.Clone(in.stream),
+		attempts: maps.Clone(c.attempts), inner: bytes.Clone(in.stream),
 	}
-}
-
-func clone[V any](m map[string]V) map[string]V {
-	out := make(map[string]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // FuzzChaosStateRestore hardens the chaos layer's state stream with
 // FuzzRunnerStateRestore's contract: arbitrary bytes either fail to
 // restore and change neither layer, or restore a layer whose clocks are
-// in range and whose next snapshot — after one more measurement, so the
-// change tracking is exercised — extends the restored bytes and restores
-// to the same counters, stats, clocks and inner state. The seed corpus in
-// testdata/fuzz holds one- and multi-segment streams, a torn stream, and
-// out-of-range clocks.
+// in range, whose attempt counts are not negative, and whose next
+// snapshot — after one more measurement, so the change tracking is
+// exercised — extends the restored bytes and restores to the same
+// counters, clocks and inner state. The seed corpus in testdata/fuzz
+// holds one- and multi-segment streams (written with the streaks, settled
+// and stats fields older builds kept, which restore ignores), a torn
+// stream, out-of-range clocks, a negative attempt count, and a count of
+// 2^40 on the key the fuzzer measures next.
 func FuzzChaosStateRestore(f *testing.F) {
 	// Every attempt is a spike: state changes on each measurement, and a
 	// spiked zero cost is still zero.
@@ -101,6 +94,11 @@ func FuzzChaosStateRestore(f *testing.F) {
 		for _, e := range []float64{restored.elapsed, restored.innerElapsed} {
 			if err := runner.CheckClock(e); err != nil {
 				t.Fatalf("restored a clock out of range: %v", err)
+			}
+		}
+		for k, n := range restored.attempts {
+			if n < 0 {
+				t.Fatalf("restored attempt count %d for %q", n, k)
 			}
 		}
 		cfg := testConfig()

@@ -2,6 +2,7 @@ package faultinject_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/jvmsim"
 	"repro/internal/persist"
 	"repro/internal/runner"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -31,6 +33,7 @@ func runChaosSession(t *testing.T, seed int64) (*core.Outcome, []byte) {
 	}
 	chaos := faultinject.New(inner, plan, seed)
 	chaos.HangDeadline = 2 * time.Millisecond
+	chaos.Telemetry = telemetry.New()
 	searcher, err := core.NewSearcher("hierarchical")
 	if err != nil {
 		t.Fatal(err)
@@ -47,8 +50,14 @@ func runChaosSession(t *testing.T, seed int64) (*core.Outcome, []byte) {
 	if err != nil {
 		t.Fatalf("chaos session failed: %v", err)
 	}
-	if st := chaos.Stats(); st.Injected() == 0 {
-		t.Fatalf("the unstable farm injected nothing: %+v", st)
+	injected := 0.0
+	for name, v := range chaos.Telemetry.Snapshot() {
+		if strings.HasPrefix(name, "chaos_faults_total") {
+			injected += v
+		}
+	}
+	if injected == 0 {
+		t.Fatal("the unstable farm injected nothing")
 	}
 	var buf bytes.Buffer
 	if err := persist.FromOutcome(out).Write(&buf); err != nil {

@@ -12,6 +12,13 @@
 // faults, the same retries, the same budget spend, and the same winning
 // configuration at any worker count.
 //
+// A ChaosRunner's only state is its virtual clock and one launch-attempt
+// counter per configuration, which is all its checkpoint segment holds.
+// Whether a configuration is settled (the inner runner's cache answers
+// it, so no launch happens to sabotage), the streak of injected failures
+// it carries, and how many faults were injected (the chaos_* telemetry
+// series) are all derived, not stored.
+//
 // Plans are built three ways: literally, from a named scenario
 // (Scenario("unstable-farm")), or from the fault-plan DSL — a comma list of
 // key=value items, e.g.

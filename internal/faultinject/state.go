@@ -11,21 +11,21 @@ import (
 )
 
 // chaosSegment is one segment of the chaos layer's state stream, which
-// works like runner.State's: each snapshot appends the clock, the stats,
-// and the per-key counters changed since the previous snapshot, and
-// restoring folds the segments in order. Inner carries the wrapped
-// runner's stream suffix taken by the same snapshot, so one SnapshotState
-// at the chaos layer captures the full runner stack; a state written
-// before streams existed (one object, the whole inner state nested) is a
-// one-segment stream. The fault schedule itself needs no state: faults
-// are a pure hash of (seed, key, attempt), so restoring the per-key
-// attempt counters restores the schedule position exactly.
+// works like runner.State's: each snapshot appends the clock and the
+// attempt counters changed since the previous snapshot, and restoring
+// folds the segments in order. Inner carries the wrapped runner's stream
+// suffix taken by the same snapshot, so one SnapshotState at the chaos
+// layer captures the full runner stack; a state written before streams
+// existed (one object, the whole inner state nested) is a one-segment
+// stream. The fault schedule itself needs no state: faults are a pure hash
+// of (seed, key, attempt), so restoring the per-key attempt counters
+// restores the schedule position exactly, and with it each key's streak
+// (see ChaosRunner.streakBefore); the settled keys are the inner runner's
+// cache. Older streams also carry "streaks", "settled" and "stats"
+// fields, which restoring ignores.
 type chaosSegment struct {
 	Elapsed  float64         `json:"elapsed"`
 	Attempts map[string]int  `json:"attempts,omitempty"`
-	Streaks  map[string]int  `json:"streaks,omitempty"`
-	Settled  map[string]bool `json:"settled,omitempty"`
-	Stats    Stats           `json:"stats"`
 	Inner    json.RawMessage `json:"inner,omitempty"`
 }
 
@@ -58,27 +58,11 @@ func (c *ChaosRunner) SnapshotState() ([]byte, error) {
 	if len(inner) < c.innerLen {
 		return nil, errors.New("faultinject: inner runner state is not append-only")
 	}
-	seg := chaosSegment{
-		Elapsed:  c.elapsed.Seconds(),
-		Attempts: c.attempts,
-		Streaks:  c.streaks,
-		Settled:  c.settled,
-		Stats:    c.stats,
-	}
+	seg := chaosSegment{Elapsed: c.elapsed.Seconds(), Attempts: c.attempts}
 	if c.dirty != nil {
 		seg.Attempts = make(map[string]int, len(c.dirty))
-		seg.Streaks = make(map[string]int, len(c.dirty))
-		seg.Settled = make(map[string]bool, len(c.dirty))
 		for k := range c.dirty {
-			if n, ok := c.attempts[k]; ok {
-				seg.Attempts[k] = n
-			}
-			if n, ok := c.streaks[k]; ok {
-				seg.Streaks[k] = n
-			}
-			if v, ok := c.settled[k]; ok {
-				seg.Settled[k] = v
-			}
+			seg.Attempts[k] = c.attempts[k]
 		}
 	}
 	b, err := json.Marshal(seg)
@@ -100,7 +84,8 @@ func (c *ChaosRunner) SnapshotState() ([]byte, error) {
 // RestoreState implements runner.StateSnapshotter: it folds the segments,
 // restores the inner runner from the concatenation of their inner parts,
 // and keeps the stream so the next snapshot extends it. A stream either
-// restores both layers or leaves both unchanged.
+// restores both layers or leaves both unchanged; one whose clock is out
+// of range or that leaves a negative attempt count is refused.
 func (c *ChaosRunner) RestoreState(data []byte) error {
 	snap, err := c.innerSnapshotter()
 	if err != nil {
@@ -108,23 +93,25 @@ func (c *ChaosRunner) RestoreState(data []byte) error {
 	}
 	var inner []byte
 	var elapsed float64
-	var stats Stats
 	attempts := make(map[string]int)
-	streaks := make(map[string]int)
-	settled := make(map[string]bool)
 	dec := json.NewDecoder(bytes.NewReader(data))
 	for {
-		seg := chaosSegment{Elapsed: elapsed, Stats: stats, Attempts: attempts, Streaks: streaks, Settled: settled}
+		seg := chaosSegment{Elapsed: elapsed, Attempts: attempts}
 		if err := dec.Decode(&seg); err == io.EOF {
 			break
 		} else if err != nil {
 			return fmt.Errorf("faultinject: restore state: %w", err)
 		}
-		elapsed, stats = seg.Elapsed, seg.Stats
+		elapsed = seg.Elapsed
 		inner = append(inner, seg.Inner...)
 	}
 	if err := runner.CheckClock(elapsed); err != nil {
 		return fmt.Errorf("faultinject: restore state: %w", err)
+	}
+	for k, n := range attempts {
+		if n < 0 {
+			return fmt.Errorf("faultinject: restore state: key %q has attempt count %d", k, n)
+		}
 	}
 	if err := snap.RestoreState(inner); err != nil {
 		return err
@@ -132,7 +119,7 @@ func (c *ChaosRunner) RestoreState(data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.elapsed.Set(elapsed)
-	c.attempts, c.streaks, c.settled, c.stats = attempts, streaks, settled, stats
+	c.attempts = attempts
 	c.stream = append([]byte(nil), data...)
 	c.innerLen = len(inner)
 	c.resetDirty()

@@ -45,8 +45,9 @@
 // their Retry-After header. Per route:
 //
 //	POST /v1/tune
-//	    400  malformed body, missing/unknown benchmark, bad chaos plan,
-//	         or negative retry_attempts
+//	    400  malformed body, missing/unknown benchmark, or options no
+//	         session accepts (hotspot.CheckOptions: a bad chaos plan,
+//	         negative retry_attempts, out-of-range workers or reps, ...)
 //	    429  + Retry-After: accept queue full (async submissions), or the
 //	         client exceeded its submission rate (X-Client token bucket)
 //	    503  + Retry-After: server shutting down, or the job store is full
@@ -95,7 +96,6 @@ import (
 
 	"repro/hotspot"
 	"repro/internal/checkpoint"
-	"repro/internal/faultinject"
 	"repro/internal/flags"
 	"repro/internal/telemetry"
 )
@@ -498,7 +498,33 @@ func (s *Server) runJob(job *Job) {
 		s.jobTerminalLocked(job)
 	}()
 
-	req := job.Request
+	opts := s.options(job.Request)
+	opts.Telemetry, opts.Trace = job.tel, job.trace
+	opts.OnProgress = func(p hotspot.Progress) {
+		s.mu.Lock()
+		// Replace the pointer rather than mutating through it: job
+		// snapshots taken for serialization stay consistent.
+		job.Progress = &p
+		s.mu.Unlock()
+	}
+	s.durableOptions(&opts, job.ID)
+	res, err := tuneFn(ctx, opts)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case err != nil && ctx.Err() != nil:
+		job.State, job.Error = "canceled", err.Error()
+	case err != nil:
+		job.State, job.Error = "failed", err.Error()
+	default:
+		job.State, job.Result = "done", res
+	}
+}
+
+// options maps a tune request onto the session options the farm runs it
+// with; handleTune checks them at submission and runJob adds the job's
+// own telemetry, progress and checkpoint.
+func (s *Server) options(req TuneRequest) hotspot.Options {
 	opts := hotspot.Options{
 		Benchmark:        req.Benchmark,
 		Searcher:         req.Searcher,
@@ -519,32 +545,12 @@ func (s *Server) runJob(job *Job) {
 		TLSCA:            s.cfg.TLSCA,
 		AuthToken:        s.cfg.AuthToken,
 		Noise:            -1,
-		Telemetry:        job.tel,
-		Trace:            job.trace,
-		OnProgress: func(p hotspot.Progress) {
-			s.mu.Lock()
-			// Replace the pointer rather than mutating through it: job
-			// snapshots taken for serialization stay consistent.
-			job.Progress = &p
-			s.mu.Unlock()
-		},
 	}
 	if req.Transfer && s.cfg.TransferDir != "" {
 		opts.TransferDir = s.cfg.TransferDir
 		opts.TransferK = req.TransferK
 	}
-	s.durableOptions(&opts, job.ID)
-	res, err := tuneFn(ctx, opts)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case err != nil && ctx.Err() != nil:
-		job.State, job.Error = "canceled", err.Error()
-	case err != nil:
-		job.State, job.Error = "failed", err.Error()
-	default:
-		job.State, job.Result = "done", res
-	}
+	return opts
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -591,28 +597,8 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Validate cheaply before accepting the job.
-	if !validBenchmark(req.Benchmark) {
-		writeError(w, http.StatusBadRequest, "unknown benchmark %q", req.Benchmark)
-		return
-	}
-	if _, err := faultinject.ParsePlan(req.Chaos); err != nil {
-		writeError(w, http.StatusBadRequest, "bad chaos plan: %v", err)
-		return
-	}
-	if req.RetryAttempts < 0 {
-		writeError(w, http.StatusBadRequest, "retry_attempts must be ≥ 0")
-		return
-	}
-	if err := hotspot.CheckWorkersReps(req.Workers, req.Reps); err != nil {
+	if err := hotspot.CheckOptions(s.options(req)); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.DriftSensitivity != 0 && !req.Drift {
-		writeError(w, http.StatusBadRequest, "drift_sensitivity requires drift")
-		return
-	}
-	if req.DriftSensitivity < 0 {
-		writeError(w, http.StatusBadRequest, "drift_sensitivity must be > 0")
 		return
 	}
 
@@ -825,13 +811,4 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, MeasureResponse{WallSeconds: wall})
-}
-
-func validBenchmark(name string) bool {
-	for _, b := range hotspot.Benchmarks() {
-		if b == name {
-			return true
-		}
-	}
-	return false
 }

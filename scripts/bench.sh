@@ -7,6 +7,7 @@
 #   scripts/bench.sh            record the next BENCH_<n>.json
 #   scripts/bench.sh -check     run fresh, compare against the latest
 #                               recorded point, exit 1 on >10% regression
+#                               or when that point is from another host
 #
 # `make bench` routes here; it used to invoke `go test -bench=. -benchmem`
 # bare, which re-ran every unit test and threw the numbers away.

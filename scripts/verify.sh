@@ -63,8 +63,10 @@ make transfer-drill
 make drift-drill
 
 # The perf gate (opt-in, BENCH_CHECK=1): rerun the benchmark suite and fail
-# on >10% regression against the latest recorded BENCH_*.json. Off by
-# default so tier-1 stays fast and deterministic on noisy machines.
+# on >10% regression against the latest recorded BENCH_*.json, which must
+# have been recorded on this host (benchdiff refuses a point from another
+# host or from none, naming both). Off by default so tier-1 stays fast and
+# deterministic on noisy machines.
 if [ "${BENCH_CHECK:-0}" = "1" ]; then
     ./scripts/bench.sh -check
 fi
