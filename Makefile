@@ -11,9 +11,11 @@ cover:
 # The crash drills: kill fixed-seed sessions (and the job farm) mid-run,
 # resume from checkpoints, and demand byte-identical results — including a
 # second kill inside the resume's replay prefix, and resumes from a version
-# 1 and a version 2 chaos checkpoint, each written by the last build that
-# wrote its version (the version 2 one under launch, crash, spike and
-# straggle faults with hedging and quarantine). A checkpoint's first
+# 1, a version 2 and a version 3 chaos checkpoint, each written by the last
+# build that wrote its version (the version 2 one under launch, crash,
+# spike and straggle faults with hedging and quarantine, the version 3 one
+# under hang faults with a long chain of nested chaos segments, which this
+# build folds into its one runner-state stream). A checkpoint's first
 # write must sweep the temp a crash inside an earlier one stranded, a
 # session that ends must leave its last trial in the file, and resuming a
 # finished file must leave it untouched. The byte gate runs
@@ -26,7 +28,7 @@ cover:
 # implementation keys, ten times over as well.
 crash-matrix:
 	go test -race -count=1 \
-	  -run 'TestKillAndResume|TestKillDuringReplayAndResume|TestV1CheckpointResumes|TestV2CheckpointResumes|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume|TestKeeperSweepsStaleTemps|TestFinalCheckpointHoldsLastTrial|TestResumeOfFinishedFileWritesNothing' \
+	  -run 'TestKillAndResume|TestKillDuringReplayAndResume|TestV1CheckpointResumes|TestV2CheckpointResumes|TestV3CheckpointResumes|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume|TestKeeperSweepsStaleTemps|TestFinalCheckpointHoldsLastTrial|TestResumeOfFinishedFileWritesNothing' \
 	  ./hotspot ./internal/core ./internal/httpapi ./internal/checkpoint .
 	go test -race -count=10 -run 'TestCheckpointBytesReproducible|TestCheckpointBytesSurviveKillAndResume' ./hotspot
 	go test -race -count=10 -run 'TestSessionStopsItsMeasurers|TestCrossoverStoresCanonicalForm' ./internal/core ./internal/flags
@@ -62,10 +64,13 @@ overload-drill:
 # to start rather than retry forever. The pool measures along one path: a
 # round's retries run in lockstep exactly as one-by-one measurements would,
 # a trial measured alone is a batch of one, and a wave starts one goroutine
-# per request past the first and none per trial.
+# per request past the first and none per trial. A chaos session batches
+# too: against a loopback node it reports the dispatch_* series and sends
+# no more requests than it has placement waves, and a measurement the
+# fleet cannot place under chaos is retried by the harness's one loop.
 dist-drill:
 	go test -race -count=1 \
-	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestRejectedTrialMeasurementsAgree|TestPlacementsAppendNothingToFleetJournal|TestAttachFleetReplaysOlderJournal|TestCheckpointBytesFleetEquivalence|TestMembershipGrantsAskedLease|TestJoinerRefusesIntervalPastLeaseLimit|TestCLIEvaldRefusesLongJoinInterval|TestRunBatchMatchesRun|TestMeasureIsBatchOfOne|TestWaveStartsOneGoroutinePerRequestPastTheFirst|TestCLIDistDrill' \
+	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestRejectedTrialMeasurementsAgree|TestPlacementsAppendNothingToFleetJournal|TestAttachFleetReplaysOlderJournal|TestCheckpointBytesFleetEquivalence|TestMembershipGrantsAskedLease|TestJoinerRefusesIntervalPastLeaseLimit|TestCLIEvaldRefusesLongJoinInterval|TestRunBatchMatchesRun|TestMeasureIsBatchOfOne|TestWaveStartsOneGoroutinePerRequestPastTheFirst|TestChaosFleetKeepsTelemetryAndBatching|TestChaosPlacementExhaustionRetriedOnce|TestCLIDistDrill' \
 	  ./internal/dispatch ./internal/runner ./hotspot .
 
 # The transfer drills: the cross-workload knowledge base's survival and

@@ -323,7 +323,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "autotune: writing trace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("trace:        %d events → %s\n", tracer.Len(), *trace)
+		fmt.Println(traceReport(tracer, *trace))
 	}
 	if *converge {
 		fmt.Printf("convergence (virtual minutes → best wall seconds):\n")
@@ -346,4 +346,19 @@ func main() {
 			fmt.Printf("  %-35s = %-8s %+6.1f%%\n", c.Name, c.Value, c.DeltaPct)
 		}
 	}
+}
+
+// traceReport is the summary line for a trace written to path. A ring
+// that overflowed says how many events it lost and where the file starts,
+// since the session's first events are then missing from it.
+func traceReport(tr *hotspot.Tracer, path string) string {
+	line := fmt.Sprintf("trace:        %d events → %s", tr.Len(), path)
+	if d := tr.Dropped(); d > 0 {
+		first := 0
+		if evs := tr.Events(); len(evs) > 0 {
+			first = evs[0].Seq
+		}
+		line += fmt.Sprintf(" (%d events dropped; the file starts at seq %d)", d, first)
+	}
+	return line
 }

@@ -235,6 +235,25 @@ func TestV2CheckpointResumes(t *testing.T) {
 	})
 }
 
+// TestV3CheckpointResumes: testdata/checkpoint_v3.ckpt is a version 3
+// checkpoint of a sunflow session under launch, corrupt, crash, hang and
+// spike faults, written every 2 trials and killed by crash-at=50, so its
+// runner state is a long chain of chaos segments each nesting the inner
+// runner's; testdata/checkpoint_v3.golden.json is the uninterrupted
+// session's result. Both were written by the last build that wrote
+// version 3, whose chaos layer kept its own clock and stream.
+func TestV3CheckpointResumes(t *testing.T) {
+	resumesFixture(t, "checkpoint_v3", 3, "crash-at=65", Options{
+		Benchmark:             "sunflow",
+		BudgetMinutes:         90,
+		Seed:                  11,
+		Workers:               2,
+		Noise:                 -1,
+		Chaos:                 "launch=0.06,corrupt=0.03,crash=0.03,hang=0.02,spike=0.08",
+		CheckpointEveryTrials: 2,
+	})
+}
+
 // resumesFixture resumes a copy of testdata/<name>.ckpt, a checkpoint at
 // format version, under opts: the result must be testdata/<name>.golden.json
 // byte for byte and the file must be at this build's version afterwards.

@@ -638,22 +638,16 @@ func newSession(ctx context.Context, opts Options, plan *faultinject.Plan, defau
 }
 
 // measurementStack finishes the measurement layers of a session: run,
-// whose harness is h, wrapped in a chaos layer when the plan injects
-// faults. Every layer retries under the session's policy, and telemetry
-// wires to the outermost layer only — the chaos layer when active (it
-// sees every attempt, injected and clean, with its own attempt indices),
-// otherwise the runner itself — so nothing is counted twice.
+// whose harness h retries under the session's policy and reports its
+// telemetry and trace, with the chaos plan's fault source installed on h
+// when the plan injects faults.
 func measurementStack(run runner.Runner, h *runner.Harness, plan faultinject.Plan, opts Options) runner.Runner {
-	retry := runner.RetryPolicy{MaxAttempts: opts.RetryAttempts}
-	h.Retry = retry
+	h.Retry = runner.RetryPolicy{MaxAttempts: opts.RetryAttempts}
+	h.Telemetry, h.Trace = opts.Telemetry, opts.Trace
 	if !plan.Active() {
-		h.Telemetry, h.Trace = opts.Telemetry, opts.Trace
 		return run
 	}
-	chaos := faultinject.New(run, plan, opts.Seed)
-	chaos.Retry = retry
-	chaos.Telemetry, chaos.Trace = opts.Telemetry, opts.Trace
-	return chaos
+	return faultinject.New(run, plan, opts.Seed).Runner()
 }
 
 // heartbeatInterval is how often a distributed session probes its nodes'

@@ -162,7 +162,7 @@ func TestDecodeRejectsBadV2(t *testing.T) {
 		{"delta gap", append(append([]byte(nil), base...), gap...), ErrCorrupt},
 		{"base frame as delta", append(append([]byte(nil), base...), base[headerSize:]...), ErrCorrupt},
 		{"runner state inside base JSON", inline, ErrCorrupt},
-		{"version 4", append(future, base[headerSize:]...), ErrFutureVersion},
+		{"version 5", append(future, base[headerSize:]...), ErrFutureVersion},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 // input either decodes to a snapshot, or returns one of the two sentinel
 // errors — never a panic, never a partially-decoded snapshot. A snapshot
 // that decodes re-encodes, and its encoding decodes to the same snapshot;
-// and a version 2 or 3 file cut anywhere inside a delta record decodes to
+// and a version 2, 3 or 4 file cut anywhere inside a delta record decodes to
 // the snapshot of the records before it.
 func FuzzSnapshotDecode(f *testing.F) {
 	v1 := encodeV1(f, &Snapshot{
@@ -76,7 +76,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 // v2Seeds are the images in version 2's record layout, at this build's
 // Version, that FuzzSnapshotDecode starts from: a base alone, a base plus
 // deltas, a torn delta tail, a bad-CRC delta, a delta with no base, a
-// delta whose trials do not continue the log, and a version 4 header.
+// delta whose trials do not continue the log, and a version 5 header.
 func v2Seeds(t testing.TB) []struct {
 	name string
 	data []byte
@@ -100,7 +100,7 @@ func v2Seeds(t testing.TB) []struct {
 		{"v2_bad_crc_delta", badCRC},
 		{"v2_delta_without_base", append(append([]byte(nil), base[:headerSize]...), d01...)},
 		{"v2_delta_gap", append(append([]byte(nil), base...), d12...)},
-		{"future_version_4", future},
+		{"future_version_5", future},
 	}
 }
 

@@ -47,8 +47,12 @@ import (
 // 3 keeps version 2's records; it marks runner state whose chaos layer
 // derives its settled keys from the inner runner's cache instead of
 // storing them, which a version 2 build would restore with nothing
-// settled. Version 2 files still load.
-const Version = 3
+// settled. Version 4 keeps them too; it marks a chaos session's runner
+// state as one stream, the harness's, whose segments carry the launch
+// counters beside the rep indices, where a version 3 build expects the
+// chaos layer's stream nesting the inner runner's. Versions 1 to 3 still
+// load: runner.State folds their nested chaos segments.
+const Version = 4
 
 // magic opens every checkpoint file and journal.
 const magic = "ATCK"
@@ -63,7 +67,7 @@ type Kind struct {
 }
 
 // JournalKind is the farm's and the fleet's write-ahead journal. Journals
-// did not change with checkpoint versions 2 and 3, and keeping them at 1
+// did not change with checkpoint versions 2 to 4, and keeping them at 1
 // means a downgraded build can still replay a farm's history.
 var JournalKind = Kind{Magic: magic, Version: 1}
 

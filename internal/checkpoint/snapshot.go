@@ -144,7 +144,7 @@ type fileRead struct {
 	size, valid int64
 }
 
-// Record kinds of a version 2 or 3 file. Every payload is the kind byte,
+// Record kinds of a version 2, 3 or 4 file. Every payload is the kind byte,
 // the uvarint length of a JSON part, the JSON part, and raw runner-state
 // bytes — carried outside the JSON so no write re-encodes them.
 const (
@@ -242,7 +242,7 @@ func (s *Snapshot) extends(prev *Snapshot) bool {
 		bytes.HasPrefix(s.RunnerState, prev.RunnerState)
 }
 
-// decode reads a checkpoint file written by a Keeper, version 1, 2 or 3. It
+// decode reads a checkpoint file written by a Keeper, version 1 to 4. It
 // fails closed on a bad header, a future version, a missing, torn or
 // undecodable base (or version 1 snapshot) record, trailing data after a
 // version 1 record, and any CRC-valid delta that does not decode or

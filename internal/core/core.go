@@ -285,7 +285,7 @@ type Session struct {
 	// the searcher_propose_seconds histogram); Trace optionally receives the
 	// structured event stream (baseline/proposal/observe/barrier, plus the
 	// runner-side events it commits at delivery time). Share the same
-	// instances with the instrumented runner or chaos layer: the session
+	// instances with the runner's harness: the session
 	// stamps their per-key pending events with virtual completion times,
 	// which is what makes the trace byte-deterministic at any worker count.
 	// Both are nil-safe no-ops when unset.

@@ -413,15 +413,11 @@ func robustnessFingerprint(h *HedgePolicy, q *QuarantinePolicy) string {
 // not one: a runner that is provably byte-equivalent to another (the
 // dispatch pool vs the in-process runner) may claim that identity via the
 // DeterminismFingerprint hook, so checkpoints written under either resume
-// under the other. Everything else renders its concrete type, plus the
-// chaos plan when the runner carries one.
+// under the other; the chaos handle claims its own, with its plan, through
+// whichever runner it measures. Everything else renders its concrete type.
 func runnerFingerprint(r runner.Runner) string {
 	if fp, ok := r.(interface{ DeterminismFingerprint() string }); ok {
 		return fp.DeterminismFingerprint()
 	}
-	desc := fmt.Sprintf("%T", r)
-	if ps, ok := r.(interface{ PlanString() string }); ok {
-		desc += "(" + ps.PlanString() + ")"
-	}
-	return desc
+	return fmt.Sprintf("%T", r)
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/flags"
 	"repro/internal/flags/flagstest"
 	"repro/internal/jvmsim"
@@ -496,5 +497,28 @@ func TestBatchedDeadFleetFailsFast(t *testing.T) {
 	}
 	if wantTel["dispatch_no_node_total"] != 12 {
 		t.Errorf("dispatch_no_node_total = %g, want 12 (4 trials × 3 attempts)", wantTel["dispatch_no_node_total"])
+	}
+}
+
+// TestChaosPlacementExhaustionRetriedOnce: a measurement the fleet cannot
+// place under a chaos plan is retried by the harness's one loop — three
+// attempts, three placement waves — not by a chaos loop around the pool's
+// own, which made it up to three chaos attempts of three pool attempts.
+func TestChaosPlacementExhaustionRetriedOnce(t *testing.T) {
+	pool := newTestPool(t, "fop", NewRemote(refusedAddrs(t, 1)[0]))
+	defer pool.Close()
+	pool.Retry = runner.RetryPolicy{MaxAttempts: 3}
+	ch := faultinject.New(pool, faultinject.Plan{Spike: 0.5}, 1)
+	m := ch.Measure(batchConfigs(flags.NewRegistry(), 1)[0], 2)
+	if m.Failure != runner.NodeDownFailure || !m.Transient || m.Attempts != 3 {
+		t.Errorf("want a transient node-down after 3 attempts, got %+v", m)
+	}
+	tel := pool.Telemetry.Snapshot()
+	for series, want := range map[string]float64{
+		"runner_attempts_total": 3, "runner_retries_total": 2, "dispatch_trials_total": 3,
+	} {
+		if tel[series] != want {
+			t.Errorf("%s = %g, want %g", series, tel[series], want)
+		}
 	}
 }

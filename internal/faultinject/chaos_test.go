@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
 	"sync"
@@ -14,19 +15,23 @@ import (
 	"repro/internal/workload"
 )
 
-// fakeRunner is a controllable inner runner.
+// fakeRunner is a controllable runner built on a harness, as every runner
+// a chaos handle serves is: measure is its attempt body, and cache says
+// whether the harness memoizes definitive verdicts, as the production
+// runners do.
 type fakeRunner struct {
+	runner.Harness
 	profile *workload.Profile
 	measure func(cfg *flags.Config, reps int) runner.Measurement
+	cache   bool
 
-	mu      sync.Mutex
-	calls   int
-	elapsed float64
+	mu    sync.Mutex
+	calls int
 }
 
 func newFake(measure func(cfg *flags.Config, reps int) runner.Measurement) *fakeRunner {
 	p, _ := workload.ByName("fop")
-	return &fakeRunner{profile: p, measure: measure}
+	return &fakeRunner{profile: p, measure: measure, cache: true}
 }
 
 func okRun(cfg *flags.Config, _ int) runner.Measurement {
@@ -38,26 +43,45 @@ func okRun(cfg *flags.Config, _ int) runner.Measurement {
 }
 
 func (f *fakeRunner) Measure(cfg *flags.Config, reps int) runner.Measurement {
-	m := f.measure(cfg, reps)
-	f.mu.Lock()
-	f.calls++
-	f.elapsed += m.CostSeconds
-	f.mu.Unlock()
-	return m
+	return f.Run(cfg, reps, 0, f.cache, func(_, reps int) runner.Measurement {
+		f.mu.Lock()
+		f.calls++
+		f.mu.Unlock()
+		return f.measure(cfg, reps)
+	})
 }
 
 func (f *fakeRunner) Workload() *workload.Profile { return f.profile }
-
-func (f *fakeRunner) Elapsed() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.elapsed
-}
 
 func (f *fakeRunner) Calls() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.calls
+}
+
+// launches snapshots the harness's state and folds the launch counters
+// out of the stream.
+func launches(t *testing.T, ch *ChaosRunner) map[string]int {
+	t.Helper()
+	stream, err := ch.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return launchesIn(t, stream)
+}
+
+// launchesIn folds the launch counters out of a state stream.
+func launchesIn(t *testing.T, stream []byte) map[string]int {
+	t.Helper()
+	out := make(map[string]int)
+	for _, seg := range segments(t, stream) {
+		if raw, ok := seg["attempts"]; ok {
+			if err := json.Unmarshal(raw, &out); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return out
 }
 
 func testConfig() *flags.Config { return flags.NewConfig(flags.NewRegistry()) }
@@ -105,27 +129,8 @@ func TestChaosRetryBudgetOutlastsStreak(t *testing.T) {
 	}
 }
 
-// cachingFake is a fakeRunner with a cache, as every production runner
-// has: it memoizes each definitive verdict in a runner.State and replays
-// it without calling the fake again.
-type cachingFake struct {
-	*fakeRunner
-	runner.State
-}
-
-func (f *cachingFake) Measure(cfg *flags.Config, reps int) runner.Measurement {
-	if m, ok := f.Cached(cfg.Key(), reps); ok {
-		return m
-	}
-	m := f.fakeRunner.Measure(cfg, reps)
-	f.Settle(cfg.Key(), m, true)
-	return m
-}
-
-func (f *cachingFake) Elapsed() float64 { return f.State.Elapsed() }
-
 func TestChaosSettledKeysAreLeftAlone(t *testing.T) {
-	inner := &cachingFake{fakeRunner: newFake(okRun)}
+	inner := newFake(okRun)
 	ch := New(inner, Plan{Launch: 1, MaxConsecutive: 1}, 1)
 	ch.Telemetry = telemetry.New()
 	first := ch.Measure(testConfig(), 1)
@@ -134,8 +139,8 @@ func TestChaosSettledKeysAreLeftAlone(t *testing.T) {
 	}
 	before := ch.Telemetry.Snapshot()
 
-	// The inner cache answers the key; replays bypass injection entirely
-	// (a cache replay involves no launch to sabotage).
+	// The harness's cache answers the key; replays bypass injection
+	// entirely (a cache replay involves no launch to sabotage).
 	second := ch.Measure(testConfig(), 1)
 	if second.Failed || second.Flakes != 0 || !second.FromCache {
 		t.Errorf("settled key was sabotaged: %+v", second)
@@ -147,15 +152,16 @@ func TestChaosSettledKeysAreLeftAlone(t *testing.T) {
 		}
 	}
 	if inner.Calls() != 1 {
-		t.Errorf("a settled key must replay from the inner cache, inner ran %d times", inner.Calls())
+		t.Errorf("a settled key must replay from the cache, the body ran %d times", inner.Calls())
 	}
 }
 
-// An inner runner that keeps no cache answers nothing, so the chaos layer
-// settles nothing: each re-measurement is a fresh launch that draws the
-// key's next attempts from the schedule.
+// A runner that keeps no cache answers nothing, so nothing is settled:
+// each re-measurement is a fresh launch that draws the key's next
+// attempts from the schedule.
 func TestChaosWithoutInnerCacheSettlesNothing(t *testing.T) {
 	inner := newFake(okRun)
+	inner.cache = false
 	ch := New(inner, Plan{Launch: 1, MaxConsecutive: 1}, 1)
 	for i := 1; i <= 2; i++ {
 		m := ch.Measure(testConfig(), 1)
@@ -163,21 +169,21 @@ func TestChaosWithoutInnerCacheSettlesNothing(t *testing.T) {
 			t.Fatalf("measurement %d: want one absorbed flake, then a fresh run: %+v", i, m)
 		}
 		if inner.Calls() != i {
-			t.Errorf("measurement %d: inner ran %d times", i, inner.Calls())
+			t.Errorf("measurement %d: the body ran %d times", i, inner.Calls())
 		}
 	}
-	if n := ch.attempts[testConfig().Key()]; n != 4 {
+	if n := launches(t, ch)[testConfig().Key()]; n != 4 {
 		t.Errorf("two measurements of two attempts each left the counter at %d", n)
 	}
 }
 
 func TestChaosDeterministicFailureSettles(t *testing.T) {
-	inner := &cachingFake{fakeRunner: newFake(func(cfg *flags.Config, _ int) runner.Measurement {
+	inner := newFake(func(cfg *flags.Config, _ int) runner.Measurement {
 		return runner.Measurement{
 			Key: cfg.Key(), Failed: true, Failure: jvmsim.OOMFailure,
 			FailureMessage: "OutOfMemoryError", CostSeconds: 1,
 		}
-	})}
+	})
 	// No faults scheduled for this seed/key on attempt 0 is not guaranteed,
 	// so use a plan whose only fault is a spike: spikes pass failures through.
 	ch := New(inner, Plan{Spike: 1}, 1)
@@ -188,14 +194,13 @@ func TestChaosDeterministicFailureSettles(t *testing.T) {
 	if m.Flakes != 0 || inner.Calls() != 1 {
 		t.Error("deterministic failures must not be retried")
 	}
-	// The verdict settles the key: the replay is the inner cache's, with
-	// no further injection and no attempt.
+	// The verdict settles the key: the replay is the cache's, with no
+	// further injection and no attempt.
 	if again := ch.Measure(testConfig(), 1); !again.FromCache || again.Failure != jvmsim.OOMFailure {
-		t.Errorf("a condemned key must replay its verdict from the inner cache: %+v", again)
+		t.Errorf("a condemned key must replay its verdict from the cache: %+v", again)
 	}
-	if inner.Calls() != 1 || ch.attempts[testConfig().Key()] != 1 {
-		t.Errorf("settled key went past the inner cache: %d calls, %d attempts",
-			inner.Calls(), ch.attempts[testConfig().Key()])
+	if n := launches(t, ch)[testConfig().Key()]; inner.Calls() != 1 || n != 1 {
+		t.Errorf("settled key went past the cache: %d calls, %d attempts", inner.Calls(), n)
 	}
 }
 
@@ -291,8 +296,8 @@ func TestChaosInactivePlanIsTransparent(t *testing.T) {
 	inner := newFake(okRun)
 	ch := New(inner, Plan{}, 1)
 	m := ch.Measure(testConfig(), 2)
-	if m.Failed || m.Flakes != 0 || len(ch.attempts) != 0 {
-		t.Errorf("inactive plan must be a pass-through: %+v attempts=%v", m, ch.attempts)
+	if n := launches(t, ch); m.Failed || m.Flakes != 0 || len(n) != 0 || ch.Faults != nil {
+		t.Errorf("inactive plan must be a pass-through: %+v attempts=%v", m, n)
 	}
 	if math.Abs(m.CostSeconds-ch.Elapsed()) > 1e-6 {
 		t.Errorf("elapsed should still track costs: %g vs %g", ch.Elapsed(), m.CostSeconds)
@@ -300,8 +305,8 @@ func TestChaosInactivePlanIsTransparent(t *testing.T) {
 }
 
 func TestChaosTransientExhaustionNotSettled(t *testing.T) {
-	// The inner runner itself flakes forever (a genuinely sick farm —
-	// something the streak cap cannot save us from).
+	// The body itself flakes forever (a genuinely sick farm — something
+	// the streak cap cannot save us from).
 	inner := newFake(func(cfg *flags.Config, _ int) runner.Measurement {
 		return runner.Measurement{
 			Key: cfg.Key(), Failed: true, Failure: runner.LaunchFlakeFailure,
@@ -349,11 +354,11 @@ func TestChaosScheduleIsSeedDeterministic(t *testing.T) {
 	}
 }
 
-// Regression: a spike scales copies of the walls and pauses. The inner
-// runner has just cached the clean measurement, whose slices the spiked
-// one shares, and scaling those in place left the cache holding spiked
-// walls under a clean Mean — a measurement inconsistent with itself,
-// replayed to the next proposal and persisted in checkpoints.
+// Regression: a spike scales copies of the walls and pauses. The cache
+// keeps the body's clean measurement, whose slices the spiked one shares,
+// and scaling those in place left the cache holding spiked walls under a
+// clean Mean — a measurement inconsistent with itself, replayed to the
+// next proposal and persisted in checkpoints.
 func TestChaosSpikeLeavesInnerCacheClean(t *testing.T) {
 	p, _ := workload.ByName("fop")
 	ip := runner.NewInProcess(jvmsim.New(), p)
@@ -376,11 +381,11 @@ func TestChaosSpikeLeavesInnerCacheClean(t *testing.T) {
 	}
 	cached, ok := ip.Cached(cfg.Key(), 2)
 	if !ok {
-		t.Fatal("inner runner did not cache the measurement")
+		t.Fatal("the harness did not cache the measurement")
 	}
 	replay := ch.Measure(cfg, 2)
 	if !replay.FromCache {
-		t.Fatalf("a settled key must replay from the inner cache, got %+v", replay)
+		t.Fatalf("a settled key must replay from the cache, got %+v", replay)
 	}
 	for name, m := range map[string]runner.Measurement{"cached": cached, "replay": replay} {
 		if math.Abs(mean(m.Walls)-m.Mean) > 1e-9 {
@@ -389,6 +394,31 @@ func TestChaosSpikeLeavesInnerCacheClean(t *testing.T) {
 		if math.Abs(m.Mean*3-spiked.Mean) > 1e-9 {
 			t.Errorf("%s Mean %g, want the clean %g", name, m.Mean, spiked.Mean/3)
 		}
+		// The memo is the clean attempt's own: one attempt, its own cost.
+		if m.Attempts != 1 || m.Flakes != 0 || m.HedgeCostSeconds != 0 {
+			t.Errorf("%s carries %d attempts, %d flakes, hedge cost %g; want the clean attempt's own tally",
+				name, m.Attempts, m.Flakes, m.HedgeCostSeconds)
+		}
+	}
+}
+
+// The cache memoizes the clean attempt with its own one-attempt tally,
+// never the tally summed over the injected failures before it: a replay
+// reads as one attempt, as a replay of a fault-free measurement does.
+func TestChaosCacheKeepsOwnTally(t *testing.T) {
+	inner := newFake(okRun)
+	ch := New(inner, Plan{Launch: 1, MaxConsecutive: 2}, 1)
+	first := ch.Measure(testConfig(), 1)
+	if first.Attempts != 3 || first.Flakes != 2 {
+		t.Fatalf("want two flakes then a clean run: %+v", first)
+	}
+	replay := ch.Measure(testConfig(), 1)
+	if !replay.FromCache || replay.Attempts != 1 || replay.Flakes != 0 {
+		t.Errorf("replay carries %d attempts and %d flakes, want the clean attempt's 1 and 0: %+v",
+			replay.Attempts, replay.Flakes, replay)
+	}
+	if want := first.CostSeconds; math.Abs(ch.Elapsed()-want) > 1e-6 {
+		t.Errorf("clock = %g, want the measurement's whole cost %g", ch.Elapsed(), want)
 	}
 }
 
@@ -438,7 +468,9 @@ func TestHugeAttemptCountMeasuresPromptly(t *testing.T) {
 		t.Fatal("launch=1 fails every draw")
 	}
 	key := testConfig().Key()
-	ch.attempts[key] = 1 << 40
+	if err := ch.RestoreState([]byte(`{"elapsed":0,"attempts":{"` + key + `":1099511627776}}`)); err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
 	m := ch.Measure(testConfig(), 1)
 	if wait := time.Since(start); wait > time.Second {
@@ -449,7 +481,105 @@ func TestHugeAttemptCountMeasuresPromptly(t *testing.T) {
 	if m.Failed || m.Flakes != 1 || m.Attempts != 2 {
 		t.Errorf("want one flake then a clean run: %+v", m)
 	}
-	if n := ch.attempts[key]; n != 1<<40+2 {
+	if n := launches(t, ch)[key]; n != 1<<40+2 {
 		t.Errorf("attempt counter = %d, want 2^40+2", n)
+	}
+}
+
+// A transient failure of the body — placement exhaustion on a dead fleet,
+// a real launch flake — is retried by the one loop, which also numbers it
+// as a launch: the retries stop at the policy's attempts, not at the
+// policy's attempts times the body's own.
+func TestBodyTransientFailureRetriedByOneLoop(t *testing.T) {
+	inner := newFake(func(cfg *flags.Config, _ int) runner.Measurement {
+		return runner.Measurement{
+			Key: cfg.Key(), Failed: true, Failure: runner.NodeDownFailure,
+		}
+	})
+	ch := New(inner, Plan{Spike: 0.5}, 1)
+	ch.Retry = runner.RetryPolicy{MaxAttempts: 3}
+	m := ch.Measure(testConfig(), 1)
+	if !m.Transient || m.Attempts != 3 {
+		t.Fatalf("want transient exhaustion after 3 attempts: %+v", m)
+	}
+	if inner.Calls() != 3 {
+		t.Errorf("the body ran %d times, want 3", inner.Calls())
+	}
+	if n := launches(t, ch)[testConfig().Key()]; n != 3 {
+		t.Errorf("launch counter = %d, want 3", n)
+	}
+}
+
+// batchingFake is a fakeRunner that also measures whole rounds, as the
+// dispatch pool does: each retry round is one call of place.
+type batchingFake struct {
+	*fakeRunner
+	waves int
+}
+
+func (f *batchingFake) MeasureBatch(cfgs []*flags.Config, reps int) []runner.Measurement {
+	return f.RunBatch(cfgs, reps, 0, f.cache, func(round []*runner.Attempt) {
+		f.waves++
+		for _, a := range round {
+			a.M = f.measure(a.Cfg, a.Reps)
+		}
+	})
+}
+
+// The handle keeps the chaos identity whichever runner it measures
+// through, batches exactly when the inner runner does, and follows phase
+// shifts only through an inner runner that can.
+func TestChaosHandleIdentityBatchingAndPhase(t *testing.T) {
+	plan := Plan{Launch: 1, MaxConsecutive: 2}
+	want := "*faultinject.ChaosRunner(" + plan.String() + ")"
+
+	plain := New(newFake(okRun), plan, 1)
+	if _, ok := plain.Runner().(runner.BatchMeasurer); ok || plain.Runner() != runner.Runner(plain) {
+		t.Error("over a runner that does not batch, the handle is the session's runner")
+	}
+	if err := plain.SetPhase(1, jvmsim.PhaseShift{}); err == nil {
+		t.Error("a phase shift through a runner without phases must fail")
+	}
+
+	inner := &batchingFake{fakeRunner: newFake(okRun)}
+	ch := New(inner, plan, 1)
+	bm, ok := ch.Runner().(runner.BatchMeasurer)
+	if !ok {
+		t.Fatal("over a batching runner, the session's runner must batch")
+	}
+	for _, r := range []runner.Runner{plain, ch, ch.Runner()} {
+		if got := r.(interface{ DeterminismFingerprint() string }).DeterminismFingerprint(); got != want {
+			t.Errorf("fingerprint %q, want %q", got, want)
+		}
+	}
+	cfgs := make([]*flags.Config, 3)
+	for i := range cfgs {
+		cfgs[i] = testConfig()
+		cfgs[i].SetInt("MaxHeapSize", int64(i+1)<<28)
+	}
+	// Every trial fails twice by injection, then runs clean: three waves,
+	// and only the last one reaches the body.
+	for i, m := range bm.MeasureBatch(cfgs, 1) {
+		if m.Failed || m.Attempts != 3 || m.Flakes != 2 {
+			t.Errorf("trial %d: want two flakes then a clean run: %+v", i, m)
+		}
+	}
+	if inner.waves != 1 || inner.Calls() != 0 {
+		t.Errorf("the body saw %d waves, want 1", inner.waves)
+	}
+
+	p, _ := workload.ByName("fop")
+	ip := runner.NewInProcess(jvmsim.New(), p)
+	shifted := New(ip, plan, 1)
+	cfg := testConfig()
+	shifted.Measure(cfg, 1)
+	if err := shifted.SetPhase(1, jvmsim.DefaultShift()); err != nil {
+		t.Fatal(err)
+	}
+	if m := shifted.Measure(cfg, 1); m.FromCache || m.Attempts != 3 {
+		t.Errorf("after a shift the key is measured afresh, from its own launch counter: %+v", m)
+	}
+	if n := launches(t, shifted); n[cfg.Key()] != 3 || n[runner.PhaseKey(1, cfg.Key())] != 3 {
+		t.Errorf("launch counters %v, want 3 per phase", n)
 	}
 }

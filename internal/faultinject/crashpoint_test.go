@@ -112,14 +112,22 @@ func TestChaosStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestChaosSnapshotRequiresSnapshottingInner(t *testing.T) {
-	ch := New(newFake(okRun), Plan{Launch: 0.5}, 1)
-	if _, err := ch.SnapshotState(); err == nil {
-		t.Fatal("snapshot over a non-snapshotting inner runner should error")
-	}
-	if err := ch.RestoreState([]byte(`{}`)); err == nil {
-		t.Fatal("restore over a non-snapshotting inner runner should error")
-	}
+// plainRunner measures without a harness.
+type plainRunner struct{ *fakeRunner }
+
+func (r plainRunner) Measure(cfg *flags.Config, reps int) runner.Measurement { return okRun(cfg, reps) }
+
+// A chaos handle installs its fault source on a harness, and a runner
+// without one has none to install it on.
+func TestChaosRequiresHarnessedInner(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New over a runner without a harness should panic")
+		}
+	}()
+	New(struct {
+		runner.Runner
+	}{plainRunner{newFake(okRun)}}, Plan{Launch: 0.5}, 1)
 }
 
 func TestChaosPlanString(t *testing.T) {

@@ -1,8 +1,9 @@
 // Package faultinject is the tuner's deterministic chaos layer: a
-// ChaosRunner wraps any runner.Runner and sabotages measurement attempts —
-// transient launch failures, corrupted reports, spurious crashes, hangs
-// killed at a real deadline, and latency spikes — according to a seeded,
-// per-configuration schedule described by a Plan.
+// ChaosRunner makes the measurement harness of any caching runner sabotage
+// its attempts — transient launch failures, corrupted reports, spurious
+// crashes, hangs killed at a real deadline, latency spikes and stalled
+// deliveries — according to a seeded, per-configuration schedule
+// described by a Plan.
 //
 // The paper's 200-minute tuning sessions only work because the harness
 // survives hostile configurations; this package makes that survivable
@@ -12,12 +13,15 @@
 // faults, the same retries, the same budget spend, and the same winning
 // configuration at any worker count.
 //
-// A ChaosRunner's only state is its virtual clock and one launch-attempt
-// counter per configuration, which is all its checkpoint segment holds.
-// Whether a configuration is settled (the inner runner's cache answers
-// it, so no launch happens to sabotage), the streak of injected failures
-// it carries, and how many faults were injected (the chaos_* telemetry
-// series) are all derived, not stored.
+// The package holds no measurement state. New installs a ChaosRunner
+// handle as the fault source of a runner's runner.Harness, which draws a
+// fault for every attempt its cache does not answer, numbering attempts
+// by a per-configuration launch counter it keeps beside the rep indices.
+// So a chaos session has one retry loop, one virtual clock and one state
+// stream, and a chaos round over the fleet is one placement wave per
+// retry round like any other. The streak of injected failures an attempt
+// follows and how many faults were injected (the chaos_* telemetry
+// series) are derived, not stored.
 //
 // Plans are built three ways: literally, from a named scenario
 // (Scenario("unstable-farm")), or from the fault-plan DSL — a comma list of

@@ -20,6 +20,7 @@
 //	GET    /v1/jobs                list jobs
 //	GET    /v1/jobs/{id}           job status, live progress, and the result
 //	GET    /v1/jobs/{id}/trace     a finished job's event trace as JSONL
+//	                               (X-Trace-Dropped: events the trace lost)
 //	DELETE /v1/jobs/{id}           cancel a queued or running job
 //	POST   /v1/measure             evaluate one flag set on one benchmark
 //	GET    /metrics                farm metrics in Prometheus text format
@@ -709,6 +710,11 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	trace := job.trace
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/jsonl")
+	// A ring that overflowed lost the session's first events: say how
+	// many, without changing the trace's bytes.
+	if d := trace.Dropped(); d > 0 {
+		w.Header().Set("X-Trace-Dropped", strconv.Itoa(d))
+	}
 	_ = trace.WriteJSONL(w)
 }
 

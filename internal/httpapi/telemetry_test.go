@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -133,6 +134,46 @@ func TestJobTraceEndpoint(t *testing.T) {
 
 	if code, _ := getBody(t, ts.URL+"/v1/jobs/99/trace"); code != http.StatusNotFound {
 		t.Errorf("missing job trace status %d, want 404", code)
+	}
+}
+
+// TestJobTraceReportsDroppedEvents: a job trace whose ring overflowed
+// says how many events it lost in X-Trace-Dropped; a complete one carries
+// no such header. The trace's bytes are the tracer's either way.
+func TestJobTraceReportsDroppedEvents(t *testing.T) {
+	s, ts := newTestServer(t)
+	var job Job
+	if code := postJSON(t, ts.URL+"/v1/tune?sync=1", smallJob(), &job); code != 200 {
+		t.Fatalf("sync tune status %d", code)
+	}
+	url := fmt.Sprintf("%s/v1/jobs/%d/trace", ts.URL, job.ID)
+	dropped := func() (string, string) {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Header.Get("X-Trace-Dropped"), string(body)
+	}
+	if d, _ := dropped(); d != "" {
+		t.Errorf("a complete trace reports %q dropped events", d)
+	}
+	s.mu.Lock()
+	tr := s.jobs[job.ID].trace
+	s.mu.Unlock()
+	for i := tr.Len(); i < 16384+5; i++ {
+		tr.Emit(telemetry.Event{Kind: telemetry.EvBarrier})
+	}
+	var want bytes.Buffer
+	if err := tr.WriteJSONL(&want); err != nil {
+		t.Fatal(err)
+	}
+	if d, body := dropped(); d != "5" || body != want.String() {
+		t.Errorf("overflowed trace: X-Trace-Dropped %q, want 5 (body equal: %v)", d, body == want.String())
 	}
 }
 

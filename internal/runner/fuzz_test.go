@@ -55,8 +55,10 @@ func FuzzRunReportDecode(f *testing.F) {
 // either fail to restore, or restore a State whose next snapshot — after
 // one more measurement, so the change tracking is exercised — extends the
 // restored bytes and restores to the same state. The seed corpus in
-// testdata/fuzz holds streams, torn streams, out-of-range clocks, and
-// single-object states as builds before streams wrote them.
+// testdata/fuzz holds streams, torn streams, out-of-range clocks,
+// single-object states as builds before streams wrote them, a segment
+// with launch counters, and a legacy chaos stream whose segments nest the
+// inner runner's.
 func FuzzRunnerStateRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var a State
@@ -66,7 +68,8 @@ func FuzzRunnerStateRestore(f *testing.F) {
 		// Zero cost: a charge could push a clock restored near its bound
 		// out of range, which the next restore rightly refuses.
 		a.Reserve("fuzz", 1)
-		a.Settle("fuzz", Measurement{Key: "fuzz", Walls: []float64{1.5}, Mean: 1.5}, true)
+		a.nextLaunch("fuzz")
+		a.Settle("fuzz", 0, &Measurement{Key: "fuzz", Walls: []float64{1.5}, Mean: 1.5})
 		snap, err := a.SnapshotState()
 		if err != nil {
 			t.Fatalf("restored state does not snapshot: %v", err)
@@ -78,7 +81,8 @@ func FuzzRunnerStateRestore(f *testing.F) {
 		if err := b.RestoreState(snap); err != nil {
 			t.Fatalf("snapshot does not restore: %v", err)
 		}
-		if a.elapsed != b.elapsed || !reflect.DeepEqual(a.reps, b.reps) || !reflect.DeepEqual(a.cache, b.cache) {
+		if a.elapsed != b.elapsed || !reflect.DeepEqual(a.reps, b.reps) || !reflect.DeepEqual(a.cache, b.cache) ||
+			!reflect.DeepEqual(a.launches, b.launches) {
 			t.Fatalf("restore of the snapshot diverged:\nsnapshot %q\nelapsed %v/%v reps %v/%v", snap, a.elapsed, b.elapsed, a.reps, b.reps)
 		}
 	})

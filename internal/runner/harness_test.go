@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dispatch"
 	"repro/internal/flags"
@@ -161,6 +162,8 @@ func TestHarnessContract(t *testing.T) {
 // that is condemned — returns the measurements, clock, state bytes,
 // runner_* series and trace events that Run gives the same trials one by
 // one, and hands place every pending attempt of a retry round at once.
+// Under a fault source it does the same with the chaos_* series and the
+// launch counters, and places only the attempts the source does not fail.
 func TestRunBatchMatchesRun(t *testing.T) {
 	reg := flags.NewRegistry()
 	cfgs := make([]*flags.Config, 5)
@@ -195,8 +198,8 @@ func TestRunBatchMatchesRun(t *testing.T) {
 		series map[string]float64
 		events []telemetry.Event
 	}
-	run := func(batch bool) (result, []int) {
-		h := &runner.Harness{Telemetry: telemetry.New(), Trace: telemetry.NewTracer(0)}
+	run := func(batch bool, faults runner.Faults) (result, []int) {
+		h := &runner.Harness{Telemetry: telemetry.New(), Trace: telemetry.NewTracer(0), Faults: faults}
 		measure := func(c *flags.Config) runner.Measurement {
 			return h.Run(c, 2, 0, true, func(repBase, reps int) runner.Measurement {
 				return attempt(c.Key(), repBase, reps)
@@ -227,16 +230,62 @@ func TestRunBatchMatchesRun(t *testing.T) {
 		return result{ms, state, h.Telemetry.Snapshot(), h.Trace.Events()}, rounds
 	}
 
-	want, _ := run(false)
-	got, rounds := run(true)
-	if !reflect.DeepEqual(rounds, []int{4, 2, 1}) {
-		t.Errorf("retry rounds placed %v attempts, want [4 2 1]", rounds)
-	}
-	if !got.ms[cached].FromCache || got.ms[flakyOnce].Attempts != 2 || !got.ms[flaky].Transient ||
-		got.ms[condemned].Failure != jvmsim.OOMFailure {
-		t.Errorf("verdicts: %+v", got.ms)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RunBatch diverges from Run:\n%+v\nvs\n%+v", got, want)
+	for _, tc := range []struct {
+		name   string
+		faults runner.Faults
+		rounds []int
+	}{
+		{"fault-free", nil, []int{4, 2, 1}},
+		// The clean trial's first launch fails by injection and its second
+		// spikes; the flaky-once trial's first result stalls and its
+		// second launch hangs; the condemned trial's draw is suppressed.
+		{"faults", scriptedFaults{kind, map[int][]*runner.Fault{
+			clean: {{Kind: "launch", Failure: runner.LaunchFlakeFailure, Cost: 0.5}, {Kind: "spike", Scale: 3}},
+			flakyOnce: {{Kind: "straggle", Stall: 4}, {Kind: "hang", Failure: runner.InjectedHangFailure,
+				Cost: 7, Hang: time.Millisecond}},
+			condemned: {{Suppressed: true}},
+		}}, []int{3, 2, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, _ := run(false, tc.faults)
+			got, rounds := run(true, tc.faults)
+			if !reflect.DeepEqual(rounds, tc.rounds) {
+				t.Errorf("retry rounds placed %v attempts, want %v", rounds, tc.rounds)
+			}
+			if !got.ms[cached].FromCache || got.ms[flakyOnce].Attempts < 2 || !got.ms[flaky].Transient ||
+				got.ms[condemned].Failure != jvmsim.OOMFailure {
+				t.Errorf("verdicts: %+v", got.ms)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("RunBatch diverges from Run:\n%+v\nvs\n%+v", got, want)
+			}
+			if tc.faults == nil {
+				return
+			}
+			if m := got.ms[clean]; m.Attempts != 2 || m.Flakes != 1 || m.Mean != 3*(10+0.5) {
+				t.Errorf("clean trial: want a flake, then a spiked run: %+v", m)
+			}
+			if n := got.series[`chaos_faults_total{kind="hang"}`]; n != 1 || got.series["chaos_suppressed_total"] != 1 {
+				t.Errorf("chaos series: %v", got.series)
+			}
+			if !strings.Contains(string(got.state), `"attempts":{`) {
+				t.Errorf("state holds no launch counters: %s", got.state)
+			}
+		})
 	}
 }
+
+// scriptedFaults draws script[kind of sk][n], and nothing past its end.
+type scriptedFaults struct {
+	kind   map[string]int
+	script map[int][]*runner.Fault
+}
+
+func (f scriptedFaults) Draw(sk string, n int) *runner.Fault {
+	if s := f.script[f.kind[sk]]; n < len(s) {
+		return s[n]
+	}
+	return nil
+}
+
+func (scriptedFaults) MinAttempts() int { return 3 }

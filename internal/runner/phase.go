@@ -23,8 +23,8 @@ import (
 // that never leaves phase 0 is byte-identical — cache, snapshots, elapsed —
 // to one that has no phase support at all.
 //
-// Wrapping runners (the chaos layer) forward SetPhase to their inner runner
-// and scope their own per-key state the same way.
+// The chaos handle (internal/faultinject) forwards SetPhase to its inner
+// runner, whose harness scopes the launch counters the same way.
 type PhaseSetter interface {
 	// SetPhase switches subsequent measurements to the given phase: shift
 	// applied to the base profile. Phase 0 with the identity shift restores

@@ -85,25 +85,14 @@ func backoff(retry int) float64 {
 	return retryBackoffSeconds * math.Pow(retryBackoffFactor, float64(retry))
 }
 
-// Run drives the attempt loop of the chaos layer: attempt(n) performs
-// measurement attempt n, and Run retries it by the policy's one step.
-func (p RetryPolicy) Run(attempt func(n int) Measurement) Measurement {
-	var t retryTally
-	for n := 0; ; n++ {
-		if m, done := p.step(&t, n, attempt(n)); done {
-			return m
-		}
-	}
-}
-
 // retryTally accumulates one measurement's attempts across its retries.
 type retryTally struct {
 	cost             float64
 	attempts, flakes int
 }
 
-// step is the retry rule every attempt loop shares (Run, Harness.Run and
-// Harness.RunBatch): it folds attempt n's outcome m into t and reports
+// step is the retry rule of the one attempt loop (Harness.end, which
+// Run and RunBatch share): it folds attempt n's outcome m into t and reports
 // whether the measurement is done. A transient failure with attempts left
 // is retried, after charging the backoff. A done measurement carries the
 // cost, attempt and flake counts accumulated across its attempts; the

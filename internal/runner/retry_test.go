@@ -41,9 +41,20 @@ func TestRetryPolicyBackoff(t *testing.T) {
 	}
 }
 
+// runAttempts measures through a cacheless harness under policy, whose
+// attempt n is body(n): the one retry loop, with nothing around it.
+func runAttempts(policy RetryPolicy, body func(n int) Measurement) Measurement {
+	h := &Harness{Retry: policy}
+	n := 0
+	return h.Run(flags.NewConfig(flags.NewRegistry()), 1, 0, false, func(_, _ int) Measurement {
+		n++
+		return body(n - 1)
+	})
+}
+
 func TestRetryPolicyRunAbsorbsTransientFailures(t *testing.T) {
 	calls := 0
-	m := RetryPolicy{MaxAttempts: 3}.Run(func(n int) Measurement {
+	m := runAttempts(RetryPolicy{MaxAttempts: 3}, func(n int) Measurement {
 		calls++
 		if n < 2 {
 			return Measurement{Failed: true, Failure: LaunchFlakeFailure, CostSeconds: 0.5}
@@ -68,7 +79,7 @@ func TestRetryPolicyRunAbsorbsTransientFailures(t *testing.T) {
 
 func TestRetryPolicyRunStopsOnDeterministicFailure(t *testing.T) {
 	calls := 0
-	m := RetryPolicy{MaxAttempts: 5}.Run(func(int) Measurement {
+	m := runAttempts(RetryPolicy{MaxAttempts: 5}, func(int) Measurement {
 		calls++
 		return Measurement{Failed: true, Failure: jvmsim.OOMFailure, CostSeconds: 1}
 	})
@@ -81,7 +92,7 @@ func TestRetryPolicyRunStopsOnDeterministicFailure(t *testing.T) {
 }
 
 func TestRetryPolicyRunExhaustsAsTransient(t *testing.T) {
-	m := RetryPolicy{MaxAttempts: 2}.Run(func(int) Measurement {
+	m := runAttempts(RetryPolicy{MaxAttempts: 2}, func(int) Measurement {
 		return Measurement{Failed: true, Failure: CorruptReportFailure, CostSeconds: 0.5}
 	})
 	if !m.Failed || !m.Transient {

@@ -7,9 +7,10 @@
 // whole experiment finishes in real milliseconds.
 //
 // Every caching runner embeds one Harness, which owns the rules around a
-// measurement — phase-scoped state keys, cache replay, fresh noise-rep
-// indices per attempt, the retry loop, telemetry, clock charging — so a
-// runner supplies only its attempt body. Four runners are built on it:
+// measurement — phase-scoped state keys, cache replay, fault injection,
+// fresh noise-rep indices per attempt, the retry loop, telemetry, clock
+// charging — so a runner supplies only its attempt body. Four runners are
+// built on it:
 // InProcess calls the simulator directly and is what the experiments use;
 // Subprocess launches the cmd/jvmsim binary with real -XX: command-line
 // flags, exercising the same orchestration path the paper used against a
@@ -17,7 +18,9 @@
 // workloads; and the dispatch package's Pool places attempts on a fleet of
 // evaluator nodes. InProcess and the pool also follow phase-shifting
 // workloads through one PhaseSwitch. The fault-injection layer
-// (internal/faultinject) wraps any of them as a decorator runner.
+// (internal/faultinject) installs a fault source (Faults) on any of their
+// harnesses, so a chaos session keeps one retry loop, one clock and one
+// state stream.
 package runner
 
 import (
@@ -55,8 +58,8 @@ type Measurement struct {
 	// every failed attempt and retry backoff.
 	CostSeconds float64
 	// HedgeCostSeconds, when > 0, is the virtual cost a clean duplicate run
-	// of this measurement would have taken. The chaos layer sets it when a
-	// straggle fault stalls the primary run; the session's straggler
+	// of this measurement would have taken. The harness sets it when a
+	// drawn fault stalls the primary run; the session's straggler
 	// watchdog (core.HedgePolicy) uses it to resolve first-result-wins
 	// hedging in virtual time.
 	HedgeCostSeconds float64 `json:",omitempty"`

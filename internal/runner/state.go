@@ -21,9 +21,8 @@ import (
 // the bytes of its previous one (or of the state it was restored from), so
 // a checkpoint writer can persist just the new suffix.
 //
-// Wrapping runners (the chaos layer) snapshot their own counters plus
-// their inner runner's state, so one SnapshotState call at the outermost
-// layer captures the whole stack.
+// The chaos handle (internal/faultinject) snapshots the harness it
+// installed its fault source on, so a chaos session has one stream too.
 type StateSnapshotter interface {
 	// SnapshotState serializes the runner's mutable state.
 	SnapshotState() ([]byte, error)
@@ -33,8 +32,9 @@ type StateSnapshotter interface {
 }
 
 // State is the mutable measurement state every caching runner keeps — the
-// elapsed virtual clock, the per-key noise-rep indices, and the evaluated-
-// config cache — together with its one serialization. InProcess,
+// elapsed virtual clock, the per-key noise-rep indices, the per-key launch
+// counters a fault source numbers attempts by, and the evaluated-config
+// cache — together with its one serialization. InProcess,
 // Subprocess, Multi and the dispatch pool embed it through their Harness,
 // which makes their snapshots byte-identical by construction: a checkpoint
 // taken under a remote pool resumes in-process and vice versa. Static
@@ -51,11 +51,20 @@ type StateSnapshotter interface {
 // holding everything) is a one-segment stream. Change tracking starts with
 // the first snapshot or restore, so a runner that is never checkpointed
 // pays nothing for it.
+//
+// Checkpoint formats 1 to 3 wrote a chaos session's state as the chaos
+// layer's own stream, whose segments nest the inner runner's segment:
+// {"elapsed","attempts","inner":{"elapsed","reps","cache"}}, with
+// "streaks", "settled" and "stats" in formats 1 and 2. RestoreState folds
+// such a segment like any other — the outer clock, the launch counters,
+// and the nested reps and cache — and ignores the nested clock and the
+// older fields, which counted what the stream already holds.
 type State struct {
-	mu      sync.Mutex
-	elapsed VirtualClock
-	reps    map[string]int // next noise-rep index per state key
-	cache   map[string]Measurement
+	mu       sync.Mutex
+	elapsed  VirtualClock
+	reps     map[string]int // next noise-rep index per state key
+	launches map[string]int // launches so far per state key, under a fault source
+	cache    map[string]Measurement
 	// stream is every segment snapshotted or restored so far; dirty holds
 	// the keys changed since the last segment, nil until tracking starts.
 	stream []byte
@@ -65,9 +74,13 @@ type State struct {
 // stateSegment is one segment of the stream: absolute values for the keys
 // it names, and the clock at the time it was taken.
 type stateSegment struct {
-	Elapsed float64                `json:"elapsed"`
-	Reps    map[string]int         `json:"reps,omitempty"`
-	Cache   map[string]Measurement `json:"cache,omitempty"`
+	Elapsed  float64                `json:"elapsed"`
+	Reps     map[string]int         `json:"reps,omitempty"`
+	Cache    map[string]Measurement `json:"cache,omitempty"`
+	Launches map[string]int         `json:"attempts,omitempty"`
+	// Inner is the nested segment of a legacy chaos segment; restoring
+	// folds its reps and cache, and snapshots never write it.
+	Inner *stateSegment `json:"inner,omitempty"`
 }
 
 // maxElapsedSeconds bounds a restored clock to where VirtualClock's
@@ -123,21 +136,34 @@ func (s *State) Reserve(sk string, reps int) int {
 	return base
 }
 
-// Settle charges m's cost to the clock and, when cache is set, memoizes m
-// under sk. A transient failure is no verdict — caching it would condemn
-// a configuration that merely hit a flaky launch — so only definitive
-// outcomes are memoized.
-func (s *State) Settle(sk string, m Measurement, cache bool) {
+// nextLaunch returns sk's launch counter and advances it.
+func (s *State) nextLaunch(sk string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.elapsed.Charge(m.CostSeconds)
-	if !cache || m.Transient {
+	if s.launches == nil {
+		s.launches = make(map[string]int)
+	}
+	n := s.launches[sk]
+	s.launches[sk] = n + 1
+	s.touch(sk)
+	return n
+}
+
+// Settle charges cost to the clock and, when memo is set, memoizes *memo
+// under sk. The caller passes no memo for a transient failure: it is no
+// verdict, and caching it would condemn a configuration that merely hit
+// a flaky launch.
+func (s *State) Settle(sk string, cost float64, memo *Measurement) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.elapsed.Charge(cost)
+	if memo == nil {
 		return
 	}
 	if s.cache == nil {
 		s.cache = make(map[string]Measurement)
 	}
-	s.cache[sk] = m
+	s.cache[sk] = *memo
 	s.touch(sk)
 }
 
@@ -155,16 +181,22 @@ func (s *State) touch(sk string) {
 func (s *State) SnapshotState() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seg := stateSegment{Elapsed: s.elapsed.Seconds(), Reps: s.reps, Cache: s.cache}
+	seg := stateSegment{Elapsed: s.elapsed.Seconds(), Reps: s.reps, Cache: s.cache, Launches: s.launches}
 	if s.dirty != nil {
 		seg.Reps = make(map[string]int, len(s.dirty))
 		seg.Cache = make(map[string]Measurement, len(s.dirty))
+		if s.launches != nil {
+			seg.Launches = make(map[string]int, len(s.dirty))
+		}
 		for k := range s.dirty {
 			if n, ok := s.reps[k]; ok {
 				seg.Reps[k] = n
 			}
 			if m, ok := s.cache[k]; ok {
 				seg.Cache[k] = m
+			}
+			if n, ok := s.launches[k]; ok {
+				seg.Launches[k] = n
 			}
 		}
 	}
@@ -179,17 +211,20 @@ func (s *State) SnapshotState() ([]byte, error) {
 
 // RestoreState implements StateSnapshotter: it folds the stream's segments
 // in order and keeps the stream, so the next snapshot extends it. Nothing
-// changes unless the whole stream decodes.
+// changes unless the whole stream decodes, its clock is in range and no
+// count is negative.
 func (s *State) RestoreState(data []byte) error {
 	var elapsed float64
 	reps := make(map[string]int)
+	launches := make(map[string]int)
 	cache := make(map[string]Measurement)
 	dec := json.NewDecoder(bytes.NewReader(data))
 	segments := 0
 	for {
 		// Decoding into the live maps folds the segment: the keys it names
 		// are replaced, the rest kept; a missing clock keeps the last one.
-		seg := stateSegment{Elapsed: elapsed, Reps: reps, Cache: cache}
+		seg := stateSegment{Elapsed: elapsed, Reps: reps, Cache: cache, Launches: launches,
+			Inner: &stateSegment{Reps: reps, Cache: cache}}
 		if err := dec.Decode(&seg); err == io.EOF {
 			break
 		} else if err != nil {
@@ -204,10 +239,20 @@ func (s *State) RestoreState(data []byte) error {
 	if err := CheckClock(elapsed); err != nil {
 		return fmt.Errorf("runner: restore state: %w", err)
 	}
+	for _, counts := range []map[string]int{reps, launches} {
+		for k, n := range counts {
+			if n < 0 {
+				return fmt.Errorf("runner: restore state: key %q has count %d", k, n)
+			}
+		}
+	}
+	if len(launches) == 0 {
+		launches = nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.elapsed.Set(elapsed)
-	s.reps, s.cache = reps, cache
+	s.reps, s.launches, s.cache = reps, launches, cache
 	s.stream = append([]byte(nil), data...)
 	s.resetDirty()
 	return nil

@@ -4,8 +4,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The runners share one instrumentation vocabulary so every runner — and the
-// chaos layer wrapping one — reports the same series:
+// The runners share one instrumentation vocabulary, recorded by their one
+// Harness, so every runner reports the same series:
 //
 //	runner_measures_total        fresh (non-cached) measurements delivered
 //	runner_attempts_total        launch attempts, retries included
@@ -16,9 +16,9 @@ import (
 //	runner_condemned_total       deterministic failures cached as verdicts
 //	runner_measure_cost_seconds  histogram of virtual cost per measurement
 //
-// When a ChaosRunner wraps a runner, wire telemetry to the chaos layer only:
-// it observes every attempt (injected and clean) with global attempt
-// indices, so instrumenting both layers would double-count.
+// Under a fault source the harness also counts chaos_faults_total{kind=...}
+// and chaos_suppressed_total. Wire Telemetry and Trace to the harness; a
+// chaos handle's fields are the harness's.
 
 // NoteCacheHit records a measurement replayed from the cache at zero cost.
 func NoteCacheHit(reg *telemetry.Registry, tr *telemetry.Tracer, key string) {
@@ -29,8 +29,8 @@ func NoteCacheHit(reg *telemetry.Registry, tr *telemetry.Tracer, key string) {
 // NoteAttempt records the outcome of launch attempt n of key: the attempt
 // itself, the retry that scheduled it (when retried), and a timeout kill.
 // m is the single attempt's measurement, before retry accounting. n is the
-// key's attempt index — for plain runners the retry-loop index, for the
-// chaos layer the per-key global attempt counter.
+// key's attempt index — the retry-loop index, or under a fault source the
+// key's launch counter.
 func NoteAttempt(reg *telemetry.Registry, tr *telemetry.Tracer, key string, n int, retried bool, m Measurement) {
 	if reg == nil && tr == nil {
 		return

@@ -37,3 +37,25 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Error("mutating a clone must not affect the original")
 	}
 }
+
+// The built-in catalog is built once per process, and every lookup hands
+// out a copy: a caller that changes the profile it got leaves the next
+// ByName, All and Names answer unchanged.
+func TestCatalogLookupsHandOutCopies(t *testing.T) {
+	p, _ := ByName("h2")
+	want := *p
+	p.Name, p.BaseSeconds, p.LiveSetMB = "mutant", -1, -1
+	all := All()
+	all[0].Name = "mutant"
+	if again, ok := ByName("h2"); !ok || *again != want {
+		t.Errorf("a changed lookup leaked into the next: %+v", again)
+	}
+	if again := All(); again[0].Name == "mutant" || *again[0] == *all[0] {
+		t.Errorf("a changed All entry leaked into the next All: %q", again[0].Name)
+	}
+	for _, name := range Names() {
+		if name == "mutant" {
+			t.Fatal("a changed lookup renamed a catalog entry")
+		}
+	}
+}

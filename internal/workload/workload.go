@@ -15,6 +15,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Profile describes one benchmark program's behaviour.
@@ -158,25 +159,39 @@ func (p *Profile) LongLivedFrac() float64 {
 	return 1 - p.ShortLivedFrac - p.MidLivedFrac
 }
 
-// ByName returns the named profile from the built-in suites.
+// catalog is every built-in profile, SPECjvm2008 first, then DaCapo, built
+// once per process. ByName and All hand out copies, so no caller can
+// change it.
+var catalog = sync.OnceValue(func() []*Profile {
+	return append(SPECjvm2008(), DaCapo()...)
+})
+
+// ByName returns a copy of the named profile from the built-in suites.
 func ByName(name string) (*Profile, bool) {
-	for _, p := range All() {
+	for _, p := range catalog() {
 		if p.Name == name {
-			return p, true
+			return p.Clone(), true
 		}
 	}
 	return nil, false
 }
 
-// All returns every built-in profile, SPECjvm2008 first, then DaCapo,
-// each suite in its canonical order.
+// All returns copies of every built-in profile, SPECjvm2008 first, then
+// DaCapo, each suite in its canonical order.
 func All() []*Profile {
-	return append(SPECjvm2008(), DaCapo()...)
+	all := catalog()
+	copies := make([]Profile, len(all))
+	out := make([]*Profile, len(all))
+	for i, p := range all {
+		copies[i] = *p
+		out[i] = &copies[i]
+	}
+	return out
 }
 
 // Names returns the sorted names of all built-in profiles.
 func Names() []string {
-	all := All()
+	all := catalog()
 	out := make([]string, len(all))
 	for i, p := range all {
 		out[i] = p.Name
