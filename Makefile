@@ -11,14 +11,15 @@ cover:
 # The crash drills: kill fixed-seed sessions (and the job farm) mid-run,
 # resume from checkpoints, and demand byte-identical results — including a
 # second kill inside the resume's replay prefix, and resumes from a version
-# 1, a version 2 and a version 3 chaos checkpoint, each written by the last
-# build that wrote its version (the version 2 one under launch, crash,
-# spike and straggle faults with hedging and quarantine, the version 3 one
-# under hang faults with a long chain of nested chaos segments, which this
-# build folds into its one runner-state stream). A checkpoint's first
-# write must sweep the temp a crash inside an earlier one stranded, a
-# session that ends must leave its last trial in the file, and resuming a
-# finished file must leave it untouched. The byte gate runs
+# 1, 2, 3 and 4 chaos checkpoint, each written by the last build that wrote
+# its version (the version 2 one under launch, crash, spike and straggle
+# faults with hedging and quarantine, the version 3 one under hang faults
+# with a long chain of nested chaos segments, which this build folds into
+# its one runner-state stream, the version 4 one a drifting session whose
+# JSON records and runner state this build extends in binary). A
+# checkpoint's first write must sweep the temp a crash inside an earlier
+# one stranded, a session that ends must leave its last trial in the file,
+# and resuming a finished file must leave it untouched. The byte gate runs
 # ten times over: the file the background writer leaves must be the same
 # bytes on every run and after every kill and resume. Run under -race
 # because recovery code is exactly where concurrency bugs hide. Every way
@@ -28,7 +29,7 @@ cover:
 # implementation keys, ten times over as well.
 crash-matrix:
 	go test -race -count=1 \
-	  -run 'TestKillAndResume|TestKillDuringReplayAndResume|TestV1CheckpointResumes|TestV2CheckpointResumes|TestV3CheckpointResumes|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume|TestKeeperSweepsStaleTemps|TestFinalCheckpointHoldsLastTrial|TestResumeOfFinishedFileWritesNothing' \
+	  -run 'TestKillAndResume|TestKillDuringReplayAndResume|TestV1CheckpointResumes|TestV2CheckpointResumes|TestV3CheckpointResumes|TestV4CheckpointResumes|TestSessionKillAndResume|TestSessionCheckpoint|TestDurableServer|TestCLIAutotuneCrashAndResume|TestKeeperSweepsStaleTemps|TestFinalCheckpointHoldsLastTrial|TestResumeOfFinishedFileWritesNothing' \
 	  ./hotspot ./internal/core ./internal/httpapi ./internal/checkpoint .
 	go test -race -count=10 -run 'TestCheckpointBytesReproducible|TestCheckpointBytesSurviveKillAndResume' ./hotspot
 	go test -race -count=10 -run 'TestSessionStopsItsMeasurers|TestCrossoverStoresCanonicalForm' ./internal/core ./internal/flags
@@ -81,8 +82,10 @@ dist-drill:
 # real evald fleet. A v1 store checked in by the last build that wrote v1
 # must migrate to v2 and warm-start the golden session byte for byte, and
 # concurrent sessions sharing one store must never lose or renumber a
-# winner. The store, a checkpoint and a journal written by the last build
-# that framed each itself must match this build's byte for byte, and a
+# winner. The store and a journal written by the last build that framed
+# each itself must match this build's byte for byte, as must a checkpoint
+# with the records of its time (JSON then, binary now) — the store's
+# binary codec, which checkpoints share, must drop no field — and a
 # winner stored with explicit defaults must warm-start exactly like its
 # canonical form, and an open that fails on the store's header must still
 # count the stale temps it swept. The store's binary group key must group
@@ -92,7 +95,7 @@ dist-drill:
 # keep argument lists apart that print alike. See docs/TRANSFER.md.
 transfer-drill:
 	go test -race -count=1 \
-	  -run 'TestTransferWarmStartHalvesTrialBudget|TestTransferOffLeavesSessionByteIdentical|TestTransferBogusStoreDegradesToCold|TestTransferV1StoreMigrationDrill|TestTransferStoreClosedOnEveryPath|TestTransferPriorsCanonical|TestStoreSalvagesTornTail|TestStoreMigratesV1|TestStoreSharedHandles|TestStoreFixture|TestKeeperFixture|TestJournalFixture|TestStoreHeaderFailureCountsSweptTemps|TestTuneTransferJob|TestCLITransferStoreTornTailDrill|TestCLITransferFleetEquivalence|FuzzGroupKey|TestFingerprintKeyGolden|TestNearestMatchesSortTruncate|TestStoreCompactKeepsDistinctArgLists' \
+	  -run 'TestTransferWarmStartHalvesTrialBudget|TestTransferOffLeavesSessionByteIdentical|TestTransferBogusStoreDegradesToCold|TestTransferV1StoreMigrationDrill|TestTransferStoreClosedOnEveryPath|TestTransferPriorsCanonical|TestStoreSalvagesTornTail|TestStoreMigratesV1|TestStoreSharedHandles|TestStoreFixture|TestKeeperFixture|TestJournalFixture|TestCodecsDropNoField|TestStoreHeaderFailureCountsSweptTemps|TestTuneTransferJob|TestCLITransferStoreTornTailDrill|TestCLITransferFleetEquivalence|FuzzGroupKey|TestFingerprintKeyGolden|TestNearestMatchesSortTruncate|TestStoreCompactKeepsDistinctArgLists' \
 	  ./hotspot ./internal/transfer ./internal/checkpoint ./internal/httpapi .
 	go test -race -count=10 -run 'TestStoreConcurrentOpenAppendClose' ./internal/transfer
 

@@ -254,6 +254,29 @@ func TestV3CheckpointResumes(t *testing.T) {
 	})
 }
 
+// TestV4CheckpointResumes: testdata/checkpoint_v4.ckpt is a version 4
+// checkpoint of a drifting xalan session under launch, corrupt and crash
+// faults with hedging and quarantine, written every 4 trials and killed by
+// crash-at=70, past the drift at trial 40, so it holds an epoch record
+// whose priors carry their args and a JSON runner-state stream whose
+// segments carry the launch counters; testdata/checkpoint_v4.golden.json
+// is the uninterrupted session's result (107 trials over 2 epochs). Both
+// were written by the last build that wrote version 4.
+func TestV4CheckpointResumes(t *testing.T) {
+	resumesFixture(t, "checkpoint_v4", 4, "crash-at=90", Options{
+		Benchmark:             "xalan",
+		BudgetMinutes:         150,
+		Seed:                  7,
+		Workers:               3,
+		Noise:                 -1,
+		Drift:                 true,
+		Hedge:                 true,
+		Quarantine:            true,
+		Chaos:                 "drift-at=40,launch=0.05,corrupt=0.03,crash=0.03",
+		CheckpointEveryTrials: 4,
+	})
+}
+
 // resumesFixture resumes a copy of testdata/<name>.ckpt, a checkpoint at
 // format version, under opts: the result must be testdata/<name>.golden.json
 // byte for byte and the file must be at this build's version afterwards.

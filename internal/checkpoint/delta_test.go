@@ -57,16 +57,61 @@ func growingSnapshots(rounds int) []*Snapshot {
 	return out
 }
 
-// v2Image is the file a Keeper leaves after writing snaps in order: a
-// base for the first and one delta per later snapshot, in the record
-// layout version 2 introduced, under this build's header.
-func v2Image(t testing.TB, snaps ...*Snapshot) []byte {
+// keeperImage is the file a Keeper leaves after writing snaps in order: a
+// base for the first and one delta per later snapshot, under this build's
+// header.
+func keeperImage(t testing.TB, snaps ...*Snapshot) []byte {
 	t.Helper()
 	img := encoded(t, snaps[0])
 	for i := 1; i < len(snaps); i++ {
 		img = append(img, deltaRecord(t, snaps[i-1], snaps[i])...)
 	}
 	return img
+}
+
+// legacyImage is the file a version 2 to 4 build's Keeper left after
+// writing snaps in order: the same records with a JSON part in place of
+// the binary fields, under that version's header.
+func legacyImage(t testing.TB, version uint32, snaps ...*Snapshot) []byte {
+	t.Helper()
+	img := Kind{Magic: magic, Version: version}.header()
+	head := *snaps[0]
+	head.RunnerState = nil
+	img = appendRecord(img, legacyRecord(t, recordBase, &head, snaps[0].RunnerState)...)
+	for i := 1; i < len(snaps); i++ {
+		prev, s := snaps[i-1], snaps[i]
+		img = appendRecord(img, legacyRecord(t, recordDelta, &delta{
+			From:      len(prev.Trials),
+			Trial:     s.Trial,
+			Elapsed:   s.Elapsed,
+			BestKey:   s.BestKey,
+			BestScore: s.BestScore,
+			Trials:    s.Trials[len(prev.Trials):],
+			Epochs:    s.Epochs[len(prev.Epochs):],
+		}, s.RunnerState[len(prev.RunnerState):])...)
+	}
+	return img
+}
+
+// legacyRecord is a version 2 to 4 payload, as parts: the kind byte and
+// the JSON part's length, the JSON encoding of v, then the runner state.
+func legacyRecord(t testing.TB, kind byte, v any, state []byte) [][]byte {
+	t.Helper()
+	js, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [][]byte{binary.AppendUvarint([]byte{kind}, uint64(len(js))), js, state}
+}
+
+// imageAt is keeperImage at this build's version and legacyImage at an
+// older one.
+func imageAt(t testing.TB, version uint32, snaps ...*Snapshot) []byte {
+	t.Helper()
+	if version == Version {
+		return keeperImage(t, snaps...)
+	}
+	return legacyImage(t, version, snaps...)
 }
 
 // encoded is a snapshot's canonical bytes, for equality checks: the file a
@@ -101,15 +146,22 @@ func mustDecode(t testing.TB, data []byte) *Snapshot {
 
 func TestDecodeFoldsDeltas(t *testing.T) {
 	snaps := growingSnapshots(4)
-	img := v2Image(t, snaps...)
+	img := keeperImage(t, snaps...)
 	if v := binary.LittleEndian.Uint32(img[4:8]); v != Version {
 		t.Fatalf("header version %d, want %d", v, Version)
 	}
-	if got, want := encoded(t, mustDecode(t, img)), encoded(t, snaps[3]); !bytes.Equal(got, want) {
-		t.Fatalf("base+deltas decode to\n%s\nwant\n%s", got, want)
+	want := encoded(t, snaps[3])
+	if got := encoded(t, mustDecode(t, img)); !bytes.Equal(got, want) {
+		t.Fatalf("base+deltas decode to\n%q\nwant\n%q", got, want)
+	}
+	// The JSON records of versions 2 to 4 fold the same.
+	for v := uint32(2); v < Version; v++ {
+		if got := encoded(t, mustDecode(t, legacyImage(t, v, snaps...))); !bytes.Equal(got, want) {
+			t.Errorf("a version %d file decodes differently", v)
+		}
 	}
 	// A version 1 file (whose runner state was one JSON object) reads the
-	// same as a version 2 base.
+	// same as a base.
 	v1 := *snaps[3]
 	v1.RunnerState = []byte(`{"elapsed":84}`)
 	if got, want := encoded(t, mustDecode(t, encodeV1(t, &v1))), encoded(t, &v1); !bytes.Equal(got, want) {
@@ -119,39 +171,47 @@ func TestDecodeFoldsDeltas(t *testing.T) {
 
 func TestDecodeSalvagesTornTail(t *testing.T) {
 	snaps := growingSnapshots(3)
-	full := v2Image(t, snaps...)
-	two := v2Image(t, snaps[:2]...)
 	want := encoded(t, snaps[1])
-	badCRC := append([]byte(nil), full...)
-	badCRC[len(badCRC)-1] ^= 0xff
-	for name, data := range map[string][]byte{
-		"torn delta header":  full[:len(two)+3],
-		"truncated delta":    full[:len(full)-1],
-		"bad CRC delta":      badCRC,
-		"implausible length": append(append([]byte(nil), two...), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0),
-	} {
-		if got := encoded(t, mustDecode(t, data)); !bytes.Equal(got, want) {
-			t.Errorf("%s: salvaged to\n%s\nwant the last complete round", name, got)
+	for v := uint32(2); v <= Version; v++ {
+		full := imageAt(t, v, snaps...)
+		two := imageAt(t, v, snaps[:2]...)
+		badCRC := append([]byte(nil), full...)
+		badCRC[len(badCRC)-1] ^= 0xff
+		for name, data := range map[string][]byte{
+			"torn delta header":  full[:len(two)+3],
+			"truncated delta":    full[:len(full)-1],
+			"bad CRC delta":      badCRC,
+			"implausible length": append(append([]byte(nil), two...), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0),
+		} {
+			if got := encoded(t, mustDecode(t, data)); !bytes.Equal(got, want) {
+				t.Errorf("version %d, %s: salvaged to\n%q\nwant the last complete round", v, name, got)
+			}
 		}
-	}
-	if got := encoded(t, mustDecode(t, append(append([]byte(nil), full...), 'x'))); !bytes.Equal(got, encoded(t, snaps[2])) {
-		t.Error("a torn byte after the last delta lost a complete round")
+		if got := encoded(t, mustDecode(t, append(append([]byte(nil), full...), 'x'))); !bytes.Equal(got, encoded(t, snaps[2])) {
+			t.Errorf("version %d: a torn byte after the last delta lost a complete round", v)
+		}
 	}
 }
 
 func TestDecodeRejectsBadV2(t *testing.T) {
 	snaps := growingSnapshots(3)
-	base := v2Image(t, snaps[0])
+	base := keeperImage(t, snaps[0])
 	delta := deltaRecord(t, snaps[0], snaps[1])
 	gap := deltaRecord(t, snaps[1], snaps[2]) // continues trial 2 onto a 1-trial log
+	v4 := legacyImage(t, 4, snaps[0])
+	v4gap := legacyImage(t, 4, snaps[1], snaps[2])[len(legacyImage(t, 4, snaps[1])):]
 	withState := *snaps[0]
 	withState.RunnerState = []byte(`{"elapsed":21}`)
 	stateInJSON, err := json.Marshal(&withState)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inline := appendRecord(snapshotKind.header(), recordHead(recordBase, len(stateInJSON)), stateInJSON)
-	future := binary.LittleEndian.AppendUint32([]byte(magic), Version+1)
+	inline := appendRecord(Kind{Magic: magic, Version: 4}.header(),
+		binary.AppendUvarint([]byte{recordBase}, uint64(len(stateInJSON))), stateInJSON)
+	header := func(v uint32) []byte { return binary.LittleEndian.AppendUint32([]byte(magic), v) }
+	// The base record cut short inside its fields, with a frame that fits.
+	short, _ := snaps[0].encodeBase()
+	cut := appendRecord(header(Version), short[0][:len(short[0])-9])
 
 	cases := []struct {
 		name string
@@ -161,8 +221,14 @@ func TestDecodeRejectsBadV2(t *testing.T) {
 		{"delta without base", append(append([]byte(nil), base[:headerSize]...), delta...), ErrCorrupt},
 		{"delta gap", append(append([]byte(nil), base...), gap...), ErrCorrupt},
 		{"base frame as delta", append(append([]byte(nil), base...), base[headerSize:]...), ErrCorrupt},
+		{"base cut inside its fields", cut, ErrCorrupt},
+		{"v4 delta gap", append(append([]byte(nil), v4...), v4gap...), ErrCorrupt},
+		{"v4 base frame as delta", append(append([]byte(nil), v4...), v4[headerSize:]...), ErrCorrupt},
 		{"runner state inside base JSON", inline, ErrCorrupt},
-		{"version 5", append(future, base[headerSize:]...), ErrFutureVersion},
+		// Version 5 records are binary: JSON ones under its header are
+		// corrupt, not a format to guess at.
+		{"version 5", append(header(5), v4[headerSize:]...), ErrCorrupt},
+		{"version 6", append(header(Version+1), base[headerSize:]...), ErrFutureVersion},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -190,7 +256,7 @@ func TestKeeperAppendsDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, v2Image(t, snaps...)) {
+	if !bytes.Equal(data, keeperImage(t, snaps...)) {
 		t.Fatal("keeper file is not one base plus one delta per write")
 	}
 	if got := reg.Counter("checkpoint_bytes_written_total").Value(); got != uint64(len(data)) {
@@ -230,7 +296,7 @@ func TestKeeperWritesBaseWhenDeltaCannot(t *testing.T) {
 		}
 		return data
 	}
-	if !bytes.Equal(onDisk(), v2Image(t, snaps[0], snaps[2])) {
+	if !bytes.Equal(onDisk(), keeperImage(t, snaps[0], snaps[2])) {
 		t.Fatal("a later snapshot did not carry the trials before it")
 	}
 
@@ -243,7 +309,7 @@ func TestKeeperWritesBaseWhenDeltaCannot(t *testing.T) {
 	r3, r4, r5 := rebase(snaps[3]), rebase(snaps[4]), rebase(snaps[5])
 	k.Write(r3)
 	settle(k)
-	if !bytes.Equal(onDisk(), v2Image(t, r3)) {
+	if !bytes.Equal(onDisk(), keeperImage(t, r3)) {
 		t.Fatal("non-extending runner state was appended instead of rebased")
 	}
 
@@ -257,7 +323,7 @@ func TestKeeperWritesBaseWhenDeltaCannot(t *testing.T) {
 	if err := k.Close(); err == nil {
 		t.Fatal("Close forgot the failed write")
 	}
-	if !bytes.Equal(onDisk(), v2Image(t, r5)) {
+	if !bytes.Equal(onDisk(), keeperImage(t, r5)) {
 		t.Fatal("write after a failed one is not a base")
 	}
 }
@@ -268,9 +334,9 @@ func TestKeeperWritesBaseWhenDeltaCannot(t *testing.T) {
 // file at another path get a base instead.
 func TestKeeperResumeContinuesFile(t *testing.T) {
 	snaps := growingSnapshots(4)
-	two := v2Image(t, snaps[:2]...)
-	whole := v2Image(t, snaps...)
-	rebased := v2Image(t, snaps[2:]...)
+	two := keeperImage(t, snaps[:2]...)
+	whole := keeperImage(t, snaps...)
+	rebased := keeperImage(t, snaps[2:]...)
 	v1 := *snaps[1]
 	v1.RunnerState = []byte(`{"elapsed":42}`) // one object, as version 1 held it
 	for _, tc := range []struct {
@@ -285,6 +351,7 @@ func TestKeeperResumeContinuesFile(t *testing.T) {
 		{name: "cuts a torn tail", file: whole[:len(two)+5], want: whole},
 		{name: "file changed since the load", file: two, after: []byte("x"), want: rebased, create: true},
 		{name: "version 1", file: encodeV1(t, &v1), want: rebased, create: true},
+		{name: "version 4", file: legacyImage(t, 4, snaps[:2]...), want: rebased, create: true},
 		{name: "another path", file: two, other: true, want: rebased, create: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

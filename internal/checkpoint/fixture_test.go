@@ -14,11 +14,11 @@ var update = flag.Bool("update", false, "rewrite the testdata fixtures with what
 
 // The fixtures keeper.ckpt and journal.wal were written by these tests run
 // with -update at commit 77b7498, the last build in which the Keeper and
-// the journal each wrote their own files. The tests run the same writes
-// through this build and demand the same bytes, then read the fixtures
-// back: moving both writers onto one Journal changed no byte on disk.
-// keeper.ckpt is a version 2 file, so its header is the one byte this
-// build writes differently (see Version); -update leaves it alone.
+// the journal each wrote their own files; moving both writers onto one
+// Journal changed no byte on disk. journal.wal is still what this build
+// writes. keeper.ckpt is a version 2 file, whose records were JSON, so it
+// is a fixture to load and -update leaves it alone; keeper_v5.ckpt pins
+// what this build's Keeper writes for the same snapshots.
 //
 //	go test ./internal/checkpoint -run Fixture -update
 
@@ -85,6 +85,14 @@ func TestKeeperFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if v := binary.LittleEndian.Uint32(got[4:headerSize]); v != Version {
+		t.Fatalf("this build wrote version %d, want %d", v, Version)
+	}
+	fixture(t, "keeper_v5.ckpt", got)
+	if !bytes.Equal(got, keeperImage(t, snaps[3:]...)) {
+		t.Fatal("the rebase did not start the file over")
+	}
+
 	want, err := os.ReadFile(filepath.Join("testdata", "keeper.ckpt"))
 	if err != nil {
 		t.Fatal(err)
@@ -92,22 +100,17 @@ func TestKeeperFixture(t *testing.T) {
 	if v := binary.LittleEndian.Uint32(want[4:headerSize]); v != 2 {
 		t.Fatalf("fixture header reads version %d, want 2", v)
 	}
-	if v := binary.LittleEndian.Uint32(got[4:headerSize]); v != Version {
-		t.Fatalf("this build wrote version %d, want %d", v, Version)
+	if !bytes.Equal(legacyImage(t, 2, snaps[3:]...), want) {
+		t.Fatal("keeper.ckpt is not the JSON records of the snapshots a version 2 Keeper wrote")
 	}
-	if !bytes.Equal(got[headerSize:], want[headerSize:]) {
-		t.Fatalf("keeper.ckpt: this build wrote %d bytes whose records differ from the fixture's %d", len(got), len(want))
-	}
-	if !bytes.Equal(got, v2Image(t, snaps[3:]...)) {
-		t.Fatal("the rebase did not start the file over")
-	}
-
-	loaded, err := Load(filepath.Join("testdata", "keeper.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encoded(t, loaded), encoded(t, snaps[len(snaps)-1])) {
-		t.Fatal("the fixture loads to a different snapshot than the last one written")
+	for _, name := range []string{"keeper.ckpt", "keeper_v5.ckpt"} {
+		loaded, err := Load(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encoded(t, loaded), encoded(t, snaps[len(snaps)-1])) {
+			t.Fatalf("%s loads to a different snapshot than the last one written", name)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,8 +17,10 @@ import (
 // input either decodes to a snapshot, or returns one of the two sentinel
 // errors — never a panic, never a partially-decoded snapshot. A snapshot
 // that decodes re-encodes, and its encoding decodes to the same snapshot;
-// and a version 2, 3 or 4 file cut anywhere inside a delta record decodes to
-// the snapshot of the records before it.
+// and a version 2 to 5 file cut anywhere inside a delta record decodes to
+// the snapshot of the records before it. The corpus in testdata/fuzz holds
+// version 1 to 5 images (version 2 ones in the JSON record layout of
+// versions 2 to 4) and headers from the future.
 func FuzzSnapshotDecode(f *testing.F) {
 	v1 := encodeV1(f, &Snapshot{
 		Meta:     Meta{Workload: "h2", Searcher: "random", Objective: "throughput", Seed: 1, Reps: 3},
@@ -28,7 +31,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(v1)
 	f.Add(v1[:headerSize])
 	f.Add([]byte{})
-	for _, seed := range v2Seeds(f) {
+	for _, seed := range recordSeeds(f) {
 		f.Add(seed.data)
 	}
 
@@ -73,34 +76,48 @@ func FuzzSnapshotDecode(f *testing.F) {
 	})
 }
 
-// v2Seeds are the images in version 2's record layout, at this build's
-// Version, that FuzzSnapshotDecode starts from: a base alone, a base plus
-// deltas, a torn delta tail, a bad-CRC delta, a delta with no base, a
-// delta whose trials do not continue the log, and a version 5 header.
-func v2Seeds(t testing.TB) []struct {
+// recordSeeds are images at this build's Version that FuzzSnapshotDecode
+// starts from: a base alone, a base plus deltas, a torn delta tail, a
+// bad-CRC delta, a delta with no base, a delta whose trials do not
+// continue the log, a base whose runner state is JSON segments then a
+// binary one (a session resumed from a version 4 file), and a header one
+// version ahead.
+func recordSeeds(t testing.TB) []struct {
 	name string
 	data []byte
 } {
 	snaps := growingSnapshots(3)
-	full := v2Image(t, snaps...)
-	base := v2Image(t, snaps[0])
+	full := keeperImage(t, snaps...)
+	base := keeperImage(t, snaps[0])
 	badCRC := append([]byte(nil), full...)
 	badCRC[len(badCRC)-2] ^= 0xff
 	d01 := deltaRecord(t, snaps[0], snaps[1])
 	d12 := deltaRecord(t, snaps[1], snaps[2])
 	future := append([]byte(nil), full...)
 	binary.LittleEndian.PutUint32(future[4:8], Version+1)
+	var st runner.State
+	if err := st.RestoreState(snaps[2].RunnerState); err != nil {
+		t.Fatal(err)
+	}
+	st.Reserve("-Xmx2g", 1)
+	mixed := *snaps[2]
+	var err error
+	if mixed.RunnerState, err = st.SnapshotState(); err != nil {
+		t.Fatal(err)
+	}
+	v := fmt.Sprintf("v%d_", Version)
 	return []struct {
 		name string
 		data []byte
 	}{
-		{"v2_base_only", base},
-		{"v2_base_deltas", full},
-		{"v2_torn_delta_tail", full[:len(full)-7]},
-		{"v2_bad_crc_delta", badCRC},
-		{"v2_delta_without_base", append(append([]byte(nil), base[:headerSize]...), d01...)},
-		{"v2_delta_gap", append(append([]byte(nil), base...), d12...)},
-		{"future_version_5", future},
+		{v + "base_only", base},
+		{v + "base_deltas", full},
+		{v + "torn_delta_tail", full[:len(full)-7]},
+		{v + "bad_crc_delta", badCRC},
+		{v + "delta_without_base", append(append([]byte(nil), base[:headerSize]...), d01...)},
+		{v + "delta_gap", append(append([]byte(nil), base...), d12...)},
+		{fmt.Sprintf("future_version_%d", Version+1), future},
+		{v + "mixed_state", encoded(t, &mixed)},
 	}
 }
 

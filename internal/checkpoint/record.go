@@ -50,9 +50,12 @@ import (
 // settled. Version 4 keeps them too; it marks a chaos session's runner
 // state as one stream, the harness's, whose segments carry the launch
 // counters beside the rep indices, where a version 3 build expects the
-// chaos layer's stream nesting the inner runner's. Versions 1 to 3 still
-// load: runner.State folds their nested chaos segments.
-const Version = 4
+// chaos layer's stream nesting the inner runner's. Version 5 writes the
+// records' fields and the runner state's segments in binary
+// (internal/bincode) instead of JSON; a version 4 build reads neither.
+// Versions 1 to 4 still load: their records through encoding/json, and
+// runner.State folds their JSON segments, nested chaos ones included.
+const Version = 5
 
 // magic opens every checkpoint file and journal.
 const magic = "ATCK"
@@ -67,7 +70,7 @@ type Kind struct {
 }
 
 // JournalKind is the farm's and the fleet's write-ahead journal. Journals
-// did not change with checkpoint versions 2 to 4, and keeping them at 1
+// did not change with checkpoint versions 2 to 5, and keeping them at 1
 // means a downgraded build can still replay a farm's history.
 var JournalKind = Kind{Magic: magic, Version: 1}
 

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
+	"repro/internal/bincode"
 	"repro/internal/runner"
 )
 
@@ -119,7 +121,9 @@ type EpochRecord struct {
 // clock) produced by runner.StateSnapshotter — an append-only stream,
 // which is what lets a Keeper persist each round as a delta. Epochs lists
 // the re-tuning epochs a drifting session has opened (empty for
-// stationary sessions).
+// stationary sessions). The JSON tags here and on the records are the
+// layout of formats 1 to 4, which this build still reads; it writes
+// format 5 (see encodeBase).
 type Snapshot struct {
 	Meta        Meta               `json:"meta"`
 	Trial       int                `json:"trial"`   // trials completed when the snapshot was taken
@@ -144,92 +148,111 @@ type fileRead struct {
 	size, valid int64
 }
 
-// Record kinds of a version 2, 3 or 4 file. Every payload is the kind byte,
-// the uvarint length of a JSON part, the JSON part, and raw runner-state
-// bytes — carried outside the JSON so no write re-encodes them.
+// Record kinds of a version 2 to 5 file. A base record opens the file:
+// the whole snapshot. Delta records follow it: what each snapshot adds to
+// the one before. Every record ends in runner-state bytes — the whole
+// state in a base, the state's new suffix in a delta — carried raw, so no
+// write re-encodes them.
+//
+// In a version 5 file the rest of a record is binary, in the fields of
+// internal/bincode that the transfer store shares:
+//
+//	base:    'B', meta, scalars, measurement baseline, trials, epochs, state
+//	delta:   'D', varint from, scalars, trials, epochs, state suffix
+//	meta:    str workload, str searcher, str objective, str runner,
+//	         varint seed, f64 budget_seconds, varint reps, varint workers,
+//	         varint max_trials, str robustness, str transfer, str drift
+//	scalars: varint trial, f64 elapsed, str best_key, f64 best_score
+//	trials:  count, then per trial: varint seq, str key, measurement
+//	epochs:  count, then per epoch: varint epoch, varint phase,
+//	         varint trial, count priors, then per prior:
+//	         str key, strs args, f64 norm
+//
+// A measurement is runner.EncodeMeasurement's, under the trial's key (the
+// baseline's under ""). From is the trial count the delta continues, so a
+// delta cannot splice onto the wrong log. Versions 2 to 4 wrote the same
+// records with a JSON part in place of the binary fields: the kind byte,
+// the uvarint length of the JSON, the JSON, then the state bytes.
 const (
-	// recordBase opens the file: the whole Snapshot (JSON without
-	// runner_state) and the whole runner state.
-	recordBase byte = 'B'
-	// recordDelta follows it: a delta (JSON) and the runner-state suffix.
+	recordBase  byte = 'B'
 	recordDelta byte = 'D'
 )
 
-// delta is what a record adds to the snapshot before it: the trials and
-// epochs delivered since, the new scalar fields, and (outside the JSON)
-// the runner state's new suffix. From is the trial count the delta
-// continues, so a delta cannot splice onto the wrong log.
-type delta struct {
-	From      int           `json:"from"`
-	Trial     int           `json:"trial"`
-	Elapsed   float64       `json:"elapsed"`
-	BestKey   string        `json:"best_key"`
-	BestScore float64       `json:"best_score"`
-	Trials    []TrialRecord `json:"trials,omitempty"`
-	Epochs    []EpochRecord `json:"epochs,omitempty"`
-}
+// The fewest bytes one list element takes in a version 5 record: a trial
+// with an empty key and a measurement whose key is the trial's, an epoch
+// without priors, and a prior with an empty key and no args. They bound
+// what a count can make the decoder allocate.
+const (
+	minTrialBytes = 40
+	minEpochBytes = 4
+	minPriorBytes = 10
+)
 
-// recordHead is the kind byte and JSON length that open a v2 payload.
-func recordHead(kind byte, jsonLen int) []byte {
-	return binary.AppendUvarint([]byte{kind}, uint64(jsonLen))
-}
-
-// splitRecord splits a v2 payload of the wanted kind into its JSON part
-// and its raw runner-state bytes.
-func splitRecord(payload []byte, kind byte) (js, raw []byte, err error) {
-	if len(payload) == 0 || payload[0] != kind {
-		return nil, nil, fmt.Errorf("%w: record is not a %c record", ErrCorrupt, kind)
-	}
-	n, w := binary.Uvarint(payload[1:])
-	if w <= 0 || n > uint64(len(payload)-1-w) {
-		return nil, nil, fmt.Errorf("%w: bad JSON length in %c record", ErrCorrupt, kind)
-	}
-	js = payload[1+w : 1+w+int(n)]
-	return js, payload[1+w+int(n):], nil
-}
-
-// decodeJSON is the strict JSON decoder every record goes through:
-// unknown fields and trailing data are corruption, not extensions.
-func decodeJSON(js []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(js))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after JSON value")
-	}
-	return nil
-}
-
-// encodeBase is the payload of s's base record, as parts: the record
-// head, the snapshot's JSON without the runner state, and the runner state.
+// encodeBase is the payload of s's base record, as parts: the binary
+// fields, then the runner state.
 func (s *Snapshot) encodeBase() ([][]byte, error) {
-	head := *s
-	head.RunnerState = nil
-	js, err := json.Marshal(&head)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: encode snapshot: %w", err)
+	e := bincode.Encoder{B: []byte{recordBase}}
+	m := &s.Meta
+	for _, f := range [...]string{m.Workload, m.Searcher, m.Objective, m.Runner} {
+		e.Str(f)
 	}
-	return [][]byte{recordHead(recordBase, len(js)), js, s.RunnerState}, nil
+	e.Varint(m.Seed)
+	e.Float(m.BudgetSeconds)
+	for _, n := range [...]int{m.Reps, m.Workers, m.MaxTrials} {
+		e.Varint(int64(n))
+	}
+	for _, f := range [...]string{m.Robustness, m.Transfer, m.Drift} {
+		e.Str(f)
+	}
+	appendScalars(&e, s)
+	runner.EncodeMeasurement(&e, &s.Baseline, "")
+	appendLog(&e, s.Trials, s.Epochs)
+	if e.Err != nil {
+		return nil, fmt.Errorf("checkpoint: encode snapshot: %w", e.Err)
+	}
+	return [][]byte{e.B, s.RunnerState}, nil
 }
 
 // encodeDelta is the payload of the delta record prev → s adds, as parts;
 // the caller has checked that s extends prev (see extends).
 func encodeDelta(prev, s *Snapshot) ([][]byte, error) {
-	js, err := json.Marshal(&delta{
-		From:      len(prev.Trials),
-		Trial:     s.Trial,
-		Elapsed:   s.Elapsed,
-		BestKey:   s.BestKey,
-		BestScore: s.BestScore,
-		Trials:    s.Trials[len(prev.Trials):],
-		Epochs:    s.Epochs[len(prev.Epochs):],
-	})
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: encode delta: %w", err)
+	e := bincode.Encoder{B: []byte{recordDelta}}
+	e.Varint(int64(len(prev.Trials)))
+	appendScalars(&e, s)
+	appendLog(&e, s.Trials[len(prev.Trials):], s.Epochs[len(prev.Epochs):])
+	if e.Err != nil {
+		return nil, fmt.Errorf("checkpoint: encode delta: %w", e.Err)
 	}
-	return [][]byte{recordHead(recordDelta, len(js)), js, s.RunnerState[len(prev.RunnerState):]}, nil
+	return [][]byte{e.B, s.RunnerState[len(prev.RunnerState):]}, nil
+}
+
+func appendScalars(e *bincode.Encoder, s *Snapshot) {
+	e.Varint(int64(s.Trial))
+	e.Float(s.Elapsed)
+	e.Str(s.BestKey)
+	e.Float(s.BestScore)
+}
+
+func appendLog(e *bincode.Encoder, trials []TrialRecord, epochs []EpochRecord) {
+	e.Count(len(trials), trials == nil)
+	for i := range trials {
+		t := &trials[i]
+		e.Varint(int64(t.Seq))
+		e.Str(t.Key)
+		runner.EncodeMeasurement(e, &t.M, t.Key)
+	}
+	e.Count(len(epochs), epochs == nil)
+	for _, ep := range epochs {
+		e.Varint(int64(ep.Epoch))
+		e.Varint(int64(ep.Phase))
+		e.Varint(int64(ep.Trial))
+		e.Count(len(ep.Priors), ep.Priors == nil)
+		for _, p := range ep.Priors {
+			e.Str(p.Key)
+			e.Strs(p.Args)
+			e.Float(p.Norm)
+		}
+	}
 }
 
 // extends reports whether s continues prev, so that a delta can carry the
@@ -242,13 +265,14 @@ func (s *Snapshot) extends(prev *Snapshot) bool {
 		bytes.HasPrefix(s.RunnerState, prev.RunnerState)
 }
 
-// decode reads a checkpoint file written by a Keeper, version 1 to 4. It
+// decode reads a checkpoint file written by a Keeper, version 1 to 5. It
 // fails closed on a bad header, a future version, a missing, torn or
 // undecodable base (or version 1 snapshot) record, trailing data after a
 // version 1 record, and any CRC-valid delta that does not decode or
 // continue the log. A torn or CRC-corrupt tail — a delta whose write a
 // crash cut short — is salvaged: the snapshot of the last complete record
-// stands.
+// stands. The snapshot's strings and runner state share data's bytes, so
+// the caller must never write to data again.
 func decode(data []byte) (*Snapshot, error) {
 	v, err := parseHeader(data, snapshotKind)
 	if err != nil {
@@ -271,15 +295,13 @@ func decode(data []byte) (*Snapshot, error) {
 		}
 		return s, nil
 	}
-	js, raw, err := splitRecord(payload, recordBase)
+	readBase, readDelta := (*Snapshot).decodeBase, (*Snapshot).applyDelta
+	if v < 5 {
+		readBase, readDelta = (*Snapshot).decodeBaseJSON, (*Snapshot).applyDeltaJSON
+	}
+	raw, err := readBase(s, payload)
 	if err != nil {
 		return nil, err
-	}
-	if err := decodeJSON(js, s); err != nil {
-		return nil, fmt.Errorf("%w: base record: %v", ErrCorrupt, err)
-	}
-	if s.RunnerState != nil {
-		return nil, fmt.Errorf("%w: runner state inside the base record's JSON", ErrCorrupt)
 	}
 	if len(raw) > 0 {
 		// Capped, so the first delta's append copies instead of writing
@@ -294,33 +316,182 @@ func decode(data []byte) (*Snapshot, error) {
 			s.read = fileRead{size: int64(len(data)), valid: int64(len(data) - len(rest))}
 			return s, nil
 		}
-		if err := s.applyDelta(payload); err != nil {
+		raw, err := readDelta(s, payload)
+		if err != nil {
 			return nil, err
+		}
+		if len(raw) > 0 {
+			s.RunnerState = append(s.RunnerState, raw...)
 		}
 		rest = next
 	}
 }
 
-// applyDelta folds one delta record into s.
-func (s *Snapshot) applyDelta(payload []byte) error {
+// recordDecoder returns a decoder over a version 5 payload of the wanted
+// kind, past its kind byte.
+func recordDecoder(payload []byte, kind byte) (bincode.Decoder, error) {
+	if len(payload) == 0 || payload[0] != kind {
+		return bincode.Decoder{}, fmt.Errorf("%w: record is not a %c record", ErrCorrupt, kind)
+	}
+	return bincode.NewDecoder(payload[1:], bincode.StringView(payload[1:])), nil
+}
+
+// decodeBase reads a version 5 base record into s and returns its runner
+// state.
+func (s *Snapshot) decodeBase(payload []byte) ([]byte, error) {
+	d, err := recordDecoder(payload, recordBase)
+	if err != nil {
+		return nil, err
+	}
+	m := &s.Meta
+	m.Workload, m.Searcher, m.Objective, m.Runner = d.Str(), d.Str(), d.Str(), d.Str()
+	m.Seed = d.Varint()
+	m.BudgetSeconds = d.Float()
+	m.Reps, m.Workers, m.MaxTrials = d.Int(), d.Int(), d.Int()
+	m.Robustness, m.Transfer, m.Drift = d.Str(), d.Str(), d.Str()
+	s.decodeScalars(&d)
+	s.Baseline = runner.DecodeMeasurement(&d, "")
+	s.decodeLog(&d)
+	if !d.OK() {
+		return nil, fmt.Errorf("%w: malformed base record", ErrCorrupt)
+	}
+	return d.Rest(), nil
+}
+
+// applyDelta folds a version 5 delta record into s and returns its runner
+// state suffix.
+func (s *Snapshot) applyDelta(payload []byte) ([]byte, error) {
+	d, err := recordDecoder(payload, recordDelta)
+	if err != nil {
+		return nil, err
+	}
+	if from := d.Int(); d.OK() && from != len(s.Trials) {
+		return nil, fmt.Errorf("%w: delta continues trial %d but the log holds %d", ErrCorrupt, from, len(s.Trials))
+	}
+	s.decodeScalars(&d)
+	s.decodeLog(&d)
+	if !d.OK() {
+		return nil, fmt.Errorf("%w: malformed delta record", ErrCorrupt)
+	}
+	return d.Rest(), nil
+}
+
+func (s *Snapshot) decodeScalars(d *bincode.Decoder) {
+	s.Trial = d.Int()
+	s.Elapsed = d.Float()
+	s.BestKey = d.Str()
+	s.BestScore = d.Float()
+}
+
+// decodeLog appends a record's trials and epochs to s's. A base's nil
+// list stays nil and its empty list empty.
+func (s *Snapshot) decodeLog(d *bincode.Decoder) {
+	if n, ok := d.Count(minTrialBytes); ok {
+		s.Trials = grow(s.Trials, n)
+		for range n {
+			t := TrialRecord{Seq: d.Int(), Key: d.Str()}
+			t.M = runner.DecodeMeasurement(d, t.Key)
+			s.Trials = append(s.Trials, t)
+		}
+	}
+	if n, ok := d.Count(minEpochBytes); ok {
+		s.Epochs = grow(s.Epochs, n)
+		for range n {
+			ep := EpochRecord{Epoch: d.Int(), Phase: d.Int(), Trial: d.Int()}
+			if n, ok := d.Count(minPriorBytes); ok {
+				ep.Priors = make([]PriorRecord, n)
+				for i := range ep.Priors {
+					ep.Priors[i] = PriorRecord{Key: d.Str(), Args: d.Strs(), Norm: d.Float()}
+				}
+			}
+			s.Epochs = append(s.Epochs, ep)
+		}
+	}
+}
+
+// grow makes room for n more elements in l, turning a nil l into an empty
+// one.
+func grow[T any](l []T, n int) []T {
+	if l == nil {
+		return make([]T, 0, n)
+	}
+	return slices.Grow(l, n)
+}
+
+// delta is a version 2 to 4 delta record's JSON part.
+type delta struct {
+	From      int           `json:"from"`
+	Trial     int           `json:"trial"`
+	Elapsed   float64       `json:"elapsed"`
+	BestKey   string        `json:"best_key"`
+	BestScore float64       `json:"best_score"`
+	Trials    []TrialRecord `json:"trials,omitempty"`
+	Epochs    []EpochRecord `json:"epochs,omitempty"`
+}
+
+// splitRecord splits a version 2 to 4 payload of the wanted kind into its
+// JSON part and its raw runner-state bytes.
+func splitRecord(payload []byte, kind byte) (js, raw []byte, err error) {
+	if len(payload) == 0 || payload[0] != kind {
+		return nil, nil, fmt.Errorf("%w: record is not a %c record", ErrCorrupt, kind)
+	}
+	n, w := binary.Uvarint(payload[1:])
+	if w <= 0 || n > uint64(len(payload)-1-w) {
+		return nil, nil, fmt.Errorf("%w: bad JSON length in %c record", ErrCorrupt, kind)
+	}
+	js = payload[1+w : 1+w+int(n)]
+	return js, payload[1+w+int(n):], nil
+}
+
+// decodeJSON is the strict JSON decoder every version 1 to 4 record goes
+// through: unknown fields and trailing data are corruption, not
+// extensions.
+func decodeJSON(js []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(js))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after JSON value")
+	}
+	return nil
+}
+
+// decodeBaseJSON reads a version 2 to 4 base record into s and returns its
+// runner state.
+func (s *Snapshot) decodeBaseJSON(payload []byte) ([]byte, error) {
+	js, raw, err := splitRecord(payload, recordBase)
+	if err != nil {
+		return nil, err
+	}
+	if err := decodeJSON(js, s); err != nil {
+		return nil, fmt.Errorf("%w: base record: %v", ErrCorrupt, err)
+	}
+	if s.RunnerState != nil {
+		return nil, fmt.Errorf("%w: runner state inside the base record's JSON", ErrCorrupt)
+	}
+	return raw, nil
+}
+
+// applyDeltaJSON folds a version 2 to 4 delta record into s and returns
+// its runner state suffix.
+func (s *Snapshot) applyDeltaJSON(payload []byte) ([]byte, error) {
 	js, raw, err := splitRecord(payload, recordDelta)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var d delta
 	if err := decodeJSON(js, &d); err != nil {
-		return fmt.Errorf("%w: delta record: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: delta record: %v", ErrCorrupt, err)
 	}
 	if d.From != len(s.Trials) {
-		return fmt.Errorf("%w: delta continues trial %d but the log holds %d", ErrCorrupt, d.From, len(s.Trials))
+		return nil, fmt.Errorf("%w: delta continues trial %d but the log holds %d", ErrCorrupt, d.From, len(s.Trials))
 	}
 	s.Trial, s.Elapsed, s.BestKey, s.BestScore = d.Trial, d.Elapsed, d.BestKey, d.BestScore
 	s.Trials = append(s.Trials, d.Trials...)
 	s.Epochs = append(s.Epochs, d.Epochs...)
-	if len(raw) > 0 {
-		s.RunnerState = append(s.RunnerState, raw...)
-	}
-	return nil
+	return raw, nil
 }
 
 // Load reads and validates the checkpoint at path (see decode), and notes

@@ -1,7 +1,7 @@
 package faultinject
 
 import (
-	"encoding/json"
+	"maps"
 	"math"
 	"reflect"
 	"sync"
@@ -75,11 +75,7 @@ func launchesIn(t *testing.T, stream []byte) map[string]int {
 	t.Helper()
 	out := make(map[string]int)
 	for _, seg := range segments(t, stream) {
-		if raw, ok := seg["attempts"]; ok {
-			if err := json.Unmarshal(raw, &out); err != nil {
-				t.Fatal(err)
-			}
-		}
+		maps.Copy(out, seg.Launches)
 	}
 	return out
 }

@@ -27,7 +27,9 @@ func freeRun(cfg *flags.Config, _ int) runner.Measurement {
 // segments nesting the inner runner's, some with the streaks, settled and
 // stats fields those builds kept), a torn stream, out-of-range clocks, a
 // negative attempt count, and a count of 2^40 on the key the fuzzer
-// measures next.
+// measures next, in JSON and in a binary segment; binary streams whole
+// and torn; and a legacy chaos stream a restore extended with a binary
+// segment.
 func FuzzChaosStateRestore(f *testing.F) {
 	// Every attempt is a spike: state changes on each measurement, and a
 	// spiked zero cost is still zero.

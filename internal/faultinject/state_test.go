@@ -2,11 +2,7 @@ package faultinject
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
 	"reflect"
-	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/jvmsim"
@@ -14,20 +10,14 @@ import (
 	"repro/internal/workload"
 )
 
-// segments decodes a chaos state stream into its segments' raw fields.
-func segments(t *testing.T, stream []byte) []map[string]json.RawMessage {
+// segments decodes a chaos state stream into its segments.
+func segments(t *testing.T, stream []byte) []runner.StateSegment {
 	t.Helper()
-	var out []map[string]json.RawMessage
-	dec := json.NewDecoder(bytes.NewReader(stream))
-	for {
-		var seg map[string]json.RawMessage
-		if err := dec.Decode(&seg); err == io.EOF {
-			return out
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, seg)
+	segs, err := runner.DecodeState(stream)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return segs
 }
 
 // A chaos session's state is the harness's one stream: each segment holds
@@ -58,20 +48,11 @@ func TestChaosSegmentHoldsClockAndAttempts(t *testing.T) {
 		t.Fatalf("stream holds %d segments, want 2", len(segs))
 	}
 	for i, seg := range segs {
-		var fields []string
-		for k := range seg {
-			fields = append(fields, k)
-		}
-		sort.Strings(fields)
-		if want := []string{"attempts", "cache", "elapsed", "reps"}; !slices.Equal(fields, want) {
-			t.Errorf("segment %d holds %v, want %v", i, fields, want)
+		if len(seg.Reps) == 0 || len(seg.Cache) == 0 || len(seg.Launches) == 0 || seg.Elapsed == 0 {
+			t.Errorf("segment %d should hold the clock, reps, cache and attempts: %+v", i, seg)
 		}
 	}
-	var attempts map[string]int
-	if err := json.Unmarshal(segs[1]["attempts"], &attempts); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := attempts[other.Key()]; !ok || len(attempts) != 1 {
+	if attempts := segs[1].Launches; attempts[other.Key()] == 0 || len(attempts) != 1 {
 		t.Errorf("the second segment's attempts %v should name only the key measured since", attempts)
 	}
 }

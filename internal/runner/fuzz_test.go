@@ -55,10 +55,13 @@ func FuzzRunReportDecode(f *testing.F) {
 // either fail to restore, or restore a State whose next snapshot — after
 // one more measurement, so the change tracking is exercised — extends the
 // restored bytes and restores to the same state. The seed corpus in
-// testdata/fuzz holds streams, torn streams, out-of-range clocks,
-// single-object states as builds before streams wrote them, a segment
-// with launch counters, and a legacy chaos stream whose segments nest the
-// inner runner's.
+// testdata/fuzz holds JSON streams as checkpoint formats 1 to 4 wrote
+// them (torn ones, out-of-range clocks, single-object states as builds
+// before streams wrote them, a segment with launch counters, and a legacy
+// chaos stream whose segments nest the inner runner's), binary streams
+// (whole, torn, with an unknown mask bit, failed and transient
+// measurements), JSON streams a restore extended with a binary segment,
+// and a binary stream followed by a JSON segment, which is refused.
 func FuzzRunnerStateRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var a State

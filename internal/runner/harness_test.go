@@ -268,8 +268,12 @@ func TestRunBatchMatchesRun(t *testing.T) {
 			if n := got.series[`chaos_faults_total{kind="hang"}`]; n != 1 || got.series["chaos_suppressed_total"] != 1 {
 				t.Errorf("chaos series: %v", got.series)
 			}
-			if !strings.Contains(string(got.state), `"attempts":{`) {
-				t.Errorf("state holds no launch counters: %s", got.state)
+			segs, err := runner.DecodeState(got.state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(segs) != 1 || len(segs[0].Launches) != len(cfgs) {
+				t.Errorf("state holds no launch counter for every trial: %+v", segs)
 			}
 		})
 	}

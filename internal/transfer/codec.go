@@ -7,7 +7,8 @@ import (
 	"math"
 	"strings"
 	"unicode/utf8"
-	"unsafe"
+
+	"repro/internal/bincode"
 )
 
 // The store file format. A store is a checkpoint.Journal of kind "ATTS":
@@ -25,11 +26,12 @@ import (
 //	       varint seed, varint reps, varint trials, f64 budget_seconds,
 //	       strs args, f64 score, f64 baseline_score
 //
-// f64 is the IEEE-754 bit pattern as a little-endian uint64; str is a
-// uvarint byte length then the bytes; floats and strs are a uvarint count
-// plus one (zero encodes a nil list) then the elements. The decoder is
-// strict: a short field, a length past the payload's end, a non-finite
-// float, an unknown kind or a trailing byte makes the record corrupt.
+// The fields are internal/bincode's, which checkpoints share: f64 is the
+// IEEE-754 bit pattern as a little-endian uint64; str is a uvarint byte
+// length then the bytes; floats and strs are a uvarint count plus one
+// (zero encodes a nil list) then the elements. The decoder is strict: a
+// short field, a length past the payload's end, a non-finite float, an
+// unknown kind or a trailing byte makes the record corrupt.
 //
 // Version 1 payloads were JSON-encoded storeRecords. A version 1 file is
 // read once and rewritten as version 2 (migrateV1).
@@ -37,17 +39,6 @@ const (
 	kindEntry byte = 1
 	kindMark  byte = 2
 )
-
-// stringView returns b's bytes as a string without copying them. The
-// caller must never write to b again. Replay decodes every string of a
-// store as a substring of one view of the file image, which makes the
-// strings cost one allocation per file instead of one per argument.
-func stringView(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(&b[0], len(b))
-}
 
 // appendMark appends the payload of a watermark record.
 func appendMark(dst []byte, nextSeq int64) []byte {
@@ -59,56 +50,27 @@ func appendMark(dst []byte, nextSeq int64) []byte {
 // Strings are mapped the way a JSON round trip maps them (jsonString), so
 // an entry reads back from v2 exactly as it read back from v1.
 func appendEntry(dst []byte, e *Entry) ([]byte, error) {
-	for _, f := range [...]float64{e.BudgetSeconds, e.Score, e.BaselineScore} {
-		if !finite(f) {
-			return dst, fmt.Errorf("unsupported value %v", f)
-		}
-	}
-	for _, f := range e.FP.F {
-		if !finite(f) {
-			return dst, fmt.Errorf("unsupported fingerprint value %v", f)
-		}
-	}
-	dst = append(dst, kindEntry)
-	dst = binary.AppendVarint(dst, e.Seq)
-	dst = binary.AppendVarint(dst, int64(e.FP.Version))
-	dst = appendCount(dst, len(e.FP.F), e.FP.F == nil)
-	for _, f := range e.FP.F {
-		dst = appendFloat(dst, f)
-	}
+	enc := bincode.Encoder{B: append(dst, kindEntry)}
+	enc.Varint(e.Seq)
+	enc.Varint(int64(e.FP.Version))
+	enc.Floats(e.FP.F)
 	for _, s := range [...]string{e.Workload, e.Suite, e.Searcher, e.Objective} {
-		dst = appendString(dst, s)
+		enc.Str(jsonString(s))
 	}
-	dst = binary.AppendVarint(dst, e.Seed)
-	dst = binary.AppendVarint(dst, int64(e.Reps))
-	dst = binary.AppendVarint(dst, int64(e.Trials))
-	dst = appendFloat(dst, e.BudgetSeconds)
-	dst = appendCount(dst, len(e.Args), e.Args == nil)
+	enc.Varint(e.Seed)
+	enc.Varint(int64(e.Reps))
+	enc.Varint(int64(e.Trials))
+	enc.Float(e.BudgetSeconds)
+	enc.Count(len(e.Args), e.Args == nil)
 	for _, a := range e.Args {
-		dst = appendString(dst, a)
+		enc.Str(jsonString(a))
 	}
-	dst = appendFloat(dst, e.Score)
-	return appendFloat(dst, e.BaselineScore), nil
-}
-
-func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
-func appendFloat(dst []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
-}
-
-// appendCount encodes a list length as count+1, keeping nil (0) apart from
-// empty (1) as a JSON null is kept apart from [].
-func appendCount(dst []byte, n int, isNil bool) []byte {
-	if isNil {
-		return append(dst, 0)
+	enc.Float(e.Score)
+	enc.Float(e.BaselineScore)
+	if enc.Err != nil {
+		return dst, enc.Err
 	}
-	return binary.AppendUvarint(dst, uint64(n)+1)
-}
-
-func appendString(dst []byte, s string) []byte {
-	s = jsonString(s)
-	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+	return enc.B, nil
 }
 
 // jsonString maps s the way an encoding/json round trip maps it: each byte
@@ -130,135 +92,89 @@ func jsonString(s string) string {
 	return b.String()
 }
 
-// decoder reads one v2 payload. b and s hold the same bytes; decoded
-// strings are substrings of s. The first malformed field clears ok and
-// every later read returns zero values.
-type decoder struct {
-	b   []byte
-	s   string
-	off int
-	ok  bool
+// slab hands out lists as capped sub-slices of one larger allocation, so
+// an append to a list copies it instead of writing over its neighbour.
+type slab[T any] struct{ free []T }
+
+// take returns a list of n elements. A slab that runs short refills with
+// room for left lists of n, this one included.
+func (s *slab[T]) take(n, left int) []T {
+	if n == 0 {
+		return []T{}
+	}
+	if n > len(s.free) {
+		s.free = make([]T, n*left)
+	}
+	l := s.free[:n:n]
+	s.free = s.free[n:]
+	return l
 }
 
-func (d *decoder) fail() { d.ok, d.off = false, len(d.b) }
-
-func (d *decoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) int() int {
-	v := d.varint()
-	if int64(int(v)) != v {
-		d.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (d *decoder) float() float64 {
-	if len(d.b)-d.off < 8 {
-		d.fail()
-		return 0
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	if !finite(f) {
-		d.fail()
-		return 0
-	}
-	return f
-}
-
-// count reads a list length (see appendCount); each element takes at least
-// min bytes, which bounds the allocation by the payload size. ok is false
-// for a nil list.
-func (d *decoder) count(min int) (n int, ok bool) {
-	c := d.uvarint()
-	if c == 0 {
-		return 0, false
-	}
-	if c-1 > uint64(len(d.b)-d.off)/uint64(min) {
-		d.fail()
-		return 0, false
-	}
-	return int(c - 1), true
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
-		return ""
-	}
-	s := d.s[d.off : d.off+int(n)]
-	d.off += int(n)
-	return s
+// slabs are the allocations one open decodes its entries into: the
+// entries themselves and their fingerprints, whose length is fixed by
+// the fingerprint version. left is the number of payloads not yet
+// decoded, the current one included, which sizes both slabs exactly for
+// a store of one version. Argument lists vary in length, and a slab
+// sized from their mean overshot: each gets its own allocation.
+type slabs struct {
+	left    int
+	entries slab[Entry]
+	floats  slab[float64]
 }
 
 // decodeRecord parses one v2 payload into a storeRecord, failing closed on
-// anything malformed.
-func decodeRecord(b []byte, s string) (storeRecord, error) {
+// anything malformed. The entry and its fingerprint come from a's slabs;
+// a nil a allocates them on their own.
+func decodeRecord(b []byte, s string, a *slabs) (storeRecord, error) {
 	if len(b) == 0 {
 		return storeRecord{}, fmt.Errorf("%w: empty record", ErrCorrupt)
 	}
-	d := decoder{b: b, s: s, off: 1, ok: true}
+	if a == nil {
+		a = &slabs{left: 1}
+	}
+	d := bincode.NewDecoder(b[1:], s[1:])
 	var rec storeRecord
 	switch b[0] {
 	case kindMark:
 		rec.Kind = "mark"
-		next := d.uvarint()
+		next := d.Uvarint()
 		if next > math.MaxInt64 {
-			d.fail()
+			d.Fail()
 		}
 		rec.NextSeq = int64(next)
 	case kindEntry:
 		rec.Kind = "entry"
-		e := &Entry{Seq: d.varint()}
-		e.FP.Version = d.int()
-		if n, ok := d.count(8); ok {
-			e.FP.F = make([]float64, n)
+		e := &a.entries.take(1, a.left)[0]
+		e.Seq = d.Varint()
+		e.FP.Version = d.Int()
+		if n, ok := d.Count(8); ok {
+			e.FP.F = a.floats.take(n, a.left)
 			for i := range e.FP.F {
-				e.FP.F[i] = d.float()
+				e.FP.F[i] = d.Float()
 			}
 		}
-		e.Workload, e.Suite, e.Searcher, e.Objective = d.str(), d.str(), d.str(), d.str()
-		e.Seed = d.varint()
-		e.Reps = d.int()
-		e.Trials = d.int()
-		e.BudgetSeconds = d.float()
-		if n, ok := d.count(1); ok {
+		e.Workload, e.Suite, e.Searcher, e.Objective = d.Str(), d.Str(), d.Str(), d.Str()
+		e.Seed = d.Varint()
+		e.Reps = d.Int()
+		e.Trials = d.Int()
+		e.BudgetSeconds = d.Float()
+		if n, ok := d.Count(1); ok {
 			e.Args = make([]string, n)
 			for i := range e.Args {
-				e.Args[i] = d.str()
+				e.Args[i] = d.Str()
 			}
 		}
-		e.Score = d.float()
-		e.BaselineScore = d.float()
+		e.Score = d.Float()
+		e.BaselineScore = d.Float()
 		rec.Entry = e
 	default:
 		return storeRecord{}, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, b[0])
 	}
-	if !d.ok {
+	if !d.OK() {
 		return storeRecord{}, fmt.Errorf("%w: malformed %s record", ErrCorrupt, rec.Kind)
 	}
-	if d.off != len(b) {
-		return storeRecord{}, fmt.Errorf("%w: %d trailing bytes in %s record", ErrCorrupt, len(b)-d.off, rec.Kind)
+	if !d.Done() {
+		return storeRecord{}, fmt.Errorf("%w: %d trailing bytes in %s record", ErrCorrupt, len(d.Rest()), rec.Kind)
 	}
 	return rec, nil
 }

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/bincode"
 	"repro/internal/checkpoint"
 	"repro/internal/telemetry"
 )
@@ -244,8 +245,10 @@ func load(path string, tel *telemetry.Registry) (*store, error) {
 // frame does. The payloads must never be written afterwards, since the
 // entries' strings share their bytes.
 func (s *store) replay(payloads [][]byte) int {
+	var a slabs
 	for i, p := range payloads {
-		rec, err := decodeRecord(p, stringView(p))
+		a.left = len(payloads) - i
+		rec, err := decodeRecord(p, bincode.StringView(p), &a)
 		if err != nil {
 			return i
 		}
