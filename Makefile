@@ -69,10 +69,14 @@ overload-drill:
 # too: against a loopback node it reports the dispatch_* series and sends
 # no more requests than it has placement waves, and a measurement the
 # fleet cannot place under chaos is retried by the harness's one loop.
+# The binary evaluate-batch wire must drop no field of a request or an
+# answer, refuse a malformed body whole (a JSON one naming the older
+# protocol generation), own every string it decodes on both sides, and
+# turn an answer with a non-finite float into a 500 internal envelope.
 dist-drill:
 	go test -race -count=1 \
-	  -run 'TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestRejectedTrialMeasurementsAgree|TestPlacementsAppendNothingToFleetJournal|TestAttachFleetReplaysOlderJournal|TestCheckpointBytesFleetEquivalence|TestMembershipGrantsAskedLease|TestJoinerRefusesIntervalPastLeaseLimit|TestCLIEvaldRefusesLongJoinInterval|TestRunBatchMatchesRun|TestMeasureIsBatchOfOne|TestWaveStartsOneGoroutinePerRequestPastTheFirst|TestChaosFleetKeepsTelemetryAndBatching|TestChaosPlacementExhaustionRetriedOnce|TestCLIDistDrill' \
-	  ./internal/dispatch ./internal/runner ./hotspot .
+	  -run 'TestWireDropsNoField|TestWireRefusesMalformedBodies|TestDecodeBatchRequestOwnsItsStrings|TestDecodeBatchResultOwnsItsStrings|TestEncodeBatchResultNonFinite|TestNonFiniteAnswerIsInternal|TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestRejectedTrialMeasurementsAgree|TestPlacementsAppendNothingToFleetJournal|TestAttachFleetReplaysOlderJournal|TestCheckpointBytesFleetEquivalence|TestMembershipGrantsAskedLease|TestJoinerRefusesIntervalPastLeaseLimit|TestCLIEvaldRefusesLongJoinInterval|TestRunBatchMatchesRun|TestMeasureIsBatchOfOne|TestWaveStartsOneGoroutinePerRequestPastTheFirst|TestChaosFleetKeepsTelemetryAndBatching|TestChaosPlacementExhaustionRetriedOnce|TestCLIDistDrill' \
+	  ./internal/dispatch ./internal/evald ./internal/runner ./hotspot .
 
 # The transfer drills: the cross-workload knowledge base's survival and
 # equivalence story. A warm-started session at half the cold trial budget

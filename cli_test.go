@@ -286,6 +286,10 @@ func TestEveryEntryPointRefusesBadOptions(t *testing.T) {
 			[]string{"-chaos", "node-down=0.2"}, `"chaos":"node-down=0.2"`},
 		{"drift sensitivity without drift", hotspot.Options{DriftSensitivity: 2},
 			[]string{"-drift-sensitivity", "2"}, `"drift_sensitivity":2`},
+		// tuned's job request has no objective field, so this row has no
+		// POST leg.
+		{"unknown objective", hotspot.Options{Objective: "bogus"},
+			[]string{"-objective", "bogus"}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := t.TempDir()
@@ -306,6 +310,9 @@ func TestEveryEntryPointRefusesBadOptions(t *testing.T) {
 			}
 			if entries, err := os.ReadDir(store); err != nil || len(entries) > 0 {
 				t.Errorf("a refused session left %v in the transfer directory (%v)", entries, err)
+			}
+			if tc.req == "" {
+				return
 			}
 			resp, err := http.Post(srv.URL+"/v1/tune", "application/json",
 				strings.NewReader(`{"benchmark":"h2","budget_minutes":1,`+tc.req+`}`))

@@ -422,7 +422,8 @@ const MaxWorkers = 64
 // CheckOptions refuses the Options no session accepts: a Benchmark that
 // names no built-in workload, Workers outside [0, MaxWorkers], Reps
 // outside [0, dispatch.MaxReps] (the most the fleet wire carries), a
-// negative RetryAttempts, a DriftSensitivity without Drift or not
+// negative RetryAttempts, an Objective other than "", "throughput" and
+// "pause", a DriftSensitivity without Drift or not
 // positive and finite, Resume without CheckpointPath, both a fleet and
 // JVMSimPath, a Chaos plan that does not parse, and node-down faults
 // without a fleet. Zero means the default of each number. Tune and
@@ -454,6 +455,10 @@ func checkOptions(opts Options) (prof *Profile, plan faultinject.Plan, err error
 		err = fmt.Errorf("hotspot: reps %d outside [0, %d]", opts.Reps, dispatch.MaxReps)
 	case opts.RetryAttempts < 0:
 		err = fmt.Errorf("hotspot: RetryAttempts %d is negative", opts.RetryAttempts)
+	case opts.Objective != "" && opts.Objective != string(core.ObjectiveThroughput) &&
+		opts.Objective != string(core.ObjectivePause):
+		err = fmt.Errorf("hotspot: unknown objective %q (want %q or %q)",
+			opts.Objective, core.ObjectiveThroughput, core.ObjectivePause)
 	case s != 0 && !opts.Drift:
 		err = fmt.Errorf("hotspot: drift sensitivity %v requires Drift", s)
 	case s < 0 || math.IsNaN(s) || math.IsInf(s, 0):

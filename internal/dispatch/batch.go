@@ -1,11 +1,5 @@
 package dispatch
 
-import (
-	"bytes"
-	"encoding/json"
-	"io"
-)
-
 // Batched dispatch ships several evaluation attempts in one HTTP round
 // trip, amortizing the per-trial wire overhead (BENCH_2.json records
 // ~90 µs/trial for single-trial loopback dispatch; a real-JVM runner makes
@@ -14,7 +8,7 @@ import (
 // it keeps its own key, rep base, and verdict, so a batch is semantically
 // identical to its trials dispatched one by one — which is exactly how the
 // differential suite proves batched sessions byte-identical to unbatched
-// and in-process ones.
+// and in-process ones. Its bytes on the wire are in wire.go.
 
 // Batch protocol bounds.
 const (
@@ -29,15 +23,15 @@ const (
 // BatchRequest is one batched dispatch round trip: up to MaxBatchTrials
 // evaluation attempts that the node answers positionally.
 type BatchRequest struct {
-	Trials []TrialRequest `json:"trials"`
+	Trials []TrialRequest
 }
 
 // BatchEntry is the per-trial outcome inside a BatchResult: exactly one of
 // Result or Error is set. A per-trial rejection condemns only its own
 // trial — the siblings in the batch settle normally.
 type BatchEntry struct {
-	Result *TrialResult   `json:"result,omitempty"`
-	Error  *ErrorEnvelope `json:"error,omitempty"`
+	Result *TrialResult
+	Error  *ErrorEnvelope
 }
 
 // BatchResult answers a BatchRequest: Entries[i] is the verdict for
@@ -45,126 +39,22 @@ type BatchEntry struct {
 // requested trial; anything else is a broken node, not a protocol answer.
 type BatchResult struct {
 	// Node names the evaluator that served the batch (diagnostic only).
-	Node    string       `json:"node,omitempty"`
-	Entries []BatchEntry `json:"entries"`
+	Node    string
+	Entries []BatchEntry
 }
 
 // Validate checks the batch envelope's self-contained invariants. The
 // trials themselves are validated individually by the serving node so one
 // bogus trial yields a per-entry rejection, not a whole-batch 400.
-func (b *BatchRequest) Validate() error {
+func (b *BatchRequest) Validate() error { return checkBatchSize(len(b.Trials)) }
+
+// checkBatchSize refuses an empty batch and one past MaxBatchTrials.
+func checkBatchSize(n int) error {
 	switch {
-	case len(b.Trials) == 0:
+	case n == 0:
 		return reject(CodeBadPayload, "dispatch: empty batch")
-	case len(b.Trials) > MaxBatchTrials:
-		return reject(CodeBadPayload, "dispatch: %d trials exceed batch limit %d", len(b.Trials), MaxBatchTrials)
+	case n > MaxBatchTrials:
+		return reject(CodeBadPayload, "dispatch: %d trials exceed batch limit %d", n, MaxBatchTrials)
 	}
 	return nil
-}
-
-// DecodeBatchRequest parses and validates a batch envelope. Unknown fields
-// fail closed, in the envelope and in every trial: a request from a
-// different protocol generation must be rejected loudly, not
-// half-understood. The hand-rolled scanner
-// handles the shape our own controllers emit; anything it does not
-// recognize — including unknown fields and drift requests — goes through
-// the strict reflection decoder (see wirefast.go).
-func DecodeBatchRequest(data []byte) (*BatchRequest, error) {
-	if b, ok := fastDecodeBatchRequest(data); ok {
-		if err := b.Validate(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var b BatchRequest
-	if err := dec.Decode(&b); err != nil {
-		return nil, reject(CodeBadPayload, "dispatch: decode batch: %v", err)
-	}
-	if dec.More() {
-		return nil, reject(CodeBadPayload, "dispatch: trailing data after batch")
-	}
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	return &b, nil
-}
-
-// The batch wire mirror: BatchResult with every entry in compact form.
-// See wireMeasurement — field names are identical to the plain structs,
-// only zero-valued fields are elided.
-type wireBatchEntry struct {
-	Result *wireTrialResult `json:"result,omitempty"`
-	Error  *ErrorEnvelope   `json:"error,omitempty"`
-}
-
-type wireBatchResult struct {
-	Node    string           `json:"node,omitempty"`
-	Entries []wireBatchEntry `json:"entries"`
-}
-
-// MarshalBatchResult renders res in its compact wire form: the
-// hand-rolled appender when the message is representable (see
-// wireenc.go), one conversion and one reflection pass otherwise — same
-// bytes-on-the-wire semantics either way.
-func MarshalBatchResult(res *BatchResult) ([]byte, error) {
-	if b, ok := encodeBatchResult(res); ok {
-		return b, nil
-	}
-	var buf bytes.Buffer
-	err := stdEncodeBatchResult(&buf, res)
-	return buf.Bytes(), err
-}
-
-// stdEncodeBatchResult is the reflection path of MarshalBatchResult, kept
-// callable on its own so the differential suite can compare the two
-// encoders directly.
-func stdEncodeBatchResult(w io.Writer, res *BatchResult) error {
-	wire := wireBatchResult{Node: res.Node}
-	if res.Entries != nil {
-		wire.Entries = make([]wireBatchEntry, len(res.Entries))
-	}
-	scratch := make([]wireTrialResult, len(res.Entries))
-	for i := range res.Entries {
-		e := &res.Entries[i]
-		if e.Result != nil {
-			scratch[i] = toWire(e.Result)
-			wire.Entries[i].Result = &scratch[i]
-		}
-		wire.Entries[i].Error = e.Error
-	}
-	return json.NewEncoder(w).Encode(&wire)
-}
-
-// batchFromWire converts a decoded wire mirror back to the plain structs,
-// preserving the nil-vs-empty distinction of the entries slice (the
-// differential fuzz target compares this against the fast scanner).
-func batchFromWire(wire *wireBatchResult) *BatchResult {
-	res := &BatchResult{Node: wire.Node}
-	if wire.Entries != nil {
-		res.Entries = make([]BatchEntry, len(wire.Entries))
-	}
-	for i := range wire.Entries {
-		e := &wire.Entries[i]
-		if e.Result != nil {
-			res.Entries[i].Result = fromWire(e.Result)
-		}
-		res.Entries[i].Error = e.Error
-	}
-	return res
-}
-
-// decodeBatchResult is the client-side twin of MarshalBatchResult: the
-// hand-rolled scanner when the body is exactly the shape our nodes emit,
-// the reflection decoder for everything else (see wirefast.go).
-func decodeBatchResult(data []byte) (*BatchResult, error) {
-	if res, ok := fastDecodeBatchResult(data); ok {
-		return res, nil
-	}
-	var wire wireBatchResult
-	if err := decodeBody(data, &wire); err != nil {
-		return nil, err
-	}
-	return batchFromWire(&wire), nil
 }

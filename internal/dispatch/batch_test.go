@@ -412,9 +412,9 @@ func TestDecodeBatchRequestOwnsItsStrings(t *testing.T) {
 		{Key: wide.Key(), Benchmark: "h2", Args: flagstest.WideArgs(wide), RepBase: 7, Reps: 1, TimeoutSeconds: 120, Noise: -1},
 		{Key: "MaxHeapSize=536870912", Benchmark: "fop", Args: []string{"-XX:MaxHeapSize=512m"}, Reps: 2, Noise: 0.05},
 	}}
-	body, ok := encodeBatchRequest(req)
-	if !ok {
-		t.Fatal("appender refused a stationary batch")
+	body, err := EncodeBatchRequest(req)
+	if err != nil {
+		t.Fatal(err)
 	}
 	got, err := DecodeBatchRequest(body)
 	if err != nil {

@@ -5,7 +5,6 @@
 package dispatch_test
 
 import (
-	"encoding/json"
 	"testing"
 
 	"repro/internal/dispatch"
@@ -38,9 +37,9 @@ func BenchmarkDispatchInProcess(b *testing.B) {
 	benchMeasure(b, ip)
 }
 
-// BenchmarkDispatchLoopback measures the full remote path: JSON encode,
-// loopback HTTP to a real evald handler on a real socket, evaluate,
-// JSON decode. The delta against BenchmarkDispatchInProcess is the
+// BenchmarkDispatchLoopback measures the full remote path: request
+// encode, loopback HTTP to a real evald handler on a real socket,
+// evaluate, answer decode. The delta against BenchmarkDispatchInProcess is the
 // per-trial dispatch overhead.
 func BenchmarkDispatchLoopback(b *testing.B) {
 	_, evs := startFleet(b, 1)
@@ -165,7 +164,7 @@ func BenchmarkDecodeBatchRequest16(b *testing.B) {
 				RepBase: 40 * i, Reps: 1, TimeoutSeconds: 120, Noise: -1,
 			}
 		}
-		body, err := json.Marshal(req)
+		body, err := dispatch.EncodeBatchRequest(req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,5 +177,48 @@ func BenchmarkDecodeBatchRequest16(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDispatchWire16 prices the wire alone: one round trip of a
+// 16-trial batch of hierarchical proposals (flagstest.Proposal) at 3
+// reps, its request encoded and decoded and its answer encoded and
+// decoded, with no socket and no evaluation. ns/op and allocs/op are per
+// batch.
+func BenchmarkDispatchWire16(b *testing.B) {
+	prof := profileOf(b, "fop")
+	reg := flags.NewRegistry()
+	req := &dispatch.BatchRequest{Trials: make([]dispatch.TrialRequest, 16)}
+	for i := range req.Trials {
+		c := flagstest.Proposal(reg, int64(i+1))
+		req.Trials[i] = dispatch.TrialRequest{
+			Key: c.Key(), Benchmark: prof.Name, Args: c.ExplicitArgs(),
+			RepBase: 40 * i, Reps: 3, TimeoutSeconds: 120, Noise: -1,
+		}
+	}
+	res := dispatch.EvalBatch(prof, reg, req)
+	res.Node = "bench0"
+	for i := range res.Entries {
+		if res.Entries[i].Result == nil {
+			b.Fatalf("trial %d: %+v", i, res.Entries[i].Error)
+		}
+		res.Entries[i].Result.Node = res.Node
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		body, err := dispatch.EncodeBatchRequest(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, err := dispatch.DecodeBatchRequest(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if body, err = dispatch.EncodeBatchResult(res, got); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := dispatch.DecodeBatchResult(body, req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

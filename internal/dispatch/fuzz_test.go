@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
 
+	"repro/internal/jvmsim"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -61,7 +64,10 @@ func FuzzDecodeRegisterRequest(f *testing.F) {
 // FuzzDecodeBatchRequest holds the batch decoder's envelope contract:
 // arbitrary bytes either yield a bounded batch or a typed *RequestError —
 // per-trial validity is deliberately NOT the envelope's business, so an
-// accepted batch may still carry trials a node will reject individually.
+// accepted batch may still carry trials a node will reject individually —
+// and an accepted batch re-encodes to bytes that decode to the same batch.
+// The JSON seeds, and the JSON corpus under testdata/fuzz, are bodies of
+// the protocol generation before the binary wire, and must be refused.
 func FuzzDecodeBatchRequest(f *testing.F) {
 	seeds := [][]byte{
 		[]byte(``),
@@ -81,27 +87,27 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 		[]byte(`{"trials":[{"key":""}]}{"trials":[]}`),
 		[]byte("\xff\xfe"),
 	}
+	shift := jvmsim.DefaultShift()
+	for _, req := range []*BatchRequest{
+		{Trials: []TrialRequest{}},
+		{Trials: []TrialRequest{{Key: "", Benchmark: "fop", Reps: 1, Noise: -1}}},
+		{Trials: []TrialRequest{{Key: "a", Benchmark: "fop", Reps: 1, Noise: -1}, {Key: "b", Benchmark: "fop", Reps: 2, Noise: -1}}},
+		{Trials: []TrialRequest{{Key: "k", Benchmark: "fop", Args: []string{"-Xmx256m", "-XX:+UseParallelGC"},
+			RepBase: 5, Reps: 3, TimeoutSeconds: 2.5, Noise: 0.05}}},
+		{Trials: []TrialRequest{{Key: "k", Benchmark: "fop", Args: []string{}, Reps: 1, Noise: -1}}},
+		{Trials: []TrialRequest{{Key: "k", Benchmark: "fop", Reps: 1, Noise: -1, Phase: 2, Shift: &shift}}},
+		{Trials: []TrialRequest{{Key: "über\xff", Benchmark: "quake3", Reps: -9, Noise: 1e-3}}},
+	} {
+		body, err := EncodeBatchRequest(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, body, append(body, 0), body[:len(body)-1])
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		// The hand-rolled scanner may bail on anything, but when it
-		// accepts, the strict reflection decoder must agree byte for byte
-		// on the result (wirefast.go's contract, request side).
-		if fast, ok := fastDecodeBatchRequest(body); ok {
-			dec := json.NewDecoder(bytes.NewReader(body))
-			dec.DisallowUnknownFields()
-			var slow BatchRequest
-			if err := dec.Decode(&slow); err != nil {
-				t.Fatalf("fast path accepted %q but encoding/json rejects it: %v", body, err)
-			}
-			if dec.More() {
-				t.Fatalf("fast path accepted %q despite trailing data", body)
-			}
-			if !reflect.DeepEqual(fast, &slow) {
-				t.Fatalf("decoders disagree on %q:\nfast: %+v\nslow: %+v", body, fast, &slow)
-			}
-		}
 		b, err := DecodeBatchRequest(body)
 		if err != nil {
 			var re *RequestError
@@ -110,26 +116,22 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 			}
 			return
 		}
+		if body[0] == '{' {
+			t.Fatalf("accepted a JSON body %q", body)
+		}
 		if len(b.Trials) == 0 || len(b.Trials) > MaxBatchTrials {
 			t.Fatalf("accepted batch outside bounds: %d trials", len(b.Trials))
 		}
-		out, err := json.Marshal(b)
+		out, err := EncodeBatchRequest(b)
 		if err != nil {
 			t.Fatalf("accepted batch fails to re-encode: %v", err)
 		}
-		if _, err := DecodeBatchRequest(out); err != nil {
-			t.Fatalf("re-encoded batch rejected: %v (%s)", err, out)
+		again, err := DecodeBatchRequest(out)
+		if err != nil {
+			t.Fatalf("re-encoded batch rejected: %v", err)
 		}
-		// The appender must agree with the reflection encoder: its bytes
-		// decode back to the very same batch (wireenc.go's contract).
-		if enc, ok := encodeBatchRequest(b); ok {
-			again, err := DecodeBatchRequest(enc)
-			if err != nil {
-				t.Fatalf("appender output rejected: %v (%s)", err, enc)
-			}
-			if !reflect.DeepEqual(b, again) {
-				t.Fatalf("appender round trip changed the batch:\nin:  %+v\nout: %+v", b, again)
-			}
+		if !reflect.DeepEqual(b, again) {
+			t.Fatalf("round trip changed the batch:\nin:  %+v\nout: %+v", b, again)
 		}
 	})
 }
@@ -208,67 +210,63 @@ func fuzzProfile(f *testing.F) *workload.Profile {
 	return p
 }
 
-// FuzzFastBatchResultDecode holds wirefast.go's contract: the hand-rolled
-// batch-response scanner may bail on anything (that just costs the
-// reflection fallback), but whenever it ACCEPTS a body, encoding/json
-// must accept it too and produce a deeply equal BatchResult. Deviations
-// in either the value decoded or the accept/reject verdict are bugs.
-func FuzzFastBatchResultDecode(f *testing.F) {
-	seeds := [][]byte{
-		[]byte(``),
-		[]byte(`{}`),
-		[]byte(`{"entries":[]}`),
-		[]byte(`{"node":"n1","entries":[{"result":{"node":"n1","measurement":{"Key":"MaxHeapSize=268435456","Walls":[1.25],"Mean":1.25,"Pauses":[0.004],"MeanPause":0.004,"CostSeconds":3.25,"Attempts":1}}}]}`),
-		[]byte(`{"node":"n1","entries":[{"error":{"error":"evald: worker crashed","code":"internal"}}]}`),
-		[]byte(`{"entries":[{"result":{"measurement":{"Failed":true,"Failure":"crash","FailureMessage":"exit 134","CostSeconds":0.5,"Attempts":2,"Flakes":1,"Transient":true}}},{"error":{"error":"busy","code":"busy","retry_after_seconds":3}}]}`),
-		[]byte(`{"entries":[{"result":{"measurement":{"Key":"quoted \"key\""}}}]}`),
-		[]byte(`{"entries":[{"result":{"measurement":{"Attempts":3.5}}}]}`),
-		[]byte(`{"entries":[{"result":{"measurement":{"Mean":+3}}}]}`),
-		[]byte(`{"entries":[{"result":{"measurement":{"Walls":[01]}}}]}`),
-		[]byte(`{"entries":[{"result":{"measurement":{"Key":"über"}}}]}`),
-		[]byte(`{"entries":null}`),
-		[]byte(`{"entries":[]} trailing`),
-		[]byte("\xff\xfe"),
+// FuzzDecodeBatchResult holds the answer decoder's contract against a
+// request of 0 to 3 trials: arbitrary bytes are refused or give exactly
+// one entry per trial, never a panic, and an accepted answer re-encodes
+// to bytes that decode to the same answer.
+func FuzzDecodeBatchResult(f *testing.F) {
+	f.Add(uint8(0), []byte(``))
+	f.Add(uint8(1), []byte(`{"node":"n1","entries":[{"error":{"error":"evald: worker crashed","code":"internal"}}]}`))
+	for _, res := range []*BatchResult{
+		{Node: "n1", Entries: []BatchEntry{}},
+		{Node: "n1", Entries: []BatchEntry{{Result: &TrialResult{Node: "n1", Measurement: runner.Measurement{
+			Key: "k0", Walls: []float64{1.25}, Mean: 1.25, Pauses: []float64{0.004}, MeanPause: 0.004,
+			CostSeconds: 3.25, Attempts: 1}}}}},
+		{Entries: []BatchEntry{
+			{Result: &TrialResult{Measurement: runner.Measurement{Key: "other\xff", Failed: true, Failure: "crash",
+				FailureMessage: "exit 134", CostSeconds: 0.5, Attempts: 2, Flakes: 1, Transient: true}}},
+			{Error: &ErrorEnvelope{Error: "busy", Code: CodeBusy, RetryAfterSeconds: 3}},
+			{},
+		}},
+	} {
+		body, err := EncodeBatchResult(res, fuzzTrials(len(res.Entries)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		n := uint8(len(res.Entries))
+		f.Add(n, body)
+		f.Add(n, append(body, 0))
+		f.Add(n, body[:len(body)-1])
+		f.Add(n+1, body)
 	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fast, ok := fastDecodeBatchResult(data)
-		if !ok {
+	f.Fuzz(func(t *testing.T, trials uint8, data []byte) {
+		req := fuzzTrials(int(trials % 4))
+		res, err := DecodeBatchResult(data, req)
+		if err != nil {
 			return
 		}
-		var wire wireBatchResult
-		if err := decodeBody(data, &wire); err != nil {
-			t.Fatalf("fast path accepted %q but encoding/json rejects it: %v", data, err)
+		if len(res.Entries) != len(req.Trials) {
+			t.Fatalf("%d trials answered by %d entries", len(req.Trials), len(res.Entries))
 		}
-		slow := batchFromWire(&wire)
-		if !reflect.DeepEqual(fast, slow) {
-			t.Fatalf("fast path decoded %q as\n%+v\nencoding/json as\n%+v", data, fast, slow)
-		}
-		// And the encoder differential (wireenc.go's contract): when the
-		// appender can represent the decoded result, its bytes and the
-		// reflection encoder's bytes must decode to the same value — the
-		// two encoders may format differently (float spellings), but a
-		// reader can never tell which one served the response.
-		enc, ok := encodeBatchResult(fast)
-		if !ok {
-			return
-		}
-		var buf bytes.Buffer
-		if err := stdEncodeBatchResult(&buf, fast); err != nil {
-			t.Fatalf("appender encoded %+v but encoding/json cannot: %v", fast, err)
-		}
-		fromFast, err := decodeBatchResult(enc)
+		out, err := EncodeBatchResult(res, req)
 		if err != nil {
-			t.Fatalf("appender output rejected: %v (%s)", err, enc)
+			t.Fatalf("accepted answer fails to re-encode: %v", err)
 		}
-		fromStd, err := decodeBatchResult(buf.Bytes())
+		again, err := DecodeBatchResult(out, req)
 		if err != nil {
-			t.Fatalf("reflection output rejected: %v (%s)", err, buf.Bytes())
+			t.Fatalf("re-encoded answer rejected: %v", err)
 		}
-		if !reflect.DeepEqual(fromFast, fromStd) {
-			t.Fatalf("encoders disagree after round trip:\nappender:   %+v\nreflection: %+v", fromFast, fromStd)
+		if !reflect.DeepEqual(res, again) {
+			t.Fatalf("round trip changed the answer:\nin:  %+v\nout: %+v", res, again)
 		}
 	})
+}
+
+// fuzzTrials is a request of n trials keyed k0, k1, ...
+func fuzzTrials(n int) *BatchRequest {
+	req := &BatchRequest{Trials: make([]TrialRequest, n)}
+	for i := range req.Trials {
+		req.Trials[i] = TrialRequest{Key: fmt.Sprint("k", i), Benchmark: "fop", Reps: 1, Noise: -1}
+	}
+	return req
 }

@@ -9,14 +9,15 @@ import (
 )
 
 // The wire protocol between a tuning session and an evald measurement node
-// is one JSON round trip per batch of evaluation attempts (a single
-// attempt travels as a batch of one; see batch.go). Each attempt names the
-// trial by its canonical config key and carries everything the measurement
-// is a function of — command-line args, benchmark name, noise-rep base,
-// repetition count, timeout, and noise level — so any node computes the
-// byte-identical measurement. A result is the runner.Measurement plus the
-// answering node's name; rejections are ErrorEnvelope with a stable
-// machine code, mirroring the httpapi admission envelopes.
+// is one binary round trip per batch of evaluation attempts (a single
+// attempt travels as a batch of one; see batch.go, and wire.go for the
+// bytes). Each attempt names the trial by its canonical config key and
+// carries everything the measurement is a function of — command-line
+// args, benchmark name, noise-rep base, repetition count, timeout, and
+// noise level — so any node computes the byte-identical measurement. A
+// result is the runner.Measurement plus the answering node's name;
+// rejections are ErrorEnvelope with a stable machine code, mirroring the
+// httpapi admission envelopes.
 
 // Wire protocol bounds. A config is a few dozen flags; anything past the
 // caps is a malformed or hostile payload.
@@ -58,109 +59,48 @@ type TrialRequest struct {
 	// Key is the canonical configuration key (flags.Config.Key) the caller
 	// derived; the node re-derives it from Args and rejects on mismatch so
 	// a corrupted request can never be attributed to the wrong trial.
-	Key string `json:"key"`
+	Key string
 	// Benchmark names a built-in workload profile (workload.ByName).
-	Benchmark string `json:"benchmark"`
+	Benchmark string
 	// Args is the canonical -XX: command line of the configuration
 	// (flags.Config.ExplicitArgs): its assignments off their defaults plus
 	// the forced defaults whose explicitness matters, so everything the VM
 	// can tell apart survives the wire and parses back to Key. A node
 	// accepts any explicit superset up to MaxArgs; one whose build keys
 	// differently rejects with key-mismatch (docs/DISTRIBUTED.md).
-	Args []string `json:"args,omitempty"`
+	Args []string
 	// RepBase is the first noise-rep index of this attempt; the session's
 	// runner allocates rep indices so retries are fresh measurements.
-	RepBase int `json:"rep_base"`
+	RepBase int
 	// Reps is the repetition count.
-	Reps int `json:"reps"`
+	Reps int
 	// TimeoutSeconds is the harness kill threshold; 0 disables it.
-	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
+	TimeoutSeconds float64
 	// Noise is the simulator's relative noise stddev. Negative means the
 	// simulator default (jvmsim.DefaultNoise); the field is explicit so
 	// every node measures under the session's noise model.
-	Noise float64 `json:"noise"`
+	Noise float64
 	// Phase and Shift carry phase-shifting workloads (drift sessions; see
 	// internal/jvmsim.PhaseShift) over the wire: the node applies Shift to
-	// the resolved base profile before measuring. Both are omitted in phase
-	// 0, so stationary sessions emit byte-identical requests to builds
-	// without drift support — and nodes of an older protocol generation
-	// fail closed on the unknown fields rather than silently measuring the
-	// un-shifted workload (the fleet must be upgraded in lockstep to run
-	// drift jobs; see docs/DISTRIBUTED.md).
-	Phase int                `json:"phase,omitempty"`
-	Shift *jvmsim.PhaseShift `json:"shift,omitempty"`
+	// the resolved base profile before measuring. Phase 0 has no shift.
+	Phase int
+	Shift *jvmsim.PhaseShift
 }
 
 // TrialResult is a successful evaluation on the wire.
 type TrialResult struct {
 	// Node names the evaluator that produced the measurement (diagnostic
 	// only — the measurement is node-independent by construction).
-	Node string `json:"node,omitempty"`
+	Node string
 	// Measurement is the attempt's outcome, before retry accounting.
-	Measurement runner.Measurement `json:"measurement"`
+	Measurement runner.Measurement
 }
 
-// wireMeasurement is runner.Measurement's wire form: the same field names
-// the plain struct would emit, but with omitempty throughout. A successful
-// trial leaves half the fields at their zero values (failure diagnostics,
-// cache and retry accounting), and at batch width the reflection walk over
-// those absent fields on both encode and decode is a measurable per-trial
-// tax. Decoding an omitted field yields its zero value, so the round trip
-// is exact.
-type wireMeasurement struct {
-	Key              string             `json:"Key,omitempty"`
-	Walls            []float64          `json:"Walls,omitempty"`
-	Mean             float64            `json:"Mean,omitempty"`
-	Pauses           []float64          `json:"Pauses,omitempty"`
-	MeanPause        float64            `json:"MeanPause,omitempty"`
-	Failed           bool               `json:"Failed,omitempty"`
-	Failure          jvmsim.FailureKind `json:"Failure,omitempty"`
-	FailureMessage   string             `json:"FailureMessage,omitempty"`
-	CostSeconds      float64            `json:"CostSeconds,omitempty"`
-	HedgeCostSeconds float64            `json:"HedgeCostSeconds,omitempty"`
-	FromCache        bool               `json:"FromCache,omitempty"`
-	Attempts         int                `json:"Attempts,omitempty"`
-	Flakes           int                `json:"Flakes,omitempty"`
-	Transient        bool               `json:"Transient,omitempty"`
-}
-
-type wireTrialResult struct {
-	Node        string          `json:"node,omitempty"`
-	Measurement wireMeasurement `json:"measurement"`
-}
-
-// toWire converts a TrialResult to its compact wire form. Conversions
-// happen once per message at the serialization boundary (never via custom
-// Marshaler/Unmarshaler methods, which would force the json package to
-// re-scan every nested message).
-func toWire(t *TrialResult) wireTrialResult {
-	m := t.Measurement
-	return wireTrialResult{Node: t.Node, Measurement: wireMeasurement{
-		Key: m.Key, Walls: m.Walls, Mean: m.Mean, Pauses: m.Pauses,
-		MeanPause: m.MeanPause, Failed: m.Failed, Failure: m.Failure,
-		FailureMessage: m.FailureMessage, CostSeconds: m.CostSeconds,
-		HedgeCostSeconds: m.HedgeCostSeconds, FromCache: m.FromCache,
-		Attempts: m.Attempts, Flakes: m.Flakes, Transient: m.Transient,
-	}}
-}
-
-// fromWire converts the wire form back; omitted fields land on their zero
-// values, so the round trip reproduces the original struct exactly.
-func fromWire(w *wireTrialResult) *TrialResult {
-	m := w.Measurement
-	return &TrialResult{Node: w.Node, Measurement: runner.Measurement{
-		Key: m.Key, Walls: m.Walls, Mean: m.Mean, Pauses: m.Pauses,
-		MeanPause: m.MeanPause, Failed: m.Failed, Failure: m.Failure,
-		FailureMessage: m.FailureMessage, CostSeconds: m.CostSeconds,
-		HedgeCostSeconds: m.HedgeCostSeconds, FromCache: m.FromCache,
-		Attempts: m.Attempts, Flakes: m.Flakes, Transient: m.Transient,
-	}}
-}
-
-// ErrorEnvelope is the JSON body of every evald rejection: a stable
-// machine code, a human diagnostic, and — for shed requests — a retry
-// hint. A bogus payload yields this envelope with status 400, never a
-// worker panic.
+// ErrorEnvelope is an evald rejection: a stable machine code, a human
+// diagnostic, and — for shed requests — a retry hint. A request refused
+// whole gets it as a JSON body with its status (a bogus payload a 400,
+// never a worker panic); a trial refused in its own entry gets it inside
+// the binary answer.
 type ErrorEnvelope struct {
 	Error             string `json:"error"`
 	Code              string `json:"code"`

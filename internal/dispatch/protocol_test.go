@@ -1,9 +1,9 @@
 package dispatch
 
 import (
-	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,7 +36,7 @@ func validRequest(t *testing.T) *TrialRequest {
 // batchOfOne renders req as the body a controller ships it in.
 func batchOfOne(t *testing.T, req *TrialRequest) []byte {
 	t.Helper()
-	data, err := json.Marshal(&BatchRequest{Trials: []TrialRequest{*req}})
+	data, err := EncodeBatchRequest(&BatchRequest{Trials: []TrialRequest{*req}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,27 +79,45 @@ func TestDecodeTrialRequestRoundTrip(t *testing.T) {
 
 // TestDecodeTrialRequestRejections: a malformed body is refused whole, a
 // well-formed trial outside the request bounds in its own entry; both
-// with bad-payload.
+// with bad-payload. A JSON body, the wire of the protocol generation
+// before the binary one, is malformed whatever it holds.
 func TestDecodeTrialRequestRejections(t *testing.T) {
-	cases := []struct {
-		name, body string
+	valid := batchOfOne(t, validRequest(t))
+	bodies := []struct {
+		name string
+		body []byte
 	}{
-		{"empty", `{"trials":[]}`},
-		{"not json", `{"trials":[]][[]}`},
-		{"truncated", `{"trials":[{"key":"k","bench`},
-		{"unknown field", `{"trials":[{"key":"k","benchmark":"fop","reps":1,"noise":-1,"exploit":"x"}]}`},
-		{"trailing data", `{"trials":[{"key":"k","benchmark":"fop","reps":1,"noise":-1}]}{"again":1}`},
-		{"missing benchmark", `{"trials":[{"key":"k","reps":1,"noise":-1}]}`},
-		{"zero reps", `{"trials":[{"key":"k","benchmark":"fop","reps":0,"noise":-1}]}`},
-		{"huge reps", `{"trials":[{"key":"k","benchmark":"fop","reps":99999,"noise":-1}]}`},
-		{"negative rep base", `{"trials":[{"key":"k","benchmark":"fop","reps":1,"rep_base":-1,"noise":-1}]}`},
-		{"negative timeout", `{"trials":[{"key":"k","benchmark":"fop","reps":1,"timeout_seconds":-5,"noise":-1}]}`},
-		{"absurd noise", `{"trials":[{"key":"k","benchmark":"fop","reps":1,"noise":40}]}`},
-		{"wrong type", `{"trials":[{"key":17,"benchmark":"fop","reps":1,"noise":-1}]}`},
+		{"empty", []byte{requestTag, 1}},
+		{"not json", []byte(`{"trials":[]][[]}`)},
+		{"wrong type", []byte(`{"trials":[{"key":17,"benchmark":"fop","reps":1,"noise":-1}]}`)},
+		{"truncated", valid[:len(valid)/2]},
+		// A field the wire does not know is a flag bit it does not know.
+		{"unknown field", append([]byte{valid[0], valid[1], 0x40}, valid[3:]...)},
+		{"trailing data", append(slices.Clone(valid), valid...)},
 	}
-	for _, c := range cases {
+	for _, c := range bodies {
 		t.Run(c.name, func(t *testing.T) {
-			if code := verdictCode(t, []byte(c.body)); code != CodeBadPayload {
+			if code := verdictCode(t, c.body); code != CodeBadPayload {
+				t.Fatalf("code = %q, want %q", code, CodeBadPayload)
+			}
+		})
+	}
+	trials := []struct {
+		name string
+		mut  func(*TrialRequest)
+	}{
+		{"missing benchmark", func(q *TrialRequest) { q.Benchmark = "" }},
+		{"zero reps", func(q *TrialRequest) { q.Reps = 0 }},
+		{"huge reps", func(q *TrialRequest) { q.Reps = 99999 }},
+		{"negative rep base", func(q *TrialRequest) { q.RepBase = -1 }},
+		{"negative timeout", func(q *TrialRequest) { q.TimeoutSeconds = -5 }},
+		{"absurd noise", func(q *TrialRequest) { q.Noise = 40 }},
+	}
+	for _, c := range trials {
+		t.Run(c.name, func(t *testing.T) {
+			q := validRequest(t)
+			c.mut(q)
+			if code := verdictCode(t, batchOfOne(t, q)); code != CodeBadPayload {
 				t.Fatalf("code = %q, want %q", code, CodeBadPayload)
 			}
 		})

@@ -62,8 +62,9 @@ func (e *NodeError) Error() string {
 
 func (e *NodeError) Unwrap() error { return e.Err }
 
-// Remote is the HTTP/JSON Evaluator: one POST per batch of evaluation
-// attempts against an evald node. Safe for concurrent use.
+// Remote is the HTTP Evaluator: one POST per batch of evaluation attempts
+// against an evald node, in the binary wire of wire.go. Safe for
+// concurrent use.
 type Remote struct {
 	base string
 	// Client is the HTTP client; defaults to a dedicated client so node
@@ -130,16 +131,9 @@ func (r *Remote) fail(status int, err error) *NodeError {
 // response body (capped at MaxBatchRequestBytes), and headers. Transport
 // faults come back as transient NodeErrors.
 func (r *Remote) post(ctx context.Context, req *BatchRequest) (int, []byte, http.Header, error) {
-	// The purpose-built appender (wireenc.go) encodes every request it can
-	// represent — at batch width the reflection encoder is real per-trial
-	// overhead; anything else takes encoding/json.
-	body, ok := encodeBatchRequest(req)
-	if !ok {
-		var err error
-		body, err = json.Marshal(req)
-		if err != nil {
-			return 0, nil, nil, r.fail(0, fmt.Errorf("encode request: %w", err))
-		}
+	body, err := EncodeBatchRequest(req)
+	if err != nil {
+		return 0, nil, nil, r.fail(0, err)
 	}
 	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
@@ -147,7 +141,7 @@ func (r *Remote) post(ctx context.Context, req *BatchRequest) (int, []byte, http
 	if err != nil {
 		return 0, nil, nil, r.fail(0, err)
 	}
-	hr.Header.Set("Content-Type", "application/json")
+	hr.Header.Set("Content-Type", "application/octet-stream")
 	if r.Token != "" {
 		hr.Header.Set("Authorization", "Bearer "+r.Token)
 	}
@@ -167,18 +161,6 @@ func (r *Remote) post(ctx context.Context, req *BatchRequest) (int, []byte, http
 		return resp.StatusCode, nil, resp.Header, r.fail(resp.StatusCode, fmt.Errorf("read response: %w", err))
 	}
 	return resp.StatusCode, buf.Bytes(), resp.Header, nil
-}
-
-// decodeBody unmarshals a response body through a streaming decoder,
-// skipping json.Unmarshal's whole-body validity pre-scan — the decode
-// itself reports malformed bytes, and on the batch path the second scan
-// is a per-trial cost for no added safety.
-func decodeBody(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	return nil
 }
 
 // retryAfterHint extracts the node's backoff hint from a shed response:
@@ -243,10 +225,10 @@ func (r *Remote) Evaluate(ctx context.Context, req *TrialRequest) (*TrialResult,
 }
 
 // EvaluateBatch ships a whole batch of trials in one round trip. A non-OK
-// response or malformed body fails the batch as one transient transport
-// fault (the caller salvages nothing and advances the breaker once); an OK
-// response always carries one entry per trial, each settling its own trial
-// independently.
+// response or an answer DecodeBatchResult refuses fails the batch as one
+// transient transport fault (the caller salvages nothing and advances the
+// breaker once); an OK response carries one entry per trial, each
+// settling its own trial independently.
 func (r *Remote) EvaluateBatch(ctx context.Context, req *BatchRequest) (*BatchResult, error) {
 	status, data, hdr, err := r.post(ctx, req)
 	if err != nil {
@@ -255,12 +237,9 @@ func (r *Remote) EvaluateBatch(ctx context.Context, req *BatchRequest) (*BatchRe
 	if status != http.StatusOK {
 		return nil, r.classify(status, data, hdr)
 	}
-	res, err := decodeBatchResult(data)
+	res, err := DecodeBatchResult(data, req)
 	if err != nil {
-		return nil, r.fail(status, fmt.Errorf("decode batch response: %w", err))
-	}
-	if len(res.Entries) != len(req.Trials) {
-		return nil, r.fail(status, fmt.Errorf("batch answered %d entries for %d trials", len(res.Entries), len(req.Trials)))
+		return nil, r.fail(status, err)
 	}
 	return res, nil
 }

@@ -10,7 +10,9 @@
 //	POST /v1/evaluate-batch  1 to dispatch.MaxBatchTrials evaluation
 //	                         attempts in one round trip (a single attempt
 //	                         is a batch of one); dispatch.BatchRequest in,
-//	                         dispatch.BatchResult out. Per-trial verdicts
+//	                         dispatch.BatchResult out, both in the binary
+//	                         wire of dispatch.EncodeBatchRequest and
+//	                         dispatch.EncodeBatchResult. Per-trial verdicts
 //	                         come back positionally, so one bogus trial
 //	                         rejects only its own entry; a bogus body gets
 //	                         a 400 dispatch.ErrorEnvelope — never a panic.
@@ -138,7 +140,7 @@ func writeResult(w http.ResponseWriter, body []byte, err error) {
 		})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
 }
@@ -234,7 +236,7 @@ func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.tel.Counter("evald_batches_total").Inc()
-	out, err := dispatch.MarshalBatchResult(res)
+	out, err := dispatch.EncodeBatchResult(res, req)
 	writeResult(w, out, err)
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/flags"
+	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -27,15 +29,23 @@ func trialRequest() dispatch.TrialRequest {
 	}
 }
 
-// evaluateBody is one trial's request body: a batch of one.
-func evaluateBody(t testing.TB) []byte {
+// batchOf is the batch of trials trs.
+func batchOf(trs ...dispatch.TrialRequest) *dispatch.BatchRequest {
+	return &dispatch.BatchRequest{Trials: trs}
+}
+
+// encode is req's request body.
+func encode(t testing.TB, req *dispatch.BatchRequest) []byte {
 	t.Helper()
-	data, err := json.Marshal(&dispatch.BatchRequest{Trials: []dispatch.TrialRequest{trialRequest()}})
+	data, err := dispatch.EncodeBatchRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return data
 }
+
+// evaluateBody is one trial's request body: a batch of one.
+func evaluateBody(t testing.TB) []byte { return encode(t, batchOf(trialRequest())) }
 
 func post(s *Server, body []byte) *httptest.ResponseRecorder {
 	w := httptest.NewRecorder()
@@ -44,18 +54,14 @@ func post(s *Server, body []byte) *httptest.ResponseRecorder {
 	return w
 }
 
-// decodeOne decodes a 200 answer to a batch of one, checked to hold one
-// entry.
-func decodeOne(t *testing.T, w *httptest.ResponseRecorder) *dispatch.BatchResult {
+// decodeOne decodes a 200 answer to req, a batch of one.
+func decodeOne(t *testing.T, w *httptest.ResponseRecorder, req *dispatch.BatchRequest) *dispatch.BatchResult {
 	t.Helper()
-	var res dispatch.BatchResult
-	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
+	res, err := dispatch.DecodeBatchResult(w.Body.Bytes(), req)
+	if err != nil {
 		t.Fatalf("decode result: %v (body %q)", err, w.Body.String())
 	}
-	if len(res.Entries) != 1 {
-		t.Fatalf("batch of one answered with %d entries", len(res.Entries))
-	}
-	return &res
+	return res
 }
 
 func decodeEnvelope(t *testing.T, w *httptest.ResponseRecorder) dispatch.ErrorEnvelope {
@@ -72,11 +78,12 @@ func decodeEnvelope(t *testing.T, w *httptest.ResponseRecorder) dispatch.ErrorEn
 
 func TestEvaluateHappyPath(t *testing.T) {
 	s := New(Config{Node: "w1"})
-	w := post(s, evaluateBody(t))
+	req := batchOf(trialRequest())
+	w := post(s, encode(t, req))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, body %s", w.Code, w.Body)
 	}
-	batch := decodeOne(t, w)
+	batch := decodeOne(t, w, req)
 	res := batch.Entries[0].Result
 	if res == nil {
 		t.Fatalf("entry is not a result: %+v", batch.Entries[0].Error)
@@ -101,27 +108,32 @@ func TestEvaluateSameRequestSameBytes(t *testing.T) {
 	}
 }
 
-// TestEvaluateRejections: a body that is not a batch is refused whole
-// with a 400 envelope; a trial the node will not measure is refused in
-// its own entry, worded exactly as a dispatch.Local node words it.
+// TestEvaluateRejections: a body that is not a batch — garbage, or the
+// JSON of an older protocol generation — is refused whole with a 400
+// envelope; a trial the node will not measure is refused in its own
+// entry, worded exactly as a dispatch.Local node words it.
 func TestEvaluateRejections(t *testing.T) {
 	s := New(Config{})
 	prof, _ := workload.ByName("fop")
 	local := dispatch.NewLocal(prof, "")
+	trial := func(key, bench string, args ...string) []byte {
+		return encode(t, batchOf(dispatch.TrialRequest{Key: key, Benchmark: bench, Args: args, Reps: 1, Noise: -1}))
+	}
 	cases := []struct {
 		name string
-		body string
+		body []byte
 		code string
 	}{
-		{"garbage", `%%%%`, dispatch.CodeBadPayload},
-		{"unknown benchmark", `{"trials":[{"key":"","benchmark":"quake3","reps":1,"noise":-1}]}`, dispatch.CodeBadBenchmark},
-		{"unknown flag", `{"trials":[{"key":"","benchmark":"fop","args":["-XX:+FTLDrive"],"reps":1,"noise":-1}]}`, dispatch.CodeBadFlag},
-		{"key mismatch", `{"trials":[{"key":"wrong","benchmark":"fop","reps":1,"noise":-1}]}`, dispatch.CodeKeyMismatch},
+		{"garbage", []byte(`%%%%`), dispatch.CodeBadPayload},
+		{"json body", []byte(`{"trials":[{"key":"","benchmark":"fop","reps":1,"noise":-1}]}`), dispatch.CodeBadPayload},
+		{"unknown benchmark", trial("", "quake3"), dispatch.CodeBadBenchmark},
+		{"unknown flag", trial("", "fop", "-XX:+FTLDrive"), dispatch.CodeBadFlag},
+		{"key mismatch", trial("wrong", "fop"), dispatch.CodeKeyMismatch},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			w := post(s, []byte(c.body))
-			req, err := dispatch.DecodeBatchRequest([]byte(c.body))
+			w := post(s, c.body)
+			req, err := dispatch.DecodeBatchRequest(c.body)
 			if err != nil {
 				if w.Code != http.StatusBadRequest {
 					t.Fatalf("status %d, want 400 (body %s)", w.Code, w.Body)
@@ -134,7 +146,7 @@ func TestEvaluateRejections(t *testing.T) {
 			if w.Code != http.StatusOK {
 				t.Fatalf("status %d, want 200 with a rejected entry (body %s)", w.Code, w.Body)
 			}
-			env := decodeOne(t, w).Entries[0].Error
+			env := decodeOne(t, w, req).Entries[0].Error
 			if env == nil || env.Code != c.code {
 				t.Fatalf("entry envelope %+v, want code %q", env, c.code)
 			}
@@ -146,6 +158,24 @@ func TestEvaluateRejections(t *testing.T) {
 				t.Fatalf("evald rejected with %+v, Local with %+v", env, want.Entries[0].Error)
 			}
 		})
+	}
+}
+
+// TestNonFiniteAnswerIsInternal: an answer the encoder refuses — a NaN
+// in a measurement — is the node's fault, sent as a 500 internal
+// envelope that the controller re-dispatches.
+func TestNonFiniteAnswerIsInternal(t *testing.T) {
+	req := batchOf(trialRequest())
+	res := &dispatch.BatchResult{Entries: []dispatch.BatchEntry{{Result: &dispatch.TrialResult{
+		Measurement: runner.Measurement{Key: req.Trials[0].Key, Mean: math.NaN()}}}}}
+	w := httptest.NewRecorder()
+	body, err := dispatch.EncodeBatchResult(res, req)
+	writeResult(w, body, err)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", w.Code)
+	}
+	if env := decodeEnvelope(t, w); env.Code != dispatch.CodeInternal {
+		t.Fatalf("code %q, want %q", env.Code, dispatch.CodeInternal)
 	}
 }
 
@@ -270,7 +300,7 @@ func TestRemoteAgainstServer(t *testing.T) {
 // TestAnswersCarryContentLength: an answer longer than net/http's 2 KiB
 // response buffer goes out chunked unless the handler sets
 // Content-Length, and then the controller cannot size its read. Both a
-// 16-trial batch answer and a batch of one trial at 64 reps are past
+// 64-trial batch answer and a batch of one trial at 256 reps are past
 // 2 KiB.
 func TestAnswersCarryContentLength(t *testing.T) {
 	ts := httptest.NewServer(New(Config{Node: "w1"}))
@@ -285,22 +315,19 @@ func TestAnswersCarryContentLength(t *testing.T) {
 		}
 	}
 	batch := &dispatch.BatchRequest{}
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 64; i++ {
 		batch.Trials = append(batch.Trials, trial(i, 1))
 	}
-	single := &dispatch.BatchRequest{Trials: []dispatch.TrialRequest{trial(0, 64)}}
+	single := batchOf(trial(0, 256))
 	for _, c := range []struct {
 		name string
 		req  *dispatch.BatchRequest
 	}{
-		{"batch of 16", batch},
+		{"batch of 64", batch},
 		{"batch of one", single},
 	} {
-		body, err := json.Marshal(c.req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ts.Client().Post(ts.URL+dispatch.EvaluateBatchPath, "application/json", bytes.NewReader(body))
+		resp, err := ts.Client().Post(ts.URL+dispatch.EvaluateBatchPath, "application/octet-stream",
+			bytes.NewReader(encode(t, c.req)))
 		if err != nil {
 			t.Fatal(err)
 		}
