@@ -72,10 +72,12 @@ overload-drill:
 # The binary evaluate-batch wire must drop no field of a request or an
 # answer, refuse a malformed body whole (a JSON one naming the older
 # protocol generation), own every string it decodes on both sides, and
-# turn an answer with a non-finite float into a 500 internal envelope.
+# turn an answer with a non-finite float into a 500 internal envelope. A
+# trial whose placements run out against a node refusing every request
+# whole must say which node refused it, with what code and text.
 dist-drill:
 	go test -race -count=1 \
-	  -run 'TestWireDropsNoField|TestWireRefusesMalformedBodies|TestDecodeBatchRequestOwnsItsStrings|TestDecodeBatchResultOwnsItsStrings|TestEncodeBatchResultNonFinite|TestNonFiniteAnswerIsInternal|TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestRejectedTrialMeasurementsAgree|TestPlacementsAppendNothingToFleetJournal|TestAttachFleetReplaysOlderJournal|TestCheckpointBytesFleetEquivalence|TestMembershipGrantsAskedLease|TestJoinerRefusesIntervalPastLeaseLimit|TestCLIEvaldRefusesLongJoinInterval|TestRunBatchMatchesRun|TestMeasureIsBatchOfOne|TestWaveStartsOneGoroutinePerRequestPastTheFirst|TestChaosFleetKeepsTelemetryAndBatching|TestChaosPlacementExhaustionRetriedOnce|TestCLIDistDrill' \
+	  -run 'TestWholeRequestRefusalNamedWhenPlacementsRunOut|TestWireDropsNoField|TestWireRefusesMalformedBodies|TestDecodeBatchRequestOwnsItsStrings|TestDecodeBatchResultOwnsItsStrings|TestEncodeBatchResultNonFinite|TestNonFiniteAnswerIsInternal|TestDifferentialParallelWorkers|TestKillOneNodeByteIdentical|TestKillAllNodesDegradesToBestSoFar|TestNodeFlapsDuringHedgeByteIdentical|TestDifferentialBatchedDispatch|TestJoinDuringHedgeByteIdentical|TestDrainDuringBatchByteIdentical|TestReRegisterAfterFlapByteIdentical|TestMTLSFailClosed|TestBearerTokenFailClosed|TestBatchedDeadFleetFailsFast|TestHarnessContract|TestProbePairEveryRunner|TestRejectedTrialMeasurementsAgree|TestPlacementsAppendNothingToFleetJournal|TestAttachFleetReplaysOlderJournal|TestCheckpointBytesFleetEquivalence|TestMembershipGrantsAskedLease|TestJoinerRefusesIntervalPastLeaseLimit|TestCLIEvaldRefusesLongJoinInterval|TestRunBatchMatchesRun|TestMeasureIsBatchOfOne|TestWaveStartsOneGoroutinePerRequestPastTheFirst|TestChaosFleetKeepsTelemetryAndBatching|TestChaosPlacementExhaustionRetriedOnce|TestCLIDistDrill' \
 	  ./internal/dispatch ./internal/evald ./internal/runner ./hotspot .
 
 # The transfer drills: the cross-workload knowledge base's survival and
@@ -96,10 +98,14 @@ dist-drill:
 # exactly as Fingerprint.Key does, Key's bytes must stay those older
 # builds wrote into warm checkpoints, the top-k nearest-neighbour
 # selection must answer as sorting every group did, and compaction must
-# keep argument lists apart that print alike. See docs/TRANSFER.md.
+# keep argument lists apart that print alike. A reopen of the resident
+# store must equal a cold open of the same bytes however the file changed
+# since its last Close (the differential test and the FuzzStoreReopen
+# seeds), and an open must count the entries it decoded apart from those
+# it kept. See docs/TRANSFER.md.
 transfer-drill:
 	go test -race -count=1 \
-	  -run 'TestTransferWarmStartHalvesTrialBudget|TestTransferOffLeavesSessionByteIdentical|TestTransferBogusStoreDegradesToCold|TestTransferV1StoreMigrationDrill|TestTransferStoreClosedOnEveryPath|TestTransferPriorsCanonical|TestStoreSalvagesTornTail|TestStoreMigratesV1|TestStoreSharedHandles|TestStoreFixture|TestKeeperFixture|TestJournalFixture|TestCodecsDropNoField|TestStoreHeaderFailureCountsSweptTemps|TestTuneTransferJob|TestCLITransferStoreTornTailDrill|TestCLITransferFleetEquivalence|FuzzGroupKey|TestFingerprintKeyGolden|TestNearestMatchesSortTruncate|TestStoreCompactKeepsDistinctArgLists' \
+	  -run 'TestStoreResidentReopenMatchesCold|TestStoreOpenCountsReplayedAndReused|FuzzStoreReopen|TestTransferWarmStartHalvesTrialBudget|TestTransferOffLeavesSessionByteIdentical|TestTransferBogusStoreDegradesToCold|TestTransferV1StoreMigrationDrill|TestTransferStoreClosedOnEveryPath|TestTransferPriorsCanonical|TestStoreSalvagesTornTail|TestStoreMigratesV1|TestStoreSharedHandles|TestStoreFixture|TestKeeperFixture|TestJournalFixture|TestCodecsDropNoField|TestStoreHeaderFailureCountsSweptTemps|TestTuneTransferJob|TestCLITransferStoreTornTailDrill|TestCLITransferFleetEquivalence|FuzzGroupKey|TestFingerprintKeyGolden|TestNearestMatchesSortTruncate|TestStoreCompactKeepsDistinctArgLists' \
 	  ./hotspot ./internal/transfer ./internal/checkpoint ./internal/httpapi .
 	go test -race -count=10 -run 'TestStoreConcurrentOpenAppendClose' ./internal/transfer
 

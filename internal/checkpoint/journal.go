@@ -1,11 +1,13 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -24,9 +26,9 @@ import (
 // tail salvaged (journal_salvaged_total) at open, records replayed
 // (journal_records_replayed_total) and appended (journal_appends_total).
 // What a Rewrite means is the caller's to say, and to count. A caller that
-// counts under its own names (the transfer store) sweeps with SweepTemps,
-// opens with OpenSweptJournal and a nil registry, and reads whether the
-// open salvaged from Salvaged.
+// counts under its own names and keeps what it decoded between opens (the
+// transfer store) sweeps with SweepTemps, opens with OpenSweptJournal, and
+// reads whether the open salvaged from Salvaged.
 type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -35,9 +37,89 @@ type Journal struct {
 	version  uint32 // the file's format version
 	size     int64  // bytes of valid journal (header + records)
 	salvaged bool   // the open cut a torn tail; fixed at open
+	kept     int    // records of the known image the file still held; fixed at open
 	closed   bool
 	buf      []byte // Append's framed record, reused
+	img      *Image // the bytes its opens read; nil unless kept (see Image)
 	tel      *telemetry.Registry
+}
+
+// An Image is the bytes of a journal file that the journal's opens read,
+// in file order, and the offset at which each of their records ends. A
+// journal opened with OpenSweptJournal keeps one, and keeps it through
+// Close. Handed to the next OpenSweptJournal of the file, it lets that
+// open read the file in fixed-size chunks, compare them with the image,
+// and split only the records past the longest prefix the two share that
+// ends on a record boundary. Frames appended since lie past the image, so
+// that open splits them as it would another writer's. A Rewrite drops the
+// image. Its parts are never written again, since the payloads the opens
+// returned alias them.
+type Image struct {
+	parts [][]byte // the bytes each open read, in file order
+	ends  []int64  // the offset at which each record ends
+}
+
+// chunkSize is the most an open reads at a time while it compares a file
+// with an image; chunks pools the buffer it reads into.
+const chunkSize = 64 << 10
+
+var chunks = sync.Pool{New: func() any { return new([chunkSize]byte) }}
+
+// shared returns how many leading bytes the size-byte file f shares with
+// the image. An image of no records has nothing worth keeping, so it reads
+// nothing.
+func (im *Image) shared(f *os.File, size int64) (int64, error) {
+	if len(im.ends) == 0 {
+		return 0, nil
+	}
+	buf := chunks.Get().(*[chunkSize]byte)
+	defer chunks.Put(buf)
+	var off int64
+	for _, p := range im.parts {
+		for len(p) > 0 && off < size {
+			n := int(min(int64(len(p)), chunkSize, size-off))
+			m, err := f.ReadAt(buf[:n], off)
+			if err != nil && err != io.EOF {
+				return 0, fmt.Errorf("read: %w", err)
+			}
+			if m < n || !bytes.Equal(buf[:m], p[:m]) {
+				k := 0
+				for k < m && buf[k] == p[k] {
+					k++
+				}
+				return off + int64(k), nil
+			}
+			off += int64(n)
+			p = p[n:]
+		}
+	}
+	return off, nil
+}
+
+// Records returns how many records the image holds.
+func (im *Image) Records() int { return len(im.ends) }
+
+// records returns how many of the image's records end within its first n
+// bytes.
+func (im *Image) records(n int64) int {
+	return sort.Search(len(im.ends), func(i int) bool { return im.ends[i] > n })
+}
+
+// cut keeps the image's first n bytes, which end its first r records.
+func (im *Image) cut(n int64, r int) {
+	im.ends = im.ends[:r]
+	for i, p := range im.parts {
+		if n <= int64(len(p)) {
+			if n > 0 {
+				im.parts[i] = p[:n]
+				i++
+			}
+			clear(im.parts[i:])
+			im.parts = im.parts[:i]
+			return
+		}
+		n -= int64(len(p))
+	}
 }
 
 // OpenJournal opens (or creates) the kind k journal at path and replays
@@ -59,17 +141,31 @@ func OpenJournal(path string, k Kind, tel *telemetry.Registry) (*Journal, [][]by
 	if n := SweepTemps(path); n > 0 {
 		tel.Counter("journal_stale_temps_removed_total").Add(uint64(n))
 	}
-	return OpenSweptJournal(path, k, tel)
+	return openJournal(path, k, tel, nil)
 }
 
 // OpenSweptJournal is OpenJournal for an owner that has swept path itself
-// with SweepTemps, so one open globs for temps once.
-func OpenSweptJournal(path string, k Kind, tel *telemetry.Registry) (*Journal, [][]byte, error) {
+// with SweepTemps, counts under its own names, and keeps what it decodes
+// between opens. The journal keeps the Image of the bytes it read. Given
+// known, the image a closed journal on path kept (nil for none), the open
+// compares the file with it and returns only the payloads of the records
+// past the ones the file still holds byte for byte; Kept says how many
+// those are. The new journal takes known over.
+func OpenSweptJournal(path string, k Kind, known *Image) (*Journal, [][]byte, error) {
+	if known == nil {
+		known = new(Image)
+	}
+	return openJournal(path, k, nil, known)
+}
+
+// openJournal opens the file at path and replays it, keeping img up to
+// date as the journal's image unless img is nil.
+func openJournal(path string, k Kind, tel *telemetry.Registry, img *Image) (*Journal, [][]byte, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &Journal{f: f, path: path, kind: k, tel: tel}
+	j := &Journal{f: f, path: path, kind: k, tel: tel, img: img}
 	records, err := j.replay()
 	if err != nil {
 		f.Close()
@@ -78,14 +174,34 @@ func OpenSweptJournal(path string, k Kind, tel *telemetry.Registry) (*Journal, [
 	return j, records, nil
 }
 
-// replay reads the file in one read, checks its header and frames, cuts a
-// torn tail, and leaves the file positioned after the valid prefix.
+// replay checks the file's header and frames, cuts a torn tail, and leaves
+// the file positioned after the valid prefix. With an image, it first
+// compares the file with it, keeps the image's records up to the end of
+// the longest prefix they share, and reads and splits only the bytes past
+// them; otherwise it reads the whole file in one read.
 func (j *Journal) replay() ([][]byte, error) {
-	data, err := readAll(j.f)
+	fi, err := j.f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("stat: %w", err)
 	}
-	if len(data) == 0 {
+	var start int64 // where the bytes to split begin: 0, or the end of a kept record
+	if j.img != nil {
+		same, err := j.img.shared(j.f, fi.Size())
+		if err != nil {
+			return nil, err
+		}
+		if j.kept = j.img.records(same); j.kept > 0 {
+			start = j.img.ends[j.kept-1]
+		}
+		j.img.cut(start, j.kept)
+	}
+	data := make([]byte, fi.Size()-start)
+	n, err := j.f.ReadAt(data, start)
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("read: %w", err)
+	}
+	data = data[:n]
+	if start == 0 && len(data) == 0 {
 		if _, err := j.f.Write(j.kind.header()); err != nil {
 			return nil, fmt.Errorf("init header: %w", err)
 		}
@@ -95,12 +211,17 @@ func (j *Journal) replay() ([][]byte, error) {
 		j.version, j.size = j.kind.Version, headerSize
 		return nil, nil
 	}
-	if j.version, err = parseHeader(data, j.kind); err != nil {
+	head, rest := data, data
+	if start > 0 {
+		head = j.img.parts[0]
+	} else if len(data) >= headerSize {
+		rest = data[headerSize:]
+	}
+	if j.version, err = parseHeader(head, j.kind); err != nil {
 		return nil, err
 	}
 
 	var records [][]byte
-	rest := data[headerSize:]
 	for {
 		payload, next, err := nextRecord(rest)
 		if err == io.EOF {
@@ -112,8 +233,15 @@ func (j *Journal) replay() ([][]byte, error) {
 		}
 		records = append(records, payload)
 		rest = next
+		if j.img != nil {
+			j.img.ends = append(j.img.ends, start+int64(len(data)-len(rest)))
+		}
 	}
-	j.size = int64(len(data) - len(rest))
+	valid := data[:len(data)-len(rest)]
+	j.size = start + int64(len(valid))
+	if j.img != nil && len(valid) > 0 {
+		j.img.parts = append(j.img.parts, valid)
+	}
 	if j.salvaged {
 		// Torn tail from a crash mid-append: salvage the valid prefix.
 		if err := j.f.Truncate(j.size); err != nil {
@@ -129,20 +257,6 @@ func (j *Journal) replay() ([][]byte, error) {
 	}
 	j.tel.Counter("journal_records_replayed_total").Add(uint64(len(records)))
 	return records, nil
-}
-
-// readAll reads f from its start in one read sized by Stat.
-func readAll(f *os.File) ([]byte, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("stat: %w", err)
-	}
-	data := make([]byte, fi.Size())
-	n, err := io.ReadFull(f, data)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return nil, fmt.Errorf("read: %w", err)
-	}
-	return data[:n], nil
 }
 
 // createJournal atomically replaces the file at path with a kind k file
@@ -207,6 +321,19 @@ func (j *Journal) Version() uint32 {
 
 // Salvaged reports whether the open cut a torn tail off the file.
 func (j *Journal) Salvaged() bool { return j.salvaged }
+
+// Kept reports how many records of the image handed to OpenSweptJournal
+// the file still held, byte for byte, when it opened: the records before
+// the payloads the open returned.
+func (j *Journal) Kept() int { return j.kept }
+
+// Image returns the image of the bytes the journal's opens read, also
+// after Close, or nil once a Rewrite has dropped it.
+func (j *Journal) Image() *Image {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.img
+}
 
 // Size returns the journal's current on-disk size in bytes (header plus
 // valid records). Callers use it to decide when a Rewrite pays off.
@@ -274,7 +401,8 @@ func (j *Journal) Rewrite(payloads [][]byte) error {
 
 // replace swaps the file for the concatenation of parts and adopts the new
 // file, positioned at its end, for later appends. The superseded file is
-// closed only after the swap.
+// closed only after the swap. The image goes: what its caller decoded
+// aliases the bytes of the file it replaced.
 func (j *Journal) replace(parts ...[]byte) error {
 	f, err := ReplaceFile(j.path, parts...)
 	if err != nil {
@@ -283,7 +411,7 @@ func (j *Journal) replace(parts ...[]byte) error {
 	if j.f != nil {
 		j.f.Close()
 	}
-	j.f, j.version, j.size = f, j.kind.Version, 0
+	j.f, j.version, j.size, j.img = f, j.kind.Version, 0, nil
 	for _, p := range parts {
 		j.size += int64(len(p))
 	}

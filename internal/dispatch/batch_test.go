@@ -3,6 +3,7 @@ package dispatch
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"reflect"
 	"runtime"
@@ -519,6 +520,38 @@ func TestChaosPlacementExhaustionRetriedOnce(t *testing.T) {
 	} {
 		if tel[series] != want {
 			t.Errorf("%s = %g, want %g", series, tel[series], want)
+		}
+	}
+}
+
+// TestWholeRequestRefusalNamedWhenPlacementsRunOut: a node that refuses
+// every request whole with a 4xx envelope, as one of the other protocol
+// generation does, is placed around like a dead one, but the failure the
+// trial ends with when its placements run out names the node, the code
+// and the node's text. A dead socket keeps the plain message.
+func TestWholeRequestRefusalNamedWhenPlacementsRunOut(t *testing.T) {
+	const text = "dispatch: decode batch request: a JSON body is an older protocol generation's"
+	refusing := &batchFake{fakeEval: fakeEval{name: "old"}, batchFn: func(*BatchRequest) (*BatchResult, error) {
+		return nil, &NodeError{Node: "old", Status: 400, Code: CodeBadPayload, Permanent: true, Err: errors.New(text)}
+	}}
+	dead := &batchFake{fakeEval: fakeEval{name: "dead"}, batchFn: func(*BatchRequest) (*BatchResult, error) {
+		return nil, &NodeError{Node: "dead", Err: errors.New("connection refused")}
+	}}
+	plain := "dispatch: no evaluator node reachable after 8 placements"
+	for _, c := range []struct {
+		ev   Evaluator
+		want string
+	}{
+		{refusing, plain + "; node old refused the whole request [bad-payload]: " + text},
+		{dead, plain},
+	} {
+		pool := newTestPool(t, "fop", c.ev)
+		m := pool.Measure(flags.NewConfig(flags.NewRegistry()), 1)
+		if !m.Failed || m.Failure != runner.NodeDownFailure || !m.Transient {
+			t.Fatalf("%s: want a transient node-down failure, got %+v", c.ev.Name(), m)
+		}
+		if m.FailureMessage != c.want {
+			t.Fatalf("%s: failure message\n%q\nwant\n%q", c.ev.Name(), m.FailureMessage, c.want)
 		}
 	}
 }

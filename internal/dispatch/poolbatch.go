@@ -80,6 +80,9 @@ func (p *Pool) placeWave(wave []*call) {
 	p.Telemetry.Counter("dispatch_trials_total").Add(uint64(len(wave)))
 	remaining := wave
 	var joinDeadline time.Time
+	// refused holds the last refusal of a whole request that each call
+	// met, which names the call's failure if its placements run out.
+	var refused map[*call]*NodeError
 	// The try budget is re-read every round: a dynamic fleet can grow
 	// mid-attempt.
 	for try := 0; len(remaining) > 0 && try < p.maxTries(); try++ {
@@ -155,14 +158,25 @@ func (p *Pool) placeWave(wave []*call) {
 		wg.Wait()
 		for _, r := range reqs {
 			next = append(next, r.redo...)
+			if r.refused != nil {
+				if refused == nil {
+					refused = make(map[*call]*NodeError)
+				}
+				for _, c := range r.redo {
+					refused[c] = r.refused
+				}
+			}
 		}
 		remaining = next
 	}
 	for _, c := range remaining {
 		p.Telemetry.Counter("dispatch_no_node_total").Inc()
+		msg := fmt.Sprintf("dispatch: no evaluator node reachable after %d placements", p.maxTries())
+		if ne := refused[c]; ne != nil {
+			msg += fmt.Sprintf("; node %s refused the whole request [%s]: %v", ne.Node, ne.Code, ne.Err)
+		}
 		*c.m = runner.Measurement{
-			Key: c.req.Key, Failed: true, Failure: runner.NodeDownFailure,
-			FailureMessage: fmt.Sprintf("dispatch: no evaluator node reachable after %d placements", p.maxTries()),
+			Key: c.req.Key, Failed: true, Failure: runner.NodeDownFailure, FailureMessage: msg,
 		}
 	}
 }
@@ -183,11 +197,13 @@ func (p *Pool) waveBackoff(round int) {
 }
 
 // request is one evaluate-batch round trip of a wave: a chunk of one
-// node's share, and the trials it leaves to re-dispatch elsewhere.
+// node's share, the trials it leaves to re-dispatch elsewhere, and the
+// node's refusal of the whole request if it answered with one.
 type request struct {
-	nd   *node
-	cs   []*call
-	redo []*call
+	nd      *node
+	cs      []*call
+	redo    []*call
+	refused *NodeError
 }
 
 // ship sends one request and settles its trials. Every placement takes
@@ -205,6 +221,14 @@ func (p *Pool) ship(r *request) {
 	res, err := be.EvaluateBatch(context.Background(), req)
 	if err != nil {
 		p.settleBatchFault(r.nd, len(r.cs), retryAfterOf(err))
+		// A 4xx envelope refusing the whole request is the node's verdict
+		// on the request, not on a trial (a node of another protocol
+		// generation answers every request so): the placements go on, but
+		// their exhaustion names it.
+		var ne *NodeError
+		if errors.As(err, &ne) && ne.Permanent {
+			r.refused = ne
+		}
 		r.redo = r.cs
 		return
 	}

@@ -92,45 +92,12 @@ func jsonString(s string) string {
 	return b.String()
 }
 
-// slab hands out lists as capped sub-slices of one larger allocation, so
-// an append to a list copies it instead of writing over its neighbour.
-type slab[T any] struct{ free []T }
-
-// take returns a list of n elements. A slab that runs short refills with
-// room for left lists of n, this one included.
-func (s *slab[T]) take(n, left int) []T {
-	if n == 0 {
-		return []T{}
-	}
-	if n > len(s.free) {
-		s.free = make([]T, n*left)
-	}
-	l := s.free[:n:n]
-	s.free = s.free[n:]
-	return l
-}
-
-// slabs are the allocations one open decodes its entries into: the
-// entries themselves and their fingerprints, whose length is fixed by
-// the fingerprint version. left is the number of payloads not yet
-// decoded, the current one included, which sizes both slabs exactly for
-// a store of one version. Argument lists vary in length, and a slab
-// sized from their mean overshot: each gets its own allocation.
-type slabs struct {
-	left    int
-	entries slab[Entry]
-	floats  slab[float64]
-}
-
 // decodeRecord parses one v2 payload into a storeRecord, failing closed on
-// anything malformed. The entry and its fingerprint come from a's slabs;
-// a nil a allocates them on their own.
-func decodeRecord(b []byte, s string, a *slabs) (storeRecord, error) {
+// anything malformed. s is b's bytes as a string, which the entry's
+// strings share.
+func decodeRecord(b []byte, s string) (storeRecord, error) {
 	if len(b) == 0 {
 		return storeRecord{}, fmt.Errorf("%w: empty record", ErrCorrupt)
-	}
-	if a == nil {
-		a = &slabs{left: 1}
 	}
 	d := bincode.NewDecoder(b[1:], s[1:])
 	var rec storeRecord
@@ -144,11 +111,11 @@ func decodeRecord(b []byte, s string, a *slabs) (storeRecord, error) {
 		rec.NextSeq = int64(next)
 	case kindEntry:
 		rec.Kind = "entry"
-		e := &a.entries.take(1, a.left)[0]
+		e := new(Entry)
 		e.Seq = d.Varint()
 		e.FP.Version = d.Int()
 		if n, ok := d.Count(8); ok {
-			e.FP.F = a.floats.take(n, a.left)
+			e.FP.F = make([]float64, n)
 			for i := range e.FP.F {
 				e.FP.F[i] = d.Float()
 			}

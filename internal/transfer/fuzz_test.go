@@ -234,7 +234,7 @@ func FuzzEntryCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("v1 decode: %v", err)
 		}
-		r2, err := decodeRecord(p2, string(p2), nil)
+		r2, err := decodeRecord(p2, string(p2))
 		if err != nil {
 			t.Fatalf("v2 decode: %v", err)
 		}
@@ -243,7 +243,7 @@ func FuzzEntryCodec(f *testing.F) {
 		}
 		// Strictness: a payload cut short or carrying a trailing byte is corrupt.
 		for _, bad := range [][]byte{p2[:len(p2)-1], append(p2[:len(p2):len(p2)], 0)} {
-			if _, err := decodeRecord(bad, string(bad), nil); !errors.Is(err, ErrCorrupt) {
+			if _, err := decodeRecord(bad, string(bad)); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("malformed payload (%d of %d bytes) decoded: %v", len(bad), len(p2), err)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -108,6 +109,11 @@ func (e *Entry) relScore() float64 {
 // reference-counted store — one file descriptor, one lock, one index — so
 // concurrent sessions sharing a directory append to one file in one
 // sequence. A store directory belongs to one process.
+//
+// The store whose last handle closed most recently stays resident: its
+// file is closed, but what it decoded and the image of the file it decoded
+// stay in memory, so the next Open of its directory decodes only the
+// records the file no longer shares with that image.
 type Store struct {
 	s      *store
 	tel    *telemetry.Registry
@@ -122,21 +128,44 @@ type store struct {
 	mu      sync.Mutex
 	j       *checkpoint.Journal
 	lastCmp int64 // size after the most recent compaction (or open)
+	state
+}
+
+// state is what a store decoded from its file, the file's records in
+// order. It outlives the file's descriptor while the store is resident.
+type state struct {
 	entries []*Entry
 	nextSeq int64
 	// groups maps a fingerprint's group key (appendGroupKey) to its
 	// group's index in best, the group's best entry: lowest relScore, ties
 	// to the lower Seq. Nearest answers from best without regrouping the
-	// entries on every call.
+	// entries on every call. keys holds each group's key and group each
+	// entry's group, so entries leave the index without a key being built.
 	groups map[string]int
 	best   []*Entry
+	keys   []string
+	group  []int
+	// recs holds what each of the file's records left, so the state can
+	// be cut back to any record boundary. A compaction, after which the
+	// store is not kept resident, clears it.
+	recs   []recEnd
 	keyBuf []byte
 }
 
-// openStores is the process's table of open stores by absolute file path.
+// recEnd is what the records up to one record boundary leave: the number
+// of entries and the next sequence number.
+type recEnd struct {
+	entries int
+	nextSeq int64
+}
+
+// openStores is the process's table of open stores by absolute file path,
+// and its one resident store: the one whose last handle closed most
+// recently, its journal closed but its image and decoded state kept.
 var openStores = struct {
-	mu sync.Mutex
-	m  map[string]*store
+	mu       sync.Mutex
+	m        map[string]*store
+	resident *store
 }{m: make(map[string]*store)}
 
 // Neighbor is one nearest-fingerprint lookup result.
@@ -147,8 +176,12 @@ type Neighbor struct {
 
 // Open opens (or creates) the transfer store under dir and replays it. If
 // this process already has the directory's store open, Open returns a new
-// handle on it instead of reading the file again; the last Close of a
-// store's handles closes the file and drops its in-memory state.
+// handle on it instead of reading the file again. If the directory's store
+// is the resident one, Open compares the file with the image that store
+// decoded, keeps what the records they share left, and decodes only the
+// records past them; a file that shares no record with the image decodes
+// in full, as when nothing is resident. Either way, the cases below read
+// the same.
 //
 // Recovery policy, in order of severity:
 //   - empty file → initialize a fresh header;
@@ -187,14 +220,18 @@ func Open(dir string, tel *telemetry.Registry) (*Store, error) {
 	if n := checkpoint.SweepTemps(path); n > 0 {
 		tel.Counter("transfer_store_stale_temps_removed_total").Add(uint64(n))
 	}
-	s, err := load(path, tel)
+	var prev *store
+	if r := openStores.resident; r != nil && r.path == path {
+		prev, openStores.resident = r, nil
+	}
+	s, err := load(path, prev, tel)
 	if errors.Is(err, ErrCorrupt) {
 		// Head corruption: not a store. Preserve the bytes and start fresh.
 		if rerr := os.Rename(path, path+".corrupt"); rerr != nil {
 			return nil, fmt.Errorf("transfer: move corrupt store aside: %w", rerr)
 		}
 		tel.Counter("transfer_store_corrupt_total").Inc()
-		s, err = load(path, tel)
+		s, err = load(path, nil, tel)
 	}
 	if err != nil {
 		return nil, err
@@ -205,25 +242,37 @@ func Open(dir string, tel *telemetry.Registry) (*Store, error) {
 }
 
 // load does one open-and-replay attempt against path, whose stale temps
-// Open has swept. The store counts under its own names, and appends and
-// compactions in the registry of the handle that made them, so its
-// journal gets no registry.
-func load(path string, tel *telemetry.Registry) (*store, error) {
-	j, payloads, err := checkpoint.OpenSweptJournal(path, storeKind, nil)
+// Open has swept, starting from prev, the resident store of path (nil for
+// none). The store counts under its own names, and appends and compactions
+// in the registry of the handle that made them, so its journal gets no
+// registry.
+func load(path string, prev *store, tel *telemetry.Registry) (*store, error) {
+	s := &store{path: path}
+	var known *checkpoint.Image
+	if prev != nil {
+		known, s.state = prev.j.Image(), prev.state
+	}
+	j, payloads, err := checkpoint.OpenSweptJournal(path, storeKind, known)
 	if err != nil {
 		return nil, fmt.Errorf("transfer: %w", err)
 	}
+	s.j = j
+	s.cut(j.Kept())
+	reused := len(s.entries)
 	migrate := j.Version() < StoreVersion
 	var cut bool
 	if migrate {
 		payloads, cut = migrateV1(payloads)
 	}
-	// Each payload holds at most one entry, which opens at most one group.
-	s := &store{j: j, path: path, entries: make([]*Entry, 0, len(payloads)),
-		groups: make(map[string]int, len(payloads)), best: make([]*Entry, 0, len(payloads))}
 	n := s.replay(payloads)
 	cut = cut || n < len(payloads)
 	if migrate || cut {
+		if j.Kept() > 0 {
+			// The kept records' payloads are not at hand to rewrite the
+			// file from: read all of it, as a cold open does.
+			j.Close()
+			return load(path, nil, tel)
+		}
 		if err := j.Rewrite(payloads[:n]); err != nil {
 			j.Close()
 			return nil, fmt.Errorf("transfer: %w", err)
@@ -236,50 +285,97 @@ func load(path string, tel *telemetry.Registry) (*store, error) {
 		tel.Counter("transfer_store_salvaged_total").Inc()
 	}
 	s.lastCmp = j.Size()
-	tel.Counter("transfer_store_entries_replayed_total").Add(uint64(len(s.entries)))
+	tel.Counter("transfer_store_entries_reused_total").Add(uint64(reused))
+	tel.Counter("transfer_store_entries_replayed_total").Add(uint64(len(s.entries) - reused))
 	return s, nil
 }
 
-// replay decodes v2 payloads into the store and returns how many decoded:
+// replay decodes v2 payloads into the state and returns how many decoded:
 // a CRC-valid record that does not decode ends the valid prefix, as a torn
 // frame does. The payloads must never be written afterwards, since the
 // entries' strings share their bytes.
-func (s *store) replay(payloads [][]byte) int {
-	var a slabs
+func (st *state) replay(payloads [][]byte) int {
+	if st.groups == nil {
+		// Each payload holds at most one entry, which opens at most one group.
+		st.groups = make(map[string]int, len(payloads))
+	}
+	st.entries = slices.Grow(st.entries, len(payloads))
+	st.recs = slices.Grow(st.recs, len(payloads))
 	for i, p := range payloads {
-		a.left = len(payloads) - i
-		rec, err := decodeRecord(p, bincode.StringView(p), &a)
+		rec, err := decodeRecord(p, bincode.StringView(p))
 		if err != nil {
 			return i
 		}
-		if rec.Kind == "mark" {
-			s.nextSeq = max(s.nextSeq, rec.NextSeq)
-			continue
-		}
-		e := rec.Entry
-		s.entries = append(s.entries, e)
-		if e.Seq >= s.nextSeq {
-			s.nextSeq = e.Seq + 1
-		}
-		s.index(e)
+		st.add(&rec)
 	}
 	return len(payloads)
 }
 
+// add files one decoded record, and records what it leaves.
+func (st *state) add(rec *storeRecord) {
+	if rec.Kind == "mark" {
+		st.nextSeq = max(st.nextSeq, rec.NextSeq)
+	} else {
+		e := rec.Entry
+		st.entries = append(st.entries, e)
+		if e.Seq >= st.nextSeq {
+			st.nextSeq = e.Seq + 1
+		}
+		st.index(e)
+	}
+	st.recs = append(st.recs, recEnd{len(st.entries), st.nextSeq})
+}
+
 // index files e under its fingerprint group, replacing the group's best
 // entry if e ranks ahead of it.
-func (s *store) index(e *Entry) {
-	s.keyBuf = e.FP.appendGroupKey(s.keyBuf[:0])
-	i, ok := s.groups[string(s.keyBuf)]
+func (st *state) index(e *Entry) {
+	st.keyBuf = e.FP.appendGroupKey(st.keyBuf[:0])
+	g, ok := st.groups[string(st.keyBuf)]
 	if !ok {
-		s.groups[string(s.keyBuf)] = len(s.best)
-		s.best = append(s.best, e)
+		g = len(st.best)
+		k := string(st.keyBuf)
+		st.groups[k] = g
+		st.keys = append(st.keys, k)
+		st.best = append(st.best, e)
+	} else if e.ahead(st.best[g]) {
+		st.best[g] = e
+	}
+	st.group = append(st.group, g)
+}
+
+// ahead reports whether e ranks ahead of b in its group: a lower relScore,
+// ties to the lower Seq.
+func (e *Entry) ahead(b *Entry) bool {
+	r, rb := e.relScore(), b.relScore()
+	return r < rb || r == rb && e.Seq < b.Seq
+}
+
+// cut keeps what the file's first n records left. The entries past them
+// leave the index, whose groups are ranked again from the entries kept.
+func (st *state) cut(n int) {
+	if n == len(st.recs) {
 		return
 	}
-	b := s.best[i]
-	if r, rb := e.relScore(), b.relScore(); r < rb || r == rb && e.Seq < b.Seq {
-		s.best[i] = e
+	if n == 0 {
+		*st = state{}
+		return
 	}
+	r := st.recs[n-1]
+	clear(st.entries[r.entries:])
+	st.entries, st.group, st.recs, st.nextSeq = st.entries[:r.entries], st.group[:r.entries], st.recs[:n], r.nextSeq
+	clear(st.best)
+	groups := 0
+	for i, e := range st.entries {
+		g := st.group[i]
+		groups = max(groups, g+1)
+		if b := st.best[g]; b == nil || e.ahead(b) {
+			st.best[g] = e
+		}
+	}
+	for _, k := range st.keys[groups:] {
+		delete(st.groups, k)
+	}
+	st.keys, st.best = st.keys[:groups], st.best[:groups]
 }
 
 // Len returns the number of live entries.
@@ -333,9 +429,7 @@ func (h *Store) Append(e *Entry) error {
 	if err := s.j.Append(payload); err != nil {
 		return fmt.Errorf("transfer: %w", err)
 	}
-	s.nextSeq++
-	s.entries = append(s.entries, &cp)
-	s.index(&cp)
+	s.add(&storeRecord{Kind: "entry", Entry: &cp})
 	h.tel.Counter("transfer_store_appends_total").Inc()
 	if size := s.j.Size(); size > compactBytes && size > 2*s.lastCmp {
 		return s.compact(h.tel)
@@ -401,9 +495,9 @@ func (s *store) compact(tel *telemetry.Registry) error {
 		return fmt.Errorf("transfer: compact: %w", err)
 	}
 	s.lastCmp = s.j.Size()
-	s.entries = kept
+	s.entries, s.recs = kept, nil
 	clear(s.groups)
-	s.best = s.best[:0]
+	s.best, s.keys, s.group = s.best[:0], s.keys[:0], s.group[:0]
 	for _, e := range kept {
 		s.index(e)
 	}
@@ -462,8 +556,9 @@ func (n *Neighbor) before(o *Neighbor) bool {
 
 // Close releases the handle; later Appends through it fail. Closing a
 // handle twice is a no-op. The last Close of a store's handles closes its
-// file and drops its in-memory state, so the next Open reads the file
-// again.
+// file and makes the store the resident one, in place of any other, with
+// what the records its opens read left, unless a compaction or a migration
+// rewrote the file: the entries alias the bytes they were decoded from.
 func (h *Store) Close() error {
 	if h == nil {
 		return nil
@@ -481,6 +576,13 @@ func (h *Store) Close() error {
 		return nil
 	}
 	delete(openStores.m, s.path)
-	s.entries, s.groups, s.best = nil, nil, nil
-	return s.j.Close()
+	err := s.j.Close()
+	if img := s.j.Image(); err == nil && img != nil {
+		// Entries appended since the last open share their caller's
+		// lists, and lie past the image: the next open decodes them.
+		s.cut(img.Records())
+		openStores.resident = &store{path: s.path, j: s.j, state: s.state}
+	}
+	s.state = state{}
+	return err
 }

@@ -436,7 +436,7 @@ func TestNearestMatchesSortTruncate(t *testing.T) {
 	}
 	var ties, nameTies int
 	for n := 0; n < 2000; n++ {
-		s := &store{groups: make(map[string]int)}
+		s := &store{state: state{groups: make(map[string]int)}}
 		pool := make([]Fingerprint, 1+rng.Intn(12))
 		for i := range pool {
 			pool[i] = grid()
@@ -740,4 +740,12 @@ func TestStoreCutsUndecodableRecord(t *testing.T) {
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, first) {
 		t.Fatalf("file not cut back to the decodable prefix (%v)", err)
 	}
+}
+
+// forgetResident drops the resident store, so the next Open of its
+// directory reads the whole file, as the first Open in a process does.
+func forgetResident() {
+	openStores.mu.Lock()
+	defer openStores.mu.Unlock()
+	openStores.resident = nil
 }

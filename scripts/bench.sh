@@ -52,9 +52,10 @@ COUNT=5
 		./internal/dispatch
 	# The transfer set: fingerprinting a workload, querying a populated
 	# knowledge base, and — at the durable-warm benchmark's count of 1000
-	# entries, ~86 args each — opening the store and repairing its priors;
-	# all on every warm-started session's startup path.
-	go test -run '^$' -count $COUNT -bench '^Benchmark(Fingerprint|StoreLookup|StoreOpen|Priors)$' -benchmem -benchtime 1s \
+	# entries, ~86 args each — opening the store cold, reopening it after
+	# an append and a truncation back (the resident store's path), and
+	# repairing its priors; all on a warm-started session's startup path.
+	go test -run '^$' -count $COUNT -bench '^Benchmark(Fingerprint|StoreLookup|StoreOpen|StoreReopen|Priors)$' -benchmem -benchtime 1s \
 		./internal/transfer
 	# The drift pair: the detector's per-observation fold (paid on every
 	# delivered measurement of a drift-armed session) and the full re-tune
