@@ -9,11 +9,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -231,6 +233,45 @@ func TestCLIAutotuneHedgeQuarantineFlags(t *testing.T) {
 	}
 }
 
+// TestCLIAutotuneFlagEffects: each of these autotune flags shows its
+// effect in the output — an attribution block, a wall-clock degradation,
+// a confirmed drift, a warm start from at most -transfer-k priors of a
+// store holding three winners, the scenario list.
+func TestCLIAutotuneFlagEffects(t *testing.T) {
+	auto := cliBinary(t, "autotune")
+	store := t.TempDir()
+	for i, bench := range []string{"h2", "avrora", "fop"} {
+		trainStore(t, auto, store, bench, 3+i)
+	}
+	scenarios := strings.Join(hotspot.ChaosScenarios(), "\n") + "\n"
+	for _, tc := range []struct {
+		flag string
+		args []string
+		want string // a regular expression the output must match
+	}{
+		{"-explain", []string{"-benchmark", "h2", "-budget", "30", "-seed", "7", "-explain"},
+			`(?m)^flag attribution \(slowdown when reverted to default\):\n  \w+ +=`},
+		{"-real-budget", []string{"-benchmark", "h2", "-seed", "7", "-real-budget", "1ns"},
+			`(?m)^degraded: +wall-clock budget 1ns exhausted after \d+ trials`},
+		{"-drift", []string{"-benchmark", "xalan", "-seed", "7", "-drift", "-chaos", "drift-at=40"},
+			`(?m)^drift: +\d+ epochs \([1-9]\d* confirmed drifts\)\n  epoch 0 .* drift confirmed at trial \d+`},
+		{"-transfer-k", []string{"-benchmark", "xalan", "-budget", "30", "-seed", "5",
+			"-transfer-dir", store, "-transfer-k", "1"},
+			`(?m)^transfer: +warm start — 1 priors from 3 stored entries`},
+		{"-scenarios", []string{"-scenarios"}, "^" + regexp.QuoteMeta(scenarios) + "$"},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			out, err := exec.Command(auto, tc.args...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("autotune %v: %v\n%s", tc.args, err, out)
+			}
+			if !regexp.MustCompile(tc.want).Match(out) {
+				t.Errorf("autotune %v: output does not match %q:\n%s", tc.args, tc.want, out)
+			}
+		})
+	}
+}
+
 func TestCLIAutotuneErrors(t *testing.T) {
 	bin := cliBinary(t, "autotune")
 	if err := exec.Command(bin).Run(); err == nil {
@@ -265,13 +306,18 @@ func TestCLIAutotuneRejectsOutOfRangeSize(t *testing.T) {
 // refused by hotspot.CheckOptions before anything is opened or built —
 // through Tune and TuneCommon, by autotune as a usage error (exit 2), and
 // by tuned as a 400 before the job exists — so a refused session leaves
-// no transfer store behind.
+// no transfer store behind. A budget whose seconds are not finite would
+// be a session that never ends.
 func TestEveryEntryPointRefusesBadOptions(t *testing.T) {
 	suite, err := hotspot.Suite("dacapo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(httpapi.NewServer())
+	tuned, err := httpapi.NewDurableServer(httpapi.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(tuned)
 	defer srv.Close()
 	bin := cliBinary(t, "autotune")
 	for _, tc := range []struct {
@@ -290,11 +336,41 @@ func TestEveryEntryPointRefusesBadOptions(t *testing.T) {
 		// POST leg.
 		{"unknown objective", hotspot.Options{Objective: "bogus"},
 			[]string{"-objective", "bogus"}, ""},
+		// JSON holds no NaN or infinity, so only the budget rows whose
+		// value it can carry have a POST leg.
+		{"NaN budget", hotspot.Options{BudgetMinutes: math.NaN()},
+			[]string{"-budget", "NaN"}, ""},
+		{"infinite budget", hotspot.Options{BudgetMinutes: math.Inf(1)},
+			[]string{"-budget", "+Inf"}, ""},
+		{"budget whose seconds overflow", hotspot.Options{BudgetMinutes: 1e308},
+			[]string{"-budget", "1e308"}, `"budget_minutes":1e308`},
+		{"negative budget", hotspot.Options{BudgetMinutes: -5},
+			[]string{"-budget", "-5"}, `"budget_minutes":-5`},
+		{"negative real budget", hotspot.Options{RealBudgetSeconds: -1},
+			[]string{"-real-budget", "-1s"}, ""},
+		// -real-budget is a duration, which cannot be NaN: no CLI leg.
+		{"NaN real budget", hotspot.Options{RealBudgetSeconds: math.NaN()}, nil, ""},
+		{"negative max trials", hotspot.Options{MaxTrials: -1},
+			[]string{"-max-trials", "-1"}, ""},
+		{"negative checkpoint cadence", hotspot.Options{CheckpointEveryTrials: -1},
+			[]string{"-checkpoint-every", "-1"}, ""},
+		{"negative transfer k", hotspot.Options{TransferK: -1},
+			[]string{"-transfer-k", "-1"}, ""},
+		{"negative dispatch batch", hotspot.Options{DispatchBatch: -1},
+			[]string{"-batch", "-1"}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := t.TempDir()
+			// The 1-minute budget and the 5-trial cap end a session that
+			// was wrongly accepted, so such a row fails instead of hanging.
 			opts := tc.opts
-			opts.Benchmark, opts.BudgetMinutes, opts.TransferDir = "h2", 1, store
+			opts.Benchmark, opts.TransferDir = "h2", store
+			if opts.BudgetMinutes == 0 {
+				opts.BudgetMinutes = 1
+			}
+			if opts.MaxTrials == 0 {
+				opts.MaxTrials = 5
+			}
 			if _, err := hotspot.Tune(opts); err == nil {
 				t.Error("Tune accepted the options")
 			}
@@ -302,11 +378,16 @@ func TestEveryEntryPointRefusesBadOptions(t *testing.T) {
 			if _, err := hotspot.TuneCommon(suite[:2], opts); err == nil {
 				t.Error("TuneCommon accepted the options")
 			}
-			args := append([]string{"-benchmark", "h2", "-budget", "1", "-transfer-dir", store}, tc.args...)
-			out, err := exec.Command(bin, args...).CombinedOutput()
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-				t.Errorf("autotune %v: err=%v, want exit code 2\n%s", tc.args, err, out)
+			if tc.args != nil {
+				// A flag given twice takes its last value, so a row's own
+				// -budget or -max-trials wins over the defaults.
+				args := append([]string{"-benchmark", "h2", "-budget", "1", "-max-trials", "5",
+					"-transfer-dir", store}, tc.args...)
+				out, err := exec.Command(bin, args...).CombinedOutput()
+				var exit *exec.ExitError
+				if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+					t.Errorf("autotune %v: err=%v, want exit code 2\n%s", tc.args, err, out)
+				}
 			}
 			if entries, err := os.ReadDir(store); err != nil || len(entries) > 0 {
 				t.Errorf("a refused session left %v in the transfer directory (%v)", entries, err)
@@ -314,6 +395,8 @@ func TestEveryEntryPointRefusesBadOptions(t *testing.T) {
 			if tc.req == "" {
 				return
 			}
+			// encoding/json keeps the last of a repeated key, so a row's
+			// own budget_minutes wins over the 1-minute default too.
 			resp, err := http.Post(srv.URL+"/v1/tune", "application/json",
 				strings.NewReader(`{"benchmark":"h2","budget_minutes":1,`+tc.req+`}`))
 			if err != nil {

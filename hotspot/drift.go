@@ -53,7 +53,7 @@ func epochsFromOutcome(out *core.Outcome) []Epoch {
 			StaleWall:  eo.StaleScore,
 		}
 		if eo.Best != nil {
-			eps[i].CommandLine = eo.Best.CommandLine()
+			eps[i].CommandLine = eo.Best.ExplicitArgs()
 		}
 	}
 	return eps

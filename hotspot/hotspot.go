@@ -422,8 +422,11 @@ const MaxWorkers = 64
 // CheckOptions refuses the Options no session accepts: a Benchmark that
 // names no built-in workload, Workers outside [0, MaxWorkers], Reps
 // outside [0, dispatch.MaxReps] (the most the fleet wire carries), a
-// negative RetryAttempts, an Objective other than "", "throughput" and
-// "pause", a DriftSensitivity without Drift or not
+// BudgetMinutes that is negative or whose seconds are not finite (a
+// session that never ends), a RealBudgetSeconds that is negative or not
+// finite, a negative RetryAttempts, MaxTrials, CheckpointEveryTrials,
+// TransferK or DispatchBatch, an Objective other than "", "throughput"
+// and "pause", a DriftSensitivity without Drift or not
 // positive and finite, Resume without CheckpointPath, both a fleet and
 // JVMSimPath, a Chaos plan that does not parse, and node-down faults
 // without a fleet. Zero means the default of each number. Tune and
@@ -448,13 +451,19 @@ func checkOptions(opts Options) (prof *Profile, plan faultinject.Plan, err error
 	}
 	fleet := len(opts.Nodes) > 0 || opts.FleetListen != ""
 	s := opts.DriftSensitivity
+	budget, wall := opts.BudgetMinutes*60, opts.RealBudgetSeconds
 	switch {
 	case opts.Workers < 0 || opts.Workers > MaxWorkers:
 		err = fmt.Errorf("hotspot: workers %d outside [0, %d]", opts.Workers, MaxWorkers)
 	case opts.Reps < 0 || opts.Reps > dispatch.MaxReps:
 		err = fmt.Errorf("hotspot: reps %d outside [0, %d]", opts.Reps, dispatch.MaxReps)
-	case opts.RetryAttempts < 0:
-		err = fmt.Errorf("hotspot: RetryAttempts %d is negative", opts.RetryAttempts)
+	case budget < 0 || math.IsNaN(budget) || math.IsInf(budget, 0):
+		err = fmt.Errorf("hotspot: BudgetMinutes must be non-negative with finite seconds, got %v", opts.BudgetMinutes)
+	case wall < 0 || math.IsNaN(wall) || math.IsInf(wall, 0):
+		err = fmt.Errorf("hotspot: RealBudgetSeconds must be non-negative and finite, got %v", wall)
+	case min(opts.RetryAttempts, opts.MaxTrials, opts.CheckpointEveryTrials, opts.TransferK, opts.DispatchBatch) < 0:
+		err = fmt.Errorf("hotspot: a count is negative: RetryAttempts %d, MaxTrials %d, CheckpointEveryTrials %d, TransferK %d, DispatchBatch %d",
+			opts.RetryAttempts, opts.MaxTrials, opts.CheckpointEveryTrials, opts.TransferK, opts.DispatchBatch)
 	case opts.Objective != "" && opts.Objective != string(core.ObjectiveThroughput) &&
 		opts.Objective != string(core.ObjectivePause):
 		err = fmt.Errorf("hotspot: unknown objective %q (want %q or %q)",
@@ -743,7 +752,7 @@ func resultFromOutcome(out *core.Outcome, chaosName string) *Result {
 		ImprovementPct:    out.ImprovementPct,
 		Speedup:           out.Speedup,
 		Best:              out.Best,
-		CommandLine:       out.Best.CommandLine(),
+		CommandLine:       out.Best.ExplicitArgs(),
 		Collector:         string(col),
 		Trials:            out.Trials,
 		Failures:          out.Failures,
@@ -801,7 +810,7 @@ func Minimize(res *Result, w *Profile, tolerancePct float64) (*Config, []string,
 	}
 	r := runner.NewInProcess(jvmsim.New(), prof)
 	min := core.Minimize(r, res.Best, 3, tolerancePct)
-	return min, min.CommandLine(), nil
+	return min, min.ExplicitArgs(), nil
 }
 
 // progressAdapter bridges the session's trace-point callback to the public

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -51,9 +52,9 @@ func runToCheckpoint(t *testing.T, bench, searcher string, budget float64, seed 
 	return snap
 }
 
-// outcomeFingerprint flattens the deterministic parts of an outcome for
-// byte comparison.
-func outcomeFingerprint(t *testing.T, out *Outcome) string {
+// outcomeFingerprint flattens the deterministic parts of an outcome, and
+// of the final state of the runner that measured it, for byte comparison.
+func outcomeFingerprint(t *testing.T, s *Session, out *Outcome) string {
 	t.Helper()
 	b, err := json.Marshal(struct {
 		Workload, Searcher, BestKey    string
@@ -61,7 +62,7 @@ func outcomeFingerprint(t *testing.T, out *Outcome) string {
 		Trials, Failures, CacheHits    int
 		Flakes, Attempts, Transients   int
 		Trace                          []TracePoint
-		History                        []AttemptRecord
+		State                          runner.StateSegment
 		BaseM, BestM                   runner.Measurement
 		ImprovementPct, Speedup        float64
 	}{
@@ -69,7 +70,7 @@ func outcomeFingerprint(t *testing.T, out *Outcome) string {
 		DefaultWall: out.DefaultWall, BestWall: out.BestWall, Elapsed: out.Elapsed,
 		Trials: out.Trials, Failures: out.Failures, CacheHits: out.CacheHits,
 		Flakes: out.Flakes, Attempts: out.Attempts, Transients: out.TransientFailures,
-		Trace: out.Trace, History: out.AttemptHistory,
+		Trace: out.Trace, State: finalRunnerState(t, s.Runner),
 		BaseM: out.BaseMeasurement, BestM: out.BestMeasurement,
 		ImprovementPct: out.ImprovementPct, Speedup: out.Speedup,
 	})
@@ -77,6 +78,30 @@ func outcomeFingerprint(t *testing.T, out *Outcome) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// finalRunnerState folds r's state stream into the values it ends with:
+// the clock, and per configuration key the noise reps drawn, the launches
+// counted and the memoized verdict.
+func finalRunnerState(t *testing.T, r runner.Runner) runner.StateSegment {
+	t.Helper()
+	stream, err := r.(runner.StateSnapshotter).SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := runner.DecodeState(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := runner.StateSegment{Reps: map[string]int{}, Cache: map[string]runner.Measurement{},
+		Launches: map[string]int{}}
+	for _, seg := range segs {
+		final.Elapsed = seg.Elapsed
+		maps.Copy(final.Reps, seg.Reps)
+		maps.Copy(final.Cache, seg.Cache)
+		maps.Copy(final.Launches, seg.Launches)
+	}
+	return final
 }
 
 func TestSessionKillAndResumeByteIdentical(t *testing.T) {
@@ -88,11 +113,9 @@ func TestSessionKillAndResumeByteIdentical(t *testing.T) {
 		workers = 2
 		killAt  = 6
 	)
-	uninterrupted, err := func() (*Outcome, error) {
-		s := newSession(t, bench, search, budget, seed)
-		s.Workers = workers
-		return s.Run()
-	}()
+	plain := newSession(t, bench, search, budget, seed)
+	plain.Workers = workers
+	uninterrupted, err := plain.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +130,7 @@ func TestSessionKillAndResumeByteIdentical(t *testing.T) {
 		t.Fatalf("resume: %v", err)
 	}
 
-	got, want := outcomeFingerprint(t, out), outcomeFingerprint(t, uninterrupted)
+	got, want := outcomeFingerprint(t, resumed, out), outcomeFingerprint(t, plain, uninterrupted)
 	if got != want {
 		t.Fatalf("resumed outcome differs from uninterrupted run:\nresumed:       %s\nuninterrupted: %s", got, want)
 	}
@@ -182,7 +205,8 @@ func TestSessionResumeRejectsCorruptTrialLog(t *testing.T) {
 // property: a session that checkpoints every round produces the identical
 // outcome to one that never checkpoints.
 func TestSessionCheckpointDoesNotPerturbOutcome(t *testing.T) {
-	plain, err := newSession(t, "xalan", "anneal", 900, 8).Run()
+	ps := newSession(t, "xalan", "anneal", 900, 8)
+	plain, err := ps.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +220,7 @@ func TestSessionCheckpointDoesNotPerturbOutcome(t *testing.T) {
 	if err := keeper.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := outcomeFingerprint(t, ckd), outcomeFingerprint(t, plain); got != want {
+	if got, want := outcomeFingerprint(t, s, ckd), outcomeFingerprint(t, ps, plain); got != want {
 		t.Fatalf("checkpointing changed the outcome:\nwith:    %s\nwithout: %s", got, want)
 	}
 }
@@ -215,8 +239,9 @@ func finishedSessionSetup(t *testing.T, path string) (*Session, *checkpoint.Keep
 	return s, keeper
 }
 
-// finishedSession runs that session to its end and returns its outcome.
-func finishedSession(t *testing.T, path string) *Outcome {
+// finishedSession runs that session to its end and returns it with its
+// outcome.
+func finishedSession(t *testing.T, path string) (*Session, *Outcome) {
 	t.Helper()
 	s, keeper := finishedSessionSetup(t, path)
 	out, err := s.Run()
@@ -229,7 +254,7 @@ func finishedSession(t *testing.T, path string) *Outcome {
 	if out.Trials != finishedTrials {
 		t.Fatalf("session ran %d trials, want %d", out.Trials, finishedTrials)
 	}
-	return out
+	return s, out
 }
 
 // A session that ends on its own terms leaves every delivered trial in its
@@ -249,7 +274,7 @@ func TestFinalCheckpointHoldsLastTrial(t *testing.T) {
 // same bytes in the same inode, not a rewrite of what it already holds.
 func TestResumeOfFinishedFileWritesNothing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "final.ckpt")
-	out := finishedSession(t, path)
+	s, out := finishedSession(t, path)
 	before, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +295,7 @@ func TestResumeOfFinishedFileWritesNothing(t *testing.T) {
 	if err := keeper.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := outcomeFingerprint(t, again), outcomeFingerprint(t, out); got != want {
+	if got, want := outcomeFingerprint(t, resumed, again), outcomeFingerprint(t, s, out); got != want {
 		t.Fatalf("resumed finished session diverged:\nresumed:  %s\noriginal: %s", got, want)
 	}
 	if n := reg.Snapshot()["runner_attempts_total"]; n != 0 {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -126,28 +125,6 @@ type TracePoint struct {
 	Flakes int
 }
 
-// AttemptRecord summarizes one configuration's measurement attempts across a
-// session — how many times it was (re)measured, how many launch attempts
-// that took, and how it ultimately fared. Cache replays involve no launches
-// and are not recorded.
-type AttemptRecord struct {
-	// Key identifies the configuration.
-	Key string
-	// Trials is the number of fresh (non-cached) measurements delivered.
-	Trials int
-	// Attempts is the total launch attempts across those trials, retries
-	// included.
-	Attempts int
-	// Flakes is how many of those attempts failed transiently and were
-	// retried (or exhausted the retry budget).
-	Flakes int
-	// Failed and Transient describe the latest verdict; Failure names its
-	// kind when Failed.
-	Failed    bool
-	Transient bool
-	Failure   jvmsim.FailureKind
-}
-
 // Outcome is the result of one tuning session.
 //
 // Under the default throughput objective DefaultWall/BestWall are mean wall
@@ -192,9 +169,6 @@ type Outcome struct {
 	Quarantined int
 	Hedges      int
 	HedgeWins   int
-	// AttemptHistory summarizes per-configuration attempt accounting,
-	// sorted by configuration key.
-	AttemptHistory []AttemptRecord
 	// Epochs is the per-epoch history of a drift-enabled session: one entry
 	// per re-tuning epoch, each carrying the epoch's best and the drift
 	// provenance that closed it. Nil when the session ran without a
@@ -212,7 +186,9 @@ const DefaultBudgetSeconds = 200 * 60
 
 // Session is one budgeted tuning run of a searcher on a workload.
 type Session struct {
-	// Runner measures configurations (and owns the virtual clock).
+	// Runner measures configurations. The session charges the budget on
+	// its own slot clock (the executor's per-slot finish times), not on the
+	// runner's Elapsed, which only the runner's checkpointed state carries.
 	Runner runner.Runner
 	// Searcher is the proposal strategy.
 	Searcher Searcher
@@ -450,7 +426,6 @@ func (s *Session) Run() (*Outcome, error) {
 	// A resumed session takes the recorded baseline instead of re-measuring:
 	// the restored runner cache would answer a fresh Measure at zero cost,
 	// which would corrupt the budget accounting the original run did.
-	history := make(map[string]*AttemptRecord)
 	def := flags.NewConfig(reg)
 	defKey := def.Key()
 	var base runner.Measurement
@@ -493,7 +468,7 @@ func (s *Session) Run() (*Outcome, error) {
 		return nil, fmt.Errorf("core: default configuration fails on %s: %s",
 			out.Workload, base.FailureMessage)
 	}
-	out.recordAttempts(history, defKey, base)
+	out.recordAttempts(base)
 	ctx.DefaultWall = objective.Score(base)
 	ctx.Best, ctx.BestWall = def, ctx.DefaultWall
 	slotFree[0] = base.CostSeconds
@@ -536,7 +511,7 @@ func (s *Session) Run() (*Outcome, error) {
 	if s.Quarantine != nil {
 		rob.quar = newQuarantine(tree, s.Telemetry, s.Trace)
 	}
-	if err := s.runLoop(runCtx, ctx, out, slotFree, reps, budget, history, ck, rob, ds); err != nil {
+	if err := s.runLoop(runCtx, ctx, out, slotFree, reps, budget, ck, rob, ds); err != nil {
 		return nil, err
 	}
 	// The session ended on its own terms, so its file must hold every
@@ -554,13 +529,6 @@ func (s *Session) Run() (*Outcome, error) {
 		out.Hedges, out.HedgeWins = rob.hg.hedges, rob.hg.wins
 		s.Telemetry.Gauge("session_hedge_saved_virtual_seconds").Set(rob.hg.saved)
 	}
-	out.AttemptHistory = make([]AttemptRecord, 0, len(history))
-	for _, rec := range history {
-		out.AttemptHistory = append(out.AttemptHistory, *rec)
-	}
-	sort.Slice(out.AttemptHistory, func(i, j int) bool {
-		return out.AttemptHistory[i].Key < out.AttemptHistory[j].Key
-	})
 	// Report the makespan: the time the busiest slot finishes.
 	for _, f := range slotFree {
 		if f > ctx.Elapsed {
@@ -582,7 +550,7 @@ func (s *Session) Run() (*Outcome, error) {
 
 // recordAttempts folds a fresh measurement into the session's flake
 // accounting. Cache replays involve no launches and are skipped.
-func (o *Outcome) recordAttempts(history map[string]*AttemptRecord, key string, m runner.Measurement) {
+func (o *Outcome) recordAttempts(m runner.Measurement) {
 	if m.FromCache {
 		return
 	}
@@ -595,17 +563,6 @@ func (o *Outcome) recordAttempts(history map[string]*AttemptRecord, key string, 
 	if m.Transient {
 		o.TransientFailures++
 	}
-	rec := history[key]
-	if rec == nil {
-		rec = &AttemptRecord{Key: key}
-		history[key] = rec
-	}
-	rec.Trials++
-	rec.Attempts += attempts
-	rec.Flakes += m.Flakes
-	rec.Failed = m.Failed
-	rec.Transient = m.Transient
-	rec.Failure = m.Failure
 }
 
 // BestAt returns the best wall time known at the given virtual time, for

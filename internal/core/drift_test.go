@@ -207,6 +207,7 @@ func TestDriftEpochPriorsInjected(t *testing.T) {
 		gotEpoch, gotPhase = epoch, phase
 		return []PriorSample{{Cfg: prior, Norm: 0.9}}
 	}
+	s.Trace = telemetry.NewTracer(1 << 16)
 	out, rerr := s.Run()
 	if rerr != nil {
 		t.Fatal(rerr)
@@ -217,15 +218,18 @@ func TestDriftEpochPriorsInjected(t *testing.T) {
 	if gotEpoch != 1 || gotPhase != 1 {
 		t.Fatalf("EpochPriors called with (epoch=%d, phase=%d), want (1, 1)", gotEpoch, gotPhase)
 	}
-	// The injected prior was measured: it appears in the attempt history.
-	found := false
-	for _, rec := range out.AttemptHistory {
-		if rec.Key == prior.Key() {
-			found = true
-		}
+	// The injected prior was measured in the new epoch: the searcher
+	// observed it after the drift event.
+	if n := s.Trace.Dropped(); n > 0 {
+		t.Fatalf("the trace dropped %d events", n)
+	}
+	drifted, found := false, false
+	for _, ev := range s.Trace.Events() {
+		drifted = drifted || ev.Kind == telemetry.EvDrift
+		found = found || (drifted && ev.Kind == telemetry.EvObserve && ev.Key == prior.Key())
 	}
 	if !found {
-		t.Fatalf("injected prior %q never measured", prior.Key())
+		t.Fatalf("injected prior %q never measured after the drift", prior.Key())
 	}
 }
 
@@ -291,7 +295,8 @@ func driftKillAndResumeMidEpoch(t *testing.T, searcher string) {
 		return s
 	}
 
-	uninterrupted, err := build().Run()
+	plain := build()
+	uninterrupted, err := plain.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +350,7 @@ func driftKillAndResumeMidEpoch(t *testing.T, searcher string) {
 		t.Fatalf("resume: %v", err)
 	}
 
-	if got, want := outcomeFingerprint(t, out), outcomeFingerprint(t, uninterrupted); got != want {
+	if got, want := outcomeFingerprint(t, resumed, out), outcomeFingerprint(t, plain, uninterrupted); got != want {
 		t.Fatalf("resumed outcome differs:\nresumed:       %s\nuninterrupted: %s", got, want)
 	}
 	je, _ := json.Marshal(out.Epochs)

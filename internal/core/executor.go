@@ -181,8 +181,7 @@ func (s *Session) writeCheckpoint(ck *ckState, ctx *Context) {
 // arrive in wall-clock time, never what they are or the order the searcher
 // sees them in.
 func (s *Session) runLoop(runCtx context.Context, ctx *Context, out *Outcome,
-	slotFree []float64, reps int, budget float64, history map[string]*AttemptRecord,
-	ck *ckState, rob *robState, ds *driftState) error {
+	slotFree []float64, reps int, budget float64, ck *ckState, rob *robState, ds *driftState) error {
 	workers := len(slotFree)
 
 	// A batching runner fans a round out itself (the dispatch pool), so it
@@ -455,7 +454,7 @@ func (s *Session) runLoop(runCtx context.Context, ctx *Context, out *Outcome,
 				s.Telemetry.Counter("session_failures_total").Inc()
 			}
 			if !tr.synthetic {
-				out.recordAttempts(history, tr.key, tr.m)
+				out.recordAttempts(tr.m)
 			}
 			searcher.Observe(ctx, tr.cfg, tr.m)
 			if rob.quar != nil && !tr.synthetic {

@@ -464,7 +464,8 @@ func TestHedgedSessionResumesByteIdentical(t *testing.T) {
 		s.Quarantine = &QuarantinePolicy{}
 		return s
 	}
-	uninterrupted, err := mk().Run()
+	plain := mk()
+	uninterrupted, err := plain.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +499,7 @@ func TestHedgedSessionResumesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	got, want := outcomeFingerprint(t, out), outcomeFingerprint(t, uninterrupted)
+	got, want := outcomeFingerprint(t, resumed, out), outcomeFingerprint(t, plain, uninterrupted)
 	if got != want {
 		t.Fatalf("hedged resume diverged:\nresumed:       %s\nuninterrupted: %s", got, want)
 	}

@@ -456,7 +456,11 @@ func TestBatchedDeadFleetFailsFast(t *testing.T) {
 	run := func(batch int) ([]runner.Measurement, map[string]float64, time.Duration) {
 		var evs []Evaluator
 		for _, a := range addrs {
-			evs = append(evs, NewRemote(a))
+			rem, err := NewSecureRemote(a, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs = append(evs, rem)
 		}
 		pool := newTestPool(t, "fop", evs...)
 		defer pool.Close()
@@ -506,7 +510,11 @@ func TestBatchedDeadFleetFailsFast(t *testing.T) {
 // attempts, three placement waves — not by a chaos loop around the pool's
 // own, which made it up to three chaos attempts of three pool attempts.
 func TestChaosPlacementExhaustionRetriedOnce(t *testing.T) {
-	pool := newTestPool(t, "fop", NewRemote(refusedAddrs(t, 1)[0]))
+	rem, err := NewSecureRemote(refusedAddrs(t, 1)[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := newTestPool(t, "fop", rem)
 	defer pool.Close()
 	pool.Retry = runner.RetryPolicy{MaxAttempts: 3}
 	ch := faultinject.New(pool, faultinject.Plan{Spike: 0.5}, 1)

@@ -57,7 +57,7 @@ func TestKillOneNodeByteIdentical(t *testing.T) {
 	if !killed {
 		t.Fatal("kill never armed — session too short to prove anything")
 	}
-	if got, want := outcomeFingerprint(t, out), local.fingerprint; got != want {
+	if got, want := outcomeFingerprint(t, sess, out), local.fingerprint; got != want {
 		t.Fatalf("node death leaked into the outcome\nwith kill:  %s\nin-process: %s", got, want)
 	}
 }
@@ -152,7 +152,7 @@ func TestNodeFlapsDuringHedgeByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outcomeFingerprint(t, out)
+		return outcomeFingerprint(t, sess, out)
 	}
 
 	local := run(func() runner.Runner {

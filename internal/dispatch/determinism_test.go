@@ -9,6 +9,7 @@ package dispatch_test
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -37,7 +38,11 @@ func startFleet(t testing.TB, n int) ([]*httptest.Server, []dispatch.Evaluator) 
 		ts := httptest.NewServer(evald.New(evald.Config{Node: name}))
 		t.Cleanup(ts.Close)
 		servers[i] = ts
-		evs[i] = dispatch.NewRemote(strings.TrimPrefix(ts.URL, "http://"))
+		rem, err := dispatch.NewSecureRemote(strings.TrimPrefix(ts.URL, "http://"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs[i] = rem
 	}
 	return servers, evs
 }
@@ -96,12 +101,13 @@ func runSession(t *testing.T, bench, searcher string, seed int64, budget float64
 	if err := tracer.WriteJSONL(&buf); err != nil {
 		t.Fatalf("trace: %v", err)
 	}
-	return artifacts{fingerprint: outcomeFingerprint(t, out), trace: buf.Bytes(), ckpt: ckpt}
+	return artifacts{fingerprint: outcomeFingerprint(t, sess, out), trace: buf.Bytes(), ckpt: ckpt}
 }
 
-// outcomeFingerprint flattens the deterministic parts of an outcome for
-// byte comparison (mirror of the core package's own differential helper).
-func outcomeFingerprint(t *testing.T, out *core.Outcome) string {
+// outcomeFingerprint flattens the deterministic parts of an outcome, and
+// of the final state of the runner that measured it, for byte comparison
+// (mirror of the core package's own differential helper).
+func outcomeFingerprint(t *testing.T, sess *core.Session, out *core.Outcome) string {
 	t.Helper()
 	b, err := json.Marshal(struct {
 		Workload, Searcher, BestKey    string
@@ -110,7 +116,7 @@ func outcomeFingerprint(t *testing.T, out *core.Outcome) string {
 		Flakes, Attempts, Transients   int
 		Degraded                       bool
 		Trace                          []core.TracePoint
-		History                        []core.AttemptRecord
+		State                          runner.StateSegment
 		BaseM, BestM                   runner.Measurement
 		ImprovementPct, Speedup        float64
 	}{
@@ -119,7 +125,7 @@ func outcomeFingerprint(t *testing.T, out *core.Outcome) string {
 		Trials: out.Trials, Failures: out.Failures, CacheHits: out.CacheHits,
 		Flakes: out.Flakes, Attempts: out.Attempts, Transients: out.TransientFailures,
 		Degraded: out.Degraded,
-		Trace:    out.Trace, History: out.AttemptHistory,
+		Trace:    out.Trace, State: finalRunnerState(t, sess.Runner),
 		BaseM: out.BaseMeasurement, BestM: out.BestMeasurement,
 		ImprovementPct: out.ImprovementPct, Speedup: out.Speedup,
 	})
@@ -127,6 +133,30 @@ func outcomeFingerprint(t *testing.T, out *core.Outcome) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// finalRunnerState folds r's state stream into the values it ends with:
+// the clock, and per configuration key the noise reps drawn, the launches
+// counted and the memoized verdict.
+func finalRunnerState(t *testing.T, r runner.Runner) runner.StateSegment {
+	t.Helper()
+	stream, err := r.(runner.StateSnapshotter).SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := runner.DecodeState(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := runner.StateSegment{Reps: map[string]int{}, Cache: map[string]runner.Measurement{},
+		Launches: map[string]int{}}
+	for _, seg := range segs {
+		final.Elapsed = seg.Elapsed
+		maps.Copy(final.Reps, seg.Reps)
+		maps.Copy(final.Cache, seg.Cache)
+		maps.Copy(final.Launches, seg.Launches)
+	}
+	return final
 }
 
 func inProcessRunner(t *testing.T, bench string) func(tr *telemetry.Tracer) runner.Runner {

@@ -126,7 +126,7 @@ func TestJoinDuringHedgeByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outcomeFingerprint(t, out)
+		return outcomeFingerprint(t, sess, out)
 	}()
 
 	_, addr0 := startEvaldNode(t, "m0")
@@ -159,7 +159,7 @@ func TestJoinDuringHedgeByteIdentical(t *testing.T) {
 	if got := fx.pool.Nodes(); len(got) != 2 {
 		t.Fatalf("fleet after join = %v, want 2 nodes", got)
 	}
-	if got := outcomeFingerprint(t, out); got != local {
+	if got := outcomeFingerprint(t, sess, out); got != local {
 		t.Fatalf("mid-hedge join leaked into the outcome\nwith join:  %s\nin-process: %s", got, local)
 	}
 }
@@ -187,7 +187,7 @@ func TestDrainDuringBatchByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outcomeFingerprint(t, out)
+		return outcomeFingerprint(t, sess, out)
 	}()
 
 	_, addr0 := startEvaldNode(t, "b0")
@@ -220,7 +220,7 @@ func TestDrainDuringBatchByteIdentical(t *testing.T) {
 	if got := fx.pool.Nodes(); len(got) != 1 || got[0] != "b0" {
 		t.Fatalf("fleet after drain = %v, want [b0]", got)
 	}
-	if got := outcomeFingerprint(t, out); got != local {
+	if got := outcomeFingerprint(t, sess, out); got != local {
 		t.Fatalf("mid-batch drain leaked into the outcome\nwith drain: %s\nin-process: %s", got, local)
 	}
 }
@@ -248,7 +248,7 @@ func TestReRegisterAfterFlapByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outcomeFingerprint(t, out)
+		return outcomeFingerprint(t, sess, out)
 	}()
 
 	srv0, addr0 := startEvaldNode(t, "f0")
@@ -290,7 +290,7 @@ func TestReRegisterAfterFlapByteIdentical(t *testing.T) {
 	if got := fx.pool.Nodes(); len(got) != 2 {
 		t.Fatalf("fleet after flap+rejoin = %v, want 2 nodes", got)
 	}
-	if got := outcomeFingerprint(t, out); got != local {
+	if got := outcomeFingerprint(t, sess, out); got != local {
 		t.Fatalf("flap + re-register leaked into the outcome\nwith flap:  %s\nin-process: %s", got, local)
 	}
 }

@@ -28,7 +28,7 @@ func validRequest(t *testing.T) *TrialRequest {
 	cfg := flags.NewConfig(reg)
 	cfg.SetInt("MaxHeapSize", 1<<30)
 	return &TrialRequest{
-		Key: cfg.Key(), Benchmark: "fop", Args: cfg.CommandLine(),
+		Key: cfg.Key(), Benchmark: "fop", Args: cfg.ExplicitArgs(),
 		RepBase: 0, Reps: 2, TimeoutSeconds: 60, Noise: -1,
 	}
 }

@@ -78,20 +78,11 @@ type Remote struct {
 	NodeName string
 }
 
-// NewRemote builds a remote evaluator for addr, which may be a bare
-// "host:port" or a full "http://..." base URL.
-func NewRemote(addr string) *Remote {
-	base := strings.TrimRight(addr, "/")
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	return &Remote{base: base, Client: &http.Client{}}
-}
-
-// NewSecureRemote builds a remote evaluator whose transport and requests
-// carry sec's credentials: the client TLS material for the dial and the
-// bearer token on every request. A bare "host:port" addr gets the scheme
-// the security config implies.
+// NewSecureRemote builds a remote evaluator for addr, which may be a bare
+// "host:port" or a full "http://..." base URL. Its transport and requests
+// carry sec's credentials, if any: the client TLS material for the dial
+// and the bearer token on every request. A bare "host:port" addr gets the
+// scheme the security config implies.
 func NewSecureRemote(addr string, sec *Security) (*Remote, error) {
 	if sec == nil {
 		sec = &Security{}

@@ -229,8 +229,11 @@ func TestRemoteHonorsRetryAfter(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := httptest.NewServer(tc.handler)
 			defer ts.Close()
-			rem := dispatch.NewRemote(ts.Listener.Addr().String())
-			_, err := rem.Evaluate(context.Background(), trialReq())
+			rem, err := dispatch.NewSecureRemote(ts.Listener.Addr().String(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = rem.Evaluate(context.Background(), trialReq())
 			var ne *dispatch.NodeError
 			if !errors.As(err, &ne) {
 				t.Fatalf("want NodeError, got %v", err)

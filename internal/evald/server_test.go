@@ -24,7 +24,7 @@ func trialRequest() dispatch.TrialRequest {
 	cfg := flags.NewConfig(flags.NewRegistry())
 	cfg.SetInt("MaxHeapSize", 1<<30)
 	return dispatch.TrialRequest{
-		Key: cfg.Key(), Benchmark: "fop", Args: cfg.CommandLine(),
+		Key: cfg.Key(), Benchmark: "fop", Args: cfg.ExplicitArgs(),
 		Reps: 2, TimeoutSeconds: 120, Noise: -1,
 	}
 }
@@ -265,7 +265,10 @@ func TestRemoteAgainstServer(t *testing.T) {
 	s := New(Config{Node: "w1"})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	rem := dispatch.NewRemote(strings.TrimPrefix(ts.URL, "http://"))
+	rem, err := dispatch.NewSecureRemote(strings.TrimPrefix(ts.URL, "http://"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx := context.Background()
 	req := trialRequest()

@@ -310,7 +310,7 @@ func RunCommonConfig(suite string, cfg Config) (*CommonConfigResult, error) {
 
 	res := &CommonConfigResult{
 		Suite:                 suite,
-		CommonFlags:           out.Best.CommandLine(),
+		CommonFlags:           out.Best.ExplicitArgs(),
 		SuiteAvgCommonPct:     out.ImprovementPct,
 		SuiteAvgPerProgramPct: per.AvgImprovement,
 	}

@@ -2,6 +2,7 @@ package faultinject_test
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -18,9 +19,9 @@ import (
 const chaosBudgetSeconds = 45 * 60
 
 // runChaosSession runs one hierarchical tuning session on a 4-worker farm
-// under the unstable-farm fault plan and returns the outcome plus its
-// serialized form.
-func runChaosSession(t *testing.T, seed int64) (*core.Outcome, []byte) {
+// under the unstable-farm fault plan and returns the outcome, its
+// serialized form and the chaos handle that measured it.
+func runChaosSession(t *testing.T, seed int64) (*core.Outcome, []byte, *faultinject.ChaosRunner) {
 	t.Helper()
 	prof, ok := workload.ByName("fop")
 	if !ok {
@@ -63,7 +64,7 @@ func runChaosSession(t *testing.T, seed int64) (*core.Outcome, []byte) {
 	if err := persist.FromOutcome(out).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return out, buf.Bytes()
+	return out, buf.Bytes(), chaos
 }
 
 // TestChaosSessionEndToEnd is the resilience acceptance test: a full
@@ -71,7 +72,7 @@ func runChaosSession(t *testing.T, seed int64) (*core.Outcome, []byte) {
 // absorbs transient faults without condemning their configurations, and
 // reproduces byte-for-byte for a fixed seed.
 func TestChaosSessionEndToEnd(t *testing.T) {
-	out, blob := runChaosSession(t, 42)
+	out, blob, chaos := runChaosSession(t, 42)
 
 	if out.Flakes == 0 {
 		t.Error("an unstable farm session should have absorbed flakes")
@@ -83,9 +84,33 @@ func TestChaosSessionEndToEnd(t *testing.T) {
 		t.Errorf("%d configurations ended transiently failed; the streak cap should prevent that",
 			out.TransientFailures)
 	}
-	for _, rec := range out.AttemptHistory {
-		if rec.Transient || (rec.Failed && runner.Transient(rec.Failure)) {
-			t.Errorf("config %s reported failed on transient grounds: %+v", rec.Key, rec)
+	// The harness memoizes every definitive verdict and no transient one,
+	// so every configuration it launched has a memo, and none failed on
+	// transient grounds.
+	stream, err := chaos.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := runner.DecodeState(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	launched, memo := map[string]bool{}, map[string]runner.Measurement{}
+	for _, seg := range segs {
+		for k := range seg.Launches {
+			launched[k] = true
+		}
+		maps.Copy(memo, seg.Cache)
+	}
+	if len(launched) == 0 {
+		t.Fatal("the harness state counts no launches")
+	}
+	for k := range launched {
+		m, ok := memo[k]
+		if !ok {
+			t.Errorf("config %s was launched but has no verdict", k)
+		} else if m.Transient || (m.Failed && runner.Transient(m.Failure)) {
+			t.Errorf("config %s reported failed on transient grounds: %+v", k, m)
 		}
 	}
 	// Trials only start inside the budget; the makespan may overrun by at
@@ -102,7 +127,7 @@ func TestChaosSessionEndToEnd(t *testing.T) {
 	}
 
 	// Same seed, same farm: the whole serialized outcome is byte-identical.
-	out2, blob2 := runChaosSession(t, 42)
+	out2, blob2, _ := runChaosSession(t, 42)
 	if !bytes.Equal(blob, blob2) {
 		t.Errorf("same-seed chaos sessions diverged:\n--- run 1\n%s\n--- run 2\n%s", blob, blob2)
 	}
@@ -112,7 +137,7 @@ func TestChaosSessionEndToEnd(t *testing.T) {
 	}
 
 	// A different seed schedules different faults.
-	out3, _ := runChaosSession(t, 43)
+	out3, _, _ := runChaosSession(t, 43)
 	if out3.Flakes == out.Flakes && out3.Elapsed == out.Elapsed && out3.Attempts == out.Attempts {
 		t.Error("different seeds produced identical chaos accounting — schedule looks seed-blind")
 	}

@@ -68,11 +68,13 @@ func BenchmarkConfigValidate(b *testing.B) {
 	}
 }
 
+// BenchmarkCommandLineRender keeps the name scripts/bench.sh has tracked
+// since the rendering had a second name, so its trajectory stays whole.
 func BenchmarkCommandLineRender(b *testing.B) {
 	_, c := benchConfig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(c.CommandLine()) == 0 {
+		if len(c.ExplicitArgs()) == 0 {
 			b.Fatal("no args")
 		}
 	}
@@ -80,7 +82,7 @@ func BenchmarkCommandLineRender(b *testing.B) {
 
 func BenchmarkParseArgs(b *testing.B) {
 	reg, c := benchConfig(b)
-	args := c.CommandLine()
+	args := c.ExplicitArgs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ParseArgs(reg, args); err != nil {

@@ -15,7 +15,7 @@ import (
 
 // TestCanonicalFormKeepsWhatTheModelReads is the differential property
 // behind shipping only the canonical form: every config c behaves exactly
-// like ParseArgs(c.CommandLine()) — the same Key, the same
+// like ParseArgs(c.ExplicitArgs()) — the same Key, the same
 // hierarchy.Validate verdict, and the same noiseless RunReps results on
 // built-in and generated profiles — and Canonical builds that config
 // without the round trip. Inputs are random assignments of every tunable,
@@ -64,7 +64,7 @@ func TestCanonicalFormKeepsWhatTheModelReads(t *testing.T) {
 			}
 		}
 	}
-	if args := gated.CommandLine(); len(args) != 0 {
+	if args := gated.ExplicitArgs(); len(args) != 0 {
 		t.Fatalf("gated flags at their defaults rendered %v", args)
 	}
 	inputs = append(inputs, input{"gated-defaults", gated})
@@ -80,7 +80,7 @@ func TestCanonicalFormKeepsWhatTheModelReads(t *testing.T) {
 
 	for _, in := range inputs {
 		c := in.cfg
-		back, err := flags.ParseArgs(reg, c.CommandLine())
+		back, err := flags.ParseArgs(reg, c.ExplicitArgs())
 		if err != nil {
 			t.Fatalf("%s: cannot parse own rendering: %v", in.name, err)
 		}

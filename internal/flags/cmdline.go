@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// CommandLine renders the canonical form of c (see Key) as java-style
+// ExplicitArgs renders the canonical form of c (see Key) as java-style
 // arguments: -XX:+Flag / -XX:-Flag for booleans and -XX:Flag=value for
 // integers and enums. Byte-valued flags use the shortest exact k/m/g
 // suffix. The slice is sorted (by flag name) and deterministic.
@@ -21,18 +21,11 @@ import (
 // assignments of flags whose explicitness matters, so ParseArgs of the
 // result has c's Key, and rendering that again gives the same arguments:
 // reports and persisted results reload to exactly the configuration that
-// was measured.
-func (c *Config) CommandLine() []string { return c.renderArgs() }
-
-// ExplicitArgs renders c in the same canonical form as CommandLine; it is
-// the name the transports use. The subprocess runner, the distributed
-// evaluation plane, transfer-store entries and drift priors ship configs
-// in this form: an explicit assignment that equals a default and whose
-// explicitness does not matter changes nothing the VM does, so it is left
-// off the wire.
-func (c *Config) ExplicitArgs() []string { return c.renderArgs() }
-
-func (c *Config) renderArgs() []string {
+// was measured. The subprocess runner, the distributed evaluation plane,
+// transfer-store entries and drift priors ship configs in this form too:
+// an explicit assignment that equals a default and whose explicitness does
+// not matter changes nothing the VM does, so it is left off the wire.
+func (c *Config) ExplicitArgs() []string {
 	// Every argument goes into one recycled buffer, and the result is
 	// substrings of one string: a render allocates that string and the
 	// slice, however wide the config.
@@ -74,7 +67,7 @@ func (c *Config) renderArgs() []string {
 	return args
 }
 
-// renderScratch recycles renderArgs's buffer and argument ends across
+// renderScratch recycles ExplicitArgs's buffer and argument ends across
 // calls and goroutines.
 var renderScratch = sync.Pool{New: func() any { return new(argScratch) }}
 

@@ -18,7 +18,7 @@ func TestCommandLineRendering(t *testing.T) {
 	c.SetBool("UseParallelGC", false)
 	c.SetInt("MaxHeapSize", 1<<30)
 	c.SetInt("CompileThreshold", 1500)
-	got := c.CommandLine()
+	got := c.ExplicitArgs()
 	want := []string{
 		"-XX:CompileThreshold=1500",
 		"-XX:MaxHeapSize=1g",
@@ -26,7 +26,7 @@ func TestCommandLineRendering(t *testing.T) {
 		"-XX:-UseParallelGC",
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("CommandLine = %v, want %v", got, want)
+		t.Errorf("ExplicitArgs = %v, want %v", got, want)
 	}
 }
 
@@ -39,12 +39,12 @@ func TestCommandLineOmitsDefaults(t *testing.T) {
 	c.SetBool("UseG1GC", false)          // explicit, equal to default
 	c.SetBool("UseCompressedOops", true) // explicit, equal to default
 	c.SetInt("MaxHeapSize", 512<<20)     // explicit, equal to default
-	if got := c.CommandLine(); len(got) != 0 {
+	if got := c.ExplicitArgs(); len(got) != 0 {
 		t.Errorf("default-valued assignment rendered: %v", got)
 	}
 	c.SetBool("UseParallelGC", true) // explicit, equal to default, and it matters
-	if got, want := c.CommandLine(), []string{"-XX:+UseParallelGC"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("CommandLine = %v, want %v", got, want)
+	if got, want := c.ExplicitArgs(), []string{"-XX:+UseParallelGC"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ExplicitArgs = %v, want %v", got, want)
 	}
 }
 
@@ -61,7 +61,7 @@ func TestCommandLineByteSuffixes(t *testing.T) {
 	for _, cse := range cases {
 		c := NewConfig(r)
 		c.SetInt("MaxHeapSize", cse.bytes)
-		got := c.CommandLine()
+		got := c.ExplicitArgs()
 		if len(got) != 1 || got[0] != cse.want {
 			t.Errorf("MaxHeapSize=%d rendered %v, want %s", cse.bytes, got, cse.want)
 		}
@@ -79,7 +79,7 @@ func TestCommandLineUnlockPrefixes(t *testing.T) {
 	c := NewConfig(r)
 	c.SetBool("Exp", true)
 	c.SetBool("Diag", true)
-	got := c.CommandLine()
+	got := c.ExplicitArgs()
 	want := []string{
 		"-XX:+UnlockExperimentalVMOptions",
 		"-XX:+UnlockDiagnosticVMOptions",
@@ -87,7 +87,7 @@ func TestCommandLineUnlockPrefixes(t *testing.T) {
 		"-XX:+Exp",
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("CommandLine = %v, want %v", got, want)
+		t.Errorf("ExplicitArgs = %v, want %v", got, want)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestRoundTripRenderParse(t *testing.T) {
 	c.SetInt("CMSInitiatingOccupancyFraction", 75)
 	c.SetBool("TieredCompilation", true)
 
-	parsed, err := ParseArgs(r, c.CommandLine())
+	parsed, err := ParseArgs(r, c.ExplicitArgs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +304,8 @@ func TestExplicitArgsKeepForcedDefaults(t *testing.T) {
 	if got := c.ExplicitArgs(); !reflect.DeepEqual(got, want) {
 		t.Errorf("ExplicitArgs = %v, want %v", got, want)
 	}
-	if got := c.CommandLine(); !reflect.DeepEqual(got, want) {
-		t.Errorf("CommandLine = %v, want %v", got, want)
+	if got := c.ExplicitArgs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("ExplicitArgs = %v, want %v", got, want)
 	}
 	if got, want := c.Key(), "UseG1GC=true,UseParallelGC=true"; got != want {
 		t.Errorf("Key = %q, want %q", got, want)

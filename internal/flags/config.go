@@ -319,7 +319,7 @@ func (c *Config) Clone() *Config {
 // assignments of flags whose explicitness matters (Flag.ExplicitMatters)
 // even at the default. It is everything the VM can tell apart, so two
 // configs with equal Keys behave identically: the runner caches results
-// by Key, and CommandLine renders the same form as arguments.
+// by Key, and ExplicitArgs renders the same form as arguments.
 //
 // The result is memoized until the next write. The first Key call counts as
 // a mutation for concurrency purposes: key a config before sharing it across
@@ -363,7 +363,7 @@ func (c *Config) AppendKey(dst []byte) []byte {
 }
 
 // Canonical returns a copy of c that holds only its canonical form (see
-// Key): the configuration ParseArgs rebuilds from c.CommandLine(), with
+// Key): the configuration ParseArgs rebuilds from c.ExplicitArgs(), with
 // the same Key and an explicit set that round-trips.
 func (c *Config) Canonical() *Config {
 	out := NewConfig(c.reg)

@@ -203,8 +203,8 @@ func TestDefaultConfigMatchesRegistry(t *testing.T) {
 	if got, want := d.Key(), "UseParallelGC=true"; got != want {
 		t.Errorf("DefaultConfig key = %q, want %q", got, want)
 	}
-	if got, want := d.CommandLine(), []string{"-XX:+UseParallelGC"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("DefaultConfig CommandLine = %v, want %v", got, want)
+	if got, want := d.ExplicitArgs(), []string{"-XX:+UseParallelGC"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("DefaultConfig ExplicitArgs = %v, want %v", got, want)
 	}
 	if !d.AtDefaults() {
 		t.Error("DefaultConfig is not AtDefaults")

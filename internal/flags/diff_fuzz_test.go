@@ -148,8 +148,8 @@ func (c *mapConfig) key() string {
 }
 
 // renderArgs mirrors the retired fmt-based renderer under the canonical
-// rule, the one form behind both CommandLine and ExplicitArgs: one
-// formatted string per argument.
+// rule, the one form behind ExplicitArgs: one formatted string per
+// argument.
 func (c *mapConfig) renderArgs() []string {
 	var args []string
 	needExperimental, needDiagnostic := false, false
@@ -323,7 +323,7 @@ func fuzzRegistry(t testing.TB) *Registry {
 
 // FuzzPackedMapEquivalence feeds arbitrary java-style argument lines to the
 // packed parser and the map-based reference, then asserts the observables
-// every persisted format depends on — Key, CommandLine, ExplicitArgs, and
+// every persisted format depends on — Key, ExplicitArgs, and
 // Validate — are byte-identical, and that a rejected enum choice fails
 // with the reference's exact text. Seeded with the round-trip corpus, an
 // enum-heavy line and G1 next to an explicit -XX:+UseParallelGC.
@@ -368,13 +368,9 @@ func FuzzPackedMapEquivalence(f *testing.F) {
 		if pk, rk := packed.Key(), ref.key(); pk != rk {
 			t.Fatalf("Key diverged on %q:\n  packed %q\n  map    %q", args, pk, rk)
 		}
-		// Both names of the one rendering, argument by argument: the
-		// transport ships ExplicitArgs, and a nil list (no "args" field on
-		// the wire) must stay apart from an empty one.
+		// The rendering, argument by argument: a nil list (no "args"
+		// field on the wire) must stay apart from an empty one.
 		rc := ref.renderArgs()
-		if pc := packed.CommandLine(); !reflect.DeepEqual(pc, rc) {
-			t.Fatalf("CommandLine diverged on %q:\n  packed %q\n  map    %q", args, pc, rc)
-		}
 		if pe := packed.ExplicitArgs(); !reflect.DeepEqual(pe, rc) {
 			t.Fatalf("ExplicitArgs diverged on %q:\n  packed %q\n  map    %q", args, pe, rc)
 		}

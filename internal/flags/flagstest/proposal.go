@@ -78,7 +78,7 @@ func Widen(c *flags.Config, ids []flags.ID) *flags.Config {
 }
 
 // WideArgs renders every explicit assignment of c as a java-style
-// argument, explicit defaults included. CommandLine and ExplicitArgs ship
+// argument, explicit defaults included. ExplicitArgs ships
 // only the canonical form (about ten args for a Proposal); WideArgs of a
 // WideProposal is the ~350-arg width older builds sent, which nodes still
 // accept up to dispatch.MaxArgs. It parses back to c's Key.

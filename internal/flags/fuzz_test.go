@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzCommandLineRoundTrip checks the command-line codec's core invariant:
-// any argument list that parses renders (via CommandLine) to its
+// any argument list that parses renders (via ExplicitArgs) to its
 // canonical form, and parsing that reproduces the canonical form exactly:
 // the same key, the same explicit assignments, the same rendering. The
 // seed corpus in testdata/fuzz replays on every normal `go test` run.
@@ -33,7 +33,7 @@ func FuzzCommandLineRoundTrip(f *testing.F) {
 			// Rejected input is fine; the invariant covers accepted input.
 			t.Skip()
 		}
-		rendered := cfg.CommandLine()
+		rendered := cfg.ExplicitArgs()
 		back, err := ParseArgs(reg, rendered)
 		if err != nil {
 			t.Fatalf("accepted %q but rejected its own rendering %q: %v", args, rendered, err)
@@ -55,7 +55,7 @@ func FuzzCommandLineRoundTrip(f *testing.F) {
 		}
 		// Rendering must be a fixed point: rendering the re-parse gives the
 		// same command line again.
-		if again := strings.Join(back.CommandLine(), " "); again != strings.Join(rendered, " ") {
+		if again := strings.Join(back.ExplicitArgs(), " "); again != strings.Join(rendered, " ") {
 			t.Fatalf("rendering is not canonical: %q then %q", rendered, again)
 		}
 	})

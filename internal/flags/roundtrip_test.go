@@ -22,7 +22,7 @@ func TestCommandLineRoundTripProperty(t *testing.T) {
 			name := names[rng.Intn(len(names))]
 			c.put(name, SampleValue(reg.Lookup(name), rng))
 		}
-		args := c.CommandLine()
+		args := c.ExplicitArgs()
 		parsed, err := ParseArgs(reg, args)
 		if err != nil {
 			t.Fatalf("trial %d: cannot parse own rendering %v: %v", trial, args, err)
@@ -91,7 +91,7 @@ func TestKeyDeterminesCommandLineProperty(t *testing.T) {
 		}
 		key := c.Key()
 		rendered := ""
-		for _, a := range c.CommandLine() {
+		for _, a := range c.ExplicitArgs() {
 			rendered += a + " "
 		}
 		if prev, ok := seen[key]; ok && prev != rendered {

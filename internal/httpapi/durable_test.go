@@ -233,7 +233,7 @@ func TestDurableServerRefusesCorruptJournalHead(t *testing.T) {
 // invariant: whatever ends up on the done list, a queued or running job
 // must never be evicted from the store.
 func TestEvictNeverDropsLiveJobs(t *testing.T) {
-	s := NewServerWith(Config{MaxConcurrent: 1, MaxJobs: 2})
+	s := newServer(t, Config{MaxConcurrent: 1, MaxJobs: 2})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.jobs[1] = &Job{ID: 1, State: "running"}

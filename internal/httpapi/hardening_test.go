@@ -25,7 +25,7 @@ func stubTune(t *testing.T, fn func(ctx context.Context, opts hotspot.Options) (
 
 func newBoundedServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s := NewServerWith(cfg)
+	s := newServer(t, cfg)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -265,7 +265,7 @@ func DefaultConfig() Config { return Config{MaxConcurrent: 4, MaxJobs: 256} }
 // slow, failing, or panicking implementations.
 var tuneFn = hotspot.TuneContext
 
-// Server is the HTTP front-end. Create with NewServer or NewServerWith; it
+// Server is the HTTP front-end. Create with NewDurableServer; it
 // implements http.Handler.
 type Server struct {
 	mux     *http.ServeMux
@@ -295,21 +295,6 @@ type Server struct {
 	// admit and maxQueueDepth are the overload controls (see admission.go).
 	admit         *admission
 	maxQueueDepth int
-}
-
-// NewServer builds a ready-to-serve handler with default bounds.
-func NewServer() *Server { return NewServerWith(DefaultConfig()) }
-
-// NewServerWith builds a ready-to-serve handler with the given bounds and
-// starts its worker pool. It panics if cfg.StateDir is set and recovery
-// fails; durable deployments should call NewDurableServer and handle the
-// error (an in-memory config can never fail).
-func NewServerWith(cfg Config) *Server {
-	s, err := NewDurableServer(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // routes mounts the handler table. Every route is tagged with a priority

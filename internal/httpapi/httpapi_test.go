@@ -14,9 +14,20 @@ import (
 	"repro/internal/flags"
 )
 
+// newServer builds a server over cfg, failing the test if its recovery
+// fails.
+func newServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	s, err := NewDurableServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := NewServer()
+	s := newServer(t, DefaultConfig())
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts

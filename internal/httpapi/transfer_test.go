@@ -12,7 +12,7 @@ import (
 func TestTuneTransferJob(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TransferDir = t.TempDir()
-	s := NewServerWith(cfg)
+	s := newServer(t, cfg)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 

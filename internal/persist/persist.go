@@ -82,7 +82,7 @@ func FromOutcome(o *core.Outcome) *SavedOutcome {
 		BestFlags:      map[string]string{},
 	}
 	if o.Best != nil {
-		s.CommandLine = o.Best.CommandLine()
+		s.CommandLine = o.Best.ExplicitArgs()
 		reg := o.Best.Registry()
 		for _, name := range o.Best.Diff(flags.NewConfig(reg)) {
 			f := reg.Lookup(name)
@@ -120,17 +120,10 @@ func Read(r io.Reader) (*SavedOutcome, error) {
 	return &s, nil
 }
 
-// SaveFile writes the outcome to path atomically (checkpoint.ReplaceFile):
-// the JSON goes to a temporary file in the same directory, is fsynced, and
-// is renamed over path. A crash mid-save leaves either the old file or the
+// SaveFile writes s to path atomically (checkpoint.ReplaceFile): the JSON
+// goes to a temporary file in the same directory, is fsynced, and is
+// renamed over path. A crash mid-save leaves either the old file or the
 // new one, never a truncated hybrid.
-func SaveFile(path string, o *core.Outcome) error {
-	return FromOutcome(o).SaveFile(path)
-}
-
-// SaveFile writes s to path with the same atomic replace as the
-// package-level SaveFile. Use this form when the caller decorates the
-// converted outcome (e.g. with transfer provenance) before archiving it.
 func (s *SavedOutcome) SaveFile(path string) error {
 	var b bytes.Buffer
 	if err := s.Write(&b); err != nil {

@@ -79,7 +79,7 @@ func TestBestFlagsMapMatchesDiff(t *testing.T) {
 func TestSaveLoadFile(t *testing.T) {
 	out := sampleOutcome(t)
 	path := filepath.Join(t.TempDir(), "outcome.json")
-	if err := SaveFile(path, out); err != nil {
+	if err := FromOutcome(out).SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadFile(path)
@@ -102,7 +102,7 @@ func TestSaveFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "outcome.json")
 	for i := 0; i < 2; i++ { // second pass overwrites the first
-		if err := SaveFile(path, out); err != nil {
+		if err := FromOutcome(out).SaveFile(path); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestSaveFileAtomic(t *testing.T) {
 	}
 
 	// A save into a nonexistent directory fails without touching anything.
-	if err := SaveFile(filepath.Join(dir, "no", "dir", "x.json"), out); err == nil {
+	if err := FromOutcome(out).SaveFile(filepath.Join(dir, "no", "dir", "x.json")); err == nil {
 		t.Fatal("save into a missing directory should error")
 	}
 	if _, err := LoadFile(path); err != nil {
@@ -132,7 +132,7 @@ func TestSaveFileMode(t *testing.T) {
 	out := sampleOutcome(t)
 	path := filepath.Join(t.TempDir(), "outcome.json")
 	for i := 0; i < 2; i++ {
-		if err := SaveFile(path, out); err != nil {
+		if err := FromOutcome(out).SaveFile(path); err != nil {
 			t.Fatal(err)
 		}
 		fi, err := os.Stat(path)

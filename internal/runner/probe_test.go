@@ -41,7 +41,11 @@ func TestProbePairEveryRunner(t *testing.T) {
 		return func(t *testing.T) runner.Runner {
 			ts := httptest.NewServer(evald.New(evald.Config{Node: "n0"}))
 			t.Cleanup(ts.Close)
-			r, err := dispatch.NewPool(p, dispatch.NewRemote(strings.TrimPrefix(ts.URL, "http://")))
+			rem, err := dispatch.NewSecureRemote(strings.TrimPrefix(ts.URL, "http://"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := dispatch.NewPool(p, rem)
 			if err != nil {
 				t.Fatal(err)
 			}

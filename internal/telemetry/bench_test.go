@@ -4,9 +4,10 @@ import (
 	"testing"
 )
 
-// The registry's design claim is negligible contention at high worker
-// counts: a counter increment is one atomic add on a sharded, padded cell.
-// Run with -cpu to see the parallel scaling.
+// A counter increment is one atomic add on one word. BenchmarkCounterInc
+// hammers one held counter from every CPU, which no caller does: callers
+// look their counter up by name first (BenchmarkRegistryLookup). Run with
+// -cpu to see the parallel scaling.
 
 func BenchmarkCounterInc(b *testing.B) {
 	c := New().Counter("c_total")

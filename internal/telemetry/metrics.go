@@ -8,7 +8,7 @@
 // *Counter, *Gauge, *Histogram, or *Tracer are no-ops (or return zero), so
 // instrumented code paths pay a single predictable branch when telemetry is
 // switched off instead of threading conditionals everywhere. The hot-path
-// cost of the live counters is one atomic add on a sharded cell; see
+// cost of a live counter is one atomic add on one word; see
 // BenchmarkCounter* for the measured numbers.
 package telemetry
 
@@ -16,34 +16,11 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-	"unsafe"
 )
 
-// counterShards is the number of independent cells a Counter stripes its
-// value across. Must be a power of two.
-const counterShards = 16
-
-// cell is one padded counter stripe. The padding keeps adjacent cells on
-// separate cache lines so concurrent workers do not false-share.
-type cell struct {
-	n uint64
-	_ [7]uint64
-}
-
-// shardIndex picks a stripe for the calling goroutine. Goroutine stacks are
-// distinct allocations, so the address of a stack variable is a cheap,
-// allocation-free way to spread concurrent writers across cells; perfect
-// distribution is not required, only that a hot counter is not a single
-// contended word.
-func shardIndex() int {
-	var b byte
-	return int((uintptr(unsafe.Pointer(&b)) >> 10) & (counterShards - 1))
-}
-
-// Counter is a monotonically increasing sum, striped across padded cells so
-// many workers can bump it with negligible contention.
+// Counter is a monotonically increasing sum.
 type Counter struct {
-	cells [counterShards]cell
+	n atomic.Uint64
 }
 
 // Inc adds one.
@@ -54,19 +31,15 @@ func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	atomic.AddUint64(&c.cells[shardIndex()].n, n)
+	c.n.Add(n)
 }
 
-// Value returns the current sum across all stripes.
+// Value returns the current sum.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	var sum uint64
-	for i := range c.cells {
-		sum += atomic.LoadUint64(&c.cells[i].n)
-	}
-	return sum
+	return c.n.Load()
 }
 
 // Gauge is a float64 instantaneous value (queue depth, best score so far).
