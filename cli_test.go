@@ -358,6 +358,12 @@ func TestEveryEntryPointRefusesBadOptions(t *testing.T) {
 			[]string{"-transfer-k", "-1"}, ""},
 		{"negative dispatch batch", hotspot.Options{DispatchBatch: -1},
 			[]string{"-batch", "-1"}, ""},
+		// Noise has no CLI flag and no job-request field: these rows
+		// have no CLI or POST leg.
+		{"NaN noise", hotspot.Options{Noise: math.NaN()}, nil, ""},
+		{"infinite noise", hotspot.Options{Noise: math.Inf(1)}, nil, ""},
+		{"noise 1e300", hotspot.Options{Noise: 1e300}, nil, ""},
+		{"noise above the fleet's bound", hotspot.Options{Noise: 2}, nil, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := t.TempDir()

@@ -18,6 +18,16 @@
 // fail the check, so the suite can grow. It compares the recorded medians:
 // one sample of a session benchmark can stray further than the threshold
 // on an unchanged binary.
+//
+// pairs reads the JSONL that scripts/ab.sh appends (prodbench runs of two
+// revisions, a and b, in alternating pairs) and prints one markdown table
+// per workload and seed: every metric's median and quartiles on each
+// side, the ratio of the medians, the pairs b won (by the direction
+// BENCHMARK.json declares) and whether b's median is better than a's by
+// more than a's interquartile range.
+//
+//	scripts/ab.sh 1100d3d HEAD inproc-search 10
+//	benchdiff pairs .bench_build/ab/inproc-search-seed1.jsonl
 package main
 
 import (
@@ -57,6 +67,8 @@ func main() {
 		cmdFmt(os.Args[2:])
 	case "check":
 		cmdCheck(os.Args[2:])
+	case "pairs":
+		cmdPairs(os.Args[2:])
 	default:
 		usage()
 	}
@@ -65,6 +77,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: benchdiff fmt [-o file] [-note text] < bench-output")
 	fmt.Fprintln(os.Stderr, "       benchdiff check OLD.json NEW.json")
+	fmt.Fprintln(os.Stderr, "       benchdiff pairs [-spec BENCHMARK.json] RUNS.jsonl")
 	os.Exit(2)
 }
 

@@ -87,3 +87,42 @@ func TestCheckComparesOneHost(t *testing.T) {
 		}
 	}
 }
+
+// TestPairsTable: the pairs table reports each side's median and
+// quartiles, the ratio of the medians, the pairs b won by the declared
+// direction (a tie is no win, a pair missing a side is not counted), and
+// whether b's median clears a's interquartile range.
+func TestPairsTable(t *testing.T) {
+	line := func(pair int, side string, tps, rss float64) string {
+		return fmt.Sprintf(`{"pair":%d,"side":%q,"rev":"%s","workload":"inproc-search","seed":1,`+
+			`"result":{"correct":true,"attempted":9,"failed":0,"metrics":{"trials_per_s":{"value":%g,"unit":"1/s"},"peak_rss_mb":{"value":%g,"unit":"MiB"}}}}`,
+			pair, side, map[string]string{"a": "1100d3df50437c73", "b": "abcdef0123456789"}[side], tps, rss)
+	}
+	in := strings.Join([]string{
+		line(1, "a", 100, 16), line(1, "b", 130, 16),
+		line(2, "b", 125, 15), line(2, "a", 104, 16),
+		line(3, "a", 98, 16), line(3, "b", 98, 17),
+		line(4, "a", 102, 16), line(4, "b", 128, 15),
+		line(5, "b", 200, 15),
+	}, "\n")
+	runs, err := readRuns(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := pairsTable(&out, runs, map[string]string{"trials_per_s": "higher", "peak_rss_mb": "lower"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"inproc-search, seed 1: a = 1100d3d (4 runs), b = abcdef0 (5 runs); runs not correct: a 0, b 0",
+		"| trials_per_s (1/s) | 101 [99.5, 102.5] | 128 [125, 130] | 1.267 | 3/4 | yes |",
+		"| peak_rss_mb (MiB) | 16 [16, 16] | 15 [15, 16] | 0.938 | 2/4 | yes |",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("table lacks %q:\n%s", want, out.String())
+		}
+	}
+	if _, err := readRuns(strings.NewReader(`{"pair":1,"side":"c"}`)); err == nil {
+		t.Error("a side other than a and b was read")
+	}
+}

@@ -266,6 +266,26 @@ func TestCLIDistDrillMembership(t *testing.T) {
 
 	// Both nodes join the live controller over mTLS. The session is already
 	// running against an empty fleet, held by the dynamic pool's join grace.
+	// The nodes start once the controller answers: a node whose first
+	// registration beats the listener retries only at its next
+	// -join-interval tick, and the session can end before that tick.
+	// /metrics is scraped over the fleet's own mutual TLS — the drill
+	// proves the authenticated wire end to end.
+	sec := &dispatch.Security{CertFile: ctrlCert, KeyFile: ctrlKey, CAFile: ca.File}
+	client, err := sec.HTTPClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for listenDeadline := time.Now().Add(20 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		resp, err := client.Get(sec.Scheme() + "://" + fleetAddr + "/")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(listenDeadline) {
+			t.Fatalf("controller never listened on %s: %v", fleetAddr, err)
+		}
+	}
 	nodes := make([]*exec.Cmd, len(nodeAddrs))
 	for i, addr := range nodeAddrs {
 		cmd := exec.Command(evald,
@@ -288,14 +308,7 @@ func TestCLIDistDrillMembership(t *testing.T) {
 
 	// SIGTERM the second node the moment it has served a trial: it must
 	// deregister (journaled drain) and exit cleanly, while the controller
-	// re-dispatches whatever it still owed. /metrics is scraped over the
-	// fleet's own mutual TLS — the drill proves the authenticated wire end
-	// to end.
-	sec := &dispatch.Security{CertFile: ctrlCert, KeyFile: ctrlKey, CAFile: ca.File}
-	client, err := sec.HTTPClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// re-dispatches whatever it still owed.
 	victim := nodeAddrs[1]
 	served := 0
 	killDeadline := time.Now().Add(20 * time.Second)

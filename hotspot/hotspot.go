@@ -87,7 +87,9 @@ type Options struct {
 	// identical sessions.
 	Seed int64
 	// Noise overrides run-to-run measurement noise (relative stddev);
-	// negative means the default (1.5%).
+	// negative means the default (1.5%). NaN and levels above
+	// dispatch.MaxNoise, which the fleet refuses, are refused (see
+	// CheckOptions).
 	Noise float64
 	// JVMSimPath, when non-empty, measures through the cmd/jvmsim binary at
 	// this path via subprocesses instead of in-process calls.
@@ -424,10 +426,11 @@ const MaxWorkers = 64
 // outside [0, dispatch.MaxReps] (the most the fleet wire carries), a
 // BudgetMinutes that is negative or whose seconds are not finite (a
 // session that never ends), a RealBudgetSeconds that is negative or not
-// finite, a negative RetryAttempts, MaxTrials, CheckpointEveryTrials,
-// TransferK or DispatchBatch, an Objective other than "", "throughput"
-// and "pause", a DriftSensitivity without Drift or not
-// positive and finite, Resume without CheckpointPath, both a fleet and
+// finite, a Noise that is NaN or above dispatch.MaxNoise (the most the
+// fleet measures at), a negative RetryAttempts, MaxTrials,
+// CheckpointEveryTrials, TransferK or DispatchBatch, an Objective other
+// than "", "throughput" and "pause", a DriftSensitivity without Drift or
+// not positive and finite, Resume without CheckpointPath, both a fleet and
 // JVMSimPath, a Chaos plan that does not parse, and node-down faults
 // without a fleet. Zero means the default of each number. Tune and
 // TuneCommon run it before they open, build or measure anything, and the
@@ -461,6 +464,8 @@ func checkOptions(opts Options) (prof *Profile, plan faultinject.Plan, err error
 		err = fmt.Errorf("hotspot: BudgetMinutes must be non-negative with finite seconds, got %v", opts.BudgetMinutes)
 	case wall < 0 || math.IsNaN(wall) || math.IsInf(wall, 0):
 		err = fmt.Errorf("hotspot: RealBudgetSeconds must be non-negative and finite, got %v", wall)
+	case opts.Noise > dispatch.MaxNoise || math.IsNaN(opts.Noise):
+		err = fmt.Errorf("hotspot: Noise must be a number at most %v (negative means the default), got %v", dispatch.MaxNoise, opts.Noise)
 	case min(opts.RetryAttempts, opts.MaxTrials, opts.CheckpointEveryTrials, opts.TransferK, opts.DispatchBatch) < 0:
 		err = fmt.Errorf("hotspot: a count is negative: RetryAttempts %d, MaxTrials %d, CheckpointEveryTrials %d, TransferK %d, DispatchBatch %d",
 			opts.RetryAttempts, opts.MaxTrials, opts.CheckpointEveryTrials, opts.TransferK, opts.DispatchBatch)

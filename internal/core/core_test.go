@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/flags"
@@ -349,5 +351,66 @@ func TestSessionWithCustomRegistryAndDefaults(t *testing.T) {
 	}
 	if out.Best.Registry() != reg {
 		t.Error("best config should be bound to the provided registry")
+	}
+}
+
+// TestConcurrentSessionsShareTree: sessions that set no Tree share the
+// process's one flag tree. Run concurrently (under -race in make verify),
+// they read it without a data race and reach the outcomes they reach one
+// at a time, with the hierarchical, surrogate and quarantine paths
+// reading the tree.
+func TestConcurrentSessionsShareTree(t *testing.T) {
+	type run struct {
+		bench, searcher string
+		seed            int64
+		quarantine      bool
+	}
+	runs := []run{
+		{"h2", "hierarchical", 3, false},
+		{"fop", "surrogate", 4, false},
+		{"xalan", "hierarchical", 5, true},
+		{"h2", "genetic-flat", 6, false},
+	}
+	session := func(r run) *Session {
+		s := newSession(t, r.bench, r.searcher, 900, r.seed)
+		s.Workers = 2
+		if r.quarantine {
+			s.Quarantine = &QuarantinePolicy{}
+		}
+		return s
+	}
+	fingerprint := func(out *Outcome) string {
+		return fmt.Sprintf("%d trials, best %v %q", out.Trials, out.BestWall, out.Best.Key())
+	}
+	want := make([]string, len(runs))
+	for i, r := range runs {
+		out, err := session(r).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fingerprint(out)
+	}
+	got := make([]string, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		s := session(r)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := s.Run()
+			if errs[i] = err; err == nil {
+				got[i] = fingerprint(out)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("%+v: concurrent session %s, alone %s", runs[i], got[i], want[i])
+		}
 	}
 }

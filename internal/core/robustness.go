@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/flags"
@@ -51,11 +52,12 @@ func (HedgePolicy) String() string {
 		hedgePercentile, hedgeFactor, hedgeWindow, hedgeMinSamples, hedgeMinSeconds)
 }
 
-// hedger is the watchdog state: a ring of recent delivered trial costs and
-// the win/loss accounting.
+// hedger is the watchdog state: a ring of recent delivered trial costs,
+// the same costs kept sorted beside it, and the win/loss accounting.
 type hedger struct {
-	costs []float64
-	next  int
+	costs  []float64
+	next   int
+	sorted []float64 // costs in sort.Float64s order (NaN first)
 
 	hedges int
 	wins   int
@@ -63,32 +65,45 @@ type hedger struct {
 }
 
 func newHedger() *hedger {
-	return &hedger{costs: make([]float64, 0, hedgeWindow)}
+	return &hedger{costs: make([]float64, 0, hedgeWindow), sorted: make([]float64, 0, hedgeWindow)}
 }
 
-// observe feeds one delivered trial's effective cost into the window.
+// costBefore is sort.Float64s's order: a NaN sorts before every number.
+func costBefore(x, y float64) bool {
+	return x < y || (math.IsNaN(x) && !math.IsNaN(y))
+}
+
+// sortedIndex returns where v belongs in h.sorted: the first position
+// whose cost does not sort before v. An equal cost already held is there.
+func (h *hedger) sortedIndex(v float64) int {
+	return sort.Search(len(h.sorted), func(i int) bool { return !costBefore(h.sorted[i], v) })
+}
+
+// observe feeds one delivered trial's effective cost into the window. The
+// sorted copy drops the evicted cost and takes the new one by binary
+// search, so deadline reads a percentile without sorting.
 func (h *hedger) observe(cost float64) {
 	if cost <= 0 {
 		return
 	}
 	if len(h.costs) < hedgeWindow {
 		h.costs = append(h.costs, cost)
-		return
+	} else {
+		i := h.sortedIndex(h.costs[h.next])
+		h.sorted = slices.Delete(h.sorted, i, i+1)
+		h.costs[h.next] = cost
+		h.next = (h.next + 1) % hedgeWindow
 	}
-	h.costs[h.next] = cost
-	h.next = (h.next + 1) % hedgeWindow
+	h.sorted = slices.Insert(h.sorted, h.sortedIndex(cost), cost)
 }
 
 // deadline returns the current straggler deadline, or false while the
 // window is too small to arm the watchdog.
 func (h *hedger) deadline() (float64, bool) {
-	n := len(h.costs)
+	n := len(h.sorted)
 	if n < hedgeMinSamples {
 		return 0, false
 	}
-	sorted := make([]float64, n)
-	copy(sorted, h.costs)
-	sort.Float64s(sorted)
 	idx := int(math.Ceil(hedgePercentile*float64(n))) - 1
 	if idx < 0 {
 		idx = 0
@@ -96,7 +111,7 @@ func (h *hedger) deadline() (float64, bool) {
 	if idx >= n {
 		idx = n - 1
 	}
-	d := sorted[idx] * hedgeFactor
+	d := h.sorted[idx] * hedgeFactor
 	if d < hedgeMinSeconds {
 		d = hedgeMinSeconds
 	}

@@ -3,6 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -58,6 +62,56 @@ func TestHedgerDeadline(t *testing.T) {
 	h2.observe(-1)
 	if _, armed := h2.deadline(); armed {
 		t.Fatal("zero-cost observations armed the watchdog")
+	}
+}
+
+// TestHedgerSortedWindowMatchesSort: the sorted copy the hedger keeps
+// beside its ring equals copying the ring and sorting it with
+// sort.Float64s after every observation, over random windows with many
+// ties, costs the window refuses (zero, negative) and ones nothing
+// upstream refuses (+Inf, NaN, which sort.Float64s puts first); and the
+// deadline equals the one read from that sort.
+func TestHedgerSortedWindowMatchesSort(t *testing.T) {
+	same := func(x, y float64) bool { return x == y || math.IsNaN(x) && math.IsNaN(y) }
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := newHedger()
+		for step := 0; step < 600; step++ {
+			var cost float64
+			switch r := rng.Intn(100); {
+			case r < 2:
+				cost = math.NaN()
+			case r < 4:
+				cost = math.Inf(1)
+			case r < 8:
+				cost = -rng.Float64() * float64(rng.Intn(2))
+			case r < 60:
+				cost = float64(1 + rng.Intn(6)) // ties
+			default:
+				cost = rng.ExpFloat64() * 20
+			}
+			h.observe(cost)
+			want := slices.Clone(h.costs)
+			sort.Float64s(want)
+			if !slices.EqualFunc(h.sorted, want, same) {
+				t.Fatalf("seed %d, step %d (cost %v):\n  sorted %v\n  want   %v", seed, step, cost, h.sorted, want)
+			}
+			got, armed := h.deadline()
+			if wantArmed := len(want) >= hedgeMinSamples; armed != wantArmed {
+				t.Fatalf("seed %d, step %d: armed %v with %d costs", seed, step, armed, len(want))
+			}
+			if !armed {
+				continue
+			}
+			idx := min(max(int(math.Ceil(hedgePercentile*float64(len(want))))-1, 0), len(want)-1)
+			d := want[idx] * hedgeFactor
+			if d < hedgeMinSeconds {
+				d = hedgeMinSeconds
+			}
+			if !same(got, d) {
+				t.Fatalf("seed %d, step %d: deadline %v, copy-and-sort %v", seed, step, got, d)
+			}
+		}
 	}
 }
 

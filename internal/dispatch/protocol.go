@@ -27,6 +27,11 @@ const (
 	MaxReps = 1024
 	// MaxArgs bounds the command-line argument count per request.
 	MaxArgs = 4096
+	// MaxNoise bounds the simulator noise level (relative stddev) a trial
+	// may ask for; hotspot.CheckOptions refuses a session's noise past it
+	// too. The wire carries no NaN (internal/bincode writes and reads
+	// finite floats only).
+	MaxNoise = 1.0
 )
 
 // Rejection codes carried in ErrorEnvelope.Code. Stable wire contract.
@@ -148,7 +153,7 @@ func (q *TrialRequest) Validate() error {
 		return reject(CodeBadPayload, "dispatch: %d args exceed limit %d", len(q.Args), MaxArgs)
 	case q.TimeoutSeconds < 0 || q.TimeoutSeconds > 1e9:
 		return reject(CodeBadPayload, "dispatch: timeout %g out of range", q.TimeoutSeconds)
-	case q.Noise > 1:
+	case q.Noise > MaxNoise:
 		return reject(CodeBadPayload, "dispatch: noise %g out of range", q.Noise)
 	case q.Phase < 0 || q.Phase > 1<<20:
 		return reject(CodeBadPayload, "dispatch: phase %d out of range", q.Phase)

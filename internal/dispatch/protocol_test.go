@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -112,6 +113,7 @@ func TestDecodeTrialRequestRejections(t *testing.T) {
 		{"negative rep base", func(q *TrialRequest) { q.RepBase = -1 }},
 		{"negative timeout", func(q *TrialRequest) { q.TimeoutSeconds = -5 }},
 		{"absurd noise", func(q *TrialRequest) { q.Noise = 40 }},
+		{"noise just past the bound", func(q *TrialRequest) { q.Noise = math.Nextafter(MaxNoise, 2) }},
 	}
 	for _, c := range trials {
 		t.Run(c.name, func(t *testing.T) {

@@ -193,23 +193,6 @@ func (c *Config) GetID(id ID) Value {
 	return c.reg.byID[id].Default
 }
 
-// seek returns the effective value of id like GetID, advancing the cursor
-// *i through c's explicit list. IDs asked for in ascending order, as
-// ActiveFlags and TunableIDs list them, cost one walk of the list in all;
-// an ID the cursor has already passed falls back to GetID.
-func (c *Config) seek(i *int, id ID) Value {
-	for *i < len(c.ids) && c.ids[*i] < id {
-		*i++
-	}
-	switch {
-	case *i < len(c.ids) && c.ids[*i] == id:
-		return c.vals[*i]
-	case *i > 0 && c.ids[*i-1] >= id:
-		return c.GetID(id)
-	}
-	return c.reg.byID[id].Default
-}
-
 // Bool returns the effective boolean value of name.
 // It panics on unknown names or type mismatches.
 func (c *Config) Bool(name string) bool {

@@ -331,30 +331,3 @@ func TestDiffMatchesFullWalk(t *testing.T) {
 		}
 	}
 }
-
-// TestSeekMatchesGetID: the crossover's cursor must read every flag as
-// GetID does, whether asked in ascending order or not, including IDs the
-// cursor stepped past exactly.
-func TestSeekMatchesGetID(t *testing.T) {
-	reg := NewRegistry()
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 500; trial++ {
-		c := NewConfig(reg)
-		for i := rng.Intn(400); i > 0; i-- {
-			id := ID(rng.Intn(reg.Len()))
-			c.putID(id, SampleValue(reg.byID[id], rng))
-		}
-		cur, id := 0, ID(0)
-		for k := 0; k < 400; k++ {
-			if rng.Intn(4) == 0 {
-				id = ID(rng.Intn(reg.Len()))
-			} else {
-				id = (id + ID(rng.Intn(5))) % ID(reg.Len())
-			}
-			from := cur
-			if got, want := c.seek(&cur, id), c.GetID(id); got != want {
-				t.Fatalf("trial %d: seek(%d) from cursor %d = %+v, GetID %+v", trial, id, from, got, want)
-			}
-		}
-	}
-}

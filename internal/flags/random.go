@@ -127,26 +127,41 @@ func MutateFlag(c *Config, id ID, rng *rand.Rand) {
 
 // Crossover returns a child configuration that inherits each of the flags
 // ids' effective values from parent a or b with equal probability, one
-// rng.Intn(2) draw per flag in the order given. Flags outside ids stay at
-// their defaults.
+// draw per flag in the order given. Flags outside ids stay at their
+// defaults. The draw is rng.Int63()>>32&1, exactly the value rng.Intn(2)
+// returns, without Intn's chain of calls: 1 takes a's value, 0 takes b's.
 //
 // The child holds only its canonical form (see Key): an inherited value
 // is stored when it is off its default or its flag's explicitness
 // matters, so a child of a few hundred active flags stores the dozen or
 // so that its key keeps. When an ID repeats in ids the later draw wins,
 // and a later draw of the default unsets the ID.
+//
+// The work follows what the parents hold, not the length of ids. For
+// each ID it ORs three bitsets over the ID's 64-ID word: both parents'
+// explicit IDs and the registry's mask of ExplicitMatters flags. An ID
+// outside that union inherits a default that the canonical form leaves
+// out, and the child cannot hold it from an earlier draw either (it holds
+// only IDs inside the union), so the loop draws and moves on without
+// reading a value or touching the child. The same loop serves any order
+// and repeated IDs.
 func Crossover(a, b *Config, ids []ID, rng *rand.Rand) *Config {
 	if a.reg != b.reg {
 		panic("flags: Crossover across registries")
 	}
-	child := NewConfig(a.reg)
-	var ia, ib int // cursors into a's and b's explicit lists
+	reg := a.reg
+	child := NewConfig(reg)
 	for _, id := range ids {
-		src, i := a, &ia
-		if rng.Intn(2) == 0 {
-			src, i = b, &ib
+		fromA := rng.Int63()>>32&1 != 0
+		w, bit := id/64, uint64(1)<<(uint(id)%64)
+		if (a.index[w].bits|b.index[w].bits|reg.matters[w])&bit == 0 {
+			continue
 		}
-		if v := src.seek(i, id); a.reg.byID[id].canonical(v) {
+		src := b
+		if fromA {
+			src = a
+		}
+		if v := src.GetID(id); reg.byID[id].canonical(v) {
 			child.putID(id, v)
 		} else {
 			child.UnsetID(id)

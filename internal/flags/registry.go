@@ -35,6 +35,7 @@ type Registry struct {
 	idOf       map[string]ID
 	tunable    []string // sorted names of Tunable() flags, precomputed
 	tunableIDs []ID     // their IDs, in the same (ID) order
+	matters    []uint64 // bitset over IDs of the ExplicitMatters flags
 
 	// scratch recycles Configs for AcquireConfig/ReleaseConfig: a parsed
 	// Config grows its value arrays to the width of what it holds, which
@@ -102,9 +103,13 @@ func NewCustomRegistry(defs []Flag) (*Registry, error) {
 	sort.Strings(r.names)
 	r.byID = make([]*Flag, len(r.names))
 	r.idOf = make(map[string]ID, len(r.names))
+	r.matters = make([]uint64, (len(r.names)+63)/64)
 	for i, n := range r.names {
 		r.byID[i] = r.byName[n]
 		r.idOf[n] = ID(i)
+		if r.byID[i].ExplicitMatters {
+			r.matters[i/64] |= uint64(1) << (i % 64)
+		}
 		if r.byID[i].Tunable() {
 			r.tunable = append(r.tunable, n)
 			r.tunableIDs = append(r.tunableIDs, ID(i))

@@ -2,21 +2,35 @@ package hierarchy
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/flags"
 )
 
-// Build assembles the standard HotSpot flag tree over reg, which must be
-// the standard catalog (flags.NewRegistry). The shape follows
-// the paper's description: top-level decision points for the garbage
-// collector and the compilation mode, subtrees of collector- and
-// mode-specific flags beneath them, shared subsystems (heap geometry, TLABs,
-// inlining, synchronization, runtime services) alongside, and a tail node
-// that absorbs every remaining tunable flag so the whole JVM stays in scope.
+// Build returns the standard HotSpot flag tree over reg, which must be
+// the standard catalog (flags.NewRegistry). The tree is built once per
+// process, on the first call, and every call returns that one instance,
+// so sessions share it instead of each building their own. A built tree
+// is read-only: its guards are pure functions of the configuration they
+// are given, and its nodes' ID lists are resolved during the build.
+// Callers must not modify its nodes, choices or branches.
 func Build(reg *flags.Registry) *Tree {
 	if reg != std {
 		panic("hierarchy: Build over a registry other than the standard catalog")
 	}
+	return standardTree()
+}
+
+var standardTree = sync.OnceValue(func() *Tree { return build(std) })
+
+// build assembles the standard tree over reg. The shape follows the
+// paper's description: top-level decision points for the garbage
+// collector and the compilation mode, subtrees of collector- and
+// mode-specific flags beneath them, shared subsystems (heap geometry,
+// TLABs, inlining, synchronization, runtime services) alongside, and a
+// tail node that absorbs every remaining tunable flag so the whole JVM
+// stays in scope.
+func build(reg *flags.Registry) *Tree {
 	collectorIs := func(want Collector) Guard {
 		return func(c *flags.Config) bool {
 			got, err := SelectedCollector(c)

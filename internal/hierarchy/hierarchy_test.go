@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -372,5 +373,43 @@ func TestForeignRegistryPanics(t *testing.T) {
 			}()
 			e.fn()
 		}()
+	}
+}
+
+// TestBuildSharesOneTree: every Build returns the process's one tree, and
+// that tree, after the sessions of earlier tests read it, answers as a
+// fresh build does — the same flags, choices, and active flags under each
+// branch combination and under random configurations.
+func TestBuildSharesOneTree(t *testing.T) {
+	reg := flags.NewRegistry()
+	shared := Build(reg)
+	if Build(reg) != shared {
+		t.Fatal("Build returned two trees")
+	}
+	fresh := build(reg)
+	if got, want := fmt.Sprint(shared.AllTreeFlags()), fmt.Sprint(fresh.AllTreeFlags()); got != want {
+		t.Fatalf("shared tree flags %s, fresh %s", got, want)
+	}
+	var configs []*flags.Config
+	for _, combo := range enumerateBranchCombos(shared.Choices()) {
+		c := flags.NewConfig(reg)
+		for _, b := range combo {
+			b.Apply(c)
+		}
+		configs = append(configs, c)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 50; i++ {
+		c := flags.NewConfig(reg)
+		flags.RandomizeFlags(c, reg.TunableIDs(), rng)
+		configs = append(configs, c)
+	}
+	for i, c := range configs {
+		if got, want := shared.ActiveFlags(c), fresh.ActiveFlags(c); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("config %d: shared tree activates %v, fresh build %v", i, got, want)
+		}
+	}
+	if got, want := fmt.Sprint(shared.SpaceSize()), fmt.Sprint(fresh.SpaceSize()); got != want {
+		t.Fatalf("SpaceSize: shared %s, fresh %s", got, want)
 	}
 }

@@ -41,9 +41,10 @@ func (s *Simulator) Run(c *flags.Config, p *workload.Profile, rep int) Result {
 // repBase+n-1) of profile p under configuration c, appending the results to
 // out and returning the extended slice. The model is evaluated once and only
 // the per-rep noise factor differs between repetitions, so scoring a batch
-// of reps costs one simulation plus n multiplications — this is the batch
-// entry point the in-process runner's hot loop uses. Results are bitwise
-// identical to calling Run with each rep index.
+// of reps costs one simulation, one hash of the configuration's key and
+// n short hash finishes — this is the batch entry point the in-process
+// runner's hot loop uses. Results are bitwise identical to calling Run
+// with each rep index.
 func (s *Simulator) RunReps(c *flags.Config, p *workload.Profile, repBase, n int, out []Result) []Result {
 	base := s.runNoiseless(c, p)
 	if base.Failed {
@@ -53,10 +54,10 @@ func (s *Simulator) RunReps(c *flags.Config, p *workload.Profile, repBase, n int
 		}
 		return out
 	}
-	key := c.Key()
+	noise := newNoisePrefix(c.Key(), p.Name)
 	for i := 0; i < n; i++ {
 		r := base
-		r.WallSeconds *= noiseFactor(key, p.Name, repBase+i, s.NoiseRelStdDev)
+		r.WallSeconds *= noise.factor(repBase+i, s.NoiseRelStdDev)
 		out = append(out, r)
 	}
 	return out

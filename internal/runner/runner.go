@@ -163,9 +163,11 @@ func EvalConfig(sim *jvmsim.Simulator, p *workload.Profile, cfg *flags.Config, r
 	m := Measurement{Key: cfg.Key()}
 	// Score the whole repetition batch in one simulator call: the cost
 	// model runs once and only the per-rep noise factor differs. The
-	// buffer covers the default three reps; it stays small because every
-	// fresh trial runs on a new goroutine whose stack this frame would
-	// otherwise grow. More reps cost one allocation per measurement.
+	// buffer covers the default three reps; it stays small because this
+	// frame sits on every measuring stack — a session's own goroutine,
+	// the measuring goroutines it keeps for its whole run, and an evald
+	// node's request goroutines — and a larger one would grow them. More
+	// reps cost one allocation per measurement.
 	var buf [4]jvmsim.Result
 	results := sim.RunReps(cfg, p, repBase, reps, buf[:0])
 	for i := range results {

@@ -53,3 +53,28 @@ func BenchmarkTracerRecordCommit(b *testing.B) {
 		tr.Commit("key", float64(i))
 	}
 }
+
+// BenchmarkTracerSession prices one session's worth of tracing into a
+// fresh tracer at the capacity autotune and prodbench give every session
+// (2^18): 350 trials of a 2-worker session, each a proposal, one launch
+// attempt recorded and committed, and an observation, with a barrier per
+// round of two — about 1,230 events, what a default-budget fop session
+// commits.
+func BenchmarkTracerSession(b *testing.B) {
+	const trials = 350
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr := NewTracer(1 << 18)
+		tr.Emit(Event{Kind: EvBaseline, Cost: 20})
+		for trial := 1; trial <= trials; trial++ {
+			vt := float64(trial) * 10
+			tr.Emit(Event{Kind: EvProposal, Key: "cfg", Worker: trial % 2})
+			tr.Record("cfg", Event{Kind: EvAttempt, Cost: 10, Detail: "ok"})
+			tr.Commit("cfg", vt)
+			tr.Emit(Event{Kind: EvObserve, Key: "cfg", T: vt, Trial: trial, Cost: 10, Score: 10})
+			if trial%2 == 0 {
+				tr.Emit(Event{Kind: EvBarrier, T: vt})
+			}
+		}
+	}
+}

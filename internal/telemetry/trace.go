@@ -81,6 +81,9 @@ const (
 // defaultTraceCap bounds the ring when NewTracer is given no capacity.
 const defaultTraceCap = 1 << 14
 
+// traceChunk is the number of events in one chunk of the ring's storage.
+const traceChunk = 256
+
 // pendingCapPerKey bounds any one key's uncommitted event group.
 const pendingCapPerKey = 256
 
@@ -96,12 +99,19 @@ const pendingCapPerKey = 256
 // virtual-completion order. The committed stream is therefore identical for
 // a fixed seed at any worker count and under any goroutine schedule.
 //
+// The ring's storage is a list of fixed-size chunks of 256 events (the
+// last one shorter when the capacity is not a multiple of that), each
+// allocated when the ring first reaches it. Growing the ring never
+// copies the events it holds, and a session that commits few events
+// holds few chunks.
+//
 // A nil *Tracer is a valid no-op sink.
 type Tracer struct {
 	mu      sync.Mutex
 	cap     int
-	buf     []Event
-	head    int // oldest element when the ring is full
+	chunks  [][]Event // ring slot i is chunks[i/traceChunk][i%traceChunk]
+	n       int       // committed events held
+	head    int       // slot of the oldest event
 	seq     int
 	dropped int
 	pending map[string][]Event
@@ -120,11 +130,17 @@ func NewTracer(capacity int) *Tracer {
 func (t *Tracer) appendLocked(ev Event) {
 	ev.Seq = t.seq
 	t.seq++
-	if len(t.buf) < t.cap {
-		t.buf = append(t.buf, ev)
+	if t.n < t.cap {
+		// Not yet full: the oldest event is in slot 0 and the next free
+		// slot is n, whose chunk exists unless n starts a new one.
+		if t.n%traceChunk == 0 {
+			t.chunks = append(t.chunks, make([]Event, min(traceChunk, t.cap-t.n)))
+		}
+		t.chunks[t.n/traceChunk][t.n%traceChunk] = ev
+		t.n++
 		return
 	}
-	t.buf[t.head] = ev
+	t.chunks[t.head/traceChunk][t.head%traceChunk] = ev
 	t.head = (t.head + 1) % t.cap
 	t.dropped++
 }
@@ -201,9 +217,17 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.buf))
-	out = append(out, t.buf[t.head:]...)
-	out = append(out, t.buf[:t.head]...)
+	out := make([]Event, 0, t.n)
+	// Copy chunk by chunk from the oldest slot, wrapping at the capacity.
+	for i, left := t.head, t.n; left > 0; {
+		seg := t.chunks[i/traceChunk][i%traceChunk:]
+		seg = seg[:min(len(seg), left)]
+		out = append(out, seg...)
+		left -= len(seg)
+		if i += len(seg); i == t.cap {
+			i = 0
+		}
+	}
 	return out
 }
 
@@ -214,7 +238,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.buf)
+	return t.n
 }
 
 // Dropped counts events lost to the ring bound or a pending-group cap.

@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -162,4 +165,103 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if err := tr.WriteJSONL(&strings.Builder{}); err != nil {
 		t.Errorf("nil WriteJSONL: %v", err)
 	}
+}
+
+// sliceRing is the committed ring as it was before it was chunked: one
+// slice grown by append, then overwritten in place from head. It is the
+// reference the chunked ring must match event for event.
+type sliceRing struct {
+	cap, head, seq, dropped int
+	buf                     []Event
+	pending                 map[string][]Event
+}
+
+func (r *sliceRing) add(ev Event) {
+	ev.Seq = r.seq
+	r.seq++
+	if len(r.buf) < r.cap {
+		r.buf = append(r.buf, ev)
+		return
+	}
+	r.buf[r.head] = ev
+	r.head = (r.head + 1) % r.cap
+	r.dropped++
+}
+
+func (r *sliceRing) record(key string, ev Event) {
+	ev.Key = key
+	if len(r.pending[key]) < pendingCapPerKey {
+		r.pending[key] = append(r.pending[key], ev)
+	} else {
+		r.dropped++
+	}
+}
+
+func (r *sliceRing) commit(key string, virtualT float64) {
+	for _, ev := range r.pending[key] {
+		ev.T = virtualT
+		r.add(ev)
+	}
+	delete(r.pending, key)
+}
+
+func (r *sliceRing) events() []Event {
+	return append(append([]Event{}, r.buf[r.head:]...), r.buf[:r.head]...)
+}
+
+// TestTracerChunkedRingMatchesSliceRing feeds rings whose capacities are
+// not multiples of the chunk (and one that is, and one inside a single
+// chunk) three times their capacity in events, through Emit and through
+// Record/Commit, some groups past the pending cap: at every step Events,
+// Len and Dropped equal the reference ring's.
+func TestTracerChunkedRingMatchesSliceRing(t *testing.T) {
+	for _, capacity := range []int{3*traceChunk + 37, 2 * traceChunk, traceChunk - 1, 5} {
+		tr := NewTracer(capacity)
+		ref := &sliceRing{cap: capacity, pending: map[string][]Event{}}
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		check := func(step int) {
+			t.Helper()
+			if got, want := tr.Events(), ref.events(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("capacity %d, step %d: %d events, reference %d (first seqs %v / %v)",
+					capacity, step, len(got), len(want), firstSeq(got), firstSeq(want))
+			}
+			if tr.Len() != len(ref.buf) || tr.Dropped() != ref.dropped {
+				t.Fatalf("capacity %d, step %d: Len %d Dropped %d, reference %d and %d",
+					capacity, step, tr.Len(), tr.Dropped(), len(ref.buf), ref.dropped)
+			}
+		}
+		for step := 0; ref.seq < 3*capacity; step++ {
+			ev := Event{Kind: EvObserve, Trial: step, Cost: rng.Float64()}
+			switch rng.Intn(3) {
+			case 0:
+				tr.Emit(ev)
+				ref.add(ev)
+			default:
+				key := fmt.Sprintf("k%d", rng.Intn(4))
+				n := 1 + rng.Intn(40)
+				if rng.Intn(50) == 0 {
+					n = pendingCapPerKey + 3
+				}
+				for i := 0; i < n; i++ {
+					ev.Attempt = i
+					tr.Record(key, ev)
+					ref.record(key, ev)
+				}
+				vt := float64(step)
+				tr.Commit(key, vt)
+				ref.commit(key, vt)
+			}
+			if step%7 == 0 || ref.seq >= 3*capacity {
+				check(step)
+			}
+		}
+	}
+}
+
+func firstSeq(evs []Event) []int {
+	var out []int
+	for i := 0; i < len(evs) && i < 3; i++ {
+		out = append(out, evs[i].Seq)
+	}
+	return out
 }

@@ -43,6 +43,11 @@ COUNT=5
 		./internal/flags ./internal/jvmsim ./internal/hierarchy
 	go test -run '^$' -count $COUNT -bench 'BenchmarkSessionThroughput16' -benchtime 5s \
 		./internal/core
+	# One session's worth of trace events into a fresh tracer at the
+	# capacity autotune and prodbench give every session: the ring's
+	# storage grows in chunks as it fills and never copies itself.
+	go test -run '^$' -count $COUNT -bench '^BenchmarkTracerSession$' -benchmem -benchtime 1s \
+		./internal/telemetry
 	# The dispatch pair: the same fresh trial in-process and over loopback
 	# HTTP to a real evald handler. Their delta is the per-trial cost of
 	# the distributed plane's transport. Batch16Proposal prices it at the

@@ -37,6 +37,10 @@ go test -run 'Fuzz' ./internal/flags ./internal/runner ./internal/faultinject ./
 # flags.NewRegistry first; concurrent first calls must get one instance.
 go test -race -count=10 -run 'TestNewRegistryConcurrentFirstCall' ./internal/flags/firstcall
 
+# Sessions share the process's one flag tree, which is read-only after
+# its build: concurrent sessions must read it without a race.
+go test -race -count=10 -run 'TestConcurrentSessionsShareTree' ./internal/core
+
 # The durability gate: kill-and-resume drills for every searcher, the CLI,
 # and the job farm must converge to byte-identical results.
 make crash-matrix
